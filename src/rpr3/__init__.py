@@ -28,10 +28,13 @@ from .geometry import (
     Pose,
     Vec2,
     angle_difference,
+    angle_differences,
     constraint_residuals,
     load_geometry,
     normalize_angle,
+    normalize_angles,
     platform_anchor,
+    platform_anchor_arrays,
     rotation_matrix,
     signed_extensions,
 )
@@ -42,17 +45,21 @@ from .solvers import (
     IkSolution,
     LineDescriptor,
     classify_dk_degeneracy,
+    classify_dk_degeneracy_array,
     direct_kinematics,
     inverse_kinematics,
+    inverse_kinematics_array,
     mn_coefficients,
     position_from_orientation,
 )
 from .jacobians import (
     KinematicMatrices,
+    KinematicMatricesArray,
     SingularityKind,
     SingularityReport,
     Twist,
     build_matrices,
+    build_matrices_array,
     classify_singularity,
     det_A_specialized,
     forward_velocity,
@@ -92,9 +99,12 @@ __all__ = [
     "ManipulatorGeometry",
     "DEFAULT_GEOMETRY",
     "normalize_angle",
+    "normalize_angles",
     "angle_difference",
+    "angle_differences",
     "rotation_matrix",
     "platform_anchor",
+    "platform_anchor_arrays",
     "constraint_residuals",
     "signed_extensions",
     "load_geometry",
@@ -105,16 +115,20 @@ __all__ = [
     "IkSolution",
     "LineDescriptor",
     "inverse_kinematics",
+    "inverse_kinematics_array",
     "direct_kinematics",
     "mn_coefficients",
     "classify_dk_degeneracy",
+    "classify_dk_degeneracy_array",
     "position_from_orientation",
     # jacobians
     "Twist",
     "KinematicMatrices",
+    "KinematicMatricesArray",
     "SingularityKind",
     "SingularityReport",
     "build_matrices",
+    "build_matrices_array",
     "forward_velocity",
     "inverse_velocity",
     "classify_singularity",

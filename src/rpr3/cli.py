@@ -27,7 +27,13 @@ import sys
 
 import numpy as np
 
-from .coupler import geometric_dkp, reuleaux_descriptor, rho_from_phi, trace_cardanic
+from .coupler import (
+    MIN_CURVE_SAMPLES,
+    geometric_dkp,
+    reuleaux_descriptor,
+    rho_from_phi,
+    trace_cardanic,
+)
 from .errors import (
     DegenerateLegPairError,
     GeometryError,
@@ -44,15 +50,22 @@ from .geometry import (
     Pose,
     load_geometry,
     normalize_angle,
+    normalize_angles,
     platform_anchor,
 )
-from .jacobians import build_matrices, classify_singularity
+from .jacobians import (
+    SingularityKind,
+    build_matrices,
+    build_matrices_array,
+    classify_singularity,
+)
 from .oracle import dkp_bruteforce, jacobian_fd_check
 from .solvers import (
     DkKind,
-    classify_dk_degeneracy,
+    classify_dk_degeneracy_array,
     direct_kinematics,
     inverse_kinematics,
+    inverse_kinematics_array,
     mn_coefficients,
 )
 from . import figio
@@ -124,10 +137,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "trace", help="trace the third-anchor coupler curve for two fixed angles"
     )
-    p_trace.add_argument("--t1", type=float, required=True, help="first leg angle")
-    p_trace.add_argument("--t2", type=float, required=True, help="second leg angle")
     p_trace.add_argument(
-        "--samples", type=int, default=720, help="number of orientation samples"
+        "--t1", type=_finite_float, required=True, help="first leg angle"
+    )
+    p_trace.add_argument(
+        "--t2", type=_finite_float, required=True, help="second leg angle"
+    )
+    p_trace.add_argument(
+        "--samples",
+        type=_int_at_least(MIN_CURVE_SAMPLES),
+        default=720,
+        help="number of orientation samples",
     )
     p_trace.add_argument("--csv", required=True, help="output CSV path")
     p_trace.add_argument("--svg", help="optional output SVG path")
@@ -175,8 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="which check families to run",
     )
-    p_verify.add_argument("--trials", type=int, default=200, help="trials per scope")
-    p_verify.add_argument("--seed", type=int, default=0, help="random seed")
+    p_verify.add_argument(
+        "--trials", type=_int_at_least(1), default=200, help="trials per scope"
+    )
+    p_verify.add_argument(
+        "--seed", type=_int_at_least(0), default=0, help="random seed"
+    )
     p_verify.add_argument(
         "--csv", help="recheck a previously written trace CSV (curves scope)"
     )
@@ -185,18 +209,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def _add_pose_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--x", type=float, required=True, help="platform x")
-    parser.add_argument("--y", type=float, required=True, help="platform y")
+    parser.add_argument("--x", type=_finite_float, required=True, help="platform x")
+    parser.add_argument("--y", type=_finite_float, required=True, help="platform y")
     parser.add_argument(
-        "--phi", type=float, required=True, help="platform orientation"
+        "--phi", type=_finite_float, required=True, help="platform orientation"
     )
 
 
 def _add_theta_flags(parser: argparse.ArgumentParser, required: bool) -> None:
-    parser.add_argument("--t1", type=float, required=required, help="first leg angle")
-    parser.add_argument("--t2", type=float, required=required, help="second leg angle")
-    parser.add_argument("--t3", type=float, required=required, help="third leg angle")
+    for flag, what in (("t1", "first"), ("t2", "second"), ("t3", "third")):
+        parser.add_argument(
+            f"--{flag}",
+            type=_finite_float,
+            required=required,
+            help=f"{what} leg angle",
+        )
 
 
 def _add_deg_flag(parser: argparse.ArgumentParser) -> None:
@@ -440,8 +496,6 @@ def _cmd_singularity(args, geom: ManipulatorGeometry) -> int:
 def _cmd_trace(args, geom: ManipulatorGeometry) -> int:
     t1 = _in_angle(args.t1, args.deg)
     t2 = _in_angle(args.t2, args.deg)
-    if args.samples < 4:
-        raise _UsageError("--samples must be at least 4")
     curve = trace_cardanic(t1, t2, n_samples=args.samples, geometry=geom)
 
     rows = []
@@ -541,100 +595,78 @@ def _draw_slider_axis(canvas, anchor, theta: float) -> None:
 # ------------------------------------------------------------------ sweep
 
 
-def _parse_axis(parser_error, name: str, text: str | None, deg: bool):
-    """Return an array of axis values; None text means axis must be fixed."""
+def _parse_axis(name: str, text: str | None, deg: bool) -> np.ndarray:
+    """Values of sweep axis ``name``: a fixed value 'v' or a range 'lo:hi:n'."""
     if text is None:
-        parser_error(f"--{name} is required for this space")
-    angular = name in _ANGLE_AXES
+        raise _UsageError(f"--{name} is required for this space")
     parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise _UsageError(f"--{name}: expected 'v' or 'lo:hi:n'")
     try:
-        if len(parts) == 1:
-            values = np.array([float(parts[0])])
-        elif len(parts) == 3:
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 2:
-                parser_error(f"--{name}: range needs at least 2 samples")
-            values = np.linspace(lo, hi, count)
-        else:
-            parser_error(f"--{name}: expected 'v' or 'lo:hi:n'")
-            return None
+        ends = [float(p) for p in parts[:2]]
+        count = int(parts[2]) if len(parts) == 3 else 1
     except ValueError:
-        parser_error(f"--{name}: could not parse {text!r}")
-        return None
-    if angular and deg:
+        raise _UsageError(f"--{name}: could not parse {text!r}") from None
+    # The span check catches finite ends whose difference overflows.
+    if not all(math.isfinite(v) for v in (*ends, ends[-1] - ends[0])):
+        raise _UsageError(f"--{name}: values must be finite, got {text!r}")
+    if len(parts) == 1:
+        values = np.array(ends)
+    elif count < 2:
+        raise _UsageError(f"--{name}: range needs at least 2 samples")
+    else:
+        values = np.linspace(ends[0], ends[1], count)
+    if name in _ANGLE_AXES and deg:
         values = np.radians(values)
+    # Checked after the unit change, which can merge ends a few ulp apart.
+    if len(values) > 1 and values[0] == values[-1]:
+        raise _UsageError(f"--{name}: range needs lo != hi, got {text!r}")
     return values
 
 
 def _cmd_sweep(args, geom: ManipulatorGeometry) -> int:
-    def fail(message):
-        raise _UsageError(message)
-
     if args.space == "joint":
         axis_names = ("t1", "t2", "t3")
     else:
         axis_names = ("x", "y", "phi")
-    axes = [
-        _parse_axis(fail, name, getattr(args, name), args.deg) for name in axis_names
-    ]
+    axes = [_parse_axis(name, getattr(args, name), args.deg) for name in axis_names]
     swept = [i for i, a in enumerate(axes) if len(a) > 1]
     if args.svg and len(swept) != 2:
-        fail("--svg requires exactly two swept axes")
+        raise _UsageError("--svg requires exactly two swept axes")
 
+    # Every grid point as one flat array per axis, last axis fastest: the
+    # order of the CSV rows.
+    grid = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    if args.space == "joint":
+        # Joint grids are evaluated at the trivial assembly.
+        theta = np.stack(grid, axis=1)
+        x = y = phi = np.zeros(len(theta))
+        mats = build_matrices_array(x, y, phi, theta, geometry=geom)
+        det_a, det_b = mats.det_a, mats.det_b
+        kinds = classify_dk_degeneracy_array(theta)
+    else:
+        x, y, phi = grid[0], grid[1], normalize_angles(grid[2])
+        theta, at_anchor = inverse_kinematics_array(x, y, phi, geometry=geom)
+        ok = ~at_anchor
+        mats = build_matrices_array(x[ok], y[ok], phi[ok], theta[ok], geometry=geom)
+        # A pose on a base anchor has undefined angles and is serial singular.
+        det_a = np.full(len(x), math.nan)
+        det_a[ok] = mats.det_a
+        det_b = np.zeros(len(x))
+        det_b[ok] = mats.det_b
+        kinds = np.full(len(x), SingularityKind.SERIAL, dtype=object)
+        kinds[ok] = mats.singularity_kinds()
+
+    out = np.degrees if args.deg else np.asarray
+    table = np.column_stack((out(theta), x, y, out(phi), det_a, det_b))
+    # One row of Python floats at a time keeps the page's memory flat.
+    rows = (values.tolist() + [kind.value] for values, kind in zip(table, kinds))
     header = ("theta1", "theta2", "theta3", "x", "y", "phi", "detA", "detB", "kind")
-    rows = []
-    grid_values = (
-        np.empty((len(axes[swept[0]]), len(axes[swept[1]]))) if args.svg else None
-    )
-
-    for i0, v0 in enumerate(axes[0]):
-        for i1, v1 in enumerate(axes[1]):
-            for i2, v2 in enumerate(axes[2]):
-                index = (i0, i1, i2)
-                if args.space == "joint":
-                    theta = (float(v0), float(v1), float(v2))
-                    pose = Pose(0.0, 0.0, 0.0)
-                    mats = build_matrices(pose, theta, geometry=geom)
-                    kind = classify_dk_degeneracy(theta).value
-                else:
-                    pose = Pose(float(v0), float(v1), float(v2))
-                    try:
-                        theta = inverse_kinematics(
-                            pose, branch=(0, 0, 0), geometry=geom
-                        ).angles.as_tuple()
-                        mats = build_matrices(pose, theta, geometry=geom)
-                        kind = classify_singularity(
-                            pose, theta, geometry=geom
-                        ).kind.value
-                    except LegAtAnchorError:
-                        # Pose touches a base anchor; angles are undefined.
-                        theta = (math.nan, math.nan, math.nan)
-                        mats = None
-                        kind = "Serial"
-                rows.append(
-                    (
-                        _out_angle(theta[0], args.deg),
-                        _out_angle(theta[1], args.deg),
-                        _out_angle(theta[2], args.deg),
-                        pose.x,
-                        pose.y,
-                        _out_angle(pose.phi, args.deg),
-                        mats.det_a if mats else math.nan,
-                        mats.det_b if mats else 0.0,
-                        kind,
-                    )
-                )
-                if grid_values is not None:
-                    value = (
-                        (mats.det_a if args.quantity == "detA" else mats.det_b)
-                        if mats
-                        else math.nan
-                    )
-                    grid_values[index[swept[0]], index[swept[1]]] = value
-
-    figio.write_csv(args.csv, header, rows)
+    count = figio.write_csv(args.csv, header, rows)
 
     if args.svg:
+        field = det_a if args.quantity == "detA" else det_b
+        grid_values = field.reshape(len(axes[swept[0]]), len(axes[swept[1]]))
         _write_sweep_svg(args, axes, swept, axis_names, grid_values)
 
     _emit(
@@ -643,7 +675,7 @@ def _cmd_sweep(args, geom: ManipulatorGeometry) -> int:
             "command": "sweep",
             "scale": geom.scale,
             "space": args.space,
-            "rows": len(rows),
+            "rows": count,
             "csv": args.csv,
             "svg": args.svg,
         }

@@ -43,6 +43,7 @@ from .solvers import (
 )
 
 __all__ = [
+    "MIN_CURVE_SAMPLES",
     "PAIR_SIN_TOL",
     "COLLINEARITY_TOL",
     "CurveSample",
@@ -54,6 +55,9 @@ __all__ = [
     "geometric_dkp",
     "reuleaux_descriptor",
 ]
+
+# Fewest orientation samples trace_cardanic accepts for a full cycle.
+MIN_CURVE_SAMPLES = 8
 
 # |sin(theta2 - theta1)| below this means the two slider lines are parallel
 # and the curve construction is rank deficient.
@@ -195,8 +199,10 @@ def trace_cardanic(
     Raises :class:`DegenerateLegPairError` for parallel slider lines, where
     no curve exists.
     """
-    if n_samples < 8:
-        raise ValueError(f"n_samples must be at least 8, got {n_samples}")
+    if n_samples < MIN_CURVE_SAMPLES:
+        raise ValueError(
+            f"n_samples must be at least {MIN_CURVE_SAMPLES}, got {n_samples}"
+        )
     t1 = normalize_angle(theta1)
     t2 = normalize_angle(theta2)
     samples = []

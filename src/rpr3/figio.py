@@ -148,36 +148,38 @@ def contour_segments(
     by the cell-center sign, which keeps the output deterministic.
     """
     segs: list[tuple[tuple[float, float], tuple[float, float]]] = []
-    ni, nj = values.shape
-    for i in range(ni - 1):
-        for j in range(nj - 1):
-            corners = (
-                (xs[i], ys[j], values[i, j]),
-                (xs[i + 1], ys[j], values[i + 1, j]),
-                (xs[i + 1], ys[j + 1], values[i + 1, j + 1]),
-                (xs[i], ys[j + 1], values[i, j + 1]),
-            )
-            crossings = []
-            for a in range(4):
-                x0, y0, v0 = corners[a]
-                x1, y1, v1 = corners[(a + 1) % 4]
-                # Half-open sign classes make corner zeros unambiguous and
-                # guarantee an even crossing count around the cell.
-                if (v0 >= 0.0) != (v1 >= 0.0):
-                    frac = v0 / (v0 - v1)
-                    crossings.append(
-                        (float(x0 + frac * (x1 - x0)), float(y0 + frac * (y1 - y0)))
-                    )
-            if len(crossings) == 2:
+    # Half-open sign classes make corner zeros unambiguous and guarantee an
+    # even crossing count around the cell; a cell whose four corners share a
+    # class has no crossing.
+    upper = values >= 0.0
+    mixed = (upper[:-1, :-1] != upper[1:, :-1]) | (upper[1:, :-1] != upper[1:, 1:])
+    mixed |= upper[1:, 1:] != upper[:-1, 1:]
+    for i, j in zip(*np.nonzero(mixed)):
+        corners = (
+            (xs[i], ys[j], values[i, j]),
+            (xs[i + 1], ys[j], values[i + 1, j]),
+            (xs[i + 1], ys[j + 1], values[i + 1, j + 1]),
+            (xs[i], ys[j + 1], values[i, j + 1]),
+        )
+        crossings = []
+        for a in range(4):
+            x0, y0, v0 = corners[a]
+            x1, y1, v1 = corners[(a + 1) % 4]
+            if (v0 >= 0.0) != (v1 >= 0.0):
+                frac = v0 / (v0 - v1)
+                crossings.append(
+                    (float(x0 + frac * (x1 - x0)), float(y0 + frac * (y1 - y0)))
+                )
+        if len(crossings) == 2:
+            segs.append((crossings[0], crossings[1]))
+        elif len(crossings) == 4:
+            # Saddle cell: pair the edges so the contour separates the
+            # center's sign class from the opposite corners.
+            center = sum(c[2] for c in corners) / 4.0
+            if (center >= 0.0) == (corners[0][2] >= 0.0):
+                segs.append((crossings[0], crossings[3]))
+                segs.append((crossings[1], crossings[2]))
+            else:
                 segs.append((crossings[0], crossings[1]))
-            elif len(crossings) == 4:
-                # Saddle cell: pair the edges so the contour separates the
-                # center's sign class from the opposite corners.
-                center = sum(c[2] for c in corners) / 4.0
-                if (center >= 0.0) == (corners[0][2] >= 0.0):
-                    segs.append((crossings[0], crossings[3]))
-                    segs.append((crossings[1], crossings[2]))
-                else:
-                    segs.append((crossings[0], crossings[1]))
-                    segs.append((crossings[2], crossings[3]))
+                segs.append((crossings[2], crossings[3]))
     return segs

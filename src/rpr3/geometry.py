@@ -32,9 +32,12 @@ __all__ = [
     "ManipulatorGeometry",
     "DEFAULT_GEOMETRY",
     "normalize_angle",
+    "normalize_angles",
     "angle_difference",
+    "angle_differences",
     "rotation_matrix",
     "platform_anchor",
+    "platform_anchor_arrays",
     "constraint_residuals",
     "signed_extensions",
     "load_geometry",
@@ -64,6 +67,40 @@ def normalize_angle(angle: float) -> float:
 def angle_difference(a: float, b: float, period: float = TAU) -> float:
     """Distance from ``a`` to ``b`` modulo ``period``, in [0, period/2]."""
     return abs(math.remainder(a - b, period))
+
+
+# Array forms of the two functions above, equal to them bit for bit: fmod is
+# exact, and so is the single fold by one period that turns its result into
+# the IEEE remainder (Sterbenz: the operands are within a factor of two).
+
+
+def normalize_angles(angles: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`normalize_angle` of an array."""
+    a = np.asarray(angles, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("angles must be finite")
+    folded = np.fmod(a, TAU)
+    folded = np.where(folded > math.pi, folded - TAU, folded)
+    return np.where(folded <= -math.pi, folded + TAU, folded)
+
+
+def angle_differences(a: np.ndarray, b: np.ndarray | float, period: float = TAU) -> np.ndarray:
+    """Elementwise :func:`angle_difference` of arrays."""
+    folded = np.abs(np.fmod(np.asarray(a, dtype=float) - b, period))
+    return np.minimum(folded, period - folded)
+
+
+def _libm(fn, *arrays: np.ndarray) -> np.ndarray:
+    """Elementwise ``math`` function of equal-shape arrays.
+
+    The array kernels take sin, cos, atan2 and hypot from libm, as the
+    scalar path does, so that both agree bit for bit on every platform.
+    numpy's arctan2 and hypot differ from libm's in the last place on a
+    few percent of inputs, and its SIMD sin and cos are build dependent.
+    """
+    shape = np.shape(arrays[0])
+    flat = [np.ravel(a).tolist() for a in arrays]
+    return np.fromiter(map(fn, *flat), dtype=float, count=len(flat[0])).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -278,6 +315,30 @@ def platform_anchor(
         pose.x + c * local.x - s * local.y,
         pose.y + s * local.x + c * local.y,
     )
+
+
+def platform_anchor_arrays(
+    x: np.ndarray,
+    y: np.ndarray,
+    phi: np.ndarray,
+    geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
+) -> tuple[np.ndarray, np.ndarray]:
+    """World platform anchors for (N,) pose arrays, as (N, 3) x and y arrays.
+
+    Column ``leg - 1`` equals :func:`platform_anchor` at ``Pose(x, y, phi)``
+    bit for bit; like :class:`Pose`, non-finite positions are rejected and
+    ``phi`` is normalized first.
+    """
+    x = np.asarray(x, dtype=float)[:, None]
+    y = np.asarray(y, dtype=float)[:, None]
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("positions must be finite")
+    phi = normalize_angles(phi)[:, None]
+    c, s = _libm(math.cos, phi), _libm(math.sin, phi)
+    local = geometry.platform_anchors_local()
+    lx = np.array([b.x for b in local])
+    ly = np.array([b.y for b in local])
+    return (x + c * lx - s * ly, y + s * lx + c * ly)
 
 
 def constraint_residuals(

@@ -31,8 +31,10 @@ from .geometry import (
     Pose,
     Vec2,
     _as_angles,
+    _libm,
     constraint_residuals,
     platform_anchor,
+    platform_anchor_arrays,
     signed_extensions,
 )
 
@@ -46,6 +48,8 @@ __all__ = [
     "SingularityKind",
     "SingularityReport",
     "build_matrices",
+    "KinematicMatricesArray",
+    "build_matrices_array",
     "forward_velocity",
     "inverse_velocity",
     "classify_singularity",
@@ -301,4 +305,84 @@ def det_A_specialized(
     q3 = 0.5 * math.cos(t3) + 0.5 * _SQRT3 * math.sin(t3)
     return geometry.scale * (
         q3 * math.sin(t2 - t1) - math.cos(t2) * math.sin(t3 - t1)
+    )
+
+
+# ------------------------------------------------------------ array kernels
+
+
+# Indexed by parallel + 2 * serial.
+_SINGULARITY_KINDS = np.array(
+    [
+        SingularityKind.REGULAR,
+        SingularityKind.PARALLEL,
+        SingularityKind.SERIAL,
+        SingularityKind.BOTH,
+    ],
+    dtype=object,
+)
+
+
+@dataclass(frozen=True, eq=False)
+class KinematicMatricesArray:
+    """Velocity models of N configurations at once.
+
+    Entry k of every field equals the matching field of
+    :func:`build_matrices` at configuration k bit for bit; ``rhos`` is the
+    (N, 3) diagonal of B.
+    """
+
+    a_matrix: np.ndarray
+    rhos: np.ndarray
+    det_a: np.ndarray
+    det_b: np.ndarray
+    scale: float
+
+    def singularity_kinds(self) -> np.ndarray:
+        """(N,) object array of the :class:`SingularityKind` that
+        :func:`classify_singularity` reports for each configuration."""
+        # A (1, 9) @ (9, 1) product is the same BLAS dot np.linalg.norm takes,
+        # so the Frobenius norm matches KinematicMatrices.is_parallel_singular.
+        flat = self.a_matrix.reshape(-1, 1, 9)
+        norm = np.sqrt((flat @ flat.transpose(0, 2, 1)).reshape(-1))
+        parallel = np.abs(self.det_a) < PARALLEL_DET_TOL * norm**3
+        serial = (np.abs(self.rhos) < SERIAL_RHO_TOL * self.scale).any(axis=1)
+        return _SINGULARITY_KINDS[parallel + 2 * serial]
+
+
+def build_matrices_array(
+    x: np.ndarray,
+    y: np.ndarray,
+    phi: np.ndarray,
+    theta: np.ndarray,
+    geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
+) -> KinematicMatricesArray:
+    """:func:`build_matrices` over (N,) pose arrays and (N, 3) joint angles.
+
+    Raises :class:`InconsistentStateError` for the first configuration whose
+    leg constraint residual exceeds ``CONSISTENCY_TOL * scale``.
+    """
+    t = np.asarray(theta, dtype=float)
+    bx, by = platform_anchor_arrays(x, y, phi, geometry)
+    base = geometry.base_anchors()
+    dx = bx - np.array([a.x for a in base])
+    dy = by - np.array([a.y for a in base])
+    sin_t, cos_t = _libm(math.sin, t), _libm(math.cos, t)
+    residuals = sin_t * dx - cos_t * dy
+    tol = CONSISTENCY_TOL * geometry.scale
+    bad = np.flatnonzero((np.abs(residuals) > tol).any(axis=1))
+    if bad.size:
+        raise InconsistentStateError(tuple(residuals[bad[0]].tolist()), tol)
+
+    arms = cos_t * (bx - np.asarray(x, dtype=float)[:, None]) + sin_t * (
+        by - np.asarray(y, dtype=float)[:, None]
+    )
+    a = np.stack((-sin_t, cos_t, arms), axis=2)
+    rhos = cos_t * dx + sin_t * dy
+    return KinematicMatricesArray(
+        a_matrix=a,
+        rhos=rhos,
+        det_a=np.linalg.det(a),
+        det_b=rhos[:, 0] * rhos[:, 1] * rhos[:, 2],
+        scale=geometry.scale,
     )

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DegenerateLegPairError, LegAtAnchorError
 from .geometry import (
     DEFAULT_GEOMETRY,
@@ -31,21 +33,28 @@ from .geometry import (
     Pose,
     Vec2,
     _as_angles,
+    _libm,
     angle_difference,
+    angle_differences,
     normalize_angle,
+    normalize_angles,
     platform_anchor,
+    platform_anchor_arrays,
 )
 
 __all__ = [
+    "ANCHOR_TOL",
     "DEGENERACY_ANGLE_TOL",
     "REDUCTION_NULL_TOL",
     "IkSolution",
     "inverse_kinematics",
+    "inverse_kinematics_array",
     "DkKind",
     "LineDescriptor",
     "DkSolutionSet",
     "mn_coefficients",
     "classify_dk_degeneracy",
+    "classify_dk_degeneracy_array",
     "position_from_orientation",
     "direct_kinematics",
 ]
@@ -55,6 +64,10 @@ __all__ = [
 # and friends still land inside after parsing, yet ten orders of magnitude
 # below anything a physical encoder resolves.
 DEGENERACY_ANGLE_TOL = 5e-9
+
+# A leg whose anchor separation is below this times the geometry scale sits
+# on its base anchor, and inverse kinematics is undefined for it.
+ANCHOR_TOL = 1e-9
 
 # Threshold on m*m + n*n (dimensionless) below which the orientation
 # reduction cannot certify a second root.
@@ -97,7 +110,7 @@ def inverse_kinematics(
     pose: Pose,
     branch: Sequence[int] = (0, 0, 0),
     geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
-    anchor_tol: float = 1e-9,
+    anchor_tol: float = ANCHOR_TOL,
 ) -> IkSolution:
     """Joint values reaching ``pose``, one solution per leg branch.
 
@@ -123,6 +136,31 @@ def inverse_kinematics(
     if stuck:
         raise LegAtAnchorError(tuple(stuck))
     return IkSolution((legs[0], legs[1], legs[2]), br)
+
+
+def inverse_kinematics_array(
+    x: np.ndarray,
+    y: np.ndarray,
+    phi: np.ndarray,
+    geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Branch-000 :func:`inverse_kinematics` over (N,) pose arrays.
+
+    Returns ``(theta, at_anchor)``.  Row k of the (N, 3) ``theta`` equals
+    ``inverse_kinematics(Pose(x[k], y[k], phi[k])).angles`` bit for bit;
+    ``at_anchor`` marks the poses where that call raises
+    :class:`LegAtAnchorError`, and their rows of ``theta`` are nan.
+    """
+    bx, by = platform_anchor_arrays(x, y, phi, geometry)
+    base = geometry.base_anchors()
+    dx = bx - np.array([a.x for a in base])
+    dy = by - np.array([a.y for a in base])
+    at_anchor = (_libm(math.hypot, dx, dy) < ANCHOR_TOL * geometry.scale).any(axis=1)
+    # Adding 0.0 turns atan2's -0.0 into the +0.0 the scalar path gets from
+    # adding its branch offset 0 * pi.
+    theta = normalize_angles(_libm(math.atan2, dy, dx) + 0.0)
+    theta[at_anchor] = math.nan
+    return theta, at_anchor
 
 
 @unique
@@ -220,6 +258,26 @@ def classify_dk_degeneracy(
     ):
         return DkKind.CONTINUUM_REULEAUX
     return DkKind.TWO_SOLUTIONS
+
+
+_DK_KINDS = np.array(
+    [DkKind.TWO_SOLUTIONS, DkKind.CONTINUUM_TRANSLATION, DkKind.CONTINUUM_REULEAUX],
+    dtype=object,
+)
+
+
+def classify_dk_degeneracy_array(theta: np.ndarray) -> np.ndarray:
+    """:func:`classify_dk_degeneracy` of each row of an (N, 3) angle array,
+    as an (N,) object array of :class:`DkKind`."""
+    tol = DEGENERACY_ANGLE_TOL
+    t1, t2, t3 = np.asarray(theta, dtype=float).T
+    translation = (angle_differences(t2, t1, math.pi) < tol) & (
+        angle_differences(t3, t1, math.pi) < tol
+    )
+    reuleaux = (angle_differences(t2 - t1, math.pi / 3.0, math.pi) < tol) & (
+        angle_differences(t3 - t1, -math.pi / 3.0, math.pi) < tol
+    )
+    return _DK_KINDS[np.where(translation, 1, 2 * reuleaux)]
 
 
 def position_from_orientation(

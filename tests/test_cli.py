@@ -1,5 +1,6 @@
 """End-to-end workbench behavior: flags, artifacts, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -71,6 +72,24 @@ def test_missing_required_flag_is_usage_error(capsys):
 def test_no_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ik", "--x", "inf", "--y", "0.2", "--phi", "0.1"),
+        ("ik", "--x", "0.3", "--y", "nan", "--phi", "0.1"),
+        ("dk", "--t1", "nan", "--t2", "0.9", "--t3", "2.0"),
+        ("singularity", "--x", "0.3", "--y", "0.2", "--phi=-inf"),
+        ("singularity", "--x", "0.3", "--y", "0.2", "--phi", "0.1", "--t1", "0", "--t2", "0", "--t3", "inf"),
+        ("trace", "--t1", "nan", "--t2", "0.9", "--csv", "unused.csv"),
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "expected a finite number" in err.splitlines()[-1]
 
 
 # ------------------------------------------------------------------- dk
@@ -220,6 +239,17 @@ def test_trace_needs_enough_samples(capsys, tmp_path):
     assert code == 1
 
 
+def test_trace_samples_below_curve_minimum_is_usage_error(capsys, tmp_path):
+    csv_path = tmp_path / "x.csv"
+    argv = ("trace", "--t1", "0.2", "--t2", "0.9", "--csv", str(csv_path))
+    code, _, err = run(capsys, *argv, "--samples", "5")
+    assert code == 1
+    assert ">= 8" in err.splitlines()[-1]
+    assert not csv_path.exists()
+    payload = run_json(capsys, *argv, "--samples", "8")
+    assert payload["samples"] == 8
+
+
 def test_trace_io_error(capsys, tmp_path):
     code, _, _ = run(
         capsys,
@@ -322,6 +352,73 @@ def test_sweep_axis_spec_errors(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "axes",
+    [
+        ("--x=nan:1:3", "--y=0:1:3", "--phi=0"),
+        ("--x=0:1:3", "--y=0:1:3", "--phi", "inf"),
+        ("--x=0:inf:3", "--y=0", "--phi=0"),
+        ("--x=-1e308:1e308:3", "--y=0", "--phi=0"),
+    ],
+)
+def test_sweep_rejects_non_finite_axis_values(tmp_path, capsys, axes):
+    csv_path = tmp_path / "x.csv"
+    code, out, err = run(
+        capsys, "sweep", "--space", "cartesian", *axes, "--csv", str(csv_path)
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "must be finite" in err
+    assert not csv_path.exists()
+
+
+def test_sweep_rejects_zero_width_range(tmp_path, capsys):
+    svg_path = tmp_path / "x.svg"
+    code, _, err = run(
+        capsys,
+        "sweep", "--space", "joint", "--t1=0:0:3", "--t2=0:1:3", "--t3", "0.5",
+        "--csv", str(tmp_path / "x.csv"), "--svg", str(svg_path),
+    )
+    assert code == 1
+    assert len(err.splitlines()) == 1 and "lo != hi" in err
+    assert not svg_path.exists()
+
+
+# sha256 of the artifacts the per-point sweep loop wrote for these two pages,
+# before the sweep moved onto the array kernels; the rewrite must not change
+# a byte.  The cartesian page includes the anchor hit at (0, 0).
+PINNED_SWEEPS = {
+    "cartesian": (
+        ("--x=-0.5:1.5:25", "--y=-0.5:1.5:25", "--phi=0.3"),
+        "b8864218030007fda0e29cfa0077409fbd7cd16707117f21412adcf5c5961e63",
+        "5bbaa97d311e1483bb12a76cbeeefb323ab4f50797187ddc8910e496b4937ff8",
+    ),
+    "joint": (
+        (
+            "--t1=-3.141592653589793:3.141592653589793:25",
+            "--t2=-3.141592653589793:3.141592653589793:25",
+            "--t3=0.7",
+        ),
+        "7e8239db35d9d926a798ece833ab9118425915acee8b17483eff2b3bf4c4a272",
+        "9c6177b7c05f6e5eb6bd5fa6941b1238e43ae001a2725e1b50c45610480e4eab",
+    ),
+}
+
+
+@pytest.mark.parametrize("space", sorted(PINNED_SWEEPS))
+def test_sweep_artifacts_are_pinned(tmp_path, capsys, space):
+    axes, csv_digest, svg_digest = PINNED_SWEEPS[space]
+    csv_path = tmp_path / "page.csv"
+    svg_path = tmp_path / "page.svg"
+    payload = run_json(
+        capsys, "sweep", "--space", space, *axes,
+        "--csv", str(csv_path), "--svg", str(svg_path),
+    )
+    assert payload["rows"] == 625
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == svg_digest
+
+
 def test_sweep_degrees_roundtrip(tmp_path, capsys):
     csv_path = tmp_path / "deg.csv"
     run_json(
@@ -344,6 +441,14 @@ def test_verify_all_scopes_pass(capsys):
     assert code == 0
     assert "verify: ok" in out
     assert "dkp" in out and "jacobian" in out and "curves" in out
+
+
+@pytest.mark.parametrize("flag", ["--trials=-3", "--trials=0", "--seed=-1"])
+def test_verify_rejects_counts_below_range(capsys, flag):
+    code, out, err = run(capsys, "verify", "--scope", "dkp", flag)
+    assert code == 1
+    assert "verify: ok" not in out
+    assert "expected an integer >=" in err.splitlines()[-1]
 
 
 def test_verify_rechecks_trace_csv(tmp_path, capsys):

@@ -1,0 +1,207 @@
+"""Array kernels against the scalar API they batch.
+
+The kernels promise bit-for-bit agreement with the scalar functions, not
+agreement within a tolerance: ``sweep`` writes their output with 17
+significant digits, and its artifacts must not depend on which path ran.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from rpr3.errors import InconsistentStateError, LegAtAnchorError
+from rpr3.geometry import (
+    ManipulatorGeometry,
+    Pose,
+    angle_difference,
+    angle_differences,
+    normalize_angle,
+    normalize_angles,
+    platform_anchor,
+    platform_anchor_arrays,
+)
+from rpr3.jacobians import build_matrices, build_matrices_array, classify_singularity
+from rpr3.solvers import (
+    classify_dk_degeneracy,
+    classify_dk_degeneracy_array,
+    inverse_kinematics,
+    inverse_kinematics_array,
+)
+
+PI3 = math.pi / 3.0
+GEOMETRIES = [ManipulatorGeometry.from_scale(1.0), ManipulatorGeometry.from_scale(2.0)]
+EDGE_ANGLES = [
+    0.0, -0.0, math.pi, -math.pi, math.tau, -math.tau, 3 * math.pi, -3 * math.pi,
+    PI3, -PI3, 1e-300, -1e-300, 1e6, -1e6, 2.5e-9, math.nextafter(math.pi, 0.0),
+]
+
+
+def _bits(values):
+    """float64 bit patterns, so that -0.0 and 0.0 count as different."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _assert_bit_equal(got, want):
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def _cartesian_scalar(x, y, phi, geom):
+    """What the per-point sweep computed for each pose: IK branch 000, then
+    the singularity report; a pose on a base anchor is serial with nan
+    angles, detA nan and detB 0."""
+    thetas, kinds, det_a, det_b = [], [], [], []
+    for px, py, pphi in zip(x.tolist(), y.tolist(), phi.tolist()):
+        pose = Pose(px, py, pphi)
+        try:
+            theta = inverse_kinematics(pose, geometry=geom).angles.as_tuple()
+        except LegAtAnchorError:
+            thetas.append((math.nan,) * 3)
+            kinds.append("Serial")
+            det_a.append(math.nan)
+            det_b.append(0.0)
+            continue
+        report = classify_singularity(pose, theta, geometry=geom)
+        thetas.append(theta)
+        kinds.append(report.kind.value)
+        det_a.append(report.det_a)
+        det_b.append(report.det_b)
+    return np.array(thetas), kinds, det_a, det_b
+
+
+def _cartesian_array(x, y, phi, geom):
+    theta, at_anchor = inverse_kinematics_array(x, y, phi, geometry=geom)
+    ok = ~at_anchor
+    mats = build_matrices_array(x[ok], y[ok], phi[ok], theta[ok], geometry=geom)
+    kinds = np.full(len(x), "Serial", dtype=object)
+    kinds[ok] = [k.value for k in mats.singularity_kinds()]
+    det_a = np.full(len(x), math.nan)
+    det_a[ok] = mats.det_a
+    det_b = np.zeros(len(x))
+    det_b[ok] = mats.det_b
+    return theta, list(kinds), det_a, det_b
+
+
+def _cartesian_cases(geom):
+    s = geom.scale
+    rng = np.random.default_rng(11)
+    line = np.linspace(0.1, 2.0, 9) * s
+    grid_x, grid_y = np.meshgrid(np.linspace(-0.5, 1.5, 9) * s, np.linspace(-0.5, 1.5, 9) * s)
+    return {
+        # all three legs, then leg 2 alone, then leg 3 alone on its anchor
+        "anchor hit": (
+            [0.0, 2.0 * s, s],
+            [0.0, 0.0, math.sqrt(3.0) * s],
+            [0.0, math.pi, math.pi],
+        ),
+        "horizontal legs": (line, np.zeros(9), np.zeros(9)),
+        "grid with anchor": (grid_x.ravel(), grid_y.ravel(), np.full(81, 0.3)),
+        "random": (
+            rng.uniform(-0.5 * s, 1.5 * s, 400),
+            rng.uniform(-0.5 * s, 1.5 * s, 400),
+            rng.uniform(-4.0, 4.0, 400),
+        ),
+    }
+
+
+@pytest.mark.parametrize("geom", GEOMETRIES, ids=["scale1", "scale2"])
+@pytest.mark.parametrize("case", ["anchor hit", "horizontal legs", "grid with anchor", "random"])
+def test_cartesian_kernels_match_scalar_path(geom, case):
+    x, y, phi = (np.asarray(v, dtype=float) for v in _cartesian_cases(geom)[case])
+    want_theta, want_kinds, want_a, want_b = _cartesian_scalar(x, y, phi, geom)
+    got_theta, got_kinds, got_a, got_b = _cartesian_array(x, y, phi, geom)
+    assert got_kinds == want_kinds
+    _assert_bit_equal(got_theta, want_theta)
+    _assert_bit_equal(got_a, want_a)
+    _assert_bit_equal(got_b, want_b)
+    if case == "anchor hit":
+        assert got_kinds == ["Serial"] * 3
+    if case == "horizontal legs":
+        assert set(got_kinds) == {"Parallel"}
+
+
+def _joint_cases():
+    rng = np.random.default_rng(12)
+    t = np.linspace(-3.0, 3.0, 7)
+    return {
+        "translation diagonal": np.stack([t, t, t], axis=1),
+        "translation flipped": np.stack([t, t + math.pi, t - math.pi], axis=1),
+        "reuleaux": np.stack([t, t + PI3, t - PI3], axis=1),
+        "reuleaux printed": np.array([[0.0, 1.04719755, -1.04719755]]),
+        "swapped offsets": np.stack([t, t - PI3, t + PI3], axis=1),
+        "random": rng.uniform(-4.0, 4.0, (400, 3)),
+    }
+
+
+@pytest.mark.parametrize("geom", GEOMETRIES, ids=["scale1", "scale2"])
+@pytest.mark.parametrize("case", sorted(_joint_cases()))
+def test_joint_kernels_match_scalar_path(geom, case):
+    theta = _joint_cases()[case]
+    identity = Pose(0.0, 0.0, 0.0)
+    want = [build_matrices(identity, t, geometry=geom) for t in theta.tolist()]
+    zeros = np.zeros(len(theta))
+    got = build_matrices_array(zeros, zeros, zeros, theta, geometry=geom)
+    _assert_bit_equal(got.det_a, [m.det_a for m in want])
+    _assert_bit_equal(got.det_b, [m.det_b for m in want])
+    _assert_bit_equal(got.a_matrix, [m.a_matrix for m in want])
+    kinds = classify_dk_degeneracy_array(theta)
+    assert list(kinds) == [classify_dk_degeneracy(t) for t in theta.tolist()]
+    expected = {
+        "translation diagonal": "ContinuumTranslation",
+        "translation flipped": "ContinuumTranslation",
+        "reuleaux": "ContinuumReuleaux",
+        "reuleaux printed": "ContinuumReuleaux",
+        "swapped offsets": "TwoSolutions",
+    }.get(case)
+    if expected:
+        assert {k.value for k in kinds} == {expected}
+
+
+def test_angle_kernels_match_scalar_functions():
+    rng = np.random.default_rng(13)
+    values = np.concatenate([EDGE_ANGLES, rng.uniform(-50.0, 50.0, 2000)])
+    _assert_bit_equal(normalize_angles(values), [normalize_angle(v) for v in values.tolist()])
+    other = np.concatenate([EDGE_ANGLES[::-1], rng.uniform(-50.0, 50.0, 2000)])
+    for period in (math.tau, math.pi):
+        _assert_bit_equal(
+            angle_differences(values, other, period),
+            [angle_difference(a, b, period) for a, b in zip(values.tolist(), other.tolist())],
+        )
+    with pytest.raises(ValueError):
+        normalize_angles(np.array([0.0, math.nan]))
+
+
+@pytest.mark.parametrize("geom", GEOMETRIES, ids=["scale1", "scale2"])
+def test_anchor_kernel_matches_platform_anchor(geom):
+    x = np.array([0.0, -0.0, 0.3, -1.7])
+    y = np.array([0.0, -0.0, 1.1, 0.4])
+    phi = np.array([-math.pi, -0.0, 7.0, 0.25])
+    bx, by = platform_anchor_arrays(x, y, phi, geometry=geom)
+    for k, (px, py, pphi) in enumerate(zip(x.tolist(), y.tolist(), phi.tolist())):
+        for leg in (1, 2, 3):
+            want = platform_anchor(Pose(px, py, pphi), leg, geometry=geom)
+            _assert_bit_equal([bx[k, leg - 1], by[k, leg - 1]], [want.x, want.y])
+    with pytest.raises(ValueError):
+        platform_anchor_arrays(np.array([math.inf]), np.zeros(1), np.zeros(1))
+
+
+def test_matrices_kernel_keeps_the_consistency_gate():
+    pose = Pose(0.4, 0.3, 0.2)
+    theta = inverse_kinematics(pose).angles.as_tuple()
+    bent = (theta[0], theta[1] + 1e-3, theta[2])
+    with pytest.raises(InconsistentStateError) as scalar:
+        build_matrices(pose, bent)
+    x, y, phi = (np.full(3, v) for v in pose.as_tuple())
+    with pytest.raises(InconsistentStateError) as batch:
+        build_matrices_array(x, y, phi, np.array([theta, bent, bent]))
+    assert batch.value.residuals == scalar.value.residuals
+    assert batch.value.tol == scalar.value.tol
+
+
+def test_kernels_accept_empty_batches():
+    empty = np.zeros(0)
+    theta, at_anchor = inverse_kinematics_array(empty, empty, empty)
+    assert theta.shape == (0, 3) and at_anchor.shape == (0,)
+    mats = build_matrices_array(empty, empty, empty, theta)
+    assert mats.det_a.shape == (0,) and mats.singularity_kinds().shape == (0,)
+    assert classify_dk_degeneracy_array(theta).shape == (0,)
