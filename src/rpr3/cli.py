@@ -46,12 +46,14 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_GEOMETRY,
+    JointAngles,
     ManipulatorGeometry,
     Pose,
     load_geometry,
     normalize_angle,
     normalize_angles,
     platform_anchor,
+    pose_distance,
 )
 from .jacobians import (
     SingularityKind,
@@ -279,6 +281,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"rpr3: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except GeometryError as exc:
+        # A value out of floating-point range, e.g. a leg length that
+        # overflows; the input is unusable as given.
+        print(f"rpr3: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except LegAtAnchorError as exc:
         print(f"rpr3: serial singularity: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
@@ -320,13 +327,23 @@ def _pose_payload(pose: Pose, deg: bool) -> dict:
     return {"x": pose.x, "y": pose.y, "phi": _out_angle(pose.phi, deg)}
 
 
-def _line_payload(line, deg: bool) -> dict:
-    # Direction components are a unit vector, not an angle; deg only
-    # matters for fields that are angles.
-    del deg
+def _line_payload(line) -> dict:
+    # Direction components are a unit vector, not an angle, so --deg does
+    # not apply.
     return {
         "point": [line.point.x, line.point.y],
         "direction": [line.direction.x, line.direction.y],
+    }
+
+
+def _reuleaux_payload(desc) -> dict:
+    return {
+        "p_line": dict(
+            _line_payload(desc.p_line),
+            half_length=desc.p_line.half_length,
+            length=desc.p_line.length,
+        ),
+        "a_displacement_magnitude": desc.a_displacement_magnitude,
     }
 
 
@@ -386,7 +403,11 @@ def _parse_branch(text: str):
 
 
 def _cmd_dk(args, geom: ManipulatorGeometry) -> int:
-    theta = tuple(_in_angle(t, args.deg) for t in (args.t1, args.t2, args.t3))
+    # Solved and reported in (-pi, pi]: the reduction works on angle
+    # differences, which lose a small angle next to a huge one.
+    theta = JointAngles(
+        *(_in_angle(t, args.deg) for t in (args.t1, args.t2, args.t3))
+    ).as_tuple()
     routes = {}
     if args.method in ("closed", "both"):
         routes["closed"] = direct_kinematics(theta, geometry=geom)
@@ -394,7 +415,6 @@ def _cmd_dk(args, geom: ManipulatorGeometry) -> int:
         routes["geometric"] = geometric_dkp(theta, geometry=geom)
 
     primary = routes.get("closed") or routes["geometric"]
-    m, n = mn_coefficients(theta)
     payload = {
         "schema": 1,
         "command": "dk",
@@ -402,7 +422,7 @@ def _cmd_dk(args, geom: ManipulatorGeometry) -> int:
         "method": args.method,
         "theta": [_out_angle(t, args.deg) for t in theta],
         "kind": primary.kind.value,
-        "reduction": {"m": m, "n": n},
+        "reduction": {"m": primary.m, "n": primary.n},
         "coincident": primary.coincident,
         "poses": [
             dict(
@@ -413,28 +433,23 @@ def _cmd_dk(args, geom: ManipulatorGeometry) -> int:
         ],
         "continuum": None
         if primary.continuum is None
-        else _line_payload(primary.continuum, args.deg),
+        else _line_payload(primary.continuum),
     }
     if primary.kind is DkKind.CONTINUUM_REULEAUX:
         desc = reuleaux_descriptor(theta, geometry=geom)
-        payload["continuum"] = _line_payload(desc.p_line, args.deg)
-        payload["reuleaux"] = {
-            "p_line": dict(
-                _line_payload(desc.p_line, args.deg),
-                half_length=desc.p_line.half_length,
-                length=desc.p_line.length,
-            ),
-            "a_displacement_magnitude": desc.a_displacement_magnitude,
-        }
+        payload["continuum"] = _line_payload(desc.p_line)
+        payload["reuleaux"] = _reuleaux_payload(desc)
 
     if args.method == "both":
-        deviation = _pose_set_deviation(routes["closed"], routes["geometric"])
+        deviation = _pose_set_deviation(
+            routes["closed"].poses, routes["geometric"].poses
+        )
         kinds_match = routes["closed"].kind is routes["geometric"].kind
         payload["agreement"] = {
             "kinds_match": kinds_match,
             "max_pose_deviation": deviation,
         }
-        if not kinds_match or not (deviation <= 1e-7 * max(geom.scale, 1.0)):
+        if not kinds_match or not (deviation <= geom.pose_tol):
             _emit(payload)
             print(
                 "rpr3: dk routes disagree "
@@ -448,24 +463,16 @@ def _cmd_dk(args, geom: ManipulatorGeometry) -> int:
     return EXIT_OK
 
 
-def _pose_set_deviation(left, right) -> float:
+def _pose_set_deviation(left: tuple[Pose, ...], right: tuple[Pose, ...]) -> float:
     """Symmetric Hausdorff distance between two discrete pose sets."""
-    if not left.poses or not right.poses:
-        return 0.0 if not left.poses and not right.poses else math.inf
+    if not left or not right:
+        return 0.0 if not left and not right else math.inf
     worst = 0.0
-    for src, dst in ((left.poses, right.poses), (right.poses, left.poses)):
+    for src, dst in ((left, right), (right, left)):
         for p in src:
-            best = min(_pose_distance(p, q) for q in dst)
+            best = min(pose_distance(p, q) for q in dst)
             worst = max(worst, best)
     return worst
-
-
-def _pose_distance(p: Pose, q: Pose) -> float:
-    return max(
-        abs(p.x - q.x),
-        abs(p.y - q.y),
-        abs(normalize_angle(p.phi - q.phi)),
-    )
 
 
 def _cmd_singularity(args, geom: ManipulatorGeometry) -> int:
@@ -558,12 +565,7 @@ def _cmd_trace(args, geom: ManipulatorGeometry) -> int:
         desc = reuleaux_descriptor((t1, t2, t3), geometry=geom)
         payload["reuleaux"] = {
             "theta3": _out_angle(t3, args.deg),
-            "p_line": dict(
-                _line_payload(desc.p_line, args.deg),
-                half_length=desc.p_line.half_length,
-                length=desc.p_line.length,
-            ),
-            "a_displacement_magnitude": desc.a_displacement_magnitude,
+            **_reuleaux_payload(desc),
         }
     _emit(payload)
     return EXIT_OK
@@ -763,18 +765,13 @@ def _verify_dkp(rng, trials: int, geom, failures: list[str]) -> None:
                 f"{len(closed.poses)}, scan {len(report.solutions_found)}"
             )
             return
-        deviation = _pose_set_deviation(closed, _PoseBag(report.solutions_found))
+        deviation = _pose_set_deviation(closed.poses, report.solutions_found)
         worst = max(worst, deviation)
-        if deviation > 1e-7 * max(geom.scale, 1.0):
+        if deviation > geom.pose_tol:
             failures.append(f"dkp deviation {deviation:.3e} at theta={theta}")
             return
         done += 1
     print(f"verify dkp: {done} trials, max pose deviation {worst:.3e}")
-
-
-class _PoseBag:
-    def __init__(self, poses):
-        self.poses = tuple(poses)
 
 
 def _verify_jacobian(rng, trials: int, geom, failures: list[str]) -> None:
@@ -823,14 +820,9 @@ def _verify_curves(rng, trials: int, geom, failures: list[str]) -> None:
         if abs(math.sin(t2 - t1)) < 1e-6:
             continue
         curve = trace_cardanic(t1, t2, n_samples=360, geometry=geom)
-        b1 = geom.base_anchor(1)
         b2 = geom.base_anchor(2)
         for sample in curve.samples:
-            pose = Pose(
-                b1.x + sample.rho1 * math.cos(t1),
-                b1.y + sample.rho1 * math.sin(t1),
-                sample.phi,
-            )
+            pose = _slider_pose(t1, sample.rho1, sample.phi, geom)
             anchor2 = platform_anchor(pose, 2, geometry=geom)
             anchor3 = platform_anchor(pose, 3, geometry=geom)
             r1 = 0.0  # first anchor is on its slider line by construction
@@ -861,6 +853,13 @@ def _verify_curves(rng, trials: int, geom, failures: list[str]) -> None:
     print(f"verify curves: {done} trials, max residual {worst:.3e}")
 
 
+def _slider_pose(t1: float, rho1: float, phi: float, geom) -> Pose:
+    """Pose whose reference point sits ``rho1`` along leg 1's slider line,
+    as a coupler-curve sample records it."""
+    a1 = geom.base_anchor(1)
+    return Pose(a1.x + rho1 * math.cos(t1), a1.y + rho1 * math.sin(t1), phi)
+
+
 def _recheck_trace_csv(path: str, geom, failures: list[str]) -> int:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -888,10 +887,7 @@ def _recheck_trace_csv(path: str, geom, failures: list[str]) -> int:
             print(f"rpr3: {path}: malformed row {idx + 1}", file=sys.stderr)
             return EXIT_IO
         rho1, rho2 = rho_from_phi(t1, t2, phi, geometry=geom)
-        b1 = geom.base_anchor(1)
-        pose = Pose(
-            b1.x + rho1 * math.cos(t1), b1.y + rho1 * math.sin(t1), phi
-        )
+        pose = _slider_pose(t1, rho1, phi, geom)
         anchor3 = platform_anchor(pose, 3, geometry=geom)
         gap = max(
             abs(anchor3.x - recorded[0]),

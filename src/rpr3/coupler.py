@@ -31,6 +31,7 @@ from .geometry import (
     Pose,
     Vec2,
     _as_angles,
+    cluster_poses,
     normalize_angle,
 )
 from .solvers import (
@@ -241,7 +242,6 @@ def geometric_dkp(
     theta: JointAngles | Sequence[float],
     curve: CouplerCurve | None = None,
     geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
-    cluster_tol: float = 1e-7,
 ) -> DkSolutionSet:
     """Direct kinematics by intersecting the coupler curve with leg 3's axis.
 
@@ -299,7 +299,7 @@ def geometric_dkp(
         poses.append(
             Pose(rho1 * math.cos(curve.theta1), rho1 * math.sin(curve.theta1), phi)
         )
-    poses = _cluster_poses(poses, cluster_tol * max(geometry.scale, 1.0))
+    poses = cluster_poses(sorted(poses, key=lambda p: p.phi), geometry.pose_tol)
     poses.sort(key=lambda p: abs(p.phi))
 
     if len(poses) >= 2:
@@ -345,21 +345,6 @@ def _bisect(func, lo: float, hi: float, flo: float, tol: float = 1e-12) -> float
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _cluster_poses(poses: list[Pose], tol: float) -> list[Pose]:
-    out: list[Pose] = []
-    for pose in sorted(poses, key=lambda p: p.phi):
-        for seen in out:
-            if (
-                abs(pose.x - seen.x) < tol
-                and abs(pose.y - seen.y) < tol
-                and abs(math.remainder(pose.phi - seen.phi, math.tau)) < tol
-            ):
-                break
-        else:
-            out.append(pose)
-    return out
 
 
 def reuleaux_descriptor(

@@ -12,7 +12,8 @@ class Rpr3Error(Exception):
 
 
 class GeometryError(Rpr3Error, ValueError):
-    """Invalid geometry: non-positive scale, non-finite or mismatched anchors."""
+    """Invalid geometry: a non-positive scale, or a point or leg length
+    that is not finite."""
 
 
 class LegAtAnchorError(Rpr3Error, ValueError):

@@ -7,9 +7,10 @@ revolute joint at the platform anchor ``b_i``.  Base and platform are
 congruent equilateral triangles; the platform pose is the position of its
 first vertex plus the orientation ``phi``.
 
-All public functions take an optional :class:`ManipulatorGeometry`; the
-default is the unit equilateral geometry.  Angles are radians and are kept
-in the half-open interval (-pi, pi].
+Functions that depend on the anchor layout take an optional
+:class:`ManipulatorGeometry`; the default is the unit equilateral
+geometry.  Angles are radians and are kept in the half-open interval
+(-pi, pi].
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,12 +40,20 @@ __all__ = [
     "rotation_matrix",
     "platform_anchor",
     "platform_anchor_arrays",
+    "POSE_TOL",
+    "pose_distance",
+    "cluster_poses",
     "constraint_residuals",
     "signed_extensions",
     "load_geometry",
 ]
 
 TAU = math.tau
+
+# Two poses closer than this times max(scale, 1) by :func:`pose_distance`
+# are one assembly: the clustering tolerance of every direct-kinematics
+# route and the agreement bound between routes.
+POSE_TOL = 1e-7
 
 # Vertices of the unit equilateral triangle shared by base and platform.
 _UNIT_TRIANGLE = ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
@@ -187,19 +197,11 @@ class LegState:
     def __post_init__(self) -> None:
         theta, rho = self.theta, self.rho
         if not math.isfinite(rho):
-            raise ValueError(f"rho must be finite, got {rho!r}")
+            raise GeometryError(f"rho must be finite, got {rho!r}")
         if rho < 0.0:
             theta, rho = theta + math.pi, -rho
         object.__setattr__(self, "theta", normalize_angle(theta))
         object.__setattr__(self, "rho", rho)
-
-    def signed_rho(self, direction: float) -> float:
-        """Extension measured along ``direction`` instead of the canonical
-        leg direction: +rho when the two agree (within a quarter turn either
-        way), -rho when opposed.  This is what the diagonal of the inverse
-        velocity matrix needs when the actuated angle sits on the flipped
-        branch."""
-        return self.rho if math.cos(self.theta - direction) >= 0.0 else -self.rho
 
 
 @dataclass(frozen=True)
@@ -238,52 +240,41 @@ class ManipulatorGeometry:
 
     Base anchors ``a1..a3`` and platform anchors ``b1..b3`` (in the platform
     frame) are the vertices of congruent equilateral triangles, both equal to
-    ``scale`` times the unit triangle (0,0), (1,0), (1/2, sqrt(3)/2).  The
-    first platform vertex coincides with the pose reference point, so
-    ``b1_local`` is the origin.
+    ``scale`` times the unit triangle (0,0), (1,0), (1/2, sqrt(3)/2), so the
+    size is the only free number.  The first platform vertex coincides with
+    the pose reference point, so b1 is the origin of the platform frame.
     """
 
-    a1: Vec2
-    a2: Vec2
-    a3: Vec2
-    b1_local: Vec2
-    b2_local: Vec2
-    b3_local: Vec2
     scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise GeometryError(f"scale must be positive and finite, got {self.scale!r}")
-        tol = 1e-12 * self.scale
-        for label, got in (("a", self.base_anchors()), ("b", self.platform_anchors_local())):
-            for k, vec in enumerate(got, start=1):
-                ux, uy = _UNIT_TRIANGLE[k - 1]
-                want = Vec2(ux * self.scale, uy * self.scale)
-                if (vec - want).norm() > tol:
-                    raise GeometryError(
-                        f"{label}{k} = ({vec.x!r}, {vec.y!r}) is not the scaled "
-                        f"equilateral vertex ({want.x!r}, {want.y!r})"
-                    )
+
+    @cached_property
+    def anchors(self) -> tuple[Vec2, Vec2, Vec2]:
+        """Anchor triangle: the base anchors, and equally the platform
+        anchors in the platform frame."""
+        a1, a2, a3 = (Vec2(x * self.scale, y * self.scale) for x, y in _UNIT_TRIANGLE)
+        return (a1, a2, a3)
+
+    @property
+    def pose_tol(self) -> float:
+        """:data:`POSE_TOL` in this geometry's length unit."""
+        return POSE_TOL * max(self.scale, 1.0)
 
     @classmethod
     def from_scale(cls, scale: float = 1.0) -> "ManipulatorGeometry":
         """Equilateral geometry with every anchor multiplied by ``scale``."""
-        verts = tuple(Vec2(x * scale, y * scale) for x, y in _UNIT_TRIANGLE)
-        return cls(*verts, *verts, scale=scale)
-
-    def base_anchors(self) -> tuple[Vec2, Vec2, Vec2]:
-        return (self.a1, self.a2, self.a3)
-
-    def platform_anchors_local(self) -> tuple[Vec2, Vec2, Vec2]:
-        return (self.b1_local, self.b2_local, self.b3_local)
+        return cls(scale)
 
     def base_anchor(self, leg: int) -> Vec2:
         """Base anchor of ``leg`` (1-based)."""
-        return self.base_anchors()[_leg_index(leg)]
+        return self.anchors[_leg_index(leg)]
 
     def platform_anchor_local(self, leg: int) -> Vec2:
         """Platform anchor of ``leg`` (1-based), in the platform frame."""
-        return self.platform_anchors_local()[_leg_index(leg)]
+        return self.anchors[_leg_index(leg)]
 
 
 DEFAULT_GEOMETRY = ManipulatorGeometry.from_scale(1.0)
@@ -309,12 +300,31 @@ def platform_anchor(
     b_i = p + R(phi) b_i_local.  For leg 1 this is the pose position itself,
     exactly (the local anchor is the origin, no rounding enters).
     """
-    local = geometry.platform_anchor_local(leg)
     c, s = math.cos(pose.phi), math.sin(pose.phi)
+    return _rotated_anchor(pose, geometry.platform_anchor_local(leg), c, s)
+
+
+def _rotated_anchor(pose: Pose, local: Vec2, c: float, s: float) -> Vec2:
+    """p + R(phi) local, given c = cos(phi) and s = sin(phi)."""
     return Vec2(
         pose.x + c * local.x - s * local.y,
         pose.y + s * local.x + c * local.y,
     )
+
+
+def _leg_offsets(
+    pose: Pose, geometry: ManipulatorGeometry
+) -> tuple[tuple[Vec2, Vec2], tuple[Vec2, Vec2], tuple[Vec2, Vec2]]:
+    """(b_i, b_i - a_i) for each leg at ``pose``: the world platform anchor
+    and its offset from the base anchor, from one cos and sin of phi, equal
+    to :func:`platform_anchor` minus the base anchor bit for bit."""
+    c, s = math.cos(pose.phi), math.sin(pose.phi)
+    out = []
+    # The local platform anchor and the base anchor are the same vertex.
+    for vertex in geometry.anchors:
+        anchor = _rotated_anchor(pose, vertex, c, s)
+        out.append((anchor, anchor - vertex))
+    return (out[0], out[1], out[2])
 
 
 def platform_anchor_arrays(
@@ -335,9 +345,8 @@ def platform_anchor_arrays(
         raise ValueError("positions must be finite")
     phi = normalize_angles(phi)[:, None]
     c, s = _libm(math.cos, phi), _libm(math.sin, phi)
-    local = geometry.platform_anchors_local()
-    lx = np.array([b.x for b in local])
-    ly = np.array([b.y for b in local])
+    lx = np.array([b.x for b in geometry.anchors])
+    ly = np.array([b.y for b in geometry.anchors])
     return (x + c * lx - s * ly, y + s * lx + c * ly)
 
 
@@ -356,9 +365,7 @@ def constraint_residuals(
     """
     angles = _as_angles(theta)
     out = []
-    for leg in (1, 2, 3):
-        delta = platform_anchor(pose, leg, geometry) - geometry.base_anchor(leg)
-        t = angles[leg - 1]
+    for t, (_, delta) in zip(angles, _leg_offsets(pose, geometry)):
         out.append(math.sin(t) * delta.x - math.cos(t) * delta.y)
     return (out[0], out[1], out[2])
 
@@ -378,11 +385,27 @@ def signed_extensions(
     """
     angles = _as_angles(theta)
     out = []
-    for leg in (1, 2, 3):
-        delta = platform_anchor(pose, leg, geometry) - geometry.base_anchor(leg)
-        t = angles[leg - 1]
+    for t, (_, delta) in zip(angles, _leg_offsets(pose, geometry)):
         out.append(math.cos(t) * delta.x + math.sin(t) * delta.y)
     return (out[0], out[1], out[2])
+
+
+def pose_distance(p: Pose, q: Pose) -> float:
+    """Largest coordinate gap between two poses, orientation taken mod 2 pi."""
+    return max(abs(p.x - q.x), abs(p.y - q.y), abs(math.remainder(p.phi - q.phi, TAU)))
+
+
+def cluster_poses(poses: Iterable[Pose], tol: float) -> list[Pose]:
+    """The first pose of each cluster, in input order.
+
+    A pose closer than ``tol`` to one already kept (by
+    :func:`pose_distance`) is dropped as its duplicate.
+    """
+    kept: list[Pose] = []
+    for pose in poses:
+        if all(pose_distance(pose, seen) >= tol for seen in kept):
+            kept.append(pose)
+    return kept
 
 
 def load_geometry(path: str | os.PathLike[str]) -> ManipulatorGeometry:

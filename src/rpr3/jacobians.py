@@ -31,11 +31,9 @@ from .geometry import (
     Pose,
     Vec2,
     _as_angles,
+    _leg_offsets,
     _libm,
-    constraint_residuals,
-    platform_anchor,
     platform_anchor_arrays,
-    signed_extensions,
 )
 
 __all__ = [
@@ -120,31 +118,30 @@ def build_matrices(
     pose: Pose,
     theta: JointAngles | Sequence[float],
     geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
-    consistency_tol: float = CONSISTENCY_TOL,
 ) -> KinematicMatrices:
     """Assemble A and B at a configuration.
 
     The pose and joint angles must describe the same assembly: if any leg
-    constraint residual exceeds ``consistency_tol * scale`` the velocity
+    constraint residual exceeds ``CONSISTENCY_TOL * scale`` the velocity
     model would be meaningless and :class:`InconsistentStateError` is raised.
+    The residuals equal :func:`constraint_residuals` and the diagonal of B
+    equals :func:`signed_extensions`, bit for bit.
     """
     t = _as_angles(theta)
-    residuals = constraint_residuals(pose, t, geometry)
-    tol = consistency_tol * geometry.scale
-    if max(abs(r) for r in residuals) > tol:
-        raise InconsistentStateError(residuals, tol)
-
+    residuals = []
+    rhos = []
     rows = []
-    for leg in (1, 2, 3):
-        ti = t[leg - 1]
-        anchor = platform_anchor(pose, leg, geometry)
-        arm = (
-            math.cos(ti) * (anchor.x - pose.x)
-            + math.sin(ti) * (anchor.y - pose.y)
-        )
-        rows.append((-math.sin(ti), math.cos(ti), arm))
+    for ti, (anchor, delta) in zip(t, _leg_offsets(pose, geometry)):
+        sin_t, cos_t = math.sin(ti), math.cos(ti)
+        residuals.append(sin_t * delta.x - cos_t * delta.y)
+        rhos.append(cos_t * delta.x + sin_t * delta.y)
+        arm = cos_t * (anchor.x - pose.x) + sin_t * (anchor.y - pose.y)
+        rows.append((-sin_t, cos_t, arm))
+    tol = CONSISTENCY_TOL * geometry.scale
+    if max(abs(r) for r in residuals) > tol:
+        raise InconsistentStateError((residuals[0], residuals[1], residuals[2]), tol)
+
     a = np.array(rows)
-    rhos = signed_extensions(pose, t, geometry)
     b = np.diag(rhos)
     return KinematicMatrices(
         a_matrix=a,
@@ -263,7 +260,7 @@ def _normal_intersection(
     infinity), and (None, False) when the pairwise intersections do not
     agree within tolerance (not actually concurrent).
     """
-    anchors = [platform_anchor(pose, leg, geometry) for leg in (1, 2, 3)]
+    anchors = [anchor for anchor, _ in _leg_offsets(pose, geometry)]
     normals = [Vec2(-math.sin(ti), math.cos(ti)) for ti in t]
     points = []
     # cross(n_i, n_j) = sin(t_j - t_i); below 1e-9 the pair is parallel and
@@ -364,9 +361,8 @@ def build_matrices_array(
     """
     t = np.asarray(theta, dtype=float)
     bx, by = platform_anchor_arrays(x, y, phi, geometry)
-    base = geometry.base_anchors()
-    dx = bx - np.array([a.x for a in base])
-    dy = by - np.array([a.y for a in base])
+    dx = bx - np.array([a.x for a in geometry.anchors])
+    dy = by - np.array([a.y for a in geometry.anchors])
     sin_t, cos_t = _libm(math.sin, t), _libm(math.cos, t)
     residuals = sin_t * dx - cos_t * dy
     tol = CONSISTENCY_TOL * geometry.scale

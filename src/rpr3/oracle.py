@@ -27,6 +27,7 @@ from .geometry import (
     ManipulatorGeometry,
     Pose,
     _as_angles,
+    cluster_poses,
     constraint_residuals,
 )
 
@@ -71,10 +72,10 @@ class ScanReport:
     continuum: bool = False
 
 
-def _unit_locals(geometry: ManipulatorGeometry) -> np.ndarray:
-    return np.array(
-        [(v.x, v.y) for v in geometry.platform_anchors_local()], dtype=float
-    )
+def _anchor_array(geometry: ManipulatorGeometry) -> np.ndarray:
+    """(3, 2) anchor triangle: base anchors, and equally the platform
+    anchors in the platform frame."""
+    return np.array([(v.x, v.y) for v in geometry.anchors], dtype=float)
 
 
 def _residual_rows(
@@ -89,16 +90,16 @@ def _residual_rows(
     Re-implements the anchor algebra directly in numpy (a separate
     evaluation path from the scalar geometry helpers used by the solvers).
     """
-    locals_ = _unit_locals(geometry)
-    anchors = np.array([(v.x, v.y) for v in geometry.base_anchors()], dtype=float)
+    anchors = _anchor_array(geometry)
     sin_t = np.sin(np.asarray(t))
     cos_t = np.cos(np.asarray(t))
     c, s = np.cos(phi), np.sin(phi)
     out = np.empty((3,) + np.shape(phi))
     for i in range(3):
-        bx, by = locals_[i]
-        wx = x + c * bx - s * by - anchors[i, 0]
-        wy = y + s * bx + c * by - anchors[i, 1]
+        # The local platform anchor and the base anchor are one vertex.
+        bx, by = anchors[i]
+        wx = x + c * bx - s * by - bx
+        wy = y + s * bx + c * by - by
         out[i] = sin_t[i] * wx - cos_t[i] * wy
     return out
 
@@ -116,7 +117,7 @@ def _newton_polish(
     Returns (solution, iterations used) or (None, iterations) when the
     iteration fails to reach ``tol``.
     """
-    locals_ = _unit_locals(geometry)
+    anchors = _anchor_array(geometry)
     sin_t = np.sin(np.asarray(t))
     cos_t = np.cos(np.asarray(t))
     x, y, phi = start
@@ -127,7 +128,7 @@ def _newton_polish(
         c, s = math.cos(phi), math.sin(phi)
         jac = np.empty((3, 3))
         for i in range(3):
-            bx, by = locals_[i]
+            bx, by = anchors[i]
             # d/dphi of the rotated local anchor.
             dx = -s * bx - c * by
             dy = c * bx - s * by
@@ -156,10 +157,10 @@ def dkp_bruteforce(
     leg constraints are solved for the position and the left-out constraint
     becomes the scan function; its sign changes (wrap-aware) bracket
     isolated assemblies, refined by damped Newton.  Duplicates are clustered
-    within 1e-7.  A continuum is declared when more than 5% of the grid
-    admits residual below 1e-8 * scale; all-parallel legs short-circuit to
-    the translation continuum without scanning (the position solve is rank
-    deficient everywhere).
+    within ``POSE_TOL * max(scale, 1)``.  A continuum is declared when more
+    than 5% of the grid admits residual below 1e-8 * scale; all-parallel
+    legs short-circuit to the translation continuum without scanning (the
+    position solve is rank deficient everywhere).
     """
     if n_phi < 16:
         raise ValueError(f"n_phi must be at least 16, got {n_phi}")
@@ -216,26 +217,15 @@ def _polish_candidates(
     candidates: list[tuple[float, float, float]],
     t: tuple[float, float, float],
     geometry: ManipulatorGeometry,
-    cluster_tol: float = 1e-7,
 ) -> tuple[list[Pose], int]:
     total_iters = 0
-    solutions: list[Pose] = []
+    polished: list[Pose] = []
     for cand in candidates:
         solved, used = _newton_polish(cand, t, geometry)
         total_iters += used
-        if solved is None:
-            continue
-        pose = Pose(solved[0], solved[1], solved[2])
-        tol = cluster_tol * max(geometry.scale, 1.0)
-        for seen in solutions:
-            if (
-                abs(pose.x - seen.x) < tol
-                and abs(pose.y - seen.y) < tol
-                and abs(math.remainder(pose.phi - seen.phi, math.tau)) < tol
-            ):
-                break
-        else:
-            solutions.append(pose)
+        if solved is not None:
+            polished.append(Pose(solved[0], solved[1], solved[2]))
+    solutions = cluster_poses(polished, geometry.pose_tol)
     solutions.sort(key=lambda p: abs(p.phi))
     return (solutions, total_iters)
 

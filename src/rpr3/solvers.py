@@ -33,12 +33,12 @@ from .geometry import (
     Pose,
     Vec2,
     _as_angles,
+    _leg_offsets,
     _libm,
     angle_difference,
     angle_differences,
     normalize_angle,
     normalize_angles,
-    platform_anchor,
     platform_anchor_arrays,
 )
 
@@ -110,23 +110,21 @@ def inverse_kinematics(
     pose: Pose,
     branch: Sequence[int] = (0, 0, 0),
     geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
-    anchor_tol: float = ANCHOR_TOL,
 ) -> IkSolution:
     """Joint values reaching ``pose``, one solution per leg branch.
 
     theta_i is the two-argument arctangent of b_i - a_i plus branch*pi,
     rho_i the anchor separation.  Raises :class:`LegAtAnchorError` listing
-    every leg whose separation is below ``anchor_tol * scale``; those legs
+    every leg whose separation is below ``ANCHOR_TOL * scale``; those legs
     have arbitrary revolute angle and no meaningful branch.
     """
     br = tuple(int(k) for k in branch)
     if len(br) != 3 or any(k not in (0, 1) for k in br):
         raise ValueError(f"branch must be three flags in {{0, 1}}, got {branch!r}")
-    tol = anchor_tol * geometry.scale
+    tol = ANCHOR_TOL * geometry.scale
     legs: list[LegState] = []
     stuck: list[int] = []
-    for leg in (1, 2, 3):
-        delta = platform_anchor(pose, leg, geometry) - geometry.base_anchor(leg)
+    for leg, (_, delta) in enumerate(_leg_offsets(pose, geometry), start=1):
         rho = delta.norm()
         if rho < tol:
             stuck.append(leg)
@@ -152,9 +150,8 @@ def inverse_kinematics_array(
     :class:`LegAtAnchorError`, and their rows of ``theta`` are nan.
     """
     bx, by = platform_anchor_arrays(x, y, phi, geometry)
-    base = geometry.base_anchors()
-    dx = bx - np.array([a.x for a in base])
-    dy = by - np.array([a.y for a in base])
+    dx = bx - np.array([a.x for a in geometry.anchors])
+    dy = by - np.array([a.y for a in geometry.anchors])
     at_anchor = (_libm(math.hypot, dx, dy) < ANCHOR_TOL * geometry.scale).any(axis=1)
     # Adding 0.0 turns atan2's -0.0 into the +0.0 the scalar path gets from
     # adding its branch offset 0 * pi.
@@ -227,9 +224,7 @@ def mn_coefficients(theta: JointAngles | Sequence[float]) -> tuple[float, float]
     return (m, n)
 
 
-def classify_dk_degeneracy(
-    theta: JointAngles | Sequence[float], tol: float = DEGENERACY_ANGLE_TOL
-) -> DkKind:
+def classify_dk_degeneracy(theta: JointAngles | Sequence[float]) -> DkKind:
     """Detect self-motion continua from the joint angles alone.
 
     A continuum exists in exactly two situations (angle comparisons mod pi,
@@ -245,7 +240,9 @@ def classify_dk_degeneracy(
 
     Everything else is TWO_SOLUTIONS (the generic structure; whether the two
     roots actually differ is reported by :func:`direct_kinematics`).
+    Angles match within ``DEGENERACY_ANGLE_TOL``.
     """
+    tol = DEGENERACY_ANGLE_TOL
     t1, t2, t3 = _as_angles(theta)
     if (
         angle_difference(t2, t1, math.pi) < tol

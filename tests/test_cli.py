@@ -92,6 +92,15 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv):
     assert "expected a finite number" in err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("command", ["ik", "singularity"])
+def test_overflowing_leg_length_is_usage_error(capsys, command):
+    # Leg 1's length hypot(1.7e308, 1.7e308) overflows to inf.
+    code, out, err = run(capsys, command, "--x", "1.7e308", "--y", "1.7e308", "--phi", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "rpr3: rho must be finite, got inf\n"
+
+
 # ------------------------------------------------------------------- dk
 
 
@@ -136,6 +145,21 @@ def test_dk_translation_continuum(capsys):
     assert abs(direction[0] - math.cos(0.7)) < 1e-12
     assert abs(direction[1] - math.sin(0.7)) < 1e-12
     assert payload["poses"][0]["singularity"]["translation_case"]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [("1e12", "0", "0.3"), ("1e16", "0.5", "0.3"), ("4.0", "-7.5", "0.3")],
+)
+def test_dk_normalizes_angles_before_solving(capsys, raw):
+    # Unreduced, t3 - t1 loses the small angle next to a huge one and the
+    # pose fails the consistency gate of the singularity report.
+    payload = run_json(capsys, "dk", "--t1", raw[0], "--t2", raw[1], "--t3", raw[2])
+    folded = [repr(math.remainder(float(v), math.tau)) for v in raw]
+    reference = run_json(capsys, "dk", "--t1", folded[0], "--t2", folded[1], "--t3", folded[2])
+    assert payload["theta"] == reference["theta"]
+    assert payload["poses"] == reference["poses"]
+    assert payload["kind"] == reference["kind"] == "TwoSolutions"
 
 
 def test_dk_in_degrees(capsys):

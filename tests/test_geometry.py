@@ -15,10 +15,12 @@ from rpr3.geometry import (
     Pose,
     Vec2,
     angle_difference,
+    cluster_poses,
     constraint_residuals,
     load_geometry,
     normalize_angle,
     platform_anchor,
+    pose_distance,
     rotation_matrix,
     signed_extensions,
 )
@@ -94,7 +96,8 @@ def test_default_geometry_vertices():
     assert g.base_anchor(2) == Vec2(1.0, 0.0)
     assert g.base_anchor(3) == Vec2(0.5, SQRT3 / 2.0)
     # platform anchors coincide with the base ones in the local frame
-    assert g.platform_anchors_local() == g.base_anchors()
+    for leg in (1, 2, 3):
+        assert g.platform_anchor_local(leg) == g.base_anchor(leg)
     with pytest.raises(ValueError):
         g.base_anchor(0)
     with pytest.raises(ValueError):
@@ -111,11 +114,17 @@ def test_geometry_scaling():
         ManipulatorGeometry.from_scale(-1.0)
 
 
-def test_geometry_rejects_non_equilateral_layout():
-    g = DEFAULT_GEOMETRY
-    bent = Vec2(0.5, SQRT3 / 2.0 + 1e-6)
-    with pytest.raises(GeometryError):
-        ManipulatorGeometry(g.a1, g.a2, bent, g.b1_local, g.b2_local, g.b3_local)
+def test_geometry_derives_scaled_triangle_from_scale():
+    # The scale is the only input: the anchors are products of it with the
+    # unit triangle, so no other layout can be expressed.
+    g = ManipulatorGeometry(2.5)
+    assert g == ManipulatorGeometry.from_scale(2.5)
+    assert g.anchors == (Vec2(0.0, 0.0), Vec2(2.5, 0.0), Vec2(1.25, SQRT3 / 2.0 * 2.5))
+    for leg in (1, 2, 3):
+        assert g.platform_anchor_local(leg) == g.base_anchor(leg)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(GeometryError):
+            ManipulatorGeometry(bad)
 
 
 def test_platform_anchor_frozen_value():
@@ -174,9 +183,6 @@ def test_leg_state_folds_negative_extension():
     leg = LegState(0.2, -0.5)
     assert leg.rho == 0.5
     assert abs(leg.theta - normalize_angle(0.2 + math.pi)) < 1e-15
-    # the signed accessor undoes the fold relative to the original heading
-    assert leg.signed_rho(0.2) == -0.5
-    assert leg.signed_rho(leg.theta) == 0.5
 
 
 def test_leg_state_rejects_nonfinite_extension():
@@ -216,3 +222,39 @@ def test_load_geometry_rejects_non_object(tmp_path):
 def test_load_geometry_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_geometry(tmp_path / "absent.json")
+
+
+def test_pose_distance_wraps_orientation():
+    assert pose_distance(Pose(0.1, -0.2, 0.3), Pose(0.4, -0.2, 0.3)) == abs(0.1 - 0.4)
+    assert pose_distance(Pose(0.0, 0.0, 0.0), Pose(0.0, 0.5, 0.2)) == 0.5
+    # Orientations either side of the +-pi seam are close, not 2 pi apart.
+    near = pose_distance(Pose(0.0, 0.0, math.pi - 1e-9), Pose(0.0, 0.0, -math.pi + 1e-9))
+    assert near < 3e-9
+    assert pose_distance(Pose(0.0, 0.0, math.pi), Pose(0.0, 0.0, -math.pi)) == 0.0
+    assert abs(pose_distance(Pose(0.0, 0.0, 3.0), Pose(0.0, 0.0, -3.0)) - (math.tau - 6.0)) < 1e-15
+
+
+def test_cluster_poses_keeps_first_of_each_cluster_in_input_order():
+    tol = 2.0**-24  # dyadic, so the gaps below are exact
+    a = Pose(0.5, 0.5, math.pi - 1e-9)
+    b = Pose(0.25, 0.0, 0.125)
+    poses = [
+        a,
+        b,
+        Pose(0.5 + 0.5 * tol, 0.5, -math.pi + 1e-9),  # a across the seam
+        Pose(0.25, 0.0, 0.125 + 0.5 * tol),  # b again
+        Pose(0.25 + tol, 0.0, 0.125),  # gap equals tol: a cluster of its own
+    ]
+    assert cluster_poses(poses, tol) == [a, b, poses[4]]
+    assert cluster_poses(list(reversed(poses)), tol) == [poses[4], poses[3], poses[2]]
+    assert cluster_poses([], tol) == []
+
+
+@pytest.mark.parametrize("scale", [0.25, 1.0, 3.0])
+def test_pose_tolerance_scales_with_max_of_scale_and_one(scale):
+    g = ManipulatorGeometry.from_scale(scale)
+    assert g.pose_tol == 1e-7 * max(scale, 1.0)
+    base = Pose(0.0, 0.0, 0.0)
+    inside = Pose(0.0, 0.9 * g.pose_tol, 0.0)
+    outside = Pose(0.0, 1.1 * g.pose_tol, 0.0)
+    assert cluster_poses([base, inside, outside], g.pose_tol) == [base, outside]
