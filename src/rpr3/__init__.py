@@ -67,7 +67,6 @@ from .jacobians import (
 )
 from .coupler import (
     CouplerCurve,
-    CurveSample,
     ReuleauxDescriptor,
     SegmentDescriptor,
     geometric_dkp,
@@ -134,7 +133,6 @@ __all__ = [
     "classify_singularity",
     "det_A_specialized",
     # coupler
-    "CurveSample",
     "CouplerCurve",
     "SegmentDescriptor",
     "ReuleauxDescriptor",

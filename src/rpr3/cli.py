@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -49,10 +51,12 @@ from .geometry import (
     JointAngles,
     ManipulatorGeometry,
     Pose,
+    _libm,
     load_geometry,
     normalize_angle,
     normalize_angles,
     platform_anchor,
+    platform_anchor_arrays,
     pose_distance,
 )
 from .jacobians import (
@@ -501,25 +505,21 @@ def _cmd_singularity(args, geom: ManipulatorGeometry) -> int:
 
 
 def _cmd_trace(args, geom: ManipulatorGeometry) -> int:
-    t1 = _in_angle(args.t1, args.deg)
-    t2 = _in_angle(args.t2, args.deg)
-    curve = trace_cardanic(t1, t2, n_samples=args.samples, geometry=geom)
+    curve = trace_cardanic(
+        _in_angle(args.t1, args.deg),
+        _in_angle(args.t2, args.deg),
+        n_samples=args.samples,
+        geometry=geom,
+    )
+    # Traced, written and reported in (-pi, pi], so that the CSV rechecks
+    # against the very angles the curve came from.
+    t1, t2 = curve.theta1, curve.theta2
 
-    rows = []
-    for s in curve.samples:
-        rows.append(
-            (
-                _out_angle(t1, args.deg),
-                _out_angle(t2, args.deg),
-                _out_angle(s.phi, args.deg),
-                s.b3.x,
-                s.b3.y,
-                s.rho1,
-                s.rho2,
-            )
-        )
+    out = np.degrees if args.deg else np.asarray
+    thetas = np.broadcast_to(out([t1, t2]), (len(curve.phi), 2))
+    table = np.column_stack((thetas, out(curve.phi), curve.b3, curve.rho))
     figio.write_csv(
-        args.csv, ("theta1", "theta2", "phi", "x", "y", "rho1", "rho2"), rows
+        args.csv, ("theta1", "theta2", "phi", "x", "y", "rho1", "rho2"), table.tolist()
     )
 
     if args.svg:
@@ -528,7 +528,7 @@ def _cmd_trace(args, geom: ManipulatorGeometry) -> int:
         _draw_slider_axis(canvas, geom.base_anchor(1), t1)
         _draw_slider_axis(canvas, geom.base_anchor(2), t2)
         canvas.polyline(
-            [(s.b3.x, s.b3.y) for s in curve.samples],
+            curve.b3.tolist(),
             stroke="#c02020",
             width=0.015,
         )
@@ -722,15 +722,16 @@ def _write_sweep_svg(args, axes, swept, axis_names, grid_values) -> None:
 def _cmd_verify(args, geom: ManipulatorGeometry) -> int:
     rng = np.random.default_rng(args.seed)
     failures: list[str] = []
-    scopes = ("dkp", "jacobian", "curves") if args.scope == "all" else (args.scope,)
-
-    if "dkp" in scopes:
-        _verify_dkp(rng, args.trials, geom, failures)
-    if "jacobian" in scopes:
-        _verify_jacobian(rng, args.trials, geom, failures)
-    if "curves" in scopes:
-        _verify_curves(rng, args.trials, geom, failures)
-        if args.csv:
+    # Each scope with the name of the metric its summary line reports.
+    for scope, trial, metric in (
+        ("dkp", _dkp_trial, "pose deviation"),
+        ("jacobian", _jacobian_trial, "fd error"),
+        ("curves", _curves_trial, "residual"),
+    ):
+        if args.scope not in ("all", scope):
+            continue
+        _run_trials(scope, metric, args.trials, partial(trial, rng, geom), failures)
+        if scope == "curves" and args.csv:
             code = _recheck_trace_csv(args.csv, geom, failures)
             if code:
                 return code
@@ -743,121 +744,122 @@ def _cmd_verify(args, geom: ManipulatorGeometry) -> int:
     return EXIT_OK
 
 
-def _verify_dkp(rng, trials: int, geom, failures: list[str]) -> None:
-    done = 0
-    worst = 0.0
-    attempts = 0
-    while done < trials and attempts < trials * 50:
-        attempts += 1
-        theta = tuple(rng.uniform(-math.pi, math.pi, 3))
-        m, n = mn_coefficients(theta)
-        if m * m + n * n < 1e-8:
-            continue  # keep checks away from the degeneracy threshold
-        if abs(math.atan2(2.0 * m * n, m * m - n * n)) < 1e-2:
-            continue  # roots closer than the scan grid can separate
-        closed = direct_kinematics(theta, geometry=geom)
-        if closed.kind is not DkKind.TWO_SOLUTIONS or closed.coincident:
-            continue
-        report = dkp_bruteforce(theta, geometry=geom)
-        if len(report.solutions_found) != len(closed.poses):
-            failures.append(
-                f"dkp count mismatch at theta={theta}: closed "
-                f"{len(closed.poses)}, scan {len(report.solutions_found)}"
-            )
-            return
-        deviation = _pose_set_deviation(closed.poses, report.solutions_found)
-        worst = max(worst, deviation)
-        if deviation > geom.pose_tol:
-            failures.append(f"dkp deviation {deviation:.3e} at theta={theta}")
-            return
-        done += 1
-    print(f"verify dkp: {done} trials, max pose deviation {worst:.3e}")
+class _TrialFailure(Exception):
+    """A verify trial whose check failed; the message names the input."""
 
 
-def _verify_jacobian(rng, trials: int, geom, failures: list[str]) -> None:
-    done = 0
-    worst = 0.0
-    attempts = 0
-    s = geom.scale
-    while done < trials and attempts < trials * 50:
-        attempts += 1
-        pose = Pose(
-            rng.uniform(-0.5 * s, 1.5 * s),
-            rng.uniform(-0.5 * s, 1.5 * s),
-            rng.uniform(-math.pi, math.pi),
+def _run_trials(scope: str, metric: str, trials: int, trial, failures: list[str]) -> None:
+    """Run ``trial`` until ``trials`` of its draws were checked.
+
+    ``trial()`` returns None for a draw it skips, else the checked metric;
+    it raises :class:`_TrialFailure` when the check fails, which ends the
+    scope.  A scope that runs out of its 50 draws per trial with fewer
+    trials done fails too, so that no check passes on fewer trials than
+    requested.
+    """
+    cap = trials * 50
+    # Lazy, so that no draw is taken once enough trials are done.
+    results = (trial() for _ in range(cap))
+    try:
+        values = list(itertools.islice((v for v in results if v is not None), trials))
+    except _TrialFailure as exc:
+        failures.append(str(exc))
+        return
+    if len(values) < trials:
+        failures.append(f"{scope}: {len(values)} of {trials} trials done in {cap} draws")
+        return
+    print(f"verify {scope}: {trials} trials, max {metric} {max(values):.3e}")
+
+
+def _dkp_trial(rng, geom) -> float | None:
+    theta = tuple(rng.uniform(-math.pi, math.pi, 3))
+    m, n = mn_coefficients(theta)
+    if m * m + n * n < 1e-8:
+        return None  # keep checks away from the degeneracy threshold
+    if abs(math.atan2(2.0 * m * n, m * m - n * n)) < 1e-2:
+        return None  # roots closer than the scan grid can separate
+    closed = direct_kinematics(theta, geometry=geom)
+    if closed.kind is not DkKind.TWO_SOLUTIONS or closed.coincident:
+        return None
+    report = dkp_bruteforce(theta, geometry=geom)
+    if len(report.solutions_found) != len(closed.poses):
+        raise _TrialFailure(
+            f"dkp count mismatch at theta={theta}: closed "
+            f"{len(closed.poses)}, scan {len(report.solutions_found)}"
         )
-        try:
-            sol = inverse_kinematics(pose, geometry=geom)
-        except LegAtAnchorError:
-            continue
-        if min(sol.rhos()) < 0.05 * s:
-            continue
-        theta = sol.angles
-        mats = build_matrices(pose, theta, geometry=geom)
-        norm = np.linalg.norm(mats.a_matrix)
-        if abs(mats.det_a) < 1e-6 * norm**3:
-            continue
-        try:
-            err = jacobian_fd_check(pose, theta, geometry=geom)
-        except SingularNearbyError:
-            continue
-        worst = max(worst, err)
-        if err > 1e-5:
-            failures.append(f"jacobian fd error {err:.3e} at pose={pose.as_tuple()}")
-            return
-        done += 1
-    print(f"verify jacobian: {done} trials, max fd error {worst:.3e}")
+    deviation = _pose_set_deviation(closed.poses, report.solutions_found)
+    if deviation > geom.pose_tol:
+        raise _TrialFailure(f"dkp deviation {deviation:.3e} at theta={theta}")
+    return deviation
 
 
-def _verify_curves(rng, trials: int, geom, failures: list[str]) -> None:
-    done = 0
-    worst = 0.0
-    attempts = 0
+def _jacobian_trial(rng, geom) -> float | None:
     s = geom.scale
-    while done < trials and attempts < trials * 50:
-        attempts += 1
-        t1, t2 = rng.uniform(-math.pi, math.pi, 2)
-        if abs(math.sin(t2 - t1)) < 1e-6:
-            continue
-        curve = trace_cardanic(t1, t2, n_samples=360, geometry=geom)
-        b2 = geom.base_anchor(2)
-        for sample in curve.samples:
-            pose = _slider_pose(t1, sample.rho1, sample.phi, geom)
-            anchor2 = platform_anchor(pose, 2, geometry=geom)
-            anchor3 = platform_anchor(pose, 3, geometry=geom)
-            r1 = 0.0  # first anchor is on its slider line by construction
-            r2 = math.sin(t2) * (anchor2.x - b2.x) - math.cos(t2) * (
-                anchor2.y - b2.y
-            )
-            gap = max(
-                abs(r1),
-                abs(r2),
-                math.hypot(anchor3.x - sample.b3.x, anchor3.y - sample.b3.y),
-            )
-            worst = max(worst, gap)
-            if gap > 1e-9 * max(s, 1.0):
-                failures.append(
-                    f"curve residual {gap:.3e} at theta=({t1}, {t2}), "
-                    f"phi={sample.phi}"
-                )
-                return
-        rho_lo = rho_from_phi(t1, t2, -math.pi, geometry=geom)
-        rho_hi = rho_from_phi(t1, t2, math.pi, geometry=geom)
-        closure = max(
-            abs(rho_lo[0] - rho_hi[0]), abs(rho_lo[1] - rho_hi[1])
+    pose = Pose(
+        rng.uniform(-0.5 * s, 1.5 * s),
+        rng.uniform(-0.5 * s, 1.5 * s),
+        rng.uniform(-math.pi, math.pi),
+    )
+    try:
+        sol = inverse_kinematics(pose, geometry=geom)
+    except LegAtAnchorError:
+        return None
+    if min(sol.rhos()) < 0.05 * s:
+        return None
+    theta = sol.angles
+    mats = build_matrices(pose, theta, geometry=geom)
+    norm = np.linalg.norm(mats.a_matrix)
+    if abs(mats.det_a) < 1e-6 * norm**3:
+        return None
+    try:
+        err = jacobian_fd_check(pose, theta, geometry=geom)
+    except SingularNearbyError:
+        return None
+    if err > 1e-5:
+        raise _TrialFailure(f"jacobian fd error {err:.3e} at pose={pose.as_tuple()}")
+    return err
+
+
+def _curves_trial(rng, geom) -> float | None:
+    """Worst gap of one whole curve from the slider constraints.
+
+    The anchors come from the geometry layer, so the check stays
+    independent of the curve formulas it tests.
+    """
+    s = geom.scale
+    t1, t2 = rng.uniform(-math.pi, math.pi, 2)
+    if abs(math.sin(t2 - t1)) < 1e-6:
+        return None
+    curve = trace_cardanic(t1, t2, n_samples=360, geometry=geom)
+    b2 = geom.base_anchor(2)
+    # Leg 1's anchor is on its slider line by construction.
+    x, y = _slider_point(t1, curve.rho[:, 0], geom)
+    ax, ay = platform_anchor_arrays(x, y, curve.phi, geometry=geom)
+    r2 = math.sin(t2) * (ax[:, 1] - b2.x) - math.cos(t2) * (ay[:, 1] - b2.y)
+    miss3 = _libm(math.hypot, ax[:, 2] - curve.b3[:, 0], ay[:, 2] - curve.b3[:, 1])
+    gap = np.maximum(np.abs(r2), miss3)
+    bad = np.flatnonzero(gap > 1e-9 * max(s, 1.0))
+    if bad.size:
+        k = bad[0]
+        raise _TrialFailure(
+            f"curve residual {gap[k]:.3e} at theta=({t1}, {t2}), "
+            f"phi={float(curve.phi[k])}"
         )
-        if closure > 1e-10 * max(s, 1.0):
-            failures.append(f"curve closure {closure:.3e} at theta=({t1}, {t2})")
-            return
-        done += 1
-    print(f"verify curves: {done} trials, max residual {worst:.3e}")
+    rho_lo = rho_from_phi(t1, t2, -math.pi, geometry=geom)
+    rho_hi = rho_from_phi(t1, t2, math.pi, geometry=geom)
+    closure = max(
+        abs(rho_lo[0] - rho_hi[0]), abs(rho_lo[1] - rho_hi[1])
+    )
+    if closure > 1e-10 * max(s, 1.0):
+        raise _TrialFailure(f"curve closure {closure:.3e} at theta=({t1}, {t2})")
+    return float(gap.max())
 
 
-def _slider_pose(t1: float, rho1: float, phi: float, geom) -> Pose:
-    """Pose whose reference point sits ``rho1`` along leg 1's slider line,
-    as a coupler-curve sample records it."""
+def _slider_point(t1: float, rho1, geom):
+    """Reference point ``rho1`` along leg 1's slider line, as a coupler-curve
+    sample records it; ``rho1`` is a float or an array."""
     a1 = geom.base_anchor(1)
-    return Pose(a1.x + rho1 * math.cos(t1), a1.y + rho1 * math.sin(t1), phi)
+    return (a1.x + rho1 * math.cos(t1), a1.y + rho1 * math.sin(t1))
 
 
 def _recheck_trace_csv(path: str, geom, failures: list[str]) -> int:
@@ -887,7 +889,7 @@ def _recheck_trace_csv(path: str, geom, failures: list[str]) -> int:
             print(f"rpr3: {path}: malformed row {idx + 1}", file=sys.stderr)
             return EXIT_IO
         rho1, rho2 = rho_from_phi(t1, t2, phi, geometry=geom)
-        pose = _slider_pose(t1, rho1, phi, geom)
+        pose = Pose(*_slider_point(t1, rho1, geom), phi)
         anchor3 = platform_anchor(pose, 3, geometry=geom)
         gap = max(
             abs(anchor3.x - recorded[0]),

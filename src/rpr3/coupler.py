@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .geometry import (
     Pose,
     Vec2,
     _as_angles,
+    _libm,
     cluster_poses,
     normalize_angle,
 )
@@ -47,7 +49,6 @@ __all__ = [
     "MIN_CURVE_SAMPLES",
     "PAIR_SIN_TOL",
     "COLLINEARITY_TOL",
-    "CurveSample",
     "CouplerCurve",
     "SegmentDescriptor",
     "ReuleauxDescriptor",
@@ -68,30 +69,30 @@ PAIR_SIN_TOL = 1e-9
 # curve counts as a straight segment.
 COLLINEARITY_TOL = 1e-9
 
+# Orientation samples of the full-cycle sweep in reuleaux_descriptor.
+_REULEAUX_SAMPLES = 4096
+
 _THIRD_VERTEX_ANGLE = math.pi / 3.0
 
 
-class CurveSample(NamedTuple):
-    phi: float
-    b3: Vec2
-    rho1: float
-    rho2: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplerCurve:
     """Sampled trace of the third platform vertex over one orientation cycle.
 
-    Samples are ordered by phi over (-pi, pi] (phi = 0 included for even
-    sample counts, where the curve touches a3 exactly).  ``degenerate`` is
-    decided by the measured collinearity of the samples, not by an angle
-    predicate, so it reflects what the trace actually does; ``segment``
-    holds the endpoints of the degenerate stroke when set.
+    The samples are columns: ``phi`` (n,) ordered over (-pi, pi] (phi = 0
+    included for even sample counts, where the curve touches a3 exactly),
+    the third vertex ``b3`` (n, 2) as (x, y) rows and the slider extensions
+    ``rho`` (n, 2) as (rho1, rho2) rows.  ``degenerate`` is decided by the
+    measured collinearity of the samples, not by an angle predicate, so it
+    reflects what the trace actually does; ``segment`` holds the endpoints
+    of the degenerate stroke when set.
     """
 
     theta1: float
     theta2: float
-    samples: tuple[CurveSample, ...]
+    phi: np.ndarray
+    b3: np.ndarray
+    rho: np.ndarray
     degenerate: bool
     segment: tuple[Vec2, Vec2] | None
     scale: float
@@ -144,35 +145,48 @@ def rho_from_phi(
     Both vanish at phi = 0.  Raises :class:`DegenerateLegPairError` when the
     slider lines are parallel (|sin(t2 - t1)| < PAIR_SIN_TOL).
     """
+    rho1, rho2, _, _ = _slider_loop(theta1, theta2, phi, geometry)
+    return (rho1, rho2)
+
+
+def _slider_loop(theta1: float, theta2: float, phi, geometry: ManipulatorGeometry):
+    """(rho1, rho2, b3x, b3y) at ``phi``: the extensions of
+    :func:`rho_from_phi` and B3 = a1 + rho1 v1 + R(phi) b3_local.  The
+    platform reference point is a1 + rho1 v1, so poses reuse rho1.
+
+    A float ``phi`` is evaluated with ``math`` alone, since the bisection in
+    :func:`geometric_dkp` calls this per step; an array takes sin and cos
+    elementwise from libm, so each element equals the float result.
+    """
     den = math.sin(theta2 - theta1)
     if abs(den) < PAIR_SIN_TOL:
         raise DegenerateLegPairError(
             f"legs parallel: sin(theta2 - theta1) = {den:.3e}"
         )
-    one_minus_cos = 1.0 - math.cos(phi)
-    sin_phi = math.sin(phi)
-    rho1 = (math.sin(theta2) * one_minus_cos + math.cos(theta2) * sin_phi) / den
-    rho2 = (math.sin(theta1) * one_minus_cos + math.cos(theta1) * sin_phi) / den
-    return (geometry.scale * rho1, geometry.scale * rho2)
-
-
-def _b3_at(
-    theta1: float, theta2: float, phi: float, geometry: ManipulatorGeometry
-) -> tuple[Vec2, float, float]:
-    """Third vertex position plus the two slider extensions at ``phi``.
-
-    B3 = a1 + rho1 v1 + R(phi) b3_local; the platform reference point is
-    a1 + rho1 v1, so everything downstream (poses, intersections) reuses
-    rho1.
-    """
-    rho1, rho2 = rho_from_phi(theta1, theta2, phi, geometry)
+    if isinstance(phi, np.ndarray):
+        sin, cos = partial(_libm, math.sin), partial(_libm, math.cos)
+    else:
+        sin, cos = math.sin, math.cos
     s = geometry.scale
+    one_minus_cos = 1.0 - cos(phi)
+    sin_phi = sin(phi)
+    rho1 = s * ((math.sin(theta2) * one_minus_cos + math.cos(theta2) * sin_phi) / den)
+    rho2 = s * ((math.sin(theta1) * one_minus_cos + math.cos(theta1) * sin_phi) / den)
     a1 = geometry.base_anchor(1)
-    b3 = Vec2(
-        a1.x + rho1 * math.cos(theta1) + s * math.cos(phi + _THIRD_VERTEX_ANGLE),
-        a1.y + rho1 * math.sin(theta1) + s * math.sin(phi + _THIRD_VERTEX_ANGLE),
-    )
-    return (b3, rho1, rho2)
+    third = phi + _THIRD_VERTEX_ANGLE
+    b3x = a1.x + rho1 * math.cos(theta1) + s * cos(third)
+    b3y = a1.y + rho1 * math.sin(theta1) + s * sin(third)
+    return (rho1, rho2, b3x, b3y)
+
+
+def _axis_offset(b3x, b3y, theta3: float, geometry: ManipulatorGeometry):
+    """(residual, extension) of B3 against leg 3's slider axis, for floats
+    or arrays: the components of B3 - a3 across and along v3.  The residual
+    vanishes where B3 lies on the axis; the extension is then rho3."""
+    a3 = geometry.base_anchor(3)
+    sin3, cos3 = math.sin(theta3), math.cos(theta3)
+    dx, dy = b3x - a3.x, b3y - a3.y
+    return (sin3 * dx - cos3 * dy, cos3 * dx + sin3 * dy)
 
 
 def _cycle_grid(n_samples: int) -> np.ndarray:
@@ -206,14 +220,12 @@ def trace_cardanic(
         )
     t1 = normalize_angle(theta1)
     t2 = normalize_angle(theta2)
-    samples = []
-    for phi in _cycle_grid(n_samples):
-        b3, rho1, rho2 = _b3_at(t1, t2, float(phi), geometry)
-        samples.append(CurveSample(float(phi), b3, rho1, rho2))
+    phi = _cycle_grid(n_samples)
+    rho1, rho2, b3x, b3y = _slider_loop(t1, t2, phi, geometry)
+    b3 = np.column_stack((b3x, b3y))
 
-    pts = np.array([(s.b3.x, s.b3.y) for s in samples])
-    center = pts.mean(axis=0)
-    spread = pts - center
+    center = b3.mean(axis=0)
+    spread = b3 - center
     # Principal direction of the point cloud; the residual against it is the
     # collinearity measure.
     _, _, vt = np.linalg.svd(spread, full_matrices=False)
@@ -231,7 +243,9 @@ def trace_cardanic(
     return CouplerCurve(
         theta1=t1,
         theta2=t2,
-        samples=tuple(samples),
+        phi=phi,
+        b3=b3,
+        rho=np.column_stack((rho1, rho2)),
         degenerate=degenerate,
         segment=segment,
         scale=geometry.scale,
@@ -272,18 +286,11 @@ def geometric_dkp(
     ):
         raise ValueError("curve was traced for different angles or geometry")
 
-    t3 = t[2]
-    a3 = geometry.base_anchor(3)
-    sin3, cos3 = math.sin(t3), math.cos(t3)
-
     def line_distance(phi: float) -> float:
-        b3, _, _ = _b3_at(curve.theta1, curve.theta2, phi, geometry)
-        return sin3 * (b3.x - a3.x) - cos3 * (b3.y - a3.y)
+        _, _, b3x, b3y = _slider_loop(curve.theta1, curve.theta2, phi, geometry)
+        return _axis_offset(b3x, b3y, t[2], geometry)[0]
 
-    phis = np.array([s.phi for s in curve.samples])
-    dist = np.array(
-        [sin3 * (s.b3.x - a3.x) - cos3 * (s.b3.y - a3.y) for s in curve.samples]
-    )
+    dist, _ = _axis_offset(curve.b3[:, 0], curve.b3[:, 1], t[2], geometry)
 
     on_line = float(np.abs(dist).max()) < COLLINEARITY_TOL * geometry.scale
     if kind is DkKind.CONTINUUM_REULEAUX or (curve.degenerate and on_line):
@@ -292,7 +299,7 @@ def geometric_dkp(
         line = LineDescriptor(Vec2(0.0, 0.0), Vec2(math.cos(t[0]), math.sin(t[0])))
         return DkSolutionSet(DkKind.CONTINUUM_REULEAUX, (trivial,), m, n, continuum=line)
 
-    roots = _cycle_roots(phis, dist, line_distance, geometry.scale)
+    roots = _cycle_roots(curve.phi, dist, line_distance, geometry.scale)
     poses = []
     for phi in roots:
         rho1, _ = rho_from_phi(curve.theta1, curve.theta2, phi, geometry)
@@ -350,7 +357,6 @@ def _bisect(func, lo: float, hi: float, flo: float, tol: float = 1e-12) -> float
 def reuleaux_descriptor(
     theta: JointAngles | Sequence[float],
     geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
-    n_samples: int = 4096,
 ) -> ReuleauxDescriptor:
     """Measure the straight-line self-motion constants by a full-cycle sweep.
 
@@ -376,20 +382,12 @@ def reuleaux_descriptor(
             f"angles {t} do not satisfy the straight-line degeneracy condition"
         )
     s = geometry.scale
-    phis = _cycle_grid(n_samples)
+    phis = _cycle_grid(_REULEAUX_SAMPLES)
 
-    rho = np.empty((3, n_samples))
-    off_line = 0.0
-    t3 = t[2]
-    a3 = geometry.base_anchor(3)
-    for k, phi in enumerate(phis):
-        b3, rho1, rho2 = _b3_at(t[0], t[1], float(phi), geometry)
-        rho[0, k] = rho1
-        rho[1, k] = rho2
-        rho[2, k] = math.cos(t3) * (b3.x - a3.x) + math.sin(t3) * (b3.y - a3.y)
-        off_line = max(
-            off_line, abs(math.sin(t3) * (b3.x - a3.x) - math.cos(t3) * (b3.y - a3.y))
-        )
+    rho1, rho2, b3x, b3y = _slider_loop(t[0], t[1], phis, geometry)
+    off, rho3 = _axis_offset(b3x, b3y, t[2], geometry)
+    rho = np.stack((rho1, rho2, rho3))
+    off_line = float(np.abs(off).max())
     if off_line > 1e-6 * s:
         raise NotReuleauxError(
             f"third vertex leaves its slider line by {off_line:.3e}; "
@@ -398,7 +396,7 @@ def reuleaux_descriptor(
 
     # Each extension has the form a (1 - cos phi) + b sin phi; a and b are
     # recovered exactly by discrete Fourier projection on the uniform grid.
-    cos_g, sin_g = np.cos(phis), np.sin(phis)
+    sin_g = np.sin(phis)
     coeff_a = rho.mean(axis=1)
     coeff_b = 2.0 * (rho * sin_g).mean(axis=1)
 

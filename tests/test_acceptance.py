@@ -304,19 +304,18 @@ def test_c6_cardanic_curve_invariants(capsys):
             continue  # slider lines near-parallel: the curve runs to infinity
         curve = trace_cardanic(t1, t2, n_samples=64)
 
-        at_zero = min(curve.samples, key=lambda s: abs(s.phi))
-        assert at_zero.phi == 0.0
-        worst_a3 = max(
-            worst_a3, math.hypot(at_zero.b3.x - a3.x, at_zero.b3.y - a3.y)
-        )
+        samples = list(zip(curve.phi.tolist(), curve.b3.tolist(), curve.rho.tolist()))
+        phi0, (x0, y0), _ = min(samples, key=lambda s: abs(s[0]))
+        assert phi0 == 0.0
+        worst_a3 = max(worst_a3, math.hypot(x0 - a3.x, y0 - a3.y))
 
         v1 = (math.cos(t1), math.sin(t1))
         v2 = (math.cos(t2), math.sin(t2))
-        for sample in curve.samples:
+        for phi, (b3x, b3y), (rho1, rho2) in samples:
             # rebuild both loop anchors from the traced vertex alone
-            rot = rotation_matrix(sample.phi)
-            b1x = sample.b3.x - (rot[0][0] * b3_local.x + rot[0][1] * b3_local.y)
-            b1y = sample.b3.y - (rot[1][0] * b3_local.x + rot[1][1] * b3_local.y)
+            rot = rotation_matrix(phi)
+            b1x = b3x - (rot[0][0] * b3_local.x + rot[0][1] * b3_local.y)
+            b1y = b3y - (rot[1][0] * b3_local.x + rot[1][1] * b3_local.y)
             b2x = b1x + rot[0][0] * b2_local.x + rot[0][1] * b2_local.y
             b2y = b1y + rot[1][0] * b2_local.x + rot[1][1] * b2_local.y
             r1 = v1[1] * (b1x - a1.x) - v1[0] * (b1y - a1.y)
@@ -327,8 +326,8 @@ def test_c6_cardanic_curve_invariants(capsys):
                 worst_closure,
                 abs(r1),
                 abs(r2),
-                abs(p1 - sample.rho1),
-                abs(p2 - sample.rho2),
+                abs(p1 - rho1),
+                abs(p2 - rho2),
             )
         accepted += 1
     elapsed = time.monotonic() - start

@@ -4,9 +4,11 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from rpr3.cli import main
+from rpr3.geometry import normalize_angle
 
 PI3 = math.pi / 3.0
 SQRT3 = math.sqrt(3.0)
@@ -498,6 +500,44 @@ def test_verify_flags_tampered_csv(tmp_path, capsys):
     )
     assert code == 4
     assert "row 5" in err
+
+
+def test_trace_reports_and_writes_reduced_angles(tmp_path, capsys):
+    # The curve is traced from the angles reduced to (-pi, pi]; the CSV and
+    # the report must carry those, or the recheck recomputes from others.
+    csv_path = tmp_path / "curve.csv"
+    payload = run_json(
+        capsys, "trace", "--t1", "1e12", "--t2", "0.5", "--csv", str(csv_path)
+    )
+    assert payload["theta1"] == normalize_angle(1e12)
+    assert payload["theta2"] == 0.5
+    row = csv_path.read_text().splitlines()[1].split(",")
+    assert float(row[0]) == normalize_angle(1e12)
+    code, out, err = run(
+        capsys, "verify", "--scope", "curves", "--trials", "1", "--csv", str(csv_path)
+    )
+    assert code == 0, err
+    assert "trace-csv" in out
+
+
+class _ZeroGenerator:
+    """Stands in for a numpy generator; every draw is zero."""
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+
+def test_verify_fails_when_scopes_do_fewer_trials_than_requested(capsys, monkeypatch):
+    # Zero angles are degenerate and a zero pose sits on a base anchor, so
+    # every scope skips every draw and runs out of draws.
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ZeroGenerator())
+    code, out, err = run(capsys, "verify", "--trials", "3")
+    assert code == 4
+    assert "verify: ok" not in out
+    assert err.splitlines() == [
+        f"rpr3: FAIL {scope}: 0 of 3 trials done in 150 draws"
+        for scope in ("dkp", "jacobian", "curves")
+    ]
 
 
 def test_verify_missing_csv_is_io_error(tmp_path, capsys):

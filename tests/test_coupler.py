@@ -93,16 +93,17 @@ def test_rho_from_phi_scales_linearly():
 
 def test_trace_passes_through_third_base_anchor():
     curve = trace_cardanic(0.2, 0.9)
-    at_zero = [s for s in curve.samples if s.phi == 0.0]
+    at_zero = [b3 for phi, b3 in zip(curve.phi.tolist(), curve.b3.tolist()) if phi == 0.0]
     assert len(at_zero) == 1
-    b3 = at_zero[0].b3
-    assert math.hypot(b3.x - A3.x, b3.y - A3.y) < 1e-12
+    (x, y), = at_zero
+    assert math.hypot(x - A3.x, y - A3.y) < 1e-12
 
 
 def test_trace_grid_covers_the_cycle():
     curve = trace_cardanic(0.2, 0.9, n_samples=720)
-    phis = [s.phi for s in curve.samples]
+    phis = curve.phi.tolist()
     assert len(phis) == 720
+    assert curve.b3.shape == curve.rho.shape == (720, 2)
     assert all(b > a for a, b in zip(phis, phis[1:]))
     assert -math.pi < phis[0] <= math.pi
     assert phis[-1] == math.pi
@@ -127,15 +128,15 @@ def test_trace_closes_over_a_full_cycle():
 
 def test_trace_samples_satisfy_constraints():
     curve = trace_cardanic(-1.1, 0.4, n_samples=128)
-    for s in curve.samples:
-        pose = Pose(
-            s.rho1 * math.cos(-1.1), s.rho1 * math.sin(-1.1), s.phi
-        )
+    for phi, (x, y), (rho1, _) in zip(
+        curve.phi.tolist(), curve.b3.tolist(), curve.rho.tolist()
+    ):
+        pose = Pose(rho1 * math.cos(-1.1), rho1 * math.sin(-1.1), phi)
         residuals = constraint_residuals(pose, (-1.1, 0.4, 0.0))
         assert abs(residuals[0]) < 1e-12
         assert abs(residuals[1]) < 1e-12
         anchor = platform_anchor(pose, 3)
-        assert math.hypot(anchor.x - s.b3.x, anchor.y - s.b3.y) < 1e-12
+        assert math.hypot(anchor.x - x, anchor.y - y) < 1e-12
 
 
 def test_trace_degeneracy_dichotomy():
@@ -162,9 +163,9 @@ def test_trace_degenerates_on_third_turn_offsets(t1, offset):
     length = direction.norm()
     assert length > 0.1
     ux, uy = direction.x / length, direction.y / length
-    for s in curve.samples:
+    for x, y in curve.b3.tolist():
         # distance from the segment's carrier line
-        d = (s.b3.x - start.x) * uy - (s.b3.y - start.y) * ux
+        d = (x - start.x) * uy - (y - start.y) * ux
         assert abs(d) < 1e-9
 
 

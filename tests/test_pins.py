@@ -2,18 +2,21 @@
 
 Each digest is the sha256 of the ``repr`` of every result (floats repr
 exactly, so one changed bit changes the digest), captured before the
-geometry and the leg-offset code were consolidated.  Any rewrite of those
-paths must leave every digest as it is.  The digests depend on libm and
-LAPACK rounding, as do the sweep artifact pins in ``test_cli.py``.
+geometry and the leg-offset code were consolidated, and for the curve
+layer before it moved from per-sample records to columns.  Any rewrite of
+those paths must leave every digest as it is.  The digests depend on libm
+and LAPACK rounding, as do the sweep artifact pins in ``test_cli.py``.
 """
 
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from rpr3.coupler import geometric_dkp
+from rpr3.cli import main
+from rpr3.coupler import geometric_dkp, reuleaux_descriptor, trace_cardanic
 from rpr3.errors import Rpr3Error
 from rpr3.geometry import (
     ManipulatorGeometry,
@@ -137,3 +140,107 @@ def test_scalar_kinematics_are_pinned(scale):
 @pytest.mark.parametrize("scale", sorted(PINNED_DK))
 def test_direct_kinematics_routes_are_pinned(scale):
     assert _dk_digests(scale) == PINNED_DK[scale]
+
+
+def _curve_digest(scale, count=60, seed=22):
+    geometry = ManipulatorGeometry.from_scale(scale)
+    rng = np.random.default_rng(seed)
+    pairs = [tuple(map(float, p)) for p in rng.uniform(-4.0, 4.0, (count, 2))]
+    # Straight-line pairs in both leg directions, and one parallel pair.
+    for t in (-2.5, -0.7, 0.0, 0.5, 1.9, 3.0):
+        pairs += [(t, t + math.pi / 3.0), (t, t + math.pi / 3.0 - math.pi)]
+    pairs.append((0.4, 0.4 + math.pi))
+    sample_counts = (8, 9, 64, 360, 720)
+    digest = _Digest()
+    for k, (t1, t2) in enumerate(pairs):
+        n = sample_counts[k % len(sample_counts)]
+        digest.add(lambda: _curve_record(trace_cardanic(t1, t2, n, geometry)))
+    return digest.hexdigest()
+
+
+def _curve_record(curve):
+    """Header and one (phi, b3x, b3y, rho1, rho2) tuple per sample."""
+    rows = list(zip(curve.phi.tolist(), *curve.b3.T.tolist(), *curve.rho.T.tolist()))
+    return (curve.theta1, curve.theta2, curve.degenerate, curve.segment, curve.scale, rows)
+
+
+def _reuleaux_digest(scale, count=8, seed=23):
+    geometry = ManipulatorGeometry.from_scale(scale)
+    rng = np.random.default_rng(seed)
+    triples = [(0.0, 1.04719755, -1.04719755)]
+    for t in map(float, rng.uniform(-math.pi, math.pi, count)):
+        # Each leg direction may be flipped by pi; the swapped offsets are
+        # not a straight-line triple and pin the error path.
+        for f2 in (0.0, math.pi):
+            for f3 in (0.0, -math.pi):
+                triples.append((t, t + math.pi / 3.0 + f2, t - math.pi / 3.0 + f3))
+        triples.append((t, t - math.pi / 3.0, t + math.pi / 3.0))
+    digest = _Digest()
+    for theta in triples:
+        digest.add(lambda: reuleaux_descriptor(theta, geometry=geometry))
+    return digest.hexdigest()
+
+
+# Captured before the rewrite; see the module docstring.
+PINNED_CURVES = {
+    1.0: {
+        "curves": "da8affa50a7d65ad0739604cbd970d8cd8fe3d95387a66a1ea0439172de3b059",
+        "reuleaux": "faba2fe898527dfc4d7f6caf82787c15d9ec19c58afd9b13e1d1a9acc5fc02d4",
+    },
+    2.0: {
+        "curves": "d4ba19f6e357169d091daefbbd99e1ab63464fd9d1f994aefa2f6e90b92903b3",
+        "reuleaux": "f292473613f2adb09c403416fefd7925a613e7f30091a58311f71ed7bfab9685",
+    },
+    # Not a power of two, so a regrouped product with the scale shows.
+    1.7: {
+        "curves": "f28c8c2bc6d5d75576da41b900fa2f4cbff0a27d610fec4322046ccd092ecbcc",
+        "reuleaux": "4fa6f6ff38e49a793d4962dd4e51f01da169fab47cac21b2a08475fd88ffb4f4",
+    },
+}
+
+
+@pytest.mark.parametrize("scale", sorted(PINNED_CURVES))
+def test_curve_layer_is_pinned(scale):
+    assert {
+        "curves": _curve_digest(scale),
+        "reuleaux": _reuleaux_digest(scale),
+    } == PINNED_CURVES[scale]
+
+
+TRACE_ARGVS = [
+    ("--t1", "0.2", "--t2", "0.9", "--samples", "64"),
+    ("--t1", "0.5", "--t2", str(0.5 + math.pi / 3.0)),
+    ("--t1", "-3.0", "--t2", "3.0", "--samples", "9"),
+    ("--t1", "20", "--t2", "75", "--samples", "100", "--deg"),
+    ("--t1", "10", "--t2", "70", "--deg"),
+]
+
+
+def _trace_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for argv in TRACE_ARGVS:
+        csv_path, svg_path = tmp_path / "t.csv", tmp_path / "t.svg"
+        code = main(["trace", *argv, "--csv", str(csv_path), "--svg", str(svg_path)])
+        out = capsys.readouterr().out.replace(json.dumps(str(tmp_path))[1:-1], "<dir>")
+        for part in (str(code).encode(), out.encode(), csv_path.read_bytes(), svg_path.read_bytes()):
+            digest.update(part)
+            digest.update(b"\n")
+    return digest.hexdigest()
+
+
+# Exit code, stdout, CSV and SVG bytes of every argv above, captured before
+# the rewrite.
+PINNED_TRACE = {
+    1.0: "d500003a4da42d29b923d38b5578420b3be25bfa2b3a7139ceaabd75c840b7c7",
+    2.0: "5c9a529ff709ab97b271e48784dd5a5019236fa8f0d4ca0d81ecb298b78f6113",
+    1.7: "be07f3e2ece85fccd53a43f9ef838a3e98381583325496cc9a3bb46b00e41ee9",
+}
+
+
+@pytest.mark.parametrize("scale", sorted(PINNED_TRACE))
+def test_trace_artifacts_are_pinned(scale, tmp_path, capsys, monkeypatch):
+    if scale != 1.0:
+        path = tmp_path / "geom.json"
+        path.write_text(json.dumps({"scale": scale}))
+        monkeypatch.setenv("RPR_GEOMETRY", str(path))
+    assert _trace_digest(tmp_path, capsys) == PINNED_TRACE[scale]
