@@ -42,8 +42,6 @@ from .errors import (
     InconsistentStateError,
     LegAtAnchorError,
     NotReuleauxError,
-    ParallelSingularError,
-    SerialSingularError,
     SingularNearbyError,
 )
 from .geometry import (
@@ -85,6 +83,8 @@ EXIT_IO = 3
 EXIT_VERIFY = 4
 
 _ANGLE_AXES = {"t1", "t2", "t3", "phi"}
+# Most points a sweep grid may have, checked before any grid array exists.
+MAX_GRID_POINTS = 10**6
 
 
 class _UsageError(Exception):
@@ -282,12 +282,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     try:
         return args.handler(args, geom)
-    except _UsageError as exc:
-        print(f"rpr3: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GeometryError as exc:
-        # A value out of floating-point range, e.g. a leg length that
-        # overflows; the input is unusable as given.
+    except (_UsageError, GeometryError) as exc:
+        # A GeometryError is a value out of floating-point range, e.g. a leg
+        # length that overflows; the input is unusable as given.
         print(f"rpr3: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LegAtAnchorError as exc:
@@ -297,8 +294,6 @@ def main(argv=None) -> int:
         DegenerateLegPairError,
         NotReuleauxError,
         InconsistentStateError,
-        ParallelSingularError,
-        SerialSingularError,
         SingularNearbyError,
     ) as exc:
         print(f"rpr3: {exc}", file=sys.stderr)
@@ -518,9 +513,7 @@ def _cmd_trace(args, geom: ManipulatorGeometry) -> int:
     out = np.degrees if args.deg else np.asarray
     thetas = np.broadcast_to(out([t1, t2]), (len(curve.phi), 2))
     table = np.column_stack((thetas, out(curve.phi), curve.b3, curve.rho))
-    figio.write_csv(
-        args.csv, ("theta1", "theta2", "phi", "x", "y", "rho1", "rho2"), table.tolist()
-    )
+    figio.write_csv(args.csv, ("theta1", "theta2", "phi", "x", "y", "rho1", "rho2"), table)
 
     if args.svg:
         canvas = figio.SvgCanvas(title="third-anchor coupler curve")
@@ -616,6 +609,8 @@ def _parse_axis(name: str, text: str | None, deg: bool) -> np.ndarray:
         values = np.array(ends)
     elif count < 2:
         raise _UsageError(f"--{name}: range needs at least 2 samples")
+    elif count > MAX_GRID_POINTS:
+        raise _UsageError(f"--{name}: a sweep grid has at most {MAX_GRID_POINTS} points")
     else:
         values = np.linspace(ends[0], ends[1], count)
     if name in _ANGLE_AXES and deg:
@@ -635,6 +630,8 @@ def _cmd_sweep(args, geom: ManipulatorGeometry) -> int:
     swept = [i for i, a in enumerate(axes) if len(a) > 1]
     if args.svg and len(swept) != 2:
         raise _UsageError("--svg requires exactly two swept axes")
+    if math.prod(len(a) for a in axes) > MAX_GRID_POINTS:
+        raise _UsageError(f"a sweep grid has at most {MAX_GRID_POINTS} points")
 
     # Every grid point as one flat array per axis, last axis fastest: the
     # order of the CSV rows.
@@ -661,10 +658,8 @@ def _cmd_sweep(args, geom: ManipulatorGeometry) -> int:
 
     out = np.degrees if args.deg else np.asarray
     table = np.column_stack((out(theta), x, y, out(phi), det_a, det_b))
-    # One row of Python floats at a time keeps the page's memory flat.
-    rows = (values.tolist() + [kind.value] for values, kind in zip(table, kinds))
     header = ("theta1", "theta2", "theta3", "x", "y", "phi", "detA", "detB", "kind")
-    count = figio.write_csv(args.csv, header, rows)
+    count = figio.write_csv(args.csv, header, table, (kind.value for kind in kinds))
 
     if args.svg:
         field = det_a if args.quantity == "detA" else det_b
@@ -688,15 +683,6 @@ def _cmd_sweep(args, geom: ManipulatorGeometry) -> int:
 def _write_sweep_svg(args, axes, swept, axis_names, grid_values) -> None:
     lo = figio.VIEW_MIN + 0.2
     hi = figio.VIEW_MAX - 0.2
-    u_axis = axes[swept[0]]
-    v_axis = axes[swept[1]]
-
-    def map_u(u):
-        return lo + (hi - lo) * (u - u_axis[0]) / (u_axis[-1] - u_axis[0])
-
-    def map_v(v):
-        return lo + (hi - lo) * (v - v_axis[0]) / (v_axis[-1] - v_axis[0])
-
     canvas = figio.SvgCanvas(title=f"{args.quantity} zero contour")
     canvas.polyline(
         [(lo, lo), (hi, lo), (hi, hi), (lo, hi)],
@@ -704,15 +690,16 @@ def _write_sweep_svg(args, axes, swept, axis_names, grid_values) -> None:
         width=0.008,
         closed=True,
     )
-    finite = np.nan_to_num(grid_values, nan=0.0)
-    for (ax, ay), (bx, by) in figio.contour_segments(u_axis, v_axis, finite):
-        canvas.line(
-            map_u(ax), map_v(ay), map_u(bx), map_v(by), stroke="#c02020", width=0.012
-        )
-    name_u = axis_names[swept[0]]
-    name_v = axis_names[swept[1]]
-    canvas.text(lo, lo - 0.15, f"{name_u}: {u_axis[0]:.6g} .. {u_axis[-1]:.6g}")
-    canvas.text(lo, lo - 0.3, f"{name_v}: {v_axis[0]:.6g} .. {v_axis[-1]:.6g}")
+    u_axis, v_axis = (axes[i] for i in swept)
+    ends = figio.contour_segments(u_axis, v_axis, np.nan_to_num(grid_values, nan=0.0))
+    # Into the viewBox: u ends are columns 0 and 2, v ends columns 1 and 3.
+    for k, axis in enumerate((u_axis, v_axis)):
+        ends[:, k::2] = lo + (hi - lo) * (ends[:, k::2] - axis[0]) / (axis[-1] - axis[0])
+    for ax, ay, bx, by in ends.tolist():
+        canvas.line(ax, ay, bx, by, stroke="#c02020", width=0.012)
+    for i, drop in zip(swept, (0.15, 0.3)):
+        axis = axes[i]
+        canvas.text(lo, lo - drop, f"{axis_names[i]}: {axis[0]:.6g} .. {axis[-1]:.6g}")
     canvas.write(args.svg)
 
 

@@ -12,8 +12,8 @@ class Rpr3Error(Exception):
 
 
 class GeometryError(Rpr3Error, ValueError):
-    """Invalid geometry: a non-positive scale, or a point or leg length
-    that is not finite."""
+    """Invalid geometry: a non-positive scale, or a point, leg length or
+    det B that is not finite."""
 
 
 class LegAtAnchorError(Rpr3Error, ValueError):

@@ -9,8 +9,6 @@ y up), which covers the unit-scale mechanism with margin.
 
 from __future__ import annotations
 
-import csv
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,26 +26,27 @@ VIEW_MAX = 2.5
 
 
 def write_csv(
-    path: str, header: Sequence[str], rows: Iterable[Sequence[object]]
+    path: str,
+    header: Sequence[str],
+    table: np.ndarray,
+    labels: Iterable[str] | None = None,
 ) -> int:
-    """Write rows with a header line; floats get 17 significant digits.
+    """Write a header line, then one line per row of the (n, k) float
+    ``table``, each float with 17 significant digits; ``labels``, when
+    given, is one more column of n strings, written unquoted.
 
     Returns the number of data rows written.
     """
-    count = 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-            count += 1
-    return count
-
-
-def _cell(value: object) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    cells = ["%.17g"] * table.shape[1] + (["%s"] if labels is not None else [])
+    template = ",".join(cells) + "\r\n"
+    # One row of Python floats at a time keeps the page's memory flat.
+    rows = map(np.ndarray.tolist, table)
+    if labels is not None:
+        rows = (row + [label] for row, label in zip(rows, labels, strict=True))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(template % tuple(row) for row in rows)
+    return len(table)
 
 
 def _num(value: float) -> str:
@@ -138,48 +137,43 @@ def _escape(text: str) -> str:
     )
 
 
-def contour_segments(
-    xs: np.ndarray, ys: np.ndarray, values: np.ndarray
-) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+def contour_segments(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Zero-level segments of a sampled scalar field (marching squares).
 
-    ``values[i, j]`` is the field at (xs[i], ys[j]).  Crossing positions are
-    linearly interpolated along cell edges; saddle cells are disambiguated
-    by the cell-center sign, which keeps the output deterministic.
+    ``values[i, j]`` is the field at (xs[i], ys[j]).  Returns the (k, 4)
+    array of segment ends (ax, ay, bx, by), cells in row-major order.
+    Crossing positions are linearly interpolated along cell edges; saddle
+    cells are disambiguated by the cell-center sign.
     """
-    segs: list[tuple[tuple[float, float], tuple[float, float]]] = []
     # Half-open sign classes make corner zeros unambiguous and guarantee an
     # even crossing count around the cell; a cell whose four corners share a
     # class has no crossing.
     upper = values >= 0.0
     mixed = (upper[:-1, :-1] != upper[1:, :-1]) | (upper[1:, :-1] != upper[1:, 1:])
     mixed |= upper[1:, 1:] != upper[:-1, 1:]
-    for i, j in zip(*np.nonzero(mixed)):
-        corners = (
-            (xs[i], ys[j], values[i, j]),
-            (xs[i + 1], ys[j], values[i + 1, j]),
-            (xs[i + 1], ys[j + 1], values[i + 1, j + 1]),
-            (xs[i], ys[j + 1], values[i, j + 1]),
-        )
-        crossings = []
-        for a in range(4):
-            x0, y0, v0 = corners[a]
-            x1, y1, v1 = corners[(a + 1) % 4]
-            if (v0 >= 0.0) != (v1 >= 0.0):
-                frac = v0 / (v0 - v1)
-                crossings.append(
-                    (float(x0 + frac * (x1 - x0)), float(y0 + frac * (y1 - y0)))
-                )
-        if len(crossings) == 2:
-            segs.append((crossings[0], crossings[1]))
-        elif len(crossings) == 4:
-            # Saddle cell: pair the edges so the contour separates the
-            # center's sign class from the opposite corners.
-            center = sum(c[2] for c in corners) / 4.0
-            if (center >= 0.0) == (corners[0][2] >= 0.0):
-                segs.append((crossings[0], crossings[3]))
-                segs.append((crossings[1], crossings[2]))
-            else:
-                segs.append((crossings[0], crossings[1]))
-                segs.append((crossings[2], crossings[3]))
-    return segs
+    i, j = np.nonzero(mixed)
+    # Corners counter-clockwise from (i, j), one row per corner; edge a runs
+    # from corner a to corner a + 1 (mod 4).
+    x0 = np.stack((xs[i], xs[i + 1], xs[i + 1], xs[i]))
+    y0 = np.stack((ys[j], ys[j], ys[j + 1], ys[j + 1]))
+    v0 = np.stack((values[i, j], values[i + 1, j], values[i + 1, j + 1], values[i, j + 1]))
+    x1, y1, v1 = (np.roll(c, -1, axis=0) for c in (x0, y0, v0))
+    crosses = (v0 >= 0.0) != (v1 >= 0.0)
+    # Edges without a crossing may divide by zero; their points are unused.
+    with np.errstate(all="ignore"):
+        frac = v0 / (v0 - v1)
+        px = x0 + frac * (x1 - x0)
+        py = y0 + frac * (y1 - y0)
+    # A cell joins its first and last crossing edges.  A saddle cell (four
+    # crossings) pairs them so the contour separates the center's sign class
+    # from the opposite corners: (0, 3), (1, 2), or on a flip (0, 1), (2, 3).
+    first = np.argmax(crosses, axis=0)
+    last = 3 - np.argmax(crosses[::-1], axis=0)
+    saddle = crosses.all(axis=0)
+    center = (((v0[0] + v0[1]) + v0[2]) + v0[3]) / 4.0
+    flip = (center >= 0.0) != (v0[0] >= 0.0)
+    start = np.stack((first, 1 + flip), axis=1)
+    end = np.stack((np.where(saddle & flip, 1, last), 2 + flip), axis=1)
+    cell, slot = np.nonzero(np.stack((np.ones_like(saddle), saddle), axis=1))
+    a, b = start[cell, slot], end[cell, slot]
+    return np.stack((px[a, cell], py[a, cell], px[b, cell], py[b, cell]), axis=1)

@@ -23,7 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InconsistentStateError, ParallelSingularError, SerialSingularError
+from .errors import (
+    GeometryError,
+    InconsistentStateError,
+    ParallelSingularError,
+    SerialSingularError,
+)
 from .geometry import (
     DEFAULT_GEOMETRY,
     JointAngles,
@@ -38,6 +43,7 @@ from .geometry import (
 
 __all__ = [
     "CONSISTENCY_TOL",
+    "FAR_POSE_TOL",
     "PARALLEL_DET_TOL",
     "SERIAL_RHO_TOL",
     "CONCURRENCY_TOL",
@@ -55,8 +61,12 @@ __all__ = [
 ]
 
 # Pose/joint consistency gate for building the velocity model, relative to
-# the geometry scale.
+# the geometry scale; far poses widen it (see _consistency_tol).
 CONSISTENCY_TOL = 1e-6
+
+# Leg residual allowed per unit of max(|x|, |y|): 1000x the IK round-off of
+# a far pose, measured at up to 8.6e-16 * max(|x|, |y|).
+FAR_POSE_TOL = 1e-12
 
 # |det A| below this times ||A||_F^3 counts as a parallel singularity; the
 # cube makes the test invariant under uniform scaling of A.
@@ -70,6 +80,12 @@ SERIAL_RHO_TOL = 1e-9
 CONCURRENCY_TOL = 1e-6
 
 _SQRT3 = math.sqrt(3.0)
+
+
+def _consistency_tol(scale: float, x, y):
+    """Largest leg residual accepted at position (x, y), floats or arrays."""
+    biggest = np.maximum if isinstance(x, np.ndarray) else max
+    return biggest(CONSISTENCY_TOL * scale, FAR_POSE_TOL * biggest(abs(x), abs(y)))
 
 
 @dataclass(frozen=True)
@@ -122,10 +138,11 @@ def build_matrices(
     """Assemble A and B at a configuration.
 
     The pose and joint angles must describe the same assembly: if any leg
-    constraint residual exceeds ``CONSISTENCY_TOL * scale`` the velocity
-    model would be meaningless and :class:`InconsistentStateError` is raised.
+    constraint residual exceeds :func:`_consistency_tol` the velocity model
+    would be meaningless and :class:`InconsistentStateError` is raised.
     The residuals equal :func:`constraint_residuals` and the diagonal of B
-    equals :func:`signed_extensions`, bit for bit.
+    equals :func:`signed_extensions`, bit for bit.  A pose so far away that
+    det B overflows raises :class:`GeometryError`.
     """
     t = _as_angles(theta)
     residuals = []
@@ -137,9 +154,15 @@ def build_matrices(
         rhos.append(cos_t * delta.x + sin_t * delta.y)
         arm = cos_t * (anchor.x - pose.x) + sin_t * (anchor.y - pose.y)
         rows.append((-sin_t, cos_t, arm))
-    tol = CONSISTENCY_TOL * geometry.scale
-    if max(abs(r) for r in residuals) > tol:
-        raise InconsistentStateError((residuals[0], residuals[1], residuals[2]), tol)
+    worst = max(abs(r) for r in residuals)
+    # The gate is never below CONSISTENCY_TOL * scale: most calls stop there.
+    if worst > CONSISTENCY_TOL * geometry.scale:
+        tol = _consistency_tol(geometry.scale, pose.x, pose.y)
+        if worst > tol:
+            raise InconsistentStateError((residuals[0], residuals[1], residuals[2]), tol)
+    det_b = rhos[0] * rhos[1] * rhos[2]
+    if not math.isfinite(det_b):
+        raise GeometryError(f"det B overflows at x={pose.x!r}, y={pose.y!r}")
 
     a = np.array(rows)
     b = np.diag(rhos)
@@ -147,7 +170,7 @@ def build_matrices(
         a_matrix=a,
         b_matrix=b,
         det_a=float(np.linalg.det(a)),
-        det_b=rhos[0] * rhos[1] * rhos[2],
+        det_b=det_b,
         scale=geometry.scale,
     )
 
@@ -357,28 +380,34 @@ def build_matrices_array(
     """:func:`build_matrices` over (N,) pose arrays and (N, 3) joint angles.
 
     Raises :class:`InconsistentStateError` for the first configuration whose
-    leg constraint residual exceeds ``CONSISTENCY_TOL * scale``.
+    leg constraint residual exceeds :func:`_consistency_tol`, and
+    :class:`GeometryError` for the first one whose det B overflows.
     """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     t = np.asarray(theta, dtype=float)
     bx, by = platform_anchor_arrays(x, y, phi, geometry)
     dx = bx - np.array([a.x for a in geometry.anchors])
     dy = by - np.array([a.y for a in geometry.anchors])
     sin_t, cos_t = _libm(math.sin, t), _libm(math.cos, t)
     residuals = sin_t * dx - cos_t * dy
-    tol = CONSISTENCY_TOL * geometry.scale
-    bad = np.flatnonzero((np.abs(residuals) > tol).any(axis=1))
+    tol = _consistency_tol(geometry.scale, x, y)
+    bad = np.flatnonzero((np.abs(residuals) > tol[:, None]).any(axis=1))
     if bad.size:
-        raise InconsistentStateError(tuple(residuals[bad[0]].tolist()), tol)
+        raise InconsistentStateError(tuple(residuals[bad[0]].tolist()), float(tol[bad[0]]))
 
-    arms = cos_t * (bx - np.asarray(x, dtype=float)[:, None]) + sin_t * (
-        by - np.asarray(y, dtype=float)[:, None]
-    )
+    arms = cos_t * (bx - x[:, None]) + sin_t * (by - y[:, None])
     a = np.stack((-sin_t, cos_t, arms), axis=2)
     rhos = cos_t * dx + sin_t * dy
+    with np.errstate(over="ignore"):
+        det_b = rhos[:, 0] * rhos[:, 1] * rhos[:, 2]
+    over = np.flatnonzero(~np.isfinite(det_b))
+    if over.size:
+        k = over[0]
+        raise GeometryError(f"det B overflows at x={x[k].item()!r}, y={y[k].item()!r}")
     return KinematicMatricesArray(
         a_matrix=a,
         rhos=rhos,
         det_a=np.linalg.det(a),
-        det_b=rhos[:, 0] * rhos[:, 1] * rhos[:, 2],
+        det_b=det_b,
         scale=geometry.scale,
     )

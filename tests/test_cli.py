@@ -20,10 +20,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """Parse RFC 8259 JSON: NaN and Infinity are not numbers there."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["schema"] == 1
     return payload
 
@@ -205,6 +214,28 @@ def test_singularity_rejects_inconsistent_input(capsys):
     )
     assert code == 2
     assert "residual" in err.lower() or "inconsistent" in err.lower()
+
+
+def test_singularity_gate_is_relative_to_the_pose(capsys):
+    # IK round-off in a residual grows with the pose: angles from IK of a far
+    # pose are consistent with it, while wrong angles there still fail.
+    pose = ("--x", "1e11", "--y", "1e11", "--phi", "60", "--deg")
+    code, _, err = run(capsys, "singularity", *pose)
+    assert code == 0, err
+    code, _, err = run(capsys, "singularity", *pose, "--t1", "10", "--t2", "20", "--t3", "30")
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "residual" in err
+
+
+def test_singularity_rejects_pose_whose_det_b_overflows(capsys):
+    # rho1 * rho2 * rho3 leaves the float range beyond about 5e102; such a
+    # pose is an unusable input, not a report holding det_b = Infinity.
+    code, out, err = run(capsys, "singularity", "--x", "1e150", "--y", "3", "--phi", "1")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "det B overflows" in err
+    payload = run_json(capsys, "singularity", "--x", "1e100", "--y", "3", "--phi", "1")
+    assert math.isfinite(payload["det_b"])
 
 
 def test_singularity_partial_angles_is_usage_error(capsys):
@@ -410,39 +441,134 @@ def test_sweep_rejects_zero_width_range(tmp_path, capsys):
     assert not svg_path.exists()
 
 
-# sha256 of the artifacts the per-point sweep loop wrote for these two pages,
-# before the sweep moved onto the array kernels; the rewrite must not change
-# a byte.  The cartesian page includes the anchor hit at (0, 0).
+def test_sweep_gate_is_relative_to_the_pose(tmp_path, capsys):
+    payload = run_json(
+        capsys,
+        "sweep", "--space", "cartesian", "--x=1e11:2e11:3", "--y=1e11", "--phi=1",
+        "--csv", str(tmp_path / "far.csv"),
+    )
+    assert payload["rows"] == 3
+
+
+def test_sweep_rejects_poses_whose_det_b_overflows(tmp_path, capsys):
+    csv_path = tmp_path / "far.csv"
+    code, out, err = run(
+        capsys,
+        "sweep", "--space", "cartesian", "--x=1e150:2e150:3", "--y=0", "--phi=1",
+        "--csv", str(csv_path),
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "det B overflows at x=1e+150" in err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize(
+    "space, axes",
+    [
+        # One axis over the cap: rejected before its values are allocated.
+        ("cartesian", ("--x=0:1:1000000000", "--y=0", "--phi=0")),
+        ("joint", ("--t1=0", "--t2=0", "--t3=-1:1:1000001")),
+        # Small axes whose product is over the cap: rejected before meshgrid.
+        ("joint", ("--t1=0:1:101", "--t2=0:1:101", "--t3=0:1:101")),
+        ("cartesian", ("--x=0:1:1001", "--y=0:1:1000", "--phi=0")),
+    ],
+)
+def test_sweep_rejects_grids_over_the_cap(tmp_path, capsys, space, axes):
+    csv_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "sweep", "--space", space, *axes, "--csv", str(csv_path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "1000000 points" in err
+    assert not csv_path.exists()
+
+
+# sha256 of the artifacts the per-point sweep loop wrote for the first two
+# pages, before the sweep moved onto the array kernels, and of the pages the
+# csv.writer and per-cell contour loops wrote for the rest, before the
+# writers moved onto arrays; no rewrite may change a byte.  Each entry is
+# (space, axes and flags, RPR_GEOMETRY scale, rows, CSV digest, SVG digest
+# or None for a CSV-only page).  The cartesian pages include the anchor hit
+# at (0, 0).
 PINNED_SWEEPS = {
     "cartesian": (
+        "cartesian",
         ("--x=-0.5:1.5:25", "--y=-0.5:1.5:25", "--phi=0.3"),
+        None,
+        625,
         "b8864218030007fda0e29cfa0077409fbd7cd16707117f21412adcf5c5961e63",
         "5bbaa97d311e1483bb12a76cbeeefb323ab4f50797187ddc8910e496b4937ff8",
     ),
     "joint": (
+        "joint",
         (
             "--t1=-3.141592653589793:3.141592653589793:25",
             "--t2=-3.141592653589793:3.141592653589793:25",
             "--t3=0.7",
         ),
+        None,
+        625,
         "7e8239db35d9d926a798ece833ab9118425915acee8b17483eff2b3bf4c4a272",
         "9c6177b7c05f6e5eb6bd5fa6941b1238e43ae001a2725e1b50c45610480e4eab",
+    ),
+    "joint-deg": (
+        "joint",
+        ("--deg", "--t1=-170:190:21", "--t2=-90:270:17", "--t3=40"),
+        None,
+        357,
+        "f76e5dcb74c7cd260d6bb22ee42a550584674993c7b1b4bdd137cf37aa36408d",
+        "39b309135f329cbbd37be68b18ea1617880d37ed6bdb20a732594585af8e70f4",
+    ),
+    "cartesian-detB": (
+        "cartesian",
+        ("--quantity", "detB", "--x=-1:2:23", "--y=-1:2:19", "--phi=-0.8"),
+        None,
+        437,
+        "7c6e14e7165ad438d89e69ec14be7d6710e92c4fad76e0ddfdb21ab538e18e45",
+        "ca935cb67f4513bb7d4021101f31a785827c9a0b44c4ac454ab91f387d888843",
+    ),
+    "cartesian-three-axes": (
+        "cartesian",
+        ("--x=0:1:5", "--y=0:1:5", "--phi=-3:3:5"),
+        None,
+        125,
+        "d49318c137f2b2d09b8fb5c15ae122d6048f3d2f957778ae19b0c900182b5414",
+        None,
+    ),
+    "joint-101-scale2": (
+        "joint",
+        (
+            "--t1=-3.141592653589793:3.141592653589793:101",
+            "--t2=-3.141592653589793:3.141592653589793:101",
+            "--t3=0.7",
+        ),
+        2.0,
+        10201,
+        "0db71a7d0a60264343b09349e8848c3c735112aade693db4d6572e914e6ce336",
+        "81b13ca10db76a08261174a7e0ffde2e0cae39c63a4521b7d26fc98d0be0aa9c",
     ),
 }
 
 
-@pytest.mark.parametrize("space", sorted(PINNED_SWEEPS))
-def test_sweep_artifacts_are_pinned(tmp_path, capsys, space):
-    axes, csv_digest, svg_digest = PINNED_SWEEPS[space]
+@pytest.mark.parametrize("page", sorted(PINNED_SWEEPS))
+def test_sweep_artifacts_are_pinned(tmp_path, capsys, monkeypatch, page):
+    space, axes, scale, rows, csv_digest, svg_digest = PINNED_SWEEPS[page]
+    if scale is not None:
+        geometry = tmp_path / "geometry.json"
+        geometry.write_text(json.dumps({"scale": scale}))
+        monkeypatch.setenv("RPR_GEOMETRY", str(geometry))
     csv_path = tmp_path / "page.csv"
     svg_path = tmp_path / "page.svg"
+    svg_flags = ("--svg", str(svg_path)) if svg_digest else ()
     payload = run_json(
-        capsys, "sweep", "--space", space, *axes,
-        "--csv", str(csv_path), "--svg", str(svg_path),
+        capsys, "sweep", "--space", space, *axes, "--csv", str(csv_path), *svg_flags
     )
-    assert payload["rows"] == 625
+    assert payload["rows"] == rows
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
-    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == svg_digest
+    if svg_digest:
+        assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == svg_digest
+    else:
+        assert not svg_path.exists()
 
 
 def test_sweep_degrees_roundtrip(tmp_path, capsys):

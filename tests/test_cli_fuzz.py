@@ -1,8 +1,8 @@
 """Seeded argv fuzzing of the CLI boundary.
 
 Every command line either succeeds or exits with a documented code (1-4);
-none may escape ``main`` as an exception, and no SVG it writes may contain
-nan.  Values come from a pool of ordinary, boundary and malformed numbers;
+none may escape ``main`` as an exception, a success prints RFC 8259 JSON
+(no NaN or Infinity), and no SVG it writes may contain nan.  Values come from a pool of ordinary, boundary and malformed numbers;
 grid counts stay small so the whole run takes a few seconds.
 """
 
@@ -88,6 +88,10 @@ def _argv(rng, tmp_path):
     return argv
 
 
+def _reject(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
 def test_cli_fuzz_exits_cleanly(tmp_path):
     rng = random.Random(20240607)
     seen = set()
@@ -101,7 +105,7 @@ def test_cli_fuzz_exits_cleanly(tmp_path):
         assert code in (0, 1, 2, 3, 4), argv
         seen.add(code)
         if code == 0 and argv[0] != "verify":
-            json.loads(out.getvalue())
+            json.loads(out.getvalue(), parse_constant=_reject)
         for name in ("trace.svg", "sweep.svg"):
             svg = tmp_path / name
             if svg.exists():
