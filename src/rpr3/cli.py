@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quantity",
         choices=("detA", "detB"),
         default="detA",
-        help="field rendered in the SVG contour",
+        help="field rendered in the SVG contour (cartesian detB is >= 0: no contour)",
     )
     _add_deg_flag(p_sweep)
     p_sweep.set_defaults(handler=_cmd_sweep)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +31,8 @@ from .geometry import (
     Pose,
     Vec2,
     _as_angles,
-    _libm,
+    _fn,
+    _leg_axis,
     cluster_poses,
     normalize_angle,
 )
@@ -154,39 +154,32 @@ def _slider_loop(theta1: float, theta2: float, phi, geometry: ManipulatorGeometr
     :func:`rho_from_phi` and B3 = a1 + rho1 v1 + R(phi) b3_local.  The
     platform reference point is a1 + rho1 v1, so poses reuse rho1.
 
-    A float ``phi`` is evaluated with ``math`` alone, since the bisection in
-    :func:`geometric_dkp` calls this per step; an array takes sin and cos
-    elementwise from libm, so each element equals the float result.
+    ``phi`` is a float, as in each bisection step of :func:`geometric_dkp`,
+    or an array, each of whose elements equals the float result.
     """
     den = math.sin(theta2 - theta1)
     if abs(den) < PAIR_SIN_TOL:
         raise DegenerateLegPairError(
             f"legs parallel: sin(theta2 - theta1) = {den:.3e}"
         )
-    if isinstance(phi, np.ndarray):
-        sin, cos = partial(_libm, math.sin), partial(_libm, math.cos)
-    else:
-        sin, cos = math.sin, math.cos
     s = geometry.scale
-    one_minus_cos = 1.0 - cos(phi)
-    sin_phi = sin(phi)
+    one_minus_cos = 1.0 - _fn(math.cos, phi)
+    sin_phi = _fn(math.sin, phi)
     rho1 = s * ((math.sin(theta2) * one_minus_cos + math.cos(theta2) * sin_phi) / den)
     rho2 = s * ((math.sin(theta1) * one_minus_cos + math.cos(theta1) * sin_phi) / den)
     a1 = geometry.base_anchor(1)
     third = phi + _THIRD_VERTEX_ANGLE
-    b3x = a1.x + rho1 * math.cos(theta1) + s * cos(third)
-    b3y = a1.y + rho1 * math.sin(theta1) + s * sin(third)
+    b3x = a1.x + rho1 * math.cos(theta1) + s * _fn(math.cos, third)
+    b3y = a1.y + rho1 * math.sin(theta1) + s * _fn(math.sin, third)
     return (rho1, rho2, b3x, b3y)
 
 
 def _axis_offset(b3x, b3y, theta3: float, geometry: ManipulatorGeometry):
-    """(residual, extension) of B3 against leg 3's slider axis, for floats
-    or arrays: the components of B3 - a3 across and along v3.  The residual
-    vanishes where B3 lies on the axis; the extension is then rho3."""
+    """(residual, extension) of B3 against leg 3's slider axis, floats or
+    arrays (see :func:`_leg_axis`); where the residual vanishes, the
+    extension is rho3."""
     a3 = geometry.base_anchor(3)
-    sin3, cos3 = math.sin(theta3), math.cos(theta3)
-    dx, dy = b3x - a3.x, b3y - a3.y
-    return (sin3 * dx - cos3 * dy, cos3 * dx + sin3 * dy)
+    return _leg_axis(theta3, b3x - a3.x, b3y - a3.y)[2:]
 
 
 def _cycle_grid(n_samples: int) -> np.ndarray:
@@ -320,22 +313,21 @@ def _cycle_roots(phis, values, func, scale) -> list[float]:
     """Roots of a periodic sampled function, bisection-refined.
 
     Brackets come from sign changes between consecutive samples, including
-    the wrap pair; samples that are zero within 1e-12 * scale are accepted
-    directly so tangential touches are not lost.
+    the wrap pair (a product that overflows keeps its sign); samples that
+    are zero within 1e-12 * scale are accepted directly so tangential
+    touches are not lost.
     """
-    n = len(phis)
+    hi = np.roll(phis, -1)
+    hi[-1] += 2.0 * math.pi
+    touch = np.abs(values) < 1e-12 * scale
+    with np.errstate(over="ignore"):
+        bracket = ~touch & (values * np.roll(values, -1) < 0.0)
     roots: list[float] = []
-    for k in range(n):
-        lo, flo = float(phis[k]), float(values[k])
-        k2 = (k + 1) % n
-        hi, fhi = float(phis[k2]), float(values[k2])
-        if k2 == 0:
-            hi += 2.0 * math.pi
-        if abs(flo) < 1e-12 * scale:
-            roots.append(normalize_angle(lo))
-            continue
-        if flo * fhi < 0.0:
-            roots.append(normalize_angle(_bisect(func, lo, hi, flo)))
+    for k in np.flatnonzero(touch | bracket).tolist():
+        root = float(phis[k])
+        if not touch[k]:
+            root = _bisect(func, root, float(hi[k]), float(values[k]))
+        roots.append(normalize_angle(root))
     return roots
 
 

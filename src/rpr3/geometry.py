@@ -113,6 +113,33 @@ def _libm(fn, *arrays: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, *flat), dtype=float, count=len(flat[0])).reshape(shape)
 
 
+def _fn(fn, *args, array=None):
+    """``fn(*args)`` on floats, ``array(fn, *args)`` (default :func:`_libm`)
+    on equal-shape arrays: the one place where a formula body shared by the
+    scalar API and the array kernels picks its form, numpy-free for floats."""
+    if isinstance(args[0], np.ndarray):
+        return (array or _libm)(fn, *args)
+    return fn(*args)
+
+
+def _first_nonfinite(check, *columns: np.ndarray) -> None:
+    """``check`` (a float guard against non-finite arguments) of the first row
+    holding one; array callers compute under ``np.errstate(over="ignore")``."""
+    bad = np.flatnonzero(~np.isfinite(columns).all(axis=0))
+    if bad.size:
+        check(*(column[bad[0]].item() for column in columns))
+
+
+def _finite(px: float, py: float) -> None:
+    if not (math.isfinite(px) and math.isfinite(py)):
+        raise GeometryError(f"components must be finite, got ({px!r}, {py!r})")
+
+
+def _finite_rho(rho: float) -> None:
+    if not math.isfinite(rho):
+        raise GeometryError(f"rho must be finite, got {rho!r}")
+
+
 @dataclass(frozen=True)
 class Vec2:
     """Immutable planar vector."""
@@ -121,10 +148,7 @@ class Vec2:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise GeometryError(
-                f"components must be finite, got ({self.x!r}, {self.y!r})"
-            )
+        _finite(self.x, self.y)
 
     def __iter__(self) -> Iterator[float]:
         yield self.x
@@ -196,8 +220,7 @@ class LegState:
 
     def __post_init__(self) -> None:
         theta, rho = self.theta, self.rho
-        if not math.isfinite(rho):
-            raise GeometryError(f"rho must be finite, got {rho!r}")
+        _finite_rho(rho)
         if rho < 0.0:
             theta, rho = theta + math.pi, -rho
         object.__setattr__(self, "theta", normalize_angle(theta))
@@ -300,31 +323,34 @@ def platform_anchor(
     b_i = p + R(phi) b_i_local.  For leg 1 this is the pose position itself,
     exactly (the local anchor is the origin, no rounding enters).
     """
-    c, s = math.cos(pose.phi), math.sin(pose.phi)
-    return _rotated_anchor(pose, geometry.platform_anchor_local(leg), c, s)
+    bx, by, _, _ = _leg_offsets(pose.x, pose.y, pose.phi, geometry)[_leg_index(leg)]
+    return Vec2(bx, by)
 
 
-def _rotated_anchor(pose: Pose, local: Vec2, c: float, s: float) -> Vec2:
-    """p + R(phi) local, given c = cos(phi) and s = sin(phi)."""
-    return Vec2(
-        pose.x + c * local.x - s * local.y,
-        pose.y + s * local.x + c * local.y,
-    )
-
-
-def _leg_offsets(
-    pose: Pose, geometry: ManipulatorGeometry
-) -> tuple[tuple[Vec2, Vec2], tuple[Vec2, Vec2], tuple[Vec2, Vec2]]:
-    """(b_i, b_i - a_i) for each leg at ``pose``: the world platform anchor
-    and its offset from the base anchor, from one cos and sin of phi, equal
-    to :func:`platform_anchor` minus the base anchor bit for bit."""
-    c, s = math.cos(pose.phi), math.sin(pose.phi)
-    out = []
+def _leg_offsets(x, y, phi, geometry: ManipulatorGeometry):
+    """(bx, by, dx, dy) for each leg at the pose (x, y, phi), floats or
+    columns: the world platform anchor b_i = p + R(phi) b_i_local and its
+    offset b_i - a_i.  Raises :class:`GeometryError` where one overflows."""
+    c, s = _fn(math.cos, phi), _fn(math.sin, phi)
+    legs = []
     # The local platform anchor and the base anchor are the same vertex.
-    for vertex in geometry.anchors:
-        anchor = _rotated_anchor(pose, vertex, c, s)
-        out.append((anchor, anchor - vertex))
-    return (out[0], out[1], out[2])
+    for v in geometry.anchors:
+        bx = x + c * v.x - s * v.y
+        by = y + s * v.x + c * v.y
+        dx, dy = bx - v.x, by - v.y
+        _fn(_finite, dx, dy, array=_first_nonfinite)
+        legs.append((bx, by, dx, dy))
+    return legs
+
+
+def _leg_columns(x, y, phi, geometry: ManipulatorGeometry):
+    """``(x, y, legs)``: :func:`_leg_offsets` of (N,) pose arrays, checked
+    like :class:`Pose` (finite positions, ``phi`` normalized)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("positions must be finite")
+    with np.errstate(over="ignore"):
+        return x, y, _leg_offsets(x, y, normalize_angles(phi), geometry)
 
 
 def platform_anchor_arrays(
@@ -339,15 +365,17 @@ def platform_anchor_arrays(
     bit for bit; like :class:`Pose`, non-finite positions are rejected and
     ``phi`` is normalized first.
     """
-    x = np.asarray(x, dtype=float)[:, None]
-    y = np.asarray(y, dtype=float)[:, None]
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("positions must be finite")
-    phi = normalize_angles(phi)[:, None]
-    c, s = _libm(math.cos, phi), _libm(math.sin, phi)
-    lx = np.array([b.x for b in geometry.anchors])
-    ly = np.array([b.y for b in geometry.anchors])
-    return (x + c * lx - s * ly, y + s * lx + c * ly)
+    _, _, legs = _leg_columns(x, y, phi, geometry)
+    bx, by, _, _ = zip(*legs)
+    return np.stack(bx, axis=1), np.stack(by, axis=1)
+
+
+def _leg_axis(theta, dx, dy):
+    """(sin, cos, residual, extension), floats or arrays: the components of
+    the offset (dx, dy) = b - a across and along the leg axis
+    v = (cos theta, sin theta), (b - a) x v and v . (b - a)."""
+    sin_t, cos_t = _fn(math.sin, theta), _fn(math.cos, theta)
+    return sin_t, cos_t, sin_t * dx - cos_t * dy, cos_t * dx + sin_t * dy
 
 
 def constraint_residuals(
@@ -363,11 +391,9 @@ def constraint_residuals(
     vanish exactly when (pose, theta) is an assembly of the mechanism, and
     each value scales linearly with the geometry.
     """
-    angles = _as_angles(theta)
-    out = []
-    for t, (_, delta) in zip(angles, _leg_offsets(pose, geometry)):
-        out.append(math.sin(t) * delta.x - math.cos(t) * delta.y)
-    return (out[0], out[1], out[2])
+    legs = _leg_offsets(pose.x, pose.y, pose.phi, geometry)
+    r1, r2, r3 = (_leg_axis(t, dx, dy)[2] for t, (_, _, dx, dy) in zip(_as_angles(theta), legs))
+    return (r1, r2, r3)
 
 
 def signed_extensions(
@@ -383,11 +409,9 @@ def signed_extensions(
     signed extension are the transverse and longitudinal components of the
     same anchor offset.
     """
-    angles = _as_angles(theta)
-    out = []
-    for t, (_, delta) in zip(angles, _leg_offsets(pose, geometry)):
-        out.append(math.cos(t) * delta.x + math.sin(t) * delta.y)
-    return (out[0], out[1], out[2])
+    legs = _leg_offsets(pose.x, pose.y, pose.phi, geometry)
+    r1, r2, r3 = (_leg_axis(t, dx, dy)[3] for t, (_, _, dx, dy) in zip(_as_angles(theta), legs))
+    return (r1, r2, r3)
 
 
 def pose_distance(p: Pose, q: Pose) -> float:

@@ -36,9 +36,10 @@ from .geometry import (
     Pose,
     Vec2,
     _as_angles,
+    _fn,
+    _leg_axis,
+    _leg_columns,
     _leg_offsets,
-    _libm,
-    platform_anchor_arrays,
 )
 
 __all__ = [
@@ -61,7 +62,7 @@ __all__ = [
 ]
 
 # Pose/joint consistency gate for building the velocity model, relative to
-# the geometry scale; far poses widen it (see _consistency_tol).
+# the geometry scale; far poses widen it (see _check_configuration).
 CONSISTENCY_TOL = 1e-6
 
 # Leg residual allowed per unit of max(|x|, |y|): 1000x the IK round-off of
@@ -82,10 +83,50 @@ CONCURRENCY_TOL = 1e-6
 _SQRT3 = math.sqrt(3.0)
 
 
-def _consistency_tol(scale: float, x, y):
-    """Largest leg residual accepted at position (x, y), floats or arrays."""
-    biggest = np.maximum if isinstance(x, np.ndarray) else max
-    return biggest(CONSISTENCY_TOL * scale, FAR_POSE_TOL * biggest(abs(x), abs(y)))
+def _check_configuration(x: float, y: float, scale: float, det_b: float, *residuals: float):
+    """Raise :class:`InconsistentStateError` when a residual passes the gate
+    max(CONSISTENCY_TOL * scale, FAR_POSE_TOL * max(|x|, |y|)) at position
+    (x, y), then :class:`GeometryError` when det B overflows."""
+    worst = max(abs(r) for r in residuals)
+    # The gate is never below CONSISTENCY_TOL * scale: most calls stop there.
+    if worst > CONSISTENCY_TOL * scale:
+        tol = max(CONSISTENCY_TOL * scale, FAR_POSE_TOL * max(abs(x), abs(y)))
+        if worst > tol:
+            raise InconsistentStateError(residuals, tol)
+    if not math.isfinite(det_b):
+        raise GeometryError(f"det B overflows at x={x!r}, y={y!r}")
+
+
+def _is_parallel(det_a, norm):
+    return abs(det_a) < PARALLEL_DET_TOL * norm**3
+
+
+def _is_serial(rho, scale: float):
+    return abs(rho) < SERIAL_RHO_TOL * scale
+
+
+def _check_rows(check, x, y, scale: float, det_b, *residuals: np.ndarray) -> None:
+    """Array form of :func:`_check_configuration`, run in order on each row
+    past the gate's floor or with det B overflowed."""
+    flagged = (np.abs(residuals) > CONSISTENCY_TOL * scale).any(axis=0) | ~np.isfinite(det_b)
+    for k in np.flatnonzero(flagged).tolist():
+        check(x[k].item(), y[k].item(), scale, det_b[k].item(), *(r[k].item() for r in residuals))
+
+
+def _velocity_terms(x, y, theta, legs, scale: float):
+    """Rows of A, signed extensions (the diagonal of B) and det B from the
+    leg offsets at pose position (x, y), floats or columns; the moment arm
+    in row i is v_i . (b_i - p).  Raises past the consistency gate, then
+    where det B overflows."""
+    rows, residuals, rhos = [], [], []
+    for t, (bx, by, dx, dy) in zip(theta, legs):
+        sin_t, cos_t, residual, rho = _leg_axis(t, dx, dy)
+        rows.append((-sin_t, cos_t, cos_t * (bx - x) + sin_t * (by - y)))
+        residuals.append(residual)
+        rhos.append(rho)
+    det_b = rhos[0] * rhos[1] * rhos[2]
+    _fn(_check_configuration, x, y, scale, det_b, *residuals, array=_check_rows)
+    return rows, rhos, det_b
 
 
 @dataclass(frozen=True)
@@ -119,15 +160,12 @@ class KinematicMatrices:
     scale: float
 
     def is_parallel_singular(self) -> bool:
-        norm = float(np.linalg.norm(self.a_matrix))
-        return abs(self.det_a) < PARALLEL_DET_TOL * norm**3
+        return _is_parallel(self.det_a, float(np.linalg.norm(self.a_matrix)))
 
     def serial_zero_legs(self) -> tuple[int, ...]:
         """1-based legs whose extension is zero within tolerance."""
         rhos = np.diagonal(self.b_matrix)
-        return tuple(
-            leg for leg in (1, 2, 3) if abs(rhos[leg - 1]) < SERIAL_RHO_TOL * self.scale
-        )
+        return tuple(leg for leg in (1, 2, 3) if _is_serial(rhos[leg - 1], self.scale))
 
 
 def build_matrices(
@@ -137,38 +175,19 @@ def build_matrices(
 ) -> KinematicMatrices:
     """Assemble A and B at a configuration.
 
-    The pose and joint angles must describe the same assembly: if any leg
-    constraint residual exceeds :func:`_consistency_tol` the velocity model
+    The pose and joint angles must describe the same assembly: if the leg
+    constraint residuals fail :func:`_check_configuration` the velocity model
     would be meaningless and :class:`InconsistentStateError` is raised.
     The residuals equal :func:`constraint_residuals` and the diagonal of B
     equals :func:`signed_extensions`, bit for bit.  A pose so far away that
     det B overflows raises :class:`GeometryError`.
     """
-    t = _as_angles(theta)
-    residuals = []
-    rhos = []
-    rows = []
-    for ti, (anchor, delta) in zip(t, _leg_offsets(pose, geometry)):
-        sin_t, cos_t = math.sin(ti), math.cos(ti)
-        residuals.append(sin_t * delta.x - cos_t * delta.y)
-        rhos.append(cos_t * delta.x + sin_t * delta.y)
-        arm = cos_t * (anchor.x - pose.x) + sin_t * (anchor.y - pose.y)
-        rows.append((-sin_t, cos_t, arm))
-    worst = max(abs(r) for r in residuals)
-    # The gate is never below CONSISTENCY_TOL * scale: most calls stop there.
-    if worst > CONSISTENCY_TOL * geometry.scale:
-        tol = _consistency_tol(geometry.scale, pose.x, pose.y)
-        if worst > tol:
-            raise InconsistentStateError((residuals[0], residuals[1], residuals[2]), tol)
-    det_b = rhos[0] * rhos[1] * rhos[2]
-    if not math.isfinite(det_b):
-        raise GeometryError(f"det B overflows at x={pose.x!r}, y={pose.y!r}")
-
+    legs = _leg_offsets(pose.x, pose.y, pose.phi, geometry)
+    rows, rhos, det_b = _velocity_terms(pose.x, pose.y, _as_angles(theta), legs, geometry.scale)
     a = np.array(rows)
-    b = np.diag(rhos)
     return KinematicMatrices(
         a_matrix=a,
-        b_matrix=b,
+        b_matrix=np.diag(rhos),
         det_a=float(np.linalg.det(a)),
         det_b=det_b,
         scale=geometry.scale,
@@ -217,6 +236,10 @@ class SingularityKind(Enum):
     BOTH = "Both"
 
 
+# Indexed by parallel + 2 * serial, which is the order of the members.
+_SINGULARITY_KINDS = tuple(SingularityKind)
+
+
 @dataclass(frozen=True)
 class SingularityReport:
     """Classification of one configuration.
@@ -251,15 +274,7 @@ def classify_singularity(
     matrices = build_matrices(pose, theta, geometry)
     parallel = matrices.is_parallel_singular()
     zero_legs = matrices.serial_zero_legs()
-    if parallel and zero_legs:
-        kind = SingularityKind.BOTH
-    elif parallel:
-        kind = SingularityKind.PARALLEL
-    elif zero_legs:
-        kind = SingularityKind.SERIAL
-    else:
-        kind = SingularityKind.REGULAR
-
+    kind = _SINGULARITY_KINDS[parallel + 2 * bool(zero_legs)]
     point: Vec2 | None = None
     at_infinity = False
     if parallel:
@@ -283,7 +298,7 @@ def _normal_intersection(
     infinity), and (None, False) when the pairwise intersections do not
     agree within tolerance (not actually concurrent).
     """
-    anchors = [anchor for anchor, _ in _leg_offsets(pose, geometry)]
+    anchors = [Vec2(bx, by) for bx, by, _, _ in _leg_offsets(pose.x, pose.y, pose.phi, geometry)]
     normals = [Vec2(-math.sin(ti), math.cos(ti)) for ti in t]
     points = []
     # cross(n_i, n_j) = sin(t_j - t_i); below 1e-9 the pair is parallel and
@@ -331,18 +346,6 @@ def det_A_specialized(
 # ------------------------------------------------------------ array kernels
 
 
-# Indexed by parallel + 2 * serial.
-_SINGULARITY_KINDS = np.array(
-    [
-        SingularityKind.REGULAR,
-        SingularityKind.PARALLEL,
-        SingularityKind.SERIAL,
-        SingularityKind.BOTH,
-    ],
-    dtype=object,
-)
-
-
 @dataclass(frozen=True, eq=False)
 class KinematicMatricesArray:
     """Velocity models of N configurations at once.
@@ -365,9 +368,9 @@ class KinematicMatricesArray:
         # so the Frobenius norm matches KinematicMatrices.is_parallel_singular.
         flat = self.a_matrix.reshape(-1, 1, 9)
         norm = np.sqrt((flat @ flat.transpose(0, 2, 1)).reshape(-1))
-        parallel = np.abs(self.det_a) < PARALLEL_DET_TOL * norm**3
-        serial = (np.abs(self.rhos) < SERIAL_RHO_TOL * self.scale).any(axis=1)
-        return _SINGULARITY_KINDS[parallel + 2 * serial]
+        parallel = _is_parallel(self.det_a, norm)
+        serial = _is_serial(self.rhos, self.scale).any(axis=1)
+        return np.array(_SINGULARITY_KINDS, dtype=object)[parallel + 2 * serial]
 
 
 def build_matrices_array(
@@ -379,34 +382,17 @@ def build_matrices_array(
 ) -> KinematicMatricesArray:
     """:func:`build_matrices` over (N,) pose arrays and (N, 3) joint angles.
 
-    Raises :class:`InconsistentStateError` for the first configuration whose
-    leg constraint residual exceeds :func:`_consistency_tol`, and
-    :class:`GeometryError` for the first one whose det B overflows.
+    Raises the error of :func:`_check_configuration` for the first
+    configuration that fails it.
     """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    t = np.asarray(theta, dtype=float)
-    bx, by = platform_anchor_arrays(x, y, phi, geometry)
-    dx = bx - np.array([a.x for a in geometry.anchors])
-    dy = by - np.array([a.y for a in geometry.anchors])
-    sin_t, cos_t = _libm(math.sin, t), _libm(math.cos, t)
-    residuals = sin_t * dx - cos_t * dy
-    tol = _consistency_tol(geometry.scale, x, y)
-    bad = np.flatnonzero((np.abs(residuals) > tol[:, None]).any(axis=1))
-    if bad.size:
-        raise InconsistentStateError(tuple(residuals[bad[0]].tolist()), float(tol[bad[0]]))
-
-    arms = cos_t * (bx - x[:, None]) + sin_t * (by - y[:, None])
-    a = np.stack((-sin_t, cos_t, arms), axis=2)
-    rhos = cos_t * dx + sin_t * dy
+    x, y, legs = _leg_columns(x, y, phi, geometry)
+    t = np.asarray(theta, dtype=float).T
     with np.errstate(over="ignore"):
-        det_b = rhos[:, 0] * rhos[:, 1] * rhos[:, 2]
-    over = np.flatnonzero(~np.isfinite(det_b))
-    if over.size:
-        k = over[0]
-        raise GeometryError(f"det B overflows at x={x[k].item()!r}, y={y[k].item()!r}")
+        rows, rhos, det_b = _velocity_terms(x, y, t, legs, geometry.scale)
+    a = np.array(rows).transpose(2, 0, 1)
     return KinematicMatricesArray(
         a_matrix=a,
-        rhos=rhos,
+        rhos=np.stack(rhos, axis=1),
         det_a=np.linalg.det(a),
         det_b=det_b,
         scale=geometry.scale,

@@ -33,13 +33,15 @@ from .geometry import (
     Pose,
     Vec2,
     _as_angles,
+    _finite_rho,
+    _first_nonfinite,
+    _fn,
+    _leg_columns,
     _leg_offsets,
-    _libm,
     angle_difference,
     angle_differences,
     normalize_angle,
     normalize_angles,
-    platform_anchor_arrays,
 )
 
 __all__ = [
@@ -121,19 +123,13 @@ def inverse_kinematics(
     br = tuple(int(k) for k in branch)
     if len(br) != 3 or any(k not in (0, 1) for k in br):
         raise ValueError(f"branch must be three flags in {{0, 1}}, got {branch!r}")
-    tol = ANCHOR_TOL * geometry.scale
-    legs: list[LegState] = []
-    stuck: list[int] = []
-    for leg, (_, delta) in enumerate(_leg_offsets(pose, geometry), start=1):
-        rho = delta.norm()
-        if rho < tol:
-            stuck.append(leg)
-            continue
-        theta = math.atan2(delta.y, delta.x) + br[leg - 1] * math.pi
-        legs.append(LegState(theta, rho))
+    legs = _leg_offsets(pose.x, pose.y, pose.phi, geometry)
+    solved = _aim_legs(legs, [k * math.pi for k in br], geometry.scale)
+    stuck = tuple(leg for leg, (_, _, at_anchor) in enumerate(solved, start=1) if at_anchor)
     if stuck:
-        raise LegAtAnchorError(tuple(stuck))
-    return IkSolution((legs[0], legs[1], legs[2]), br)
+        raise LegAtAnchorError(stuck)
+    l1, l2, l3 = (LegState(theta, rho) for theta, rho, _ in solved)
+    return IkSolution((l1, l2, l3), br)
 
 
 def inverse_kinematics_array(
@@ -149,15 +145,26 @@ def inverse_kinematics_array(
     ``at_anchor`` marks the poses where that call raises
     :class:`LegAtAnchorError`, and their rows of ``theta`` are nan.
     """
-    bx, by = platform_anchor_arrays(x, y, phi, geometry)
-    dx = bx - np.array([a.x for a in geometry.anchors])
-    dy = by - np.array([a.y for a in geometry.anchors])
-    at_anchor = (_libm(math.hypot, dx, dy) < ANCHOR_TOL * geometry.scale).any(axis=1)
+    _, _, legs = _leg_columns(x, y, phi, geometry)
     # Adding 0.0 turns atan2's -0.0 into the +0.0 the scalar path gets from
     # adding its branch offset 0 * pi.
-    theta = normalize_angles(_libm(math.atan2, dy, dx) + 0.0)
+    theta, _, at_anchor = zip(*_aim_legs(legs, (0.0, 0.0, 0.0), geometry.scale))
+    at_anchor = np.stack(at_anchor, axis=1).any(axis=1)
+    theta = normalize_angles(np.stack(theta, axis=1))
     theta[at_anchor] = math.nan
     return theta, at_anchor
+
+
+def _aim_legs(legs, turns, scale: float):
+    """(theta, rho, at_anchor) per leg offset b_i - a_i, floats or columns:
+    its arctangent plus ``turn``, its length (GeometryError if that
+    overflows), and whether it is below ``ANCHOR_TOL * scale``."""
+    solved = []
+    for (_, _, dx, dy), turn in zip(legs, turns):
+        rho = _fn(math.hypot, dx, dy)
+        _fn(_finite_rho, rho, array=_first_nonfinite)
+        solved.append((_fn(math.atan2, dy, dx) + turn, rho, rho < ANCHOR_TOL * scale))
+    return solved
 
 
 @unique
@@ -224,6 +231,10 @@ def mn_coefficients(theta: JointAngles | Sequence[float]) -> tuple[float, float]
     return (m, n)
 
 
+# Indexed by translation + 2 * reuleaux; the two predicates exclude each other.
+_DK_KINDS = (DkKind.TWO_SOLUTIONS, DkKind.CONTINUUM_TRANSLATION, DkKind.CONTINUUM_REULEAUX)
+
+
 def classify_dk_degeneracy(theta: JointAngles | Sequence[float]) -> DkKind:
     """Detect self-motion continua from the joint angles alone.
 
@@ -242,39 +253,25 @@ def classify_dk_degeneracy(theta: JointAngles | Sequence[float]) -> DkKind:
     roots actually differ is reported by :func:`direct_kinematics`).
     Angles match within ``DEGENERACY_ANGLE_TOL``.
     """
-    tol = DEGENERACY_ANGLE_TOL
-    t1, t2, t3 = _as_angles(theta)
-    if (
-        angle_difference(t2, t1, math.pi) < tol
-        and angle_difference(t3, t1, math.pi) < tol
-    ):
-        return DkKind.CONTINUUM_TRANSLATION
-    if (
-        angle_difference(t2 - t1, math.pi / 3.0, math.pi) < tol
-        and angle_difference(t3 - t1, -math.pi / 3.0, math.pi) < tol
-    ):
-        return DkKind.CONTINUUM_REULEAUX
-    return DkKind.TWO_SOLUTIONS
-
-
-_DK_KINDS = np.array(
-    [DkKind.TWO_SOLUTIONS, DkKind.CONTINUUM_TRANSLATION, DkKind.CONTINUUM_REULEAUX],
-    dtype=object,
-)
+    return _DK_KINDS[_continuum(*_as_angles(theta), angle_difference)]
 
 
 def classify_dk_degeneracy_array(theta: np.ndarray) -> np.ndarray:
     """:func:`classify_dk_degeneracy` of each row of an (N, 3) angle array,
     as an (N,) object array of :class:`DkKind`."""
-    tol = DEGENERACY_ANGLE_TOL
     t1, t2, t3 = np.asarray(theta, dtype=float).T
-    translation = (angle_differences(t2, t1, math.pi) < tol) & (
-        angle_differences(t3, t1, math.pi) < tol
+    return np.array(_DK_KINDS, dtype=object)[_continuum(t1, t2, t3, angle_differences)]
+
+
+def _continuum(t1, t2, t3, distance):
+    """Index into ``_DK_KINDS`` of the angles' continuum, floats or columns;
+    ``distance`` is :func:`angle_difference` or :func:`angle_differences`."""
+    tol = DEGENERACY_ANGLE_TOL
+    translation = (distance(t2, t1, math.pi) < tol) & (distance(t3, t1, math.pi) < tol)
+    reuleaux = (distance(t2 - t1, math.pi / 3.0, math.pi) < tol) & (
+        distance(t3 - t1, -math.pi / 3.0, math.pi) < tol
     )
-    reuleaux = (angle_differences(t2 - t1, math.pi / 3.0, math.pi) < tol) & (
-        angle_differences(t3 - t1, -math.pi / 3.0, math.pi) < tol
-    )
-    return _DK_KINDS[np.where(translation, 1, 2 * reuleaux)]
+    return translation + 2 * reuleaux
 
 
 def position_from_orientation(

@@ -103,10 +103,12 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv):
     assert "expected a finite number" in err.splitlines()[-1]
 
 
-@pytest.mark.parametrize("command", ["ik", "singularity"])
-def test_overflowing_leg_length_is_usage_error(capsys, command):
+@pytest.mark.parametrize("command", ["ik", "singularity", "sweep"])
+def test_overflowing_leg_length_is_usage_error(tmp_path, capsys, command):
     # Leg 1's length hypot(1.7e308, 1.7e308) overflows to inf.
-    code, out, err = run(capsys, command, "--x", "1.7e308", "--y", "1.7e308", "--phi", "0")
+    page = ("--space", "cartesian", "--csv", str(tmp_path / "x.csv"))
+    extra = page if command == "sweep" else ()
+    code, out, err = run(capsys, command, "--x", "1.7e308", "--y", "1.7e308", "--phi", "0", *extra)
     assert code == 1
     assert out == ""
     assert err == "rpr3: rho must be finite, got inf\n"
@@ -460,6 +462,25 @@ def test_sweep_rejects_poses_whose_det_b_overflows(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and "det B overflows at x=1e+150" in err
+    assert not csv_path.exists()
+
+
+def test_sweep_rejects_an_overflowing_anchor_like_singularity(tmp_path, capsys, monkeypatch):
+    # At scale 1e300, leg 2's anchor x + scale leaves the float range.
+    path = tmp_path / "geom.json"
+    path.write_text(json.dumps({"scale": 1e300}))
+    monkeypatch.setenv("RPR_GEOMETRY", str(path))
+    x = "1.7976931348623157e308"
+    code, out, single = run(capsys, "singularity", "--x", x, "--y", "0", "--phi", "0")
+    assert (code, out) == (1, "")
+    csv_path = tmp_path / "far.csv"
+    code, out, err = run(
+        capsys,
+        "sweep", "--space", "cartesian", f"--x={x}", "--y=0:1:2", "--phi=0",
+        "--csv", str(csv_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == single == "rpr3: components must be finite, got (inf, 0.0)\n"
     assert not csv_path.exists()
 
 

@@ -1,0 +1,86 @@
+"""The scalar API on floats: one formula body serves floats and columns,
+and on floats it must stay off the array kernels and keep the overflow
+guard that its per-leg offsets carry."""
+
+import math
+
+import numpy as np
+import pytest
+
+from rpr3 import coupler, geometry, jacobians, solvers
+from rpr3.coupler import rho_from_phi
+from rpr3.errors import GeometryError, Rpr3Error
+from rpr3.geometry import ManipulatorGeometry, Pose, constraint_residuals, signed_extensions
+from rpr3.jacobians import KinematicMatrices, build_matrices, classify_singularity
+from rpr3.solvers import classify_dk_degeneracy, direct_kinematics, inverse_kinematics
+
+PI3 = math.pi / 3.0
+POSES = [Pose(0.4, 0.3, 0.2), Pose(-0.0, 0.4, -0.0), Pose(0.5, 0.0, 0.0), Pose(1.3, -0.7, 3.0)]
+TRIPLES = [(0.2, 0.9, 2.0), (0.3, 0.3, 0.3 + math.pi), (0.1, 0.1 + PI3, 0.1 - PI3), (0.0, 0.0, 1.0)]
+
+
+def _calls():
+    """(name, thunk) for each scalar entry point: at regular poses, signed
+    zeros, a parallel singularity (all legs horizontal) and a pose on the
+    base anchors, and at generic, translation, Reuleaux and degenerate
+    triples."""
+    calls = [("ik-at-anchor", lambda: inverse_kinematics(Pose(0.0, 0.0, 0.0)))]
+    for k, pose in enumerate(POSES):
+        theta = inverse_kinematics(pose).angles
+        calls += [
+            (f"ik{k}", lambda p=pose: inverse_kinematics(p, branch=(0, 1, 0))),
+            (f"residuals{k}", lambda p=pose, t=theta: constraint_residuals(p, t)),
+            (f"extensions{k}", lambda p=pose, t=theta: signed_extensions(p, t)),
+            (f"matrices{k}", lambda p=pose, t=theta: build_matrices(p, t)),
+            (f"singularity{k}", lambda p=pose, t=theta: classify_singularity(p, t)),
+        ]
+    for k, triple in enumerate(TRIPLES):
+        calls += [
+            (f"degeneracy{k}", lambda t=triple: classify_dk_degeneracy(t)),
+            (f"dk{k}", lambda t=triple: direct_kinematics(t)),
+            (f"rho{k}", lambda t=triple: rho_from_phi(t[0], t[1] + 0.5, 0.7)),
+        ]
+    return calls
+
+
+def _outcome(call):
+    """The result's repr, which tells -0.0 from 0.0, or the error raised;
+    matrices by their bytes."""
+    try:
+        value = call()
+    except Rpr3Error as exc:
+        return repr(exc)
+    if isinstance(value, KinematicMatrices):
+        return (value.a_matrix.tobytes(), value.b_matrix.tobytes(), repr(value.det_a),
+                repr(value.det_b), value.scale)
+    return repr(value)
+
+
+def test_float_path_makes_no_kernel_call(monkeypatch):
+    want = {name: _outcome(call) for name, call in _calls()}
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the float path reached an array kernel")
+
+    for module in (geometry, solvers, jacobians, coupler):
+        for name in ("_libm", "_first_nonfinite"):
+            monkeypatch.setattr(module, name, boom, raising=False)
+    monkeypatch.setattr(np, "errstate", boom)
+    got = {name: _outcome(call) for name, call in _calls()}
+    assert got == want
+
+
+def test_float_path_keeps_the_overflow_guard():
+    # Leg 2's anchor, x + scale, leaves the float range.
+    far = ManipulatorGeometry.from_scale(1e300)
+    pose = Pose(1.7976931348623157e308, 0.0, 0.0)
+    theta = (0.0, 0.0, 0.0)
+    calls = [
+        lambda: inverse_kinematics(pose, geometry=far),
+        lambda: constraint_residuals(pose, theta, geometry=far),
+        lambda: signed_extensions(pose, theta, geometry=far),
+        lambda: build_matrices(pose, theta, geometry=far),
+    ]
+    for call in calls:
+        with pytest.raises(GeometryError, match=r"components must be finite, got \(inf, 0\.0\)"):
+            call()
