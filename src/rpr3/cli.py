@@ -36,14 +36,7 @@ from .coupler import (
     rho_from_phi,
     trace_cardanic,
 )
-from .errors import (
-    DegenerateLegPairError,
-    GeometryError,
-    InconsistentStateError,
-    LegAtAnchorError,
-    NotReuleauxError,
-    SingularNearbyError,
-)
+from .errors import GeometryError, LegAtAnchorError, Rpr3Error, SingularNearbyError
 from .geometry import (
     DEFAULT_GEOMETRY,
     JointAngles,
@@ -281,7 +274,7 @@ def main(argv=None) -> int:
         print(f"rpr3: geometry error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        return args.handler(args, geom)
+        code, fields = args.handler(args, geom)
     except (_UsageError, GeometryError) as exc:
         # A GeometryError is a value out of floating-point range, e.g. a leg
         # length that overflows; the input is unusable as given.
@@ -290,17 +283,16 @@ def main(argv=None) -> int:
     except LegAtAnchorError as exc:
         print(f"rpr3: serial singularity: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (
-        DegenerateLegPairError,
-        NotReuleauxError,
-        InconsistentStateError,
-        SingularNearbyError,
-    ) as exc:
+    except Rpr3Error as exc:
+        # Every other library error is a singular or degenerate input.
         print(f"rpr3: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except OSError as exc:
         print(f"rpr3: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    header = {"schema": 1, "command": args.command, "scale": geom.scale}
+    print(json.dumps({**header, **fields}, indent=2))
+    return code
 
 
 def _geometry_from_env() -> ManipulatorGeometry:
@@ -316,10 +308,6 @@ def _in_angle(value: float, deg: bool) -> float:
 
 def _out_angle(value: float, deg: bool) -> float:
     return math.degrees(value) if deg else value
-
-
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
 
 
 def _pose_payload(pose: Pose, deg: bool) -> dict:
@@ -362,7 +350,7 @@ def _singularity_payload(pose: Pose, theta, geom: ManipulatorGeometry) -> dict:
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_ik(args, geom: ManipulatorGeometry) -> int:
+def _cmd_ik(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
     pose = Pose(args.x, args.y, _in_angle(args.phi, args.deg))
     if args.branch == "all":
         branches = [(i >> 2 & 1, i >> 1 & 1, i & 1) for i in range(8)]
@@ -381,16 +369,7 @@ def _cmd_ik(args, geom: ManipulatorGeometry) -> int:
                 }
             )
         solutions.append({"branch": "".join(map(str, branch)), "legs": legs})
-    _emit(
-        {
-            "schema": 1,
-            "command": "ik",
-            "scale": geom.scale,
-            "pose": _pose_payload(pose, args.deg),
-            "solutions": solutions,
-        }
-    )
-    return EXIT_OK
+    return EXIT_OK, {"pose": _pose_payload(pose, args.deg), "solutions": solutions}
 
 
 def _parse_branch(text: str):
@@ -401,7 +380,7 @@ def _parse_branch(text: str):
     return tuple(int(c) for c in text)
 
 
-def _cmd_dk(args, geom: ManipulatorGeometry) -> int:
+def _cmd_dk(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
     # Solved and reported in (-pi, pi]: the reduction works on angle
     # differences, which lose a small angle next to a huge one.
     theta = JointAngles(
@@ -415,9 +394,6 @@ def _cmd_dk(args, geom: ManipulatorGeometry) -> int:
 
     primary = routes.get("closed") or routes["geometric"]
     payload = {
-        "schema": 1,
-        "command": "dk",
-        "scale": geom.scale,
         "method": args.method,
         "theta": [_out_angle(t, args.deg) for t in theta],
         "kind": primary.kind.value,
@@ -449,17 +425,14 @@ def _cmd_dk(args, geom: ManipulatorGeometry) -> int:
             "max_pose_deviation": deviation,
         }
         if not kinds_match or not (deviation <= geom.pose_tol):
-            _emit(payload)
             print(
                 "rpr3: dk routes disagree "
                 f"(kinds {routes['closed'].kind.value} vs "
                 f"{routes['geometric'].kind.value}, deviation {deviation:.3e})",
                 file=sys.stderr,
             )
-            return EXIT_VERIFY
-
-    _emit(payload)
-    return EXIT_OK
+            return EXIT_VERIFY, payload
+    return EXIT_OK, payload
 
 
 def _pose_set_deviation(left: tuple[Pose, ...], right: tuple[Pose, ...]) -> float:
@@ -474,7 +447,7 @@ def _pose_set_deviation(left: tuple[Pose, ...], right: tuple[Pose, ...]) -> floa
     return worst
 
 
-def _cmd_singularity(args, geom: ManipulatorGeometry) -> int:
+def _cmd_singularity(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
     pose = Pose(args.x, args.y, _in_angle(args.phi, args.deg))
     given = [args.t1, args.t2, args.t3]
     if any(t is not None for t in given):
@@ -486,20 +459,16 @@ def _cmd_singularity(args, geom: ManipulatorGeometry) -> int:
         theta = sol.angles
     mats = build_matrices(pose, theta, geometry=geom)
     payload = {
-        "schema": 1,
-        "command": "singularity",
-        "scale": geom.scale,
         "pose": _pose_payload(pose, args.deg),
         "theta": [_out_angle(t, args.deg) for t in theta],
         "a_matrix": [[float(v) for v in row] for row in mats.a_matrix],
         "b_diagonal": [float(mats.b_matrix[i, i]) for i in range(3)],
     }
     payload.update(_singularity_payload(pose, theta, geom))
-    _emit(payload)
-    return EXIT_OK
+    return EXIT_OK, payload
 
 
-def _cmd_trace(args, geom: ManipulatorGeometry) -> int:
+def _cmd_trace(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
     curve = trace_cardanic(
         _in_angle(args.t1, args.deg),
         _in_angle(args.t2, args.deg),
@@ -511,9 +480,10 @@ def _cmd_trace(args, geom: ManipulatorGeometry) -> int:
     t1, t2 = curve.theta1, curve.theta2
 
     out = np.degrees if args.deg else np.asarray
-    thetas = np.broadcast_to(out([t1, t2]), (len(curve.phi), 2))
-    table = np.column_stack((thetas, out(curve.phi), curve.b3, curve.rho))
-    figio.write_csv(args.csv, ("theta1", "theta2", "phi", "x", "y", "rho1", "rho2"), table)
+    n = len(curve.phi)
+    thetas = np.broadcast_to(out([t1, t2]), (n, 2))
+    table = np.column_stack((thetas, out(curve.phi), curve.b3, curve.rho, np.full(n, geom.scale)))
+    figio.write_csv(args.csv, _trace_header(args.deg), table)
 
     if args.svg:
         canvas = figio.SvgCanvas(title="third-anchor coupler curve")
@@ -533,9 +503,6 @@ def _cmd_trace(args, geom: ManipulatorGeometry) -> int:
         canvas.write(args.svg)
 
     payload = {
-        "schema": 1,
-        "command": "trace",
-        "scale": geom.scale,
         "theta1": _out_angle(t1, args.deg),
         "theta2": _out_angle(t2, args.deg),
         "samples": args.samples,
@@ -560,8 +527,14 @@ def _cmd_trace(args, geom: ManipulatorGeometry) -> int:
             "theta3": _out_angle(t3, args.deg),
             **_reuleaux_payload(desc),
         }
-    _emit(payload)
-    return EXIT_OK
+    return EXIT_OK, payload
+
+
+def _trace_header(deg: bool) -> list[str]:
+    """Trace CSV header: the angle columns name their unit, and the last
+    column records the scale the curve was traced at."""
+    unit = "_deg" if deg else ""
+    return [f"theta1{unit}", f"theta2{unit}", f"phi{unit}", "x", "y", "rho1", "rho2", "scale"]
 
 
 def _draw_base(canvas: figio.SvgCanvas, geom: ManipulatorGeometry) -> None:
@@ -621,7 +594,7 @@ def _parse_axis(name: str, text: str | None, deg: bool) -> np.ndarray:
     return values
 
 
-def _cmd_sweep(args, geom: ManipulatorGeometry) -> int:
+def _cmd_sweep(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
     if args.space == "joint":
         axis_names = ("t1", "t2", "t3")
     else:
@@ -666,18 +639,7 @@ def _cmd_sweep(args, geom: ManipulatorGeometry) -> int:
         grid_values = field.reshape(len(axes[swept[0]]), len(axes[swept[1]]))
         _write_sweep_svg(args, axes, swept, axis_names, grid_values)
 
-    _emit(
-        {
-            "schema": 1,
-            "command": "sweep",
-            "scale": geom.scale,
-            "space": args.space,
-            "rows": count,
-            "csv": args.csv,
-            "svg": args.svg,
-        }
-    )
-    return EXIT_OK
+    return EXIT_OK, {"space": args.space, "rows": count, "csv": args.csv, "svg": args.svg}
 
 
 def _write_sweep_svg(args, axes, swept, axis_names, grid_values) -> None:
@@ -706,37 +668,35 @@ def _write_sweep_svg(args, axes, swept, axis_names, grid_values) -> None:
 # ----------------------------------------------------------------- verify
 
 
-def _cmd_verify(args, geom: ManipulatorGeometry) -> int:
+def _cmd_verify(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
     rng = np.random.default_rng(args.seed)
     failures: list[str] = []
-    # Each scope with the name of the metric its summary line reports.
+    scopes = {}
+    fields = {"seed": args.seed, "trials": args.trials, "scopes": scopes}
+    # Each scope with the key of the worst metric its report gives.
     for scope, trial, metric in (
-        ("dkp", _dkp_trial, "pose deviation"),
-        ("jacobian", _jacobian_trial, "fd error"),
-        ("curves", _curves_trial, "residual"),
+        ("dkp", _dkp_trial, "max_pose_deviation"),
+        ("jacobian", _jacobian_trial, "max_fd_error"),
+        ("curves", _curves_trial, "max_residual"),
     ):
         if args.scope not in ("all", scope):
             continue
-        _run_trials(scope, metric, args.trials, partial(trial, rng, geom), failures)
+        scopes[scope] = _run_trials(scope, metric, args.trials, partial(trial, rng, geom), failures)
         if scope == "curves" and args.csv:
-            code = _recheck_trace_csv(args.csv, geom, failures)
-            if code:
-                return code
+            fields["trace_csv"] = _recheck_trace_csv(args.csv, failures)
 
-    if failures:
-        for line in failures:
-            print(f"rpr3: FAIL {line}", file=sys.stderr)
-        return EXIT_VERIFY
-    print("verify: ok")
-    return EXIT_OK
+    for line in failures:
+        print(f"rpr3: FAIL {line}", file=sys.stderr)
+    return (EXIT_VERIFY if failures else EXIT_OK), fields
 
 
 class _TrialFailure(Exception):
     """A verify trial whose check failed; the message names the input."""
 
 
-def _run_trials(scope: str, metric: str, trials: int, trial, failures: list[str]) -> None:
-    """Run ``trial`` until ``trials`` of its draws were checked.
+def _run_trials(scope: str, metric: str, trials: int, trial, failures: list[str]) -> dict:
+    """Run ``trial`` until ``trials`` of its draws were checked, and report
+    whether the scope passed and, if so, its worst ``metric``.
 
     ``trial()`` returns None for a draw it skips, else the checked metric;
     it raises :class:`_TrialFailure` when the check fails, which ends the
@@ -751,11 +711,11 @@ def _run_trials(scope: str, metric: str, trials: int, trial, failures: list[str]
         values = list(itertools.islice((v for v in results if v is not None), trials))
     except _TrialFailure as exc:
         failures.append(str(exc))
-        return
+        return {"passed": False}
     if len(values) < trials:
         failures.append(f"{scope}: {len(values)} of {trials} trials done in {cap} draws")
-        return
-    print(f"verify {scope}: {trials} trials, max {metric} {max(values):.3e}")
+        return {"passed": False}
+    return {"passed": True, metric: max(values)}
 
 
 def _dkp_trial(rng, geom) -> float | None:
@@ -849,47 +809,43 @@ def _slider_point(t1: float, rho1, geom):
     return (a1.x + rho1 * math.cos(t1), a1.y + rho1 * math.sin(t1))
 
 
-def _recheck_trace_csv(path: str, geom, failures: list[str]) -> int:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            rows = list(reader)
-    except OSError as exc:
-        print(f"rpr3: i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    if not rows:
-        print(f"rpr3: {path}: no data rows", file=sys.stderr)
-        return EXIT_IO
+def _recheck_trace_csv(path: str, failures: list[str]) -> dict:
+    """Recheck every row of a ``trace`` CSV, in radians at the file's own
+    scale, and report the rows checked and the worst deviation.
+
+    A file ``trace`` does not write (no rows, another header, a row that is
+    not eight finite numbers, a scale that is not positive) raises OSError.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = list(csv.reader(fh))
+    if len(lines) < 2:
+        raise OSError(f"{path}: no data rows")
+    header, *rows = lines
+    deg = header == _trace_header(True)
+    if not deg and header != _trace_header(False):
+        raise OSError(f"{path}: header {','.join(header)!r} is not a trace CSV header")
     worst = 0.0
-    for idx, row in enumerate(rows):
+    for idx, row in enumerate(rows, 1):
         try:
-            t1 = float(row["theta1"])
-            t2 = float(row["theta2"])
-            phi = float(row["phi"])
-            recorded = (
-                float(row["x"]),
-                float(row["y"]),
-                float(row["rho1"]),
-                float(row["rho2"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            print(f"rpr3: {path}: malformed row {idx + 1}", file=sys.stderr)
-            return EXIT_IO
+            values = [float(v) for v in row]
+            t1, t2, phi, *recorded, scale = values
+            if len(recorded) != 4 or not all(map(math.isfinite, values)):
+                raise ValueError
+            geom = ManipulatorGeometry(scale)
+        except ValueError:
+            raise OSError(f"{path}: malformed row {idx}") from None
+        if deg:
+            t1, t2, phi = map(math.radians, (t1, t2, phi))
         rho1, rho2 = rho_from_phi(t1, t2, phi, geometry=geom)
         pose = Pose(*_slider_point(t1, rho1, geom), phi)
         anchor3 = platform_anchor(pose, 3, geometry=geom)
-        gap = max(
-            abs(anchor3.x - recorded[0]),
-            abs(anchor3.y - recorded[1]),
-            abs(rho1 - recorded[2]),
-            abs(rho2 - recorded[3]),
-        )
+        computed = (anchor3.x, anchor3.y, rho1, rho2)
+        gap = max(abs(c - r) for c, r in zip(computed, recorded))
         worst = max(worst, gap)
-        if gap > 1e-12 * max(geom.scale, 1.0):
-            failures.append(f"trace csv row {idx + 1} deviates by {gap:.3e}")
-            return 0
-    print(f"verify trace-csv: {len(rows)} rows, max deviation {worst:.3e}")
-    return 0
+        if not gap <= 1e-12 * max(scale, 1.0):
+            failures.append(f"trace csv row {idx} deviates by {gap:.3e}")
+            return {"passed": False, "rows": idx, "max_deviation": worst}
+    return {"passed": True, "rows": len(rows), "max_deviation": worst}
 
 
 if __name__ == "__main__":

@@ -110,10 +110,6 @@ class SegmentDescriptor:
     def length(self) -> float:
         return 2.0 * self.half_length
 
-    def endpoints(self) -> tuple[Vec2, Vec2]:
-        offset = self.direction * self.half_length
-        return (self.point - offset, self.point + offset)
-
 
 @dataclass(frozen=True)
 class ReuleauxDescriptor:

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from rpr3 import cli
 from rpr3.cli import main
-from rpr3.geometry import normalize_angle
+from rpr3.errors import ParallelSingularError
+from rpr3.geometry import POSE_TOL, normalize_angle
 
 PI3 = math.pi / 3.0
 SQRT3 = math.sqrt(3.0)
@@ -261,8 +263,9 @@ def test_trace_writes_csv_and_svg(tmp_path, capsys):
     assert not payload["degenerate"]
     assert payload["segment"] is None
     lines = csv_path.read_text().splitlines()
-    assert lines[0] == "theta1,theta2,phi,x,y,rho1,rho2"
+    assert lines[0] == "theta1,theta2,phi,x,y,rho1,rho2,scale"
     assert len(lines) == 1 + 720
+    assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"1"}
     svg = svg_path.read_text()
     assert svg.startswith("<?xml")
     assert 'viewBox="-1.5 -2.5 4 4"' in svg
@@ -610,28 +613,36 @@ def test_sweep_degrees_roundtrip(tmp_path, capsys):
 
 
 def test_verify_all_scopes_pass(capsys):
-    code, out, _ = run(capsys, "verify", "--trials", "5", "--seed", "1")
-    assert code == 0
-    assert "verify: ok" in out
-    assert "dkp" in out and "jacobian" in out and "curves" in out
+    payload = run_json(capsys, "verify", "--trials", "5", "--seed", "1")
+    assert payload["command"] == "verify"
+    assert (payload["seed"], payload["trials"]) == (1, 5)
+    # Each scope passed, with its worst metric within the scope's threshold.
+    assert payload["scopes"] == {
+        "dkp": {"passed": True, "max_pose_deviation": pytest.approx(0.0, abs=POSE_TOL)},
+        "jacobian": {"passed": True, "max_fd_error": pytest.approx(0.0, abs=1e-5)},
+        "curves": {"passed": True, "max_residual": pytest.approx(0.0, abs=1e-9)},
+    }
+    assert "trace_csv" not in payload
 
 
 @pytest.mark.parametrize("flag", ["--trials=-3", "--trials=0", "--seed=-1"])
 def test_verify_rejects_counts_below_range(capsys, flag):
     code, out, err = run(capsys, "verify", "--scope", "dkp", flag)
     assert code == 1
-    assert "verify: ok" not in out
+    assert out == ""
     assert "expected an integer >=" in err.splitlines()[-1]
 
 
 def test_verify_rechecks_trace_csv(tmp_path, capsys):
     csv_path = tmp_path / "curve.csv"
     run_json(capsys, "trace", "--t1", "0.2", "--t2", "0.9", "--csv", str(csv_path))
-    code, out, _ = run(
+    payload = run_json(
         capsys, "verify", "--scope", "curves", "--trials", "2", "--csv", str(csv_path)
     )
-    assert code == 0
-    assert "trace-csv" in out
+    assert list(payload["scopes"]) == ["curves"]
+    assert payload["trace_csv"] == {
+        "passed": True, "rows": 720, "max_deviation": pytest.approx(0.0, abs=1e-12)
+    }
 
 
 def test_verify_flags_tampered_csv(tmp_path, capsys):
@@ -642,11 +653,14 @@ def test_verify_flags_tampered_csv(tmp_path, capsys):
     fields[3] = str(float(fields[3]) + 1e-6)
     lines[5] = ",".join(fields)
     csv_path.write_text("\n".join(lines) + "\n")
-    code, _, err = run(
+    code, out, err = run(
         capsys, "verify", "--scope", "curves", "--trials", "2", "--csv", str(csv_path)
     )
     assert code == 4
     assert "row 5" in err
+    report = strict_json(out)["trace_csv"]
+    assert (report["passed"], report["rows"]) == (False, 5)
+    assert report["max_deviation"] == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_trace_reports_and_writes_reduced_angles(tmp_path, capsys):
@@ -660,11 +674,75 @@ def test_trace_reports_and_writes_reduced_angles(tmp_path, capsys):
     assert payload["theta2"] == 0.5
     row = csv_path.read_text().splitlines()[1].split(",")
     assert float(row[0]) == normalize_angle(1e12)
+    payload = run_json(
+        capsys, "verify", "--scope", "curves", "--trials", "1", "--csv", str(csv_path)
+    )
+    assert payload["trace_csv"]["passed"]
+
+
+def test_verify_rechecks_degree_trace_csv(tmp_path, capsys):
+    # The header names the unit, so a --deg trace rechecks untouched.
+    csv_path = tmp_path / "curve.csv"
+    run_json(capsys, "trace", "--deg", "--t1", "20", "--t2", "75", "--csv", str(csv_path))
+    assert csv_path.read_text().startswith("theta1_deg,theta2_deg,phi_deg,")
+    payload = run_json(
+        capsys, "verify", "--scope", "curves", "--trials", "1", "--csv", str(csv_path)
+    )
+    assert payload["trace_csv"]["passed"]
+    assert payload["trace_csv"]["max_deviation"] <= 1e-12
+
+
+def test_verify_rechecks_trace_csv_at_its_own_scale(tmp_path, capsys, monkeypatch):
+    # Written at scale 2, rechecked at the default scale 1: the file's
+    # scale column decides.
+    csv_path = tmp_path / "curve.csv"
+    geom_path = tmp_path / "geom.json"
+    geom_path.write_text(json.dumps({"scale": 2.0}))
+    monkeypatch.setenv("RPR_GEOMETRY", str(geom_path))
+    run_json(capsys, "trace", "--t1", "0.2", "--t2", "0.9", "--csv", str(csv_path))
+    monkeypatch.delenv("RPR_GEOMETRY")
+    payload = run_json(
+        capsys, "verify", "--scope", "curves", "--trials", "1", "--csv", str(csv_path)
+    )
+    assert payload["scale"] == 1.0
+    assert payload["trace_csv"]["passed"]
+    assert payload["trace_csv"]["max_deviation"] <= 2e-12
+
+
+def _drop_scale_column(text):
+    return "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
+
+
+def _first_row_ending(ending):
+    """An edit that puts ``ending`` in place of the first row's scale cell."""
+    return lambda text: text.replace(",1\n", f"{ending}\n", 1)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _drop_scale_column,  # the header and rows trace wrote before its scale column
+        _first_row_ending(",nan"),
+        _first_row_ending(",inf"),
+        _first_row_ending(",0"),
+        _first_row_ending(",-1"),
+        _first_row_ending(""),
+        lambda text: "",
+    ],
+    ids=["old-header", "nan-scale", "inf-scale", "zero-scale", "negative-scale",
+         "missing-scale", "empty-file"],
+)
+def test_verify_rejects_trace_csv_it_cannot_read(tmp_path, capsys, edit):
+    csv_path = tmp_path / "curve.csv"
+    run_json(capsys, "trace", "--t1", "0.2", "--t2", "0.9", "--samples", "8", "--csv", str(csv_path))
+    csv_path.write_text(edit(csv_path.read_text()))
     code, out, err = run(
         capsys, "verify", "--scope", "curves", "--trials", "1", "--csv", str(csv_path)
     )
-    assert code == 0, err
-    assert "trace-csv" in out
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("rpr3: i/o error: ")
 
 
 class _ZeroGenerator:
@@ -680,7 +758,9 @@ def test_verify_fails_when_scopes_do_fewer_trials_than_requested(capsys, monkeyp
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _ZeroGenerator())
     code, out, err = run(capsys, "verify", "--trials", "3")
     assert code == 4
-    assert "verify: ok" not in out
+    assert strict_json(out)["scopes"] == {
+        scope: {"passed": False} for scope in ("dkp", "jacobian", "curves")
+    }
     assert err.splitlines() == [
         f"rpr3: FAIL {scope}: 0 of 3 trials done in 150 draws"
         for scope in ("dkp", "jacobian", "curves")
@@ -688,11 +768,26 @@ def test_verify_fails_when_scopes_do_fewer_trials_than_requested(capsys, monkeyp
 
 
 def test_verify_missing_csv_is_io_error(tmp_path, capsys):
-    code, _, _ = run(
+    code, out, err = run(
         capsys, "verify", "--scope", "curves", "--trials", "2",
         "--csv", str(tmp_path / "absent.csv"),
     )
     assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("rpr3: i/o error: ")
+
+
+def test_every_library_error_exits_cleanly(capsys, monkeypatch):
+    # No command raises this one today; main maps it through Rpr3Error.
+    def raise_parallel_singular(args, geom):
+        raise ParallelSingularError("det A vanishes")
+
+    monkeypatch.setattr(cli, "_cmd_ik", raise_parallel_singular)
+    code, out, err = run(capsys, "ik", "--x", "0.3", "--y", "0.2", "--phi", "0.1")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["rpr3: det A vanishes"]
 
 
 # ------------------------------------------------------------ environment

@@ -1,9 +1,11 @@
 """Seeded argv fuzzing of the CLI boundary.
 
 Every command line either succeeds or exits with a documented code (1-4);
-none may escape ``main`` as an exception, a success prints RFC 8259 JSON
-(no NaN or Infinity), and no SVG it writes may contain nan.  Values come from a pool of ordinary, boundary and malformed numbers;
-grid counts stay small so the whole run takes a few seconds.
+none may escape ``main`` as an exception.  On exit 0 or 4 stdout is exactly
+one RFC 8259 JSON document (no NaN or Infinity) naming its command, on any
+other exit stdout is empty, and no SVG it writes may contain nan.  Values
+come from a pool of ordinary, boundary and malformed numbers; grid counts
+stay small so the whole run takes a few seconds.
 """
 
 import contextlib
@@ -83,6 +85,9 @@ def _argv(rng, tmp_path):
             f"--trials={_pick(rng, ['1', '2'], ['-3', '0', 'x'])}",
             f"--seed={_pick(rng, ['0', '7'], ['-1', 'x'])}",
         ]
+        if rng.random() < 0.3:
+            # Whatever trace file an earlier argv left, or none.
+            argv += ["--csv", str(tmp_path / "trace.csv")]
     if command != "verify" and rng.random() < 0.3:
         argv.append("--deg")
     return argv
@@ -104,8 +109,11 @@ def test_cli_fuzz_exits_cleanly(tmp_path):
             code = main(argv)
         assert code in (0, 1, 2, 3, 4), argv
         seen.add(code)
-        if code == 0 and argv[0] != "verify":
-            json.loads(out.getvalue(), parse_constant=_reject)
+        if code in (0, 4):
+            document = json.loads(out.getvalue(), parse_constant=_reject)
+            assert document["command"] == argv[0], argv
+        else:
+            assert out.getvalue() == "", argv
         for name in ("trace.svg", "sweep.svg"):
             svg = tmp_path / name
             if svg.exists():
