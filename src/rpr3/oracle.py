@@ -15,6 +15,7 @@ finite differences of locally re-solved poses.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,36 +73,26 @@ class ScanReport:
     continuum: bool = False
 
 
-def _anchor_array(geometry: ManipulatorGeometry) -> np.ndarray:
-    """(3, 2) anchor triangle: base anchors, and equally the platform
-    anchors in the platform frame."""
-    return np.array([(v.x, v.y) for v in geometry.anchors], dtype=float)
+def _leg_rows(
+    t: tuple[float, float, float], geometry: ManipulatorGeometry
+) -> list[tuple[float, float, tuple[float, float]]]:
+    """(sin t_i, cos t_i, anchor i) per leg.  The anchor is the base anchor
+    and equally the platform anchor in the platform frame."""
+    sin_t, cos_t = np.sin(np.asarray(t)).tolist(), np.cos(np.asarray(t)).tolist()
+    return list(zip(sin_t, cos_t, [(v.x, v.y) for v in geometry.anchors]))
 
 
-def _residual_rows(
-    x: np.ndarray,
-    y: np.ndarray,
-    phi: np.ndarray,
-    t: tuple[float, float, float],
-    geometry: ManipulatorGeometry,
-) -> np.ndarray:
-    """All three constraint residuals, vectorized over configurations.
+def _residual_rows(x, y, c, s, rows: list) -> list:
+    """The three constraint residuals at cos/sin (c, s) of phi, on floats
+    or on columns of configurations.
 
-    Re-implements the anchor algebra directly in numpy (a separate
-    evaluation path from the scalar geometry helpers used by the solvers).
+    Re-implements the anchor algebra directly (a separate evaluation path
+    from the scalar geometry helpers used by the solvers).
     """
-    anchors = _anchor_array(geometry)
-    sin_t = np.sin(np.asarray(t))
-    cos_t = np.cos(np.asarray(t))
-    c, s = np.cos(phi), np.sin(phi)
-    out = np.empty((3,) + np.shape(phi))
-    for i in range(3):
-        # The local platform anchor and the base anchor are one vertex.
-        bx, by = anchors[i]
-        wx = x + c * bx - s * by - bx
-        wy = y + s * bx + c * by - by
-        out[i] = sin_t[i] * wx - cos_t[i] * wy
-    return out
+    return [
+        st * (x + c * bx - s * by - bx) - ct * (y + s * bx + c * by - by)
+        for st, ct, (bx, by) in rows
+    ]
 
 
 def _newton_polish(
@@ -112,37 +103,33 @@ def _newton_polish(
     max_iter: int = NEWTON_MAX_ITER,
     tol: float = NEWTON_RESIDUAL_TOL,
 ) -> tuple[tuple[float, float, float] | None, int]:
-    """Damped Newton on the full three-residual system.
+    """Damped Newton on the full three-residual system, on Python floats.
 
     Returns (solution, iterations used) or (None, iterations) when the
     iteration fails to reach ``tol``.
     """
-    anchors = _anchor_array(geometry)
-    sin_t = np.sin(np.asarray(t))
-    cos_t = np.cos(np.asarray(t))
+    rows = _leg_rows(t, geometry)
+    # The last column, d/dphi of the rotated local anchor, is set each step.
+    jac = np.array([(st, -ct, 0.0) for st, ct, _ in rows])
     x, y, phi = start
-    for it in range(1, max_iter + 1):
-        res = _residual_rows(np.float64(x), np.float64(y), np.float64(phi), t, geometry)
-        if np.abs(res).max() < tol:
-            return ((x, y, phi), it - 1)
+    for it in range(max_iter + 1):
+        # numpy's cos/sin for the residuals, as in the scan; libm's for the Jacobian.
+        res = _residual_rows(x, y, float(np.cos(phi)), float(np.sin(phi)), rows)
+        if all(abs(r) < tol for r in res):
+            return ((x, y, phi), it)
+        if it == max_iter:
+            break
         c, s = math.cos(phi), math.sin(phi)
-        jac = np.empty((3, 3))
-        for i in range(3):
-            bx, by = anchors[i]
-            # d/dphi of the rotated local anchor.
-            dx = -s * bx - c * by
-            dy = c * bx - s * by
-            jac[i] = (sin_t[i], -cos_t[i], sin_t[i] * dx - cos_t[i] * dy)
+        jac[:, 2] = [
+            st * (-s * bx - c * by) - ct * (c * bx - s * by) for st, ct, (bx, by) in rows
+        ]
         try:
-            step = np.linalg.solve(jac, -res)
+            dx, dy, dphi = np.linalg.solve(jac, np.negative(res)).tolist()
         except np.linalg.LinAlgError:
-            return (None, it)
-        x += damping * float(step[0])
-        y += damping * float(step[1])
-        phi += damping * float(step[2])
-    res = _residual_rows(np.float64(x), np.float64(y), np.float64(phi), t, geometry)
-    if np.abs(res).max() < tol:
-        return ((x, y, phi), max_iter)
+            return (None, it + 1)
+        x += damping * dx
+        y += damping * dy
+        phi += damping * dphi
     return (None, max_iter)
 
 
@@ -162,8 +149,9 @@ def dkp_bruteforce(
     legs short-circuit to the translation continuum without scanning (the
     position solve is rank deficient everywhere).
     """
-    if n_phi < 16:
-        raise ValueError(f"n_phi must be at least 16, got {n_phi}")
+    if isinstance(n_phi, bool) or not hasattr(type(n_phi), "__index__") or n_phi < 16:
+        raise ValueError(f"n_phi must be an integer of at least 16, got {n_phi!r}")
+    n_phi = operator.index(n_phi)
     t = _as_angles(theta)
     scale = geometry.scale
     trivial = Pose(0.0, 0.0, 0.0)
@@ -180,7 +168,7 @@ def dkp_bruteforce(
     step = 2.0 * math.pi / n_phi
     phis = -math.pi + step * np.arange(1, n_phi + 1)
     zeros = np.zeros_like(phis)
-    e = _residual_rows(zeros, zeros, phis, t, geometry)
+    e = _residual_rows(zeros, zeros, np.cos(phis), np.sin(phis), _leg_rows(t, geometry))
     # Cramer solve of legs i, j for the position at each orientation.
     x = (e[i] * math.cos(t[j]) - e[j] * math.cos(t[i])) / det
     y = (e[i] * math.sin(t[j]) - e[j] * math.sin(t[i])) / det
@@ -196,21 +184,30 @@ def dkp_bruteforce(
         residual = _worst_residual(poses, t, geometry)
         return ScanReport(tuple(poses), residual, (n_phi, 1), iters, continuum=True)
 
-    candidates: list[tuple[float, float, float]] = []
-    for a in range(n_phi):
-        b = (a + 1) % n_phi
-        fa, fb = float(leftover[a]), float(leftover[b])
-        if fa == 0.0:
-            candidates.append((float(x[a]), float(y[a]), float(phis[a])))
-        elif fa * fb < 0.0:
-            xm = 0.5 * (float(x[a]) + float(x[b]))
-            ym = 0.5 * (float(y[a]) + float(y[b]))
-            pm = float(phis[a]) + 0.5 * step
-            candidates.append((xm, ym, pm))
-
+    candidates = _bracket_candidates(leftover, x, y, phis, step)
     poses, iters = _polish_candidates(candidates, t, geometry)
     residual = _worst_residual(poses, t, geometry)
     return ScanReport(tuple(poses), residual, (n_phi, 1), iters, continuum=False)
+
+
+def _bracket_candidates(
+    leftover: np.ndarray, x: np.ndarray, y: np.ndarray, phis: np.ndarray, step: float
+) -> list[tuple[float, float, float]]:
+    """Newton starts from the scan function, in grid order.
+
+    Sample a, with wrap-around neighbour b = a + 1, gives itself when
+    leftover[a] == 0, else the bracket midpoint when leftover[a] * leftover[b]
+    < 0; NaN gives none, and an overflowing product is inf, as on floats.
+    """
+    with np.errstate(over="ignore"):
+        exact = leftover == 0.0
+        a = np.flatnonzero(exact | (leftover * np.roll(leftover, -1) < 0.0))
+        b = (a + 1) % leftover.size
+        exact = exact[a]
+        xs = np.where(exact, x[a], 0.5 * (x[a] + x[b]))
+        ys = np.where(exact, y[a], 0.5 * (y[a] + y[b]))
+        ps = np.where(exact, phis[a], phis[a] + 0.5 * step)
+    return list(zip(xs.tolist(), ys.tolist(), ps.tolist()))
 
 
 def _polish_candidates(
@@ -253,10 +250,13 @@ def jacobian_fd_check(
 
     Raises :class:`SingularNearbyError` when the configuration is parallel
     singular or a perturbed re-solve fails to converge; FD columns are
-    meaningless there.
+    meaningless there.  Raises ``ValueError`` unless ``step`` is finite and
+    positive.
     """
     from .jacobians import build_matrices
 
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
     t = _as_angles(theta)
     matrices = build_matrices(pose, t, geometry)
     if matrices.is_parallel_singular():
@@ -286,14 +286,8 @@ def jacobian_fd_check(
             shifted.append(solved)
         plus, minus = shifted
         dphi = math.remainder(plus[2] - minus[2], math.tau)
-        columns.append(
-            (
-                (plus[0] - minus[0]) / (2.0 * step),
-                (plus[1] - minus[1]) / (2.0 * step),
-                dphi / (2.0 * step),
-            )
-        )
-    fd = np.array(columns).T
+        columns.append((plus[0] - minus[0], plus[1] - minus[1], dphi))
+    fd = np.array(columns).T / (2.0 * step)
     denom = float(np.linalg.norm(analytic))
     if denom == 0.0:
         # Fully serial posture: the analytic map vanishes identically, so

@@ -107,6 +107,83 @@ def test_scan_needs_a_reasonable_grid():
         dkp_bruteforce(GENERIC_THETA, n_phi=8)
 
 
+@pytest.mark.parametrize("n_phi", [100.0, np.float64(2048.0), True, np.True_, "2048", None])
+def test_scan_rejects_a_non_integer_grid(n_phi):
+    with pytest.raises(ValueError, match="integer"):
+        dkp_bruteforce(GENERIC_THETA, n_phi=n_phi)
+
+
+def test_scan_takes_numpy_integer_grids():
+    report = dkp_bruteforce(GENERIC_THETA, n_phi=np.int64(512))
+    assert report == dkp_bruteforce(GENERIC_THETA, n_phi=512)
+    assert type(report.grid[0]) is int
+
+
+def _reference_candidates(leftover, x, y, phis, step):
+    """The per-index loop the array scan replaced."""
+    n = len(leftover)
+    candidates = []
+    for a in range(n):
+        b = (a + 1) % n
+        fa, fb = float(leftover[a]), float(leftover[b])
+        if fa == 0.0:
+            candidates.append((float(x[a]), float(y[a]), float(phis[a])))
+        elif fa * fb < 0.0:
+            xm = 0.5 * (float(x[a]) + float(x[b]))
+            ym = 0.5 * (float(y[a]) + float(y[b]))
+            pm = float(phis[a]) + 0.5 * step
+            candidates.append((xm, ym, pm))
+    return candidates
+
+
+def _edge_fields(n=64):
+    ramp = np.linspace(1.0, 2.0, n)
+    zero_ends = ramp.copy()
+    zero_ends[[0, -1]] = 0.0
+    across_wrap = ramp.copy()
+    across_wrap[-1] = -1.0
+    zero_runs = np.sin(np.linspace(0.0, 6.0, n))
+    zero_runs[5:9] = 0.0
+    zero_runs[40:44] = -0.0
+    with_nan = np.cos(np.linspace(0.0, 9.0, n))
+    with_nan[[0, 7, 8, 30, -1]] = np.nan
+    # Products that underflow to -0.0 or overflow to -inf.
+    extreme = np.resize([1e-200, -1e-200, 1e200, -1e200], n)
+    return [zero_ends, across_wrap, zero_runs, -ramp, with_nan, extreme]
+
+
+def test_bracket_scan_matches_the_per_index_loop():
+    rng = np.random.default_rng(92)
+    fields = _edge_fields()
+    for n in (16, 64, 2048):
+        fields.append(rng.standard_normal(n))
+        fields.append(np.sin(rng.uniform(1.0, 5.0) * np.linspace(-math.pi, math.pi, n)))
+    for leftover in fields:
+        n = leftover.size
+        step = 2.0 * math.pi / n
+        phis = -math.pi + step * np.arange(1, n + 1)
+        x, y = rng.uniform(-2.0, 2.0, (2, n))
+        got = rpr3.oracle._bracket_candidates(leftover, x, y, phis, step)
+        assert repr(got) == repr(_reference_candidates(leftover, x, y, phis, step))
+
+
+def test_newton_exits_keep_their_iteration_counts():
+    # (result, iterations) as recorded before Newton moved to Python floats
+    polish = rpr3.oracle._newton_polish
+    start = (0.1, 0.2, 0.3)
+    assert polish(start, (0.4, 0.4, 0.4), DEFAULT_GEOMETRY) == (None, 1)  # LinAlgError
+    assert polish(start, GENERIC_THETA, DEFAULT_GEOMETRY, max_iter=3) == (None, 3)
+    assert polish(start, GENERIC_THETA, DEFAULT_GEOMETRY, max_iter=0) == (None, 0)
+    assert polish((0.0, 0.0, 0.0), GENERIC_THETA, DEFAULT_GEOMETRY, max_iter=0) == (
+        (0.0, 0.0, 0.0),
+        0,
+    )
+    assert polish((math.nan, 0.0, 0.0), GENERIC_THETA, DEFAULT_GEOMETRY) == (None, 50)
+    solved, used = polish((0.21, 0.04, -1.5), GENERIC_THETA, DEFAULT_GEOMETRY)
+    assert used == 35
+    assert solved == (0.21747642064338427, 0.04408465295084465, -1.5466059373272023)
+
+
 # ------------------------------------------------------------- fd check
 
 
@@ -125,6 +202,13 @@ def test_fd_check_error_drops_quadratically_with_step():
     # central differences: one decade in step buys two in accuracy
     assert 20.0 < ratio < 500.0
     assert jacobian_fd_check(pose, theta, step=1e-6) < fine
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-6, math.nan, math.inf, -math.inf])
+def test_fd_check_rejects_a_bad_step(step):
+    pose = Pose(0.3, 0.2, 0.1)
+    with pytest.raises(ValueError, match="step"):
+        jacobian_fd_check(pose, inverse_kinematics(pose).angles, step=step)
 
 
 def test_fd_check_raises_near_parallel_singularity():

@@ -2,9 +2,10 @@
 
 Each digest is the sha256 of the ``repr`` of every result (floats repr
 exactly, so one changed bit changes the digest), captured before the
-geometry and the leg-offset code were consolidated, and for the curve
-layer before it moved from per-sample records to columns.  Any rewrite of
-those paths must leave every digest as it is.  The digests depend on libm
+geometry and the leg-offset code were consolidated, for the curve layer
+before it moved from per-sample records to columns, and for the oracle's
+finite-difference check before its scan and Newton loops were rewritten.
+Any rewrite of those paths must leave every digest as it is.  The digests depend on libm
 and LAPACK rounding, as do the sweep artifact pins in ``test_cli.py``.
 """
 
@@ -25,7 +26,7 @@ from rpr3.geometry import (
     signed_extensions,
 )
 from rpr3.jacobians import build_matrices, classify_singularity
-from rpr3.oracle import dkp_bruteforce
+from rpr3.oracle import dkp_bruteforce, jacobian_fd_check
 from rpr3.solvers import direct_kinematics, inverse_kinematics
 
 POSE_GROUPS = ("ik", "residuals", "extensions", "matrices", "singularity")
@@ -140,6 +141,43 @@ def test_scalar_kinematics_are_pinned(scale):
 @pytest.mark.parametrize("scale", sorted(PINNED_DK))
 def test_direct_kinematics_routes_are_pinned(scale):
     assert _dk_digests(scale) == PINNED_DK[scale]
+
+
+# The larger steps move the re-solves far enough that some fail to converge.
+FD_STEPS = (1e-6, 1e-3, 0.1, 1.0)
+
+
+def _fd_digest(scale, count=60, seed=24):
+    geometry = ManipulatorGeometry.from_scale(scale)
+    rng = np.random.default_rng(seed)
+    digest = _Digest()
+    for k, (x, y, phi, branch_index) in enumerate(
+        zip(
+            *(rng.uniform(-1.5, 1.5, (2, count)) * scale),
+            rng.uniform(-math.pi, math.pi, count),
+            rng.integers(0, 8, count),
+        )
+    ):
+        pose = Pose(float(x), float(y), float(phi))
+        theta = inverse_kinematics(pose, BRANCHES[branch_index], geometry).angles
+        step = FD_STEPS[k % len(FD_STEPS)]
+        digest.add(lambda: jacobian_fd_check(pose, theta, step, geometry))
+    # Parallel singular (det A = 0), then the fully serial posture (J = 0).
+    for theta in ((0.5, 0.5, 0.5), (0.2, 0.9, 2.0)):
+        digest.add(lambda: jacobian_fd_check(Pose(0.0, 0.0, 0.0), theta, geometry=geometry))
+    return digest.hexdigest()
+
+
+# Captured before the oracle's scan and Newton loops were rewritten.
+PINNED_FD = {
+    1.0: "dce455677a2b16eff09408b392af91844198aa13f0392a134fc6b185163e29ee",
+    2.0: "46bafee50866447b459592d0ada87a53e23162a1cc242bfb5547f00c190daec6",
+}
+
+
+@pytest.mark.parametrize("scale", sorted(PINNED_FD))
+def test_jacobian_fd_check_is_pinned(scale):
+    assert _fd_digest(scale) == PINNED_FD[scale]
 
 
 def _curve_digest(scale, count=60, seed=22):
