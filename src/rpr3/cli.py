@@ -52,6 +52,7 @@ from .geometry import (
 )
 from .jacobians import (
     SingularityKind,
+    _is_parallel,
     build_matrices,
     build_matrices_array,
     classify_singularity,
@@ -719,7 +720,7 @@ def _run_trials(scope: str, metric: str, trials: int, trial, failures: list[str]
 
 
 def _dkp_trial(rng, geom) -> float | None:
-    theta = tuple(rng.uniform(-math.pi, math.pi, 3))
+    theta = tuple(rng.uniform(-math.pi, math.pi, 3).tolist())
     m, n = mn_coefficients(theta)
     if m * m + n * n < 1e-8:
         return None  # keep checks away from the degeneracy threshold
@@ -743,9 +744,9 @@ def _dkp_trial(rng, geom) -> float | None:
 def _jacobian_trial(rng, geom) -> float | None:
     s = geom.scale
     pose = Pose(
-        rng.uniform(-0.5 * s, 1.5 * s),
-        rng.uniform(-0.5 * s, 1.5 * s),
-        rng.uniform(-math.pi, math.pi),
+        float(rng.uniform(-0.5 * s, 1.5 * s)),
+        float(rng.uniform(-0.5 * s, 1.5 * s)),
+        float(rng.uniform(-math.pi, math.pi)),
     )
     try:
         sol = inverse_kinematics(pose, geometry=geom)
@@ -755,8 +756,7 @@ def _jacobian_trial(rng, geom) -> float | None:
         return None
     theta = sol.angles
     mats = build_matrices(pose, theta, geometry=geom)
-    norm = np.linalg.norm(mats.a_matrix)
-    if abs(mats.det_a) < 1e-6 * norm**3:
+    if _is_parallel(mats.det_a, mats.a_matrix, s, tol=1e-6):
         return None
     try:
         err = jacobian_fd_check(pose, theta, geometry=geom)
@@ -774,7 +774,7 @@ def _curves_trial(rng, geom) -> float | None:
     independent of the curve formulas it tests.
     """
     s = geom.scale
-    t1, t2 = rng.uniform(-math.pi, math.pi, 2)
+    t1, t2 = rng.uniform(-math.pi, math.pi, 2).tolist()
     if abs(math.sin(t2 - t1)) < 1e-6:
         return None
     curve = trace_cardanic(t1, t2, n_samples=360, geometry=geom)

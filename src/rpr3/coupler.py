@@ -26,6 +26,7 @@ import numpy as np
 from .errors import DegenerateLegPairError, NotReuleauxError
 from .geometry import (
     DEFAULT_GEOMETRY,
+    PAIR_SIN_TOL,
     JointAngles,
     ManipulatorGeometry,
     Pose,
@@ -47,7 +48,6 @@ from .solvers import (
 
 __all__ = [
     "MIN_CURVE_SAMPLES",
-    "PAIR_SIN_TOL",
     "COLLINEARITY_TOL",
     "CouplerCurve",
     "SegmentDescriptor",
@@ -60,10 +60,6 @@ __all__ = [
 
 # Fewest orientation samples trace_cardanic accepts for a full cycle.
 MIN_CURVE_SAMPLES = 8
-
-# |sin(theta2 - theta1)| below this means the two slider lines are parallel
-# and the curve construction is rank deficient.
-PAIR_SIN_TOL = 1e-9
 
 # Maximum point-line distance (relative to scale) under which a sampled
 # curve counts as a straight segment.

@@ -6,6 +6,12 @@ family at once (the CLI maps them to exit codes this way).
 
 from __future__ import annotations
 
+__all__ = [
+    "Rpr3Error", "GeometryError", "LegAtAnchorError", "DegenerateLegPairError",
+    "NotReuleauxError", "InconsistentStateError", "ParallelSingularError",
+    "SerialSingularError", "SingularNearbyError",
+]
+
 
 class Rpr3Error(Exception):
     """Base class for all errors raised by this package."""

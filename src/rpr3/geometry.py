@@ -41,6 +41,7 @@ __all__ = [
     "platform_anchor",
     "platform_anchor_arrays",
     "POSE_TOL",
+    "PAIR_SIN_TOL",
     "pose_distance",
     "cluster_poses",
     "constraint_residuals",
@@ -54,6 +55,11 @@ TAU = math.tau
 # are one assembly: the clustering tolerance of every direct-kinematics
 # route and the agreement bound between routes.
 POSE_TOL = 1e-7
+
+# |sin(t_j - t_i)| below this makes legs i and j parallel: the 2x2 solve of
+# their constraints for the position is rank deficient, and their leg
+# normals meet at infinity.
+PAIR_SIN_TOL = 1e-9
 
 # Vertices of the unit equilateral triangle shared by base and platform.
 _UNIT_TRIANGLE = ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
@@ -249,11 +255,16 @@ class JointAngles:
 
 
 def _as_angles(theta: "JointAngles | Sequence[float]") -> tuple[float, float, float]:
+    """The three joint angles as floats; ``ValueError`` unless there are
+    three and each is finite.  Array callers run it on their first
+    non-finite row (see :func:`_first_nonfinite`)."""
     if isinstance(theta, JointAngles):
         return theta.as_tuple()
-    t = tuple(float(v) for v in theta)
+    t = tuple(map(float, theta))
     if len(t) != 3:
         raise ValueError(f"expected 3 joint angles, got {len(t)}")
+    if not all(map(math.isfinite, t)):
+        raise ValueError(f"joint angles must be finite, got {t!r}")
     return t
 
 

@@ -31,11 +31,13 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_GEOMETRY,
+    PAIR_SIN_TOL,
     JointAngles,
     ManipulatorGeometry,
     Pose,
     Vec2,
     _as_angles,
+    _first_nonfinite,
     _fn,
     _leg_axis,
     _leg_columns,
@@ -69,8 +71,8 @@ CONSISTENCY_TOL = 1e-6
 # a far pose, measured at up to 8.6e-16 * max(|x|, |y|).
 FAR_POSE_TOL = 1e-12
 
-# |det A| below this times ||A||_F^3 counts as a parallel singularity; the
-# cube makes the test invariant under uniform scaling of A.
+# |det A| below this times ||A||_F^3, both read in units of the geometry
+# scale (see _is_parallel), counts as a parallel singularity.
 PARALLEL_DET_TOL = 1e-9
 
 # |rho_i| below this times the geometry scale counts as a serial singularity.
@@ -97,8 +99,19 @@ def _check_configuration(x: float, y: float, scale: float, det_b: float, *residu
         raise GeometryError(f"det B overflows at x={x!r}, y={y!r}")
 
 
-def _is_parallel(det_a, norm):
-    return abs(det_a) < PARALLEL_DET_TOL * norm**3
+def _is_parallel(det_a, a_matrix: np.ndarray, scale: float, tol: float = PARALLEL_DET_TOL):
+    """|det A| < tol * ||A||_F^3 for one (3, 3) A or an (N, 3, 3) stack.
+
+    Only A's third column, the moment arm, carries a length, so the test
+    reads it in units of the scale: det A / scale against the norm of A
+    with that column divided by the scale.  The norm is one fixed-order
+    sum, on floats or on columns, so both forms agree bit for bit."""
+    rows = a_matrix.tolist() if a_matrix.ndim == 2 else a_matrix.transpose(1, 2, 0)
+    sq = 0.0
+    for u, v, arm in rows:
+        arm = arm / scale
+        sq = sq + u * u + v * v + arm * arm
+    return abs(det_a / scale) < tol * _fn(math.sqrt, sq) ** 3
 
 
 def _is_serial(rho, scale: float):
@@ -160,7 +173,7 @@ class KinematicMatrices:
     scale: float
 
     def is_parallel_singular(self) -> bool:
-        return _is_parallel(self.det_a, float(np.linalg.norm(self.a_matrix)))
+        return _is_parallel(self.det_a, self.a_matrix, self.scale)
 
     def serial_zero_legs(self) -> tuple[int, ...]:
         """1-based legs whose extension is zero within tolerance."""
@@ -265,8 +278,9 @@ def classify_singularity(
 ) -> SingularityReport:
     """Classify a configuration as regular, parallel, serial, or both.
 
-    Parallel test: |det A| < PARALLEL_DET_TOL * ||A||_F^3.  Serial test:
-    |rho_i| < SERIAL_RHO_TOL * scale for some leg.  At a parallel
+    Parallel test: |det A| < PARALLEL_DET_TOL * ||A||_F^3, with A's
+    moment-arm column in units of the scale (see :func:`_is_parallel`).
+    Serial test: |rho_i| < SERIAL_RHO_TOL * scale for some leg.  At a parallel
     singularity the pairwise intersections of the normal lines (through each
     platform anchor, perpendicular to its leg axis) are averaged; they count
     as concurrent when their spread is below CONCURRENCY_TOL * scale.
@@ -301,11 +315,11 @@ def _normal_intersection(
     anchors = [Vec2(bx, by) for bx, by, _, _ in _leg_offsets(pose.x, pose.y, pose.phi, geometry)]
     normals = [Vec2(-math.sin(ti), math.cos(ti)) for ti in t]
     points = []
-    # cross(n_i, n_j) = sin(t_j - t_i); below 1e-9 the pair is parallel and
-    # contributes no finite intersection.
+    # cross(n_i, n_j) = sin(t_j - t_i); a parallel pair contributes no finite
+    # intersection.
     for i, j in ((0, 1), (1, 2), (0, 2)):
         denom = normals[i].cross(normals[j])
-        if abs(denom) < 1e-9:
+        if abs(denom) < PAIR_SIN_TOL:
             continue
         s = (anchors[j] - anchors[i]).cross(normals[j]) / denom
         points.append(anchors[i] + s * normals[i])
@@ -364,11 +378,7 @@ class KinematicMatricesArray:
     def singularity_kinds(self) -> np.ndarray:
         """(N,) object array of the :class:`SingularityKind` that
         :func:`classify_singularity` reports for each configuration."""
-        # A (1, 9) @ (9, 1) product is the same BLAS dot np.linalg.norm takes,
-        # so the Frobenius norm matches KinematicMatrices.is_parallel_singular.
-        flat = self.a_matrix.reshape(-1, 1, 9)
-        norm = np.sqrt((flat @ flat.transpose(0, 2, 1)).reshape(-1))
-        parallel = _is_parallel(self.det_a, norm)
+        parallel = _is_parallel(self.det_a, self.a_matrix, self.scale)
         serial = _is_serial(self.rhos, self.scale).any(axis=1)
         return np.array(_SINGULARITY_KINDS, dtype=object)[parallel + 2 * serial]
 
@@ -387,6 +397,7 @@ def build_matrices_array(
     """
     x, y, legs = _leg_columns(x, y, phi, geometry)
     t = np.asarray(theta, dtype=float).T
+    _first_nonfinite(lambda *row: _as_angles(row), *t)
     with np.errstate(over="ignore"):
         rows, rhos, det_b = _velocity_terms(x, y, t, legs, geometry.scale)
     a = np.array(rows).transpose(2, 0, 1)

@@ -15,7 +15,6 @@ finite differences of locally re-solved poses.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +23,7 @@ import numpy as np
 from .errors import SingularNearbyError
 from .geometry import (
     DEFAULT_GEOMETRY,
+    PAIR_SIN_TOL,
     JointAngles,
     ManipulatorGeometry,
     Pose,
@@ -51,9 +51,8 @@ NEWTON_RESIDUAL_TOL = 1e-12
 CONTINUUM_GRID_FRACTION = 0.05
 _CONTINUUM_RESIDUAL = 1e-8
 
-# Pair of simultaneously-solvable legs must have |sin| of the angle
-# difference above this, else the 2x2 position solve is rank deficient.
-_RANK_TOL = 1e-9
+# Orientation samples of the scan over (-pi, pi].
+_SCAN_SAMPLES = 2048
 
 
 @dataclass(frozen=True)
@@ -135,23 +134,21 @@ def _newton_polish(
 
 def dkp_bruteforce(
     theta: JointAngles | Sequence[float],
-    n_phi: int = 2048,
     geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
 ) -> ScanReport:
     """Scan the orientation cycle for assemblies.
 
-    For each phi on a uniform grid over (-pi, pi], the two best-conditioned
-    leg constraints are solved for the position and the left-out constraint
-    becomes the scan function; its sign changes (wrap-aware) bracket
-    isolated assemblies, refined by damped Newton.  Duplicates are clustered
+    For each phi on a uniform grid of 2048 samples over (-pi, pi], the two
+    best-conditioned leg constraints are solved for the position and the
+    left-out constraint becomes the scan function; its sign changes
+    (wrap-aware) bracket isolated assemblies, refined by damped Newton until
+    every residual is below ``max(NEWTON_RESIDUAL_TOL, 1e-14 * scale)`` (the
+    residuals carry the geometry's length unit).  Duplicates are clustered
     within ``POSE_TOL * max(scale, 1)``.  A continuum is declared when more
     than 5% of the grid admits residual below 1e-8 * scale; all-parallel
     legs short-circuit to the translation continuum without scanning (the
     position solve is rank deficient everywhere).
     """
-    if isinstance(n_phi, bool) or not hasattr(type(n_phi), "__index__") or n_phi < 16:
-        raise ValueError(f"n_phi must be an integer of at least 16, got {n_phi!r}")
-    n_phi = operator.index(n_phi)
     t = _as_angles(theta)
     scale = geometry.scale
     trivial = Pose(0.0, 0.0, 0.0)
@@ -159,14 +156,14 @@ def dkp_bruteforce(
     pairs = ((0, 1, 2), (1, 2, 0), (0, 2, 1))
     dets = [math.sin(t[j] - t[i]) for i, j, _ in pairs]
     best = max(range(3), key=lambda idx: abs(dets[idx]))
-    if abs(dets[best]) < _RANK_TOL:
+    if abs(dets[best]) < PAIR_SIN_TOL:
         # Every pair of slider lines is parallel: translation self motion.
-        return ScanReport((trivial,), 0.0, (n_phi, 1), 0, continuum=True)
+        return ScanReport((trivial,), 0.0, (_SCAN_SAMPLES, 1), 0, continuum=True)
     i, j, k = pairs[best]
     det = dets[best]
 
-    step = 2.0 * math.pi / n_phi
-    phis = -math.pi + step * np.arange(1, n_phi + 1)
+    step = 2.0 * math.pi / _SCAN_SAMPLES
+    phis = -math.pi + step * np.arange(1, _SCAN_SAMPLES + 1)
     zeros = np.zeros_like(phis)
     e = _residual_rows(zeros, zeros, np.cos(phis), np.sin(phis), _leg_rows(t, geometry))
     # Cramer solve of legs i, j for the position at each orientation.
@@ -182,12 +179,12 @@ def dkp_bruteforce(
             [(float(x[p]), float(y[p]), float(phis[p])) for p in picks], t, geometry
         )
         residual = _worst_residual(poses, t, geometry)
-        return ScanReport(tuple(poses), residual, (n_phi, 1), iters, continuum=True)
+        return ScanReport(tuple(poses), residual, (_SCAN_SAMPLES, 1), iters, continuum=True)
 
     candidates = _bracket_candidates(leftover, x, y, phis, step)
     poses, iters = _polish_candidates(candidates, t, geometry)
     residual = _worst_residual(poses, t, geometry)
-    return ScanReport(tuple(poses), residual, (n_phi, 1), iters, continuum=False)
+    return ScanReport(tuple(poses), residual, (_SCAN_SAMPLES, 1), iters, continuum=False)
 
 
 def _bracket_candidates(
@@ -217,8 +214,9 @@ def _polish_candidates(
 ) -> tuple[list[Pose], int]:
     total_iters = 0
     polished: list[Pose] = []
+    tol = max(NEWTON_RESIDUAL_TOL, 1e-14 * geometry.scale)
     for cand in candidates:
-        solved, used = _newton_polish(cand, t, geometry)
+        solved, used = _newton_polish(cand, t, geometry, tol=tol)
         total_iters += used
         if solved is not None:
             polished.append(Pose(solved[0], solved[1], solved[2]))

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DegenerateLegPairError, LegAtAnchorError
 from .geometry import (
     DEFAULT_GEOMETRY,
+    PAIR_SIN_TOL,
     JointAngles,
     LegState,
     ManipulatorGeometry,
@@ -260,6 +261,7 @@ def classify_dk_degeneracy_array(theta: np.ndarray) -> np.ndarray:
     """:func:`classify_dk_degeneracy` of each row of an (N, 3) angle array,
     as an (N,) object array of :class:`DkKind`."""
     t1, t2, t3 = np.asarray(theta, dtype=float).T
+    _first_nonfinite(lambda *row: _as_angles(row), t1, t2, t3)
     return np.array(_DK_KINDS, dtype=object)[_continuum(t1, t2, t3, angle_differences)]
 
 
@@ -288,7 +290,7 @@ def position_from_orientation(
     ``phi`` is a root of the orientation reduction; callers own that check.
 
     Raises :class:`DegenerateLegPairError` when the chosen (or every) pair
-    is parallel within 1e-9.
+    is parallel within ``PAIR_SIN_TOL``.
     """
     t = _as_angles(theta)
     if pair is None:
@@ -298,7 +300,7 @@ def position_from_orientation(
     i, j = pair
     ti, tj = t[i - 1], t[j - 1]
     det = math.sin(tj - ti)
-    if abs(det) < 1e-9:
+    if abs(det) < PAIR_SIN_TOL:
         raise DegenerateLegPairError(
             f"legs {i} and {j} are parallel (sin difference {det:.3e}); "
             "their constraints cannot be solved for the position"

@@ -1,5 +1,6 @@
 """End-to-end workbench behavior: flags, artifacts, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,7 +11,8 @@ import pytest
 from rpr3 import cli
 from rpr3.cli import main
 from rpr3.errors import ParallelSingularError
-from rpr3.geometry import POSE_TOL, normalize_angle
+from rpr3.geometry import POSE_TOL, Pose, normalize_angle, platform_anchor_arrays
+from rpr3.oracle import ScanReport, dkp_bruteforce
 
 PI3 = math.pi / 3.0
 SQRT3 = math.sqrt(3.0)
@@ -765,6 +767,52 @@ def test_verify_fails_when_scopes_do_fewer_trials_than_requested(capsys, monkeyp
         f"rpr3: FAIL {scope}: 0 of 3 trials done in 150 draws"
         for scope in ("dkp", "jacobian", "curves")
     ]
+
+
+def _empty_scan(theta, geometry):
+    return ScanReport((), 0.0, (2048, 1), 0)
+
+
+def _shifted_scan(theta, geometry):
+    """The real scan with every assembly turned by 1e-3 rad."""
+    report = dkp_bruteforce(theta, geometry=geometry)
+    poses = tuple(Pose(p.x, p.y, p.phi + 1e-3) for p in report.solutions_found)
+    return dataclasses.replace(report, solutions_found=poses)
+
+
+def _shifted_anchors(x, y, phi, geometry):
+    """The real platform anchors moved by 1e-6 along x."""
+    ax, ay = platform_anchor_arrays(x, y, phi, geometry=geometry)
+    return ax + 1e-6, ay
+
+
+# Each verify check, broken through the name the CLI calls it by, with the
+# start of the one FAIL line it must print.
+_BROKEN_CHECKS = {
+    "dkp-count": ("dkp", "dkp_bruteforce", _empty_scan, "dkp count mismatch at theta=("),
+    "dkp-deviation": ("dkp", "dkp_bruteforce", _shifted_scan, "dkp deviation "),
+    "jacobian": (
+        "jacobian", "jacobian_fd_check", lambda *args, **kwargs: 1.0,
+        "jacobian fd error 1.000e+00 at pose=(",
+    ),
+    "curve-residual": ("curves", "platform_anchor_arrays", _shifted_anchors, "curve residual "),
+    "curve-closure": (
+        "curves", "rho_from_phi", lambda t1, t2, phi, geometry: (phi, 0.0), "curve closure ",
+    ),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(_BROKEN_CHECKS))
+def test_verify_reports_a_failed_check(capsys, monkeypatch, broken):
+    scope, name, fake, start = _BROKEN_CHECKS[broken]
+    monkeypatch.setattr(cli, name, fake)
+    code, out, err = run(capsys, "verify", "--scope", scope, "--trials", "3", "--seed", "1")
+    assert code == 4
+    assert strict_json(out)["scopes"] == {scope: {"passed": False}}
+    (line,) = err.splitlines()
+    assert line.startswith(f"rpr3: FAIL {start}")
+    # The inputs are printed as plain floats, not as numpy reprs.
+    assert "np." not in line
 
 
 def test_verify_missing_csv_is_io_error(tmp_path, capsys):

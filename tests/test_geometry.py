@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rpr3.coupler import geometric_dkp
 from rpr3.errors import GeometryError
 from rpr3.geometry import (
     DEFAULT_GEOMETRY,
@@ -23,6 +24,19 @@ from rpr3.geometry import (
     pose_distance,
     rotation_matrix,
     signed_extensions,
+)
+from rpr3.jacobians import (
+    build_matrices,
+    build_matrices_array,
+    classify_singularity,
+    det_A_specialized,
+)
+from rpr3.oracle import dkp_bruteforce, jacobian_fd_check
+from rpr3.solvers import (
+    classify_dk_degeneracy,
+    classify_dk_degeneracy_array,
+    direct_kinematics,
+    mn_coefficients,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -258,3 +272,33 @@ def test_pose_tolerance_scales_with_max_of_scale_and_one(scale):
     inside = Pose(0.0, 0.9 * g.pose_tol, 0.0)
     outside = Pose(0.0, 1.1 * g.pose_tol, 0.0)
     assert cluster_poses([base, inside, outside], g.pose_tol) == [base, outside]
+
+
+_POSE = Pose(0.3, 0.2, 0.1)
+_ANGLE_ENTRY_POINTS = {
+    "mn_coefficients": mn_coefficients,
+    "classify_dk_degeneracy": classify_dk_degeneracy,
+    "direct_kinematics": direct_kinematics,
+    "geometric_dkp": geometric_dkp,
+    "dkp_bruteforce": dkp_bruteforce,
+    "constraint_residuals": lambda t: constraint_residuals(_POSE, t),
+    "signed_extensions": lambda t: signed_extensions(_POSE, t),
+    "det_A_specialized": det_A_specialized,
+    "build_matrices": lambda t: build_matrices(_POSE, t),
+    "classify_singularity": lambda t: classify_singularity(_POSE, t),
+    "jacobian_fd_check": lambda t: jacobian_fd_check(_POSE, t),
+    # The array kernels name their first non-finite row.
+    "classify_dk_degeneracy_array": lambda t: classify_dk_degeneracy_array([(0.1, 0.2, 0.3), t]),
+    "build_matrices_array": lambda t: build_matrices_array(
+        [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [(0.1, 0.2, 0.3), t]
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(_ANGLE_ENTRY_POINTS))
+def test_nonfinite_joint_angle_is_rejected_by_every_entry_point(entry, bad):
+    theta = (bad, 0.2, 0.3)
+    message = r"joint angles must be finite, got \((nan|inf|-inf), 0\.2, 0\.3\)"
+    with pytest.raises(ValueError, match=message):
+        _ANGLE_ENTRY_POINTS[entry](theta)

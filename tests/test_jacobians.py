@@ -23,6 +23,7 @@ from rpr3.jacobians import (
     SingularityKind,
     Twist,
     build_matrices,
+    build_matrices_array,
     classify_singularity,
     det_A_specialized,
     forward_velocity,
@@ -153,6 +154,28 @@ def test_parallel_singular_forward_velocity_raises():
     assert mats.is_parallel_singular()
     with pytest.raises(ParallelSingularError):
         forward_velocity(mats, (0.1, 0.2, 0.3))
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e4, 1e6])
+def test_parallel_test_is_in_units_of_the_scale(scale):
+    # Only A's moment-arm column carries a length, so the parallel test must
+    # read it in units of the scale (Merlet, ASME J. Mech. Des. 2006): the
+    # same pose scaled stays regular, and an all-parallel triple stays
+    # parallel, on the scalar path and in the array kernel alike.
+    geometry = ManipulatorGeometry.from_scale(scale)
+    for (x, y, phi), kind in (
+        ((0.3, 0.2, 0.1), SingularityKind.REGULAR),
+        ((0.5, 0.0, 0.0), SingularityKind.PARALLEL),  # every leg horizontal
+    ):
+        pose = Pose(x * scale, y * scale, phi)
+        theta = inverse_kinematics(pose, geometry=geometry).angles
+        assert classify_singularity(pose, theta, geometry).kind is kind
+        mats = build_matrices(pose, theta, geometry)
+        assert mats.is_parallel_singular() is (kind is SingularityKind.PARALLEL)
+        kernel = build_matrices_array([pose.x], [pose.y], [pose.phi], [theta.as_tuple()], geometry)
+        assert kernel.singularity_kinds().tolist() == [kind]
+        if kind is SingularityKind.REGULAR:
+            assert math.isfinite(forward_velocity(mats, (0.1, 0.2, 0.3)).angular)
 
 
 def test_det_a_specialized_matches_general_build():

@@ -14,6 +14,7 @@ from rpr3.geometry import (
     Pose,
     constraint_residuals,
     normalize_angle,
+    pose_distance,
 )
 from rpr3.oracle import dkp_bruteforce, jacobian_fd_check
 from rpr3.solvers import DkKind, direct_kinematics, inverse_kinematics, mn_coefficients
@@ -52,6 +53,18 @@ def test_scan_respects_geometry_scale():
     assert abs(second.x - 2.0 * FROZEN_POSE2[0]) < 1e-9
     assert abs(second.y - 2.0 * FROZEN_POSE2[1]) < 1e-9
     assert abs(second.phi - FROZEN_POSE2[2]) < 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6, 1e9])
+def test_scan_finds_both_assemblies_on_large_geometries(scale):
+    # Residuals carry the length unit, so Newton's tolerance grows with the
+    # scale; a fixed 1e-12 left the second assembly unpolished past 1e5.
+    geometry = ManipulatorGeometry.from_scale(scale)
+    report = dkp_bruteforce(GENERIC_THETA, geometry=geometry)
+    closed = direct_kinematics(GENERIC_THETA, geometry=geometry)
+    assert len(report.solutions_found) == len(closed.poses) == 2
+    for scanned, exact in zip(report.solutions_found, closed.poses):
+        assert pose_distance(scanned, exact) < geometry.pose_tol
 
 
 def test_scan_agrees_with_closed_form_on_random_angles():
@@ -100,23 +113,6 @@ def test_scan_flags_reuleaux_continuum_on_the_slider_line():
         assert max(map(abs, constraint_residuals(pose, (0.0, PI3, -PI3)))) < 1e-9
         phis.add(round(pose.phi, 6))
     assert len(phis) > 10  # a genuine one-parameter family, not one root
-
-
-def test_scan_needs_a_reasonable_grid():
-    with pytest.raises(ValueError):
-        dkp_bruteforce(GENERIC_THETA, n_phi=8)
-
-
-@pytest.mark.parametrize("n_phi", [100.0, np.float64(2048.0), True, np.True_, "2048", None])
-def test_scan_rejects_a_non_integer_grid(n_phi):
-    with pytest.raises(ValueError, match="integer"):
-        dkp_bruteforce(GENERIC_THETA, n_phi=n_phi)
-
-
-def test_scan_takes_numpy_integer_grids():
-    report = dkp_bruteforce(GENERIC_THETA, n_phi=np.int64(512))
-    assert report == dkp_bruteforce(GENERIC_THETA, n_phi=512)
-    assert type(report.grid[0]) is int
 
 
 def _reference_candidates(leftover, x, y, phis, step):
