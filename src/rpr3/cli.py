@@ -756,7 +756,7 @@ def _jacobian_trial(rng, geom) -> float | None:
         return None
     theta = sol.angles
     mats = build_matrices(pose, theta, geometry=geom)
-    if _is_parallel(mats.det_a, mats.a_matrix, s, tol=1e-6):
+    if _is_parallel(mats.det_a, mats.a_matrix.tolist(), s, tol=1e-6):
         return None
     try:
         err = jacobian_fd_check(pose, theta, geometry=geom)

@@ -32,7 +32,7 @@ from .geometry import (
     Pose,
     Vec2,
     _as_angles,
-    _fn,
+    _form,
     _leg_axis,
     cluster_poses,
     normalize_angle,
@@ -155,14 +155,15 @@ def _slider_loop(theta1: float, theta2: float, phi, geometry: ManipulatorGeometr
             f"legs parallel: sin(theta2 - theta1) = {den:.3e}"
         )
     s = geometry.scale
-    one_minus_cos = 1.0 - _fn(math.cos, phi)
-    sin_phi = _fn(math.sin, phi)
+    f = _form(phi)
+    one_minus_cos = 1.0 - f.cos(phi)
+    sin_phi = f.sin(phi)
     rho1 = s * ((math.sin(theta2) * one_minus_cos + math.cos(theta2) * sin_phi) / den)
     rho2 = s * ((math.sin(theta1) * one_minus_cos + math.cos(theta1) * sin_phi) / den)
     a1 = geometry.base_anchor(1)
     third = phi + _THIRD_VERTEX_ANGLE
-    b3x = a1.x + rho1 * math.cos(theta1) + s * _fn(math.cos, third)
-    b3y = a1.y + rho1 * math.sin(theta1) + s * _fn(math.sin, third)
+    b3x = a1.x + rho1 * math.cos(theta1) + s * f.cos(third)
+    b3y = a1.y + rho1 * math.sin(theta1) + s * f.sin(third)
     return (rho1, rho2, b3x, b3y)
 
 

@@ -19,7 +19,8 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -119,15 +120,6 @@ def _libm(fn, *arrays: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, *flat), dtype=float, count=len(flat[0])).reshape(shape)
 
 
-def _fn(fn, *args, array=None):
-    """``fn(*args)`` on floats, ``array(fn, *args)`` (default :func:`_libm`)
-    on equal-shape arrays: the one place where a formula body shared by the
-    scalar API and the array kernels picks its form, numpy-free for floats."""
-    if isinstance(args[0], np.ndarray):
-        return (array or _libm)(fn, *args)
-    return fn(*args)
-
-
 def _first_nonfinite(check, *columns: np.ndarray) -> None:
     """``check`` (a float guard against non-finite arguments) of the first row
     holding one; array callers compute under ``np.errstate(over="ignore")``."""
@@ -144,6 +136,27 @@ def _finite(px: float, py: float) -> None:
 def _finite_rho(rho: float) -> None:
     if not math.isfinite(rho):
         raise GeometryError(f"rho must be finite, got {rho!r}")
+
+
+# The elementary functions and guards of a formula body shared by the scalar
+# API and the array kernels, on floats or elementwise on equal-shape columns;
+# a body picks its form once per call with :func:`_form`.
+_FLOATS = SimpleNamespace(
+    cos=math.cos, sin=math.sin, atan2=math.atan2, hypot=math.hypot, sqrt=math.sqrt,
+    finite=_finite, finite_rho=_finite_rho,
+)
+_COLUMNS = SimpleNamespace(
+    cos=partial(_libm, math.cos), sin=partial(_libm, math.sin), atan2=partial(_libm, math.atan2),
+    hypot=partial(_libm, math.hypot), sqrt=partial(_libm, math.sqrt),
+    finite=partial(_first_nonfinite, _finite),
+    finite_rho=partial(_first_nonfinite, _finite_rho),
+)
+
+
+def _form(value) -> SimpleNamespace:
+    """:data:`_COLUMNS` for an array ``value``, else :data:`_FLOATS`: numpy-free
+    on floats."""
+    return _COLUMNS if isinstance(value, np.ndarray) else _FLOATS
 
 
 @dataclass(frozen=True)
@@ -342,14 +355,15 @@ def _leg_offsets(x, y, phi, geometry: ManipulatorGeometry):
     """(bx, by, dx, dy) for each leg at the pose (x, y, phi), floats or
     columns: the world platform anchor b_i = p + R(phi) b_i_local and its
     offset b_i - a_i.  Raises :class:`GeometryError` where one overflows."""
-    c, s = _fn(math.cos, phi), _fn(math.sin, phi)
+    f = _form(phi)
+    c, s = f.cos(phi), f.sin(phi)
     legs = []
     # The local platform anchor and the base anchor are the same vertex.
     for v in geometry.anchors:
         bx = x + c * v.x - s * v.y
         by = y + s * v.x + c * v.y
         dx, dy = bx - v.x, by - v.y
-        _fn(_finite, dx, dy, array=_first_nonfinite)
+        f.finite(dx, dy)
         legs.append((bx, by, dx, dy))
     return legs
 
@@ -385,7 +399,8 @@ def _leg_axis(theta, dx, dy):
     """(sin, cos, residual, extension), floats or arrays: the components of
     the offset (dx, dy) = b - a across and along the leg axis
     v = (cos theta, sin theta), (b - a) x v and v . (b - a)."""
-    sin_t, cos_t = _fn(math.sin, theta), _fn(math.cos, theta)
+    f = _form(theta)
+    sin_t, cos_t = f.sin(theta), f.cos(theta)
     return sin_t, cos_t, sin_t * dx - cos_t * dy, cos_t * dx + sin_t * dy
 
 

@@ -38,7 +38,7 @@ from .geometry import (
     Vec2,
     _as_angles,
     _first_nonfinite,
-    _fn,
+    _form,
     _leg_axis,
     _leg_columns,
     _leg_offsets,
@@ -99,23 +99,27 @@ def _check_configuration(x: float, y: float, scale: float, det_b: float, *residu
         raise GeometryError(f"det B overflows at x={x!r}, y={y!r}")
 
 
-def _is_parallel(det_a, a_matrix: np.ndarray, scale: float, tol: float = PARALLEL_DET_TOL):
-    """|det A| < tol * ||A||_F^3 for one (3, 3) A or an (N, 3, 3) stack.
+def _is_parallel(det_a, rows, scale: float, tol: float = PARALLEL_DET_TOL):
+    """|det A| < tol * ||A||_F^3 from det A and the rows (u, v, arm) of A,
+    floats or columns.
 
     Only A's third column, the moment arm, carries a length, so the test
     reads it in units of the scale: det A / scale against the norm of A
     with that column divided by the scale.  The norm is one fixed-order
     sum, on floats or on columns, so both forms agree bit for bit."""
-    rows = a_matrix.tolist() if a_matrix.ndim == 2 else a_matrix.transpose(1, 2, 0)
     sq = 0.0
     for u, v, arm in rows:
         arm = arm / scale
         sq = sq + u * u + v * v + arm * arm
-    return abs(det_a / scale) < tol * _fn(math.sqrt, sq) ** 3
+    return abs(det_a / scale) < tol * _form(det_a).sqrt(sq) ** 3
 
 
 def _is_serial(rho, scale: float):
     return abs(rho) < SERIAL_RHO_TOL * scale
+
+
+def _zero_legs(rhos, scale: float) -> tuple[int, ...]:
+    return tuple(leg for leg, rho in enumerate(rhos, start=1) if _is_serial(rho, scale))
 
 
 def _check_rows(check, x, y, scale: float, det_b, *residuals: np.ndarray) -> None:
@@ -126,20 +130,17 @@ def _check_rows(check, x, y, scale: float, det_b, *residuals: np.ndarray) -> Non
         check(x[k].item(), y[k].item(), scale, det_b[k].item(), *(r[k].item() for r in residuals))
 
 
-def _velocity_terms(x, y, theta, legs, scale: float):
-    """Rows of A, signed extensions (the diagonal of B) and det B from the
-    leg offsets at pose position (x, y), floats or columns; the moment arm
-    in row i is v_i . (b_i - p).  Raises past the consistency gate, then
-    where det B overflows."""
+def _velocity_terms(x, y, theta, legs):
+    """Rows of A, leg residuals, signed extensions (the diagonal of B) and
+    det B from the leg offsets at pose position (x, y), floats or columns;
+    the moment arm in row i is v_i . (b_i - p)."""
     rows, residuals, rhos = [], [], []
     for t, (bx, by, dx, dy) in zip(theta, legs):
         sin_t, cos_t, residual, rho = _leg_axis(t, dx, dy)
         rows.append((-sin_t, cos_t, cos_t * (bx - x) + sin_t * (by - y)))
         residuals.append(residual)
         rhos.append(rho)
-    det_b = rhos[0] * rhos[1] * rhos[2]
-    _fn(_check_configuration, x, y, scale, det_b, *residuals, array=_check_rows)
-    return rows, rhos, det_b
+    return rows, residuals, rhos, rhos[0] * rhos[1] * rhos[2]
 
 
 @dataclass(frozen=True)
@@ -173,12 +174,11 @@ class KinematicMatrices:
     scale: float
 
     def is_parallel_singular(self) -> bool:
-        return _is_parallel(self.det_a, self.a_matrix, self.scale)
+        return _is_parallel(self.det_a, self.a_matrix.tolist(), self.scale)
 
     def serial_zero_legs(self) -> tuple[int, ...]:
         """1-based legs whose extension is zero within tolerance."""
-        rhos = np.diagonal(self.b_matrix)
-        return tuple(leg for leg in (1, 2, 3) if _is_serial(rhos[leg - 1], self.scale))
+        return _zero_legs(np.diagonal(self.b_matrix).tolist(), self.scale)
 
 
 def build_matrices(
@@ -195,16 +195,18 @@ def build_matrices(
     equals :func:`signed_extensions`, bit for bit.  A pose so far away that
     det B overflows raises :class:`GeometryError`.
     """
+    _, a, rhos, det_a, det_b = _configuration(pose, _as_angles(theta), geometry)
+    return KinematicMatrices(a, np.diag(rhos), det_a, det_b, geometry.scale)
+
+
+def _configuration(pose: Pose, t: tuple[float, float, float], geometry: ManipulatorGeometry):
+    """(rows of A, A, rhos, det A, det B) at a configuration with checked
+    angles ``t``: the body of :func:`build_matrices` and :func:`classify_singularity`."""
     legs = _leg_offsets(pose.x, pose.y, pose.phi, geometry)
-    rows, rhos, det_b = _velocity_terms(pose.x, pose.y, _as_angles(theta), legs, geometry.scale)
+    rows, residuals, rhos, det_b = _velocity_terms(pose.x, pose.y, t, legs)
+    _check_configuration(pose.x, pose.y, geometry.scale, det_b, *residuals)
     a = np.array(rows)
-    return KinematicMatrices(
-        a_matrix=a,
-        b_matrix=np.diag(rhos),
-        det_a=float(np.linalg.det(a)),
-        det_b=det_b,
-        scale=geometry.scale,
-    )
+    return rows, a, rhos, float(np.linalg.det(a)), det_b
 
 
 def forward_velocity(matrices: KinematicMatrices, joint_rates: Sequence[float]) -> Twist:
@@ -285,22 +287,16 @@ def classify_singularity(
     platform anchor, perpendicular to its leg axis) are averaged; they count
     as concurrent when their spread is below CONCURRENCY_TOL * scale.
     """
-    matrices = build_matrices(pose, theta, geometry)
-    parallel = matrices.is_parallel_singular()
-    zero_legs = matrices.serial_zero_legs()
+    t = _as_angles(theta)
+    rows, _, rhos, det_a, det_b = _configuration(pose, t, geometry)
+    parallel = _is_parallel(det_a, rows, geometry.scale)
+    zero_legs = _zero_legs(rhos, geometry.scale)
     kind = _SINGULARITY_KINDS[parallel + 2 * bool(zero_legs)]
     point: Vec2 | None = None
     at_infinity = False
     if parallel:
-        point, at_infinity = _normal_intersection(pose, _as_angles(theta), geometry)
-    return SingularityReport(
-        kind=kind,
-        det_a=matrices.det_a,
-        det_b=matrices.det_b,
-        zero_rho_legs=zero_legs,
-        intersection_point=point,
-        translation_case=at_infinity,
-    )
+        point, at_infinity = _normal_intersection(pose, t, geometry)
+    return SingularityReport(kind, det_a, det_b, zero_legs, point, at_infinity)
 
 
 def _normal_intersection(
@@ -346,9 +342,11 @@ def det_A_specialized(
         scale * [ (cos t3 / 2 + sqrt(3) sin t3 / 2) sin(t2 - t1)
                   - cos t2 sin(t3 - t1) ].
 
-    Used to scan joint space for parallel singularities of the trivial
-    assembly without building matrices; agrees with
-    ``build_matrices(identity, theta).det_a`` to machine precision.
+    This is scale * n / 2 with n from :func:`mn_coefficients`, and every
+    other assembly of theta has det A = -scale * n / 2 (derived there).
+    Used to scan joint space for parallel singularities without building
+    matrices; agrees with ``build_matrices(identity, theta).det_a`` to
+    machine precision.
     """
     t1, t2, t3 = _as_angles(theta)
     q3 = 0.5 * math.cos(t3) + 0.5 * _SQRT3 * math.sin(t3)
@@ -378,7 +376,7 @@ class KinematicMatricesArray:
     def singularity_kinds(self) -> np.ndarray:
         """(N,) object array of the :class:`SingularityKind` that
         :func:`classify_singularity` reports for each configuration."""
-        parallel = _is_parallel(self.det_a, self.a_matrix, self.scale)
+        parallel = _is_parallel(self.det_a, self.a_matrix.transpose(1, 2, 0), self.scale)
         serial = _is_serial(self.rhos, self.scale).any(axis=1)
         return np.array(_SINGULARITY_KINDS, dtype=object)[parallel + 2 * serial]
 
@@ -399,7 +397,8 @@ def build_matrices_array(
     t = np.asarray(theta, dtype=float).T
     _first_nonfinite(lambda *row: _as_angles(row), *t)
     with np.errstate(over="ignore"):
-        rows, rhos, det_b = _velocity_terms(x, y, t, legs, geometry.scale)
+        rows, residuals, rhos, det_b = _velocity_terms(x, y, t, legs)
+        _check_rows(_check_configuration, x, y, geometry.scale, det_b, *residuals)
     a = np.array(rows).transpose(2, 0, 1)
     return KinematicMatricesArray(
         a_matrix=a,

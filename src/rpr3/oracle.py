@@ -142,12 +142,13 @@ def dkp_bruteforce(
     best-conditioned leg constraints are solved for the position and the
     left-out constraint becomes the scan function; its sign changes
     (wrap-aware) bracket isolated assemblies, refined by damped Newton until
-    every residual is below ``max(NEWTON_RESIDUAL_TOL, 1e-14 * scale)`` (the
-    residuals carry the geometry's length unit).  Duplicates are clustered
-    within ``POSE_TOL * max(scale, 1)``.  A continuum is declared when more
-    than 5% of the grid admits residual below 1e-8 * scale; all-parallel
-    legs short-circuit to the translation continuum without scanning (the
-    position solve is rank deficient everywhere).
+    every residual is below ``max(NEWTON_RESIDUAL_TOL * min(scale, 1),
+    1e-14 * scale)`` (the residuals carry the geometry's length unit).
+    Duplicates are clustered within ``POSE_TOL * max(scale, 1)``.  A
+    continuum is declared when more than 5% of the grid admits residual
+    below 1e-8 * scale; all-parallel legs short-circuit to the translation
+    continuum without scanning (the position solve is rank deficient
+    everywhere).
     """
     t = _as_angles(theta)
     scale = geometry.scale
@@ -214,7 +215,7 @@ def _polish_candidates(
 ) -> tuple[list[Pose], int]:
     total_iters = 0
     polished: list[Pose] = []
-    tol = max(NEWTON_RESIDUAL_TOL, 1e-14 * geometry.scale)
+    tol = max(NEWTON_RESIDUAL_TOL * min(geometry.scale, 1.0), 1e-14 * geometry.scale)
     for cand in candidates:
         solved, used = _newton_polish(cand, t, geometry, tol=tol)
         total_iters += used
@@ -275,7 +276,7 @@ def jacobian_fd_check(
                 geometry,
                 damping=1.0,
                 max_iter=60,
-                tol=1e-14 * max(geometry.scale, 1.0),
+                tol=1e-14 * geometry.scale,
             )
             if solved is None:
                 raise SingularNearbyError(

@@ -34,14 +34,12 @@ from .geometry import (
     Pose,
     Vec2,
     _as_angles,
-    _finite_rho,
     _first_nonfinite,
-    _fn,
+    _form,
     _leg_columns,
     _leg_offsets,
     angle_difference,
     angle_differences,
-    normalize_angle,
     normalize_angles,
 )
 
@@ -77,6 +75,7 @@ ANCHOR_TOL = 1e-9
 REDUCTION_NULL_TOL = 1e-12
 
 _SQRT3 = math.sqrt(3.0)
+_TRIVIAL = Pose(0.0, 0.0, 0.0)
 _LEG_PAIRS = ((1, 2), (2, 3), (1, 3))
 
 
@@ -160,11 +159,12 @@ def _aim_legs(legs, turns, scale: float):
     """(theta, rho, at_anchor) per leg offset b_i - a_i, floats or columns:
     its arctangent plus ``turn``, its length (GeometryError if that
     overflows), and whether it is below ``ANCHOR_TOL * scale``."""
+    f = _form(legs[0][2])
     solved = []
     for (_, _, dx, dy), turn in zip(legs, turns):
-        rho = _fn(math.hypot, dx, dy)
-        _fn(_finite_rho, rho, array=_first_nonfinite)
-        solved.append((_fn(math.atan2, dy, dx) + turn, rho, rho < ANCHOR_TOL * scale))
+        rho = f.hypot(dx, dy)
+        f.finite_rho(rho)
+        solved.append((f.atan2(dy, dx) + turn, rho, rho < ANCHOR_TOL * scale))
     return solved
 
 
@@ -221,8 +221,19 @@ def mn_coefficients(theta: JointAngles | Sequence[float]) -> tuple[float, float]
     The condition is the 3x3 determinant of the stacked affine constraints,
     so it does not depend on which leg pair is nominally "eliminated"; both
     coefficients are dimensionless and unaffected by the geometry scale.
+
+    They also give det A.  Its third column holds the moment arms
+    w_i = v_i . R(phi) a_i, with w_1 = 0, so det A = w_3 sin(t2 - t1)
+    - w_2 sin(t3 - t1) = (scale / 2)(n cos(phi) - m sin(phi)) at any position.
+    At the trivial root phi = 0 that is +scale * n / 2; at the other, where
+    cos(phi) = (m^2 - n^2) / (m^2 + n^2) and sin(phi) = 2mn / (m^2 + n^2), it
+    is -scale * n / 2.  The two assemblies lie in opposite aspects, and they
+    merge where n = 0, the parallel-singular locus.
     """
-    t1, t2, t3 = _as_angles(theta)
+    return _mn(*_as_angles(theta))
+
+
+def _mn(t1: float, t2: float, t3: float) -> tuple[float, float]:
     m = 2.0 * math.sin(t3 - t1) * math.sin(t2) - math.sin(t2 - t1) * (
         math.sin(t3) - _SQRT3 * math.cos(t3)
     )
@@ -293,10 +304,15 @@ def position_from_orientation(
     is parallel within ``PAIR_SIN_TOL``.
     """
     t = _as_angles(theta)
+    if pair is not None and tuple(sorted(pair)) not in _LEG_PAIRS:
+        raise ValueError(f"pair must be two distinct legs in 1..3, got {pair!r}")
+    return _position(t, phi, pair, geometry)
+
+
+def _position(t, phi: float, pair, geometry: ManipulatorGeometry) -> Pose:
+    """:func:`position_from_orientation` of checked angles and pair."""
     if pair is None:
         pair = max(_LEG_PAIRS, key=lambda ij: abs(math.sin(t[ij[1] - 1] - t[ij[0] - 1])))
-    elif tuple(sorted(pair)) not in _LEG_PAIRS:
-        raise ValueError(f"pair must be two distinct legs in 1..3, got {pair!r}")
     i, j = pair
     ti, tj = t[i - 1], t[j - 1]
     det = math.sin(tj - ti)
@@ -326,24 +342,23 @@ def direct_kinematics(
     neither predicate is reported as DEGENERATE rather than guessed at.
     """
     t = _as_angles(theta)
-    m, n = mn_coefficients(t)
-    kind = classify_dk_degeneracy(t)
-    trivial = Pose(0.0, 0.0, 0.0)
+    m, n = _mn(*t)
+    kind = _DK_KINDS[_continuum(*t, angle_difference)]
 
     if kind is DkKind.CONTINUUM_TRANSLATION:
         line = LineDescriptor(Vec2(0.0, 0.0), Vec2(math.cos(t[0]), math.sin(t[0])))
-        return DkSolutionSet(kind, (trivial,), m, n, continuum=line)
+        return DkSolutionSet(kind, (_TRIVIAL,), m, n, continuum=line)
     if kind is DkKind.CONTINUUM_REULEAUX:
-        return DkSolutionSet(kind, (trivial,), m, n)
+        return DkSolutionSet(kind, (_TRIVIAL,), m, n)
 
     if m * m + n * n <= REDUCTION_NULL_TOL:
-        return DkSolutionSet(DkKind.DEGENERATE, (trivial,), m, n)
+        return DkSolutionSet(DkKind.DEGENERATE, (_TRIVIAL,), m, n)
 
     phi2 = math.atan2(2.0 * m * n, m * m - n * n)
-    second = position_from_orientation(t, phi2, geometry=geometry)
-    coincident = abs(normalize_angle(phi2)) < DEGENERACY_ANGLE_TOL
+    second = _position(t, phi2, None, geometry)
+    coincident = abs(second.phi) < DEGENERACY_ANGLE_TOL
     return DkSolutionSet(
-        DkKind.TWO_SOLUTIONS, (trivial, second), m, n, coincident=coincident
+        DkKind.TWO_SOLUTIONS, (_TRIVIAL, second), m, n, coincident=coincident
     )
 
 
@@ -353,24 +368,12 @@ def direct_kinematics(
 #     sin(t_i) x - cos(t_i) y + c_i(phi) = 0,
 #     c_i(phi) = Ai cos(phi) + Bi sin(phi) + Di,
 # and because each platform anchor coincides with its base anchor at the
-# identity pose, c_i(0) = 0 for every leg.
+# identity pose, c_i(0) = 0 for every leg: Di = -Ai.
 
 
-def _c_coefficients(t: float, b_local: Vec2, a: Vec2) -> tuple[float, float, float]:
-    st, ct = math.sin(t), math.cos(t)
-    ai = st * b_local.x - ct * b_local.y
-    bi = -(ct * b_local.x + st * b_local.y)
-    di = -(st * a.x - ct * a.y)
-    return (ai, bi, di)
-
-
-def _c_of_phi(
-    t: tuple[float, float, float],
-    leg: int,
-    phi: float,
-    geometry: ManipulatorGeometry,
-) -> float:
-    ai, bi, di = _c_coefficients(
-        t[leg - 1], geometry.platform_anchor_local(leg), geometry.base_anchor(leg)
-    )
-    return ai * math.cos(phi) + bi * math.sin(phi) + di
+def _c_of_phi(t, leg: int, phi: float, geometry: ManipulatorGeometry) -> float:
+    v = geometry.anchors[leg - 1]
+    st, ct = math.sin(t[leg - 1]), math.cos(t[leg - 1])
+    ai = st * v.x - ct * v.y
+    bi = -(ct * v.x + st * v.y)
+    return ai * math.cos(phi) + bi * math.sin(phi) - ai

@@ -8,8 +8,10 @@ singular, or below the resolution of the cross-checking method); each
 rejection is justified where it happens.
 """
 
+import itertools
 import math
 import random
+import sys
 import time
 
 from rpr3 import (
@@ -22,6 +24,7 @@ from rpr3 import (
     angle_difference,
     build_matrices,
     classify_dk_degeneracy,
+    classify_singularity,
     det_A_specialized,
     direct_kinematics,
     dkp_bruteforce,
@@ -39,6 +42,7 @@ from rpr3.coupler import geometric_dkp
 PI = math.pi
 PI3 = math.pi / 3.0
 SQRT3 = math.sqrt(3.0)
+EPS = sys.float_info.epsilon
 
 
 def _report(capsys, index: int, ok: bool, detail: str) -> None:
@@ -453,3 +457,71 @@ def test_c9_geometric_and_closed_dkp_agree(capsys):
                            f"Hausdorff {worst:.2e}, {elapsed:.1f} s")
     assert worst < tol
     assert elapsed < budget
+
+
+# -------------------------------------------------------------- criterion 10
+
+
+def test_c10_det_a_is_half_scale_n_with_the_assembly_sign(capsys):
+    # det A = (scale / 2) (n cos phi - m sin phi) at every assembly of theta:
+    # +scale n / 2 at the trivial one and -scale n / 2 at the other (see
+    # mn_coefficients).  Each det A is a rounded 3x3 determinant, so the
+    # general form holds to a few eps * scale.  Off the trivial assembly the
+    # drawn phi is the root of the rounded theta only to about eps / |n|, so
+    # that comparison is allowed eps * scale * (1 + (|m| + |n|) / |n|).
+    budget, tol = 1.0, 16 * EPS
+    start = time.monotonic()
+    rng = random.Random(10)
+    trivial = Pose(0.0, 0.0, 0.0)
+    worst = {"general": 0.0, "second": 0.0, "trivial": 0.0}
+    count = 0
+    for scale in (1.0, 2.0, 1.7):
+        geometry = ManipulatorGeometry(scale)
+        for _ in range(100):
+            pose = Pose(scale * rng.uniform(-0.5, 1.5), scale * rng.uniform(-0.5, 1.5),
+                        rng.uniform(-PI, PI))
+            for branch in itertools.product((0, 1), repeat=3):
+                theta = inverse_kinematics(pose, branch, geometry).angles
+                m, n = mn_coefficients(theta)
+                det_a = classify_singularity(pose, theta, geometry).det_a
+                half = 0.5 * scale
+                general = half * (n * math.cos(pose.phi) - m * math.sin(pose.phi))
+                at_trivial = (build_matrices(trivial, theta, geometry).det_a,
+                              det_A_specialized(theta, geometry))
+                gaps = {
+                    "general": abs(det_a - general) / scale,
+                    "second": abs(det_a + half * n) / (scale * (1 + (abs(m) + abs(n)) / abs(n))),
+                    "trivial": max(abs(d - half * n) for d in at_trivial) / scale,
+                }
+                worst = {key: max(worst[key], gaps[key]) for key in worst}
+                count += 1
+    elapsed = time.monotonic() - start
+    ok = max(worst.values()) < tol and elapsed < budget
+    _report(capsys, 10, ok, f"{count} configurations at scales 1, 2, 1.7, worst gaps in eps: "
+                            + ", ".join(f"{k} {v / EPS:.1f}" for k, v in worst.items())
+                            + f", {elapsed * 1e3:.0f} ms")
+    assert max(worst.values()) < tol
+    assert elapsed < budget
+
+
+# -------------------------------------------------------------- criterion 11
+
+
+def test_c11_the_two_assemblies_lie_in_opposite_aspects(capsys):
+    # By criterion 10, det A is +scale n / 2 at the trivial assembly and
+    # -scale n / 2 at the other: an assembly-mode change must cross a
+    # parallel singularity (Chablat & Wenger, ICRA 1998).
+    budget = 1.0
+    start = time.monotonic()
+    rng = random.Random(11)
+    for _ in range(1000):
+        theta = tuple(rng.uniform(-PI, PI) for _ in range(3))
+        result = direct_kinematics(theta)
+        assert result.kind is DkKind.TWO_SOLUTIONS and not result.coincident
+        first, second = (classify_singularity(pose, theta).det_a for pose in result.poses)
+        assert first * second < 0.0, (theta, first, second)
+    elapsed = time.monotonic() - start
+    ok = elapsed < budget
+    _report(capsys, 11, ok, f"1000 joint triples, det A of opposite signs at "
+                            f"the two assemblies, {elapsed * 1e3:.0f} ms")
+    assert ok

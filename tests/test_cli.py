@@ -627,6 +627,18 @@ def test_verify_all_scopes_pass(capsys):
     assert "trace_csv" not in payload
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-3, 1e6, 1e12])
+def test_verify_passes_at_small_and_large_scales(tmp_path, capsys, monkeypatch, scale):
+    # The oracle's Newton tolerances follow the scale below 1 as above it;
+    # absolute ones failed every dkp and jacobian check at 1e-9.
+    path = tmp_path / "geom.json"
+    path.write_text(json.dumps({"scale": scale}))
+    monkeypatch.setenv("RPR_GEOMETRY", str(path))
+    payload = run_json(capsys, "verify", "--scope", "all", "--trials", "20", "--seed", "7")
+    assert payload["scale"] == scale
+    assert [scope["passed"] for scope in payload["scopes"].values()] == [True] * 3
+
+
 @pytest.mark.parametrize("flag", ["--trials=-3", "--trials=0", "--seed=-1"])
 def test_verify_rejects_counts_below_range(capsys, flag):
     code, out, err = run(capsys, "verify", "--scope", "dkp", flag)

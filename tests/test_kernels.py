@@ -5,6 +5,7 @@ agreement within a tolerance: ``sweep`` writes their output with 17
 significant digits, and its artifacts must not depend on which path ran.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,12 @@ from rpr3.geometry import (
     platform_anchor,
     platform_anchor_arrays,
 )
-from rpr3.jacobians import build_matrices, build_matrices_array, classify_singularity
+from rpr3.jacobians import (
+    SingularityKind,
+    build_matrices,
+    build_matrices_array,
+    classify_singularity,
+)
 from rpr3.solvers import (
     classify_dk_degeneracy,
     classify_dk_degeneracy_array,
@@ -61,12 +67,25 @@ def _cartesian_scalar(x, y, phi, geom):
             det_a.append(math.nan)
             det_b.append(0.0)
             continue
-        report = classify_singularity(pose, theta, geometry=geom)
+        report = _report_matching_matrices(pose, theta, geom)
         thetas.append(theta)
         kinds.append(report.kind.value)
         det_a.append(report.det_a)
         det_b.append(report.det_b)
     return np.array(thetas), kinds, det_a, det_b
+
+
+def _report_matching_matrices(pose, theta, geom):
+    """classify_singularity at a configuration, after checking that its
+    det A, det B, kind and zero legs are build_matrices' own, bit for bit
+    (the two share one body)."""
+    report = classify_singularity(pose, theta, geometry=geom)
+    mats = build_matrices(pose, theta, geometry=geom)
+    _assert_bit_equal([report.det_a, report.det_b], [mats.det_a, mats.det_b])
+    parallel = report.kind in (SingularityKind.PARALLEL, SingularityKind.BOTH)
+    assert parallel is mats.is_parallel_singular()
+    assert report.zero_rho_legs == mats.serial_zero_legs()
+    return report
 
 
 def _cartesian_array(x, y, phi, geom):
@@ -118,6 +137,23 @@ def test_cartesian_kernels_match_scalar_path(geom, case):
         assert got_kinds == ["Serial"] * 3
     if case == "horizontal legs":
         assert set(got_kinds) == {"Parallel"}
+
+
+@pytest.mark.parametrize("geom", GEOMETRIES, ids=["scale1", "scale2"])
+@pytest.mark.parametrize("branch", list(itertools.product((0, 1), repeat=3)))
+def test_singularity_report_matches_matrices_on_every_branch(geom, branch):
+    s = geom.scale
+    rng = np.random.default_rng(14)
+    poses = [Pose(*p) for p in zip(*_cartesian_cases(geom)["random"])][:60]
+    poses += [Pose(x, 0.0, 0.0) for x in np.linspace(0.1, 2.0, 5) * s]  # horizontal legs
+    kinds = set()
+    for pose in poses:
+        theta = inverse_kinematics(pose, branch, geometry=geom).angles.as_tuple()
+        kinds.add(_report_matching_matrices(pose, theta, geom).kind)
+    # At the trivial pose every leg sits on its anchor, for any angles.
+    for theta in rng.uniform(-math.pi, math.pi, (5, 3)).tolist() + [[0.4] * 3]:
+        kinds.add(_report_matching_matrices(Pose(0.0, 0.0, 0.0), theta, geom).kind)
+    assert kinds == set(SingularityKind)
 
 
 def _joint_cases():
