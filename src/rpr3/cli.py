@@ -39,6 +39,7 @@ from .coupler import (
 from .errors import GeometryError, LegAtAnchorError, Rpr3Error, SingularNearbyError
 from .geometry import (
     DEFAULT_GEOMETRY,
+    POSE_TOL,
     JointAngles,
     ManipulatorGeometry,
     Pose,
@@ -418,14 +419,14 @@ def _cmd_dk(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
 
     if args.method == "both":
         deviation = _pose_set_deviation(
-            routes["closed"].poses, routes["geometric"].poses
+            routes["closed"].poses, routes["geometric"].poses, geom
         )
         kinds_match = routes["closed"].kind is routes["geometric"].kind
         payload["agreement"] = {
             "kinds_match": kinds_match,
             "max_pose_deviation": deviation,
         }
-        if not kinds_match or not (deviation <= geom.pose_tol):
+        if not kinds_match or not (deviation <= POSE_TOL):
             print(
                 "rpr3: dk routes disagree "
                 f"(kinds {routes['closed'].kind.value} vs "
@@ -436,14 +437,14 @@ def _cmd_dk(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
     return EXIT_OK, payload
 
 
-def _pose_set_deviation(left: tuple[Pose, ...], right: tuple[Pose, ...]) -> float:
+def _pose_set_deviation(left: tuple[Pose, ...], right: tuple[Pose, ...], geom) -> float:
     """Symmetric Hausdorff distance between two discrete pose sets."""
     if not left or not right:
         return 0.0 if not left and not right else math.inf
     worst = 0.0
     for src, dst in ((left, right), (right, left)):
         for p in src:
-            best = min(pose_distance(p, q) for q in dst)
+            best = min(pose_distance(p, q, geom) for q in dst)
             worst = max(worst, best)
     return worst
 
@@ -674,7 +675,7 @@ def _cmd_verify(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
     failures: list[str] = []
     scopes = {}
     fields = {"seed": args.seed, "trials": args.trials, "scopes": scopes}
-    # Each scope with the key of the worst metric its report gives.
+    # Each scope with the key of its worst metric, lengths in units of the scale.
     for scope, trial, metric in (
         ("dkp", _dkp_trial, "max_pose_deviation"),
         ("jacobian", _jacobian_trial, "max_fd_error"),
@@ -735,8 +736,8 @@ def _dkp_trial(rng, geom) -> float | None:
             f"dkp count mismatch at theta={theta}: closed "
             f"{len(closed.poses)}, scan {len(report.solutions_found)}"
         )
-    deviation = _pose_set_deviation(closed.poses, report.solutions_found)
-    if deviation > geom.pose_tol:
+    deviation = _pose_set_deviation(closed.poses, report.solutions_found, geom)
+    if deviation > POSE_TOL:
         raise _TrialFailure(f"dkp deviation {deviation:.3e} at theta={theta}")
     return deviation
 
@@ -768,7 +769,7 @@ def _jacobian_trial(rng, geom) -> float | None:
 
 
 def _curves_trial(rng, geom) -> float | None:
-    """Worst gap of one whole curve from the slider constraints.
+    """Worst gap, in units of the scale, of one whole curve from the slider constraints.
 
     The anchors come from the geometry layer, so the check stays
     independent of the curve formulas it tests.
@@ -785,7 +786,7 @@ def _curves_trial(rng, geom) -> float | None:
     r2 = math.sin(t2) * (ax[:, 1] - b2.x) - math.cos(t2) * (ay[:, 1] - b2.y)
     miss3 = _libm(math.hypot, ax[:, 2] - curve.b3[:, 0], ay[:, 2] - curve.b3[:, 1])
     gap = np.maximum(np.abs(r2), miss3)
-    bad = np.flatnonzero(gap > 1e-9 * max(s, 1.0))
+    bad = np.flatnonzero(gap > 1e-9 * s)
     if bad.size:
         k = bad[0]
         raise _TrialFailure(
@@ -797,9 +798,9 @@ def _curves_trial(rng, geom) -> float | None:
     closure = max(
         abs(rho_lo[0] - rho_hi[0]), abs(rho_lo[1] - rho_hi[1])
     )
-    if closure > 1e-10 * max(s, 1.0):
+    if closure > 1e-10 * s:
         raise _TrialFailure(f"curve closure {closure:.3e} at theta=({t1}, {t2})")
-    return float(gap.max())
+    return float(gap.max()) / s
 
 
 def _slider_point(t1: float, rho1, geom):
@@ -811,7 +812,7 @@ def _slider_point(t1: float, rho1, geom):
 
 def _recheck_trace_csv(path: str, failures: list[str]) -> dict:
     """Recheck every row of a ``trace`` CSV, in radians at the file's own
-    scale, and report the rows checked and the worst deviation.
+    scale, and report the rows checked and the worst deviation in its units.
 
     A file ``trace`` does not write (no rows, another header, a row that is
     not eight finite numbers, a scale that is not positive) raises OSError.
@@ -841,8 +842,8 @@ def _recheck_trace_csv(path: str, failures: list[str]) -> dict:
         anchor3 = platform_anchor(pose, 3, geometry=geom)
         computed = (anchor3.x, anchor3.y, rho1, rho2)
         gap = max(abs(c - r) for c, r in zip(computed, recorded))
-        worst = max(worst, gap)
-        if not gap <= 1e-12 * max(scale, 1.0):
+        worst = max(worst, gap / scale)
+        if not gap <= 1e-12 * scale:
             failures.append(f"trace csv row {idx} deviates by {gap:.3e}")
             return {"passed": False, "rows": idx, "max_deviation": worst}
     return {"passed": True, "rows": len(rows), "max_deviation": worst}

@@ -292,7 +292,7 @@ def geometric_dkp(
         poses.append(
             Pose(rho1 * math.cos(curve.theta1), rho1 * math.sin(curve.theta1), phi)
         )
-    poses = cluster_poses(sorted(poses, key=lambda p: p.phi), geometry.pose_tol)
+    poses = cluster_poses(sorted(poses, key=lambda p: p.phi), geometry)
     poses.sort(key=lambda p: abs(p.phi))
 
     if len(poses) >= 2:

@@ -52,9 +52,9 @@ __all__ = [
 
 TAU = math.tau
 
-# Two poses closer than this times max(scale, 1) by :func:`pose_distance`
-# are one assembly: the clustering tolerance of every direct-kinematics
-# route and the agreement bound between routes.
+# Two poses closer than this by :func:`pose_distance` (positions in units
+# of the scale) are one assembly: the clustering tolerance of every
+# direct-kinematics route and the agreement bound between routes.
 POSE_TOL = 1e-7
 
 # |sin(t_j - t_i)| below this makes legs i and j parallel: the 2x2 solve of
@@ -305,11 +305,6 @@ class ManipulatorGeometry:
         a1, a2, a3 = (Vec2(x * self.scale, y * self.scale) for x, y in _UNIT_TRIANGLE)
         return (a1, a2, a3)
 
-    @property
-    def pose_tol(self) -> float:
-        """:data:`POSE_TOL` in this geometry's length unit."""
-        return POSE_TOL * max(self.scale, 1.0)
-
     @classmethod
     def from_scale(cls, scale: float = 1.0) -> "ManipulatorGeometry":
         """Equilateral geometry with every anchor multiplied by ``scale``."""
@@ -317,10 +312,6 @@ class ManipulatorGeometry:
 
     def base_anchor(self, leg: int) -> Vec2:
         """Base anchor of ``leg`` (1-based)."""
-        return self.anchors[_leg_index(leg)]
-
-    def platform_anchor_local(self, leg: int) -> Vec2:
-        """Platform anchor of ``leg`` (1-based), in the platform frame."""
         return self.anchors[_leg_index(leg)]
 
 
@@ -440,20 +431,24 @@ def signed_extensions(
     return (r1, r2, r3)
 
 
-def pose_distance(p: Pose, q: Pose) -> float:
-    """Largest coordinate gap between two poses, orientation taken mod 2 pi."""
-    return max(abs(p.x - q.x), abs(p.y - q.y), abs(math.remainder(p.phi - q.phi, TAU)))
+def pose_distance(p: Pose, q: Pose, geometry: ManipulatorGeometry = DEFAULT_GEOMETRY) -> float:
+    """Largest coordinate gap between two poses: the position gaps in units
+    of the geometry's scale, the orientation gap mod 2 pi."""
+    s = geometry.scale
+    return max(abs(p.x - q.x) / s, abs(p.y - q.y) / s, abs(math.remainder(p.phi - q.phi, TAU)))
 
 
-def cluster_poses(poses: Iterable[Pose], tol: float) -> list[Pose]:
+def cluster_poses(
+    poses: Iterable[Pose], geometry: ManipulatorGeometry = DEFAULT_GEOMETRY
+) -> list[Pose]:
     """The first pose of each cluster, in input order.
 
-    A pose closer than ``tol`` to one already kept (by
+    A pose closer than :data:`POSE_TOL` to one already kept (by
     :func:`pose_distance`) is dropped as its duplicate.
     """
     kept: list[Pose] = []
     for pose in poses:
-        if all(pose_distance(pose, seen) >= tol for seen in kept):
+        if all(pose_distance(pose, seen, geometry) >= POSE_TOL for seen in kept):
             kept.append(pose)
     return kept
 

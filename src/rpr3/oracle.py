@@ -142,13 +142,11 @@ def dkp_bruteforce(
     best-conditioned leg constraints are solved for the position and the
     left-out constraint becomes the scan function; its sign changes
     (wrap-aware) bracket isolated assemblies, refined by damped Newton until
-    every residual is below ``max(NEWTON_RESIDUAL_TOL * min(scale, 1),
-    1e-14 * scale)`` (the residuals carry the geometry's length unit).
-    Duplicates are clustered within ``POSE_TOL * max(scale, 1)``.  A
-    continuum is declared when more than 5% of the grid admits residual
-    below 1e-8 * scale; all-parallel legs short-circuit to the translation
-    continuum without scanning (the position solve is rank deficient
-    everywhere).
+    every residual is below ``NEWTON_RESIDUAL_TOL * scale`` and clustered by
+    :func:`cluster_poses`.  A continuum is declared when more than 5% of the
+    grid admits residual below 1e-8 * scale; all-parallel legs short-circuit
+    to the translation continuum without scanning (the position solve is
+    rank deficient everywhere).
     """
     t = _as_angles(theta)
     scale = geometry.scale
@@ -215,13 +213,13 @@ def _polish_candidates(
 ) -> tuple[list[Pose], int]:
     total_iters = 0
     polished: list[Pose] = []
-    tol = max(NEWTON_RESIDUAL_TOL * min(geometry.scale, 1.0), 1e-14 * geometry.scale)
+    tol = NEWTON_RESIDUAL_TOL * geometry.scale
     for cand in candidates:
         solved, used = _newton_polish(cand, t, geometry, tol=tol)
         total_iters += used
         if solved is not None:
             polished.append(Pose(solved[0], solved[1], solved[2]))
-    solutions = cluster_poses(polished, geometry.pose_tol)
+    solutions = cluster_poses(polished, geometry)
     solutions.sort(key=lambda p: abs(p.phi))
     return (solutions, total_iters)
 
@@ -245,7 +243,8 @@ def jacobian_fd_check(
 
     Columns of J = A^-1 B are compared against central differences of the
     pose re-solved (full Newton, tight tolerance) after perturbing each
-    actuated angle by +-step.  Returns ||J_fd - J||_F / ||J||_F.
+    actuated angle by +-step.  Returns ||J_fd - J||_F / ||J||_F, with the
+    position rows of both in units of the scale.
 
     Raises :class:`SingularNearbyError` when the configuration is parallel
     singular or a perturbed re-solve fails to converge; FD columns are
@@ -262,7 +261,8 @@ def jacobian_fd_check(
         raise SingularNearbyError(
             f"det A = {matrices.det_a:.3e}: too close to a parallel singularity"
         )
-    analytic = np.linalg.solve(matrices.a_matrix, matrices.b_matrix)
+    unit = np.array([[geometry.scale], [geometry.scale], [1.0]])
+    analytic = np.linalg.solve(matrices.a_matrix, matrices.b_matrix) / unit
 
     columns = []
     for leg in range(3):
@@ -286,7 +286,7 @@ def jacobian_fd_check(
         plus, minus = shifted
         dphi = math.remainder(plus[2] - minus[2], math.tau)
         columns.append((plus[0] - minus[0], plus[1] - minus[1], dphi))
-    fd = np.array(columns).T / (2.0 * step)
+    fd = np.array(columns).T / (2.0 * step) / unit
     denom = float(np.linalg.norm(analytic))
     if denom == 0.0:
         # Fully serial posture: the analytic map vanishes identically, so

@@ -296,8 +296,8 @@ def test_c6_cardanic_curve_invariants(capsys):
     a1 = geom.base_anchor(1)
     a2 = geom.base_anchor(2)
     a3 = geom.base_anchor(3)
-    b3_local = geom.platform_anchor_local(3)
-    b2_local = geom.platform_anchor_local(2)
+    b3_local = geom.base_anchor(3)
+    b2_local = geom.base_anchor(2)
     worst_a3 = 0.0
     worst_closure = 0.0
     accepted = 0
@@ -525,3 +525,65 @@ def test_c11_the_two_assemblies_lie_in_opposite_aspects(capsys):
     _report(capsys, 11, ok, f"1000 joint triples, det A of opposite signs at "
                             f"the two assemblies, {elapsed * 1e3:.0f} ms")
     assert ok
+
+
+# -------------------------------------------------------------- criterion 12
+
+
+def _det_a_along_x(x, y, phi, geometry):
+    pose = Pose(x, y, phi)
+    theta = inverse_kinematics(pose, geometry=geometry).angles
+    return classify_singularity(pose, theta, geometry).det_a
+
+
+def _parallel_roots_along_x(y, phi, geometry, samples=21):
+    """Each x in [-0.5, 1.5] * scale where det A changes sign at (y, phi),
+    bisected to adjacent floats, with det A there."""
+    s = geometry.scale
+    xs = [s * (-0.5 + 2.0 * k / (samples - 1)) for k in range(samples)]
+    dets = [_det_a_along_x(x, y, phi, geometry) for x in xs]
+    roots = []
+    for lo, hi, d_lo, d_hi in zip(xs, xs[1:], dets, dets[1:]):
+        if d_lo * d_hi >= 0.0:
+            continue
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            d_mid = _det_a_along_x(mid, y, phi, geometry)
+            if (d_mid < 0.0) == (d_lo < 0.0):
+                lo, d_lo = mid, d_mid
+            else:
+                hi = mid
+        roots.append((lo, d_lo))
+    return roots
+
+
+def test_c12_every_parallel_singularity_off_phi_zero_is_a_reuleaux_continuum(capsys):
+    # By criterion 10, det A = -scale n / 2 off the trivial assembly, and
+    # there the reduction m (cos phi - 1) + n sin phi = 0 with n = 0 and
+    # phi != 0 forces m = 0: a parallel singular pose with phi away from 0
+    # has the straight-line angles, a rotational self-motion.
+    budget = 1.0
+    start = time.monotonic()
+    rng = random.Random(12)
+    worst_mn, worst_det, roots = 0.0, 0.0, 0
+    for scale in (1.0, 1.7):
+        geometry = ManipulatorGeometry(scale)
+        for _ in range(20):
+            y, phi = scale * rng.uniform(-0.5, 1.5), rng.uniform(0.2, 3.0)
+            for x, det_a in _parallel_roots_along_x(y, phi, geometry):
+                pose = Pose(x, y, phi)
+                theta = inverse_kinematics(pose, geometry=geometry).angles
+                assert classify_dk_degeneracy(theta) is DkKind.CONTINUUM_REULEAUX, pose
+                kind = classify_singularity(pose, theta, geometry).kind
+                assert kind in (SingularityKind.PARALLEL, SingularityKind.BOTH), pose
+                reuleaux_descriptor(theta, geometry)
+                worst_mn = max(worst_mn, *map(abs, mn_coefficients(theta)))
+                worst_det = max(worst_det, abs(det_a) / scale**2)
+                roots += 1
+    elapsed = time.monotonic() - start
+    ok = roots >= 20 and worst_mn < 1e-12 and elapsed < budget
+    _report(capsys, 12, ok, f"{roots} det A roots along x at scales 1, 1.7, all Reuleaux "
+                            f"continua, worst |m|, |n| {worst_mn:.1e}, worst |det A| / scale^2 "
+                            f"{worst_det:.1e}, {elapsed * 1e3:.0f} ms")
+    assert roots >= 20
+    assert worst_mn < 1e-12
+    assert elapsed < budget

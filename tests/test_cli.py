@@ -12,6 +12,7 @@ from rpr3 import cli
 from rpr3.cli import main
 from rpr3.errors import ParallelSingularError
 from rpr3.geometry import POSE_TOL, Pose, normalize_angle, platform_anchor_arrays
+from rpr3.coupler import trace_cardanic
 from rpr3.oracle import ScanReport, dkp_bruteforce
 
 PI3 = math.pi / 3.0
@@ -627,7 +628,7 @@ def test_verify_all_scopes_pass(capsys):
     assert "trace_csv" not in payload
 
 
-@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-3, 1e6, 1e12])
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-3, 1.7, 1e6, 1e12])
 def test_verify_passes_at_small_and_large_scales(tmp_path, capsys, monkeypatch, scale):
     # The oracle's Newton tolerances follow the scale below 1 as above it;
     # absolute ones failed every dkp and jacobian check at 1e-9.
@@ -825,6 +826,42 @@ def test_verify_reports_a_failed_check(capsys, monkeypatch, broken):
     assert line.startswith(f"rpr3: FAIL {start}")
     # The inputs are printed as plain floats, not as numpy reprs.
     assert "np." not in line
+
+
+def _far_second_assembly(theta, geometry):
+    """The real scan with its second assembly moved 30 mechanism lengths."""
+    report = dkp_bruteforce(theta, geometry=geometry)
+    first, second = report.solutions_found
+    far = Pose(second.x + 30.0 * geometry.scale, second.y, second.phi)
+    return dataclasses.replace(report, solutions_found=(first, far))
+
+
+def _offset_curve(t1, t2, n_samples, geometry):
+    """The real curve with every b3 sample moved half a mechanism length."""
+    curve = trace_cardanic(t1, t2, n_samples=n_samples, geometry=geometry)
+    return dataclasses.replace(curve, b3=curve.b3 + 0.5 * geometry.scale)
+
+
+# Breaks that are gross in units of the scale, however small the scale is;
+# bounds of the form constant * max(scale, 1) passed both at scale 1e-9.
+_SCALE_UNIT_BREAKS = {
+    "dkp": ("dkp_bruteforce", _far_second_assembly, "dkp deviation "),
+    "curves": ("trace_cardanic", _offset_curve, "curve residual "),
+}
+
+
+@pytest.mark.parametrize("scope", sorted(_SCALE_UNIT_BREAKS))
+def test_verify_fails_a_break_in_units_of_a_small_scale(tmp_path, capsys, monkeypatch, scope):
+    name, fake, start = _SCALE_UNIT_BREAKS[scope]
+    path = tmp_path / "geom.json"
+    path.write_text(json.dumps({"scale": 1e-9}))
+    monkeypatch.setenv("RPR_GEOMETRY", str(path))
+    monkeypatch.setattr(cli, name, fake)
+    code, out, err = run(capsys, "verify", "--scope", scope, "--trials", "3", "--seed", "1")
+    assert code == 4
+    assert strict_json(out)["scopes"] == {scope: {"passed": False}}
+    (line,) = err.splitlines()
+    assert line.startswith(f"rpr3: FAIL {start}")
 
 
 def test_verify_missing_csv_is_io_error(tmp_path, capsys):

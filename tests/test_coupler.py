@@ -35,7 +35,7 @@ def _b3(theta1, phi, rho1, geometry=DEFAULT_GEOMETRY):
     px = a1.x + rho1 * math.cos(theta1)
     py = a1.y + rho1 * math.sin(theta1)
     r = rotation_matrix(phi)
-    local = geometry.platform_anchor_local(3).as_array()
+    local = geometry.base_anchor(3).as_array()
     world = r @ local
     return Vec2(px + world[0], py + world[1])
 

@@ -10,6 +10,7 @@ from rpr3.coupler import geometric_dkp
 from rpr3.errors import GeometryError
 from rpr3.geometry import (
     DEFAULT_GEOMETRY,
+    POSE_TOL,
     JointAngles,
     LegState,
     ManipulatorGeometry,
@@ -109,9 +110,6 @@ def test_default_geometry_vertices():
     assert g.base_anchor(1) == Vec2(0.0, 0.0)
     assert g.base_anchor(2) == Vec2(1.0, 0.0)
     assert g.base_anchor(3) == Vec2(0.5, SQRT3 / 2.0)
-    # platform anchors coincide with the base ones in the local frame
-    for leg in (1, 2, 3):
-        assert g.platform_anchor_local(leg) == g.base_anchor(leg)
     with pytest.raises(ValueError):
         g.base_anchor(0)
     with pytest.raises(ValueError):
@@ -134,8 +132,6 @@ def test_geometry_derives_scaled_triangle_from_scale():
     g = ManipulatorGeometry(2.5)
     assert g == ManipulatorGeometry.from_scale(2.5)
     assert g.anchors == (Vec2(0.0, 0.0), Vec2(2.5, 0.0), Vec2(1.25, SQRT3 / 2.0 * 2.5))
-    for leg in (1, 2, 3):
-        assert g.platform_anchor_local(leg) == g.base_anchor(leg)
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(GeometryError):
             ManipulatorGeometry(bad)
@@ -249,29 +245,36 @@ def test_pose_distance_wraps_orientation():
 
 
 def test_cluster_poses_keeps_first_of_each_cluster_in_input_order():
-    tol = 2.0**-24  # dyadic, so the gaps below are exact
-    a = Pose(0.5, 0.5, math.pi - 1e-9)
-    b = Pose(0.25, 0.0, 0.125)
+    g = ManipulatorGeometry.from_scale(0.125)  # dyadic, so tol * s / s == tol
+    s = g.scale
+    a = Pose(0.5 * s, 0.5 * s, math.pi - 1e-9)
+    b = Pose(0.0, 0.0, 0.125)
     poses = [
         a,
         b,
-        Pose(0.5 + 0.5 * tol, 0.5, -math.pi + 1e-9),  # a across the seam
-        Pose(0.25, 0.0, 0.125 + 0.5 * tol),  # b again
-        Pose(0.25 + tol, 0.0, 0.125),  # gap equals tol: a cluster of its own
+        Pose(0.5 * s + 0.5 * POSE_TOL * s, 0.5 * s, -math.pi + 1e-9),  # a across the seam
+        Pose(0.0, 0.0, 0.125 + 0.5 * POSE_TOL),  # b again
+        Pose(POSE_TOL * s, 0.0, 0.125),  # gap equals POSE_TOL: a cluster of its own
     ]
-    assert cluster_poses(poses, tol) == [a, b, poses[4]]
-    assert cluster_poses(list(reversed(poses)), tol) == [poses[4], poses[3], poses[2]]
-    assert cluster_poses([], tol) == []
+    assert cluster_poses(poses, g) == [a, b, poses[4]]
+    assert cluster_poses(list(reversed(poses)), g) == [poses[4], poses[3], poses[2]]
+    assert cluster_poses([], g) == []
 
 
-@pytest.mark.parametrize("scale", [0.25, 1.0, 3.0])
-def test_pose_tolerance_scales_with_max_of_scale_and_one(scale):
+@pytest.mark.parametrize("scale", [1e-9, 0.25, 1.0, 3.0, 1e6])
+def test_pose_distance_measures_positions_in_units_of_the_scale(scale):
+    # One rule at every scale: position gaps count in units of the scale,
+    # the orientation gap as it is, and POSE_TOL bounds both.
     g = ManipulatorGeometry.from_scale(scale)
-    assert g.pose_tol == 1e-7 * max(scale, 1.0)
+    far = pose_distance(Pose(0.0, 0.0, 0.0), Pose(0.5 * scale, -2.0 * scale, 0.25), g)
+    assert far == pytest.approx(2.0, rel=1e-15)
     base = Pose(0.0, 0.0, 0.0)
-    inside = Pose(0.0, 0.9 * g.pose_tol, 0.0)
-    outside = Pose(0.0, 1.1 * g.pose_tol, 0.0)
-    assert cluster_poses([base, inside, outside], g.pose_tol) == [base, outside]
+    for inside, outside in (
+        (Pose(0.9 * POSE_TOL * scale, 0.0, 0.0), Pose(1.1 * POSE_TOL * scale, 0.0, 0.0)),
+        (Pose(0.0, 0.9 * POSE_TOL * scale, 0.0), Pose(0.0, 1.1 * POSE_TOL * scale, 0.0)),
+        (Pose(0.0, 0.0, 0.9 * POSE_TOL), Pose(0.0, 0.0, 1.1 * POSE_TOL)),
+    ):
+        assert cluster_poses([base, inside, outside], g) == [base, outside]
 
 
 _POSE = Pose(0.3, 0.2, 0.1)

@@ -10,6 +10,7 @@ import rpr3.oracle
 from rpr3.errors import SingularNearbyError
 from rpr3.geometry import (
     DEFAULT_GEOMETRY,
+    POSE_TOL,
     ManipulatorGeometry,
     Pose,
     constraint_residuals,
@@ -64,7 +65,7 @@ def test_scan_finds_both_assemblies_on_large_geometries(scale):
     closed = direct_kinematics(GENERIC_THETA, geometry=geometry)
     assert len(report.solutions_found) == len(closed.poses) == 2
     for scanned, exact in zip(report.solutions_found, closed.poses):
-        assert pose_distance(scanned, exact) < geometry.pose_tol
+        assert pose_distance(scanned, exact, geometry) < POSE_TOL
 
 
 def test_scan_agrees_with_closed_form_on_random_angles():

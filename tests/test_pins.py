@@ -9,6 +9,7 @@ Any rewrite of those paths must leave every digest as it is.  The digests depend
 and LAPACK rounding, as do the sweep artifact pins in ``test_cli.py``.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,11 +23,12 @@ from rpr3.errors import Rpr3Error
 from rpr3.geometry import (
     ManipulatorGeometry,
     Pose,
+    Vec2,
     constraint_residuals,
     signed_extensions,
 )
 from rpr3.jacobians import build_matrices, classify_singularity
-from rpr3.oracle import dkp_bruteforce, jacobian_fd_check
+from rpr3.oracle import ScanReport, dkp_bruteforce, jacobian_fd_check
 from rpr3.solvers import direct_kinematics, inverse_kinematics
 
 POSE_GROUPS = ("ik", "residuals", "extensions", "matrices", "singularity")
@@ -89,12 +91,16 @@ def _pose_digests(scale, count=500, seed=20):
     return {name: d.hexdigest() for name, d in digests.items()}
 
 
-def _dk_digests(scale, count=50, seed=21):
-    geometry = ManipulatorGeometry.from_scale(scale)
+def _dk_triples(count=50, seed=21):
     rng = np.random.default_rng(seed)
     triples = [tuple(map(float, t)) for t in rng.uniform(-math.pi, math.pi, (count, 3))]
+    return triples + SPECIAL_TRIPLES
+
+
+def _dk_digests(scale):
+    geometry = ManipulatorGeometry.from_scale(scale)
     digests = {name: _Digest() for name in ("closed", "geometric", "bruteforce")}
-    for theta in triples + SPECIAL_TRIPLES:
+    for theta in _dk_triples():
         digests["closed"].add(direct_kinematics, theta, geometry)
         digests["geometric"].add(lambda t: geometric_dkp(t, geometry=geometry), theta)
         digests["bruteforce"].add(lambda t: dkp_bruteforce(t, geometry=geometry), theta)
@@ -119,6 +125,9 @@ PINNED_POSES = {
     },
 }
 
+# The scale-2 "bruteforce" digest was re-captured when the scan's Newton
+# tolerance became NEWTON_RESIDUAL_TOL * scale (it was 1e-12 from scale 1
+# to 100), after the covariance test below showed it to be exact.
 PINNED_DK = {
     1.0: {
         "closed": "2ca781bf9008e19c49f768eb56929a67d328a2b428525930212c3fbfa67c72c2",
@@ -128,7 +137,7 @@ PINNED_DK = {
     2.0: {
         "closed": "497ba0e3aeddbb6c4669340a0828338790da4c66d59bdc99c0ba7dea19098e11",
         "geometric": "9f1499ff14c82e8e63cccf4b9b8f7ddd3c2b5238f3cf5eee2b992e97b3ed1375",
-        "bruteforce": "b08632a08e24133af35609de93e23758f1268f8aee99c27390fd0862ea291c05",
+        "bruteforce": "c30dc7d572cb8571c58f381b7f3da5d8999cf50e1de82130e6caaa6b89848fbd",
     },
 }
 
@@ -147,37 +156,92 @@ def test_direct_kinematics_routes_are_pinned(scale):
 FD_STEPS = (1e-6, 1e-3, 0.1, 1.0)
 
 
-def _fd_digest(scale, count=60, seed=24):
-    geometry = ManipulatorGeometry.from_scale(scale)
+def _fd_cases(geometry, count=60, seed=24):
+    """(pose, theta, step) of every pinned finite-difference check."""
     rng = np.random.default_rng(seed)
-    digest = _Digest()
+    cases = []
     for k, (x, y, phi, branch_index) in enumerate(
         zip(
-            *(rng.uniform(-1.5, 1.5, (2, count)) * scale),
+            *(rng.uniform(-1.5, 1.5, (2, count)) * geometry.scale),
             rng.uniform(-math.pi, math.pi, count),
             rng.integers(0, 8, count),
         )
     ):
         pose = Pose(float(x), float(y), float(phi))
         theta = inverse_kinematics(pose, BRANCHES[branch_index], geometry).angles
-        step = FD_STEPS[k % len(FD_STEPS)]
-        digest.add(lambda: jacobian_fd_check(pose, theta, step, geometry))
+        cases.append((pose, theta, FD_STEPS[k % len(FD_STEPS)]))
     # Parallel singular (det A = 0), then the fully serial posture (J = 0).
     for theta in ((0.5, 0.5, 0.5), (0.2, 0.9, 2.0)):
-        digest.add(lambda: jacobian_fd_check(Pose(0.0, 0.0, 0.0), theta, geometry=geometry))
+        cases.append((Pose(0.0, 0.0, 0.0), theta, 1e-6))
+    return cases
+
+
+def _fd_digest(scale):
+    geometry = ManipulatorGeometry.from_scale(scale)
+    digest = _Digest()
+    for pose, theta, step in _fd_cases(geometry):
+        digest.add(lambda: jacobian_fd_check(pose, theta, step, geometry))
     return digest.hexdigest()
 
 
-# Captured before the oracle's scan and Newton loops were rewritten.
+# Captured before the oracle's scan and Newton loops were rewritten; the
+# scale-2 digest re-captured when the check began to measure J's position
+# rows in units of the scale, which makes it equal the scale-1 digest.
 PINNED_FD = {
     1.0: "dce455677a2b16eff09408b392af91844198aa13f0392a134fc6b185163e29ee",
-    2.0: "46bafee50866447b459592d0ada87a53e23162a1cc242bfb5547f00c190daec6",
+    2.0: "dce455677a2b16eff09408b392af91844198aa13f0392a134fc6b185163e29ee",
 }
 
 
 @pytest.mark.parametrize("scale", sorted(PINNED_FD))
 def test_jacobian_fd_check_is_pinned(scale):
     assert _fd_digest(scale) == PINNED_FD[scale]
+
+
+def _in_scale_units(result, scale):
+    """A direct-kinematics result with every length divided by ``scale``."""
+
+    def unit(pose):
+        return Pose(pose.x / scale, pose.y / scale, pose.phi)
+
+    if isinstance(result, ScanReport):
+        return dataclasses.replace(
+            result,
+            solutions_found=tuple(map(unit, result.solutions_found)),
+            residual_max=result.residual_max / scale,
+        )
+    line = result.continuum
+    if line is not None:
+        line = dataclasses.replace(line, point=Vec2(line.point.x / scale, line.point.y / scale))
+    return dataclasses.replace(result, poses=tuple(map(unit, result.poses)), continuum=line)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Rpr3Error as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("scale", [2.0**-20, 2.0, 2.0**20])
+def test_direct_kinematics_and_fd_check_are_exactly_covariant_with_the_scale(scale):
+    # At a power-of-two scale every length is exactly the scale times its
+    # unit value, so each route must return the unit-scale poses times the
+    # scale, with the same kinds, orientations and iteration counts, and the
+    # finite-difference check (a ratio in units of the scale) the same value.
+    unit, geometry = ManipulatorGeometry(), ManipulatorGeometry(scale)
+    for theta in _dk_triples():
+        for route in (direct_kinematics, geometric_dkp, dkp_bruteforce):
+            scaled = _in_scale_units(route(theta, geometry=geometry), scale)
+            assert scaled == route(theta, geometry=unit), (route.__name__, theta)
+    for (pose, theta, step), (scaled, scaled_theta, _) in zip(
+        _fd_cases(unit), _fd_cases(geometry), strict=True
+    ):
+        assert scaled == Pose(pose.x * scale, pose.y * scale, pose.phi)
+        assert scaled_theta == theta
+        assert _outcome(jacobian_fd_check, scaled, theta, step, geometry) == _outcome(
+            jacobian_fd_check, pose, theta, step, unit
+        ), pose
 
 
 def _curve_digest(scale, count=60, seed=22):
