@@ -60,12 +60,12 @@ from .jacobians import (
 )
 from .oracle import dkp_bruteforce, jacobian_fd_check
 from .solvers import (
+    _REULEAUX_OFFSETS,
     DkKind,
     classify_dk_degeneracy_array,
     direct_kinematics,
     inverse_kinematics,
     inverse_kinematics_array,
-    mn_coefficients,
 )
 from . import figio
 
@@ -78,7 +78,8 @@ EXIT_IO = 3
 EXIT_VERIFY = 4
 
 _ANGLE_AXES = {"t1", "t2", "t3", "phi"}
-# Most points a sweep grid may have, checked before any grid array exists.
+# Most points a sweep grid or a trace may have, checked before any array
+# exists.
 MAX_GRID_POINTS = 10**6
 
 
@@ -146,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_trace.add_argument(
         "--samples",
-        type=_int_at_least(MIN_CURVE_SAMPLES),
+        type=_int_in(MIN_CURVE_SAMPLES, MAX_GRID_POINTS),
         default=720,
         help="number of orientation samples",
     )
@@ -197,10 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="which check families to run",
     )
     p_verify.add_argument(
-        "--trials", type=_int_at_least(1), default=200, help="trials per scope"
+        "--trials", type=_int_in(1), default=200, help="trials per scope"
     )
     p_verify.add_argument(
-        "--seed", type=_int_at_least(0), default=0, help="random seed"
+        "--seed", type=_int_in(0), default=0, help="random seed"
     )
     p_verify.add_argument(
         "--csv", help="recheck a previously written trace CSV (curves scope)"
@@ -221,18 +222,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
+def _int_in(low: int, high: float = math.inf):
+    """argparse type: an integer from ``low`` to ``high``."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer >= {low}, got {text!r}"
-            )
+        if not low <= value <= high:
+            limit = f">= {low}" if value < low else f"<= {high}"
+            raise argparse.ArgumentTypeError(f"expected an integer {limit}, got {text!r}")
         return value
 
     return parse
@@ -523,7 +523,7 @@ def _cmd_trace(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
     if curve.degenerate:
         # A straight-line curve means the legs are one third-turn apart, so
         # the Reuleaux family applies; complete the triple accordingly.
-        t3 = normalize_angle(t1 - math.pi / 3.0)
+        t3 = normalize_angle(t1 + _REULEAUX_OFFSETS[1])
         desc = reuleaux_descriptor((t1, t2, t3), geometry=geom)
         payload["reuleaux"] = {
             "theta3": _out_angle(t3, args.deg),
@@ -722,14 +722,13 @@ def _run_trials(scope: str, metric: str, trials: int, trial, failures: list[str]
 
 def _dkp_trial(rng, geom) -> float | None:
     theta = tuple(rng.uniform(-math.pi, math.pi, 3).tolist())
-    m, n = mn_coefficients(theta)
-    if m * m + n * n < 1e-8:
-        return None  # keep checks away from the degeneracy threshold
-    if abs(math.atan2(2.0 * m * n, m * m - n * n)) < 1e-2:
-        return None  # roots closer than the scan grid can separate
     closed = direct_kinematics(theta, geometry=geom)
+    if closed.m * closed.m + closed.n * closed.n < 1e-8:
+        return None  # keep checks away from the degeneracy threshold
     if closed.kind is not DkKind.TWO_SOLUTIONS or closed.coincident:
         return None
+    if abs(closed.poses[1].phi) < 1e-2:
+        return None  # roots closer than the scan grid can separate
     report = dkp_bruteforce(theta, geometry=geom)
     if len(report.solutions_found) != len(closed.poses):
         raise _TrialFailure(

@@ -38,12 +38,14 @@ from .geometry import (
     normalize_angle,
 )
 from .solvers import (
+    REDUCTION_NULL_TOL,
+    _DK_KINDS,
+    _TRIVIAL,
     DkKind,
     DkSolutionSet,
-    LineDescriptor,
-    REDUCTION_NULL_TOL,
-    classify_dk_degeneracy,
-    mn_coefficients,
+    _continuum,
+    _leg1_line,
+    _mn,
 )
 
 __all__ = [
@@ -256,12 +258,10 @@ def geometric_dkp(
     continua can be compared directly.
     """
     t = _as_angles(theta)
-    m, n = mn_coefficients(t)
-    kind = classify_dk_degeneracy(t)
-    trivial = Pose(0.0, 0.0, 0.0)
+    m, n = _mn(*t)
+    kind = _DK_KINDS[_continuum(*t)]
     if kind is DkKind.CONTINUUM_TRANSLATION:
-        line = LineDescriptor(Vec2(0.0, 0.0), Vec2(math.cos(t[0]), math.sin(t[0])))
-        return DkSolutionSet(kind, (trivial,), m, n, continuum=line)
+        return DkSolutionSet(kind, (_TRIVIAL,), m, n, continuum=_leg1_line(t[0]))
 
     if curve is None:
         curve = trace_cardanic(t[0], t[1], geometry=geometry)
@@ -282,8 +282,8 @@ def geometric_dkp(
     if kind is DkKind.CONTINUUM_REULEAUX or (curve.degenerate and on_line):
         # The whole segment lies on the third axis: rotational self motion,
         # platform reference point running along leg 1's slider line.
-        line = LineDescriptor(Vec2(0.0, 0.0), Vec2(math.cos(t[0]), math.sin(t[0])))
-        return DkSolutionSet(DkKind.CONTINUUM_REULEAUX, (trivial,), m, n, continuum=line)
+        line = _leg1_line(t[0])
+        return DkSolutionSet(DkKind.CONTINUUM_REULEAUX, (_TRIVIAL,), m, n, continuum=line)
 
     roots = _cycle_roots(curve.phi, dist, line_distance, geometry.scale)
     poses = []
@@ -362,7 +362,7 @@ def reuleaux_descriptor(
     sweep finds the third vertex off its slider line.
     """
     t = _as_angles(theta)
-    if classify_dk_degeneracy(t) is not DkKind.CONTINUUM_REULEAUX:
+    if _DK_KINDS[_continuum(*t)] is not DkKind.CONTINUUM_REULEAUX:
         raise NotReuleauxError(
             f"angles {t} do not satisfy the straight-line degeneracy condition"
         )

@@ -18,8 +18,8 @@ class Rpr3Error(Exception):
 
 
 class GeometryError(Rpr3Error, ValueError):
-    """Invalid geometry: a non-positive scale, or a point, leg length or
-    det B that is not finite."""
+    """Invalid geometry: a scale outside its working range, or a point, leg
+    length or det B that is not finite."""
 
 
 class LegAtAnchorError(Rpr3Error, ValueError):

@@ -62,6 +62,10 @@ POSE_TOL = 1e-7
 # normals meet at infinity.
 PAIR_SIN_TOL = 1e-9
 
+# Scales a geometry may have: below, a product of two lengths (the sign tests
+# of the curve and scan routes) underflows; above, sums of lengths overflow.
+_SCALE_RANGE = (1e-150, 1e300)
+
 # Vertices of the unit equilateral triangle shared by base and platform.
 _UNIT_TRIANGLE = ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
 
@@ -143,12 +147,12 @@ def _finite_rho(rho: float) -> None:
 # a body picks its form once per call with :func:`_form`.
 _FLOATS = SimpleNamespace(
     cos=math.cos, sin=math.sin, atan2=math.atan2, hypot=math.hypot, sqrt=math.sqrt,
-    finite=_finite, finite_rho=_finite_rho,
+    angle_difference=angle_difference, finite=_finite, finite_rho=_finite_rho,
 )
 _COLUMNS = SimpleNamespace(
     cos=partial(_libm, math.cos), sin=partial(_libm, math.sin), atan2=partial(_libm, math.atan2),
     hypot=partial(_libm, math.hypot), sqrt=partial(_libm, math.sqrt),
-    finite=partial(_first_nonfinite, _finite),
+    angle_difference=angle_differences, finite=partial(_first_nonfinite, _finite),
     finite_rho=partial(_first_nonfinite, _finite_rho),
 )
 
@@ -288,15 +292,17 @@ class ManipulatorGeometry:
     Base anchors ``a1..a3`` and platform anchors ``b1..b3`` (in the platform
     frame) are the vertices of congruent equilateral triangles, both equal to
     ``scale`` times the unit triangle (0,0), (1,0), (1/2, sqrt(3)/2), so the
-    size is the only free number.  The first platform vertex coincides with
-    the pose reference point, so b1 is the origin of the platform frame.
+    size is the only free number; it must lie in [1e-150, 1e300]
+    (:class:`GeometryError` otherwise).  The first platform vertex coincides
+    with the pose reference point, so b1 is the origin of the platform frame.
     """
 
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise GeometryError(f"scale must be positive and finite, got {self.scale!r}")
+        low, high = _SCALE_RANGE
+        if not low <= self.scale <= high:
+            raise GeometryError(f"scale must be in [{low:g}, {high:g}], got {self.scale!r}")
 
     @cached_property
     def anchors(self) -> tuple[Vec2, Vec2, Vec2]:
@@ -305,17 +311,12 @@ class ManipulatorGeometry:
         a1, a2, a3 = (Vec2(x * self.scale, y * self.scale) for x, y in _UNIT_TRIANGLE)
         return (a1, a2, a3)
 
-    @classmethod
-    def from_scale(cls, scale: float = 1.0) -> "ManipulatorGeometry":
-        """Equilateral geometry with every anchor multiplied by ``scale``."""
-        return cls(scale)
-
     def base_anchor(self, leg: int) -> Vec2:
         """Base anchor of ``leg`` (1-based)."""
         return self.anchors[_leg_index(leg)]
 
 
-DEFAULT_GEOMETRY = ManipulatorGeometry.from_scale(1.0)
+DEFAULT_GEOMETRY = ManipulatorGeometry(1.0)
 
 
 def _leg_index(leg: int) -> int:
@@ -469,4 +470,4 @@ def load_geometry(path: str | os.PathLike[str]) -> ManipulatorGeometry:
     scale = data.get("scale", 1.0)
     if not isinstance(scale, (int, float)) or isinstance(scale, bool):
         raise GeometryError(f"scale must be a number, got {scale!r}")
-    return ManipulatorGeometry.from_scale(float(scale))
+    return ManipulatorGeometry(float(scale))

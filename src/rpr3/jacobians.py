@@ -43,6 +43,7 @@ from .geometry import (
     _leg_columns,
     _leg_offsets,
 )
+from .solvers import _mn
 
 __all__ = [
     "CONSISTENCY_TOL",
@@ -81,8 +82,6 @@ SERIAL_RHO_TOL = 1e-9
 # Maximum spread of the pairwise normal-line intersections (relative to the
 # geometry scale) for them to count as a single common point.
 CONCURRENCY_TOL = 1e-6
-
-_SQRT3 = math.sqrt(3.0)
 
 
 def _check_configuration(x: float, y: float, scale: float, det_b: float, *residuals: float):
@@ -334,25 +333,16 @@ def det_A_specialized(
     theta: JointAngles | Sequence[float],
     geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
 ) -> float:
-    """Closed-form det A at the identity pose.
+    """Closed-form det A at the identity pose: scale * n / 2, computed from
+    n of :func:`mn_coefficients`.
 
-    At the trivial assembly the platform anchors sit on the base anchors and
-    the determinant collapses to
-
-        scale * [ (cos t3 / 2 + sqrt(3) sin t3 / 2) sin(t2 - t1)
-                  - cos t2 sin(t3 - t1) ].
-
-    This is scale * n / 2 with n from :func:`mn_coefficients`, and every
-    other assembly of theta has det A = -scale * n / 2 (derived there).
-    Used to scan joint space for parallel singularities without building
-    matrices; agrees with ``build_matrices(identity, theta).det_a`` to
-    machine precision.
+    At the trivial assembly the platform anchors sit on the base anchors,
+    and every other assembly of theta has det A = -scale * n / 2 (derived
+    there).  Used to scan joint space for parallel singularities without
+    building matrices; agrees with ``build_matrices(identity, theta).det_a``
+    to machine precision.
     """
-    t1, t2, t3 = _as_angles(theta)
-    q3 = 0.5 * math.cos(t3) + 0.5 * _SQRT3 * math.sin(t3)
-    return geometry.scale * (
-        q3 * math.sin(t2 - t1) - math.cos(t2) * math.sin(t3 - t1)
-    )
+    return geometry.scale / 2.0 * _mn(*_as_angles(theta))[1]
 
 
 # ------------------------------------------------------------ array kernels

@@ -38,8 +38,6 @@ from .geometry import (
     _form,
     _leg_columns,
     _leg_offsets,
-    angle_difference,
-    angle_differences,
     normalize_angles,
 )
 
@@ -77,6 +75,9 @@ REDUCTION_NULL_TOL = 1e-12
 _SQRT3 = math.sqrt(3.0)
 _TRIVIAL = Pose(0.0, 0.0, 0.0)
 _LEG_PAIRS = ((1, 2), (2, 3), (1, 3))
+
+# Offsets of legs 2 and 3 from leg 1 (mod pi) of the straight-line continuum.
+_REULEAUX_OFFSETS = (math.pi / 3.0, -math.pi / 3.0)
 
 
 @dataclass(frozen=True)
@@ -194,9 +195,11 @@ class DkSolutionSet:
     ``poses`` holds the isolated assemblies found, trivial identity pose
     first.  ``m`` and ``n`` are the orientation-reduction coefficients
     (dimensionless; identical for every leg-pair elimination, see
-    :func:`mn_coefficients`).  ``continuum`` describes the translational
-    self-motion line when ``kind`` is CONTINUUM_TRANSLATION; the rotational
-    continuum is described by the coupler-curve module instead.
+    :func:`mn_coefficients`).  ``continuum`` is leg 1's slider line: the
+    translational self-motion line when ``kind`` is CONTINUUM_TRANSLATION,
+    and, from ``geometric_dkp`` only, the line the reference point runs on
+    in the rotational continuum, CONTINUUM_REULEAUX (its stroke is measured
+    by ``reuleaux_descriptor``).
     ``coincident`` flags a nontrivial root that collapses onto the trivial
     one.
     """
@@ -265,7 +268,7 @@ def classify_dk_degeneracy(theta: JointAngles | Sequence[float]) -> DkKind:
     roots actually differ is reported by :func:`direct_kinematics`).
     Angles match within ``DEGENERACY_ANGLE_TOL``.
     """
-    return _DK_KINDS[_continuum(*_as_angles(theta), angle_difference)]
+    return _DK_KINDS[_continuum(*_as_angles(theta))]
 
 
 def classify_dk_degeneracy_array(theta: np.ndarray) -> np.ndarray:
@@ -273,18 +276,24 @@ def classify_dk_degeneracy_array(theta: np.ndarray) -> np.ndarray:
     as an (N,) object array of :class:`DkKind`."""
     t1, t2, t3 = np.asarray(theta, dtype=float).T
     _first_nonfinite(lambda *row: _as_angles(row), t1, t2, t3)
-    return np.array(_DK_KINDS, dtype=object)[_continuum(t1, t2, t3, angle_differences)]
+    return np.array(_DK_KINDS, dtype=object)[_continuum(t1, t2, t3)]
 
 
-def _continuum(t1, t2, t3, distance):
-    """Index into ``_DK_KINDS`` of the angles' continuum, floats or columns;
-    ``distance`` is :func:`angle_difference` or :func:`angle_differences`."""
+def _continuum(t1, t2, t3):
+    """Index into ``_DK_KINDS`` of checked angles' continuum, floats or
+    columns."""
+    distance = _form(t1).angle_difference
     tol = DEGENERACY_ANGLE_TOL
     translation = (distance(t2, t1, math.pi) < tol) & (distance(t3, t1, math.pi) < tol)
-    reuleaux = (distance(t2 - t1, math.pi / 3.0, math.pi) < tol) & (
-        distance(t3 - t1, -math.pi / 3.0, math.pi) < tol
+    reuleaux = (distance(t2 - t1, _REULEAUX_OFFSETS[0], math.pi) < tol) & (
+        distance(t3 - t1, _REULEAUX_OFFSETS[1], math.pi) < tol
     )
     return translation + 2 * reuleaux
+
+
+def _leg1_line(t1: float) -> LineDescriptor:
+    """Leg 1's slider line: through a1, the origin, along theta1."""
+    return LineDescriptor(Vec2(0.0, 0.0), Vec2(math.cos(t1), math.sin(t1)))
 
 
 def position_from_orientation(
@@ -343,11 +352,10 @@ def direct_kinematics(
     """
     t = _as_angles(theta)
     m, n = _mn(*t)
-    kind = _DK_KINDS[_continuum(*t, angle_difference)]
+    kind = _DK_KINDS[_continuum(*t)]
 
     if kind is DkKind.CONTINUUM_TRANSLATION:
-        line = LineDescriptor(Vec2(0.0, 0.0), Vec2(math.cos(t[0]), math.sin(t[0])))
-        return DkSolutionSet(kind, (_TRIVIAL,), m, n, continuum=line)
+        return DkSolutionSet(kind, (_TRIVIAL,), m, n, continuum=_leg1_line(t[0]))
     if kind is DkKind.CONTINUUM_REULEAUX:
         return DkSolutionSet(kind, (_TRIVIAL,), m, n)
 

@@ -219,7 +219,7 @@ def test_c4_parallel_singular_normals_are_concurrent(capsys):
     trivial = Pose(0.0, 0.0, 0.0)
     worst_spread = 0.0
     worst_det = 0.0
-    cases = [(DEFAULT_GEOMETRY, 100), (ManipulatorGeometry.from_scale(2.0), 10)]
+    cases = [(DEFAULT_GEOMETRY, 100), (ManipulatorGeometry(2.0), 10)]
     for geometry, count in cases:
         tol = 1e-6 * geometry.scale
         for theta in _hunt_parallel_singularities(rng, count, geometry):
@@ -366,7 +366,7 @@ def test_c7_reuleaux_constants(capsys):
             worst_disp, abs(desc.a_displacement_magnitude - 4.0 * SQRT3 / 3.0)
         )
     scaled = reuleaux_descriptor(
-        variants[0], geometry=ManipulatorGeometry.from_scale(2.0)
+        variants[0], geometry=ManipulatorGeometry(2.0)
     )
     worst_len = max(worst_len, abs(scaled.p_line.length - 4.0))
     worst_disp = max(

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from rpr3 import cli
+from rpr3 import cli, coupler, solvers
 from rpr3.cli import main
 from rpr3.errors import ParallelSingularError
 from rpr3.geometry import POSE_TOL, Pose, normalize_angle, platform_anchor_arrays
@@ -914,6 +914,86 @@ def test_geometry_env_bad_content(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RPR_GEOMETRY", str(path))
     code, _, _ = run(capsys, "ik", "--x", "0.3", "--y", "0.2", "--phi", "0.1")
     assert code == 3
+
+
+@pytest.mark.parametrize("scale", [5e-324, 1e-200, 1e301, 1e308])
+def test_geometry_scale_outside_the_working_range_exits_3(tmp_path, capsys, monkeypatch, scale):
+    # Below the range the curve route's sign tests underflow (at 1e-170 it
+    # lost the second assembly, and 5e-324 gives no equilateral triangle);
+    # above it traces, scans and draws overflow into tracebacks.
+    path = tmp_path / "geom.json"
+    path.write_text(json.dumps({"scale": scale}))
+    monkeypatch.setenv("RPR_GEOMETRY", str(path))
+    csv_path = tmp_path / "t.csv"
+    for argv in (
+        ("ik", "--x", "0.3", "--y", "0.2", "--phi", "0.1"),
+        ("dk", "--t1", "0.2", "--t2", "0.9", "--t3", "2.0", "--method", "both"),
+        ("trace", "--t1", "0.2", "--t2", "0.9", "--csv", str(csv_path)),
+        ("verify", "--scope", "all", "--trials", "5", "--seed", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        (line,) = err.splitlines()
+        assert line.startswith("rpr3: geometry error: scale must be in [1e-150, 1e+300]")
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e100])
+def test_verify_and_dk_pass_at_the_ends_of_the_scale_range(tmp_path, capsys, monkeypatch, scale):
+    path = tmp_path / "geom.json"
+    path.write_text(json.dumps({"scale": scale}))
+    monkeypatch.setenv("RPR_GEOMETRY", str(path))
+    payload = run_json(capsys, "verify", "--scope", "all", "--trials", "20", "--seed", "7")
+    assert [scope["passed"] for scope in payload["scopes"].values()] == [True] * 3
+    payload = run_json(capsys, "dk", "--t1", "0.2", "--t2", "0.9", "--t3", "2.0", "--method", "both")
+    assert len(payload["poses"]) == 2 and payload["agreement"]["kinds_match"]
+
+
+@pytest.mark.parametrize("scale", ["1e-200", "1e301"])
+def test_verify_rejects_a_trace_csv_row_scale_outside_the_range(tmp_path, capsys, scale):
+    csv_path = tmp_path / "curve.csv"
+    run_json(capsys, "trace", "--t1", "0.2", "--t2", "0.9", "--samples", "8", "--csv", str(csv_path))
+    csv_path.write_text(_first_row_ending("," + scale)(csv_path.read_text()))
+    code, out, err = run(
+        capsys, "verify", "--scope", "curves", "--trials", "1", "--csv", str(csv_path)
+    )
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [f"rpr3: i/o error: {csv_path}: malformed row 1"]
+
+
+def test_trace_samples_above_the_grid_cap_is_usage_error(capsys, tmp_path):
+    # Checked by the parser, before trace_cardanic allocates any sample.
+    csv_path = tmp_path / "x.csv"
+    argv = ("trace", "--t1", "0.2", "--t2", "0.9", "--csv", str(csv_path))
+    code, out, err = run(capsys, *argv, "--samples", str(cli.MAX_GRID_POINTS + 1))
+    assert (code, out) == (1, "")
+    assert "<= 1000000" in err.splitlines()[-1]
+    assert not csv_path.exists()
+
+
+def test_curve_route_and_verify_reuse_the_closed_form_bodies(capsys, monkeypatch):
+    # m, n and the continuum kind are computed once, in the solvers' checked
+    # bodies; no caller goes back through the public wrappers.
+    triples = [(0.2, 0.9, 2.0), (0.0, PI3, -PI3), (0.3, 0.3, 0.3), (0.0, -PI3, PI3)]
+    reuleaux = (0.4, 0.4 + PI3, 0.4 - PI3)
+
+    def results():
+        return (
+            [coupler.geometric_dkp(theta) for theta in triples],
+            coupler.reuleaux_descriptor(reuleaux),
+            run(capsys, "verify", "--scope", "dkp", "--trials", "5"),
+        )
+
+    untrapped = results()
+
+    def trap(*args, **kwargs):
+        raise AssertionError("a second reduction or classification")
+
+    for module in (solvers, coupler, cli):
+        for name in ("mn_coefficients", "classify_dk_degeneracy"):
+            monkeypatch.setattr(module, name, trap, raising=False)
+    assert results() == untrapped
+    assert untrapped[2][0] == 0
 
 
 # ------------------------------------------------------------ determinism

@@ -83,7 +83,7 @@ def test_rho_from_phi_rejects_parallel_sliders():
 
 def test_rho_from_phi_scales_linearly():
     one = rho_from_phi(0.2, 0.9, 1.3)
-    two = rho_from_phi(0.2, 0.9, 1.3, ManipulatorGeometry.from_scale(2.0))
+    two = rho_from_phi(0.2, 0.9, 1.3, ManipulatorGeometry(2.0))
     assert abs(two[0] - 2.0 * one[0]) < 1e-14
     assert abs(two[1] - 2.0 * one[1]) < 1e-14
 
@@ -271,7 +271,7 @@ def test_reuleaux_constants_all_direction_flips(theta):
 
 
 def test_reuleaux_constants_double_with_scale():
-    double = ManipulatorGeometry.from_scale(2.0)
+    double = ManipulatorGeometry(2.0)
     desc = reuleaux_descriptor((0.0, PI3, -PI3), geometry=double)
     assert abs(desc.p_line.half_length * 2.0 - 4.0) < 1e-9
     assert abs(desc.a_displacement_magnitude - 8.0 * SQRT3 / 3.0) < 1e-9

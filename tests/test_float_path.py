@@ -76,7 +76,7 @@ def test_float_path_makes_no_kernel_call(monkeypatch):
 
 def test_float_path_keeps_the_overflow_guard():
     # Leg 2's anchor, x + scale, leaves the float range.
-    far = ManipulatorGeometry.from_scale(1e300)
+    far = ManipulatorGeometry(1e300)
     pose = Pose(1.7976931348623157e308, 0.0, 0.0)
     theta = (0.0, 0.0, 0.0)
     calls = [

@@ -117,23 +117,30 @@ def test_default_geometry_vertices():
 
 
 def test_geometry_scaling():
-    g = ManipulatorGeometry.from_scale(2.0)
+    g = ManipulatorGeometry(2.0)
     assert g.base_anchor(2) == Vec2(2.0, 0.0)
     assert g.base_anchor(3) == Vec2(1.0, SQRT3)
     with pytest.raises(GeometryError):
-        ManipulatorGeometry.from_scale(0.0)
+        ManipulatorGeometry(0.0)
     with pytest.raises(GeometryError):
-        ManipulatorGeometry.from_scale(-1.0)
+        ManipulatorGeometry(-1.0)
 
 
 def test_geometry_derives_scaled_triangle_from_scale():
     # The scale is the only input: the anchors are products of it with the
     # unit triangle, so no other layout can be expressed.
     g = ManipulatorGeometry(2.5)
-    assert g == ManipulatorGeometry.from_scale(2.5)
     assert g.anchors == (Vec2(0.0, 0.0), Vec2(2.5, 0.0), Vec2(1.25, SQRT3 / 2.0 * 2.5))
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(GeometryError):
+            ManipulatorGeometry(bad)
+
+
+def test_geometry_scale_must_lie_in_the_working_range():
+    for scale in (1e-150, 1e300):
+        assert ManipulatorGeometry(scale).anchors[1] == Vec2(scale, 0.0)
+    for bad in (5e-324, 9e-151, 1e-200, 1e301, 1.7976931348623157e308):
+        with pytest.raises(GeometryError, match=r"scale must be in \[1e-150, 1e\+300\]"):
             ManipulatorGeometry(bad)
 
 
@@ -146,7 +153,7 @@ def test_platform_anchor_frozen_value():
 
 def test_platform_anchors_at_identity_pose_sit_on_base():
     for scale in (1.0, 2.0):
-        g = ManipulatorGeometry.from_scale(scale)
+        g = ManipulatorGeometry(scale)
         for leg in (1, 2, 3):
             anchor = platform_anchor(Pose(0.0, 0.0, 0.0), leg, g)
             assert anchor == g.base_anchor(leg)
@@ -245,7 +252,7 @@ def test_pose_distance_wraps_orientation():
 
 
 def test_cluster_poses_keeps_first_of_each_cluster_in_input_order():
-    g = ManipulatorGeometry.from_scale(0.125)  # dyadic, so tol * s / s == tol
+    g = ManipulatorGeometry(0.125)  # dyadic, so tol * s / s == tol
     s = g.scale
     a = Pose(0.5 * s, 0.5 * s, math.pi - 1e-9)
     b = Pose(0.0, 0.0, 0.125)
@@ -265,7 +272,7 @@ def test_cluster_poses_keeps_first_of_each_cluster_in_input_order():
 def test_pose_distance_measures_positions_in_units_of_the_scale(scale):
     # One rule at every scale: position gaps count in units of the scale,
     # the orientation gap as it is, and POSE_TOL bounds both.
-    g = ManipulatorGeometry.from_scale(scale)
+    g = ManipulatorGeometry(scale)
     far = pose_distance(Pose(0.0, 0.0, 0.0), Pose(0.5 * scale, -2.0 * scale, 0.25), g)
     assert far == pytest.approx(2.0, rel=1e-15)
     base = Pose(0.0, 0.0, 0.0)

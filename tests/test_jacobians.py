@@ -29,7 +29,7 @@ from rpr3.jacobians import (
     forward_velocity,
     inverse_velocity,
 )
-from rpr3.solvers import inverse_kinematics
+from rpr3.solvers import inverse_kinematics, mn_coefficients
 
 SQRT3 = math.sqrt(3.0)
 
@@ -162,7 +162,7 @@ def test_parallel_test_is_in_units_of_the_scale(scale):
     # read it in units of the scale (Merlet, ASME J. Mech. Des. 2006): the
     # same pose scaled stays regular, and an all-parallel triple stays
     # parallel, on the scalar path and in the array kernel alike.
-    geometry = ManipulatorGeometry.from_scale(scale)
+    geometry = ManipulatorGeometry(scale)
     for (x, y, phi), kind in (
         ((0.3, 0.2, 0.1), SingularityKind.REGULAR),
         ((0.5, 0.0, 0.0), SingularityKind.PARALLEL),  # every leg horizontal
@@ -194,8 +194,28 @@ def test_det_a_specialized_zero_for_equal_angles():
 def test_det_a_specialized_scales_linearly():
     theta = (0.2, 0.9, 2.0)
     one = det_A_specialized(theta)
-    two = det_A_specialized(theta, ManipulatorGeometry.from_scale(2.0))
+    two = det_A_specialized(theta, ManipulatorGeometry(2.0))
     assert abs(two - 2.0 * one) < 1e-14
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0, 1.7])
+def test_det_a_specialized_is_half_scale_times_n_exactly(scale):
+    # det A at the identity pose is read off n, not re-derived: it equals
+    # scale / 2 * n bit for bit, and so does the explicit identity-pose
+    # cofactor sum, which differs from n's sum only by powers of two.
+    geometry = ManipulatorGeometry(scale)
+    rng = np.random.default_rng(31)
+    thetas = [tuple(t) for t in rng.uniform(-math.pi, math.pi, (300, 3)).tolist()]
+    thetas += [(t, t, t) for t in np.linspace(-math.pi, math.pi, 13).tolist()]
+    thetas += [(t, t + math.pi / 3.0, t - math.pi / 3.0) for t in np.linspace(-3.0, 3.0, 13).tolist()]
+    for theta in thetas:
+        t1, t2, t3 = theta
+        cofactors = (0.5 * math.cos(t3) + 0.5 * SQRT3 * math.sin(t3)) * math.sin(t2 - t1) - (
+            math.cos(t2) * math.sin(t3 - t1)
+        )
+        expected = repr(scale / 2.0 * mn_coefficients(theta)[1])
+        assert repr(det_A_specialized(theta, geometry)) == expected
+        assert repr(scale * cofactors) == expected
 
 
 def test_classify_regular_configuration():

@@ -36,7 +36,7 @@ from rpr3.solvers import (
 )
 
 PI3 = math.pi / 3.0
-GEOMETRIES = [ManipulatorGeometry.from_scale(1.0), ManipulatorGeometry.from_scale(2.0)]
+GEOMETRIES = [ManipulatorGeometry(1.0), ManipulatorGeometry(2.0)]
 EDGE_ANGLES = [
     0.0, -0.0, math.pi, -math.pi, math.tau, -math.tau, 3 * math.pi, -3 * math.pi,
     PI3, -PI3, 1e-300, -1e-300, 1e6, -1e6, 2.5e-9, math.nextafter(math.pi, 0.0),

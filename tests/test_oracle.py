@@ -49,7 +49,7 @@ def test_scan_reports_polished_residuals():
 
 
 def test_scan_respects_geometry_scale():
-    report = dkp_bruteforce(GENERIC_THETA, geometry=ManipulatorGeometry.from_scale(2.0))
+    report = dkp_bruteforce(GENERIC_THETA, geometry=ManipulatorGeometry(2.0))
     second = max(report.solutions_found, key=lambda p: abs(p.phi))
     assert abs(second.x - 2.0 * FROZEN_POSE2[0]) < 1e-9
     assert abs(second.y - 2.0 * FROZEN_POSE2[1]) < 1e-9
@@ -60,7 +60,7 @@ def test_scan_respects_geometry_scale():
 def test_scan_finds_both_assemblies_on_large_geometries(scale):
     # Residuals carry the length unit, so Newton's tolerance grows with the
     # scale; a fixed 1e-12 left the second assembly unpolished past 1e5.
-    geometry = ManipulatorGeometry.from_scale(scale)
+    geometry = ManipulatorGeometry(scale)
     report = dkp_bruteforce(GENERIC_THETA, geometry=geometry)
     closed = direct_kinematics(GENERIC_THETA, geometry=geometry)
     assert len(report.solutions_found) == len(closed.poses) == 2

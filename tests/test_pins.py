@@ -67,7 +67,7 @@ def _matrices(pose, theta, geometry):
 
 
 def _pose_digests(scale, count=500, seed=20):
-    geometry = ManipulatorGeometry.from_scale(scale)
+    geometry = ManipulatorGeometry(scale)
     rng = np.random.default_rng(seed)
     digests = {name: _Digest() for name in POSE_GROUPS}
     for x, y, phi, branch_index, t1, t2, t3 in zip(
@@ -98,7 +98,7 @@ def _dk_triples(count=50, seed=21):
 
 
 def _dk_digests(scale):
-    geometry = ManipulatorGeometry.from_scale(scale)
+    geometry = ManipulatorGeometry(scale)
     digests = {name: _Digest() for name in ("closed", "geometric", "bruteforce")}
     for theta in _dk_triples():
         digests["closed"].add(direct_kinematics, theta, geometry)
@@ -177,7 +177,7 @@ def _fd_cases(geometry, count=60, seed=24):
 
 
 def _fd_digest(scale):
-    geometry = ManipulatorGeometry.from_scale(scale)
+    geometry = ManipulatorGeometry(scale)
     digest = _Digest()
     for pose, theta, step in _fd_cases(geometry):
         digest.add(lambda: jacobian_fd_check(pose, theta, step, geometry))
@@ -245,7 +245,7 @@ def test_direct_kinematics_and_fd_check_are_exactly_covariant_with_the_scale(sca
 
 
 def _curve_digest(scale, count=60, seed=22):
-    geometry = ManipulatorGeometry.from_scale(scale)
+    geometry = ManipulatorGeometry(scale)
     rng = np.random.default_rng(seed)
     pairs = [tuple(map(float, p)) for p in rng.uniform(-4.0, 4.0, (count, 2))]
     # Straight-line pairs in both leg directions, and one parallel pair.
@@ -267,7 +267,7 @@ def _curve_record(curve):
 
 
 def _reuleaux_digest(scale, count=8, seed=23):
-    geometry = ManipulatorGeometry.from_scale(scale)
+    geometry = ManipulatorGeometry(scale)
     rng = np.random.default_rng(seed)
     triples = [(0.0, 1.04719755, -1.04719755)]
     for t in map(float, rng.uniform(-math.pi, math.pi, count)):

@@ -109,7 +109,7 @@ def test_ik_pure_rotation_pins_only_first_leg():
 
 
 def test_ik_scales_with_geometry():
-    big = ManipulatorGeometry.from_scale(2.0)
+    big = ManipulatorGeometry(2.0)
     small = inverse_kinematics(Pose(0.3, 0.2, 0.1), geometry=DEFAULT_GEOMETRY)
     large = inverse_kinematics(Pose(0.6, 0.4, 0.1), geometry=big)
     for a, b in zip(small.legs, large.legs):
@@ -314,7 +314,7 @@ def test_position_from_orientation_rejects_bad_pair():
 
 
 def test_dk_scales_with_geometry():
-    big = ManipulatorGeometry.from_scale(2.0)
+    big = ManipulatorGeometry(2.0)
     small = direct_kinematics(GENERIC_THETA)
     large = direct_kinematics(GENERIC_THETA, geometry=big)
     assert large.kind is DkKind.TWO_SOLUTIONS
