@@ -76,6 +76,8 @@ def normalize_angle(angle: float) -> float:
     >>> normalize_angle(3 * math.pi)
     3.141592653589793
     """
+    if -math.pi < angle <= math.pi:  # its own IEEE remainder; -pi folds to pi
+        return float(angle)
     if not math.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
     folded = math.remainder(angle, TAU)

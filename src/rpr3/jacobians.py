@@ -9,7 +9,9 @@ force along the leg normal E v_i acting through the platform anchor b_i
     row_i(A) = [ -sin(theta_i), cos(theta_i), v_i . (b_i - p) ]
 
 Parallel singularities are det A = 0: the three normal lines become
-concurrent (possibly at infinity, when all legs are parallel).  Serial
+concurrent (possibly at infinity, when all legs are parallel).  Row 1's
+moment arm is zero (b_1 = p), so det A is a two-term expansion along that
+column, one body for floats and columns with no LAPACK call.  Serial
 singularities are det B = 0: some leg has zero extension and its revolute
 rate drops out of the map.
 """
@@ -142,6 +144,12 @@ def _velocity_terms(x, y, theta, legs):
     return rows, residuals, rhos, rhos[0] * rhos[1] * rhos[2]
 
 
+def _det_a(rows):
+    """det A from the rows (u, v, w) of A, floats or columns, with w1 = 0."""
+    (u1, v1, _), (u2, v2, w2), (u3, v3, w3) = rows
+    return w3 * (u1 * v2 - v1 * u2) - w2 * (u1 * v3 - v1 * u3)
+
+
 @dataclass(frozen=True)
 class Twist:
     """Platform velocity: translational rate of the reference point and the
@@ -191,21 +199,21 @@ def build_matrices(
     constraint residuals fail :func:`_check_configuration` the velocity model
     would be meaningless and :class:`InconsistentStateError` is raised.
     The residuals equal :func:`constraint_residuals` and the diagonal of B
-    equals :func:`signed_extensions`, bit for bit.  A pose so far away that
-    det B overflows raises :class:`GeometryError`.
+    equals :func:`signed_extensions`, bit for bit.  ``det_a`` (:func:`_det_a`)
+    is within 4 * 2**-53 times its terms' size of the exact det ``a_matrix``.
+    A pose so far away that det B overflows raises :class:`GeometryError`.
     """
-    _, a, rhos, det_a, det_b = _configuration(pose, _as_angles(theta), geometry)
-    return KinematicMatrices(a, np.diag(rhos), det_a, det_b, geometry.scale)
+    rows, rhos, det_a, det_b = _configuration(pose, _as_angles(theta), geometry)
+    return KinematicMatrices(np.array(rows), np.diag(rhos), det_a, det_b, geometry.scale)
 
 
 def _configuration(pose: Pose, t: tuple[float, float, float], geometry: ManipulatorGeometry):
-    """(rows of A, A, rhos, det A, det B) at a configuration with checked
+    """(rows of A, rhos, det A, det B) at a configuration with checked
     angles ``t``: the body of :func:`build_matrices` and :func:`classify_singularity`."""
     legs = _leg_offsets(pose.x, pose.y, pose.phi, geometry)
     rows, residuals, rhos, det_b = _velocity_terms(pose.x, pose.y, t, legs)
     _check_configuration(pose.x, pose.y, geometry.scale, det_b, *residuals)
-    a = np.array(rows)
-    return rows, a, rhos, float(np.linalg.det(a)), det_b
+    return rows, rhos, float(_det_a(rows)), det_b
 
 
 def forward_velocity(matrices: KinematicMatrices, joint_rates: Sequence[float]) -> Twist:
@@ -287,7 +295,7 @@ def classify_singularity(
     as concurrent when their spread is below CONCURRENCY_TOL * scale.
     """
     t = _as_angles(theta)
-    rows, _, rhos, det_a, det_b = _configuration(pose, t, geometry)
+    rows, rhos, det_a, det_b = _configuration(pose, t, geometry)
     parallel = _is_parallel(det_a, rows, geometry.scale)
     zero_legs = _zero_legs(rhos, geometry.scale)
     kind = _SINGULARITY_KINDS[parallel + 2 * bool(zero_legs)]
@@ -339,8 +347,8 @@ def det_A_specialized(
     At the trivial assembly the platform anchors sit on the base anchors,
     and every other assembly of theta has det A = -scale * n / 2 (derived
     there).  Used to scan joint space for parallel singularities without
-    building matrices; agrees with ``build_matrices(identity, theta).det_a``
-    to machine precision.
+    building matrices; ``build_matrices(identity, theta).det_a`` expands A
+    along its moment-arm column instead and agrees to machine precision.
     """
     return geometry.scale / 2.0 * _mn(*_as_angles(theta))[1]
 
@@ -389,11 +397,10 @@ def build_matrices_array(
     with np.errstate(over="ignore"):
         rows, residuals, rhos, det_b = _velocity_terms(x, y, t, legs)
         _check_rows(_check_configuration, x, y, geometry.scale, det_b, *residuals)
-    a = np.array(rows).transpose(2, 0, 1)
     return KinematicMatricesArray(
-        a_matrix=a,
+        a_matrix=np.array(rows).transpose(2, 0, 1),
         rhos=np.stack(rhos, axis=1),
-        det_a=np.linalg.det(a),
+        det_a=_det_a(rows),
         det_b=det_b,
         scale=geometry.scale,
     )

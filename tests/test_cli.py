@@ -516,14 +516,16 @@ def test_sweep_rejects_grids_over_the_cap(tmp_path, capsys, space, axes):
 # writers moved onto arrays; no rewrite may change a byte.  Each entry is
 # (space, axes and flags, RPR_GEOMETRY scale, rows, CSV digest, SVG digest
 # or None for a CSV-only page).  The cartesian pages include the anchor hit
-# at (0, 0).
+# at (0, 0).  The CSV digests were re-captured when det A became the
+# two-term cofactor expansion: only the detA column moved, by at most
+# 4.5e-16 times the scale; every SVG digest is the original.
 PINNED_SWEEPS = {
     "cartesian": (
         "cartesian",
         ("--x=-0.5:1.5:25", "--y=-0.5:1.5:25", "--phi=0.3"),
         None,
         625,
-        "b8864218030007fda0e29cfa0077409fbd7cd16707117f21412adcf5c5961e63",
+        "593ae2df28e47fd5d71320c05ba80326476513bf87375f0f8af2f28b63ae8577",
         "5bbaa97d311e1483bb12a76cbeeefb323ab4f50797187ddc8910e496b4937ff8",
     ),
     "joint": (
@@ -535,7 +537,7 @@ PINNED_SWEEPS = {
         ),
         None,
         625,
-        "7e8239db35d9d926a798ece833ab9118425915acee8b17483eff2b3bf4c4a272",
+        "3f71ed99d8228a322ee7e6c19e3004dc65243f751eee2303029ca29536996977",
         "9c6177b7c05f6e5eb6bd5fa6941b1238e43ae001a2725e1b50c45610480e4eab",
     ),
     "joint-deg": (
@@ -543,7 +545,7 @@ PINNED_SWEEPS = {
         ("--deg", "--t1=-170:190:21", "--t2=-90:270:17", "--t3=40"),
         None,
         357,
-        "f76e5dcb74c7cd260d6bb22ee42a550584674993c7b1b4bdd137cf37aa36408d",
+        "a2f30f54a3120e7e29f02b81a2749c5331e19c112927235c07e68a505e07d5c9",
         "39b309135f329cbbd37be68b18ea1617880d37ed6bdb20a732594585af8e70f4",
     ),
     "cartesian-detB": (
@@ -551,7 +553,7 @@ PINNED_SWEEPS = {
         ("--quantity", "detB", "--x=-1:2:23", "--y=-1:2:19", "--phi=-0.8"),
         None,
         437,
-        "7c6e14e7165ad438d89e69ec14be7d6710e92c4fad76e0ddfdb21ab538e18e45",
+        "6de0cd88fb8e5e1dfe6331696608148eda0ed2bfcb95ced67afdcbeb51ea06d1",
         "ca935cb67f4513bb7d4021101f31a785827c9a0b44c4ac454ab91f387d888843",
     ),
     "cartesian-three-axes": (
@@ -559,7 +561,7 @@ PINNED_SWEEPS = {
         ("--x=0:1:5", "--y=0:1:5", "--phi=-3:3:5"),
         None,
         125,
-        "d49318c137f2b2d09b8fb5c15ae122d6048f3d2f957778ae19b0c900182b5414",
+        "e28c0e8dc50e76c60063cb2ac2e32b982fe03ee1739b402fff961eccb96c0638",
         None,
     ),
     "joint-101-scale2": (
@@ -571,7 +573,7 @@ PINNED_SWEEPS = {
         ),
         2.0,
         10201,
-        "0db71a7d0a60264343b09349e8848c3c735112aade693db4d6572e914e6ce336",
+        "2aac77336728b72fbe5608d67fb06ec4aac079b0e180f6ee669fbc5ddeb64020",
         "81b13ca10db76a08261174a7e0ffde2e0cae39c63a4521b7d26fc98d0be0aa9c",
     ),
 }

@@ -88,3 +88,18 @@ def test_float_path_keeps_the_overflow_guard():
     for call in calls:
         with pytest.raises(GeometryError, match=r"components must be finite, got \(inf, 0\.0\)"):
             call()
+
+
+def test_singularity_report_builds_no_array(monkeypatch):
+    # det A comes from the rows of A on floats; only build_matrices, which
+    # returns A itself, makes an array.
+    calls = [(pose, inverse_kinematics(pose).angles) for pose in POSES]
+    want = [repr(classify_singularity(pose, theta)) for pose, theta in calls]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the singularity report built an array")
+
+    for name in ("array", "diag"):
+        monkeypatch.setattr(np, name, boom)
+    monkeypatch.setattr(np.linalg, "det", boom)
+    assert [repr(classify_singularity(pose, theta)) for pose, theta in calls] == want

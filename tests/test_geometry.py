@@ -60,6 +60,33 @@ def test_normalize_angle_idempotent_on_many_values():
         assert normalize_angle(a) == a
 
 
+def _fold_by_remainder(angle):
+    """normalize_angle without its in-range shortcut."""
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle!r}")
+    folded = math.remainder(angle, 2.0 * math.pi)
+    if folded <= -math.pi:
+        folded += 2.0 * math.pi
+    return folded
+
+
+def test_normalize_angle_shortcut_matches_the_fold_bit_for_bit():
+    # An in-range angle is returned as a float without a fold: its IEEE
+    # remainder is itself, and -pi still takes the fold to pi.
+    pi = math.pi
+    edges = [0.0, -0.0, pi, -pi, math.nextafter(pi, 0.0), math.nextafter(-pi, 0.0),
+             3.0 * pi, -3.0 * pi, 0, 3, -3, 4, -7, 10**20, True, False,
+             np.float64(-0.0), np.float64(-pi), np.float64(2.5), np.float64(9.0)]
+    rng = np.random.default_rng(44)
+    values = edges + rng.uniform(-pi, pi, 50_000).tolist() + rng.uniform(-50.0, 50.0, 50_000).tolist()
+    for angle in values:
+        got, want = normalize_angle(angle), _fold_by_remainder(angle)
+        assert type(got) is float and repr(got) == repr(want), angle
+    for bad in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            normalize_angle(bad)
+
+
 def test_angle_difference_wraps():
     assert angle_difference(0.1, 0.1 + 2.0 * math.pi) < 1e-15
     assert abs(angle_difference(-3.0, 3.0) - (2.0 * math.pi - 6.0)) < 1e-15

@@ -1,12 +1,14 @@
 """Velocity-level model: the A/B matrix pair and its degeneracies."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rpr3.errors import (
     InconsistentStateError,
+    LegAtAnchorError,
     ParallelSingularError,
     SerialSingularError,
 )
@@ -216,6 +218,54 @@ def test_det_a_specialized_is_half_scale_times_n_exactly(scale):
         expected = repr(scale / 2.0 * mn_coefficients(theta)[1])
         assert repr(det_A_specialized(theta, geometry)) == expected
         assert repr(scale * cofactors) == expected
+
+
+def _exact_det(a):
+    """The determinant of a 3x3 float matrix, exactly."""
+    (a, b, c), (d, e, f), (g, h, i) = ([Fraction(v) for v in row] for row in a)
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _bound_configurations(scale, rng, count=100):
+    """Seeded (pose, theta) pairs in units of the scale: random poses with
+    their IK angles on all 8 branches, horizontal-leg poses (parallel
+    singular) on all 8 branches, and the trivial pose with random angles."""
+    branches = [(k >> 2 & 1, k >> 1 & 1, k & 1) for k in range(8)]
+    poses = [Pose(*(rng.uniform(-2.0, 2.0, 2) * scale).tolist(), rng.uniform(-4.0, 4.0))
+             for _ in range(count)]
+    poses += [Pose(float(x), 0.0, 0.0) for x in rng.uniform(-2.0, 2.0, count // 4) * scale]
+    for pose in poses:
+        for branch in branches:
+            try:
+                yield pose, inverse_kinematics(pose, branch, ManipulatorGeometry(scale)).angles
+            except LegAtAnchorError:
+                pass
+    for theta in rng.uniform(-4.0, 4.0, (count, 3)).tolist():
+        yield Pose(0.0, 0.0, 0.0), tuple(theta)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0, 1.7])
+def test_det_a_is_within_its_a_priori_rounding_bound(scale):
+    # det A = w3 (u1 v2 - v1 u2) - w2 (u1 v3 - v1 u3), with w1 = 0 exactly:
+    # each product meets four roundings (itself, its difference, the times w
+    # and the final difference), which keep the computed value within 4 u
+    # (u = 2^-53) of the terms' magnitudes of the exact determinant of A.
+    geometry = ManipulatorGeometry(scale)
+    rng = np.random.default_rng(41)
+    count = 0
+    for pose, theta in _bound_configurations(scale, rng):
+        mats = build_matrices(pose, theta, geometry)
+        (u1, v1, w1), (u2, v2, w2), (u3, v3, w3) = mats.a_matrix.tolist()
+        assert w1 == 0.0
+        bound = 4.0 * 2.0**-53 * (
+            abs(w3) * (abs(u1 * v2) + abs(v1 * u2)) + abs(w2) * (abs(u1 * v3) + abs(v1 * u3))
+        )
+        exact = _exact_det(mats.a_matrix.tolist())
+        for det_a in (mats.det_a, classify_singularity(pose, theta, geometry).det_a):
+            assert type(det_a) is float
+            assert abs(Fraction(det_a) - exact) <= Fraction(bound), (pose, theta)
+        count += 1
+    assert count >= 700
 
 
 def test_classify_regular_configuration():
