@@ -43,6 +43,7 @@ from .geometry import (
     JointAngles,
     ManipulatorGeometry,
     Pose,
+    _leg_axis,
     _libm,
     load_geometry,
     normalize_angle,
@@ -770,8 +771,9 @@ def _jacobian_trial(rng, geom) -> float | None:
 def _curves_trial(rng, geom) -> float | None:
     """Worst gap, in units of the scale, of one whole curve from the slider constraints.
 
-    The anchors come from the geometry layer, so the check stays
-    independent of the curve formulas it tests.
+    Anchor 2 must lie on leg 2's slider line at the traced extension rho2,
+    and the traced b3 on anchor 3.  The anchors come from the geometry
+    layer, so the check stays independent of the curve formulas it tests.
     """
     s = geom.scale
     t1, t2 = rng.uniform(-math.pi, math.pi, 2).tolist()
@@ -782,9 +784,9 @@ def _curves_trial(rng, geom) -> float | None:
     # Leg 1's anchor is on its slider line by construction.
     x, y = _slider_point(t1, curve.rho[:, 0], geom)
     ax, ay = platform_anchor_arrays(x, y, curve.phi, geometry=geom)
-    r2 = math.sin(t2) * (ax[:, 1] - b2.x) - math.cos(t2) * (ay[:, 1] - b2.y)
+    _, _, r2, e2 = _leg_axis(t2, ax[:, 1] - b2.x, ay[:, 1] - b2.y)
     miss3 = _libm(math.hypot, ax[:, 2] - curve.b3[:, 0], ay[:, 2] - curve.b3[:, 1])
-    gap = np.maximum(np.abs(r2), miss3)
+    gap = np.maximum.reduce([np.abs(r2), np.abs(curve.rho[:, 1] - e2), miss3])
     bad = np.flatnonzero(gap > 1e-9 * s)
     if bad.size:
         k = bad[0]

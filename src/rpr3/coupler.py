@@ -255,7 +255,8 @@ def geometric_dkp(
     in tests and by the command-line verifier.
 
     Returns the same solution-set type as the closed-form path so kinds and
-    continua can be compared directly.
+    continua can be compared directly.  Triples the angle predicates put on
+    a continuum return before any curve is traced.
     """
     t = _as_angles(theta)
     m, n = _mn(*t)
@@ -263,14 +264,16 @@ def geometric_dkp(
     if kind is DkKind.CONTINUUM_TRANSLATION:
         return DkSolutionSet(kind, (_TRIVIAL,), m, n, continuum=_leg1_line(t[0]))
 
-    if curve is None:
-        curve = trace_cardanic(t[0], t[1], geometry=geometry)
-    elif (
+    if curve is not None and (
         abs(curve.theta1 - normalize_angle(t[0])) > 1e-12
         or abs(curve.theta2 - normalize_angle(t[1])) > 1e-12
         or curve.scale != geometry.scale
     ):
         raise ValueError("curve was traced for different angles or geometry")
+    if kind is DkKind.CONTINUUM_REULEAUX:  # the reference point runs on leg 1's line
+        return DkSolutionSet(kind, (_TRIVIAL,), m, n, continuum=_leg1_line(t[0]))
+    if curve is None:
+        curve = trace_cardanic(t[0], t[1], geometry=geometry)
 
     def line_distance(phi: float) -> float:
         _, _, b3x, b3y = _slider_loop(curve.theta1, curve.theta2, phi, geometry)
@@ -279,9 +282,9 @@ def geometric_dkp(
     dist, _ = _axis_offset(curve.b3[:, 0], curve.b3[:, 1], t[2], geometry)
 
     on_line = float(np.abs(dist).max()) < COLLINEARITY_TOL * geometry.scale
-    if kind is DkKind.CONTINUUM_REULEAUX or (curve.degenerate and on_line):
-        # The whole segment lies on the third axis: rotational self motion,
-        # platform reference point running along leg 1's slider line.
+    if curve.degenerate and on_line:
+        # The whole segment lies on the third axis: the same self motion,
+        # found by measurement where the angle predicate missed it.
         line = _leg1_line(t[0])
         return DkSolutionSet(DkKind.CONTINUUM_REULEAUX, (_TRIVIAL,), m, n, continuum=line)
 
@@ -407,12 +410,11 @@ def reuleaux_descriptor(
             best = (stroke, lo_v, hi_v)
 
     stroke, lo_v, hi_v = best
-    v1 = Vec2(math.cos(t[0]), math.sin(t[0]))
-    a1_anchor = geometry.base_anchor(1)
+    line = _leg1_line(t[0])
     mid = 0.5 * (lo_v + hi_v)
     p_line = SegmentDescriptor(
-        point=Vec2(a1_anchor.x + mid * v1.x, a1_anchor.y + mid * v1.y),
-        direction=v1,
+        point=Vec2(line.point.x + mid * line.direction.x, line.point.y + mid * line.direction.y),
+        direction=line.direction,
         half_length=0.5 * stroke,
     )
     return ReuleauxDescriptor(p_line=p_line, a_displacement_magnitude=displacement)

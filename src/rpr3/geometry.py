@@ -62,9 +62,9 @@ POSE_TOL = 1e-7
 # normals meet at infinity.
 PAIR_SIN_TOL = 1e-9
 
-# Scales a geometry may have: below, a product of two lengths (the sign tests
-# of the curve and scan routes) underflows; above, sums of lengths overflow.
-_SCALE_RANGE = (1e-150, 1e300)
+# Scales a geometry may have: below, a product of three lengths (det B)
+# leaves the normal floats; above, sums of lengths overflow.
+_SCALE_RANGE = (1e-100, 1e300)
 
 # Vertices of the unit equilateral triangle shared by base and platform.
 _UNIT_TRIANGLE = ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
@@ -212,7 +212,7 @@ class Vec2:
 class Pose:
     """Platform pose: position of the first platform vertex and orientation.
 
-    ``phi`` is normalized to (-pi, pi] on construction.
+    Components are stored as floats, ``phi`` normalized to (-pi, pi].
     """
 
     x: float
@@ -222,6 +222,8 @@ class Pose:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"position must be finite, got ({self.x!r}, {self.y!r})")
+        object.__setattr__(self, "x", float(self.x))
+        object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "phi", normalize_angle(self.phi))
 
     @property
@@ -294,7 +296,7 @@ class ManipulatorGeometry:
     Base anchors ``a1..a3`` and platform anchors ``b1..b3`` (in the platform
     frame) are the vertices of congruent equilateral triangles, both equal to
     ``scale`` times the unit triangle (0,0), (1,0), (1/2, sqrt(3)/2), so the
-    size is the only free number; it must lie in [1e-150, 1e300]
+    size is the only free number; it must lie in [1e-100, 1e300]
     (:class:`GeometryError` otherwise).  The first platform vertex coincides
     with the pose reference point, so b1 is the origin of the platform frame.
     """

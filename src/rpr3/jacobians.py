@@ -203,17 +203,17 @@ def build_matrices(
     is within 4 * 2**-53 times its terms' size of the exact det ``a_matrix``.
     A pose so far away that det B overflows raises :class:`GeometryError`.
     """
-    rows, rhos, det_a, det_b = _configuration(pose, _as_angles(theta), geometry)
+    rows, rhos, det_a, det_b, _ = _configuration(pose, _as_angles(theta), geometry)
     return KinematicMatrices(np.array(rows), np.diag(rhos), det_a, det_b, geometry.scale)
 
 
 def _configuration(pose: Pose, t: tuple[float, float, float], geometry: ManipulatorGeometry):
-    """(rows of A, rhos, det A, det B) at a configuration with checked
-    angles ``t``: the body of :func:`build_matrices` and :func:`classify_singularity`."""
+    """(rows of A, rhos, det A, det B, leg offsets) at checked angles ``t``:
+    the body of :func:`build_matrices` and :func:`classify_singularity`."""
     legs = _leg_offsets(pose.x, pose.y, pose.phi, geometry)
     rows, residuals, rhos, det_b = _velocity_terms(pose.x, pose.y, t, legs)
     _check_configuration(pose.x, pose.y, geometry.scale, det_b, *residuals)
-    return rows, rhos, float(_det_a(rows)), det_b
+    return rows, rhos, float(_det_a(rows)), det_b, legs
 
 
 def forward_velocity(matrices: KinematicMatrices, joint_rates: Sequence[float]) -> Twist:
@@ -294,45 +294,44 @@ def classify_singularity(
     platform anchor, perpendicular to its leg axis) are averaged; they count
     as concurrent when their spread is below CONCURRENCY_TOL * scale.
     """
-    t = _as_angles(theta)
-    rows, rhos, det_a, det_b = _configuration(pose, t, geometry)
+    rows, rhos, det_a, det_b, legs = _configuration(pose, _as_angles(theta), geometry)
     parallel = _is_parallel(det_a, rows, geometry.scale)
     zero_legs = _zero_legs(rhos, geometry.scale)
     kind = _SINGULARITY_KINDS[parallel + 2 * bool(zero_legs)]
     point: Vec2 | None = None
     at_infinity = False
     if parallel:
-        point, at_infinity = _normal_intersection(pose, t, geometry)
+        point, at_infinity = _normal_intersection(rows, legs, geometry.scale)
     return SingularityReport(kind, det_a, det_b, zero_legs, point, at_infinity)
 
 
-def _normal_intersection(
-    pose: Pose, t: tuple[float, float, float], geometry: ManipulatorGeometry
-) -> tuple[Vec2 | None, bool]:
+def _normal_intersection(rows, legs, scale: float) -> tuple[Vec2 | None, bool]:
     """Common point of the three leg-normal lines, if finite.
 
+    Normal i runs along (u_i, v_i), the first two entries of row i of A,
+    through the platform anchor (bx_i, by_i) of the leg offsets ``legs``.
     Returns (None, True) when all normals are parallel (intersection at
     infinity), and (None, False) when the pairwise intersections do not
     agree within tolerance (not actually concurrent).
     """
-    anchors = [Vec2(bx, by) for bx, by, _, _ in _leg_offsets(pose.x, pose.y, pose.phi, geometry)]
-    normals = [Vec2(-math.sin(ti), math.cos(ti)) for ti in t]
     points = []
-    # cross(n_i, n_j) = sin(t_j - t_i); a parallel pair contributes no finite
-    # intersection.
+    # u_i v_j - v_i u_j = sin(t_j - t_i); a parallel pair contributes no
+    # finite intersection.
     for i, j in ((0, 1), (1, 2), (0, 2)):
-        denom = normals[i].cross(normals[j])
+        (ui, vi, _), (uj, vj, _) = rows[i], rows[j]
+        (bxi, byi, _, _), (bxj, byj, _, _) = legs[i], legs[j]
+        denom = ui * vj - vi * uj
         if abs(denom) < PAIR_SIN_TOL:
             continue
-        s = (anchors[j] - anchors[i]).cross(normals[j]) / denom
-        points.append(anchors[i] + s * normals[i])
+        s = ((bxj - bxi) * vj - (byj - byi) * uj) / denom
+        points.append(Vec2(bxi + ui * s, byi + vi * s))
     if not points:
         return (None, True)
     cx = sum(p.x for p in points) / len(points)
     cy = sum(p.y for p in points) / len(points)
     center = Vec2(cx, cy)
     spread = max((p - center).norm() for p in points)
-    if spread > CONCURRENCY_TOL * geometry.scale:
+    if spread > CONCURRENCY_TOL * scale:
         return (None, False)
     return (center, False)
 

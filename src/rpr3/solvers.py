@@ -36,6 +36,7 @@ from .geometry import (
     _as_angles,
     _first_nonfinite,
     _form,
+    _leg_axis,
     _leg_columns,
     _leg_offsets,
     normalize_angles,
@@ -237,12 +238,10 @@ def mn_coefficients(theta: JointAngles | Sequence[float]) -> tuple[float, float]
 
 
 def _mn(t1: float, t2: float, t3: float) -> tuple[float, float]:
-    m = 2.0 * math.sin(t3 - t1) * math.sin(t2) - math.sin(t2 - t1) * (
-        math.sin(t3) - _SQRT3 * math.cos(t3)
-    )
-    n = -2.0 * math.sin(t3 - t1) * math.cos(t2) + math.sin(t2 - t1) * (
-        math.cos(t3) + _SQRT3 * math.sin(t3)
-    )
+    s31, s21 = math.sin(t3 - t1), math.sin(t2 - t1)
+    s2, c2, s3, c3 = math.sin(t2), math.cos(t2), math.sin(t3), math.cos(t3)
+    m = 2.0 * s31 * s2 - s21 * (s3 - _SQRT3 * c3)
+    n = -2.0 * s31 * c2 + s21 * (c3 + _SQRT3 * s3)
     return (m, n)
 
 
@@ -319,21 +318,33 @@ def position_from_orientation(
 
 
 def _position(t, phi: float, pair, geometry: ManipulatorGeometry) -> Pose:
-    """:func:`position_from_orientation` of checked angles and pair."""
+    """:func:`position_from_orientation` of checked angles and pair.
+
+    With phi fixed, leg k's constraint is affine in the position (x, y):
+    b_k = (x, y) + R(phi) a_k, since base and platform share one triangle, so
+    sin(t_k) x - cos(t_k) y + c_k(phi) = 0 with c_k(phi) = r_k cos(phi)
+    - e_k sin(phi) - r_k, where r_k and e_k are the residual and extension
+    of a_k across and along the leg axis (:func:`_leg_axis`); c_k(0) = 0.
+    Legs i and j are solved by Cramer's rule, determinant sin(t_j - t_i).
+    """
     if pair is None:
         pair = max(_LEG_PAIRS, key=lambda ij: abs(math.sin(t[ij[1] - 1] - t[ij[0] - 1])))
     i, j = pair
-    ti, tj = t[i - 1], t[j - 1]
-    det = math.sin(tj - ti)
+    det = math.sin(t[j - 1] - t[i - 1])
     if abs(det) < PAIR_SIN_TOL:
         raise DegenerateLegPairError(
             f"legs {i} and {j} are parallel (sin difference {det:.3e}); "
             "their constraints cannot be solved for the position"
         )
-    ci = _c_of_phi(t, i, phi, geometry)
-    cj = _c_of_phi(t, j, phi, geometry)
-    x = (ci * math.cos(tj) - cj * math.cos(ti)) / det
-    y = (ci * math.sin(tj) - cj * math.sin(ti)) / det
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+    legs = []
+    for k in (i, j):
+        a = geometry.anchors[k - 1]
+        sin_t, cos_t, r, e = _leg_axis(t[k - 1], a.x, a.y)
+        legs.append((sin_t, cos_t, r * cos_phi - e * sin_phi - r))
+    (sin_i, cos_i, ci), (sin_j, cos_j, cj) = legs
+    x = (ci * cos_j - cj * cos_i) / det
+    y = (ci * sin_j - cj * sin_i) / det
     return Pose(x, y, phi)
 
 
@@ -368,20 +379,3 @@ def direct_kinematics(
     return DkSolutionSet(
         DkKind.TWO_SOLUTIONS, (_TRIVIAL, second), m, n, coincident=coincident
     )
-
-
-# --- reduction internals ----------------------------------------------------
-#
-# With phi fixed, leg i's constraint is affine in the platform position:
-#     sin(t_i) x - cos(t_i) y + c_i(phi) = 0,
-#     c_i(phi) = Ai cos(phi) + Bi sin(phi) + Di,
-# and because each platform anchor coincides with its base anchor at the
-# identity pose, c_i(0) = 0 for every leg: Di = -Ai.
-
-
-def _c_of_phi(t, leg: int, phi: float, geometry: ManipulatorGeometry) -> float:
-    v = geometry.anchors[leg - 1]
-    st, ct = math.sin(t[leg - 1]), math.cos(t[leg - 1])
-    ai = st * v.x - ct * v.y
-    bi = -(ct * v.x + st * v.y)
-    return ai * math.cos(phi) + bi * math.sin(phi) - ai

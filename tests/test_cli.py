@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -801,6 +802,12 @@ def _shifted_anchors(x, y, phi, geometry):
     return ax + 1e-6, ay
 
 
+def _shifted_rho2(t1, t2, n_samples, geometry):
+    """The real curve with every rho2 sample moved by 0.01 of the scale."""
+    curve = trace_cardanic(t1, t2, n_samples=n_samples, geometry=geometry)
+    return dataclasses.replace(curve, rho=curve.rho + (0.0, 0.01 * geometry.scale))
+
+
 # Each verify check, broken through the name the CLI calls it by, with the
 # start of the one FAIL line it must print.
 _BROKEN_CHECKS = {
@@ -811,6 +818,7 @@ _BROKEN_CHECKS = {
         "jacobian fd error 1.000e+00 at pose=(",
     ),
     "curve-residual": ("curves", "platform_anchor_arrays", _shifted_anchors, "curve residual "),
+    "curve-rho2": ("curves", "trace_cardanic", _shifted_rho2, "curve residual "),
     "curve-closure": (
         "curves", "rho_from_phi", lambda t1, t2, phi, geometry: (phi, 0.0), "curve closure ",
     ),
@@ -918,11 +926,13 @@ def test_geometry_env_bad_content(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
-@pytest.mark.parametrize("scale", [5e-324, 1e-200, 1e301, 1e308])
+@pytest.mark.parametrize("scale", [5e-324, 1e-200, 1e-150, 1e301, 1e308])
 def test_geometry_scale_outside_the_working_range_exits_3(tmp_path, capsys, monkeypatch, scale):
-    # Below the range the curve route's sign tests underflow (at 1e-170 it
-    # lost the second assembly, and 5e-324 gives no equilateral triangle);
-    # above it traces, scans and draws overflow into tracebacks.
+    # Below the range det B, a product of three lengths, leaves the normal
+    # floats (at 1e-150 a regular pose reported det B 0.0), the curve
+    # route's sign tests underflow further down (at 1e-170 it lost the
+    # second assembly), and 5e-324 gives no equilateral triangle; above it
+    # traces, scans and draws overflow into tracebacks.
     path = tmp_path / "geom.json"
     path.write_text(json.dumps({"scale": scale}))
     monkeypatch.setenv("RPR_GEOMETRY", str(path))
@@ -936,11 +946,11 @@ def test_geometry_scale_outside_the_working_range_exits_3(tmp_path, capsys, monk
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         (line,) = err.splitlines()
-        assert line.startswith("rpr3: geometry error: scale must be in [1e-150, 1e+300]")
+        assert line.startswith("rpr3: geometry error: scale must be in [1e-100, 1e+300]")
     assert not csv_path.exists()
 
 
-@pytest.mark.parametrize("scale", [1e-150, 1e100])
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
 def test_verify_and_dk_pass_at_the_ends_of_the_scale_range(tmp_path, capsys, monkeypatch, scale):
     path = tmp_path / "geom.json"
     path.write_text(json.dumps({"scale": scale}))
@@ -949,9 +959,16 @@ def test_verify_and_dk_pass_at_the_ends_of_the_scale_range(tmp_path, capsys, mon
     assert [scope["passed"] for scope in payload["scopes"].values()] == [True] * 3
     payload = run_json(capsys, "dk", "--t1", "0.2", "--t2", "0.9", "--t3", "2.0", "--method", "both")
     assert len(payload["poses"]) == 2 and payload["agreement"]["kinds_match"]
+    # det B of a regular pose, three lengths multiplied, is still a normal float.
+    assert abs(payload["poses"][1]["singularity"]["det_b"]) >= sys.float_info.min
+    payload = run_json(
+        capsys, "singularity", "--x", repr(0.3 * scale), "--y", repr(0.2 * scale), "--phi", "0.1"
+    )
+    assert payload["kind"] == "Regular"
+    assert abs(payload["det_b"]) >= sys.float_info.min
 
 
-@pytest.mark.parametrize("scale", ["1e-200", "1e301"])
+@pytest.mark.parametrize("scale", ["1e-200", "1e-150", "1e301"])
 def test_verify_rejects_a_trace_csv_row_scale_outside_the_range(tmp_path, capsys, scale):
     csv_path = tmp_path / "curve.csv"
     run_json(capsys, "trace", "--t1", "0.2", "--t2", "0.9", "--samples", "8", "--csv", str(csv_path))

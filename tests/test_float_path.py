@@ -90,11 +90,21 @@ def test_float_path_keeps_the_overflow_guard():
             call()
 
 
+def _reuleaux_pose(t1, phi):
+    """The pose at ``phi`` of the straight-line continuum of
+    (t1, t1 + pi/3, t1 - pi/3), a parallel singularity, with those angles."""
+    rho1, _ = rho_from_phi(t1, t1 + PI3, phi)
+    return Pose(rho1 * math.cos(t1), rho1 * math.sin(t1), phi), (t1, t1 + PI3, t1 - PI3)
+
+
 def test_singularity_report_builds_no_array(monkeypatch):
-    # det A comes from the rows of A on floats; only build_matrices, which
+    # det A comes from the rows of A on floats, and the normal lines of a
+    # parallel singularity from those rows too; only build_matrices, which
     # returns A itself, makes an array.
     calls = [(pose, inverse_kinematics(pose).angles) for pose in POSES]
+    calls.append(_reuleaux_pose(0.1, 0.5))
     want = [repr(classify_singularity(pose, theta)) for pose, theta in calls]
+    assert classify_singularity(*calls[-1]).intersection_point is not None
 
     def boom(*args, **kwargs):
         raise AssertionError("the singularity report built an array")
@@ -103,3 +113,17 @@ def test_singularity_report_builds_no_array(monkeypatch):
         monkeypatch.setattr(np, name, boom)
     monkeypatch.setattr(np.linalg, "det", boom)
     assert [repr(classify_singularity(pose, theta)) for pose, theta in calls] == want
+
+
+def test_a_pose_of_numpy_scalars_gives_python_floats():
+    pose = Pose(np.float64(0.3), np.float64(0.2), np.float64(0.1))
+    ik = inverse_kinematics(pose)
+    report = classify_singularity(pose, ik.angles)
+    values = [*pose.as_tuple(), *ik.rhos(), *ik.angles, report.det_a, report.det_b]
+    values += [*constraint_residuals(pose, ik.angles), *signed_extensions(pose, ik.angles)]
+    for solved in direct_kinematics(ik.angles).poses:
+        values += solved.as_tuple()
+    singular, theta = _reuleaux_pose(np.float64(0.1), np.float64(0.5))
+    point = classify_singularity(Pose(*map(np.float64, singular.as_tuple())), theta).intersection_point
+    values += [point.x, point.y]
+    assert [type(v).__name__ for v in values] == ["float"] * len(values)

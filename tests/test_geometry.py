@@ -164,10 +164,10 @@ def test_geometry_derives_scaled_triangle_from_scale():
 
 
 def test_geometry_scale_must_lie_in_the_working_range():
-    for scale in (1e-150, 1e300):
+    for scale in (1e-100, 1e300):
         assert ManipulatorGeometry(scale).anchors[1] == Vec2(scale, 0.0)
-    for bad in (5e-324, 9e-151, 1e-200, 1e301, 1.7976931348623157e308):
-        with pytest.raises(GeometryError, match=r"scale must be in \[1e-150, 1e\+300\]"):
+    for bad in (5e-324, 9e-151, 1e-150, 9e-101, 1e-200, 1e301, 1.7976931348623157e308):
+        with pytest.raises(GeometryError, match=r"scale must be in \[1e-100, 1e\+300\]"):
             ManipulatorGeometry(bad)
 
 

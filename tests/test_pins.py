@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from rpr3.cli import main
-from rpr3.coupler import geometric_dkp, reuleaux_descriptor, trace_cardanic
+from rpr3 import coupler
+from rpr3.coupler import geometric_dkp, reuleaux_descriptor, rho_from_phi, trace_cardanic
 from rpr3.errors import Rpr3Error
 from rpr3.geometry import (
     ManipulatorGeometry,
@@ -27,9 +28,9 @@ from rpr3.geometry import (
     constraint_residuals,
     signed_extensions,
 )
-from rpr3.jacobians import build_matrices, classify_singularity
+from rpr3.jacobians import build_matrices, classify_singularity, det_A_specialized
 from rpr3.oracle import ScanReport, dkp_bruteforce, jacobian_fd_check
-from rpr3.solvers import direct_kinematics, inverse_kinematics
+from rpr3.solvers import direct_kinematics, inverse_kinematics, position_from_orientation
 
 POSE_GROUPS = ("ik", "residuals", "extensions", "matrices", "singularity")
 BRANCHES = [(i >> 2 & 1, i >> 1 & 1, i & 1) for i in range(8)]
@@ -154,6 +155,126 @@ def test_scalar_kinematics_are_pinned(scale):
 @pytest.mark.parametrize("scale", sorted(PINNED_DK))
 def test_direct_kinematics_routes_are_pinned(scale):
     assert _dk_digests(scale) == PINNED_DK[scale]
+
+
+def _bisect_sign_change(func, lo, hi):
+    """Adjacent floats ``lo``, ``hi`` bracketing a sign change of ``func``
+    between them; returns ``lo``."""
+    f_lo = func(lo)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        f_mid = func(mid)
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return lo
+
+
+def _sign_change_brackets(func, lo, hi, samples=21):
+    grid = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]
+    values = [func(v) for v in grid]
+    return [(a, b) for a, b, fa, fb in zip(grid, grid[1:], values, values[1:]) if fa * fb < 0.0]
+
+
+def _singular_cases(geometry, count=6, seed=25):
+    """(pose, theta) at parallel singularities: poses on Reuleaux continua
+    (leg directions flipped too), translations with every leg parallel,
+    seeded poses bisected onto det A = 0 along x, and the trivial pose
+    with the third angle bisected onto n = 0."""
+    s = geometry.scale
+    rng = np.random.default_rng(seed)
+    cases = []
+    for t1 in rng.uniform(-math.pi, math.pi, count).tolist():
+        for flip in (0.0, math.pi):
+            theta = (t1, t1 + math.pi / 3.0 + flip, t1 - math.pi / 3.0)
+            for phi in (-2.0, -0.4, 0.5, 1.3, 3.0):
+                rho1, _ = rho_from_phi(theta[0], theta[1], phi, geometry)
+                cases.append((Pose(rho1 * math.cos(t1), rho1 * math.sin(t1), phi), theta))
+    for t, d in zip(rng.uniform(-math.pi, math.pi, count).tolist(), rng.uniform(-2.0, 2.0, count)):
+        pose = Pose(float(d) * s * math.cos(t), float(d) * s * math.sin(t), 0.0)
+        cases += [(pose, (t, t, t)), (pose, (t, t + math.pi, t - math.pi))]
+    for y, phi in zip(rng.uniform(-0.5, 1.5, count).tolist(), rng.uniform(0.2, 3.0, count).tolist()):
+
+        def det_a(x):
+            pose = Pose(x, y * s, phi)
+            return build_matrices(pose, inverse_kinematics(pose, geometry=geometry).angles, geometry).det_a
+
+        for lo, hi in _sign_change_brackets(det_a, -0.5 * s, 1.5 * s):
+            pose = Pose(_bisect_sign_change(det_a, lo, hi), y * s, phi)
+            cases.append((pose, inverse_kinematics(pose, geometry=geometry).angles))
+    trivial = Pose(0.0, 0.0, 0.0)
+    for t1, t2 in rng.uniform(-math.pi, math.pi, (count, 2)).tolist():
+
+        def det_at_trivial(t3):
+            return det_A_specialized((t1, t2, t3), geometry)
+
+        for lo, hi in _sign_change_brackets(det_at_trivial, -math.pi, math.pi):
+            cases.append((trivial, (t1, t2, _bisect_sign_change(det_at_trivial, lo, hi))))
+    return cases
+
+
+def _singular_digest(scale):
+    geometry = ManipulatorGeometry(scale)
+    digest = _Digest()
+    for pose, theta in _singular_cases(geometry):
+        digest.add(classify_singularity, pose, theta, geometry)
+    return digest.hexdigest()
+
+
+def _position_digest(scale, seed=26):
+    geometry = ManipulatorGeometry(scale)
+    triples = _dk_triples()
+    phis = np.random.default_rng(seed).uniform(-4.0, 4.0, len(triples)).tolist()
+    digest = _Digest()
+    for theta, phi in zip(triples, phis):
+        roots = [phi, 0.0, direct_kinematics(theta, geometry).poses[-1].phi]
+        for phi in roots:
+            for pair in (None, (1, 2), (2, 3), (1, 3), (2, 1), (3, 2), (3, 1)):
+                digest.add(position_from_orientation, theta, phi, pair, geometry)
+    return digest.hexdigest()
+
+
+# Captured before the leg-axis algebra of the position solve and of the
+# normal-line intersection was shared with the rest of the scalar path.
+PINNED_LEG_LINES = {
+    1.0: {
+        "singularity": "80341f768d1f422ec91f42013bd2385b275d8dfb6effa719d1ce5354fc6ccde3",
+        "position": "682dbb5bc41814896f93a3587a274e907a2250989012289e6c0456c0bcccc96e",
+    },
+    2.0: {
+        "singularity": "82a179e961d4c0dc4a3ad4516170c1b213cd1052978b5cfdfaeb8493c16ac20c",
+        "position": "217f4c7bb8d67a4e7fdb48937b60d0a315712890f50e808395a924c8626c8573",
+    },
+    # Not a power of two, so a regrouped product with the scale shows.
+    1.7: {
+        "singularity": "6287d37d7490a20bbeeb939ef06f99bd6e54499d5a2ed7df6c08c1d3aee67a94",
+        "position": "a8ae7b284282e590a53c6ee56dc9e3b54a2f2ae87397564858e0a86ae0648dc9",
+    },
+}
+
+
+@pytest.mark.parametrize("scale", sorted(PINNED_LEG_LINES))
+def test_parallel_singularities_and_position_solves_are_pinned(scale):
+    assert {
+        "singularity": _singular_digest(scale),
+        "position": _position_digest(scale),
+    } == PINNED_LEG_LINES[scale]
+
+
+def test_geometric_dkp_of_a_reuleaux_triple_traces_no_curve(monkeypatch):
+    # The angle predicate decides the continuum; a traced curve would only
+    # be discarded.
+    triples = [(0.0, 1.04719755, -1.04719755), SPECIAL_TRIPLES[0]]
+    triples += [(t, t + math.pi / 3.0 - math.pi, t - math.pi / 3.0) for t in (-2.5, 0.5, 3.0)]
+    geometries = [ManipulatorGeometry(s) for s in (1.0, 1.7)]
+    want = [geometric_dkp(t, geometry=g) for t in triples for g in geometries]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a Reuleaux triple traced a coupler curve")
+
+    monkeypatch.setattr(coupler, "trace_cardanic", boom)
+    assert [geometric_dkp(t, geometry=g) for t in triples for g in geometries] == want
+    assert all(r.kind.value == "ContinuumReuleaux" for r in want)
 
 
 # The larger steps move the re-solves far enough that some fail to converge.
