@@ -726,10 +726,8 @@ def _dkp_trial(rng, geom) -> float | None:
     closed = direct_kinematics(theta, geometry=geom)
     if closed.m * closed.m + closed.n * closed.n < 1e-8:
         return None  # keep checks away from the degeneracy threshold
-    if closed.kind is not DkKind.TWO_SOLUTIONS or closed.coincident:
+    if closed.kind is not DkKind.TWO_SOLUTIONS:
         return None
-    if abs(closed.poses[1].phi) < 1e-2:
-        return None  # roots closer than the scan grid can separate
     report = dkp_bruteforce(theta, geometry=geom)
     if len(report.solutions_found) != len(closed.poses):
         raise _TrialFailure(

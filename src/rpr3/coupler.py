@@ -11,8 +11,9 @@ with the third angle at -pi/3 (mod pi) from the first the whole direct
 kinematics degenerates to a continuum.
 
 Intersecting the curve with the third leg's axis solves the direct problem
-geometrically; this route shares only the loop-closure formulas with the
-closed-form solver and is used to cross-check it.
+geometrically, in the half angle phi / 2, where the trivial assembly
+factors out exactly; this route shares only the loop-closure formulas with
+the closed-form solver and is used to cross-check it.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from .geometry import (
     _as_angles,
     _form,
     _leg_axis,
-    cluster_poses,
     normalize_angle,
 )
 from .solvers import (
+    DEGENERACY_ANGLE_TOL,
     REDUCTION_NULL_TOL,
     _DK_KINDS,
     _TRIVIAL,
@@ -148,8 +149,8 @@ def _slider_loop(theta1: float, theta2: float, phi, geometry: ManipulatorGeometr
     :func:`rho_from_phi` and B3 = a1 + rho1 v1 + R(phi) b3_local.  The
     platform reference point is a1 + rho1 v1, so poses reuse rho1.
 
-    ``phi`` is a float, as in each bisection step of :func:`geometric_dkp`,
-    or an array, each of whose elements equals the float result.
+    ``phi`` is a float, as in :func:`rho_from_phi`, or an array, each of
+    whose elements equals the float result.
     """
     den = math.sin(theta2 - theta1)
     if abs(den) < PAIR_SIN_TOL:
@@ -247,16 +248,19 @@ def geometric_dkp(
 ) -> DkSolutionSet:
     """Direct kinematics by intersecting the coupler curve with leg 3's axis.
 
-    The signed distance of B3(phi) from the third slider line changes sign
-    at every transversal assembly; crossings are bracketed on the sampled
-    cycle (wrap included) and refined by bisection to 1e-12 in phi.  Each
-    root maps back to a pose through rho1.  Shares no root formulas with
-    the closed-form solver, which is the point: the two routes are compared
-    in tests and by the command-line verifier.
+    The signed distance of B3 from the third slider line vanishes at every
+    assembly; with the trivial one's factor 2 sin(phi / 2) divided out
+    (:func:`_half_angle_offset`) it changes sign once per half cycle of
+    psi = phi / 2, at the second.  That sign change is bracketed at half the
+    curve's orientations (the wrap pair included: the function is
+    antiperiodic), bisected to 1e-12 in phi and mapped to a pose through
+    rho1.  Shares no root formulas with the closed-form solver, which is
+    the point: the two routes are compared in tests and by the verifier.
 
-    Returns the same solution-set type as the closed-form path so kinds and
-    continua can be compared directly.  Triples the angle predicates put on
-    a continuum return before any curve is traced.
+    Returns the same solution-set type as the closed-form path, with its
+    DEGENERATE and coincident rules, so kinds and continua compare
+    directly.  Triples the angle predicates put on a continuum return
+    before any curve is traced.
     """
     t = _as_angles(theta)
     m, n = _mn(*t)
@@ -275,63 +279,56 @@ def geometric_dkp(
     if curve is None:
         curve = trace_cardanic(t[0], t[1], geometry=geometry)
 
-    def line_distance(phi: float) -> float:
-        _, _, b3x, b3y = _slider_loop(curve.theta1, curve.theta2, phi, geometry)
-        return _axis_offset(b3x, b3y, t[2], geometry)[0]
-
     dist, _ = _axis_offset(curve.b3[:, 0], curve.b3[:, 1], t[2], geometry)
-
     on_line = float(np.abs(dist).max()) < COLLINEARITY_TOL * geometry.scale
     if curve.degenerate and on_line:
         # The whole segment lies on the third axis: the same self motion,
         # found by measurement where the angle predicate missed it.
         line = _leg1_line(t[0])
         return DkSolutionSet(DkKind.CONTINUUM_REULEAUX, (_TRIVIAL,), m, n, continuum=line)
+    if m * m + n * n <= REDUCTION_NULL_TOL:
+        return DkSolutionSet(DkKind.DEGENERATE, (_TRIVIAL,), m, n)
 
-    roots = _cycle_roots(curve.phi, dist, line_distance, geometry.scale)
-    poses = []
-    for phi in roots:
-        rho1, _ = rho_from_phi(curve.theta1, curve.theta2, phi, geometry)
-        poses.append(
-            Pose(rho1 * math.cos(curve.theta1), rho1 * math.sin(curve.theta1), phi)
-        )
-    poses = cluster_poses(sorted(poses, key=lambda p: p.phi), geometry)
-    poses.sort(key=lambda p: abs(p.phi))
+    t1, t2 = curve.theta1, curve.theta2
+    offset = _half_angle_offset(t1, t2, t[2], geometry)
+    psi = 0.5 * curve.phi
+    values = offset(np.cos(psi), np.sin(psi))
+    # The sample after the last is psi[0] + pi, where the value is -values[0].
+    below = values < 0.0
+    k = int(np.argmax(below != np.append(below[1:], not below[0])))
+    hi = float(psi[k + 1]) if k + 1 < psi.size else float(psi[0]) + math.pi
+    psi2 = _bisect(lambda p: offset(math.cos(p), math.sin(p)), float(psi[k]), hi, float(values[k]))
+    phi2 = normalize_angle(2.0 * psi2)
+    rho1, _ = rho_from_phi(t1, t2, phi2, geometry)
+    second = Pose(rho1 * math.cos(t1), rho1 * math.sin(t1), phi2)
+    coincident = abs(phi2) < DEGENERACY_ANGLE_TOL
+    return DkSolutionSet(DkKind.TWO_SOLUTIONS, (_TRIVIAL, second), m, n, coincident=coincident)
 
-    if len(poses) >= 2:
-        return DkSolutionSet(DkKind.TWO_SOLUTIONS, tuple(poses), m, n)
-    if len(poses) == 1 and m * m + n * n > REDUCTION_NULL_TOL:
-        return DkSolutionSet(DkKind.TWO_SOLUTIONS, tuple(poses), m, n, coincident=True)
-    return DkSolutionSet(DkKind.DEGENERATE, tuple(poses), m, n)
 
+def _half_angle_offset(t1: float, t2: float, t3: float, geometry: ManipulatorGeometry):
+    """(cos(psi), sin(psi)) -> (B3 - a3) x v3 / (2 sin(psi)) at psi = phi / 2,
+    floats or arrays.
 
-def _cycle_roots(phis, values, func, scale) -> list[float]:
-    """Roots of a periodic sampled function, bisection-refined.
-
-    Brackets come from sign changes between consecutive samples, including
-    the wrap pair (a product that overflows keeps its sign); samples that
-    are zero within 1e-12 * scale are accepted directly so tangential
-    touches are not lost.
+    With a1 at the origin, B3 - a3 = rho1 v1 + (R(phi) - I) a3; the chord
+    identities (R(phi) - I) a = 2 sin(psi) R(psi + pi/2) a and
+    rho1 = 2 sin(psi) s cos(t2 - psi) / sin(t2 - t1) take the factor out of
+    both terms with no cancellation.
     """
-    hi = np.roll(phis, -1)
-    hi[-1] += 2.0 * math.pi
-    touch = np.abs(values) < 1e-12 * scale
-    with np.errstate(over="ignore"):
-        bracket = ~touch & (values * np.roll(values, -1) < 0.0)
-    roots: list[float] = []
-    for k in np.flatnonzero(touch | bracket).tolist():
-        root = float(phis[k])
-        if not touch[k]:
-            root = _bisect(func, root, float(hi[k]), float(values[k]))
-        roots.append(normalize_angle(root))
-    return roots
+    a3 = geometry.base_anchor(3)
+    per_sin = geometry.scale / math.sin(t2 - t1)
+    c1, s1, c2, s2 = math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2)
+
+    def offset(c, s):
+        rho = per_sin * (c2 * c + s2 * s)
+        # R(psi + pi/2) a3 = (-a3.y c - a3.x s, a3.x c - a3.y s)
+        return _leg_axis(t3, rho * c1 - a3.y * c - a3.x * s, rho * s1 + a3.x * c - a3.y * s)[2]
+
+    return offset
 
 
-def _bisect(func, lo: float, hi: float, flo: float, tol: float = 1e-12) -> float:
-    for _ in range(100):
+def _bisect(func, lo: float, hi: float, flo: float, tol: float = 5e-13) -> float:
+    while hi - lo >= tol:
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
-            return mid
         fmid = func(mid)
         if fmid == 0.0:
             return mid

@@ -1,12 +1,13 @@
 """Brute-force verifiers, deliberately independent of the closed forms.
 
 The direct-kinematics scan rediscovers assemblies from first principles:
-fix the orientation, solve two leg constraints for the position (they are
-affine in it), and watch the sign of the left-out constraint around the
-cycle.  Sign changes are polished on the full three-residual system by a
-damped Newton iteration.  None of the closed-form root machinery is used;
-this module imports only the shared geometry primitives, so agreement with
-the solvers is evidence, not tautology.
+divide the trivial assembly's factor 2 sin(phi / 2) out of the leg
+constraints, fix the half angle, solve two legs for the position (they are
+affine in it), and watch the sign of the left-out leg around the cycle.
+Sign changes are polished on the deflated system, which has no trivial
+root to land on, by a damped Newton iteration.  None of the closed-form
+root machinery is used; this module imports only the shared geometry
+primitives, so agreement with the solvers is evidence, not tautology.
 
 The Jacobian check compares the analytic velocity map against central
 finite differences of locally re-solved poses.
@@ -51,8 +52,10 @@ NEWTON_RESIDUAL_TOL = 1e-12
 CONTINUUM_GRID_FRACTION = 0.05
 _CONTINUUM_RESIDUAL = 1e-8
 
-# Orientation samples of the scan over (-pi, pi].
+# Samples of the scan over (-pi, pi], a full period of phi / 2 + pi / 2.
 _SCAN_SAMPLES = 2048
+
+_TRIVIAL = Pose(0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -81,15 +84,16 @@ def _leg_rows(
     return list(zip(sin_t, cos_t, [(v.x, v.y) for v in geometry.anchors]))
 
 
-def _residual_rows(x, y, c, s, rows: list) -> list:
+def _residual_rows(x, y, c, s, rows: list, home: float = 1.0) -> list:
     """The three constraint residuals at cos/sin (c, s) of phi, on floats
-    or on columns of configurations.
+    or on columns of configurations; with ``home`` 0 every base anchor sits
+    at the origin, the deflated system of :func:`dkp_bruteforce`.
 
     Re-implements the anchor algebra directly (a separate evaluation path
     from the scalar geometry helpers used by the solvers).
     """
     return [
-        st * (x + c * bx - s * by - bx) - ct * (y + s * bx + c * by - by)
+        st * (x + c * bx - s * by - home * bx) - ct * (y + s * bx + c * by - home * by)
         for st, ct, (bx, by) in rows
     ]
 
@@ -101,8 +105,10 @@ def _newton_polish(
     damping: float = NEWTON_DAMPING,
     max_iter: int = NEWTON_MAX_ITER,
     tol: float = NEWTON_RESIDUAL_TOL,
+    home: float = 1.0,
 ) -> tuple[tuple[float, float, float] | None, int]:
-    """Damped Newton on the full three-residual system, on Python floats.
+    """Damped Newton on the three-residual system of ``home`` (see
+    :func:`_residual_rows`), on Python floats.
 
     Returns (solution, iterations used) or (None, iterations) when the
     iteration fails to reach ``tol``.
@@ -113,7 +119,7 @@ def _newton_polish(
     x, y, phi = start
     for it in range(max_iter + 1):
         # numpy's cos/sin for the residuals, as in the scan; libm's for the Jacobian.
-        res = _residual_rows(x, y, float(np.cos(phi)), float(np.sin(phi)), rows)
+        res = _residual_rows(x, y, float(np.cos(phi)), float(np.sin(phi)), rows, home)
         if all(abs(r) < tol for r in res):
             return ((x, y, phi), it)
         if it == max_iter:
@@ -138,10 +144,13 @@ def dkp_bruteforce(
 ) -> ScanReport:
     """Scan the orientation cycle for assemblies.
 
-    For each phi on a uniform grid of 2048 samples over (-pi, pi], the two
-    best-conditioned leg constraints are solved for the position and the
-    left-out constraint becomes the scan function; its sign changes
-    (wrap-aware) bracket isolated assemblies, refined by damped Newton until
+    The trivial pose is always returned.  With psi = phi / 2, alpha =
+    psi + pi/2 and p = 2 sin(psi) q, (R(phi) - I) a = 2 sin(psi) R(alpha) a
+    makes leg i's residual 2 sin(psi) (q + R(alpha) a_i) x v_i.  For each
+    alpha on a uniform grid of 2048 samples over (-pi, pi], two deflated
+    legs (the best-conditioned pair) are solved for q and the left-out one
+    becomes the scan function; its sign changes (wrap-aware) bracket psi2
+    and psi2 + pi, refined by damped Newton on the deflated system until
     every residual is below ``NEWTON_RESIDUAL_TOL * scale`` and clustered by
     :func:`cluster_poses`.  A continuum is declared when more than 5% of the
     grid admits residual below 1e-8 * scale; all-parallel legs short-circuit
@@ -149,41 +158,35 @@ def dkp_bruteforce(
     rank deficient everywhere).
     """
     t = _as_angles(theta)
-    scale = geometry.scale
-    trivial = Pose(0.0, 0.0, 0.0)
-
     pairs = ((0, 1, 2), (1, 2, 0), (0, 2, 1))
     dets = [math.sin(t[j] - t[i]) for i, j, _ in pairs]
     best = max(range(3), key=lambda idx: abs(dets[idx]))
     if abs(dets[best]) < PAIR_SIN_TOL:
         # Every pair of slider lines is parallel: translation self motion.
-        return ScanReport((trivial,), 0.0, (_SCAN_SAMPLES, 1), 0, continuum=True)
+        return ScanReport((_TRIVIAL,), 0.0, (_SCAN_SAMPLES, 1), 0, continuum=True)
     i, j, k = pairs[best]
     det = dets[best]
 
     step = 2.0 * math.pi / _SCAN_SAMPLES
-    phis = -math.pi + step * np.arange(1, _SCAN_SAMPLES + 1)
-    zeros = np.zeros_like(phis)
-    e = _residual_rows(zeros, zeros, np.cos(phis), np.sin(phis), _leg_rows(t, geometry))
-    # Cramer solve of legs i, j for the position at each orientation.
+    alphas = -math.pi + step * np.arange(1, _SCAN_SAMPLES + 1)
+    zeros = np.zeros_like(alphas)
+    e = _residual_rows(zeros, zeros, np.cos(alphas), np.sin(alphas), _leg_rows(t, geometry), 0.0)
+    # Cramer solve of legs i, j for q at each alpha.
     x = (e[i] * math.cos(t[j]) - e[j] * math.cos(t[i])) / det
     y = (e[i] * math.sin(t[j]) - e[j] * math.sin(t[i])) / det
     leftover = math.sin(t[k]) * x - math.cos(t[k]) * y + e[k]
 
-    near_zero = np.abs(leftover) < _CONTINUUM_RESIDUAL * scale
-    if float(near_zero.mean()) > CONTINUUM_GRID_FRACTION:
+    near_zero = np.abs(leftover) < _CONTINUUM_RESIDUAL * geometry.scale
+    continuum = float(near_zero.mean()) > CONTINUUM_GRID_FRACTION
+    if continuum:
         picks = np.flatnonzero(near_zero)
         picks = picks[:: max(1, len(picks) // 64)]
-        poses, iters = _polish_candidates(
-            [(float(x[p]), float(y[p]), float(phis[p])) for p in picks], t, geometry
-        )
-        residual = _worst_residual(poses, t, geometry)
-        return ScanReport(tuple(poses), residual, (_SCAN_SAMPLES, 1), iters, continuum=True)
-
-    candidates = _bracket_candidates(leftover, x, y, phis, step)
+        candidates = [(float(x[p]), float(y[p]), float(alphas[p])) for p in picks]
+    else:
+        candidates = _bracket_candidates(leftover, x, y, alphas, step)
     poses, iters = _polish_candidates(candidates, t, geometry)
-    residual = _worst_residual(poses, t, geometry)
-    return ScanReport(tuple(poses), residual, (_SCAN_SAMPLES, 1), iters, continuum=False)
+    residual = max(abs(r) for pose in poses for r in constraint_residuals(pose, t, geometry))
+    return ScanReport(tuple(poses), residual, (_SCAN_SAMPLES, 1), iters, continuum=continuum)
 
 
 def _bracket_candidates(
@@ -211,26 +214,27 @@ def _polish_candidates(
     t: tuple[float, float, float],
     geometry: ManipulatorGeometry,
 ) -> tuple[list[Pose], int]:
+    """The trivial pose and the clustered poses Newton reaches from the
+    deflated ``candidates``, with the Newton iterations used.  Candidates
+    (q, alpha) and (-q, alpha + pi) are one pose, so only the first of each
+    cluster of start poses is polished."""
     total_iters = 0
-    polished: list[Pose] = []
+    polished: list[Pose | None] = []
     tol = NEWTON_RESIDUAL_TOL * geometry.scale
-    for cand in candidates:
-        solved, used = _newton_polish(cand, t, geometry, tol=tol)
+    starts = {pose: cand for cand in candidates if (pose := _chord_pose(*cand)) is not None}
+    for start in cluster_poses(starts, geometry):
+        solved, used = _newton_polish(starts[start], t, geometry, tol=tol, home=0.0)
         total_iters += used
         if solved is not None:
-            polished.append(Pose(solved[0], solved[1], solved[2]))
-    solutions = cluster_poses(polished, geometry)
-    solutions.sort(key=lambda p: abs(p.phi))
-    return (solutions, total_iters)
+            polished.append(_chord_pose(*solved))
+    return ([_TRIVIAL, *cluster_poses(filter(None, polished), geometry)], total_iters)
 
 
-def _worst_residual(
-    poses: list[Pose], t: tuple[float, float, float], geometry: ManipulatorGeometry
-) -> float:
-    worst = 0.0
-    for pose in poses:
-        worst = max(worst, max(abs(r) for r in constraint_residuals(pose, t, geometry)))
-    return worst
+def _chord_pose(qx: float, qy: float, alpha: float) -> Pose | None:
+    """p = 2 sin(psi) q at phi = 2 psi = 2 alpha - pi, or None if p overflows."""
+    chord = -2.0 * math.cos(alpha)
+    x, y = chord * qx, chord * qy
+    return Pose(x, y, 2.0 * alpha - math.pi) if math.isfinite(x) and math.isfinite(y) else None
 
 
 def jacobian_fd_check(

@@ -201,8 +201,8 @@ class DkSolutionSet:
     and, from ``geometric_dkp`` only, the line the reference point runs on
     in the rotational continuum, CONTINUUM_REULEAUX (its stroke is measured
     by ``reuleaux_descriptor``).
-    ``coincident`` flags a nontrivial root that collapses onto the trivial
-    one.
+    ``coincident`` flags a second root that collapses onto the trivial one,
+    |phi| < ``DEGENERACY_ANGLE_TOL``: both routes, one rule.
     """
 
     kind: DkKind

@@ -19,6 +19,7 @@ from rpr3 import (
     DkKind,
     LegAtAnchorError,
     ManipulatorGeometry,
+    POSE_TOL,
     Pose,
     SingularityKind,
     angle_difference,
@@ -32,6 +33,7 @@ from rpr3 import (
     jacobian_fd_check,
     mn_coefficients,
     platform_anchor,
+    pose_distance,
     reuleaux_descriptor,
     rotation_matrix,
     signed_extensions,
@@ -586,4 +588,64 @@ def test_c12_every_parallel_singularity_off_phi_zero_is_a_reuleaux_continuum(cap
                             f"{worst_det:.1e}, {elapsed * 1e3:.0f} ms")
     assert roots >= 20
     assert worst_mn < 1e-12
+    assert elapsed < budget
+
+
+# -------------------------------------------------------------- criterion 13
+
+
+def _merging_triples(rng, count):
+    """For each of ``count`` drawn (t1, t2), n bisected along t3 to adjacent
+    floats: every bisection midpoint with |phi*| in [1e-8, 1e-2], then the
+    final t3, on n = 0 to rounding."""
+    triples = []
+    for _ in range(count):
+        t1, t2 = rng.uniform(-PI, PI), rng.uniform(-PI, PI)
+
+        def n_at(t3):
+            return mn_coefficients((t1, t2, t3))[1]
+
+        grid = [PI * (k / 4.0 - 1.0) for k in range(9)]
+        lo, hi = next((a, b) for a, b in zip(grid, grid[1:]) if n_at(a) * n_at(b) < 0.0)
+        n_lo = n_at(lo)
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if 1e-8 <= abs(_phi_star(*mn_coefficients((t1, t2, mid)))) <= 1e-2:
+                triples.append((t1, t2, mid))
+            n_mid = n_at(mid)
+            if (n_mid < 0.0) == (n_lo < 0.0):
+                lo, n_lo = mid, n_mid
+            else:
+                hi = mid
+        triples.append((t1, t2, lo))
+    return triples
+
+
+def test_c13_both_routes_resolve_merging_assemblies(capsys):
+    # At n = 0 the second assembly merges into the trivial one (criterion
+    # 10), phi* ~ 2n/m.  Both independent routes scan psi = phi / 2 with the
+    # factor 2 sin(psi) of the trivial root divided out, so each must return
+    # the two assemblies of the closed form however close they sit.
+    budget = 0.5
+    start = time.monotonic()
+    triples = _merging_triples(random.Random(13), 4)
+    phis = [abs(_phi_star(*mn_coefficients(theta))) for theta in triples]
+    worst, coincident = 0.0, 0
+    for scale in (1.0, 1.7):
+        geometry = ManipulatorGeometry(scale)
+        for theta in triples:
+            closed = direct_kinematics(theta, geometry)
+            assert closed.kind is DkKind.TWO_SOLUTIONS, theta
+            geo = geometric_dkp(theta, geometry=geometry)
+            assert (geo.kind, geo.coincident) == (closed.kind, closed.coincident), theta
+            coincident += closed.coincident
+            for poses in (geo.poses, dkp_bruteforce(theta, geometry).solutions_found):
+                assert len(poses) == 2 and poses[0] == Pose(0.0, 0.0, 0.0), theta
+                worst = max(worst, pose_distance(closed.poses[1], poses[1], geometry))
+    elapsed = time.monotonic() - start
+    ok = worst < POSE_TOL and elapsed < budget
+    _report(capsys, 13, ok, f"{len(triples)} triples bisected onto n = 0 at scales 1, 1.7, "
+                            f"|phi*| from {min(phis):.1e} to {max(phis):.1e}, {coincident} "
+                            f"coincident, worst gap to the closed form {worst:.1e}, "
+                            f"{elapsed * 1e3:.0f} ms")
+    assert worst < POSE_TOL
     assert elapsed < budget

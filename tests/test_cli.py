@@ -157,6 +157,17 @@ def test_dk_reuleaux_with_printed_constants(capsys):
     assert payload["continuum"]["direction"] == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("delta", [1e-8, 1e-7, 3e-7])
+def test_dk_routes_agree_just_off_the_reuleaux_predicate(capsys, delta):
+    # Outside DEGENERACY_ANGLE_TOL but with m^2 + n^2 below
+    # REDUCTION_NULL_TOL: both routes report the closed form's DEGENERATE.
+    theta = (0.3, 0.3 + PI3, 0.3 - PI3 + delta)
+    argv = [f"--t{i}={t!r}" for i, t in enumerate(theta, start=1)]
+    payload = run_json(capsys, "dk", *argv, "--method", "both")
+    assert payload["kind"] == "Degenerate"
+    assert payload["agreement"] == {"kinds_match": True, "max_pose_deviation": 0.0}
+
+
 def test_dk_translation_continuum(capsys):
     payload = run_json(capsys, "dk", "--t1", "0.7", "--t2", "0.7", "--t3", "0.7")
     assert payload["kind"] == "ContinuumTranslation"

@@ -8,12 +8,14 @@ import pytest
 from rpr3.errors import DegenerateLegPairError, NotReuleauxError
 from rpr3.geometry import (
     DEFAULT_GEOMETRY,
+    POSE_TOL,
     ManipulatorGeometry,
     Pose,
     Vec2,
     angle_difference,
     constraint_residuals,
     platform_anchor,
+    pose_distance,
     rotation_matrix,
 )
 from rpr3.coupler import (
@@ -22,6 +24,7 @@ from rpr3.coupler import (
     rho_from_phi,
     trace_cardanic,
 )
+from rpr3.oracle import dkp_bruteforce
 from rpr3.solvers import DkKind, direct_kinematics, mn_coefficients
 
 PI3 = math.pi / 3.0
@@ -187,9 +190,6 @@ def test_geometric_dkp_matches_closed_form():
         m, n = mn_coefficients(theta)
         if m * m + n * n < 1e-6:
             continue
-        phi2 = math.atan2(2.0 * m * n, m * m - n * n)
-        if abs(phi2) < 5e-2:
-            continue  # near-tangent roots need a finer scan than the default
         if abs(math.sin(theta[1] - theta[0])) < 1e-2:
             continue
         closed = direct_kinematics(theta)
@@ -206,6 +206,27 @@ def test_geometric_dkp_matches_closed_form():
             assert abs(p.y - q.y) < 1e-7
             assert angle_difference(p.phi, q.phi) < 1e-7
         checked += 1
+
+
+def test_both_routes_resolve_the_near_merges_of_a_seeded_draw():
+    # Of 20,000 uniform triples from default_rng(1), 63 have |phi2| < 1e-2:
+    # closer to the trivial root than a scan over phi can bracket, which the
+    # half-angle scans of both routes never have to.
+    triples = np.random.default_rng(1).uniform(-math.pi, math.pi, (20000, 3)).tolist()
+    near = []
+    for theta in triples:
+        closed = direct_kinematics(theta)
+        if closed.kind is DkKind.TWO_SOLUTIONS and abs(closed.poses[1].phi) < 1e-2:
+            near.append((theta, closed))
+    assert len(near) == 63
+    for theta, closed in near:
+        geo = geometric_dkp(theta)
+        scan = dkp_bruteforce(theta).solutions_found
+        assert (geo.kind, geo.coincident) == (closed.kind, closed.coincident), theta
+        for poses in (geo.poses, scan):
+            assert len(poses) == 2, theta
+            for p, q in zip(closed.poses, poses):
+                assert pose_distance(p, q) < POSE_TOL, theta
 
 
 def test_geometric_dkp_accepts_precomputed_curve():
