@@ -13,7 +13,9 @@ kinematics degenerates to a continuum.
 Intersecting the curve with the third leg's axis solves the direct problem
 geometrically, in the half angle phi / 2, where the trivial assembly
 factors out exactly; this route shares only the loop-closure formulas with
-the closed-form solver and is used to cross-check it.
+the closed-form solver and is used to cross-check it.  Neither it nor the
+straight-line constants sample a traced curve: both evaluate the loop
+closure directly, and ``trace_cardanic`` serves the tables and figures.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .geometry import (
     PAIR_SIN_TOL,
     JointAngles,
     ManipulatorGeometry,
-    Pose,
     Vec2,
     _as_angles,
     _form,
@@ -47,6 +48,7 @@ from .solvers import (
     _continuum,
     _leg1_line,
     _mn,
+    _position,
 )
 
 __all__ = [
@@ -67,9 +69,6 @@ MIN_CURVE_SAMPLES = 8
 # Maximum point-line distance (relative to scale) under which a sampled
 # curve counts as a straight segment.
 COLLINEARITY_TOL = 1e-9
-
-# Orientation samples of the full-cycle sweep in reuleaux_descriptor.
-_REULEAUX_SAMPLES = 4096
 
 _THIRD_VERTEX_ANGLE = math.pi / 3.0
 
@@ -112,7 +111,7 @@ class SegmentDescriptor:
 
 @dataclass(frozen=True)
 class ReuleauxDescriptor:
-    """Measured constants of the straight-line self-motion.
+    """Constants of the straight-line self-motion.
 
     ``p_line`` is the longest straight stroke of the platform reference
     point between serial singularities (leg extensions changing sign);
@@ -152,11 +151,7 @@ def _slider_loop(theta1: float, theta2: float, phi, geometry: ManipulatorGeometr
     ``phi`` is a float, as in :func:`rho_from_phi`, or an array, each of
     whose elements equals the float result.
     """
-    den = math.sin(theta2 - theta1)
-    if abs(den) < PAIR_SIN_TOL:
-        raise DegenerateLegPairError(
-            f"legs parallel: sin(theta2 - theta1) = {den:.3e}"
-        )
+    den = _pair_sin(theta1, theta2)
     s = geometry.scale
     f = _form(phi)
     one_minus_cos = 1.0 - f.cos(phi)
@@ -170,12 +165,13 @@ def _slider_loop(theta1: float, theta2: float, phi, geometry: ManipulatorGeometr
     return (rho1, rho2, b3x, b3y)
 
 
-def _axis_offset(b3x, b3y, theta3: float, geometry: ManipulatorGeometry):
-    """(residual, extension) of B3 against leg 3's slider axis, floats or
-    arrays (see :func:`_leg_axis`); where the residual vanishes, the
-    extension is rho3."""
-    a3 = geometry.base_anchor(3)
-    return _leg_axis(theta3, b3x - a3.x, b3y - a3.y)[2:]
+def _pair_sin(theta1: float, theta2: float) -> float:
+    """sin(theta2 - theta1), the loop closure's denominator; raises
+    :class:`DegenerateLegPairError` for parallel slider lines."""
+    den = math.sin(theta2 - theta1)
+    if abs(den) < PAIR_SIN_TOL:
+        raise DegenerateLegPairError(f"legs parallel: sin(theta2 - theta1) = {den:.3e}")
+    return den
 
 
 def _cycle_grid(n_samples: int) -> np.ndarray:
@@ -250,17 +246,19 @@ def geometric_dkp(
 
     The signed distance of B3 from the third slider line vanishes at every
     assembly; with the trivial one's factor 2 sin(phi / 2) divided out
-    (:func:`_half_angle_offset`) it changes sign once per half cycle of
-    psi = phi / 2, at the second.  That sign change is bracketed at half the
-    curve's orientations (the wrap pair included: the function is
-    antiperiodic), bisected to 1e-12 in phi and mapped to a pose through
-    rho1.  Shares no root formulas with the closed-form solver, which is
-    the point: the two routes are compared in tests and by the verifier.
+    (:func:`_half_angle_offset`, straight from the loop closure) it changes
+    sign once per half cycle of psi = phi / 2, at the second.  That sign
+    change is bracketed on the half angles of a 720-sample cycle, or of
+    ``curve.phi`` when a curve is given (the wrap pair included: the
+    function is antiperiodic), bisected to 1e-12 in phi and mapped to a pose
+    through the best-conditioned leg pair.  Shares no root formulas with the
+    closed-form solver, which is the point: the two routes are compared in
+    tests and by the verifier.
 
     Returns the same solution-set type as the closed-form path, with its
-    DEGENERATE and coincident rules, so kinds and continua compare
-    directly.  Triples the angle predicates put on a continuum return
-    before any curve is traced.
+    continuum, DEGENERATE and coincident rules, so kinds and continua
+    compare directly.  Raises :class:`DegenerateLegPairError` when legs 1
+    and 2 are parallel, where no coupler curve exists.
     """
     t = _as_angles(theta)
     m, n = _mn(*t)
@@ -268,40 +266,28 @@ def geometric_dkp(
     if kind is DkKind.CONTINUUM_TRANSLATION:
         return DkSolutionSet(kind, (_TRIVIAL,), m, n, continuum=_leg1_line(t[0]))
 
+    t1, t2 = normalize_angle(t[0]), normalize_angle(t[1])
     if curve is not None and (
-        abs(curve.theta1 - normalize_angle(t[0])) > 1e-12
-        or abs(curve.theta2 - normalize_angle(t[1])) > 1e-12
+        abs(curve.theta1 - t1) > 1e-12
+        or abs(curve.theta2 - t2) > 1e-12
         or curve.scale != geometry.scale
     ):
         raise ValueError("curve was traced for different angles or geometry")
     if kind is DkKind.CONTINUUM_REULEAUX:  # the reference point runs on leg 1's line
         return DkSolutionSet(kind, (_TRIVIAL,), m, n, continuum=_leg1_line(t[0]))
-    if curve is None:
-        curve = trace_cardanic(t[0], t[1], geometry=geometry)
-
-    dist, _ = _axis_offset(curve.b3[:, 0], curve.b3[:, 1], t[2], geometry)
-    on_line = float(np.abs(dist).max()) < COLLINEARITY_TOL * geometry.scale
-    if curve.degenerate and on_line:
-        # The whole segment lies on the third axis: the same self motion,
-        # found by measurement where the angle predicate missed it.
-        line = _leg1_line(t[0])
-        return DkSolutionSet(DkKind.CONTINUUM_REULEAUX, (_TRIVIAL,), m, n, continuum=line)
+    offset = _half_angle_offset(t1, t2, t[2], geometry)
     if m * m + n * n <= REDUCTION_NULL_TOL:
         return DkSolutionSet(DkKind.DEGENERATE, (_TRIVIAL,), m, n)
 
-    t1, t2 = curve.theta1, curve.theta2
-    offset = _half_angle_offset(t1, t2, t[2], geometry)
-    psi = 0.5 * curve.phi
+    psi = 0.5 * (_cycle_grid(720) if curve is None else curve.phi)
     values = offset(np.cos(psi), np.sin(psi))
     # The sample after the last is psi[0] + pi, where the value is -values[0].
     below = values < 0.0
     k = int(np.argmax(below != np.append(below[1:], not below[0])))
     hi = float(psi[k + 1]) if k + 1 < psi.size else float(psi[0]) + math.pi
     psi2 = _bisect(lambda p: offset(math.cos(p), math.sin(p)), float(psi[k]), hi, float(values[k]))
-    phi2 = normalize_angle(2.0 * psi2)
-    rho1, _ = rho_from_phi(t1, t2, phi2, geometry)
-    second = Pose(rho1 * math.cos(t1), rho1 * math.sin(t1), phi2)
-    coincident = abs(phi2) < DEGENERACY_ANGLE_TOL
+    second = _position(t, normalize_angle(2.0 * psi2), None, geometry)
+    coincident = abs(second.phi) < DEGENERACY_ANGLE_TOL
     return DkSolutionSet(DkKind.TWO_SOLUTIONS, (_TRIVIAL, second), m, n, coincident=coincident)
 
 
@@ -315,7 +301,7 @@ def _half_angle_offset(t1: float, t2: float, t3: float, geometry: ManipulatorGeo
     both terms with no cancellation.
     """
     a3 = geometry.base_anchor(3)
-    per_sin = geometry.scale / math.sin(t2 - t1)
+    per_sin = geometry.scale / _pair_sin(t1, t2)
     c1, s1, c2, s2 = math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2)
 
     def offset(c, s):
@@ -343,59 +329,50 @@ def reuleaux_descriptor(
     theta: JointAngles | Sequence[float],
     geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
 ) -> ReuleauxDescriptor:
-    """Measure the straight-line self-motion constants by a full-cycle sweep.
+    """The straight-line self-motion constants, from the loop closure.
 
     For qualifying angles every orientation is admissible, each vertex b_i
-    slides on the line through a_i, and the signed extensions rho_i(phi)
-    are first-harmonic functions vanishing at phi = 0.  The sweep measures:
+    slides on the line through a_i, and the signed extensions are
+    rho_i(phi) = a_i (1 - cos phi) + b_i sin phi, with coefficients in
+    closed form.  From them:
 
     * ``a_displacement_magnitude``: full-cycle extent max - min of each
-      rho_i (the three agree; their mean is reported);
+      rho_i, 2 hypot(a_i, b_i) (the three agree; their mean is reported);
     * ``p_line``: the longest stroke of the reference point P = b1 along
       an arc free of interior serial singularities.  Zeros of any rho_i
       bound such arcs (crossing one reverses a slider), so the cycle is
       partitioned at all zeros and the P extent is maximized over the
-      pieces.  For the unit geometry this stroke is 2 and the full-cycle
-      travel is 4*sqrt(3)/3; both scale linearly.
+      pieces.  The stroke depends on theta1 (for the unit geometry it is 2
+      at theta1 = 0, about 1.21 at theta1 = -1); the travel is
+      4*sqrt(3)/3 for every theta1.  Both scale linearly.
 
-    Raises :class:`NotReuleauxError` when the angle predicate fails or the
-    sweep finds the third vertex off its slider line.
+    Raises :class:`NotReuleauxError` when the angle predicate fails.
     """
     t = _as_angles(theta)
     if _DK_KINDS[_continuum(*t)] is not DkKind.CONTINUUM_REULEAUX:
         raise NotReuleauxError(
             f"angles {t} do not satisfy the straight-line degeneracy condition"
         )
-    s = geometry.scale
-    phis = _cycle_grid(_REULEAUX_SAMPLES)
-
-    rho1, rho2, b3x, b3y = _slider_loop(t[0], t[1], phis, geometry)
-    off, rho3 = _axis_offset(b3x, b3y, t[2], geometry)
-    rho = np.stack((rho1, rho2, rho3))
-    off_line = float(np.abs(off).max())
-    if off_line > 1e-6 * s:
-        raise NotReuleauxError(
-            f"third vertex leaves its slider line by {off_line:.3e}; "
-            "the motion is not a straight-line continuum"
-        )
-
-    # Each extension has the form a (1 - cos phi) + b sin phi; a and b are
-    # recovered exactly by discrete Fourier projection on the uniform grid.
-    sin_g = np.sin(phis)
-    coeff_a = rho.mean(axis=1)
-    coeff_b = 2.0 * (rho * sin_g).mean(axis=1)
-
-    extents = 2.0 * np.hypot(coeff_a, coeff_b)
-    displacement = float(extents.mean())
+    # Each extension is a (1 - cos phi) + b sin phi.  rho1 and rho2 close
+    # the two-slider loop (:func:`rho_from_phi`); with a1 at the origin,
+    # rho3 = v3 . (rho1 v1 + (R(phi) - I) a3) and v3 . R(phi) a3
+    # = e3 cos phi + r3 sin phi, with (r3, e3) of a3 across and along leg 3.
+    per_sin = geometry.scale / _pair_sin(t[0], t[1])
+    a3 = geometry.base_anchor(3)
+    r3, e3 = _leg_axis(t[2], a3.x, a3.y)[2:]
+    a1, b1 = per_sin * math.sin(t[1]), per_sin * math.cos(t[1])
+    c31 = math.cos(t[2] - t[0])
+    a2, b2 = per_sin * math.sin(t[0]), per_sin * math.cos(t[0])
+    coeffs = ((a1, b1), (a2, b2), (a1 * c31 - e3, b1 * c31 + r3))
+    displacement = sum(2.0 * math.hypot(a, b) for a, b in coeffs) / 3.0
 
     # Zeros of a (1 - cos phi) + b sin phi: phi = 0 and 2 atan2(-b, a).
     boundaries = {0.0}
-    for a_i, b_i in zip(coeff_a, coeff_b):
+    for a_i, b_i in coeffs:
         boundaries.add(normalize_angle(2.0 * math.atan2(-b_i, a_i)))
     cuts = _dedupe_angles(sorted(boundaries))
 
     best = None
-    a1, b1 = float(coeff_a[0]), float(coeff_b[0])
     for idx in range(len(cuts)):
         lo = cuts[idx]
         hi = cuts[(idx + 1) % len(cuts)]

@@ -199,7 +199,7 @@ class DkSolutionSet:
     :func:`mn_coefficients`).  ``continuum`` is leg 1's slider line: the
     translational self-motion line when ``kind`` is CONTINUUM_TRANSLATION,
     and, from ``geometric_dkp`` only, the line the reference point runs on
-    in the rotational continuum, CONTINUUM_REULEAUX (its stroke is measured
+    in the rotational continuum, CONTINUUM_REULEAUX (its stroke is given
     by ``reuleaux_descriptor``).
     ``coincident`` flags a second root that collapses onto the trivial one,
     |phi| < ``DEGENERACY_ANGLE_TOL``: both routes, one rule.

@@ -157,15 +157,27 @@ def test_dk_reuleaux_with_printed_constants(capsys):
     assert payload["continuum"]["direction"] == [1.0, 0.0]
 
 
-@pytest.mark.parametrize("delta", [1e-8, 1e-7, 3e-7])
-def test_dk_routes_agree_just_off_the_reuleaux_predicate(capsys, delta):
+@pytest.mark.parametrize("flip", [0.0, -math.pi])
+@pytest.mark.parametrize("delta", [-6e-9, 6e-9, 1e-8, 2e-8, 1e-7, 3e-7])
+def test_dk_routes_agree_just_off_the_reuleaux_predicate(capsys, delta, flip):
     # Outside DEGENERACY_ANGLE_TOL but with m^2 + n^2 below
-    # REDUCTION_NULL_TOL: both routes report the closed form's DEGENERATE.
-    theta = (0.3, 0.3 + PI3, 0.3 - PI3 + delta)
+    # REDUCTION_NULL_TOL, where the coupler curve is a straight segment next
+    # to leg 3's axis: both routes report the closed form's DEGENERATE.
+    theta = (0.3, 0.3 + PI3 + flip, 0.3 - PI3 + delta)
     argv = [f"--t{i}={t!r}" for i, t in enumerate(theta, start=1)]
     payload = run_json(capsys, "dk", *argv, "--method", "both")
     assert payload["kind"] == "Degenerate"
     assert payload["agreement"] == {"kinds_match": True, "max_pose_deviation": 0.0}
+
+
+@pytest.mark.parametrize("turn", [0.0, math.pi])
+def test_dk_both_exits_2_on_parallel_legs_1_and_2(capsys, turn):
+    # The closed form solves through a better pair; the curve route has no
+    # coupler curve to intersect.
+    argv = ["--t1", "0.3", "--t2", repr(0.3 + turn), "--t3", "1.0", "--method", "both"]
+    code, out, err = run(capsys, "dk", *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "legs parallel" in err
 
 
 def test_dk_translation_continuum(capsys):

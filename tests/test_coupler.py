@@ -17,6 +17,7 @@ from rpr3.geometry import (
     platform_anchor,
     pose_distance,
     rotation_matrix,
+    signed_extensions,
 )
 from rpr3.coupler import (
     geometric_dkp,
@@ -229,6 +230,27 @@ def test_both_routes_resolve_the_near_merges_of_a_seeded_draw():
                 assert pose_distance(p, q) < POSE_TOL, theta
 
 
+def test_geometric_dkp_solves_the_pose_through_the_best_conditioned_pair():
+    # With legs 1 and 2 nearly parallel, a pose recovered through them alone
+    # errs like 1e-14 / |sin(t2 - t1)|: 82 of these 300 by more than POSE_TOL.
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        t1, t3 = rng.uniform(-math.pi, math.pi, 2)
+        gap = 10.0 ** rng.uniform(-8.0, -2.0) * rng.choice((-1.0, 1.0)) + rng.choice((0.0, math.pi))
+        theta = (float(t1), float(t1 + gap), float(t3))
+        closed, geo = direct_kinematics(theta), geometric_dkp(theta)
+        assert (geo.kind, geo.coincident) == (closed.kind, closed.coincident), theta
+        assert len(geo.poses) == len(closed.poses) == 2, theta
+        for p, q in zip(closed.poses, geo.poses):
+            assert pose_distance(p, q) < POSE_TOL, theta
+
+
+@pytest.mark.parametrize("turn", [0.0, math.pi])
+def test_geometric_dkp_rejects_parallel_legs_1_and_2(turn):
+    with pytest.raises(DegenerateLegPairError, match="legs parallel"):
+        geometric_dkp((0.3, 0.3 + turn, 1.0))
+
+
 def test_geometric_dkp_accepts_precomputed_curve():
     theta = (0.2, 0.9, 2.0)
     curve = trace_cardanic(0.2, 0.9)
@@ -289,6 +311,41 @@ def test_reuleaux_constants_all_direction_flips(theta):
     # P slides along leg 1's axis
     assert abs(abs(desc.p_line.direction.x) - 1.0) < 1e-12
     assert abs(desc.p_line.direction.y) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.7])
+def test_reuleaux_stroke_and_travel_match_a_sampled_cycle(scale):
+    # The stroke depends on theta1 (2 only at theta1 = 0); the travel does
+    # not.  Poses sampled along the cycle must close all three legs, and the
+    # reference point's longest run between sign changes of the extensions
+    # must give the stroke.
+    geometry = ManipulatorGeometry(scale)
+    samples = 3600
+    step = 2.0 * math.pi / samples
+    phis = -math.pi + step * np.arange(1, samples + 1)
+    flips = [(0.0, 0.0), (math.pi, 0.0), (0.0, -math.pi), (math.pi, -math.pi)]
+    for t1, (f2, f3) in zip((-1.0, 0.0, 0.7, 2.5), flips):
+        theta = (t1, t1 + PI3 + f2, t1 - PI3 + f3)
+        rho = []
+        for phi in phis.tolist():
+            rho1, _ = rho_from_phi(theta[0], theta[1], phi, geometry)
+            pose = Pose(rho1 * math.cos(t1), rho1 * math.sin(t1), phi)
+            assert max(map(abs, constraint_residuals(pose, theta, geometry))) < 1e-9 * scale
+            rho.append(signed_extensions(pose, theta, geometry))
+        rho = np.array(rho)
+        desc = reuleaux_descriptor(theta, geometry)
+        travel = rho.max(axis=0) - rho.min(axis=0)
+        assert np.all(np.abs(travel - desc.a_displacement_magnitude) < 1e-5 * scale), theta
+        # Start at a sign change, then cut wherever a sign of rho1..3 changes.
+        signs = np.sign(rho)
+        change = np.any(signs != np.roll(signs, -1, axis=0), axis=1)
+        rho = np.roll(rho, -(int(np.argmax(change)) + 1), axis=0)
+        signs = np.sign(rho)
+        cuts = np.flatnonzero(np.any(signs[1:] != signs[:-1], axis=1)) + 1
+        stroke = max(np.ptp(piece) for piece in np.split(rho[:, 0], cuts))
+        # rho1 moves at most 2/sqrt(3) scale per radian, so each sampled end
+        # of a run lies within 1.2 step * scale of the true one.
+        assert abs(desc.p_line.length - stroke) < 2.4 * step * scale, theta
 
 
 def test_reuleaux_constants_double_with_scale():

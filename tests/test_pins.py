@@ -134,16 +134,20 @@ PINNED_POSES = {
 # routes began to scan the half angle with the trivial root divided out,
 # after acceptance c13 and the seeded agreement tests passed; every kind and
 # pose count stayed, and the straight-line continuum gets 33 sampled poses
-# where it got 64.
+# where it got 64.  The "geometric" digests were re-captured again when that
+# route solved its second pose through the best-conditioned leg pair instead
+# of legs 1 and 2, after the near-parallel agreement test passed; kinds,
+# pose counts and coincident flags stayed, and no pose moved by more than
+# 3.2e-12 in units of the scale.
 PINNED_DK = {
     1.0: {
         "closed": "2ca781bf9008e19c49f768eb56929a67d328a2b428525930212c3fbfa67c72c2",
-        "geometric": "d3597bf9aaf52fe807a490b24866ea4c7e61280dcfc56de3a5fb28105794fe31",
+        "geometric": "15fb7ed27d02c614aa4bc5f7028e3e04ffbd47b2f0fe5833d70be7adb2c568da",
         "bruteforce": "ebdf46c68413f84c845b428218376c40ccc3b88247270a0b135fe58e127b3a92",
     },
     2.0: {
         "closed": "497ba0e3aeddbb6c4669340a0828338790da4c66d59bdc99c0ba7dea19098e11",
-        "geometric": "dc54728c77dca2ebeebb29c9658729ec8b605df56119a4c45617cfcae3f55ba6",
+        "geometric": "5d978a9818a37b7ef8235a1f10584297a33974bae114551332cf6252c1d8e77d",
         "bruteforce": "001dd708d7c1cfb6179d6705773b003edee24d7ab1d6753a9c0b4697c1081799",
     },
 }
@@ -264,19 +268,28 @@ def test_parallel_singularities_and_position_solves_are_pinned(scale):
 
 
 def test_geometric_dkp_of_a_reuleaux_triple_traces_no_curve(monkeypatch):
-    # The angle predicate decides the continuum; a traced curve would only
-    # be discarded.
+    # The angle predicate decides the continuum, and the loop-closure
+    # formulas give the rest: neither route samples a coupler curve.
     triples = [(0.0, 1.04719755, -1.04719755), SPECIAL_TRIPLES[0]]
     triples += [(t, t + math.pi / 3.0 - math.pi, t - math.pi / 3.0) for t in (-2.5, 0.5, 3.0)]
-    geometries = [ManipulatorGeometry(s) for s in (1.0, 1.7)]
-    want = [geometric_dkp(t, geometry=g) for t in triples for g in geometries]
+    # The PINNED_DK scales, and 1.7.
+    geometries = [ManipulatorGeometry(s) for s in (1.0, 1.7, 2.0)]
+
+    def calls():
+        return (
+            [_outcome(geometric_dkp, t, None, g) for t in triples + _dk_triples() for g in geometries],
+            [_outcome(reuleaux_descriptor, t, g) for g in geometries for t in _reuleaux_triples()],
+        )
+
+    want = calls()
 
     def boom(*args, **kwargs):
-        raise AssertionError("a Reuleaux triple traced a coupler curve")
+        raise AssertionError("the curve layer sampled a coupler curve")
 
     monkeypatch.setattr(coupler, "trace_cardanic", boom)
-    assert [geometric_dkp(t, geometry=g) for t in triples for g in geometries] == want
-    assert all(r.kind.value == "ContinuumReuleaux" for r in want)
+    monkeypatch.setattr(coupler, "_slider_loop", boom)
+    assert calls() == want
+    assert all(r.kind.value == "ContinuumReuleaux" for r in want[0][: len(triples) * len(geometries)])
 
 
 # The larger steps move the re-solves far enough that some fail to converge.
@@ -393,8 +406,7 @@ def _curve_record(curve):
     return (curve.theta1, curve.theta2, curve.degenerate, curve.segment, curve.scale, rows)
 
 
-def _reuleaux_digest(scale, count=8, seed=23):
-    geometry = ManipulatorGeometry(scale)
+def _reuleaux_triples(count=8, seed=23):
     rng = np.random.default_rng(seed)
     triples = [(0.0, 1.04719755, -1.04719755)]
     for t in map(float, rng.uniform(-math.pi, math.pi, count)):
@@ -404,26 +416,34 @@ def _reuleaux_digest(scale, count=8, seed=23):
             for f3 in (0.0, -math.pi):
                 triples.append((t, t + math.pi / 3.0 + f2, t - math.pi / 3.0 + f3))
         triples.append((t, t - math.pi / 3.0, t + math.pi / 3.0))
+    return triples
+
+
+def _reuleaux_digest(scale):
+    geometry = ManipulatorGeometry(scale)
     digest = _Digest()
-    for theta in triples:
+    for theta in _reuleaux_triples():
         digest.add(lambda: reuleaux_descriptor(theta, geometry=geometry))
     return digest.hexdigest()
 
 
-# Captured before the rewrite; see the module docstring.
+# Captured before the rewrite; see the module docstring.  The "reuleaux"
+# digests were re-captured when the descriptor read its coefficients from
+# the loop closure instead of a 4096-sample Fourier projection; no field of
+# 12,000 descriptors at five scales moved by more than 1.1e-15 of the scale.
 PINNED_CURVES = {
     1.0: {
         "curves": "da8affa50a7d65ad0739604cbd970d8cd8fe3d95387a66a1ea0439172de3b059",
-        "reuleaux": "faba2fe898527dfc4d7f6caf82787c15d9ec19c58afd9b13e1d1a9acc5fc02d4",
+        "reuleaux": "64ab0e65230564fc08c5043318e98c1ee067b383ed1b61a6d52edd0e8b97eb64",
     },
     2.0: {
         "curves": "d4ba19f6e357169d091daefbbd99e1ab63464fd9d1f994aefa2f6e90b92903b3",
-        "reuleaux": "f292473613f2adb09c403416fefd7925a613e7f30091a58311f71ed7bfab9685",
+        "reuleaux": "51d5eafa0108c8fbdb6e331d90a834a2806a953095915903ef1c314e75690fb0",
     },
     # Not a power of two, so a regrouped product with the scale shows.
     1.7: {
         "curves": "f28c8c2bc6d5d75576da41b900fa2f4cbff0a27d610fec4322046ccd092ecbcc",
-        "reuleaux": "4fa6f6ff38e49a793d4962dd4e51f01da169fab47cac21b2a08475fd88ffb4f4",
+        "reuleaux": "811b8965fca064fed28aad3415f869f357619ec77e9a1b512c1c8cd6ca93a4ee",
     },
 }
 
@@ -460,11 +480,13 @@ def _trace_digest(tmp_path, capsys):
 # Exit code, stdout, CSV and SVG bytes of every argv above, captured before
 # the rewrite, and re-captured when the CSV header gained its angle unit and
 # the rows a last scale column (stdout and SVG bytes unchanged; each CSV,
-# with that column dropped and the plain header restored, unchanged too).
+# with that column dropped and the plain header restored, unchanged too),
+# and again with the closed-form Reuleaux coefficients (only the last bits
+# of the printed descriptor moved; CSV and SVG bytes unchanged).
 PINNED_TRACE = {
-    1.0: "ba6d6822098045b3acfd5889ce7514380a15474497890ed3bb77995e96429f23",
-    2.0: "2fbff4db177fd7fc565a97e575d75c2557e50ed82c33837cc82d5ee7cabcc767",
-    1.7: "f1adf93e9c8e50ca1a21f2c505f91b9ad40cdd5f7400da3f5bfdda62436a222f",
+    1.0: "cc91e1f8844fa90c91be3a70554eefd78f471ae656b6ead3079bffbdb8583e8e",
+    2.0: "1c420660e876661dfee4ae4320711cbcdd99fa979ff9fcd0ac634be1763465af",
+    1.7: "54f022462acdd2e8450df10f40495f89181aa080e203e5f936e4acff5d94cd27",
 }
 
 
