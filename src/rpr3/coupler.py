@@ -12,9 +12,10 @@ kinematics degenerates to a continuum.
 
 Intersecting the curve with the third leg's axis solves the direct problem
 geometrically, in the half angle phi / 2, where the trivial assembly
-factors out exactly; this route shares only the loop-closure formulas with
-the closed-form solver and is used to cross-check it.  Neither it nor the
-straight-line constants sample a traced curve: both evaluate the loop
+factors out exactly; this route finds the second root by its own scan to
+cross-check the closed form's, under the solvers' rules (continua,
+DEGENERATE, coincident, the straight-line predicate).  Neither route nor
+the straight-line constants sample a traced curve: both evaluate the loop
 closure directly, and ``trace_cardanic`` serves the tables and figures.
 """
 
@@ -36,24 +37,22 @@ from .geometry import (
     _as_angles,
     _form,
     _leg_axis,
+    angle_difference,
     normalize_angle,
 )
 from .solvers import (
     DEGENERACY_ANGLE_TOL,
-    REDUCTION_NULL_TOL,
     _DK_KINDS,
-    _TRIVIAL,
+    _REULEAUX_OFFSETS,
     DkKind,
     DkSolutionSet,
     _continuum,
     _leg1_line,
-    _mn,
-    _position,
+    _solution_set,
 )
 
 __all__ = [
     "MIN_CURVE_SAMPLES",
-    "COLLINEARITY_TOL",
     "CouplerCurve",
     "SegmentDescriptor",
     "ReuleauxDescriptor",
@@ -66,11 +65,12 @@ __all__ = [
 # Fewest orientation samples trace_cardanic accepts for a full cycle.
 MIN_CURVE_SAMPLES = 8
 
-# Maximum point-line distance (relative to scale) under which a sampled
-# curve counts as a straight segment.
-COLLINEARITY_TOL = 1e-9
-
 _THIRD_VERTEX_ANGLE = math.pi / 3.0
+
+# Bisection width (radians of psi) of geometric_dkp's second root, and the
+# gap (radians) under which two cycle positions are one Reuleaux arc cut.
+_BISECT_TOL = 5e-13
+_DEDUPE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,10 +80,11 @@ class CouplerCurve:
     The samples are columns: ``phi`` (n,) ordered over (-pi, pi] (phi = 0
     included for even sample counts, where the curve touches a3 exactly),
     the third vertex ``b3`` (n, 2) as (x, y) rows and the slider extensions
-    ``rho`` (n, 2) as (rho1, rho2) rows.  ``degenerate`` is decided by the
-    measured collinearity of the samples, not by an angle predicate, so it
-    reflects what the trace actually does; ``segment`` holds the endpoints
-    of the degenerate stroke when set.
+    ``rho`` (n, 2) as (rho1, rho2) rows.  ``degenerate`` is the two-leg
+    half of the straight-line predicate, theta2 - theta1 = pi/3 (mod pi)
+    within ``DEGENERACY_ANGLE_TOL``, the rule the solvers classify by;
+    ``segment`` holds the endpoints of the sampled stroke when set, lower
+    end first along the line's direction.
     """
 
     theta1: float
@@ -191,10 +192,10 @@ def trace_cardanic(
 ) -> CouplerCurve:
     """Sample the coupler curve of the third vertex over a full cycle.
 
-    Degeneracy to a straight segment is detected by measuring the samples
-    (max distance from their principal line below COLLINEARITY_TOL * scale);
-    the angle criterion theta2 - theta1 = pi/3 (mod pi) is equivalent, and
-    the dichotomy between the two is pinned by tests.
+    The curve is a straight segment exactly when theta2 - theta1 = pi/3
+    (mod pi), tested as the solvers test it (within DEGENERACY_ANGLE_TOL).
+    B3 then runs on the line through a3 along theta1 - pi/3, and
+    ``segment`` spans the samples' extent along it.
 
     Raises :class:`DegenerateLegPairError` for parallel slider lines, where
     no curve exists.
@@ -207,29 +208,21 @@ def trace_cardanic(
     t2 = normalize_angle(theta2)
     phi = _cycle_grid(n_samples)
     rho1, rho2, b3x, b3y = _slider_loop(t1, t2, phi, geometry)
-    b3 = np.column_stack((b3x, b3y))
-
-    center = b3.mean(axis=0)
-    spread = b3 - center
-    # Principal direction of the point cloud; the residual against it is the
-    # collinearity measure.
-    _, _, vt = np.linalg.svd(spread, full_matrices=False)
-    major = vt[0]
-    deviation = float(np.abs(spread @ vt[1]).max())
-    degenerate = deviation < COLLINEARITY_TOL * geometry.scale
+    degenerate = angle_difference(t2 - t1, _REULEAUX_OFFSETS[0], math.pi) < DEGENERACY_ANGLE_TOL
 
     segment: tuple[Vec2, Vec2] | None = None
     if degenerate:
-        along = spread @ major
-        lo = center + float(along.min()) * major
-        hi = center + float(along.max()) * major
-        segment = (Vec2(float(lo[0]), float(lo[1])), Vec2(float(hi[0]), float(hi[1])))
+        a3 = geometry.base_anchor(3)
+        ux, uy = math.cos(t1 + _REULEAUX_OFFSETS[1]), math.sin(t1 + _REULEAUX_OFFSETS[1])
+        along = (b3x - a3.x) * ux + (b3y - a3.y) * uy
+        lo, hi = float(along.min()), float(along.max())
+        segment = (Vec2(a3.x + lo * ux, a3.y + lo * uy), Vec2(a3.x + hi * ux, a3.y + hi * uy))
 
     return CouplerCurve(
         theta1=t1,
         theta2=t2,
         phi=phi,
-        b3=b3,
+        b3=np.column_stack((b3x, b3y)),
         rho=np.column_stack((rho1, rho2)),
         degenerate=degenerate,
         segment=segment,
@@ -251,21 +244,16 @@ def geometric_dkp(
     change is bracketed on the half angles of a 720-sample cycle, or of
     ``curve.phi`` when a curve is given (the wrap pair included: the
     function is antiperiodic), bisected to 1e-12 in phi and mapped to a pose
-    through the best-conditioned leg pair.  Shares no root formulas with the
-    closed-form solver, which is the point: the two routes are compared in
-    tests and by the verifier.
+    through the best-conditioned leg pair.  Shares no root formula with the
+    closed-form solver, which is the point: the two roots are compared in
+    tests and by the verifier.  The rest of the solution set (continua,
+    DEGENERATE, coincident) comes from the closed form's own body.
 
-    Returns the same solution-set type as the closed-form path, with its
-    continuum, DEGENERATE and coincident rules, so kinds and continua
-    compare directly.  Raises :class:`DegenerateLegPairError` when legs 1
-    and 2 are parallel, where no coupler curve exists.
+    Raises ValueError when ``curve`` was traced for other angles or
+    geometry, and :class:`DegenerateLegPairError` when a two-solution
+    triple has legs 1 and 2 parallel, where no coupler curve exists.
     """
     t = _as_angles(theta)
-    m, n = _mn(*t)
-    kind = _DK_KINDS[_continuum(*t)]
-    if kind is DkKind.CONTINUUM_TRANSLATION:
-        return DkSolutionSet(kind, (_TRIVIAL,), m, n, continuum=_leg1_line(t[0]))
-
     t1, t2 = normalize_angle(t[0]), normalize_angle(t[1])
     if curve is not None and (
         abs(curve.theta1 - t1) > 1e-12
@@ -273,22 +261,19 @@ def geometric_dkp(
         or curve.scale != geometry.scale
     ):
         raise ValueError("curve was traced for different angles or geometry")
-    if kind is DkKind.CONTINUUM_REULEAUX:  # the reference point runs on leg 1's line
-        return DkSolutionSet(kind, (_TRIVIAL,), m, n, continuum=_leg1_line(t[0]))
-    offset = _half_angle_offset(t1, t2, t[2], geometry)
-    if m * m + n * n <= REDUCTION_NULL_TOL:
-        return DkSolutionSet(DkKind.DEGENERATE, (_TRIVIAL,), m, n)
 
-    psi = 0.5 * (_cycle_grid(720) if curve is None else curve.phi)
-    values = offset(np.cos(psi), np.sin(psi))
-    # The sample after the last is psi[0] + pi, where the value is -values[0].
-    below = values < 0.0
-    k = int(np.argmax(below != np.append(below[1:], not below[0])))
-    hi = float(psi[k + 1]) if k + 1 < psi.size else float(psi[0]) + math.pi
-    psi2 = _bisect(lambda p: offset(math.cos(p), math.sin(p)), float(psi[k]), hi, float(values[k]))
-    second = _position(t, normalize_angle(2.0 * psi2), None, geometry)
-    coincident = abs(second.phi) < DEGENERACY_ANGLE_TOL
-    return DkSolutionSet(DkKind.TWO_SOLUTIONS, (_TRIVIAL, second), m, n, coincident=coincident)
+    def second_phi(m: float, n: float) -> float:
+        offset = _half_angle_offset(t1, t2, t[2], geometry)
+        psi = 0.5 * (_cycle_grid(720) if curve is None else curve.phi)
+        values = offset(np.cos(psi), np.sin(psi))
+        # The sample after the last is psi[0] + pi, where the value is -values[0].
+        below = values < 0.0
+        k = int(np.argmax(below != np.append(below[1:], not below[0])))
+        hi = float(psi[k + 1]) if k + 1 < psi.size else float(psi[0]) + math.pi
+        psi2 = _bisect(lambda p: offset(math.cos(p), math.sin(p)), float(psi[k]), hi, float(values[k]))
+        return normalize_angle(2.0 * psi2)
+
+    return _solution_set(t, geometry, second_phi)
 
 
 def _half_angle_offset(t1: float, t2: float, t3: float, geometry: ManipulatorGeometry):
@@ -312,8 +297,8 @@ def _half_angle_offset(t1: float, t2: float, t3: float, geometry: ManipulatorGeo
     return offset
 
 
-def _bisect(func, lo: float, hi: float, flo: float, tol: float = 5e-13) -> float:
-    while hi - lo >= tol:
+def _bisect(func, lo: float, hi: float, flo: float) -> float:
+    while hi - lo >= _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         fmid = func(mid)
         if fmid == 0.0:
@@ -409,13 +394,13 @@ def _rho_extremes_on_arc(a: float, b: float, lo: float, hi: float) -> tuple[floa
     return (min(candidates), max(candidates))
 
 
-def _dedupe_angles(angles: list[float], tol: float = 1e-9) -> list[float]:
+def _dedupe_angles(angles: list[float]) -> list[float]:
     """Collapse near-identical cycle positions, including the +-pi seam."""
     out: list[float] = []
     for a in angles:
-        if out and a - out[-1] < tol:
+        if out and a - out[-1] < _DEDUPE_TOL:
             continue
         out.append(a)
-    if len(out) > 1 and (out[0] + 2.0 * math.pi) - out[-1] < tol:
+    if len(out) > 1 and (out[0] + 2.0 * math.pi) - out[-1] < _DEDUPE_TOL:
         out.pop()
     return out

@@ -198,9 +198,9 @@ class DkSolutionSet:
     (dimensionless; identical for every leg-pair elimination, see
     :func:`mn_coefficients`).  ``continuum`` is leg 1's slider line: the
     translational self-motion line when ``kind`` is CONTINUUM_TRANSLATION,
-    and, from ``geometric_dkp`` only, the line the reference point runs on
-    in the rotational continuum, CONTINUUM_REULEAUX (its stroke is given
-    by ``reuleaux_descriptor``).
+    and, from either route, the line the reference point runs on in the
+    rotational continuum, CONTINUUM_REULEAUX (its stroke is given by
+    ``reuleaux_descriptor``).
     ``coincident`` flags a second root that collapses onto the trivial one,
     |phi| < ``DEGENERACY_ANGLE_TOL``: both routes, one rule.
     """
@@ -361,21 +361,22 @@ def direct_kinematics(
     continuum families first, and a vanishing reduction that matches
     neither predicate is reported as DEGENERATE rather than guessed at.
     """
-    t = _as_angles(theta)
+    return _solution_set(
+        _as_angles(theta), geometry, lambda m, n: math.atan2(2.0 * m * n, m * m - n * n)
+    )
+
+
+def _solution_set(t, geometry: ManipulatorGeometry, second_phi) -> DkSolutionSet:
+    """Both routes' direct-kinematics rules on checked angles: a continuum
+    by the angle predicates (with leg 1's line), else DEGENERATE when m^2 +
+    n^2 <= ``REDUCTION_NULL_TOL``, else the trivial pose and the one at
+    ``second_phi(m, n)``, coincident when |phi| < ``DEGENERACY_ANGLE_TOL``."""
     m, n = _mn(*t)
     kind = _DK_KINDS[_continuum(*t)]
-
-    if kind is DkKind.CONTINUUM_TRANSLATION:
+    if kind is not DkKind.TWO_SOLUTIONS:
         return DkSolutionSet(kind, (_TRIVIAL,), m, n, continuum=_leg1_line(t[0]))
-    if kind is DkKind.CONTINUUM_REULEAUX:
-        return DkSolutionSet(kind, (_TRIVIAL,), m, n)
-
     if m * m + n * n <= REDUCTION_NULL_TOL:
         return DkSolutionSet(DkKind.DEGENERATE, (_TRIVIAL,), m, n)
-
-    phi2 = math.atan2(2.0 * m * n, m * m - n * n)
-    second = _position(t, phi2, None, geometry)
+    second = _position(t, second_phi(m, n), None, geometry)
     coincident = abs(second.phi) < DEGENERACY_ANGLE_TOL
-    return DkSolutionSet(
-        DkKind.TWO_SOLUTIONS, (_TRIVIAL, second), m, n, coincident=coincident
-    )
+    return DkSolutionSet(DkKind.TWO_SOLUTIONS, (_TRIVIAL, second), m, n, coincident=coincident)

@@ -12,7 +12,13 @@ import pytest
 from rpr3 import cli, coupler, solvers
 from rpr3.cli import main
 from rpr3.errors import ParallelSingularError
-from rpr3.geometry import POSE_TOL, Pose, normalize_angle, platform_anchor_arrays
+from rpr3.geometry import (
+    DEFAULT_GEOMETRY,
+    POSE_TOL,
+    Pose,
+    normalize_angle,
+    platform_anchor_arrays,
+)
 from rpr3.coupler import trace_cardanic
 from rpr3.oracle import ScanReport, dkp_bruteforce
 
@@ -180,6 +186,44 @@ def test_dk_both_exits_2_on_parallel_legs_1_and_2(capsys, turn):
     assert len(err.splitlines()) == 1 and "legs parallel" in err
 
 
+@pytest.mark.parametrize("turn", [0.0, math.pi])
+def test_dk_both_calls_parallel_legs_1_and_2_with_a_null_reduction_degenerate(capsys, turn):
+    # m^2 + n^2 = 4e-14 off the translation predicate: the curve route
+    # applies the closed form's DEGENERATE rule before it needs a curve.
+    argv = ["--t1", "0.3", "--t2", repr(0.3 + turn), "--t3", repr(0.3 + 1e-7)]
+    payload = run_json(capsys, "dk", *argv, "--method", "both")
+    assert payload["kind"] == "Degenerate"
+    assert payload["agreement"] == {"kinds_match": True, "max_pose_deviation": 0.0}
+
+
+def _moved_second_pose(theta, geometry):
+    """The closed form's result with its second pose moved 1e-6 of the scale."""
+    closed = solvers.direct_kinematics(theta, geometry=geometry)
+    first, second = closed.poses
+    moved = Pose(second.x + 1e-6 * geometry.scale, second.y, second.phi)
+    return dataclasses.replace(closed, poses=(first, moved))
+
+
+def _other_kind(theta, geometry):
+    closed = solvers.direct_kinematics(theta, geometry=geometry)
+    return dataclasses.replace(closed, kind=solvers.DkKind.DEGENERATE, poses=closed.poses[:1])
+
+
+@pytest.mark.parametrize(
+    "fake, kinds_match",
+    [(_moved_second_pose, True), (_other_kind, False)],
+)
+def test_dk_both_exits_4_when_the_routes_disagree(capsys, monkeypatch, fake, kinds_match):
+    monkeypatch.setattr(cli, "geometric_dkp", fake)
+    code, out, err = run(capsys, "dk", "--t1", "0.2", "--t2", "0.9", "--t3", "2.0", "--method", "both")
+    assert code == 4
+    (line,) = err.splitlines()
+    assert line.startswith("rpr3: dk routes disagree ")
+    agreement = strict_json(out)["agreement"]
+    assert agreement["kinds_match"] is kinds_match
+    assert agreement["max_pose_deviation"] > POSE_TOL
+
+
 def test_dk_translation_continuum(capsys):
     payload = run_json(capsys, "dk", "--t1", "0.7", "--t2", "0.7", "--t3", "0.7")
     assert payload["kind"] == "ContinuumTranslation"
@@ -309,6 +353,21 @@ def test_trace_degenerate_prints_descriptor(tmp_path, capsys):
     assert abs(payload["segment"]["length"] - 4.0 * SQRT3 / 3.0) < 1e-3
     assert abs(payload["reuleaux"]["p_line"]["length"] - 2.0) < 1e-6
     assert abs(payload["reuleaux"]["theta3"] + PI3) < 1e-12
+
+
+@pytest.mark.parametrize("offset", [3e-9, -3e-9, 3e-9 - math.pi])
+def test_trace_inside_the_predicate_band_is_degenerate(tmp_path, capsys, offset):
+    # The samples bow off a line by about 3e-9 of the scale here, yet the
+    # angle predicate dk classifies by calls the completed triple Reuleaux.
+    t2 = 0.3 + PI3 + offset
+    payload = run_json(
+        capsys, "trace", "--t1", "0.3", "--t2", repr(t2), "--csv", str(tmp_path / "t.csv")
+    )
+    assert payload["degenerate"]
+    assert payload["segment"] is not None
+    theta3 = payload["reuleaux"]["theta3"]
+    dk = run_json(capsys, "dk", "--t1", "0.3", "--t2", repr(t2), "--t3", repr(theta3))
+    assert dk["kind"] == "ContinuumReuleaux"
 
 
 def test_trace_rejects_parallel_sliders(capsys, tmp_path):
@@ -859,6 +918,38 @@ def test_verify_reports_a_failed_check(capsys, monkeypatch, broken):
     assert line.startswith(f"rpr3: FAIL {start}")
     # The inputs are printed as plain floats, not as numpy reprs.
     assert "np." not in line
+
+
+class _Draws:
+    """A generator stub whose ``uniform`` returns the given values in order."""
+
+    def __init__(self, *values):
+        self._values = list(values)
+
+    def uniform(self, low, high, size=None):
+        return self._values.pop(0)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the trial should have been skipped before this call")
+
+
+def test_jacobian_trial_skips_short_legs_and_parallel_singular_poses(monkeypatch):
+    geom = DEFAULT_GEOMETRY
+    # The regular pose is checked: its finite-difference error is 2.8e-10.
+    err = cli._jacobian_trial(_Draws(0.3, 0.2, 0.1), geom)
+    assert err is not None and 0.0 < err < 1e-9
+    # Leg 1 is 0.02 long, under the 0.05 * scale floor: skipped before the
+    # matrices are built.
+    monkeypatch.setattr(cli, "build_matrices", _must_not_run)
+    assert cli._jacobian_trial(_Draws(0.02, 0.0, 0.0), geom) is None
+    monkeypatch.undo()
+    # A pose of the straight-line continuum of theta1 = 0 at phi = 0.5 (rho
+    # = 0.40, 0.55, 0.15): det A vanishes, so the finite-difference check
+    # never runs.
+    rho1, _ = coupler.rho_from_phi(0.0, PI3, 0.5)
+    monkeypatch.setattr(cli, "jacobian_fd_check", _must_not_run)
+    assert cli._jacobian_trial(_Draws(rho1, 0.0, 0.5), geom) is None
 
 
 def _far_second_assembly(theta, geometry):

@@ -26,7 +26,13 @@ from rpr3.coupler import (
     trace_cardanic,
 )
 from rpr3.oracle import dkp_bruteforce
-from rpr3.solvers import DkKind, direct_kinematics, mn_coefficients
+from rpr3.solvers import (
+    DEGENERACY_ANGLE_TOL,
+    DkKind,
+    classify_dk_degeneracy,
+    direct_kinematics,
+    mn_coefficients,
+)
 
 PI3 = math.pi / 3.0
 SQRT3 = math.sqrt(3.0)
@@ -151,7 +157,7 @@ def test_trace_degeneracy_dichotomy():
             continue
         gap = angle_difference(t2 - t1, PI3, period=math.pi)
         if gap < 1e-4:
-            continue  # undecided band near the degeneracy: tested separately
+            continue  # the band near the degeneracy: tested separately
         curve = trace_cardanic(t1, t2, n_samples=90)
         assert not curve.degenerate
         assert curve.segment is None
@@ -171,6 +177,36 @@ def test_trace_degenerates_on_third_turn_offsets(t1, offset):
         # distance from the segment's carrier line
         d = (x - start.x) * uy - (y - start.y) * ux
         assert abs(d) < 1e-9
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.7])
+def test_trace_degenerates_exactly_where_the_solvers_see_a_reuleaux_triple(scale):
+    # One straight-line rule: the trace is a segment exactly when the triple
+    # completed with theta3 = theta1 - pi/3 classifies as the Reuleaux
+    # continuum, inside the DEGENERACY_ANGLE_TOL band too, where the samples
+    # bow off the line by up to about that angle times the scale.
+    geometry = ManipulatorGeometry(scale)
+    deltas = [0.0] + [sign * d for d in (1e-10, 2e-9, 4.9e-9, 6e-9, 1e-8) for sign in (1.0, -1.0)]
+    for t1 in (-2.5, -0.7, 0.0, 0.5, 1.9, 3.0):
+        u = np.array([math.cos(t1 - PI3), math.sin(t1 - PI3)])
+        for flip in (0.0, math.pi, -math.pi):
+            for delta in deltas:
+                t2 = t1 + PI3 + flip + delta
+                curve = trace_cardanic(t1, t2, geometry=geometry)
+                kind = classify_dk_degeneracy((t1, t2, t1 - PI3))
+                case = (t1, flip, delta)
+                assert curve.degenerate == (kind is DkKind.CONTINUUM_REULEAUX), case
+                assert curve.degenerate == (abs(delta) < DEGENERACY_ANGLE_TOL), case
+                if not curve.degenerate:
+                    assert curve.segment is None, case
+                    continue
+                start, stop = (np.array([v.x, v.y]) for v in curve.segment)
+                # Lower end first along leg 3's direction theta1 - pi/3.
+                assert (stop - start) @ u > 0.0, case
+                ux, uy = (stop - start) / np.linalg.norm(stop - start)
+                x, y = (curve.b3 - start).T
+                gap = np.abs(x * uy - y * ux).max()
+                assert gap < 2.5 * DEGENERACY_ANGLE_TOL * scale, case
 
 
 def test_degenerate_segment_length_is_full_stroke():
@@ -251,6 +287,16 @@ def test_geometric_dkp_rejects_parallel_legs_1_and_2(turn):
         geometric_dkp((0.3, 0.3 + turn, 1.0))
 
 
+@pytest.mark.parametrize("turn", [0.0, math.pi])
+def test_both_routes_call_parallel_legs_1_and_2_with_a_null_reduction_degenerate(turn):
+    # Off the translation predicate, m^2 + n^2 = 4e-14: the DEGENERATE rule
+    # comes before any coupler curve is needed, on both routes.
+    theta = (0.3, 0.3 + turn, 0.3 + 1e-7)
+    closed, geo = direct_kinematics(theta), geometric_dkp(theta)
+    assert closed.kind is geo.kind is DkKind.DEGENERATE
+    assert geo == closed
+
+
 def test_geometric_dkp_accepts_precomputed_curve():
     theta = (0.2, 0.9, 2.0)
     curve = trace_cardanic(0.2, 0.9)
@@ -263,9 +309,11 @@ def test_geometric_dkp_accepts_precomputed_curve():
 
 
 def test_geometric_dkp_rejects_mismatched_curve():
+    # Checked before the triple is classified, continua included.
     curve = trace_cardanic(0.2, 0.9)
-    with pytest.raises(ValueError):
-        geometric_dkp((0.3, 0.9, 2.0), curve)
+    for theta in ((0.3, 0.9, 2.0), (0.4, 0.4, 0.4), (0.0, PI3, -PI3)):
+        with pytest.raises(ValueError):
+            geometric_dkp(theta, curve)
 
 
 def test_geometric_dkp_translation_continuum():
@@ -357,12 +405,13 @@ def test_reuleaux_constants_double_with_scale():
 
 def test_reuleaux_descriptor_line_is_consistent_with_solver():
     desc = reuleaux_descriptor((0.7, 0.7 + PI3, 0.7 - PI3))
-    geo = geometric_dkp((0.7, 0.7 + PI3, 0.7 - PI3))
-    # same carrier line, reported from two independent routes
-    cross = desc.p_line.direction.cross(geo.continuum.direction)
-    assert abs(cross) < 1e-12
-    gap = desc.p_line.point - geo.continuum.point
-    assert abs(gap.cross(geo.continuum.direction)) < 1e-9
+    for route in (direct_kinematics, geometric_dkp):
+        res = route((0.7, 0.7 + PI3, 0.7 - PI3))
+        # same carrier line, from the closed-form stroke and either route
+        cross = desc.p_line.direction.cross(res.continuum.direction)
+        assert abs(cross) < 1e-12
+        gap = desc.p_line.point - res.continuum.point
+        assert abs(gap.cross(res.continuum.direction)) < 1e-9
 
 
 @pytest.mark.parametrize(

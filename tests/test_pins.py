@@ -138,15 +138,18 @@ PINNED_POSES = {
 # route solved its second pose through the best-conditioned leg pair instead
 # of legs 1 and 2, after the near-parallel agreement test passed; kinds,
 # pose counts and coincident flags stayed, and no pose moved by more than
-# 3.2e-12 in units of the scale.
+# 3.2e-12 in units of the scale.  The "closed" digests were re-captured
+# when both routes began to share one solution-set body, so that the closed
+# form's straight-line continuum carries leg 1's line as the geometric
+# route's always did; every other field, and every other digest, stayed.
 PINNED_DK = {
     1.0: {
-        "closed": "2ca781bf9008e19c49f768eb56929a67d328a2b428525930212c3fbfa67c72c2",
+        "closed": "3846faf8e6269e388d0343d25304d0dbf1f1c1142d07277caa3540eb248e046e",
         "geometric": "15fb7ed27d02c614aa4bc5f7028e3e04ffbd47b2f0fe5833d70be7adb2c568da",
         "bruteforce": "ebdf46c68413f84c845b428218376c40ccc3b88247270a0b135fe58e127b3a92",
     },
     2.0: {
-        "closed": "497ba0e3aeddbb6c4669340a0828338790da4c66d59bdc99c0ba7dea19098e11",
+        "closed": "31a73535e475071b7571f919970eca75beb35b3e6b905c886ff51be83db12dee",
         "geometric": "5d978a9818a37b7ef8235a1f10584297a33974bae114551332cf6252c1d8e77d",
         "bruteforce": "001dd708d7c1cfb6179d6705773b003edee24d7ab1d6753a9c0b4697c1081799",
     },
@@ -431,18 +434,23 @@ def _reuleaux_digest(scale):
 # digests were re-captured when the descriptor read its coefficients from
 # the loop closure instead of a 4096-sample Fourier projection; no field of
 # 12,000 descriptors at five scales moved by more than 1.1e-15 of the scale.
+# The "curves" digests were re-captured when the straight segment came from
+# the angle predicate and the line through a3 instead of an SVD fit of the
+# samples: every phi, b3 and rho column and every degenerate flag stayed,
+# and each segment's ends, ordered low to high along the line now, moved by
+# at most 1.4e-15 of the scale.
 PINNED_CURVES = {
     1.0: {
-        "curves": "da8affa50a7d65ad0739604cbd970d8cd8fe3d95387a66a1ea0439172de3b059",
+        "curves": "ee2ae348d91be67a7559508e4fd2ac9e902f8b6ca75a4650ab0411fde5dd062c",
         "reuleaux": "64ab0e65230564fc08c5043318e98c1ee067b383ed1b61a6d52edd0e8b97eb64",
     },
     2.0: {
-        "curves": "d4ba19f6e357169d091daefbbd99e1ab63464fd9d1f994aefa2f6e90b92903b3",
+        "curves": "66774277e9a0330b324139d1f4ccb2e5cdb8c6e25408e5bf5066148a1040d74b",
         "reuleaux": "51d5eafa0108c8fbdb6e331d90a834a2806a953095915903ef1c314e75690fb0",
     },
     # Not a power of two, so a regrouped product with the scale shows.
     1.7: {
-        "curves": "f28c8c2bc6d5d75576da41b900fa2f4cbff0a27d610fec4322046ccd092ecbcc",
+        "curves": "c4dc577d5448f9def4a05ca6931005df8049b088eba7756cd632d60531c32c44",
         "reuleaux": "811b8965fca064fed28aad3415f869f357619ec77e9a1b512c1c8cd6ca93a4ee",
     },
 }
@@ -482,11 +490,14 @@ def _trace_digest(tmp_path, capsys):
 # the rows a last scale column (stdout and SVG bytes unchanged; each CSV,
 # with that column dropped and the plain header restored, unchanged too),
 # and again with the closed-form Reuleaux coefficients (only the last bits
-# of the printed descriptor moved; CSV and SVG bytes unchanged).
+# of the printed descriptor moved; CSV and SVG bytes unchanged), and again
+# when the segment came from the line through a3 (CSV bytes and descriptor
+# unchanged; the printed and drawn segment ends now run low to high along
+# the line and moved in their last bits).
 PINNED_TRACE = {
-    1.0: "cc91e1f8844fa90c91be3a70554eefd78f471ae656b6ead3079bffbdb8583e8e",
-    2.0: "1c420660e876661dfee4ae4320711cbcdd99fa979ff9fcd0ac634be1763465af",
-    1.7: "54f022462acdd2e8450df10f40495f89181aa080e203e5f936e4acff5d94cd27",
+    1.0: "c60cb760336c8889ea707cdef811e25cd873d35183059e4b38c2cc2262975c46",
+    2.0: "417fda6362e559c2a19a9264732c672835aac10823e4035d7de010fc2e009e21",
+    1.7: "af616f80ebb93061b5bc11612deaef2bf90696f19bc498642c8feb77362b840b",
 }
 
 

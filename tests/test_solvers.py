@@ -15,6 +15,7 @@ from rpr3.geometry import (
     DEFAULT_GEOMETRY,
     ManipulatorGeometry,
     Pose,
+    Vec2,
     constraint_residuals,
     normalize_angle,
     platform_anchor,
@@ -261,9 +262,13 @@ def test_dk_translation_continuum():
 
 
 def test_dk_reuleaux_continuum():
-    res = direct_kinematics((0.0, PI3, -PI3))
-    assert res.kind is DkKind.CONTINUUM_REULEAUX
-    assert res.poses == (Pose(0.0, 0.0, 0.0),)
+    for t1 in (0.0, -2.5, 1.9):
+        res = direct_kinematics((t1, t1 + PI3, t1 - PI3))
+        assert res.kind is DkKind.CONTINUUM_REULEAUX
+        assert res.poses == (Pose(0.0, 0.0, 0.0),)
+        # The reference point runs on leg 1's slider line.
+        assert res.continuum.point == Vec2(0.0, 0.0)
+        assert res.continuum.direction == Vec2(math.cos(t1), math.sin(t1))
 
 
 def test_dk_coincident_roots_flagged():
