@@ -5,7 +5,8 @@ divide the trivial assembly's factor 2 sin(phi / 2) out of the leg
 constraints, fix the half angle, solve two legs for the position (they are
 affine in it), and watch the sign of the left-out leg around the cycle.
 Sign changes are polished on the deflated system, which has no trivial
-root to land on, by a damped Newton iteration.  None of the closed-form
+root to land on, by Newton's method, which from a bracket midpoint
+typically needs one or two iterations per pose.  None of the closed-form
 root machinery is used; this module imports only the shared geometry
 primitives, so agreement with the solvers is evidence, not tautology.
 
@@ -34,7 +35,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "NEWTON_DAMPING",
     "NEWTON_MAX_ITER",
     "NEWTON_RESIDUAL_TOL",
     "CONTINUUM_GRID_FRACTION",
@@ -43,7 +43,6 @@ __all__ = [
     "jacobian_fd_check",
 ]
 
-NEWTON_DAMPING = 0.5
 NEWTON_MAX_ITER = 50
 NEWTON_RESIDUAL_TOL = 1e-12
 
@@ -102,12 +101,11 @@ def _newton_polish(
     start: tuple[float, float, float],
     t: tuple[float, float, float],
     geometry: ManipulatorGeometry,
-    damping: float = NEWTON_DAMPING,
     max_iter: int = NEWTON_MAX_ITER,
     tol: float = NEWTON_RESIDUAL_TOL,
     home: float = 1.0,
 ) -> tuple[tuple[float, float, float] | None, int]:
-    """Damped Newton on the three-residual system of ``home`` (see
+    """Newton on the three-residual system of ``home`` (see
     :func:`_residual_rows`), on Python floats.
 
     Returns (solution, iterations used) or (None, iterations) when the
@@ -132,9 +130,7 @@ def _newton_polish(
             dx, dy, dphi = np.linalg.solve(jac, np.negative(res)).tolist()
         except np.linalg.LinAlgError:
             return (None, it + 1)
-        x += damping * dx
-        y += damping * dy
-        phi += damping * dphi
+        x, y, phi = x + dx, y + dy, phi + dphi
     return (None, max_iter)
 
 
@@ -150,8 +146,9 @@ def dkp_bruteforce(
     alpha on a uniform grid of 2048 samples over (-pi, pi], two deflated
     legs (the best-conditioned pair) are solved for q and the left-out one
     becomes the scan function; its sign changes (wrap-aware) bracket psi2
-    and psi2 + pi, refined by damped Newton on the deflated system until
-    every residual is below ``NEWTON_RESIDUAL_TOL * scale`` and clustered by
+    and psi2 + pi, refined by Newton on the deflated system (typically one
+    or two iterations) until every residual is below
+    ``NEWTON_RESIDUAL_TOL * scale`` and clustered by
     :func:`cluster_poses`.  A continuum is declared when more than 5% of the
     grid admits residual below 1e-8 * scale; all-parallel legs short-circuit
     to the translation continuum without scanning (the position solve is
@@ -278,7 +275,6 @@ def jacobian_fd_check(
                 (pose.x, pose.y, pose.phi),
                 (tp[0], tp[1], tp[2]),
                 geometry,
-                damping=1.0,
                 max_iter=60,
                 tol=1e-14 * geometry.scale,
             )

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from rpr3 import cli, coupler, solvers
+from rpr3 import cli, coupler, jacobians, solvers
 from rpr3.cli import main
 from rpr3.errors import ParallelSingularError
 from rpr3.geometry import (
@@ -918,6 +918,30 @@ def test_verify_reports_a_failed_check(capsys, monkeypatch, broken):
     assert line.startswith(f"rpr3: FAIL {start}")
     # The inputs are printed as plain floats, not as numpy reprs.
     assert "np." not in line
+
+
+def _flipped_b11(matrices):
+    b = matrices.b_matrix.copy()
+    b[1, 1] = -b[1, 1]
+    return dataclasses.replace(matrices, b_matrix=b)
+
+
+def _swapped_a_columns(matrices):
+    return dataclasses.replace(matrices, a_matrix=matrices.a_matrix[:, [1, 0, 2]])
+
+
+@pytest.mark.parametrize("corrupt", [_flipped_b11, _swapped_a_columns])
+def test_verify_jacobian_scope_catches_a_wrong_analytic_map(capsys, monkeypatch, corrupt):
+    # The finite-difference check imports build_matrices when it runs, while
+    # the CLI's skip tests keep their own name: only the map under test is
+    # wrong, and the re-solved columns must expose it.
+    real = jacobians.build_matrices
+    monkeypatch.setattr(jacobians, "build_matrices", lambda *a, **kw: corrupt(real(*a, **kw)))
+    code, out, err = run(capsys, "verify", "--scope", "jacobian", "--trials", "20", "--seed", "3")
+    assert code == 4
+    assert strict_json(out)["scopes"] == {"jacobian": {"passed": False}}
+    (line,) = err.splitlines()
+    assert line.startswith("rpr3: FAIL jacobian fd error ")
 
 
 class _Draws:

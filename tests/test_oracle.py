@@ -94,6 +94,26 @@ def test_scan_agrees_with_closed_form_on_random_angles():
         checked += 1
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.7])
+def test_scan_polishes_each_pose_in_a_few_newton_steps(scale):
+    # The deflated system's roots are simple, so full Newton steps from a
+    # bracket midpoint converge quadratically: a few iterations per scan,
+    # and the second pose as close to the closed form's as rounding allows.
+    geometry = ManipulatorGeometry(scale)
+    rng = np.random.default_rng(93)
+    checked = 0
+    for theta in rng.uniform(-math.pi, math.pi, (1000, 3)).tolist():
+        closed = direct_kinematics(theta, geometry=geometry)
+        if closed.kind is not DkKind.TWO_SOLUTIONS or closed.m**2 + closed.n**2 < 1e-8:
+            continue
+        report = dkp_bruteforce(theta, geometry=geometry)
+        assert report.newton_iterations <= 3, theta
+        assert len(report.solutions_found) == 2, theta
+        assert pose_distance(report.solutions_found[1], closed.poses[1], geometry) < 1e-11, theta
+        checked += 1
+    assert checked > 900
+
+
 def test_scan_flags_translation_continuum():
     report = dkp_bruteforce((0.4, 0.4, 0.4))
     assert report.continuum
@@ -162,7 +182,7 @@ def test_bracket_scan_matches_the_per_index_loop():
 
 
 def test_newton_exits_keep_their_iteration_counts():
-    # (result, iterations) as recorded before Newton moved to Python floats
+    # (result, iterations) of each exit, bit for bit
     polish = rpr3.oracle._newton_polish
     start = (0.1, 0.2, 0.3)
     assert polish(start, (0.4, 0.4, 0.4), DEFAULT_GEOMETRY) == (None, 1)  # LinAlgError
@@ -174,8 +194,8 @@ def test_newton_exits_keep_their_iteration_counts():
     )
     assert polish((math.nan, 0.0, 0.0), GENERIC_THETA, DEFAULT_GEOMETRY) == (None, 50)
     solved, used = polish((0.21, 0.04, -1.5), GENERIC_THETA, DEFAULT_GEOMETRY)
-    assert used == 35
-    assert solved == (0.21747642064338427, 0.04408465295084465, -1.5466059373272023)
+    assert used == 3
+    assert solved == (0.21747642064364894, 0.04408465295097307, -1.5466059373287742)
 
 
 # ------------------------------------------------------------- fd check

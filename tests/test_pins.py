@@ -146,12 +146,12 @@ PINNED_DK = {
     1.0: {
         "closed": "3846faf8e6269e388d0343d25304d0dbf1f1c1142d07277caa3540eb248e046e",
         "geometric": "15fb7ed27d02c614aa4bc5f7028e3e04ffbd47b2f0fe5833d70be7adb2c568da",
-        "bruteforce": "ebdf46c68413f84c845b428218376c40ccc3b88247270a0b135fe58e127b3a92",
+        "bruteforce": "a591914b80a281a655a4bb5a2e830252ca83c0ecbb350aa25b37706e196c1f53",
     },
     2.0: {
         "closed": "31a73535e475071b7571f919970eca75beb35b3e6b905c886ff51be83db12dee",
         "geometric": "5d978a9818a37b7ef8235a1f10584297a33974bae114551332cf6252c1d8e77d",
-        "bruteforce": "001dd708d7c1cfb6179d6705773b003edee24d7ab1d6753a9c0b4697c1081799",
+        "bruteforce": "0b6615b5271829aec871435423fef7ab76e02c2b52ababff6c89c805fabf7717",
     },
 }
 
