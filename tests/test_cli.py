@@ -596,7 +596,8 @@ def test_sweep_rejects_grids_over_the_cap(tmp_path, capsys, space, axes):
 # sha256 of the artifacts the per-point sweep loop wrote for the first two
 # pages, before the sweep moved onto the array kernels, and of the pages the
 # csv.writer and per-cell contour loops wrote for the rest, before the
-# writers moved onto arrays; no rewrite may change a byte.  Each entry is
+# writers moved onto arrays and before write_csv formatted each distinct bit
+# pattern of a row block once; no rewrite may change a byte.  Each entry is
 # (space, axes and flags, RPR_GEOMETRY scale, rows, CSV digest, SVG digest
 # or None for a CSV-only page).  The cartesian pages include the anchor hit
 # at (0, 0).  The CSV digests were re-captured when det A became the

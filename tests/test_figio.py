@@ -123,3 +123,67 @@ def test_write_csv_matches_the_csv_writer_loop(tmp_path, labelled):
     count = figio.write_csv(str(tmp_path / "got.csv"), header, table, labels)
     assert count == 40
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _block_straddling_table():
+    """2 blocks + 3 rows of the bit patterns a per-block dedupe must keep
+    apart: a constant, a 25-value axis repeated meshgrid-style, mixed -0.0
+    and 0.0, NaNs with the sign bit and a payload set, +-inf and subnormals,
+    and generic doubles."""
+    rng = np.random.default_rng(62)
+    n = 2 * figio._BLOCK_ROWS + 3
+    axis = np.linspace(-3.0, 3.0, 25)
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], np.uint64).view(float)
+    odd = rng.choice(np.array([np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -2.2e-308]), n)
+    table = np.column_stack(
+        (
+            np.full(n, 0.7),
+            np.resize(np.repeat(axis, 25), n),
+            np.resize(axis, n),
+            np.where(rng.random(n) < 0.5, 0.0, -0.0),
+            np.where(rng.random(n) < 0.3, rng.choice(nans, n), rng.standard_normal(n)),
+            np.where(rng.random(n) < 0.5, odd, 0.0),
+            rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+        )
+    )
+    # The NaN column carries both patterns, as bits, not merely as NaNs.
+    bits = set(table[:, 4].view(np.uint64).tolist())
+    assert {0x7FF8000000000001, 0xFFF8000000000000} <= bits
+    return table
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_write_csv_matches_the_csv_writer_loop_across_blocks(tmp_path, labelled):
+    table = _block_straddling_table()
+    n = len(table)
+    header = tuple("abcdefg") + (("kind",) if labelled else ())
+    labels = [("Regular", "Serial", "Both")[i % 3] for i in range(n)] if labelled else None
+    _reference_csv(tmp_path / "want.csv", header, table, labels)
+    count = figio.write_csv(str(tmp_path / "got.csv"), header, table, labels)
+    assert count == n
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_write_csv_of_an_empty_table_is_the_header(tmp_path, labelled):
+    header = ("a", "b") + (("kind",) if labelled else ())
+    labels = [] if labelled else None
+    _reference_csv(tmp_path / "want.csv", header, np.empty((0, 2)), labels)
+    assert figio.write_csv(str(tmp_path / "got.csv"), header, np.empty((0, 2)), labels) == 0
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "got.csv").read_bytes() == b",".join(h.encode() for h in header) + b"\r\n"
+
+
+@pytest.mark.parametrize("rows", [5, 2 * figio._BLOCK_ROWS + 3])
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_write_csv_rejects_a_label_count_other_than_the_row_count(
+    tmp_path, rows, extra, as_generator
+):
+    # The mismatch falls in the table's only block, or in its last one.
+    table = np.zeros((rows, 2))
+    labels = ["Regular"] * (rows + extra)
+    if as_generator:
+        labels = (label for label in labels)
+    with pytest.raises(ValueError):
+        figio.write_csv(str(tmp_path / "got.csv"), ("a", "b", "kind"), table, labels)
