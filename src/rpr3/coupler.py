@@ -67,11 +67,6 @@ MIN_CURVE_SAMPLES = 8
 
 _THIRD_VERTEX_ANGLE = math.pi / 3.0
 
-# Bisection width (radians of psi) of geometric_dkp's second root, and the
-# gap (radians) under which two cycle positions are one Reuleaux arc cut.
-_BISECT_TOL = 5e-13
-_DEDUPE_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class CouplerCurve:
@@ -230,9 +225,15 @@ def trace_cardanic(
     )
 
 
+# geometric_dkp's scan, the half angles of a 720-sample cycle with their
+# cosines and sines, and the bisection width (radians of psi) of its root.
+_SCAN_PSI = 0.5 * _cycle_grid(720)
+_SCAN_COS, _SCAN_SIN = np.cos(_SCAN_PSI), np.sin(_SCAN_PSI)
+_BISECT_TOL = 5e-13
+
+
 def geometric_dkp(
     theta: JointAngles | Sequence[float],
-    curve: CouplerCurve | None = None,
     geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
 ) -> DkSolutionSet:
     """Direct kinematics by intersecting the coupler curve with leg 3's axis.
@@ -241,31 +242,24 @@ def geometric_dkp(
     assembly; with the trivial one's factor 2 sin(phi / 2) divided out
     (:func:`_half_angle_offset`, straight from the loop closure) it changes
     sign once per half cycle of psi = phi / 2, at the second.  That sign
-    change is bracketed on the half angles of a 720-sample cycle, or of
-    ``curve.phi`` when a curve is given (the wrap pair included: the
-    function is antiperiodic), bisected to 1e-12 in phi and mapped to a pose
-    through the best-conditioned leg pair.  Shares no root formula with the
-    closed-form solver, which is the point: the two roots are compared in
-    tests and by the verifier.  The rest of the solution set (continua,
-    DEGENERATE, coincident) comes from the closed form's own body.
+    change is bracketed on the half angles of a 720-sample cycle (the wrap
+    pair included: the function is antiperiodic), bisected to 1e-12 in phi
+    and mapped to a pose through the best-conditioned leg pair.  Shares no
+    root formula with the closed-form solver, which is the point: the two
+    roots are compared in tests and by the verifier.  The rest of the
+    solution set (continua, DEGENERATE, coincident) comes from the closed
+    form's own body.
 
-    Raises ValueError when ``curve`` was traced for other angles or
-    geometry, and :class:`DegenerateLegPairError` when a two-solution
-    triple has legs 1 and 2 parallel, where no coupler curve exists.
+    Raises :class:`DegenerateLegPairError` when a two-solution triple has
+    legs 1 and 2 parallel, where no coupler curve exists.
     """
     t = _as_angles(theta)
     t1, t2 = normalize_angle(t[0]), normalize_angle(t[1])
-    if curve is not None and (
-        abs(curve.theta1 - t1) > 1e-12
-        or abs(curve.theta2 - t2) > 1e-12
-        or curve.scale != geometry.scale
-    ):
-        raise ValueError("curve was traced for different angles or geometry")
 
     def second_phi(m: float, n: float) -> float:
         offset = _half_angle_offset(t1, t2, t[2], geometry)
-        psi = 0.5 * (_cycle_grid(720) if curve is None else curve.phi)
-        values = offset(np.cos(psi), np.sin(psi))
+        psi = _SCAN_PSI
+        values = offset(_SCAN_COS, _SCAN_SIN)
         # The sample after the last is psi[0] + pi, where the value is -values[0].
         below = values < 0.0
         k = int(np.argmax(below != np.append(below[1:], not below[0])))
@@ -355,7 +349,7 @@ def reuleaux_descriptor(
     boundaries = {0.0}
     for a_i, b_i in coeffs:
         boundaries.add(normalize_angle(2.0 * math.atan2(-b_i, a_i)))
-    cuts = _dedupe_angles(sorted(boundaries))
+    cuts = sorted(boundaries)
 
     best = None
     for idx in range(len(cuts)):
@@ -392,15 +386,3 @@ def _rho_extremes_on_arc(a: float, b: float, lo: float, hi: float) -> tuple[floa
         if lo < cand < hi:
             candidates.append(f(cand))
     return (min(candidates), max(candidates))
-
-
-def _dedupe_angles(angles: list[float]) -> list[float]:
-    """Collapse near-identical cycle positions, including the +-pi seam."""
-    out: list[float] = []
-    for a in angles:
-        if out and a - out[-1] < _DEDUPE_TOL:
-            continue
-        out.append(a)
-    if len(out) > 1 and (out[0] + 2.0 * math.pi) - out[-1] < _DEDUPE_TOL:
-        out.pop()
-    return out

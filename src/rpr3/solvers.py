@@ -175,7 +175,6 @@ class DkKind(Enum):
     """Structure of the direct-kinematics solution set."""
 
     TWO_SOLUTIONS = "TwoSolutions"
-    TRIVIAL_ONLY = "TrivialOnly"
     CONTINUUM_TRANSLATION = "ContinuumTranslation"
     CONTINUUM_REULEAUX = "ContinuumReuleaux"
     DEGENERATE = "Degenerate"

@@ -440,15 +440,11 @@ def test_c9_geometric_and_closed_dkp_agree(capsys):
         theta = tuple(rng.uniform(-PI, PI) for _ in range(3))
         if classify_dk_degeneracy(theta) is not DkKind.TWO_SOLUTIONS:
             continue
-        if abs(math.sin(theta[1] - theta[0])) < 1e-2:
-            continue  # curve legs near-parallel: trace poorly conditioned
         m, n = mn_coefficients(theta)
         if m * m + n * n < 1e-6:
             continue  # near the continuum both methods lose isolation
-        if abs(_phi_star(m, n)) < 5e-2:
-            continue  # roots closer than the 360-sample trace can bracket
         closed = direct_kinematics(theta)
-        geo = geometric_dkp(theta, curve=trace_cardanic(theta[0], theta[1], 360))
+        geo = geometric_dkp(theta)
         assert geo.kind is DkKind.TWO_SOLUTIONS
         assert len(geo.poses) == len(closed.poses) == 2
         worst = max(worst, _set_gap(closed.poses, geo.poses))

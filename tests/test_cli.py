@@ -15,6 +15,7 @@ from rpr3.errors import ParallelSingularError
 from rpr3.geometry import (
     DEFAULT_GEOMETRY,
     POSE_TOL,
+    ManipulatorGeometry,
     Pose,
     normalize_angle,
     platform_anchor_arrays,
@@ -762,6 +763,38 @@ def test_verify_flags_tampered_csv(tmp_path, capsys):
     report = strict_json(out)["trace_csv"]
     assert (report["passed"], report["rows"]) == (False, 5)
     assert report["max_deviation"] == pytest.approx(1e-6, rel=1e-3)
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1.5e-6, 1e-7, 1e-8])
+def test_verify_rechecks_a_trace_of_nearly_parallel_legs(tmp_path, capsys, gap):
+    # The rows reach about 2 scale / |sin(t2 - t1)|, and their rounding with
+    # them: a gate of 1e-12 * scale failed this trace's own file below 1e-3.
+    csv_path = tmp_path / "curve.csv"
+    run_json(capsys, "trace", "--t1", "0.3", "--t2", repr(0.3 + gap), "--csv", str(csv_path))
+    payload = run_json(
+        capsys, "verify", "--scope", "curves", "--trials", "2", "--csv", str(csv_path)
+    )
+    report = payload["trace_csv"]
+    assert (report["passed"], report["rows"]) == (True, 720)
+
+
+class _PairRng:
+    """A stand-in for verify's generator whose every draw is one angle pair."""
+
+    def __init__(self, pair):
+        self.pair = pair
+
+    def uniform(self, low, high, size):
+        return np.array(self.pair)
+
+
+@pytest.mark.parametrize("t1", [-3.03774645687452, -2.8841484100105235, 0.27410390540137985])
+def test_curves_trial_passes_a_drawn_curve_of_nearly_parallel_legs(t1):
+    # |sin(t2 - t1)| = 1.5e-6 is admitted, and |rho| then reaches about
+    # 1.3e6 scale: one ulp of rho failed a closure gate of 1e-10 * scale.
+    for scale in (1.0, 1.7):
+        geometry = ManipulatorGeometry(scale)
+        assert cli._curves_trial(_PairRng((t1, t1 + 1.5e-6)), geometry) is not None
 
 
 def test_trace_reports_and_writes_reduced_angles(tmp_path, capsys):

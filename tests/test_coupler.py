@@ -297,25 +297,6 @@ def test_both_routes_call_parallel_legs_1_and_2_with_a_null_reduction_degenerate
     assert geo == closed
 
 
-def test_geometric_dkp_accepts_precomputed_curve():
-    theta = (0.2, 0.9, 2.0)
-    curve = trace_cardanic(0.2, 0.9)
-    from_curve = geometric_dkp(theta, curve)
-    fresh = geometric_dkp(theta)
-    assert from_curve.kind is fresh.kind
-    for p, q in zip(from_curve.poses, fresh.poses):
-        assert abs(p.x - q.x) < 1e-12
-        assert abs(p.y - q.y) < 1e-12
-
-
-def test_geometric_dkp_rejects_mismatched_curve():
-    # Checked before the triple is classified, continua included.
-    curve = trace_cardanic(0.2, 0.9)
-    for theta in ((0.3, 0.9, 2.0), (0.4, 0.4, 0.4), (0.0, PI3, -PI3)):
-        with pytest.raises(ValueError):
-            geometric_dkp(theta, curve)
-
-
 def test_geometric_dkp_translation_continuum():
     res = geometric_dkp((0.4, 0.4, 0.4))
     assert res.kind is DkKind.CONTINUUM_TRANSLATION
@@ -394,6 +375,26 @@ def test_reuleaux_stroke_and_travel_match_a_sampled_cycle(scale):
         # rho1 moves at most 2/sqrt(3) scale per radian, so each sampled end
         # of a run lies within 1.2 step * scale of the true one.
         assert abs(desc.p_line.length - stroke) < 2.4 * step * scale, theta
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.7])
+def test_reuleaux_stroke_is_smooth_where_two_extension_zeros_meet(scale):
+    # At theta1 = -pi/6 (mod pi) the second zero of rho3 falls on phi = 0,
+    # where every rho_i vanishes.  Just off it the two zeros lie about e
+    # apart, and both must stay arc ends: an arc run across one of them
+    # moved the stroke by about e.
+    geometry = ManipulatorGeometry(scale)
+    flips = [(0.0, 0.0), (math.pi, 0.0), (0.0, -math.pi), (math.pi, -math.pi)]
+    for c in (-math.pi / 6.0, 5.0 * math.pi / 6.0):
+        for f2, f3 in flips:
+
+            def half(t1):
+                theta = (t1, t1 + PI3 + f2, t1 - PI3 + f3)
+                return reuleaux_descriptor(theta, geometry).p_line.half_length
+
+            for e in (1e-10, 3e-10):
+                bend = half(c + e) + half(c - e) - 2.0 * half(c)
+                assert abs(bend) <= 1e-14 * scale, (c, f2, f3, e, bend)
 
 
 def test_reuleaux_constants_double_with_scale():

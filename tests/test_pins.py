@@ -280,7 +280,7 @@ def test_geometric_dkp_of_a_reuleaux_triple_traces_no_curve(monkeypatch):
 
     def calls():
         return (
-            [_outcome(geometric_dkp, t, None, g) for t in triples + _dk_triples() for g in geometries],
+            [_outcome(geometric_dkp, t, g) for t in triples + _dk_triples() for g in geometries],
             [_outcome(reuleaux_descriptor, t, g) for g in geometries for t in _reuleaux_triples()],
         )
 

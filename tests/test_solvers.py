@@ -283,6 +283,11 @@ def test_dk_coincident_roots_flagged():
     assert res.poses[1].position.norm() < 1e-12
 
 
+def test_direct_kinematics_returns_every_kind():
+    triples = [(0.2, 0.9, 2.0), (0.4, 0.4, 0.4), (0.0, PI3, -PI3), (0.3, 0.3, 0.3 + 1e-7)]
+    assert [direct_kinematics(theta).kind for theta in triples] == list(DkKind)
+
+
 def test_position_from_orientation_pair_agreement():
     rng = np.random.default_rng(30)
     checked = 0
