@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=_int_in(0), default=0, help="random seed"
     )
     p_verify.add_argument(
-        "--csv", help="recheck a previously written trace CSV (curves scope)"
+        "--csv", help="recheck a previously written trace CSV"
     )
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -272,6 +272,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if getattr(args, "deg", False):
+        # Handlers see radians; sweep axes, 'lo:hi:n' strings, convert in _parse_axis.
+        for name in ("phi", "t1", "t2", "t3"):
+            value = getattr(args, name, None)
+            if isinstance(value, float):
+                setattr(args, name, math.radians(value))
     try:
         geom = _geometry_from_env()
     except (OSError, json.JSONDecodeError, GeometryError) as exc:
@@ -304,10 +310,6 @@ def _geometry_from_env() -> ManipulatorGeometry:
     if not path:
         return DEFAULT_GEOMETRY
     return load_geometry(path)
-
-
-def _in_angle(value: float, deg: bool) -> float:
-    return math.radians(value) if deg else value
 
 
 def _out_angle(value: float, deg: bool) -> float:
@@ -355,7 +357,7 @@ def _singularity_payload(pose: Pose, theta, geom: ManipulatorGeometry) -> dict:
 
 
 def _cmd_ik(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
-    pose = Pose(args.x, args.y, _in_angle(args.phi, args.deg))
+    pose = Pose(args.x, args.y, args.phi)
     if args.branch == "all":
         branches = [(i >> 2 & 1, i >> 1 & 1, i & 1) for i in range(8)]
     else:
@@ -387,9 +389,7 @@ def _parse_branch(text: str):
 def _cmd_dk(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
     # Solved and reported in (-pi, pi]: the reduction works on angle
     # differences, which lose a small angle next to a huge one.
-    theta = JointAngles(
-        *(_in_angle(t, args.deg) for t in (args.t1, args.t2, args.t3))
-    ).as_tuple()
+    theta = JointAngles(args.t1, args.t2, args.t3).as_tuple()
     routes = {}
     if args.method in ("closed", "both"):
         routes["closed"] = direct_kinematics(theta, geometry=geom)
@@ -440,9 +440,7 @@ def _cmd_dk(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
 
 
 def _pose_set_deviation(left: tuple[Pose, ...], right: tuple[Pose, ...], geom) -> float:
-    """Symmetric Hausdorff distance between two discrete pose sets."""
-    if not left or not right:
-        return 0.0 if not left and not right else math.inf
+    """Symmetric Hausdorff distance between two nonempty discrete pose sets."""
     worst = 0.0
     for src, dst in ((left, right), (right, left)):
         for p in src:
@@ -452,12 +450,12 @@ def _pose_set_deviation(left: tuple[Pose, ...], right: tuple[Pose, ...], geom) -
 
 
 def _cmd_singularity(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
-    pose = Pose(args.x, args.y, _in_angle(args.phi, args.deg))
+    pose = Pose(args.x, args.y, args.phi)
     given = [args.t1, args.t2, args.t3]
     if any(t is not None for t in given):
         if any(t is None for t in given):
             raise _UsageError("provide all of --t1 --t2 --t3 or none")
-        theta = tuple(_in_angle(t, args.deg) for t in given)
+        theta = tuple(given)
     else:
         sol = inverse_kinematics(pose, branch=_parse_branch(args.branch), geometry=geom)
         theta = sol.angles
@@ -473,12 +471,7 @@ def _cmd_singularity(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
 
 
 def _cmd_trace(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
-    curve = trace_cardanic(
-        _in_angle(args.t1, args.deg),
-        _in_angle(args.t2, args.deg),
-        n_samples=args.samples,
-        geometry=geom,
-    )
+    curve = trace_cardanic(args.t1, args.t2, n_samples=args.samples, geometry=geom)
     # Traced, written and reported in (-pi, pi], so that the CSV rechecks
     # against the very angles the curve came from.
     t1, t2 = curve.theta1, curve.theta2
@@ -499,7 +492,7 @@ def _cmd_trace(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
             stroke="#c02020",
             width=0.015,
         )
-        if curve.segment is not None:
+        if curve.degenerate:
             end_a, end_b = curve.segment
             canvas.line(
                 end_a.x, end_a.y, end_b.x, end_b.y, stroke="#2020c0", width=0.02
@@ -513,16 +506,14 @@ def _cmd_trace(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
         "degenerate": curve.degenerate,
         "csv": args.csv,
         "svg": args.svg,
+        "segment": None,
     }
-    if curve.segment is not None:
+    if curve.degenerate:
         end_a, end_b = curve.segment
         payload["segment"] = {
             "endpoints": [[end_a.x, end_a.y], [end_b.x, end_b.y]],
             "length": math.hypot(end_b.x - end_a.x, end_b.y - end_a.y),
         }
-    else:
-        payload["segment"] = None
-    if curve.degenerate:
         # A straight-line curve means the legs are one third-turn apart, so
         # the Reuleaux family applies; complete the triple accordingly.
         t3 = normalize_angle(t1 + _REULEAUX_OFFSETS[1])
@@ -664,8 +655,10 @@ def _write_sweep_svg(args, axes, swept, axis_names, grid_values) -> None:
     for ax, ay, bx, by in ends.tolist():
         canvas.line(ax, ay, bx, by, stroke="#c02020", width=0.012)
     for i, drop in zip(swept, (0.15, 0.3)):
-        axis = axes[i]
-        canvas.text(lo, lo - drop, f"{axis_names[i]}: {axis[0]:.6g} .. {axis[-1]:.6g}")
+        name, axis = axis_names[i], axes[i]
+        if args.deg and name in _ANGLE_AXES:  # labelled in the unit given
+            axis = np.degrees(axis)
+        canvas.text(lo, lo - drop, f"{name}: {axis[0]:.6g} .. {axis[-1]:.6g}")
     canvas.write(args.svg)
 
 
@@ -686,8 +679,8 @@ def _cmd_verify(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
         if args.scope not in ("all", scope):
             continue
         scopes[scope] = _run_trials(scope, metric, args.trials, partial(trial, rng, geom), failures)
-        if scope == "curves" and args.csv:
-            fields["trace_csv"] = _recheck_trace_csv(args.csv, failures)
+    if args.csv:
+        fields["trace_csv"] = _recheck_trace_csv(args.csv, failures)
 
     for line in failures:
         print(f"rpr3: FAIL {line}", file=sys.stderr)

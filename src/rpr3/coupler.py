@@ -254,10 +254,9 @@ def geometric_dkp(
     legs 1 and 2 parallel, where no coupler curve exists.
     """
     t = _as_angles(theta)
-    t1, t2 = normalize_angle(t[0]), normalize_angle(t[1])
 
     def second_phi(m: float, n: float) -> float:
-        offset = _half_angle_offset(t1, t2, t[2], geometry)
+        offset = _half_angle_offset(*t, geometry)
         psi = _SCAN_PSI
         values = offset(_SCAN_COS, _SCAN_SIN)
         # The sample after the last is psi[0] + pi, where the value is -values[0].

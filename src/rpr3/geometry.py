@@ -62,9 +62,9 @@ POSE_TOL = 1e-7
 # normals meet at infinity.
 PAIR_SIN_TOL = 1e-9
 
-# Scales a geometry may have: below, a product of three lengths (det B)
-# leaves the normal floats; above, sums of lengths overflow.
-_SCALE_RANGE = (1e-100, 1e300)
+# Scales a geometry may have: beyond them a product of three lengths (det B)
+# leaves the normal floats below and overflows above.
+_SCALE_RANGE = (1e-100, 1e100)
 
 # Vertices of the unit equilateral triangle shared by base and platform.
 _UNIT_TRIANGLE = ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
@@ -149,13 +149,12 @@ def _finite_rho(rho: float) -> None:
 # a body picks its form once per call with :func:`_form`.
 _FLOATS = SimpleNamespace(
     cos=math.cos, sin=math.sin, atan2=math.atan2, hypot=math.hypot, sqrt=math.sqrt,
-    angle_difference=angle_difference, finite=_finite, finite_rho=_finite_rho,
+    angle_difference=angle_difference, finite_rho=_finite_rho,
 )
 _COLUMNS = SimpleNamespace(
     cos=partial(_libm, math.cos), sin=partial(_libm, math.sin), atan2=partial(_libm, math.atan2),
     hypot=partial(_libm, math.hypot), sqrt=partial(_libm, math.sqrt),
-    angle_difference=angle_differences, finite=partial(_first_nonfinite, _finite),
-    finite_rho=partial(_first_nonfinite, _finite_rho),
+    angle_difference=angle_differences, finite_rho=partial(_first_nonfinite, _finite_rho),
 )
 
 
@@ -296,7 +295,7 @@ class ManipulatorGeometry:
     Base anchors ``a1..a3`` and platform anchors ``b1..b3`` (in the platform
     frame) are the vertices of congruent equilateral triangles, both equal to
     ``scale`` times the unit triangle (0,0), (1,0), (1/2, sqrt(3)/2), so the
-    size is the only free number; it must lie in [1e-100, 1e300]
+    size is the only free number; it must lie in [1e-100, 1e100]
     (:class:`GeometryError` otherwise).  The first platform vertex coincides
     with the pose reference point, so b1 is the origin of the platform frame.
     """
@@ -350,7 +349,8 @@ def platform_anchor(
 def _leg_offsets(x, y, phi, geometry: ManipulatorGeometry):
     """(bx, by, dx, dy) for each leg at the pose (x, y, phi), floats or
     columns: the world platform anchor b_i = p + R(phi) b_i_local and its
-    offset b_i - a_i.  Raises :class:`GeometryError` where one overflows."""
+    offset b_i - a_i.  Both are finite at every finite pose: each term added
+    to x or y is at most the scale, below half an ulp of the largest float."""
     f = _form(phi)
     c, s = f.cos(phi), f.sin(phi)
     legs = []
@@ -359,7 +359,6 @@ def _leg_offsets(x, y, phi, geometry: ManipulatorGeometry):
         bx = x + c * v.x - s * v.y
         by = y + s * v.x + c * v.y
         dx, dy = bx - v.x, by - v.y
-        f.finite(dx, dy)
         legs.append((bx, by, dx, dy))
     return legs
 
@@ -370,8 +369,7 @@ def _leg_columns(x, y, phi, geometry: ManipulatorGeometry):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("positions must be finite")
-    with np.errstate(over="ignore"):
-        return x, y, _leg_offsets(x, y, normalize_angles(phi), geometry)
+    return x, y, _leg_offsets(x, y, normalize_angles(phi), geometry)
 
 
 def platform_anchor_arrays(

@@ -275,7 +275,6 @@ def jacobian_fd_check(
                 (pose.x, pose.y, pose.phi),
                 (tp[0], tp[1], tp[2]),
                 geometry,
-                max_iter=60,
                 tol=1e-14 * geometry.scale,
             )
             if solved is None:

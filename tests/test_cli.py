@@ -258,6 +258,58 @@ def test_dk_in_degrees(capsys):
     assert payload["theta"] == pytest.approx([0.0, 60.0, -60.0], abs=1e-12)
 
 
+def _angles_to_degrees(doc):
+    """A document's angle fields through math.degrees, as --deg reports them."""
+    deg = math.degrees
+    if "pose" in doc:
+        doc["pose"]["phi"] = deg(doc["pose"]["phi"])
+    if "theta" in doc:
+        doc["theta"] = [deg(t) for t in doc["theta"]]
+    for solution in doc.get("solutions", ()):
+        for leg in solution["legs"]:
+            leg["theta"] = deg(leg["theta"])
+    for pose in doc.get("poses", ()):
+        pose["phi"] = deg(pose["phi"])
+    for key in ("theta1", "theta2"):
+        if key in doc:
+            doc[key] = deg(doc[key])
+    if "theta3" in (doc.get("reuleaux") or {}):
+        doc["reuleaux"]["theta3"] = deg(doc["reuleaux"]["theta3"])
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, lengths, angles",
+    [
+        ("ik", ("--x", "0.3", "--y", "0.2"), (("--phi", 20.0),)),
+        ("dk", ("--method", "both"), (("--t1", 10.0), ("--t2", 50.0), ("--t3", 120.0))),
+        ("dk", (), (("--t1", 0.0), ("--t2", 60.0), ("--t3", -60.0))),
+        ("singularity", ("--x", "0.3", "--y", "0.2"), (("--phi", 20.0),)),
+        (
+            "singularity",
+            ("--x", "0", "--y", "0"),
+            (("--phi", 0.0), ("--t1", 10.0), ("--t2", 50.0), ("--t3", 120.0)),
+        ),
+        ("trace", ("--samples", "16"), (("--t1", 20.0), ("--t2", 75.0))),
+        ("trace", ("--samples", "16"), (("--t1", 10.0), ("--t2", 70.0))),
+    ],
+)
+def test_deg_converts_angle_flags_once_at_the_boundary(tmp_path, capsys, command, lengths, angles):
+    # A --deg run is the radian run on math.radians of its angles, with each
+    # angle of the document through math.degrees, bit for bit.
+    if command == "trace":
+        lengths += ("--csv", str(tmp_path / "curve.csv"))
+    in_degrees = run_json(
+        capsys, command, *lengths, *(f"{flag}={value!r}" for flag, value in angles), "--deg"
+    )
+    in_radians = run_json(
+        capsys, command, *lengths,
+        *(f"{flag}={math.radians(value)!r}" for flag, value in angles),
+    )
+    # Compared as text, which tells -0.0 from 0.0.
+    assert json.dumps(in_degrees) == json.dumps(_angles_to_degrees(in_radians))
+
+
 # ------------------------------------------------------------ singularity
 
 
@@ -556,21 +608,22 @@ def test_sweep_rejects_poses_whose_det_b_overflows(tmp_path, capsys):
 
 
 def test_sweep_rejects_an_overflowing_anchor_like_singularity(tmp_path, capsys, monkeypatch):
-    # At scale 1e300, leg 2's anchor x + scale leaves the float range.
+    # At the largest scale the leg offsets of a pose at the float range's
+    # corner stay finite, but leg 1's length, their hypot, leaves the range.
     path = tmp_path / "geom.json"
-    path.write_text(json.dumps({"scale": 1e300}))
+    path.write_text(json.dumps({"scale": 1e100}))
     monkeypatch.setenv("RPR_GEOMETRY", str(path))
     x = "1.7976931348623157e308"
-    code, out, single = run(capsys, "singularity", "--x", x, "--y", "0", "--phi", "0")
+    code, out, single = run(capsys, "singularity", "--x", x, "--y", x, "--phi", "0")
     assert (code, out) == (1, "")
     csv_path = tmp_path / "far.csv"
     code, out, err = run(
         capsys,
-        "sweep", "--space", "cartesian", f"--x={x}", "--y=0:1:2", "--phi=0",
+        "sweep", "--space", "cartesian", f"--x={x}", f"--y={x}", "--phi=0:1:2",
         "--csv", str(csv_path),
     )
     assert (code, out) == (1, "")
-    assert err == single == "rpr3: components must be finite, got (inf, 0.0)\n"
+    assert err == single == "rpr3: rho must be finite, got inf\n"
     assert not csv_path.exists()
 
 
@@ -603,7 +656,9 @@ def test_sweep_rejects_grids_over_the_cap(tmp_path, capsys, space, axes):
 # or None for a CSV-only page).  The cartesian pages include the anchor hit
 # at (0, 0).  The CSV digests were re-captured when det A became the
 # two-term cofactor expansion: only the detA column moved, by at most
-# 4.5e-16 times the scale; every SVG digest is the original.
+# 4.5e-16 times the scale.  Every SVG digest is the original but
+# joint-deg's, re-captured when --deg sweeps began to label their angle
+# axes in degrees: only its two label lines changed.
 PINNED_SWEEPS = {
     "cartesian": (
         "cartesian",
@@ -631,7 +686,7 @@ PINNED_SWEEPS = {
         None,
         357,
         "a2f30f54a3120e7e29f02b81a2749c5331e19c112927235c07e68a505e07d5c9",
-        "39b309135f329cbbd37be68b18ea1617880d37ed6bdb20a732594585af8e70f4",
+        "729905ecc8b6e2779bdf37ac7cdcef4d9cab54e897668eff8b16225722359881",
     ),
     "cartesian-detB": (
         "cartesian",
@@ -699,6 +754,25 @@ def test_sweep_degrees_roundtrip(tmp_path, capsys):
     assert float(rows[0][1]) == 45.0
 
 
+def test_sweep_svg_labels_angle_axes_in_the_unit_given(tmp_path, capsys):
+    # Under --deg the angle axes are labelled in degrees, as the CSV writes
+    # them; a length axis keeps its value.
+    svg_path = tmp_path / "deg.svg"
+    for axes, labels in (
+        (("joint", "--t1=-170:190:21", "--t2=-90:270:17", "--t3=40"),
+         ("t1: -170 .. 190", "t2: -90 .. 270")),
+        (("cartesian", "--x=0:1.5:4", "--y=0.2", "--phi=-30:60:4"),
+         ("x: 0 .. 1.5", "phi: -30 .. 60")),
+    ):
+        run_json(
+            capsys, "sweep", "--deg", "--space", *axes,
+            "--csv", str(tmp_path / "deg.csv"), "--svg", str(svg_path),
+        )
+        text = svg_path.read_text()
+        for label in labels:
+            assert f">{label}</text>" in text
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -747,14 +821,19 @@ def test_verify_rechecks_trace_csv(tmp_path, capsys):
     }
 
 
-def test_verify_flags_tampered_csv(tmp_path, capsys):
-    csv_path = tmp_path / "curve.csv"
-    run_json(capsys, "trace", "--t1", "0.2", "--t2", "0.9", "--csv", str(csv_path))
+def _shift_x_of_row_5(csv_path):
+    """Move data row 5's x by 1e-6 in a trace CSV."""
     lines = csv_path.read_text().splitlines()
     fields = lines[5].split(",")
     fields[3] = str(float(fields[3]) + 1e-6)
     lines[5] = ",".join(fields)
     csv_path.write_text("\n".join(lines) + "\n")
+
+
+def test_verify_flags_tampered_csv(tmp_path, capsys):
+    csv_path = tmp_path / "curve.csv"
+    run_json(capsys, "trace", "--t1", "0.2", "--t2", "0.9", "--csv", str(csv_path))
+    _shift_x_of_row_5(csv_path)
     code, out, err = run(
         capsys, "verify", "--scope", "curves", "--trials", "2", "--csv", str(csv_path)
     )
@@ -763,6 +842,28 @@ def test_verify_flags_tampered_csv(tmp_path, capsys):
     report = strict_json(out)["trace_csv"]
     assert (report["passed"], report["rows"]) == (False, 5)
     assert report["max_deviation"] == pytest.approx(1e-6, rel=1e-3)
+
+
+@pytest.mark.parametrize("scope", ["dkp", "jacobian"])
+def test_verify_rechecks_trace_csv_under_every_scope(tmp_path, capsys, scope):
+    # --csv is a check of its own: no scope runs it or skips it.
+    csv_path = tmp_path / "curve.csv"
+    run_json(capsys, "trace", "--t1", "0.2", "--t2", "0.9", "--csv", str(csv_path))
+    argv = ("verify", "--scope", scope, "--trials", "2", "--csv", str(csv_path))
+    payload = run_json(capsys, *argv)
+    assert list(payload)[-2:] == ["scopes", "trace_csv"]
+    assert (payload["trace_csv"]["passed"], payload["trace_csv"]["rows"]) == (True, 720)
+    _shift_x_of_row_5(csv_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert err.splitlines() == ["rpr3: FAIL trace csv row 5 deviates by 1.000e-06"]
+    payload = strict_json(out)
+    assert list(payload["scopes"]) == [scope] and payload["scopes"][scope]["passed"]
+    assert (payload["trace_csv"]["passed"], payload["trace_csv"]["rows"]) == (False, 5)
+    csv_path.unlink()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("rpr3: i/o error: ")
 
 
 @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1.5e-6, 1e-7, 1e-8])
@@ -1098,13 +1199,14 @@ def test_geometry_env_bad_content(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
-@pytest.mark.parametrize("scale", [5e-324, 1e-200, 1e-150, 1e301, 1e308])
+@pytest.mark.parametrize("scale", [5e-324, 1e-200, 1e-150, 1e101, 1e300, 1e301, 1e308])
 def test_geometry_scale_outside_the_working_range_exits_3(tmp_path, capsys, monkeypatch, scale):
     # Below the range det B, a product of three lengths, leaves the normal
     # floats (at 1e-150 a regular pose reported det B 0.0), the curve
     # route's sign tests underflow further down (at 1e-170 it lost the
     # second assembly), and 5e-324 gives no equilateral triangle; above it
-    # traces, scans and draws overflow into tracebacks.
+    # det B overflows (from 1e103 on, dk --method both and verify exited 1),
+    # and from 1e301 traces, scans and draws overflowed into tracebacks.
     path = tmp_path / "geom.json"
     path.write_text(json.dumps({"scale": scale}))
     monkeypatch.setenv("RPR_GEOMETRY", str(path))
@@ -1118,7 +1220,7 @@ def test_geometry_scale_outside_the_working_range_exits_3(tmp_path, capsys, monk
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         (line,) = err.splitlines()
-        assert line.startswith("rpr3: geometry error: scale must be in [1e-100, 1e+300]")
+        assert line.startswith("rpr3: geometry error: scale must be in [1e-100, 1e+100]")
     assert not csv_path.exists()
 
 

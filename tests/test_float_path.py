@@ -1,6 +1,6 @@
 """The scalar API on floats: one formula body serves floats and columns,
 and on floats it must stay off the array kernels and keep the overflow
-guard that its per-leg offsets carry."""
+guards of the leg lengths and of det B."""
 
 import math
 
@@ -75,19 +75,17 @@ def test_float_path_makes_no_kernel_call(monkeypatch):
 
 
 def test_float_path_keeps_the_overflow_guard():
-    # Leg 2's anchor, x + scale, leaves the float range.
-    far = ManipulatorGeometry(1e300)
-    pose = Pose(1.7976931348623157e308, 0.0, 0.0)
-    theta = (0.0, 0.0, 0.0)
-    calls = [
-        lambda: inverse_kinematics(pose, geometry=far),
-        lambda: constraint_residuals(pose, theta, geometry=far),
-        lambda: signed_extensions(pose, theta, geometry=far),
-        lambda: build_matrices(pose, theta, geometry=far),
-    ]
-    for call in calls:
-        with pytest.raises(GeometryError, match=r"components must be finite, got \(inf, 0\.0\)"):
-            call()
+    # At the largest scale a leg length, the hypot of a finite offset, leaves
+    # the float range at the range's corner; det B, a product of three leg
+    # lengths, leaves it far sooner.
+    far = ManipulatorGeometry(1e100)
+    corner = Pose(1.7976931348623157e308, 1.7976931348623157e308, 0.0)
+    with pytest.raises(GeometryError, match=r"rho must be finite, got inf"):
+        inverse_kinematics(corner, geometry=far)
+    pose = Pose(1e150, 3e100, 1.0)
+    theta = inverse_kinematics(pose, geometry=far).angles
+    with pytest.raises(GeometryError, match=r"det B overflows at x=1e\+150"):
+        build_matrices(pose, theta, geometry=far)
 
 
 def _reuleaux_pose(t1, phi):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rpr3 import geometry
 from rpr3.coupler import geometric_dkp
 from rpr3.errors import GeometryError
 from rpr3.geometry import (
@@ -164,11 +165,30 @@ def test_geometry_derives_scaled_triangle_from_scale():
 
 
 def test_geometry_scale_must_lie_in_the_working_range():
-    for scale in (1e-100, 1e300):
+    for scale in (1e-100, 1e100):
         assert ManipulatorGeometry(scale).anchors[1] == Vec2(scale, 0.0)
-    for bad in (5e-324, 9e-151, 1e-150, 9e-101, 1e-200, 1e301, 1.7976931348623157e308):
-        with pytest.raises(GeometryError, match=r"scale must be in \[1e-100, 1e\+300\]"):
+    for bad in (5e-324, 9e-151, 1e-150, 9e-101, 1e-200, 1.0000000000000002e100, 1e101, 1e300,
+                1e301, 1.7976931348623157e308):
+        with pytest.raises(GeometryError, match=r"scale must be in \[1e-100, 1e\+100\]"):
             ManipulatorGeometry(bad)
+
+
+def test_leg_offsets_stay_finite_at_the_largest_scale():
+    # Each term added to a position is at most the scale, 1e100, below half
+    # an ulp of the largest float (about 1e292): no finite pose overflows.
+    far = ManipulatorGeometry(1e100)
+    top = 1.7976931348623157e308
+    corners = [(sx * top, sy * top) for sx in (1, -1) for sy in (1, -1)]
+    phis = [0.0, 0.5, math.pi / 2, 2.0, math.pi, -1.0, -math.pi / 2]
+    with np.errstate(all="raise"):
+        for x, y in corners:
+            for phi in phis:
+                for leg in geometry._leg_offsets(x, y, phi, far):
+                    assert all(map(math.isfinite, leg))
+        xs = np.repeat([x for x, _ in corners], len(phis))
+        ys = np.repeat([y for _, y in corners], len(phis))
+        _, _, legs = geometry._leg_columns(xs, ys, np.tile(phis, len(corners)), far)
+        assert all(np.isfinite(column).all() for leg in legs for column in leg)
 
 
 def test_platform_anchor_frozen_value():
