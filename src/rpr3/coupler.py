@@ -11,12 +11,12 @@ with the third angle at -pi/3 (mod pi) from the first the whole direct
 kinematics degenerates to a continuum.
 
 Intersecting the curve with the third leg's axis solves the direct problem
-geometrically, in the half angle phi / 2, where the trivial assembly
-factors out exactly; this route finds the second root by its own scan to
-cross-check the closed form's, under the solvers' rules (continua,
-DEGENERATE, coincident, the straight-line predicate).  Neither route nor
-the straight-line constants sample a traced curve: both evaluate the loop
-closure directly, and ``trace_cardanic`` serves the tables and figures.
+geometrically: in the half angle phi / 2 the trivial assembly factors out
+exactly and leaves B3's offset from the axis linear in its cosine and sine,
+so its one root, from the loop closure and not the m, n elimination,
+cross-checks the closed form's under the solvers' rules (continua,
+DEGENERATE, coincident, the straight-line predicate).  Only the columns
+of ``trace_cardanic`` sample the curve, for the tables and figures.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ class CouplerCurve:
     ``rho`` (n, 2) as (rho1, rho2) rows.  ``degenerate`` is the two-leg
     half of the straight-line predicate, theta2 - theta1 = pi/3 (mod pi)
     within ``DEGENERACY_ANGLE_TOL``, the rule the solvers classify by;
-    ``segment`` holds the endpoints of the sampled stroke when set, lower
-    end first along the line's direction.
+    ``segment`` holds the exact ends of the full-cycle stroke when set,
+    lower end first along the line's direction.
     """
 
     theta1: float
@@ -190,7 +190,7 @@ def trace_cardanic(
     The curve is a straight segment exactly when theta2 - theta1 = pi/3
     (mod pi), tested as the solvers test it (within DEGENERACY_ANGLE_TOL).
     B3 then runs on the line through a3 along theta1 - pi/3, and
-    ``segment`` spans the samples' extent along it.
+    ``segment`` spans its exact full-cycle extent along it.
 
     Raises :class:`DegenerateLegPairError` for parallel slider lines, where
     no curve exists.
@@ -207,10 +207,11 @@ def trace_cardanic(
 
     segment: tuple[Vec2, Vec2] | None = None
     if degenerate:
-        a3 = geometry.base_anchor(3)
-        ux, uy = math.cos(t1 + _REULEAUX_OFFSETS[1]), math.sin(t1 + _REULEAUX_OFFSETS[1])
-        along = (b3x - a3.x) * ux + (b3y - a3.y) * uy
-        lo, hi = float(along.min()), float(along.max())
+        # rho3 = a (1 - cos phi) + b sin phi spans a -+ hypot(a, b) over the cycle.
+        t3 = t1 + _REULEAUX_OFFSETS[1]
+        a, b = _extension_coefficients((t1, t2, t3), geometry)[2]
+        a3, ux, uy = geometry.base_anchor(3), math.cos(t3), math.sin(t3)
+        lo, hi = a - math.hypot(a, b), a + math.hypot(a, b)
         segment = (Vec2(a3.x + lo * ux, a3.y + lo * uy), Vec2(a3.x + hi * ux, a3.y + hi * uy))
 
     return CouplerCurve(
@@ -225,13 +226,6 @@ def trace_cardanic(
     )
 
 
-# geometric_dkp's scan, the half angles of a 720-sample cycle with their
-# cosines and sines, and the bisection width (radians of psi) of its root.
-_SCAN_PSI = 0.5 * _cycle_grid(720)
-_SCAN_COS, _SCAN_SIN = np.cos(_SCAN_PSI), np.sin(_SCAN_PSI)
-_BISECT_TOL = 5e-13
-
-
 def geometric_dkp(
     theta: JointAngles | Sequence[float],
     geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
@@ -240,43 +234,34 @@ def geometric_dkp(
 
     The signed distance of B3 from the third slider line vanishes at every
     assembly; with the trivial one's factor 2 sin(phi / 2) divided out
-    (:func:`_half_angle_offset`, straight from the loop closure) it changes
-    sign once per half cycle of psi = phi / 2, at the second.  That sign
-    change is bracketed on the half angles of a 720-sample cycle (the wrap
-    pair included: the function is antiperiodic), bisected to 1e-12 in phi
-    and mapped to a pose through the best-conditioned leg pair.  Shares no
-    root formula with the closed-form solver, which is the point: the two
-    roots are compared in tests and by the verifier.  The rest of the
-    solution set (continua, DEGENERATE, coincident) comes from the closed
-    form's own body.
+    (:func:`_half_angle_offset`, straight from the loop closure) it is
+    A cos(psi) + B sin(psi) in the half angle psi = phi / 2, whose one zero
+    per half cycle, psi = atan2(-A, B), is the second assembly.  That root
+    is mapped to a pose through the best-conditioned leg pair.  It reads
+    neither m nor n: it comes from the coupler's loop closure, not from the
+    closed form's elimination, and the two roots are compared in tests and
+    by the verifier.  The rest of the solution set (continua, DEGENERATE,
+    coincident) comes from the closed form's own body.
 
     Raises :class:`DegenerateLegPairError` when a two-solution triple has
     legs 1 and 2 parallel, where no coupler curve exists.
     """
     t = _as_angles(theta)
 
-    def second_phi(m: float, n: float) -> float:
+    def second_phi(_m: float, _n: float) -> float:
         offset = _half_angle_offset(*t, geometry)
-        psi = _SCAN_PSI
-        values = offset(_SCAN_COS, _SCAN_SIN)
-        # The sample after the last is psi[0] + pi, where the value is -values[0].
-        below = values < 0.0
-        k = int(np.argmax(below != np.append(below[1:], not below[0])))
-        hi = float(psi[k + 1]) if k + 1 < psi.size else float(psi[0]) + math.pi
-        psi2 = _bisect(lambda p: offset(math.cos(p), math.sin(p)), float(psi[k]), hi, float(values[k]))
-        return normalize_angle(2.0 * psi2)
+        return normalize_angle(2.0 * math.atan2(-offset(1.0, 0.0), offset(0.0, 1.0)))
 
     return _solution_set(t, geometry, second_phi)
 
 
 def _half_angle_offset(t1: float, t2: float, t3: float, geometry: ManipulatorGeometry):
-    """(cos(psi), sin(psi)) -> (B3 - a3) x v3 / (2 sin(psi)) at psi = phi / 2,
-    floats or arrays.
+    """(cos(psi), sin(psi)) -> (B3 - a3) x v3 / (2 sin(psi)) at psi = phi / 2.
 
     With a1 at the origin, B3 - a3 = rho1 v1 + (R(phi) - I) a3; the chord
     identities (R(phi) - I) a = 2 sin(psi) R(psi + pi/2) a and
     rho1 = 2 sin(psi) s cos(t2 - psi) / sin(t2 - t1) take the factor out of
-    both terms with no cancellation.
+    both terms with no cancellation; both stay linear in (cos(psi), sin(psi)).
     """
     a3 = geometry.base_anchor(3)
     per_sin = geometry.scale / _pair_sin(t1, t2)
@@ -288,19 +273,6 @@ def _half_angle_offset(t1: float, t2: float, t3: float, geometry: ManipulatorGeo
         return _leg_axis(t3, rho * c1 - a3.y * c - a3.x * s, rho * s1 + a3.x * c - a3.y * s)[2]
 
     return offset
-
-
-def _bisect(func, lo: float, hi: float, flo: float) -> float:
-    while hi - lo >= _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        fmid = func(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def reuleaux_descriptor(
@@ -331,17 +303,8 @@ def reuleaux_descriptor(
         raise NotReuleauxError(
             f"angles {t} do not satisfy the straight-line degeneracy condition"
         )
-    # Each extension is a (1 - cos phi) + b sin phi.  rho1 and rho2 close
-    # the two-slider loop (:func:`rho_from_phi`); with a1 at the origin,
-    # rho3 = v3 . (rho1 v1 + (R(phi) - I) a3) and v3 . R(phi) a3
-    # = e3 cos phi + r3 sin phi, with (r3, e3) of a3 across and along leg 3.
-    per_sin = geometry.scale / _pair_sin(t[0], t[1])
-    a3 = geometry.base_anchor(3)
-    r3, e3 = _leg_axis(t[2], a3.x, a3.y)[2:]
-    a1, b1 = per_sin * math.sin(t[1]), per_sin * math.cos(t[1])
-    c31 = math.cos(t[2] - t[0])
-    a2, b2 = per_sin * math.sin(t[0]), per_sin * math.cos(t[0])
-    coeffs = ((a1, b1), (a2, b2), (a1 * c31 - e3, b1 * c31 + r3))
+    coeffs = _extension_coefficients(t, geometry)
+    a1, b1 = coeffs[0]
     displacement = sum(2.0 * math.hypot(a, b) for a, b in coeffs) / 3.0
 
     # Zeros of a (1 - cos phi) + b sin phi: phi = 0 and 2 atan2(-b, a).
@@ -370,6 +333,23 @@ def reuleaux_descriptor(
         half_length=0.5 * stroke,
     )
     return ReuleauxDescriptor(p_line=p_line, a_displacement_magnitude=displacement)
+
+
+def _extension_coefficients(t, geometry: ManipulatorGeometry):
+    """(a_i, b_i) of each signed extension a_i (1 - cos phi) + b_i sin phi.
+
+    rho1 and rho2 close the two-slider loop (:func:`rho_from_phi`); with a1
+    at the origin, rho3 = v3 . (rho1 v1 + (R(phi) - I) a3) and
+    v3 . R(phi) a3 = e3 cos phi + r3 sin phi, with (r3, e3) of a3 across and
+    along leg 3.
+    """
+    per_sin = geometry.scale / _pair_sin(t[0], t[1])
+    a3 = geometry.base_anchor(3)
+    r3, e3 = _leg_axis(t[2], a3.x, a3.y)[2:]
+    a1, b1 = per_sin * math.sin(t[1]), per_sin * math.cos(t[1])
+    c31 = math.cos(t[2] - t[0])
+    a2, b2 = per_sin * math.sin(t[0]), per_sin * math.cos(t[0])
+    return ((a1, b1), (a2, b2), (a1 * c31 - e3, b1 * c31 + r3))
 
 
 def _rho_extremes_on_arc(a: float, b: float, lo: float, hi: float) -> tuple[float, float]:

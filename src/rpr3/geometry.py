@@ -139,9 +139,9 @@ def _finite(px: float, py: float) -> None:
         raise GeometryError(f"components must be finite, got ({px!r}, {py!r})")
 
 
-def _finite_rho(rho: float) -> None:
+def _finite_rho(rho: float, name: str = "rho") -> None:
     if not math.isfinite(rho):
-        raise GeometryError(f"rho must be finite, got {rho!r}")
+        raise GeometryError(f"{name} must be finite, got {rho!r}")
 
 
 # The elementary functions and guards of a formula body shared by the scalar
@@ -411,9 +411,7 @@ def constraint_residuals(
     vanish exactly when (pose, theta) is an assembly of the mechanism, and
     each value scales linearly with the geometry.
     """
-    legs = _leg_offsets(pose.x, pose.y, pose.phi, geometry)
-    r1, r2, r3 = (_leg_axis(t, dx, dy)[2] for t, (_, _, dx, dy) in zip(_as_angles(theta), legs))
-    return (r1, r2, r3)
+    return _leg_components(pose, theta, geometry, 2, "residual")
 
 
 def signed_extensions(
@@ -429,9 +427,16 @@ def signed_extensions(
     signed extension are the transverse and longitudinal components of the
     same anchor offset.
     """
+    return _leg_components(pose, theta, geometry, 3, "rho")
+
+
+def _leg_components(pose: Pose, theta, geometry: ManipulatorGeometry, index: int, name: str):
+    """Entry ``index`` of :func:`_leg_axis` per leg, refused past the float range."""
     legs = _leg_offsets(pose.x, pose.y, pose.phi, geometry)
-    r1, r2, r3 = (_leg_axis(t, dx, dy)[3] for t, (_, _, dx, dy) in zip(_as_angles(theta), legs))
-    return (r1, r2, r3)
+    values = tuple(_leg_axis(t, dx, dy)[index] for t, (*_, dx, dy) in zip(_as_angles(theta), legs))
+    for value in values:
+        _finite_rho(value, name)
+    return values
 
 
 def pose_distance(p: Pose, q: Pose, geometry: ManipulatorGeometry = DEFAULT_GEOMETRY) -> float:

@@ -101,7 +101,6 @@ def _newton_polish(
     start: tuple[float, float, float],
     t: tuple[float, float, float],
     geometry: ManipulatorGeometry,
-    max_iter: int = NEWTON_MAX_ITER,
     tol: float = NEWTON_RESIDUAL_TOL,
     home: float = 1.0,
 ) -> tuple[tuple[float, float, float] | None, int]:
@@ -115,12 +114,12 @@ def _newton_polish(
     # The last column, d/dphi of the rotated local anchor, is set each step.
     jac = np.array([(st, -ct, 0.0) for st, ct, _ in rows])
     x, y, phi = start
-    for it in range(max_iter + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         # numpy's cos/sin for the residuals, as in the scan; libm's for the Jacobian.
         res = _residual_rows(x, y, float(np.cos(phi)), float(np.sin(phi)), rows, home)
         if all(abs(r) < tol for r in res):
             return ((x, y, phi), it)
-        if it == max_iter:
+        if it == NEWTON_MAX_ITER:
             break
         c, s = math.cos(phi), math.sin(phi)
         jac[:, 2] = [
@@ -131,7 +130,7 @@ def _newton_polish(
         except np.linalg.LinAlgError:
             return (None, it + 1)
         x, y, phi = x + dx, y + dy, phi + dphi
-    return (None, max_iter)
+    return (None, NEWTON_MAX_ITER)
 
 
 def dkp_bruteforce(

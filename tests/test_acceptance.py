@@ -618,9 +618,10 @@ def _merging_triples(rng, count):
 
 def test_c13_both_routes_resolve_merging_assemblies(capsys):
     # At n = 0 the second assembly merges into the trivial one (criterion
-    # 10), phi* ~ 2n/m.  Both independent routes scan psi = phi / 2 with the
-    # factor 2 sin(psi) of the trivial root divided out, so each must return
-    # the two assemblies of the closed form however close they sit.
+    # 10), phi* ~ 2n/m.  Both independent routes work in psi = phi / 2 with
+    # the factor 2 sin(psi) of the trivial root divided out (the oracle scans
+    # psi, the curve route meets leg 3's axis in closed form), so each must
+    # return the two assemblies of the closed form however close they sit.
     budget = 0.5
     start = time.monotonic()
     triples = _merging_triples(random.Random(13), 4)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rpr3 import coupler
 from rpr3.errors import DegenerateLegPairError, NotReuleauxError
 from rpr3.geometry import (
     DEFAULT_GEOMETRY,
@@ -209,11 +210,18 @@ def test_trace_degenerates_exactly_where_the_solvers_see_a_reuleaux_triple(scale
                 assert gap < 2.5 * DEGENERACY_ANGLE_TOL * scale, case
 
 
-def test_degenerate_segment_length_is_full_stroke():
-    # the B3 stroke over a full cycle spans 4*sqrt(3)/3, independent of t1
-    curve = trace_cardanic(0.5, 0.5 + PI3, n_samples=4096)
-    start, stop = curve.segment
-    assert abs((stop - start).norm() - 4.0 * SQRT3 / 3.0) < 1e-5
+@pytest.mark.parametrize("scale", [1.0, 1.7])
+@pytest.mark.parametrize("n_samples", [8, 720, 4096])
+def test_degenerate_segment_length_is_full_stroke(scale, n_samples):
+    # The B3 stroke over a full cycle spans 4*sqrt(3)/3 times the scale,
+    # independent of t1, and the ends are leg 3's extreme extensions, not
+    # the samples' extent: 8 samples used to fall 0.16 short, 720 still 2e-5.
+    geometry = ManipulatorGeometry(scale)
+    for t1 in (-2.5, -0.7, 0.0, 0.5, 1.9, 3.0):
+        for flip in (0.0, -math.pi):
+            curve = trace_cardanic(t1, t1 + PI3 + flip, n_samples, geometry)
+            start, stop = curve.segment
+            assert abs((stop - start).norm() - 4.0 * SQRT3 / 3.0 * scale) < 1e-14 * scale
 
 
 # ----------------------------------------------------------- geometric DKP
@@ -247,8 +255,9 @@ def test_geometric_dkp_matches_closed_form():
 
 def test_both_routes_resolve_the_near_merges_of_a_seeded_draw():
     # Of 20,000 uniform triples from default_rng(1), 63 have |phi2| < 1e-2:
-    # closer to the trivial root than a scan over phi can bracket, which the
-    # half-angle scans of both routes never have to.
+    # closer to the trivial root than a scan over phi can bracket.  Both
+    # routes work in the half angle with the trivial root divided out: the
+    # oracle scans it, and the curve route meets leg 3's axis in closed form.
     triples = np.random.default_rng(1).uniform(-math.pi, math.pi, (20000, 3)).tolist()
     near = []
     for theta in triples:
@@ -279,6 +288,74 @@ def test_geometric_dkp_solves_the_pose_through_the_best_conditioned_pair():
         assert len(geo.poses) == len(closed.poses) == 2, theta
         for p, q in zip(closed.poses, geo.poses):
             assert pose_distance(p, q) < POSE_TOL, theta
+
+
+def _offset_coefficients(theta, geometry):
+    """(A, B) of B3's offset from leg 3's axis, A cos(psi) + B sin(psi)."""
+    offset = coupler._half_angle_offset(*theta, geometry)
+    return offset(1.0, 0.0), offset(0.0, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.7])
+def test_half_angle_offset_is_linear_in_the_half_angle(scale):
+    # The premise of the closed-form intersection: one zero per half cycle.
+    geometry = ManipulatorGeometry(scale)
+    rng = np.random.default_rng(33)
+    for _ in range(1000):
+        theta = tuple(rng.uniform(-math.pi, math.pi, 3).tolist())
+        psi = float(rng.uniform(-math.pi, math.pi))
+        a, b = _offset_coefficients(theta, geometry)
+        c, s = math.cos(psi), math.sin(psi)
+        value = coupler._half_angle_offset(*theta, geometry)(c, s)
+        assert abs(value - (c * a + s * b)) <= 1e-13 * (abs(a) + abs(b)), (theta, psi)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.7])
+def test_half_angle_offset_is_the_reduction_turned_a_quarter(scale):
+    # (A, B) = s / (2 sin(t2 - t1)) (-n, m), so atan2(-A, B) is the closed
+    # form's root; the route reaches it through the loop closure instead.
+    geometry = ManipulatorGeometry(scale)
+    rng = np.random.default_rng(34)
+    for _ in range(1000):
+        theta = tuple(rng.uniform(-math.pi, math.pi, 3).tolist())
+        a, b = _offset_coefficients(theta, geometry)
+        m, n = mn_coefficients(theta)
+        k = scale / (2.0 * math.sin(theta[1] - theta[0]))
+        assert math.hypot(a + k * n, b - k * m) <= 1e-13 * math.hypot(a, b), theta
+
+
+def test_geometric_dkp_reads_neither_m_nor_n(monkeypatch):
+    # The route's independence from the closed form: its root is the same
+    # when the shared solution-set body hands it nan for m and n.
+    triples = [tuple(t) for t in np.random.default_rng(35).uniform(-math.pi, math.pi, (200, 3)).tolist()]
+    triples += [(0.0, math.pi / 2.0, -math.pi / 6.0), (0.3, 0.3 + 1e-7, 1.0), (0.0, PI3, -PI3)]
+    triples += [(0.4, 0.4, 0.4), (0.3, 0.3 + math.pi, 0.3 + 1e-7), (0.3, 0.3 + math.pi, 1.0)]
+    geometries = [ManipulatorGeometry(s) for s in (1.0, 1.7)]
+
+    def outcomes():
+        got = []
+        for geometry in geometries:
+            for theta in triples:
+                try:
+                    got.append(repr(geometric_dkp(theta, geometry)))
+                except DegenerateLegPairError as exc:
+                    got.append(repr(exc))
+        return got
+
+    want = outcomes()
+    solution_set, blinded = coupler._solution_set, []
+
+    def blind(t, geometry, second_phi):
+        def root(m, n):
+            blinded.append(t)
+            return second_phi(math.nan, math.nan)
+
+        return solution_set(t, geometry, root)
+
+    monkeypatch.setattr(coupler, "_solution_set", blind)
+    assert outcomes() == want
+    assert len(blinded) >= 400
+    assert any("legs parallel" in w for w in want)
 
 
 @pytest.mark.parametrize("turn", [0.0, math.pi])

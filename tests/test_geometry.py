@@ -173,6 +173,16 @@ def test_geometry_scale_must_lie_in_the_working_range():
             ManipulatorGeometry(bad)
 
 
+def test_residuals_and_extensions_refuse_a_result_past_the_float_range():
+    # Along or across axes at pi/4, offsets of (DBL_MAX, +-DBL_MAX) sum to
+    # about 1.41 DBL_MAX: an error, as the IK leg length gives, not inf.
+    top, theta = 1.7976931348623157e308, (math.pi / 4.0,) * 3
+    with pytest.raises(GeometryError, match=r"rho must be finite, got inf"):
+        signed_extensions(Pose(top, top, 0.0), theta)
+    with pytest.raises(GeometryError, match=r"residual must be finite, got inf"):
+        constraint_residuals(Pose(top, -top, 0.0), theta)
+
+
 def test_leg_offsets_stay_finite_at_the_largest_scale():
     # Each term added to a position is at most the scale, 1e100, below half
     # an ulp of the largest float (about 1e292): no finite pose overflows.

@@ -181,21 +181,21 @@ def test_bracket_scan_matches_the_per_index_loop():
         assert repr(got) == repr(_reference_candidates(leftover, x, y, phis, step))
 
 
-def test_newton_exits_keep_their_iteration_counts():
+def test_newton_exits_keep_their_iteration_counts(monkeypatch):
     # (result, iterations) of each exit, bit for bit
     polish = rpr3.oracle._newton_polish
     start = (0.1, 0.2, 0.3)
     assert polish(start, (0.4, 0.4, 0.4), DEFAULT_GEOMETRY) == (None, 1)  # LinAlgError
-    assert polish(start, GENERIC_THETA, DEFAULT_GEOMETRY, max_iter=3) == (None, 3)
-    assert polish(start, GENERIC_THETA, DEFAULT_GEOMETRY, max_iter=0) == (None, 0)
-    assert polish((0.0, 0.0, 0.0), GENERIC_THETA, DEFAULT_GEOMETRY, max_iter=0) == (
-        (0.0, 0.0, 0.0),
-        0,
-    )
     assert polish((math.nan, 0.0, 0.0), GENERIC_THETA, DEFAULT_GEOMETRY) == (None, 50)
     solved, used = polish((0.21, 0.04, -1.5), GENERIC_THETA, DEFAULT_GEOMETRY)
     assert used == 3
     assert solved == (0.21747642064364894, 0.04408465295097307, -1.5466059373287742)
+    # The iteration cap is read when the polish runs.
+    monkeypatch.setattr(rpr3.oracle, "NEWTON_MAX_ITER", 3)
+    assert polish(start, GENERIC_THETA, DEFAULT_GEOMETRY) == (None, 3)
+    monkeypatch.setattr(rpr3.oracle, "NEWTON_MAX_ITER", 0)
+    assert polish(start, GENERIC_THETA, DEFAULT_GEOMETRY) == (None, 0)
+    assert polish((0.0, 0.0, 0.0), GENERIC_THETA, DEFAULT_GEOMETRY) == ((0.0, 0.0, 0.0), 0)
 
 
 # ------------------------------------------------------------- fd check

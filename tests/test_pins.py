@@ -142,15 +142,20 @@ PINNED_POSES = {
 # when both routes began to share one solution-set body, so that the closed
 # form's straight-line continuum carries leg 1's line as the geometric
 # route's always did; every other field, and every other digest, stayed.
+# The "geometric" digests were re-captured when that route met leg 3's axis
+# in closed form, atan2(-A, B), instead of bisecting a sampled sign change,
+# after the tests of its linearity and of its blindness to m and n passed:
+# kinds, pose counts, coincident flags, m, n and continua stayed, and no
+# second pose moved by more than 1.8e-10 in units of the scale.
 PINNED_DK = {
     1.0: {
         "closed": "3846faf8e6269e388d0343d25304d0dbf1f1c1142d07277caa3540eb248e046e",
-        "geometric": "15fb7ed27d02c614aa4bc5f7028e3e04ffbd47b2f0fe5833d70be7adb2c568da",
+        "geometric": "baf7161dd2469eb287c69938e8c4d8323ea2d1c2592293e1a7e43f8edb0cf8b2",
         "bruteforce": "a591914b80a281a655a4bb5a2e830252ca83c0ecbb350aa25b37706e196c1f53",
     },
     2.0: {
         "closed": "31a73535e475071b7571f919970eca75beb35b3e6b905c886ff51be83db12dee",
-        "geometric": "5d978a9818a37b7ef8235a1f10584297a33974bae114551332cf6252c1d8e77d",
+        "geometric": "74bfb713220ab9d8b0dc2eb29aa94bb05b5356bcfd92a430d827d9444916ea9c",
         "bruteforce": "0b6615b5271829aec871435423fef7ab76e02c2b52ababff6c89c805fabf7717",
     },
 }
@@ -438,19 +443,22 @@ def _reuleaux_digest(scale):
 # the angle predicate and the line through a3 instead of an SVD fit of the
 # samples: every phi, b3 and rho column and every degenerate flag stayed,
 # and each segment's ends, ordered low to high along the line now, moved by
-# at most 1.4e-15 of the scale.
+# at most 1.4e-15 of the scale.  They were re-captured again when the
+# segment took its exact ends from leg 3's extension instead of the samples'
+# extent, after the exact-length test passed: the columns and flags stayed,
+# and the ends moved outward by up to 0.077 of the scale (8 samples).
 PINNED_CURVES = {
     1.0: {
-        "curves": "ee2ae348d91be67a7559508e4fd2ac9e902f8b6ca75a4650ab0411fde5dd062c",
+        "curves": "302300cf9996b6b741b9c4156965081b8c9b54e32ce8881712c5a862536e164a",
         "reuleaux": "64ab0e65230564fc08c5043318e98c1ee067b383ed1b61a6d52edd0e8b97eb64",
     },
     2.0: {
-        "curves": "66774277e9a0330b324139d1f4ccb2e5cdb8c6e25408e5bf5066148a1040d74b",
+        "curves": "86e6a6666230b884b6d17358ff9fbee0ccbdb68f293d1b50a7535b23a589660c",
         "reuleaux": "51d5eafa0108c8fbdb6e331d90a834a2806a953095915903ef1c314e75690fb0",
     },
     # Not a power of two, so a regrouped product with the scale shows.
     1.7: {
-        "curves": "c4dc577d5448f9def4a05ca6931005df8049b088eba7756cd632d60531c32c44",
+        "curves": "46bd8e6d2b96e939d5d5b42fd5333cb66f839b04cbd030bb8a3f134dca406c4b",
         "reuleaux": "811b8965fca064fed28aad3415f869f357619ec77e9a1b512c1c8cd6ca93a4ee",
     },
 }
@@ -493,11 +501,14 @@ def _trace_digest(tmp_path, capsys):
 # of the printed descriptor moved; CSV and SVG bytes unchanged), and again
 # when the segment came from the line through a3 (CSV bytes and descriptor
 # unchanged; the printed and drawn segment ends now run low to high along
-# the line and moved in their last bits).
+# the line and moved in their last bits), and again when the segment took
+# its exact ends (CSV bytes and descriptor unchanged; the 720-sample
+# segment's ends moved outward by up to 3.3e-6 of the scale and its length
+# became the descriptor's travel).
 PINNED_TRACE = {
-    1.0: "c60cb760336c8889ea707cdef811e25cd873d35183059e4b38c2cc2262975c46",
-    2.0: "417fda6362e559c2a19a9264732c672835aac10823e4035d7de010fc2e009e21",
-    1.7: "af616f80ebb93061b5bc11612deaef2bf90696f19bc498642c8feb77362b840b",
+    1.0: "28284e94fa0d5613111d5188cb89a89cc1ca9ce30ad2a3ea3eeb86cd220fdb7b",
+    2.0: "1f9536fa9e43f1cacdee8f347d41906355f9dba22f5371ede92ffcd293afef5d",
+    1.7: "b861cd57c060f3d9801839a8dc7d69f4561d3d0061425db4f9177974041e978c",
 }
 
 
