@@ -280,7 +280,7 @@ def main(argv=None) -> int:
                 setattr(args, name, math.radians(value))
     try:
         geom = _geometry_from_env()
-    except (OSError, json.JSONDecodeError, GeometryError) as exc:
+    except (OSError, GeometryError) as exc:
         print(f"rpr3: geometry error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
@@ -809,11 +809,15 @@ def _recheck_trace_csv(path: str, failures: list[str]) -> dict:
     """Recheck every row of a ``trace`` CSV, in radians at the file's own
     scale, and report the rows checked and the worst deviation in its units.
 
-    A file ``trace`` does not write (no rows, another header, a row that is
-    not eight finite numbers, a scale that is not positive) raises OSError.
+    A file ``trace`` does not write (not UTF-8 CSV, no rows, another header,
+    a row that is not eight finite numbers, a scale that is not positive)
+    raises OSError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise OSError(f"{path}: not a trace CSV: {exc}") from None
     if len(lines) < 2:
         raise OSError(f"{path}: no data rows")
     header, *rows = lines

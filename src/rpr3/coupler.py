@@ -10,18 +10,22 @@ segment: the mechanism behaves as a Reuleaux straight-line linkage, and
 with the third angle at -pi/3 (mod pi) from the first the whole direct
 kinematics degenerates to a continuum.
 
-Intersecting the curve with the third leg's axis solves the direct problem
-geometrically: in the half angle phi / 2 the trivial assembly factors out
-exactly and leaves B3's offset from the axis linear in its cosine and sine,
-so its one root, from the loop closure and not the m, n elimination,
-cross-checks the closed form's under the solvers' rules (continua,
-DEGENERATE, coincident, the straight-line predicate).  Only the columns
-of ``trace_cardanic`` sample the curve, for the tables and figures.
+Everything here reads one table, the loop closure of legs 1 and 2
+(``_loop_coefficients``): rho1, rho2 and B3 - a3 are each
+a (1 - cos phi) + b sin phi.  Intersecting the curve with the third leg's
+axis solves the direct problem geometrically: B3's offset across that axis
+has the same form, and its zero other than phi = 0, 2 atan2(-b, a), comes
+from the loop closure and not the m, n elimination, so it cross-checks the
+closed form's root under the solvers' rules (continua, DEGENERATE,
+coincident, the straight-line predicate).  The straight segment's ends and
+the Reuleaux constants come from the same pairs.  Only the columns of
+``trace_cardanic`` sample the curve, for the tables and figures.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,8 +68,6 @@ __all__ = [
 
 # Fewest orientation samples trace_cardanic accepts for a full cycle.
 MIN_CURVE_SAMPLES = 8
-
-_THIRD_VERTEX_ANGLE = math.pi / 3.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,47 +129,72 @@ def rho_from_phi(
 ) -> tuple[float, float]:
     """Signed extensions of legs 1 and 2 at orientation ``phi``.
 
-    Solves the loop closure of the quadrilateral a1-b1-b2-a2:
+    Solves the loop closure of the quadrilateral a1-b1-b2-a2, the first two
+    rows of :func:`_loop_coefficients`; with k = scale / sin(t2 - t1):
 
-        rho1 = scale * (sin(t2)(1 - cos phi) + cos(t2) sin phi) / sin(t2 - t1)
-        rho2 = scale * (sin(t1)(1 - cos phi) + cos(t1) sin phi) / sin(t2 - t1)
+        rho1 = k sin(t2) (1 - cos phi) + k cos(t2) sin phi
+        rho2 = k sin(t1) (1 - cos phi) + k cos(t1) sin phi
 
     Both vanish at phi = 0.  Raises :class:`DegenerateLegPairError` when the
     slider lines are parallel (|sin(t2 - t1)| < PAIR_SIN_TOL).
     """
-    rho1, rho2, _, _ = _slider_loop(theta1, theta2, phi, geometry)
+    rho1, rho2, _, _ = _slider_loop(_loop_coefficients(theta1, theta2, geometry), phi, geometry)
     return (rho1, rho2)
 
 
-def _slider_loop(theta1: float, theta2: float, phi, geometry: ManipulatorGeometry):
-    """(rho1, rho2, b3x, b3y) at ``phi``: the extensions of
-    :func:`rho_from_phi` and B3 = a1 + rho1 v1 + R(phi) b3_local.  The
+def _slider_loop(loop, phi, geometry: ManipulatorGeometry):
+    """(rho1, rho2, b3x, b3y) at ``phi`` from the table ``loop`` of
+    :func:`_loop_coefficients`: each entry is a (1 - cos phi) + b sin phi,
+    and B3 is a3 plus its offset, so it is exactly a3 at phi = 0.  The
     platform reference point is a1 + rho1 v1, so poses reuse rho1.
 
     ``phi`` is a float, as in :func:`rho_from_phi`, or an array, each of
     whose elements equals the float result.
     """
-    den = _pair_sin(theta1, theta2)
-    s = geometry.scale
     f = _form(phi)
-    one_minus_cos = 1.0 - f.cos(phi)
-    sin_phi = f.sin(phi)
-    rho1 = s * ((math.sin(theta2) * one_minus_cos + math.cos(theta2) * sin_phi) / den)
-    rho2 = s * ((math.sin(theta1) * one_minus_cos + math.cos(theta1) * sin_phi) / den)
-    a1 = geometry.base_anchor(1)
-    third = phi + _THIRD_VERTEX_ANGLE
-    b3x = a1.x + rho1 * math.cos(theta1) + s * f.cos(third)
-    b3y = a1.y + rho1 * math.sin(theta1) + s * f.sin(third)
-    return (rho1, rho2, b3x, b3y)
+    one_minus_cos, sin_phi = 1.0 - f.cos(phi), f.sin(phi)
+    rho1, rho2, dx, dy = (a * one_minus_cos + b * sin_phi for a, b in loop)
+    a3 = geometry.base_anchor(3)
+    return (rho1, rho2, a3.x + dx, a3.y + dy)
 
 
-def _pair_sin(theta1: float, theta2: float) -> float:
-    """sin(theta2 - theta1), the loop closure's denominator; raises
-    :class:`DegenerateLegPairError` for parallel slider lines."""
+def _loop_coefficients(theta1: float, theta2: float, geometry: ManipulatorGeometry):
+    """The two-slider loop closure as one table of (a, b) pairs, each of a
+    quantity q(phi) = q(0) + a (1 - cos phi) + b sin phi: rho1, rho2, and
+    the x and y of B3 - a3.
+
+    With k = scale / sin(t2 - t1) the sliders give rho1's pair
+    k (sin t2, cos t2) and rho2's k (sin t1, cos t1).  With a1 at the origin,
+    B3 - a3 = rho1 v1 + (R(phi) - I) a3, where
+    (R(phi) - I) a3 = -(1 - cos phi) a3 + sin phi (-a3.y, a3.x).
+    Raises :class:`DegenerateLegPairError` for parallel slider lines.
+    """
     den = math.sin(theta2 - theta1)
     if abs(den) < PAIR_SIN_TOL:
         raise DegenerateLegPairError(f"legs parallel: sin(theta2 - theta1) = {den:.3e}")
-    return den
+    k = geometry.scale / den
+    a, b = k * math.sin(theta2), k * math.cos(theta2)
+    c1, s1 = math.cos(theta1), math.sin(theta1)
+    a3 = geometry.base_anchor(3)
+    return (
+        (a, b),
+        (k * math.sin(theta1), k * math.cos(theta1)),
+        (a * c1 - a3.x, b * c1 - a3.y),
+        (a * s1 - a3.y, b * s1 + a3.x),
+    )
+
+
+def _leg3_pairs(theta3: float, loop):
+    """Leg 3's (residual, extension) pairs: B3 - a3's coefficient vectors of
+    (1 - cos phi) and of sin phi, across and along the leg's axis."""
+    (ax, bx), (ay, by) = loop[2:]
+    return tuple(zip(_leg_axis(theta3, ax, ay)[2:], _leg_axis(theta3, bx, by)[2:]))
+
+
+def _second_zero(a: float, b: float) -> float:
+    """The zero of a (1 - cos phi) + b sin phi other than phi = 0: with
+    psi = phi / 2 it is 2 sin(psi) (a sin(psi) + b cos(psi))."""
+    return normalize_angle(2.0 * math.atan2(-b, a))
 
 
 def _cycle_grid(n_samples: int) -> np.ndarray:
@@ -193,23 +220,22 @@ def trace_cardanic(
     ``segment`` spans its exact full-cycle extent along it.
 
     Raises :class:`DegenerateLegPairError` for parallel slider lines, where
-    no curve exists.
+    no curve exists, and :class:`TypeError` for a sample count that is not
+    an integer.
     """
-    if n_samples < MIN_CURVE_SAMPLES:
-        raise ValueError(
-            f"n_samples must be at least {MIN_CURVE_SAMPLES}, got {n_samples}"
-        )
-    t1 = normalize_angle(theta1)
-    t2 = normalize_angle(theta2)
+    if operator.index(n_samples) < MIN_CURVE_SAMPLES:
+        raise ValueError(f"n_samples must be at least {MIN_CURVE_SAMPLES}, got {n_samples}")
+    t1, t2 = normalize_angle(theta1), normalize_angle(theta2)
     phi = _cycle_grid(n_samples)
-    rho1, rho2, b3x, b3y = _slider_loop(t1, t2, phi, geometry)
+    loop = _loop_coefficients(t1, t2, geometry)
+    rho1, rho2, b3x, b3y = _slider_loop(loop, phi, geometry)
     degenerate = angle_difference(t2 - t1, _REULEAUX_OFFSETS[0], math.pi) < DEGENERACY_ANGLE_TOL
 
     segment: tuple[Vec2, Vec2] | None = None
     if degenerate:
         # rho3 = a (1 - cos phi) + b sin phi spans a -+ hypot(a, b) over the cycle.
         t3 = t1 + _REULEAUX_OFFSETS[1]
-        a, b = _extension_coefficients((t1, t2, t3), geometry)[2]
+        a, b = _leg3_pairs(t3, loop)[1]
         a3, ux, uy = geometry.base_anchor(3), math.cos(t3), math.sin(t3)
         lo, hi = a - math.hypot(a, b), a + math.hypot(a, b)
         segment = (Vec2(a3.x + lo * ux, a3.y + lo * uy), Vec2(a3.x + hi * ux, a3.y + hi * uy))
@@ -233,46 +259,27 @@ def geometric_dkp(
     """Direct kinematics by intersecting the coupler curve with leg 3's axis.
 
     The signed distance of B3 from the third slider line vanishes at every
-    assembly; with the trivial one's factor 2 sin(phi / 2) divided out
-    (:func:`_half_angle_offset`, straight from the loop closure) it is
-    A cos(psi) + B sin(psi) in the half angle psi = phi / 2, whose one zero
-    per half cycle, psi = atan2(-A, B), is the second assembly.  That root
-    is mapped to a pose through the best-conditioned leg pair.  It reads
-    neither m nor n: it comes from the coupler's loop closure, not from the
-    closed form's elimination, and the two roots are compared in tests and
-    by the verifier.  The rest of the solution set (continua, DEGENERATE,
-    coincident) comes from the closed form's own body.
+    assembly.  Leg 3's residual pair in the loop-closure table
+    (:func:`_loop_coefficients`) writes it as a (1 - cos phi) + b sin phi,
+    whose zero other than phi = 0, 2 atan2(-b, a) (:func:`_second_zero`),
+    is the second assembly, mapped to a pose through the best-conditioned
+    leg pair.  The root reads neither m nor n: it comes from the coupler's
+    loop closure, not from the closed form's elimination, and the two roots
+    are compared in tests and by the verifier.  The rest of the solution
+    set (continua, DEGENERATE, coincident) comes from the closed form's own
+    body.
 
     Raises :class:`DegenerateLegPairError` when a two-solution triple has
     legs 1 and 2 parallel, where no coupler curve exists.
     """
     t = _as_angles(theta)
-
-    def second_phi(_m: float, _n: float) -> float:
-        offset = _half_angle_offset(*t, geometry)
-        return normalize_angle(2.0 * math.atan2(-offset(1.0, 0.0), offset(0.0, 1.0)))
-
-    return _solution_set(t, geometry, second_phi)
-
-
-def _half_angle_offset(t1: float, t2: float, t3: float, geometry: ManipulatorGeometry):
-    """(cos(psi), sin(psi)) -> (B3 - a3) x v3 / (2 sin(psi)) at psi = phi / 2.
-
-    With a1 at the origin, B3 - a3 = rho1 v1 + (R(phi) - I) a3; the chord
-    identities (R(phi) - I) a = 2 sin(psi) R(psi + pi/2) a and
-    rho1 = 2 sin(psi) s cos(t2 - psi) / sin(t2 - t1) take the factor out of
-    both terms with no cancellation; both stay linear in (cos(psi), sin(psi)).
-    """
-    a3 = geometry.base_anchor(3)
-    per_sin = geometry.scale / _pair_sin(t1, t2)
-    c1, s1, c2, s2 = math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2)
-
-    def offset(c, s):
-        rho = per_sin * (c2 * c + s2 * s)
-        # R(psi + pi/2) a3 = (-a3.y c - a3.x s, a3.x c - a3.y s)
-        return _leg_axis(t3, rho * c1 - a3.y * c - a3.x * s, rho * s1 + a3.x * c - a3.y * s)[2]
-
-    return offset
+    # Only a two-solution triple builds the table: other kinds may have legs
+    # 1 and 2 parallel.
+    return _solution_set(
+        t,
+        geometry,
+        lambda _m, _n: _second_zero(*_leg3_pairs(t[2], _loop_coefficients(*t[:2], geometry))[0]),
+    )
 
 
 def reuleaux_descriptor(
@@ -283,8 +290,8 @@ def reuleaux_descriptor(
 
     For qualifying angles every orientation is admissible, each vertex b_i
     slides on the line through a_i, and the signed extensions are
-    rho_i(phi) = a_i (1 - cos phi) + b_i sin phi, with coefficients in
-    closed form.  From them:
+    rho_i(phi) = a_i (1 - cos phi) + b_i sin phi, with coefficients from
+    the loop-closure table.  From them:
 
     * ``a_displacement_magnitude``: full-cycle extent max - min of each
       rho_i, 2 hypot(a_i, b_i) (the three agree; their mean is reported);
@@ -300,56 +307,25 @@ def reuleaux_descriptor(
     """
     t = _as_angles(theta)
     if _DK_KINDS[_continuum(*t)] is not DkKind.CONTINUUM_REULEAUX:
-        raise NotReuleauxError(
-            f"angles {t} do not satisfy the straight-line degeneracy condition"
-        )
-    coeffs = _extension_coefficients(t, geometry)
+        raise NotReuleauxError(f"angles {t} do not satisfy the straight-line degeneracy condition")
+    loop = _loop_coefficients(t[0], t[1], geometry)
+    coeffs = (loop[0], loop[1], _leg3_pairs(t[2], loop)[1])
     a1, b1 = coeffs[0]
     displacement = sum(2.0 * math.hypot(a, b) for a, b in coeffs) / 3.0
+    cuts = sorted({0.0, *(_second_zero(a, b) for a, b in coeffs)})
 
-    # Zeros of a (1 - cos phi) + b sin phi: phi = 0 and 2 atan2(-b, a).
-    boundaries = {0.0}
-    for a_i, b_i in coeffs:
-        boundaries.add(normalize_angle(2.0 * math.atan2(-b_i, a_i)))
-    cuts = sorted(boundaries)
-
-    best = None
-    for idx in range(len(cuts)):
-        lo = cuts[idx]
-        hi = cuts[(idx + 1) % len(cuts)]
-        if idx + 1 == len(cuts):
-            hi += 2.0 * math.pi
-        lo_v, hi_v = _rho_extremes_on_arc(a1, b1, lo, hi)
-        stroke = hi_v - lo_v
-        if best is None or stroke > best[0]:
-            best = (stroke, lo_v, hi_v)
-
-    stroke, lo_v, hi_v = best
+    # The arcs between consecutive cuts, the last wrapping round.
+    arcs = zip(cuts, [*cuts[1:], cuts[0] + 2.0 * math.pi])
+    extremes = [_rho_extremes_on_arc(a1, b1, lo, hi) for lo, hi in arcs]
+    lo_v, hi_v = max(extremes, key=lambda e: e[1] - e[0])
     line = _leg1_line(t[0])
     mid = 0.5 * (lo_v + hi_v)
     p_line = SegmentDescriptor(
         point=Vec2(line.point.x + mid * line.direction.x, line.point.y + mid * line.direction.y),
         direction=line.direction,
-        half_length=0.5 * stroke,
+        half_length=0.5 * (hi_v - lo_v),
     )
     return ReuleauxDescriptor(p_line=p_line, a_displacement_magnitude=displacement)
-
-
-def _extension_coefficients(t, geometry: ManipulatorGeometry):
-    """(a_i, b_i) of each signed extension a_i (1 - cos phi) + b_i sin phi.
-
-    rho1 and rho2 close the two-slider loop (:func:`rho_from_phi`); with a1
-    at the origin, rho3 = v3 . (rho1 v1 + (R(phi) - I) a3) and
-    v3 . R(phi) a3 = e3 cos phi + r3 sin phi, with (r3, e3) of a3 across and
-    along leg 3.
-    """
-    per_sin = geometry.scale / _pair_sin(t[0], t[1])
-    a3 = geometry.base_anchor(3)
-    r3, e3 = _leg_axis(t[2], a3.x, a3.y)[2:]
-    a1, b1 = per_sin * math.sin(t[1]), per_sin * math.cos(t[1])
-    c31 = math.cos(t[2] - t[0])
-    a2, b2 = per_sin * math.sin(t[0]), per_sin * math.cos(t[0])
-    return ((a1, b1), (a2, b2), (a1 * c31 - e3, b1 * c31 + r3))
 
 
 def _rho_extremes_on_arc(a: float, b: float, lo: float, hi: float) -> tuple[float, float]:

@@ -465,16 +465,21 @@ def load_geometry(path: str | os.PathLike[str]) -> ManipulatorGeometry:
     """Read a geometry description from a JSON file.
 
     The file holds an object with a single ``scale`` entry, e.g.
-    ``{"scale": 2.0}``.  Unknown keys are rejected to catch typos.
+    ``{"scale": 2.0}``.  Unknown keys are rejected to catch typos, and
+    content that is not such an object raises :class:`GeometryError`.
+    Numbers read as floats, so an integer past the largest float is inf.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh, parse_int=float)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise GeometryError(f"{path}: unreadable geometry file: {exc}") from None
     if not isinstance(data, dict):
         raise GeometryError(f"geometry file must hold a JSON object, got {type(data).__name__}")
     unknown = set(data) - {"scale"}
     if unknown:
         raise GeometryError(f"unknown geometry keys: {sorted(unknown)}")
     scale = data.get("scale", 1.0)
-    if not isinstance(scale, (int, float)) or isinstance(scale, bool):
+    if not isinstance(scale, float):
         raise GeometryError(f"scale must be a number, got {scale!r}")
-    return ManipulatorGeometry(float(scale))
+    return ManipulatorGeometry(scale)

@@ -123,12 +123,14 @@ def _zero_legs(rhos, scale: float) -> tuple[int, ...]:
     return tuple(leg for leg, rho in enumerate(rhos, start=1) if _is_serial(rho, scale))
 
 
-def _check_rows(check, x, y, scale: float, det_b, *residuals: np.ndarray) -> None:
+def _check_rows(x, y, scale: float, det_b, *residuals: np.ndarray) -> None:
     """Array form of :func:`_check_configuration`, run in order on each row
     past the gate's floor or with det B overflowed."""
     flagged = (np.abs(residuals) > CONSISTENCY_TOL * scale).any(axis=0) | ~np.isfinite(det_b)
     for k in np.flatnonzero(flagged).tolist():
-        check(x[k].item(), y[k].item(), scale, det_b[k].item(), *(r[k].item() for r in residuals))
+        _check_configuration(
+            x[k].item(), y[k].item(), scale, det_b[k].item(), *(r[k].item() for r in residuals)
+        )
 
 
 def _velocity_terms(x, y, theta, legs):
@@ -395,7 +397,7 @@ def build_matrices_array(
     _first_nonfinite(lambda *row: _as_angles(row), *t)
     with np.errstate(over="ignore"):
         rows, residuals, rhos, det_b = _velocity_terms(x, y, t, legs)
-        _check_rows(_check_configuration, x, y, geometry.scale, det_b, *residuals)
+        _check_rows(x, y, geometry.scale, det_b, *residuals)
     return KinematicMatricesArray(
         a_matrix=np.array(rows).transpose(2, 0, 1),
         rhos=np.stack(rhos, axis=1),

@@ -1199,6 +1199,39 @@ def test_geometry_env_bad_content(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "geometry, edit",
+    [
+        (b'{"scale": 1' + b"0" * 400 + b"}", None),
+        (b"\xff\xfe", None),
+        (b"[" * 100_000, None),
+        (None, lambda data: data.replace(b"\n", b"\n\xff", 1)),  # in the first row
+        (None, lambda data: data + b"0" * 131_073 + b"\n"),
+    ],
+    ids=["integer-past-any-float", "not-utf8", "nested-too-deep", "csv-not-utf8", "csv-long-field"],
+)
+def test_hostile_input_files_exit_3_with_one_line(tmp_path, capsys, monkeypatch, geometry, edit):
+    # Each once ended in a traceback: OverflowError, UnicodeDecodeError and
+    # RecursionError from the RPR_GEOMETRY file, then UnicodeDecodeError and
+    # _csv.Error from the verify --csv file.
+    csv_path = tmp_path / "curve.csv"
+    run_json(capsys, "trace", "--t1", "0.2", "--t2", "0.9", "--samples", "8", "--csv", str(csv_path))
+    if geometry is None:
+        csv_path.write_bytes(edit(csv_path.read_bytes()))
+        prefix = "rpr3: i/o error: "
+    else:
+        path = tmp_path / "geom.json"
+        path.write_bytes(geometry)
+        monkeypatch.setenv("RPR_GEOMETRY", str(path))
+        prefix = "rpr3: geometry error: "
+    code, out, err = run(
+        capsys, "verify", "--scope", "curves", "--trials", "1", "--csv", str(csv_path)
+    )
+    assert (code, out) == (3, "")
+    (line,) = err.splitlines()
+    assert line.startswith(prefix)
+
+
 @pytest.mark.parametrize("scale", [5e-324, 1e-200, 1e-150, 1e101, 1e300, 1e301, 1e308])
 def test_geometry_scale_outside_the_working_range_exits_3(tmp_path, capsys, monkeypatch, scale):
     # Below the range det B, a product of three lengths, leaves the normal

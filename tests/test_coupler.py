@@ -37,7 +37,6 @@ from rpr3.solvers import (
 
 PI3 = math.pi / 3.0
 SQRT3 = math.sqrt(3.0)
-A3 = DEFAULT_GEOMETRY.base_anchor(3)
 
 
 def _b3(theta1, phi, rho1, geometry=DEFAULT_GEOMETRY):
@@ -103,11 +102,23 @@ def test_rho_from_phi_scales_linearly():
 
 
 def test_trace_passes_through_third_base_anchor():
-    curve = trace_cardanic(0.2, 0.9)
-    at_zero = [b3 for phi, b3 in zip(curve.phi.tolist(), curve.b3.tolist()) if phi == 0.0]
-    assert len(at_zero) == 1
-    (x, y), = at_zero
-    assert math.hypot(x - A3.x, y - A3.y) < 1e-12
+    # B3 is a3 plus an offset that vanishes at phi = 0, so it is a3 exactly.
+    for scale in (1.0, 1.7):
+        geometry = ManipulatorGeometry(scale)
+        a3 = geometry.base_anchor(3)
+        for n_samples in (8, 720):
+            curve = trace_cardanic(0.2, 0.9, n_samples, geometry)
+            rows = zip(curve.phi.tolist(), curve.b3.tolist())
+            assert [b3 for phi, b3 in rows if phi == 0.0] == [[a3.x, a3.y]], (scale, n_samples)
+
+
+def test_trace_takes_an_integer_sample_count():
+    # 8.5 samples once gave 9 phi values up to 3.511, past the cycle's pi.
+    for count in (8.5, 9.0, math.nan, math.inf):
+        with pytest.raises(TypeError):
+            trace_cardanic(0.2, 0.9, count)
+    numpy_count = trace_cardanic(0.2, 0.9, np.int64(8))
+    assert numpy_count.phi.tolist() == trace_cardanic(0.2, 0.9, 8).phi.tolist()
 
 
 def test_trace_grid_covers_the_cycle():
@@ -291,23 +302,29 @@ def test_geometric_dkp_solves_the_pose_through_the_best_conditioned_pair():
 
 
 def _offset_coefficients(theta, geometry):
-    """(A, B) of B3's offset from leg 3's axis, A cos(psi) + B sin(psi)."""
-    offset = coupler._half_angle_offset(*theta, geometry)
-    return offset(1.0, 0.0), offset(0.0, 1.0)
+    """(A, B) of B3's offset from leg 3's axis, 2 sin(psi) (A cos(psi) +
+    B sin(psi)) at psi = phi / 2: leg 3's residual pair (a, b) of
+    a (1 - cos phi) + b sin phi in the loop-closure table, as (b, a)."""
+    loop = coupler._loop_coefficients(theta[0], theta[1], geometry)
+    a, b = coupler._leg3_pairs(theta[2], loop)[0]
+    return b, a
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.7])
 def test_half_angle_offset_is_linear_in_the_half_angle(scale):
     # The premise of the closed-form intersection: one zero per half cycle.
+    # Leg 3's residual at the two-slider pose of phi = 2 psi is the table's.
     geometry = ManipulatorGeometry(scale)
     rng = np.random.default_rng(33)
     for _ in range(1000):
         theta = tuple(rng.uniform(-math.pi, math.pi, 3).tolist())
         psi = float(rng.uniform(-math.pi, math.pi))
         a, b = _offset_coefficients(theta, geometry)
-        c, s = math.cos(psi), math.sin(psi)
-        value = coupler._half_angle_offset(*theta, geometry)(c, s)
-        assert abs(value - (c * a + s * b)) <= 1e-13 * (abs(a) + abs(b)), (theta, psi)
+        rho1, _ = rho_from_phi(theta[0], theta[1], 2.0 * psi, geometry)
+        pose = Pose(rho1 * math.cos(theta[0]), rho1 * math.sin(theta[0]), 2.0 * psi)
+        value = constraint_residuals(pose, theta, geometry)[2]
+        want = 2.0 * math.sin(psi) * (a * math.cos(psi) + b * math.sin(psi))
+        assert abs(value - want) <= 1e-12 * max(scale, abs(rho1)), (theta, psi)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.7])
@@ -322,6 +339,28 @@ def test_half_angle_offset_is_the_reduction_turned_a_quarter(scale):
         m, n = mn_coefficients(theta)
         k = scale / (2.0 * math.sin(theta[1] - theta[0]))
         assert math.hypot(a + k * n, b - k * m) <= 1e-13 * math.hypot(a, b), theta
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.7])
+def test_loop_closure_collapses_to_a_segment_on_the_straight_line_predicate(scale):
+    # B3 = a3 + P (1 - cos phi) + Q sin phi is an ellipse of area
+    # pi |det[P Q]|, and det[P Q] = -s^2 sin(t2 - t1 - pi/3) / sin(t2 - t1):
+    # a segment exactly when t2 - t1 = pi/3 (mod pi).
+    geometry = ManipulatorGeometry(scale)
+    rng = np.random.default_rng(36)
+    checked = 0
+    while checked < 2000:
+        t1, t2 = rng.uniform(-math.pi, math.pi, 2).tolist()
+        if checked % 2:  # every other pair near the predicate, either leg direction
+            offset = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -1.0)
+            t2 = t1 + PI3 + rng.choice((0.0, math.pi)) + offset
+        d = math.sin(t2 - t1)
+        if abs(d) < 1e-3:
+            continue
+        _, _, (px, qx), (py, qy) = coupler._loop_coefficients(t1, t2, geometry)
+        want = -scale * scale * math.sin(t2 - t1 - PI3) / d
+        assert abs(px * qy - py * qx - want) <= 1e-14 * scale * scale / (d * d), (t1, t2)
+        checked += 1
 
 
 def test_geometric_dkp_reads_neither_m_nor_n(monkeypatch):

@@ -293,6 +293,33 @@ def test_load_geometry_rejects_non_object(tmp_path):
         load_geometry(path)
 
 
+def test_load_geometry_reads_numbers_only(tmp_path):
+    path = tmp_path / "geom.json"
+    path.write_text('{"scale": 3}')
+    assert load_geometry(path).scale == 3.0
+    for text in ('{"scale": true}', '{"scale": "2"}', '{"scale": null}'):
+        path.write_text(text)
+        with pytest.raises(GeometryError, match="scale must be a number"):
+            load_geometry(path)
+
+
+# Each once escaped as a traceback: OverflowError in float(scale),
+# UnicodeDecodeError and RecursionError from the JSON reader.
+HOSTILE_GEOMETRY_FILES = {
+    "integer-past-any-float": b'{"scale": 1' + b"0" * 400 + b"}",
+    "not-utf8": b"\xff\xfe",
+    "nested-too-deep": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("content", HOSTILE_GEOMETRY_FILES.values(), ids=HOSTILE_GEOMETRY_FILES)
+def test_load_geometry_rejects_unreadable_content(tmp_path, content):
+    path = tmp_path / "geom.json"
+    path.write_bytes(content)
+    with pytest.raises(GeometryError):
+        load_geometry(path)
+
+
 def test_load_geometry_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_geometry(tmp_path / "absent.json")

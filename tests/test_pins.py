@@ -249,19 +249,25 @@ def _position_digest(scale, seed=26):
 
 
 # Captured before the leg-axis algebra of the position solve and of the
-# normal-line intersection was shared with the rest of the scalar path.
+# normal-line intersection was shared with the rest of the scalar path.  The
+# "singularity" digests were re-captured when rho_from_phi, which places the
+# continuum poses, read the coupler's loop-closure table, after the table's
+# tests passed: classify_singularity is unchanged, every kind, zero-rho leg
+# and translation flag stayed, 36 of 89 cases moved, no pose by more than
+# 5.3e-16 of the scale, det A by 4.0e-16 of it, det B by 1.3e-15 of its cube
+# and no intersection point by 7.9e-16 of it.
 PINNED_LEG_LINES = {
     1.0: {
-        "singularity": "80341f768d1f422ec91f42013bd2385b275d8dfb6effa719d1ce5354fc6ccde3",
+        "singularity": "023632b6d0dfd496e5e54b70f4a4edbd9e13b6863dc18970142965e515432dfd",
         "position": "682dbb5bc41814896f93a3587a274e907a2250989012289e6c0456c0bcccc96e",
     },
     2.0: {
-        "singularity": "82a179e961d4c0dc4a3ad4516170c1b213cd1052978b5cfdfaeb8493c16ac20c",
+        "singularity": "a488c781e7988f3182e9c8d6d5d9b97aaa4fdb2c04c723f1aec3825c3df4e81c",
         "position": "217f4c7bb8d67a4e7fdb48937b60d0a315712890f50e808395a924c8626c8573",
     },
     # Not a power of two, so a regrouped product with the scale shows.
     1.7: {
-        "singularity": "6287d37d7490a20bbeeb939ef06f99bd6e54499d5a2ed7df6c08c1d3aee67a94",
+        "singularity": "9031ac76b98773e31a96dcf7446d1c4e7fd76d40f47b1de687514b6aa83fdef8",
         "position": "a8ae7b284282e590a53c6ee56dc9e3b54a2f2ae87397564858e0a86ae0648dc9",
     },
 }
@@ -446,20 +452,25 @@ def _reuleaux_digest(scale):
 # at most 1.4e-15 of the scale.  They were re-captured again when the
 # segment took its exact ends from leg 3's extension instead of the samples'
 # extent, after the exact-length test passed: the columns and flags stayed,
-# and the ends moved outward by up to 0.077 of the scale (8 samples).
+# and the ends moved outward by up to 0.077 of the scale (8 samples).  Both
+# were re-captured again when samples, segment ends and descriptors read one
+# loop-closure table, after its tests passed (B3 is a3 exactly at phi = 0):
+# phi and the flags stayed; rho moved by at most 4.5e-16 and b3 by 9.2e-16
+# of the larger of the scale and the curve's largest value in that column,
+# the segment ends by 5.3e-16 of the scale and descriptor fields by 5.6e-16.
 PINNED_CURVES = {
     1.0: {
-        "curves": "302300cf9996b6b741b9c4156965081b8c9b54e32ce8881712c5a862536e164a",
-        "reuleaux": "64ab0e65230564fc08c5043318e98c1ee067b383ed1b61a6d52edd0e8b97eb64",
+        "curves": "9d73e467670b6cc15637bb5067d280e4dc051df0acf28eda089ade3ec9197468",
+        "reuleaux": "5b3fb04049aa49a70dc21c9e020e428fbdfade0d8f47ad282a5d982226a8f9ec",
     },
     2.0: {
-        "curves": "86e6a6666230b884b6d17358ff9fbee0ccbdb68f293d1b50a7535b23a589660c",
-        "reuleaux": "51d5eafa0108c8fbdb6e331d90a834a2806a953095915903ef1c314e75690fb0",
+        "curves": "18fd8a767c0d4a3e4fef2fcafa18b4fb32e36255141ac3c63a0e451eb89d417c",
+        "reuleaux": "603f6a9cd40c4d3d592e6feec19b5667628ab41bd99170ff06adf7a0e0570057",
     },
     # Not a power of two, so a regrouped product with the scale shows.
     1.7: {
-        "curves": "46bd8e6d2b96e939d5d5b42fd5333cb66f839b04cbd030bb8a3f134dca406c4b",
-        "reuleaux": "811b8965fca064fed28aad3415f869f357619ec77e9a1b512c1c8cd6ca93a4ee",
+        "curves": "0587dd573e3335c2d898cd93b4574ed3f086622c468091a96d9f549a12dd2c53",
+        "reuleaux": "6b86ac06f91ad95d7d08a1aadf37e6fdfd10509579545252a934b5b96ab74172",
     },
 }
 
@@ -504,11 +515,14 @@ def _trace_digest(tmp_path, capsys):
 # the line and moved in their last bits), and again when the segment took
 # its exact ends (CSV bytes and descriptor unchanged; the 720-sample
 # segment's ends moved outward by up to 3.3e-6 of the scale and its length
-# became the descriptor's travel).
+# became the descriptor's travel), and again when the curve layer read one
+# loop-closure table (SVG bytes and the printed descriptor unchanged; CSV
+# values moved by at most 1.1e-15 of the scale, and one printed segment end
+# by 5.6e-17 of it).
 PINNED_TRACE = {
-    1.0: "28284e94fa0d5613111d5188cb89a89cc1ca9ce30ad2a3ea3eeb86cd220fdb7b",
-    2.0: "1f9536fa9e43f1cacdee8f347d41906355f9dba22f5371ede92ffcd293afef5d",
-    1.7: "b861cd57c060f3d9801839a8dc7d69f4561d3d0061425db4f9177974041e978c",
+    1.0: "0e9f8243bf82915c46bc22c132d75e7fd3b2b96dc6d6a68fc77628b232083df1",
+    2.0: "07ab191169db831cf45d11277c375a8e13d093d9cc985fedb7a37c906e1f989f",
+    1.7: "834e3e1104b9a544936156a915d3a8e56fd136dfa26600a366b3f57d8c9fc4e4",
 }
 
 
