@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -112,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="three binary digits selecting per-leg angle branches, or 'all'",
     )
     _add_deg_flag(p_ik)
-    p_ik.set_defaults(handler=_cmd_ik)
 
     p_dk = sub.add_parser("dk", help="direct kinematics for actuated angles")
     _add_theta_flags(p_dk, required=True)
@@ -123,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="solution route; 'both' cross-checks the two and fails on mismatch",
     )
     _add_deg_flag(p_dk)
-    p_dk.set_defaults(handler=_cmd_dk)
 
     p_sing = sub.add_parser(
         "singularity", help="classify the Jacobian state of one configuration"
@@ -136,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="inverse-kinematics branch used when angles are not given",
     )
     _add_deg_flag(p_sing)
-    p_sing.set_defaults(handler=_cmd_singularity)
 
     p_trace = sub.add_parser(
         "trace", help="trace the third-anchor coupler curve for two fixed angles"
@@ -156,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--csv", required=True, help="output CSV path")
     p_trace.add_argument("--svg", help="optional output SVG path")
     _add_deg_flag(p_trace)
-    p_trace.set_defaults(handler=_cmd_trace)
 
     p_sweep = sub.add_parser(
         "sweep", help="tabulate detA/detB over a grid of configurations"
@@ -188,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="field rendered in the SVG contour (cartesian detB is >= 0: no contour)",
     )
     _add_deg_flag(p_sweep)
-    p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_verify = sub.add_parser(
         "verify", help="randomized cross-checks of solvers against the oracle"
@@ -208,9 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--csv", help="recheck a previously written trace CSV"
     )
-    p_verify.set_defaults(handler=_cmd_verify)
 
     return parser
+
+
+# The parser depends on no input, so main builds it once, on its first call.
+_parser = cache(build_parser)
 
 
 def _finite_float(text: str) -> float:
@@ -267,9 +265,8 @@ def _add_deg_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(args, "deg", False):
@@ -284,7 +281,8 @@ def main(argv=None) -> int:
         print(f"rpr3: geometry error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        code, fields = args.handler(args, geom)
+        # Looked up per call, not bound when the parser is built.
+        code, fields = globals()[f"_cmd_{args.command}"](args, geom)
     except (_UsageError, GeometryError) as exc:
         # A GeometryError is a value out of floating-point range, e.g. a leg
         # length that overflows; the input is unusable as given.

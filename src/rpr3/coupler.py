@@ -153,7 +153,8 @@ def _slider_loop(loop, phi, geometry: ManipulatorGeometry):
     """
     f = _form(phi)
     one_minus_cos, sin_phi = 1.0 - f.cos(phi), f.sin(phi)
-    rho1, rho2, dx, dy = (a * one_minus_cos + b * sin_phi for a, b in loop)
+    # + 0.0 turns a·0 + b·0 = -0.0 (a, b < 0) at phi = 0 into +0.
+    rho1, rho2, dx, dy = (a * one_minus_cos + b * sin_phi + 0.0 for a, b in loop)
     a3 = geometry.base_anchor(3)
     return (rho1, rho2, a3.x + dx, a3.y + dy)
 

@@ -396,6 +396,17 @@ def test_trace_writes_csv_and_svg(tmp_path, capsys):
     assert "polyline" in svg
 
 
+def test_trace_writes_positive_zero_extensions_at_identity(tmp_path, capsys):
+    # Leg 2's pair (a, b) is negative here, and a·0 + b·0 alone is -0.0.
+    csv_path = tmp_path / "z.csv"
+    run_json(
+        capsys,
+        "trace", "--t1", "0.2", "--t2=-2.5", "--samples", "8", "--csv", str(csv_path),
+    )
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert [row[5:7] for row in rows if row[2] == "0"] == [["0", "0"]]
+
+
 def test_trace_degenerate_prints_descriptor(tmp_path, capsys):
     csv_path = tmp_path / "segment.csv"
     payload = run_json(
@@ -1163,8 +1174,12 @@ def test_every_library_error_exits_cleanly(capsys, monkeypatch):
     def raise_parallel_singular(args, geom):
         raise ParallelSingularError("det A vanishes")
 
+    # One call first, so the parser exists before the patch: main must look
+    # the handler up when it is called, whatever ran before.
+    argv = ("ik", "--x", "0.3", "--y", "0.2", "--phi", "0.1")
+    assert run(capsys, *argv)[0] == 0
     monkeypatch.setattr(cli, "_cmd_ik", raise_parallel_singular)
-    code, out, err = run(capsys, "ik", "--x", "0.3", "--y", "0.2", "--phi", "0.1")
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["rpr3: det A vanishes"]
@@ -1349,3 +1364,33 @@ def test_verify_deterministic_given_seed(capsys):
     _, first, _ = run(capsys, "verify", "--scope", "dkp", "--trials", "5", "--seed", "3")
     _, second, _ = run(capsys, "verify", "--scope", "dkp", "--trials", "5", "--seed", "3")
     assert first == second
+
+
+def test_repeated_calls_share_no_state(tmp_path, capsys):
+    trace_csv = tmp_path / "trace.csv"
+    run_json(
+        capsys,
+        "trace", "--t1", "0.2", "--t2", "0.9", "--samples", "8", "--csv", str(trace_csv),
+    )
+    argvs = [
+        ("dk", "--t1", "20", "--t2", "75", "--t3", "100", "--deg"),
+        ("dk", "--t1", "20", "--t2", "75", "--t3", "100"),
+        ("verify", "--scope", "curves", "--trials", "1", "--csv", str(trace_csv)),
+        ("verify", "--scope", "curves", "--trials", "1"),
+        ("dk", "--t1", "x"),
+        ("--help",),
+        (
+            "sweep", "--space", "joint", "--t1=-2:2:3", "--t2=-2:2:3", "--t3", "0.4",
+            "--csv", str(tmp_path / "sweep.csv"),
+        ),
+        ("ik", "--x", "0.3", "--y", "0.2", "--phi", "0.1"),
+    ]
+    forward = [run(capsys, *argv) for argv in argvs]
+    backward = [run(capsys, *argv) for argv in reversed(argvs)]
+    assert forward == backward[::-1]
+    assert [code for code, _, _ in forward] == [0, 0, 0, 0, 1, 0, 0, 0]
+    assert forward[0][1] != forward[1][1]
+    assert "trace_csv" in strict_json(forward[2][1])
+    assert "trace_csv" not in strict_json(forward[3][1])
+    assert forward[4][2].splitlines()[-1].startswith("rpr3 dk: error: ")
+    assert forward[5][1].startswith("usage: rpr3")

@@ -64,6 +64,14 @@ def test_rho_from_phi_is_zero_at_identity():
     assert rho_from_phi(0.3, 1.1, 0.0) == (0.0, 0.0)
 
 
+def test_rho_from_phi_is_positive_zero_at_identity():
+    # Leg 2's pair (a, b) is negative here, and a·0 + b·0 alone is -0.0.
+    rho = rho_from_phi(0.2, -2.5, 0.0)
+    assert [math.copysign(1.0, r) for r in rho] == [1.0, 1.0]
+    curve = trace_cardanic(0.2, -2.5, 8)
+    assert np.signbit(curve.rho[curve.phi == 0.0]).tolist() == [[False, False]]
+
+
 def test_rho_from_phi_closes_the_two_leg_loop():
     rng = np.random.default_rng(8)
     checked = 0

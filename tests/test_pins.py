@@ -458,18 +458,21 @@ def _reuleaux_digest(scale):
 # phi and the flags stayed; rho moved by at most 4.5e-16 and b3 by 9.2e-16
 # of the larger of the scale and the curve's largest value in that column,
 # the segment ends by 5.3e-16 of the scale and descriptor fields by 5.6e-16.
+# The "curves" digests were re-captured once more when the loop closure
+# turned its -0.0 at phi = 0 (a, b < 0) into +0, after the signed-zero tests
+# passed: the 84 signed zeros in the records are the only change.
 PINNED_CURVES = {
     1.0: {
-        "curves": "9d73e467670b6cc15637bb5067d280e4dc051df0acf28eda089ade3ec9197468",
+        "curves": "10640b4fdfcfa5773c9e13cf197874b55be5cb60d9bce2878bd0feb4f09ada5d",
         "reuleaux": "5b3fb04049aa49a70dc21c9e020e428fbdfade0d8f47ad282a5d982226a8f9ec",
     },
     2.0: {
-        "curves": "18fd8a767c0d4a3e4fef2fcafa18b4fb32e36255141ac3c63a0e451eb89d417c",
+        "curves": "8b8e5ffef68446c1b8a3003849879342a0cf526559bb079b304e3e7ecf98660d",
         "reuleaux": "603f6a9cd40c4d3d592e6feec19b5667628ab41bd99170ff06adf7a0e0570057",
     },
     # Not a power of two, so a regrouped product with the scale shows.
     1.7: {
-        "curves": "0587dd573e3335c2d898cd93b4574ed3f086622c468091a96d9f549a12dd2c53",
+        "curves": "c58e1701c8decf7b988c6c7cf6accf55a81eefd1e0a089133a292917f0324a87",
         "reuleaux": "6b86ac06f91ad95d7d08a1aadf37e6fdfd10509579545252a934b5b96ab74172",
     },
 }
