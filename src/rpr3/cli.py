@@ -62,7 +62,7 @@ from .jacobians import (
 )
 from .oracle import dkp_bruteforce, jacobian_fd_check
 from .solvers import (
-    _REULEAUX_OFFSETS,
+    _REULEAUX_GAP,
     DkKind,
     classify_dk_degeneracy_array,
     direct_kinematics,
@@ -514,7 +514,7 @@ def _cmd_trace(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
         }
         # A straight-line curve means the legs are one third-turn apart, so
         # the Reuleaux family applies; complete the triple accordingly.
-        t3 = normalize_angle(t1 + _REULEAUX_OFFSETS[1])
+        t3 = normalize_angle(t1 - _REULEAUX_GAP)
         desc = reuleaux_descriptor((t1, t2, t3), geometry=geom)
         payload["reuleaux"] = {
             "theta3": _out_angle(t3, args.deg),

@@ -41,13 +41,11 @@ from .geometry import (
     _as_angles,
     _form,
     _leg_axis,
-    angle_difference,
     normalize_angle,
 )
 from .solvers import (
-    DEGENERACY_ANGLE_TOL,
     _DK_KINDS,
-    _REULEAUX_OFFSETS,
+    _REULEAUX_GAP,
     DkKind,
     DkSolutionSet,
     _continuum,
@@ -77,11 +75,10 @@ class CouplerCurve:
     The samples are columns: ``phi`` (n,) ordered over (-pi, pi] (phi = 0
     included for even sample counts, where the curve touches a3 exactly),
     the third vertex ``b3`` (n, 2) as (x, y) rows and the slider extensions
-    ``rho`` (n, 2) as (rho1, rho2) rows.  ``degenerate`` is the two-leg
-    half of the straight-line predicate, theta2 - theta1 = pi/3 (mod pi)
-    within ``DEGENERACY_ANGLE_TOL``, the rule the solvers classify by;
-    ``segment`` holds the exact ends of the full-cycle stroke when set,
-    lower end first along the line's direction.
+    ``rho`` (n, 2) as (rho1, rho2) rows.  ``degenerate`` says whether the
+    solvers classify the triple completed with theta3 = theta1 - pi/3 as
+    the straight-line continuum; ``segment`` holds the exact ends of the
+    full-cycle stroke when set, lower end first along the line's direction.
     """
 
     theta1: float
@@ -216,9 +213,9 @@ def trace_cardanic(
     """Sample the coupler curve of the third vertex over a full cycle.
 
     The curve is a straight segment exactly when theta2 - theta1 = pi/3
-    (mod pi), tested as the solvers test it (within DEGENERACY_ANGLE_TOL).
-    B3 then runs on the line through a3 along theta1 - pi/3, and
-    ``segment`` spans its exact full-cycle extent along it.
+    (mod pi): ``degenerate`` asks the solvers' rule of the triple completed
+    with theta3 = theta1 - pi/3.  B3 then runs on the line through a3 along
+    theta3, and ``segment`` spans its exact full-cycle extent along it.
 
     Raises :class:`DegenerateLegPairError` for parallel slider lines, where
     no curve exists, and :class:`TypeError` for a sample count that is not
@@ -230,12 +227,12 @@ def trace_cardanic(
     phi = _cycle_grid(n_samples)
     loop = _loop_coefficients(t1, t2, geometry)
     rho1, rho2, b3x, b3y = _slider_loop(loop, phi, geometry)
-    degenerate = angle_difference(t2 - t1, _REULEAUX_OFFSETS[0], math.pi) < DEGENERACY_ANGLE_TOL
+    t3 = t1 - _REULEAUX_GAP
+    degenerate = _DK_KINDS[_continuum(t1, t2, normalize_angle(t3))] is DkKind.CONTINUUM_REULEAUX
 
     segment: tuple[Vec2, Vec2] | None = None
     if degenerate:
         # rho3 = a (1 - cos phi) + b sin phi spans a -+ hypot(a, b) over the cycle.
-        t3 = t1 + _REULEAUX_OFFSETS[1]
         a, b = _leg3_pairs(t3, loop)[1]
         a3, ux, uy = geometry.base_anchor(3), math.cos(t3), math.sin(t3)
         lo, hi = a - math.hypot(a, b), a + math.hypot(a, b)

@@ -77,8 +77,8 @@ _SQRT3 = math.sqrt(3.0)
 _TRIVIAL = Pose(0.0, 0.0, 0.0)
 _LEG_PAIRS = ((1, 2), (2, 3), (1, 3))
 
-# Offsets of legs 2 and 3 from leg 1 (mod pi) of the straight-line continuum.
-_REULEAUX_OFFSETS = (math.pi / 3.0, -math.pi / 3.0)
+# Each gap around the cycle of legs (mod pi) in the straight-line continuum.
+_REULEAUX_GAP = math.pi / 3.0
 
 
 @dataclass(frozen=True)
@@ -251,20 +251,23 @@ _DK_KINDS = (DkKind.TWO_SOLUTIONS, DkKind.CONTINUUM_TRANSLATION, DkKind.CONTINUU
 def classify_dk_degeneracy(theta: JointAngles | Sequence[float]) -> DkKind:
     """Detect self-motion continua from the joint angles alone.
 
-    A continuum exists in exactly two situations (angle comparisons mod pi,
-    since reversing a leg direction only flips its extension sign):
+    A continuum exists in exactly two situations, read from the three gaps
+    around the cycle of legs, t2 - t1, t3 - t2 and t1 - t3 (mod pi, since
+    reversing a leg direction only flips its extension sign):
 
-    * all three directions parallel: the platform translates freely along
-      them (CONTINUUM_TRANSLATION);
-    * directions offset by (+pi/3, -pi/3) from leg 1: every orientation is
-      reachable and the platform vertices run on straight lines
-      (CONTINUUM_REULEAUX).  The offsets are chiral; swapping them yields an
-      ordinary two-solution configuration, which is easy to confirm by a
-      brute-force scan.
+    * every gap 0, all three directions parallel: the platform translates
+      freely along them (CONTINUUM_TRANSLATION);
+    * every gap pi/3, legs 2 and 3 at +pi/3 and -pi/3 from leg 1: every
+      orientation is reachable and the platform vertices run on straight
+      lines (CONTINUUM_REULEAUX).  The gaps are chiral; at -pi/3 each (the
+      offsets swapped) the configuration has two ordinary solutions, which
+      is easy to confirm by a brute-force scan.
 
     Everything else is TWO_SOLUTIONS (the generic structure; whether the two
-    roots actually differ is reported by :func:`direct_kinematics`).
-    Angles match within ``DEGENERACY_ANGLE_TOL``.
+    roots actually differ is reported by :func:`direct_kinematics`).  Each
+    gap matches within ``DEGENERACY_ANGLE_TOL``: in the offsets d2, d3 of
+    legs 2 and 3 the band is the hexagon |d2|, |d3|, |d2 - d3| < tol.  A
+    turn or mirror of the leg labels permutes the gaps, not the kind.
     """
     return _DK_KINDS[_continuum(*_as_angles(theta))]
 
@@ -279,13 +282,11 @@ def classify_dk_degeneracy_array(theta: np.ndarray) -> np.ndarray:
 
 def _continuum(t1, t2, t3):
     """Index into ``_DK_KINDS`` of checked angles' continuum, floats or
-    columns."""
-    distance = _form(t1).angle_difference
-    tol = DEGENERACY_ANGLE_TOL
-    translation = (distance(t2, t1, math.pi) < tol) & (distance(t3, t1, math.pi) < tol)
-    reuleaux = (distance(t2 - t1, _REULEAUX_OFFSETS[0], math.pi) < tol) & (
-        distance(t3 - t1, _REULEAUX_OFFSETS[1], math.pi) < tol
-    )
+    columns: :func:`classify_dk_degeneracy`'s rule, one test per gap."""
+    d, tol, pi = _form(t1).angle_difference, DEGENERACY_ANGLE_TOL, math.pi
+    g12, g23, g31, third = t2 - t1, t3 - t2, t1 - t3, _REULEAUX_GAP
+    translation = (d(g12, 0.0, pi) < tol) & (d(g23, 0.0, pi) < tol) & (d(g31, 0.0, pi) < tol)
+    reuleaux = (d(g12, third, pi) < tol) & (d(g23, third, pi) < tol) & (d(g31, third, pi) < tol)
     return translation + 2 * reuleaux
 
 

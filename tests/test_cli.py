@@ -434,6 +434,26 @@ def test_trace_inside_the_predicate_band_is_degenerate(tmp_path, capsys, offset)
     assert dk["kind"] == "ContinuumReuleaux"
 
 
+@pytest.mark.parametrize("t1", [-2.5, -1.04, 0.3, 1.9])
+def test_trace_at_the_band_edge_is_degenerate_as_dk_classifies_it(tmp_path, capsys, t1):
+    # Offsets a few ulps inside the 5e-9 band: there rounding decides whether
+    # the completed triple (t1, t2, t1 - pi/3) is the straight line, and the
+    # trace asks that very rule, so its Reuleaux block never fails to build.
+    csv_path = str(tmp_path / "t.csv")
+    for k in range(6, 16):
+        for sign in (1.0, -1.0):
+            t2 = t1 + PI3 + sign * solvers.DEGENERACY_ANGLE_TOL * (1.0 - 10.0**-k)
+            code, out, err = run(
+                capsys, "trace", "--t1", repr(t1), "--t2", repr(t2), "--samples", "8",
+                "--csv", csv_path,
+            )
+            assert code == 0, (t2, err)
+            theta = (normalize_angle(t1), normalize_angle(t2), normalize_angle(t1 - PI3))
+            kind = solvers.classify_dk_degeneracy(theta)
+            degenerate = strict_json(out)["degenerate"]
+            assert degenerate == (kind is solvers.DkKind.CONTINUUM_REULEAUX), t2
+
+
 def test_trace_rejects_parallel_sliders(capsys, tmp_path):
     code, _, err = run(
         capsys,
