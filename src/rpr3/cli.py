@@ -36,19 +36,22 @@ from .coupler import (
     rho_from_phi,
     trace_cardanic,
 )
-from .errors import GeometryError, LegAtAnchorError, Rpr3Error, SingularNearbyError
+from .errors import (
+    DegenerateLegPairError, GeometryError, LegAtAnchorError, Rpr3Error, SingularNearbyError
+)
 from .geometry import (
     DEFAULT_GEOMETRY,
+    PAIR_SIN_TOL,
     POSE_TOL,
     JointAngles,
     ManipulatorGeometry,
     Pose,
+    _form,
     _leg_axis,
     _libm,
     load_geometry,
     normalize_angle,
     normalize_angles,
-    platform_anchor,
     platform_anchor_arrays,
     pose_distance,
 )
@@ -759,57 +762,56 @@ def _jacobian_trial(rng, geom) -> float | None:
 
 
 def _curves_trial(rng, geom) -> float | None:
-    """Worst gap, in units of the scale, of one whole curve from the slider constraints.
-
-    Anchor 2 must lie on leg 2's slider line at the traced extension rho2,
-    and the traced b3 on anchor 3.  The anchors come from the geometry
-    layer, so the check stays independent of the curve formulas it tests.
-    """
-    s = geom.scale
+    """Worst gap, in units of the scale, of one whole curve (:func:`_curve_gaps`),
+    whose ends at phi = -pi and pi must meet within its last sample's gate."""
     t1, t2 = rng.uniform(-math.pi, math.pi, 2).tolist()
-    if abs(math.sin(t2 - t1)) < 1e-6:
+    try:
+        curve = trace_cardanic(t1, t2, n_samples=360, geometry=geom)
+    except DegenerateLegPairError:
         return None
-    curve = trace_cardanic(t1, t2, n_samples=360, geometry=geom)
-    b2 = geom.base_anchor(2)
-    # Leg 1's anchor is on its slider line by construction.
-    x, y = _slider_point(t1, curve.rho[:, 0], geom)
-    ax, ay = platform_anchor_arrays(x, y, curve.phi, geometry=geom)
-    _, _, r2, e2 = _leg_axis(t2, ax[:, 1] - b2.x, ay[:, 1] - b2.y)
-    miss3 = _libm(math.hypot, ax[:, 2] - curve.b3[:, 0], ay[:, 2] - curve.b3[:, 1])
-    gap = np.maximum.reduce([np.abs(r2), np.abs(curve.rho[:, 1] - e2), miss3])
-    # Near-parallel legs 1 and 2 stretch the curve, and its rounding, to |rho| ~ 2 s / |sin|.
-    size = max(s, float(np.abs(curve.rho).max()))
-    bad = np.flatnonzero(gap > 1e-9 * size)
+    gap, gate = _curve_gaps(curve.theta1, curve.theta2, curve.phi, curve.b3, curve.rho, geom)
+    bad = np.flatnonzero(~(gap <= gate))
     if bad.size:
         k = bad[0]
         raise _TrialFailure(
-            f"curve residual {gap[k]:.3e} at theta=({t1}, {t2}), "
-            f"phi={float(curve.phi[k])}"
+            f"curve residual {gap[k]:.3e} at theta=({t1}, {t2}), phi={float(curve.phi[k])}"
         )
-    rho_lo = rho_from_phi(t1, t2, -math.pi, geometry=geom)
-    rho_hi = rho_from_phi(t1, t2, math.pi, geometry=geom)
-    closure = max(
-        abs(rho_lo[0] - rho_hi[0]), abs(rho_lo[1] - rho_hi[1])
-    )
-    if closure > 1e-10 * size:
+    ends = (rho_from_phi(t1, t2, phi, geometry=geom) for phi in (-math.pi, math.pi))
+    closure = max(abs(lo - hi) for lo, hi in zip(*ends))
+    if not closure <= gate[-1]:
         raise _TrialFailure(f"curve closure {closure:.3e} at theta=({t1}, {t2})")
-    return float(gap.max()) / s
+    return float(gap.max()) / geom.scale
 
 
-def _slider_point(t1: float, rho1, geom):
-    """Reference point ``rho1`` along leg 1's slider line, as a coupler-curve
-    sample records it; ``rho1`` is a float or an array."""
-    a1 = geom.base_anchor(1)
-    return (a1.x + rho1 * math.cos(t1), a1.y + rho1 * math.sin(t1))
+def _curve_gaps(t1, t2, phi, b3, rho, geometry: ManipulatorGeometry):
+    """(gap, gate) per sample of a coupler-curve table for leg angles t1, t2
+    (floats or columns): the columns phi, b3 and rho; gap <= gate passes.
+
+    The reference point sits at rho1 along leg 1's line; the geometry's
+    anchor 2 must then lie on leg 2's line at extension rho2, and anchor 3
+    on b3, independently of the curve formulas.  A sample rounds like the
+    loop-closure table, of size scale / |sin(t2 - t1)|, or like its own
+    values where larger; parallel legs (``PAIR_SIN_TOL``) get a nan gate.
+    """
+    f, rho1 = _form(t1), rho[:, 0]
+    # Leg 1's slider line runs through a1, the origin.
+    ax, ay = platform_anchor_arrays(rho1 * f.cos(t1), rho1 * f.sin(t1), phi, geometry=geometry)
+    b2 = geometry.base_anchor(2)
+    _, _, r2, e2 = _leg_axis(t2, ax[:, 1] - b2.x, ay[:, 1] - b2.y)
+    miss3 = _libm(math.hypot, ax[:, 2] - b3[:, 0], ay[:, 2] - b3[:, 1])
+    gap = np.maximum.reduce([np.abs(r2), np.abs(rho[:, 1] - e2), miss3])
+    sin12 = np.abs(f.sin(t2 - t1))
+    size = geometry.scale / np.where(sin12 < PAIR_SIN_TOL, math.nan, sin12)
+    return gap, FAR_POSE_TOL * np.maximum(size, np.maximum.reduce(np.abs([*b3.T, *rho.T])))
 
 
 def _recheck_trace_csv(path: str, failures: list[str]) -> dict:
-    """Recheck every row of a ``trace`` CSV, in radians at the file's own
-    scale, and report the rows checked and the worst deviation in its units.
-
-    A file ``trace`` does not write (not UTF-8 CSV, no rows, another header,
-    a row that is not eight finite numbers, a scale that is not positive)
-    raises OSError.
+    """Recheck a ``trace`` CSV's columns (:func:`_curve_gaps`) in radians at
+    its first row's scale, and report the rows checked, up to the first that
+    fails, and their worst deviation in units of the scale.  A row at another
+    scale fails.  A file ``trace`` does not write (not UTF-8 CSV, no rows,
+    another header, a row that is not eight finite numbers, a first scale
+    out of range) raises OSError.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -822,29 +824,27 @@ def _recheck_trace_csv(path: str, failures: list[str]) -> dict:
     deg = header == _trace_header(True)
     if not deg and header != _trace_header(False):
         raise OSError(f"{path}: header {','.join(header)!r} is not a trace CSV header")
-    worst = 0.0
+    table = []
     for idx, row in enumerate(rows, 1):
         try:
             values = [float(v) for v in row]
-            t1, t2, phi, *recorded, scale = values
-            if len(recorded) != 4 or not all(map(math.isfinite, values)):
+            if len(values) != 8 or not all(map(math.isfinite, values)):
                 raise ValueError
-            geom = ManipulatorGeometry(scale)
+            if not table:
+                geom = ManipulatorGeometry(values[-1])
         except ValueError:
             raise OSError(f"{path}: malformed row {idx}") from None
-        if deg:
-            t1, t2, phi = map(math.radians, (t1, t2, phi))
-        rho1, rho2 = rho_from_phi(t1, t2, phi, geometry=geom)
-        pose = Pose(*_slider_point(t1, rho1, geom), phi)
-        anchor3 = platform_anchor(pose, 3, geometry=geom)
-        computed = (anchor3.x, anchor3.y, rho1, rho2)
-        gap = max(abs(c - r) for c, r in zip(computed, recorded))
-        worst = max(worst, gap / scale)
-        # A row's coordinates round with their size, as a far pose's do.
-        if not gap <= FAR_POSE_TOL * max(scale, *map(abs, computed)):
-            failures.append(f"trace csv row {idx} deviates by {gap:.3e}")
-            return {"passed": False, "rows": idx, "max_deviation": worst}
-    return {"passed": True, "rows": len(rows), "max_deviation": worst}
+        table.append(values)
+    table = np.array(table)
+    angles = np.radians(table[:, :3]) if deg else table[:, :3]
+    gap, gate = _curve_gaps(*angles.T, table[:, 3:5], table[:, 5:7], geom)
+    gap = np.maximum(gap, np.abs(table[:, 7] - geom.scale))
+    bad = np.flatnonzero(~(gap <= gate) | (table[:, 7] != geom.scale))
+    checked = int(bad[0]) + 1 if bad.size else len(table)
+    if bad.size:
+        failures.append(f"trace csv row {checked} deviates by {gap[checked - 1]:.3e}")
+    worst = float(gap[:checked].max()) / geom.scale
+    return {"passed": not bad.size, "rows": checked, "max_deviation": worst}
 
 
 if __name__ == "__main__":

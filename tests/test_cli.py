@@ -178,13 +178,14 @@ def test_dk_routes_agree_just_off_the_reuleaux_predicate(capsys, delta, flip):
 
 
 @pytest.mark.parametrize("turn", [0.0, math.pi])
-def test_dk_both_exits_2_on_parallel_legs_1_and_2(capsys, turn):
-    # The closed form solves through a better pair; the curve route has no
-    # coupler curve to intersect.
+def test_dk_both_solves_parallel_legs_1_and_2(capsys, turn):
+    # Legs 1 and 2 have no coupler curve: the curve route relabels the legs
+    # so that its table's pair is the best-conditioned one.
     argv = ["--t1", "0.3", "--t2", repr(0.3 + turn), "--t3", "1.0", "--method", "both"]
-    code, out, err = run(capsys, "dk", *argv)
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and "legs parallel" in err
+    payload = run_json(capsys, "dk", *argv)
+    assert payload["kind"] == "TwoSolutions" and len(payload["poses"]) == 2
+    assert payload["agreement"]["kinds_match"] is True
+    assert payload["agreement"]["max_pose_deviation"] <= 1e-12
 
 
 @pytest.mark.parametrize("turn", [0.0, math.pi])
@@ -852,11 +853,11 @@ def test_verify_rechecks_trace_csv(tmp_path, capsys):
     }
 
 
-def _shift_x_of_row_5(csv_path):
-    """Move data row 5's x by 1e-6 in a trace CSV."""
+def _shift_row_5(csv_path, column=3):
+    """Move one cell of data row 5 of a trace CSV by 1e-6, by default x."""
     lines = csv_path.read_text().splitlines()
     fields = lines[5].split(",")
-    fields[3] = str(float(fields[3]) + 1e-6)
+    fields[column] = str(float(fields[column]) + 1e-6)
     lines[5] = ",".join(fields)
     csv_path.write_text("\n".join(lines) + "\n")
 
@@ -864,7 +865,7 @@ def _shift_x_of_row_5(csv_path):
 def test_verify_flags_tampered_csv(tmp_path, capsys):
     csv_path = tmp_path / "curve.csv"
     run_json(capsys, "trace", "--t1", "0.2", "--t2", "0.9", "--csv", str(csv_path))
-    _shift_x_of_row_5(csv_path)
+    _shift_row_5(csv_path)
     code, out, err = run(
         capsys, "verify", "--scope", "curves", "--trials", "2", "--csv", str(csv_path)
     )
@@ -873,6 +874,44 @@ def test_verify_flags_tampered_csv(tmp_path, capsys):
     report = strict_json(out)["trace_csv"]
     assert (report["passed"], report["rows"]) == (False, 5)
     assert report["max_deviation"] == pytest.approx(1e-6, rel=1e-3)
+
+
+@pytest.mark.parametrize("deg", [False, True], ids=["rad", "deg"])
+@pytest.mark.parametrize("column", range(8), ids=cli._trace_header(False))
+def test_verify_flags_a_one_cell_edit_in_any_column(tmp_path, capsys, column, deg):
+    # theta1, theta2, phi, x, y, rho1, rho2 and scale: no cell of a row can
+    # move by 1e-6 unseen, in either unit.
+    csv_path = tmp_path / "curve.csv"
+    unit = ("--deg", "--t1", "20", "--t2", "75") if deg else ("--t1", "0.2", "--t2", "0.9")
+    run_json(capsys, "trace", *unit, "--csv", str(csv_path))
+    _shift_row_5(csv_path, column)
+    code, out, err = run(
+        capsys, "verify", "--scope", "curves", "--trials", "1", "--csv", str(csv_path)
+    )
+    assert code == 4
+    (line,) = err.splitlines()
+    assert line.startswith("rpr3: FAIL trace csv row 5 deviates by ")
+    report = strict_json(out)["trace_csv"]
+    assert (report["passed"], report["rows"]) == (False, 5)
+
+
+def test_verify_flags_a_trace_csv_row_with_parallel_legs(tmp_path, capsys):
+    # A row whose legs are parallel has no curve to lie on: it fails the
+    # recheck, named, and is not a singular input.
+    csv_path = tmp_path / "curve.csv"
+    run_json(capsys, "trace", "--t1", "0.2", "--t2", "0.9", "--csv", str(csv_path))
+    lines = csv_path.read_text().splitlines()
+    fields = lines[7].split(",")
+    fields[1] = fields[0]
+    lines[7] = ",".join(fields)
+    csv_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(
+        capsys, "verify", "--scope", "curves", "--trials", "1", "--csv", str(csv_path)
+    )
+    assert code == 4
+    (line,) = err.splitlines()
+    assert line.startswith("rpr3: FAIL trace csv row 7 deviates by ")
+    assert strict_json(out)["trace_csv"]["rows"] == 7
 
 
 @pytest.mark.parametrize("scope", ["dkp", "jacobian"])
@@ -884,7 +923,7 @@ def test_verify_rechecks_trace_csv_under_every_scope(tmp_path, capsys, scope):
     payload = run_json(capsys, *argv)
     assert list(payload)[-2:] == ["scopes", "trace_csv"]
     assert (payload["trace_csv"]["passed"], payload["trace_csv"]["rows"]) == (True, 720)
-    _shift_x_of_row_5(csv_path)
+    _shift_row_5(csv_path)
     code, out, err = run(capsys, *argv)
     assert code == 4
     assert err.splitlines() == ["rpr3: FAIL trace csv row 5 deviates by 1.000e-06"]
@@ -908,6 +947,19 @@ def test_verify_rechecks_a_trace_of_nearly_parallel_legs(tmp_path, capsys, gap):
     )
     report = payload["trace_csv"]
     assert (report["passed"], report["rows"]) == (True, 720)
+
+
+def test_verify_rechecks_a_near_parallel_trace_whose_rows_are_small(tmp_path, capsys):
+    # Near rho1's second zero a row's values are small, but their rounding
+    # is that of the loop-closure table, about scale / |sin(t2 - t1)|: a
+    # gate on the row's own size failed row 642 of this trace's own file.
+    csv_path = tmp_path / "curve.csv"
+    argv = ("--t1=-0.340341981180901", "--t2=-0.340341881180901", "--csv", str(csv_path))
+    run_json(capsys, "trace", *argv)
+    payload = run_json(
+        capsys, "verify", "--scope", "curves", "--trials", "1", "--csv", str(csv_path)
+    )
+    assert (payload["trace_csv"]["passed"], payload["trace_csv"]["rows"]) == (True, 720)
 
 
 class _PairRng:
