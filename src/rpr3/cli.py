@@ -31,6 +31,7 @@ import numpy as np
 
 from .coupler import (
     MIN_CURVE_SAMPLES,
+    _cycle_grid,
     geometric_dkp,
     reuleaux_descriptor,
     rho_from_phi,
@@ -46,7 +47,6 @@ from .geometry import (
     JointAngles,
     ManipulatorGeometry,
     Pose,
-    _form,
     _leg_axis,
     _libm,
     load_geometry,
@@ -783,9 +783,9 @@ def _curves_trial(rng, geom) -> float | None:
     return float(gap.max()) / geom.scale
 
 
-def _curve_gaps(t1, t2, phi, b3, rho, geometry: ManipulatorGeometry):
-    """(gap, gate) per sample of a coupler-curve table for leg angles t1, t2
-    (floats or columns): the columns phi, b3 and rho; gap <= gate passes.
+def _curve_gaps(t1: float, t2: float, phi, b3, rho, geometry: ManipulatorGeometry):
+    """(gap, gate) per sample of a coupler-curve table for leg angles t1, t2:
+    the columns phi, b3 and rho; gap <= gate passes.
 
     The reference point sits at rho1 along leg 1's line; the geometry's
     anchor 2 must then lie on leg 2's line at extension rho2, and anchor 3
@@ -793,25 +793,26 @@ def _curve_gaps(t1, t2, phi, b3, rho, geometry: ManipulatorGeometry):
     loop-closure table, of size scale / |sin(t2 - t1)|, or like its own
     values where larger; parallel legs (``PAIR_SIN_TOL``) get a nan gate.
     """
-    f, rho1 = _form(t1), rho[:, 0]
+    rho1 = rho[:, 0]
     # Leg 1's slider line runs through a1, the origin.
-    ax, ay = platform_anchor_arrays(rho1 * f.cos(t1), rho1 * f.sin(t1), phi, geometry=geometry)
+    ax, ay = platform_anchor_arrays(rho1 * math.cos(t1), rho1 * math.sin(t1), phi, geometry)
     b2 = geometry.base_anchor(2)
     _, _, r2, e2 = _leg_axis(t2, ax[:, 1] - b2.x, ay[:, 1] - b2.y)
     miss3 = _libm(math.hypot, ax[:, 2] - b3[:, 0], ay[:, 2] - b3[:, 1])
     gap = np.maximum.reduce([np.abs(r2), np.abs(rho[:, 1] - e2), miss3])
-    sin12 = np.abs(f.sin(t2 - t1))
-    size = geometry.scale / np.where(sin12 < PAIR_SIN_TOL, math.nan, sin12)
+    sin12 = abs(math.sin(t2 - t1))
+    size = geometry.scale / sin12 if sin12 >= PAIR_SIN_TOL else math.nan
     return gap, FAR_POSE_TOL * np.maximum(size, np.maximum.reduce(np.abs([*b3.T, *rho.T])))
 
 
 def _recheck_trace_csv(path: str, failures: list[str]) -> dict:
-    """Recheck a ``trace`` CSV's columns (:func:`_curve_gaps`) in radians at
-    its first row's scale, and report the rows checked, up to the first that
-    fails, and their worst deviation in units of the scale.  A row at another
-    scale fails.  A file ``trace`` does not write (not UTF-8 CSV, no rows,
-    another header, a row that is not eight finite numbers, a first scale
-    out of range) raises OSError.
+    """Recheck a ``trace`` CSV as one curve: row 1's theta1, theta2 and scale
+    on every row, phi on the :func:`_cycle_grid` of the row count, and the
+    columns through :func:`_curve_gaps` in radians.  Report the rows checked,
+    up to the first that breaks a rule (its FAIL line names it), and their
+    worst deviation in units of the scale.  A file ``trace`` does not write
+    (not UTF-8 CSV, no rows, another header, a row that is not eight finite
+    numbers, a first scale out of range) raises OSError.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -837,12 +838,18 @@ def _recheck_trace_csv(path: str, failures: list[str]) -> dict:
         table.append(values)
     table = np.array(table)
     angles = np.radians(table[:, :3]) if deg else table[:, :3]
-    gap, gate = _curve_gaps(*angles.T, table[:, 3:5], table[:, 5:7], geom)
+    gap, gate = _curve_gaps(*angles[0, :2], angles[:, 2], table[:, 3:5], table[:, 5:7], geom)
     gap = np.maximum(gap, np.abs(table[:, 7] - geom.scale))
-    bad = np.flatnonzero(~(gap <= gate) | (table[:, 7] != geom.scale))
+    grid = _cycle_grid(len(table))
+    moved = (table[:, [0, 1, 7]] != table[0, [0, 1, 7]]).any(axis=1)
+    off_grid = table[:, 2] != (np.degrees(grid) if deg else grid)
+    bad = np.flatnonzero(moved | off_grid | ~(gap <= gate))
     checked = int(bad[0]) + 1 if bad.size else len(table)
     if bad.size:
-        failures.append(f"trace csv row {checked} deviates by {gap[checked - 1]:.3e}")
+        k, n = checked - 1, len(table)
+        rule = f"has phi off the {n}-sample grid" if off_grid[k] else f"deviates by {gap[k]:.3e}"
+        rule = "differs from row 1 in theta1, theta2 or scale" if moved[k] else rule
+        failures.append(f"trace csv row {checked} {rule}")
     worst = float(gap[:checked].max()) / geom.scale
     return {"passed": not bad.size, "rows": checked, "max_deviation": worst}
 

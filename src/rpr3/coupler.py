@@ -39,6 +39,7 @@ from .geometry import (
     ManipulatorGeometry,
     Vec2,
     _as_angles,
+    _best_pair,
     _form,
     _leg_axis,
     normalize_angle,
@@ -261,23 +262,23 @@ def geometric_dkp(
     (:func:`_loop_coefficients`) writes it as a (1 - cos phi) + b sin phi,
     whose zero other than phi = 0, 2 atan2(-b, a) (:func:`_second_zero`),
     is the second assembly, mapped to a pose through the best-conditioned
-    leg pair.  The table is built on that pair as legs 1 and 2 (ties keep
-    them), after k turns of the labels by C3, (t1, t2, t3) -> (t3, t1, t2)
-    + 2 pi/3, which map the mechanism onto itself and keep phi.  The root
+    leg pair (ties to the first of (1, 2), (2, 3), (3, 1)).  The table is
+    built on that same pair as legs 1 and 2, after k turns of the labels by
+    C3, (t1, t2, t3) -> (t3, t1, t2) + 2 pi/3, which keep phi.  The root
     reads neither m nor n: it comes from the coupler's loop closure, not
     from the closed form's elimination, and the two roots are compared in
     tests and by the verifier.  The rest of the solution set (continua,
-    DEGENERATE, coincident) comes from the closed form's own body, before
-    any table is built: in a translation continuum every pair may be parallel.
+    DEGENERATE, coincident) comes from the closed form's own body, which
+    asks for the table only then: in a translation continuum every pair may
+    be parallel.
     """
     t = _as_angles(theta)
-    k = max(range(3), key=lambda j: abs(math.sin(t[(1 - j) % 3] - t[-j % 3])))
-    u = [normalize_angle(t[(i - k) % 3] + k * 2.0 * math.pi / 3.0) for i in range(3)]
-    return _solution_set(
-        t,
-        geometry,
-        lambda _m, _n: _second_zero(*_leg3_pairs(u[2], _loop_coefficients(*u[:2], geometry))[0]),
-    )
+    def second_phi(_m, _n):
+        k = (2 - _best_pair(t)[2]) % 3
+        u = [normalize_angle(t[(i - k) % 3] + k * 2.0 * math.pi / 3.0) for i in range(3)]
+        return _second_zero(*_leg3_pairs(u[2], _loop_coefficients(*u[:2], geometry))[0])
+
+    return _solution_set(t, geometry, second_phi)
 
 
 def reuleaux_descriptor(

@@ -288,6 +288,13 @@ def _as_angles(theta: "JointAngles | Sequence[float]") -> tuple[float, float, fl
     return t
 
 
+def _best_pair(t) -> tuple[int, int, int]:
+    """0-based legs (i, j, k) of checked angles: of the pairs (1, 2), (2, 3)
+    and (3, 1), in that order, the first with the largest |sin(t_j - t_i)|,
+    listed with i < j, and the leg k left out."""
+    return max(((0, 1, 2), (1, 2, 0), (0, 2, 1)), key=lambda p: abs(math.sin(t[p[1]] - t[p[0]])))
+
+
 @dataclass(frozen=True)
 class ManipulatorGeometry:
     """Anchor layout of the manipulator.

@@ -30,6 +30,7 @@ from .geometry import (
     ManipulatorGeometry,
     Pose,
     _as_angles,
+    _best_pair,
     cluster_poses,
     constraint_residuals,
 )
@@ -143,25 +144,22 @@ def dkp_bruteforce(
     psi + pi/2 and p = 2 sin(psi) q, (R(phi) - I) a = 2 sin(psi) R(alpha) a
     makes leg i's residual 2 sin(psi) (q + R(alpha) a_i) x v_i.  For each
     alpha on a uniform grid of 2048 samples over (-pi, pi], two deflated
-    legs (the best-conditioned pair) are solved for q and the left-out one
-    becomes the scan function; its sign changes (wrap-aware) bracket psi2
-    and psi2 + pi, refined by Newton on the deflated system (typically one
-    or two iterations) until every residual is below
-    ``NEWTON_RESIDUAL_TOL * scale`` and clustered by
+    legs (the closed form's best-conditioned pair, same tie order) are
+    solved for q and the left-out one becomes the scan function; its sign
+    changes (wrap-aware) bracket psi2 and psi2 + pi, refined by Newton on
+    the deflated system (typically one or two iterations) until every
+    residual is below ``NEWTON_RESIDUAL_TOL * scale`` and clustered by
     :func:`cluster_poses`.  A continuum is declared when more than 5% of the
     grid admits residual below 1e-8 * scale; all-parallel legs short-circuit
     to the translation continuum without scanning (the position solve is
     rank deficient everywhere).
     """
     t = _as_angles(theta)
-    pairs = ((0, 1, 2), (1, 2, 0), (0, 2, 1))
-    dets = [math.sin(t[j] - t[i]) for i, j, _ in pairs]
-    best = max(range(3), key=lambda idx: abs(dets[idx]))
-    if abs(dets[best]) < PAIR_SIN_TOL:
+    i, j, k = _best_pair(t)
+    det = math.sin(t[j] - t[i])
+    if abs(det) < PAIR_SIN_TOL:
         # Every pair of slider lines is parallel: translation self motion.
         return ScanReport((_TRIVIAL,), 0.0, (_SCAN_SAMPLES, 1), 0, continuum=True)
-    i, j, k = pairs[best]
-    det = dets[best]
 
     step = 2.0 * math.pi / _SCAN_SAMPLES
     alphas = -math.pi + step * np.arange(1, _SCAN_SAMPLES + 1)

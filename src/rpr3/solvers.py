@@ -18,6 +18,7 @@ them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Sequence
@@ -34,6 +35,7 @@ from .geometry import (
     Pose,
     Vec2,
     _as_angles,
+    _best_pair,
     _first_nonfinite,
     _form,
     _leg_axis,
@@ -75,7 +77,6 @@ REDUCTION_NULL_TOL = 1e-12
 
 _SQRT3 = math.sqrt(3.0)
 _TRIVIAL = Pose(0.0, 0.0, 0.0)
-_LEG_PAIRS = ((1, 2), (2, 3), (1, 3))
 
 # Each gap around the cycle of legs (mod pi) in the straight-line continuum.
 _REULEAUX_GAP = math.pi / 3.0
@@ -304,21 +305,24 @@ def position_from_orientation(
     """Platform position on the constraint variety at orientation ``phi``.
 
     Two legs' affine constraints are solved for (x, y); ``pair`` picks them,
-    defaulting to the best-conditioned pair (largest |sin| of the angle
-    difference).  The result satisfies the third constraint only when
+    defaulting to the pair every direct-kinematics route solves through: the
+    largest |sin| of the angle difference, ties to the first of (1, 2),
+    (2, 3), (3, 1).  The result satisfies the third constraint only when
     ``phi`` is a root of the orientation reduction; callers own that check.
 
-    Raises :class:`DegenerateLegPairError` when the chosen (or every) pair
-    is parallel within ``PAIR_SIN_TOL``.
+    Raises :class:`TypeError` for a leg that is not an integer, and
+    :class:`DegenerateLegPairError` when the chosen (or every) pair is
+    parallel within ``PAIR_SIN_TOL``.
     """
     t = _as_angles(theta)
-    if pair is not None and tuple(sorted(pair)) not in _LEG_PAIRS:
+    legs = None if pair is None else [operator.index(leg) - 1 for leg in pair]
+    if legs is not None and sorted(legs) not in ([0, 1], [0, 2], [1, 2]):
         raise ValueError(f"pair must be two distinct legs in 1..3, got {pair!r}")
-    return _position(t, phi, pair, geometry)
+    return _position(t, phi, legs, geometry)
 
 
 def _position(t, phi: float, pair, geometry: ManipulatorGeometry) -> Pose:
-    """:func:`position_from_orientation` of checked angles and pair.
+    """:func:`position_from_orientation` of checked angles and 0-based pair.
 
     With phi fixed, leg k's constraint is affine in the position (x, y):
     b_k = (x, y) + R(phi) a_k, since base and platform share one triangle, so
@@ -327,20 +331,18 @@ def _position(t, phi: float, pair, geometry: ManipulatorGeometry) -> Pose:
     of a_k across and along the leg axis (:func:`_leg_axis`); c_k(0) = 0.
     Legs i and j are solved by Cramer's rule, determinant sin(t_j - t_i).
     """
-    if pair is None:
-        pair = max(_LEG_PAIRS, key=lambda ij: abs(math.sin(t[ij[1] - 1] - t[ij[0] - 1])))
-    i, j = pair
-    det = math.sin(t[j - 1] - t[i - 1])
+    i, j, _ = _best_pair(t) if pair is None else (*pair, None)
+    det = math.sin(t[j] - t[i])
     if abs(det) < PAIR_SIN_TOL:
         raise DegenerateLegPairError(
-            f"legs {i} and {j} are parallel (sin difference {det:.3e}); "
+            f"legs {i + 1} and {j + 1} are parallel (sin difference {det:.3e}); "
             "their constraints cannot be solved for the position"
         )
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     legs = []
     for k in (i, j):
-        a = geometry.anchors[k - 1]
-        sin_t, cos_t, r, e = _leg_axis(t[k - 1], a.x, a.y)
+        a = geometry.anchors[k]
+        sin_t, cos_t, r, e = _leg_axis(t[k], a.x, a.y)
         legs.append((sin_t, cos_t, r * cos_phi - e * sin_phi - r))
     (sin_i, cos_i, ci), (sin_j, cos_j, cj) = legs
     x = (ci * cos_j - cj * cos_i) / det

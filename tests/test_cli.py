@@ -180,7 +180,8 @@ def test_dk_routes_agree_just_off_the_reuleaux_predicate(capsys, delta, flip):
 @pytest.mark.parametrize("turn", [0.0, math.pi])
 def test_dk_both_solves_parallel_legs_1_and_2(capsys, turn):
     # Legs 1 and 2 have no coupler curve: the curve route relabels the legs
-    # so that its table's pair is the best-conditioned one.
+    # so that its table's pair is the one the pose is solved through, (2, 3)
+    # on this tie with (3, 1).
     argv = ["--t1", "0.3", "--t2", repr(0.3 + turn), "--t3", "1.0", "--method", "both"]
     payload = run_json(capsys, "dk", *argv)
     assert payload["kind"] == "TwoSolutions" and len(payload["poses"]) == 2
@@ -880,7 +881,8 @@ def test_verify_flags_tampered_csv(tmp_path, capsys):
 @pytest.mark.parametrize("column", range(8), ids=cli._trace_header(False))
 def test_verify_flags_a_one_cell_edit_in_any_column(tmp_path, capsys, column, deg):
     # theta1, theta2, phi, x, y, rho1, rho2 and scale: no cell of a row can
-    # move by 1e-6 unseen, in either unit.
+    # move by 1e-6 unseen, in either unit, and the FAIL line names the rule
+    # the row broke.
     csv_path = tmp_path / "curve.csv"
     unit = ("--deg", "--t1", "20", "--t2", "75") if deg else ("--t1", "0.2", "--t2", "0.9")
     run_json(capsys, "trace", *unit, "--csv", str(csv_path))
@@ -890,28 +892,59 @@ def test_verify_flags_a_one_cell_edit_in_any_column(tmp_path, capsys, column, de
     )
     assert code == 4
     (line,) = err.splitlines()
-    assert line.startswith("rpr3: FAIL trace csv row 5 deviates by ")
+    other_curve = "differs from row 1 in theta1, theta2 or scale"
+    rule = {0: other_curve, 1: other_curve, 2: "has phi off the 720-sample grid", 7: other_curve}
+    assert line.startswith(f"rpr3: FAIL trace csv row 5 {rule.get(column, 'deviates by ')}")
     report = strict_json(out)["trace_csv"]
     assert (report["passed"], report["rows"]) == (False, 5)
 
 
-def test_verify_flags_a_trace_csv_row_with_parallel_legs(tmp_path, capsys):
-    # A row whose legs are parallel has no curve to lie on: it fails the
-    # recheck, named, and is not a singular input.
+def test_verify_flags_a_trace_csv_with_parallel_legs(tmp_path, capsys):
+    # A file whose legs are parallel has no curve to lie on: it fails the
+    # recheck at row 1, named, and is not a singular input.
     csv_path = tmp_path / "curve.csv"
     run_json(capsys, "trace", "--t1", "0.2", "--t2", "0.9", "--csv", str(csv_path))
-    lines = csv_path.read_text().splitlines()
-    fields = lines[7].split(",")
-    fields[1] = fields[0]
-    lines[7] = ",".join(fields)
-    csv_path.write_text("\n".join(lines) + "\n")
+    header, *lines = csv_path.read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    csv_path.write_text("\n".join([header, *(",".join([r[0], r[0], *r[2:]]) for r in rows)]) + "\n")
     code, out, err = run(
         capsys, "verify", "--scope", "curves", "--trials", "1", "--csv", str(csv_path)
     )
     assert code == 4
     (line,) = err.splitlines()
-    assert line.startswith("rpr3: FAIL trace csv row 7 deviates by ")
-    assert strict_json(out)["trace_csv"]["rows"] == 7
+    assert line.startswith("rpr3: FAIL trace csv row 1 deviates by ")
+    assert strict_json(out)["trace_csv"]["rows"] == 1
+
+
+def _trace_rows(capsys, tmp_path, *argv):
+    csv_path = tmp_path / "part.csv"
+    run_json(capsys, "trace", *argv, "--csv", str(csv_path))
+    return csv_path.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "samples, splice, rule",
+    [
+        # Two 8-sample curves end to end: 16 rows, not on the 16-sample grid.
+        ("8", lambda a, b: a + b[1:], "row 1 has phi off the 16-sample grid"),
+        # The first 100 rows of a 720-sample trace.
+        ("720", lambda a, b: a[:101], "row 1 has phi off the 100-sample grid"),
+        # Every row on the grid, from row 5 on of another curve.
+        ("720", lambda a, b: a[:5] + b[5:], "row 5 differs from row 1 in theta1, theta2 or scale"),
+    ],
+    ids=["two-curves", "first-100-rows", "half-and-half"],
+)
+def test_verify_flags_a_trace_csv_that_is_not_one_curve(tmp_path, capsys, samples, splice, rule):
+    first = _trace_rows(capsys, tmp_path, "--t1", "0.2", "--t2", "0.9", "--samples", samples)
+    second = _trace_rows(capsys, tmp_path, "--t1", "1.2", "--t2=-0.4", "--samples", samples)
+    csv_path = tmp_path / "spliced.csv"
+    csv_path.write_text("\n".join(splice(first, second)) + "\n")
+    code, out, err = run(
+        capsys, "verify", "--scope", "curves", "--trials", "1", "--csv", str(csv_path)
+    )
+    assert code == 4
+    assert err.splitlines() == [f"rpr3: FAIL trace csv {rule}"]
+    assert strict_json(out)["trace_csv"]["passed"] is False
 
 
 @pytest.mark.parametrize("scope", ["dkp", "jacobian"])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rpr3 import coupler
+from rpr3 import coupler, oracle, solvers
 from rpr3.errors import DegenerateLegPairError, NotReuleauxError
 from rpr3.geometry import (
     DEFAULT_GEOMETRY,
@@ -408,7 +408,8 @@ def test_geometric_dkp_reads_neither_m_nor_n(monkeypatch):
 @pytest.mark.parametrize("turn", [0.0, math.pi])
 def test_geometric_dkp_solves_parallel_legs_1_and_2(t1, turn):
     # Legs 1 and 2 have no coupler curve; the route builds its table on the
-    # best-conditioned pair of a C3 relabeling, which keeps phi.
+    # pair the closed form solves the pose through, by a C3 relabeling,
+    # which keeps phi.
     for scale in (1.0, 1.7):
         geometry = ManipulatorGeometry(scale)
         theta = (t1, t1 + turn, 1.0)
@@ -418,6 +419,40 @@ def test_geometric_dkp_solves_parallel_legs_1_and_2(t1, turn):
         # Measured: at most 1.5e-14 of the scale.
         for p, q in zip(closed.poses, geo.poses):
             assert pose_distance(p, q, geometry) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("t", [0.3, -2.0, 3.1])
+def test_every_route_solves_a_tie_through_legs_2_and_3(monkeypatch, t):
+    # At theta = (t, t, 1) the pairs (2, 3) and (3, 1) tie for the best
+    # conditioned.  The curve route's table, the closed form's position
+    # solve and the oracle's scan all take the first in cycle order, (2, 3),
+    # so the curve route's pose is solved through the pair of its table.
+    theta = (t, t, 1.0)
+    tables, anchors, scans = [], [], []
+    loop, axis, best = coupler._loop_coefficients, solvers._leg_axis, oracle._best_pair
+
+    def spy_loop(t1, t2, geometry):
+        tables.append((t1, t2))
+        return loop(t1, t2, geometry)
+
+    def spy_axis(theta, dx, dy):
+        anchors.append((dx, dy))
+        return axis(theta, dx, dy)
+
+    monkeypatch.setattr(coupler, "_loop_coefficients", spy_loop)
+    monkeypatch.setattr(solvers, "_leg_axis", spy_axis)
+    monkeypatch.setattr(oracle, "_best_pair", lambda u: scans.append(best(u)) or scans[-1])
+    legs_2_and_3 = [tuple(DEFAULT_GEOMETRY.anchors[k]) for k in (1, 2)]
+    for route in (geometric_dkp, direct_kinematics):
+        anchors.clear()
+        assert route(theta).kind is DkKind.TWO_SOLUTIONS
+        assert anchors == legs_2_and_3
+    # The table's legs 1 and 2 are legs 2 and 3 after two turns by C3.
+    ((u1, u2),) = tables
+    assert angle_difference(u1, t + 4.0 * PI3) < 1e-12
+    assert angle_difference(u2, 1.0 + 4.0 * PI3) < 1e-12
+    dkp_bruteforce(theta)
+    assert scans == [(1, 2, 0)]
 
 
 @pytest.mark.parametrize("turn", [0.0, math.pi])

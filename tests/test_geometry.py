@@ -88,6 +88,20 @@ def test_normalize_angle_shortcut_matches_the_fold_bit_for_bit():
             normalize_angle(bad)
 
 
+@pytest.mark.parametrize(
+    "theta, pair",
+    [
+        ((0.3, 0.3, 1.0), (1, 2, 0)),  # (2, 3) and (3, 1) tie
+        ((0.0, 1.5, 3.0), (0, 1, 2)),  # (1, 2) and (2, 3) tie
+        ((1.5, 3.0, 0.0), (0, 1, 2)),  # (1, 2) and (3, 1) tie
+        ((0.4, 0.4, 0.4), (0, 1, 2)),  # all three tie
+        ((0.2, 0.9, 2.0), (0, 2, 1)),  # no tie: (3, 1) is best
+    ],
+)
+def test_best_pair_takes_the_first_pair_in_cycle_order_on_a_tie(theta, pair):
+    assert geometry._best_pair(theta) == pair
+
+
 def test_angle_difference_wraps():
     assert angle_difference(0.1, 0.1 + 2.0 * math.pi) < 1e-15
     assert abs(angle_difference(-3.0, 3.0) - (2.0 * math.pi - 6.0)) < 1e-15

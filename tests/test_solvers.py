@@ -321,6 +321,11 @@ def test_position_from_orientation_rejects_parallel_pair():
 def test_position_from_orientation_rejects_bad_pair():
     with pytest.raises(ValueError):
         position_from_orientation(GENERIC_THETA, 0.5, pair=(1, 4))
+    # A leg that is not an integer is refused before any leg is looked up.
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        position_from_orientation(GENERIC_THETA, 0.5, pair=(1.0, 2.0))
+    pose = position_from_orientation(GENERIC_THETA, 0.5, pair=(3, 1))
+    assert position_from_orientation(GENERIC_THETA, 0.5, pair=(np.int64(3), np.int8(1))) == pose
 
 
 def test_dk_scales_with_geometry():

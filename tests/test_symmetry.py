@@ -27,6 +27,7 @@ from rpr3.coupler import geometric_dkp, rho_from_phi, trace_cardanic
 from rpr3.geometry import (
     ManipulatorGeometry,
     Pose,
+    _best_pair,
     angle_differences,
     normalize_angles,
     platform_anchor,
@@ -173,6 +174,22 @@ def test_both_direct_kinematics_routes_map_along_the_symmetries(scale):
                 expected = [pose_map(p) for p in solved.poses]
                 worst = max(worst, _set_distance(mapped.poses, expected, geometry))
     assert worst < 1e-11
+
+
+def test_c3_turns_the_best_pair_with_the_labels():
+    # C3 carries leg i to leg i + 1, so off ties the pair every route solves
+    # through, named by the leg it leaves out, turns with the labels.
+    rng = np.random.default_rng(28)
+    checked = 0
+    for _ in range(1000):
+        theta = tuple(rng.uniform(-math.pi, math.pi, 3).tolist())
+        gaps = sorted(abs(math.sin(theta[j] - theta[i])) for i, j in ((0, 1), (1, 2), (2, 0)))
+        if gaps[2] - gaps[1] < 1e-9:
+            continue
+        for image, turns in ((c3(theta), 1), (c3(c3(theta)), 2)):
+            assert _best_pair(image)[2] == (_best_pair(theta)[2] + turns) % 3, theta
+        checked += 1
+    assert checked > 990
 
 
 # ------------------------------------------------------------ singularity
