@@ -750,7 +750,7 @@ def _jacobian_trial(rng, geom) -> float | None:
         return None
     theta = sol.angles
     mats = build_matrices(pose, theta, geometry=geom)
-    if _is_parallel(mats.det_a, mats.a_matrix.tolist(), s, tol=1e-6):
+    if _is_parallel(mats.det_a, s, tol=5e-6):
         return None
     try:
         err = jacobian_fd_check(pose, theta, geometry=geom)
@@ -811,16 +811,16 @@ def _recheck_trace_csv(path: str, failures: list[str]) -> dict:
     columns through :func:`_curve_gaps` in radians.  Report the rows checked,
     up to the first that breaks a rule (its FAIL line names it), and their
     worst deviation in units of the scale.  A file ``trace`` does not write
-    (not UTF-8 CSV, no rows, another header, a row that is not eight finite
-    numbers, a first scale out of range) raises OSError.
+    (not UTF-8 CSV, under ``MIN_CURVE_SAMPLES`` rows, another header, a row
+    that is not eight finite numbers, a first scale out of range) raises OSError.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             lines = list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise OSError(f"{path}: not a trace CSV: {exc}") from None
-    if len(lines) < 2:
-        raise OSError(f"{path}: no data rows")
+    if len(lines) <= MIN_CURVE_SAMPLES:
+        raise OSError(f"{path}: fewer than {MIN_CURVE_SAMPLES} data rows")
     header, *rows = lines
     deg = header == _trace_header(True)
     if not deg and header != _trace_header(False):

@@ -148,12 +148,12 @@ def _finite_rho(rho: float, name: str = "rho") -> None:
 # API and the array kernels, on floats or elementwise on equal-shape columns;
 # a body picks its form once per call with :func:`_form`.
 _FLOATS = SimpleNamespace(
-    cos=math.cos, sin=math.sin, atan2=math.atan2, hypot=math.hypot, sqrt=math.sqrt,
+    cos=math.cos, sin=math.sin, atan2=math.atan2, hypot=math.hypot,
     angle_difference=angle_difference, finite_rho=_finite_rho,
 )
 _COLUMNS = SimpleNamespace(
     cos=partial(_libm, math.cos), sin=partial(_libm, math.sin), atan2=partial(_libm, math.atan2),
-    hypot=partial(_libm, math.hypot), sqrt=partial(_libm, math.sqrt),
+    hypot=partial(_libm, math.hypot),
     angle_difference=angle_differences, finite_rho=partial(_first_nonfinite, _finite_rho),
 )
 

@@ -40,7 +40,6 @@ from .geometry import (
     Vec2,
     _as_angles,
     _first_nonfinite,
-    _form,
     _leg_axis,
     _leg_columns,
     _leg_offsets,
@@ -74,8 +73,9 @@ CONSISTENCY_TOL = 1e-6
 # a far pose, measured at up to 8.6e-16 * max(|x|, |y|).
 FAR_POSE_TOL = 1e-12
 
-# |det A| below this times ||A||_F^3, both read in units of the geometry
-# scale (see _is_parallel), counts as a parallel singularity.
+# |det A| below this times the geometry scale counts as a parallel
+# singularity: det A is a length, as rho is, and the same whichever vertex
+# is leg 1; a norm of A is not (its moment arms are about leg 1's anchor).
 PARALLEL_DET_TOL = 1e-9
 
 # |rho_i| below this times the geometry scale counts as a serial singularity.
@@ -100,19 +100,9 @@ def _check_configuration(x: float, y: float, scale: float, det_b: float, *residu
         raise GeometryError(f"det B overflows at x={x!r}, y={y!r}")
 
 
-def _is_parallel(det_a, rows, scale: float, tol: float = PARALLEL_DET_TOL):
-    """|det A| < tol * ||A||_F^3 from det A and the rows (u, v, arm) of A,
-    floats or columns.
-
-    Only A's third column, the moment arm, carries a length, so the test
-    reads it in units of the scale: det A / scale against the norm of A
-    with that column divided by the scale.  The norm is one fixed-order
-    sum, on floats or on columns, so both forms agree bit for bit."""
-    sq = 0.0
-    for u, v, arm in rows:
-        arm = arm / scale
-        sq = sq + u * u + v * v + arm * arm
-    return abs(det_a / scale) < tol * _form(det_a).sqrt(sq) ** 3
+def _is_parallel(det_a, scale: float, tol: float = PARALLEL_DET_TOL):
+    """|det A| < tol * scale on floats or columns, as :func:`_is_serial` reads rho."""
+    return abs(det_a) < tol * scale
 
 
 def _is_serial(rho, scale: float):
@@ -183,7 +173,7 @@ class KinematicMatrices:
     scale: float
 
     def is_parallel_singular(self) -> bool:
-        return _is_parallel(self.det_a, self.a_matrix.tolist(), self.scale)
+        return _is_parallel(self.det_a, self.scale)
 
     def serial_zero_legs(self) -> tuple[int, ...]:
         """1-based legs whose extension is zero within tolerance."""
@@ -289,15 +279,15 @@ def classify_singularity(
 ) -> SingularityReport:
     """Classify a configuration as regular, parallel, serial, or both.
 
-    Parallel test: |det A| < PARALLEL_DET_TOL * ||A||_F^3, with A's
-    moment-arm column in units of the scale (see :func:`_is_parallel`).
-    Serial test: |rho_i| < SERIAL_RHO_TOL * scale for some leg.  At a parallel
+    Parallel test: |det A| < PARALLEL_DET_TOL * scale, as the serial test
+    is |rho_i| < SERIAL_RHO_TOL * scale for some leg: both read a length in
+    units of the scale, the same whichever vertex is leg 1.  At a parallel
     singularity the pairwise intersections of the normal lines (through each
     platform anchor, perpendicular to its leg axis) are averaged; they count
     as concurrent when their spread is below CONCURRENCY_TOL * scale.
     """
     rows, rhos, det_a, det_b, legs = _configuration(pose, _as_angles(theta), geometry)
-    parallel = _is_parallel(det_a, rows, geometry.scale)
+    parallel = _is_parallel(det_a, geometry.scale)
     zero_legs = _zero_legs(rhos, geometry.scale)
     kind = _SINGULARITY_KINDS[parallel + 2 * bool(zero_legs)]
     point: Vec2 | None = None
@@ -375,7 +365,7 @@ class KinematicMatricesArray:
     def singularity_kinds(self) -> np.ndarray:
         """(N,) object array of the :class:`SingularityKind` that
         :func:`classify_singularity` reports for each configuration."""
-        parallel = _is_parallel(self.det_a, self.a_matrix.transpose(1, 2, 0), self.scale)
+        parallel = _is_parallel(self.det_a, self.scale)
         serial = _is_serial(self.rhos, self.scale).any(axis=1)
         return np.array(_SINGULARITY_KINDS, dtype=object)[parallel + 2 * serial]
 

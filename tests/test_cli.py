@@ -1064,6 +1064,13 @@ def _drop_scale_column(text):
     return "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
 
 
+def _phi_zero_and_pi_rows(text):
+    """The header and the phi = 0 and pi rows of an 8-sample trace: phi is
+    the whole 2-sample grid, but trace never writes fewer than 8 rows."""
+    lines = text.splitlines(keepends=True)
+    return lines[0] + lines[4] + lines[8]
+
+
 def _first_row_ending(ending):
     """An edit that puts ``ending`` in place of the first row's scale cell."""
     return lambda text: text.replace(",1\n", f"{ending}\n", 1)
@@ -1079,9 +1086,10 @@ def _first_row_ending(ending):
         _first_row_ending(",-1"),
         _first_row_ending(""),
         lambda text: "",
+        _phi_zero_and_pi_rows,
     ],
     ids=["old-header", "nan-scale", "inf-scale", "zero-scale", "negative-scale",
-         "missing-scale", "empty-file"],
+         "missing-scale", "empty-file", "two-rows"],
 )
 def test_verify_rejects_trace_csv_it_cannot_read(tmp_path, capsys, edit):
     csv_path = tmp_path / "curve.csv"

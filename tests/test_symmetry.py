@@ -33,13 +33,20 @@ from rpr3.geometry import (
     platform_anchor,
     pose_distance,
 )
-from rpr3.jacobians import SingularityKind, classify_singularity
+from rpr3.jacobians import (
+    PARALLEL_DET_TOL,
+    SingularityKind,
+    build_matrices_array,
+    classify_singularity,
+)
+from rpr3.oracle import dkp_bruteforce
 from rpr3.solvers import (
     DkKind,
     classify_dk_degeneracy,
     classify_dk_degeneracy_array,
     direct_kinematics,
     inverse_kinematics,
+    inverse_kinematics_array,
 )
 
 PI3 = math.pi / 3.0
@@ -192,6 +199,28 @@ def test_c3_turns_the_best_pair_with_the_labels():
     assert checked > 990
 
 
+@pytest.mark.parametrize("scale", SCALES)
+def test_oracle_pose_set_maps_along_the_symmetries(scale):
+    # The oracle scans its own grid on each image and polishes each root by
+    # Newton, so its pose set maps along only as well as Newton converges.
+    # Measured at most 1.4e-14 here (5.9e-14 over 400 triples per scale, and
+    # 2.0e-12 in an earlier probe): the bound leaves 350x (2.5x).
+    geometry = ManipulatorGeometry(scale)
+    rng = np.random.default_rng(29)
+    worst, checked = 0.0, 0
+    while checked < 40:
+        theta = tuple(rng.uniform(-math.pi, math.pi, 3).tolist())
+        if classify_dk_degeneracy(theta) is not DkKind.TWO_SOLUTIONS:
+            continue
+        found = dkp_bruteforce(theta, geometry).solutions_found
+        for name, image, pose_map, _ in _images(theta, geometry)[:3]:
+            mapped = dkp_bruteforce(image, geometry).solutions_found
+            assert len(mapped) == len(found) == 2, (name, theta)
+            worst = max(worst, _set_distance(mapped, [pose_map(p) for p in found], geometry))
+        checked += 1
+    assert worst < 5e-12
+
+
 # ------------------------------------------------------------ singularity
 
 
@@ -250,6 +279,75 @@ def test_straight_line_continuum_poses_stay_parallel_with_a_mapped_centre(scale)
             x, y = point_map(centre.x, centre.y)
             point = mapped.intersection_point
             assert math.hypot(point.x - x, point.y - y) < 1e-13 * scale, case
+
+
+# A pose whose C3 orbit split when the parallel test divided det A by
+# ||A||_F^3 (moment arms about leg 1's anchor): that test called the pose
+# Parallel and its C3 image Regular, with det A 6.68e-9 at both.
+_SPLIT_ORBIT_POSE = (0.49314788606076865, -0.8448659820899755, 2.144527896398607)
+
+
+def _det_a_along(x, y, phi, geometry):
+    theta, _ = inverse_kinematics_array(x, y, phi, geometry)
+    return build_matrices_array(x, y, phi, theta, geometry).det_a
+
+
+def _near_parallel_poses(rng, geometry, count):
+    """Branch-000 IK poses with |det A| log-uniform in [0.3, 30] *
+    PARALLEL_DET_TOL * scale, either sign: for each of ``count`` (y, phi),
+    a sign change of det A on a 33-point scan of x is bisected onto that
+    value.  Draws with no clean bracket are dropped."""
+    scale = geometry.scale
+    y = scale * rng.uniform(-1.0, 2.0, count)
+    phi = rng.uniform(-math.pi, math.pi, count)
+    target = scale * PARALLEL_DET_TOL * rng.choice((-1.0, 1.0), count)
+    target *= 10.0 ** rng.uniform(math.log10(0.3), math.log10(30.0), count)
+    grid = scale * np.linspace(-1.0, 2.0, 33)
+    det = np.array([_det_a_along(np.full(count, x), y, phi, geometry) for x in grid.tolist()])
+    # A bracket whose ends are far from det A = 0, so that det A - target
+    # changes sign across it too.
+    far = np.minimum(abs(det[:-1]), abs(det[1:])) > 1e-6 * scale
+    clean = (np.sign(det[:-1]) != np.sign(det[1:])) & far
+    keep = clean.any(axis=0)
+    k = clean.argmax(axis=0)[keep]
+    y, phi, target = y[keep], phi[keep], target[keep]
+    lo, hi = grid[k], grid[k + 1]
+    low_sign = np.sign(det[k, np.flatnonzero(keep)] - target)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        same = np.sign(_det_a_along(mid, y, phi, geometry) - target) == low_sign
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return [Pose(*row) for row in zip(lo.tolist(), y.tolist(), phi.tolist())]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_parallel_kind_is_a_function_of_the_orbit(scale):
+    # det A is the same at a pose, its C3 images and its mirror, so one
+    # reading of it gives one kind.  Dividing |det A| by ||A||_F^3, which
+    # moves by up to 2.15x as the labels turn, split 29 of the 187 orbits
+    # drawn here at either scale, and the fixed pose below.
+    geometry = ManipulatorGeometry(scale)
+    poses = _near_parallel_poses(np.random.default_rng(29), geometry, 400)
+    poses.append(Pose(*(scale * v for v in _SPLIT_ORBIT_POSE[:2]), _SPLIT_ORBIT_POSE[2]))
+    seen = []
+    for pose in poses:
+        theta = inverse_kinematics(pose, geometry=geometry).angles.as_tuple()
+        orbit = [
+            (pose, theta),
+            (c3_pose(pose, geometry), c3(theta)),
+            (c3_pose(c3_pose(pose, geometry), geometry), c3(c3(theta))),
+            (mirror_pose(pose, geometry), mirror(theta)),
+        ]
+        kinds = [classify_singularity(p, t, geometry).kind for p, t in orbit]
+        x, y, phi = zip(*(p.as_tuple() for p, _ in orbit))
+        kernel = build_matrices_array(x, y, phi, [t for _, t in orbit], geometry)
+        kinds += kernel.singularity_kinds().tolist()
+        assert len(set(kinds)) == 1, (pose, theta, kinds)
+        seen.append(kinds[0])
+    # Both sides of the threshold are drawn: about a quarter parallel.
+    assert len(poses) > 150
+    assert 0.15 < seen.count(SingularityKind.PARALLEL) / len(seen) < 0.4
+    assert seen.count(SingularityKind.PARALLEL) + seen.count(SingularityKind.REGULAR) == len(seen)
 
 
 # ----------------------------------------------------------------- traces
