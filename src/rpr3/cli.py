@@ -49,10 +49,10 @@ from .geometry import (
     Pose,
     _leg_axis,
     _libm,
+    _place_anchors,
     load_geometry,
     normalize_angle,
     normalize_angles,
-    platform_anchor_arrays,
     pose_distance,
 )
 from .jacobians import (
@@ -769,7 +769,8 @@ def _curves_trial(rng, geom) -> float | None:
         curve = trace_cardanic(t1, t2, n_samples=360, geometry=geom)
     except DegenerateLegPairError:
         return None
-    gap, gate = _curve_gaps(curve.theta1, curve.theta2, curve.phi, curve.b3, curve.rho, geom)
+    _, cos_phi, sin_phi = _cycle_grid(len(curve.phi))
+    gap, gate = _curve_gaps(curve.theta1, curve.theta2, cos_phi, sin_phi, curve.b3, curve.rho, geom)
     bad = np.flatnonzero(~(gap <= gate))
     if bad.size:
         k = bad[0]
@@ -783,9 +784,9 @@ def _curves_trial(rng, geom) -> float | None:
     return float(gap.max()) / geom.scale
 
 
-def _curve_gaps(t1: float, t2: float, phi, b3, rho, geometry: ManipulatorGeometry):
-    """(gap, gate) per sample of a coupler-curve table for leg angles t1, t2:
-    the columns phi, b3 and rho; gap <= gate passes.
+def _curve_gaps(t1: float, t2: float, cos_phi, sin_phi, b3, rho, geometry: ManipulatorGeometry):
+    """(gap, gate) per sample of a coupler-curve table for leg angles t1, t2,
+    libm's cos and sin of normalized phi, b3 and rho; gap <= gate passes.
 
     The reference point sits at rho1 along leg 1's line; the geometry's
     anchor 2 must then lie on leg 2's line at extension rho2, and anchor 3
@@ -793,12 +794,11 @@ def _curve_gaps(t1: float, t2: float, phi, b3, rho, geometry: ManipulatorGeometr
     loop-closure table, of size scale / |sin(t2 - t1)|, or like its own
     values where larger; parallel legs (``PAIR_SIN_TOL``) get a nan gate.
     """
-    rho1 = rho[:, 0]
-    # Leg 1's slider line runs through a1, the origin.
-    ax, ay = platform_anchor_arrays(rho1 * math.cos(t1), rho1 * math.sin(t1), phi, geometry)
-    b2 = geometry.base_anchor(2)
-    _, _, r2, e2 = _leg_axis(t2, ax[:, 1] - b2.x, ay[:, 1] - b2.y)
-    miss3 = _libm(math.hypot, ax[:, 2] - b3[:, 0], ay[:, 2] - b3[:, 1])
+    # Leg 1's slider line runs through a1, the origin; only anchors 2 and 3 are placed.
+    x, y = rho[:, 0] * math.cos(t1), rho[:, 0] * math.sin(t1)
+    (*_, dx2, dy2), (bx3, by3, _, _) = _place_anchors(x, y, cos_phi, sin_phi, geometry.anchors[1:])
+    _, _, r2, e2 = _leg_axis(t2, dx2, dy2)
+    miss3 = _libm(math.hypot, bx3 - b3[:, 0], by3 - b3[:, 1])
     gap = np.maximum.reduce([np.abs(r2), np.abs(rho[:, 1] - e2), miss3])
     sin12 = abs(math.sin(t2 - t1))
     size = geometry.scale / sin12 if sin12 >= PAIR_SIN_TOL else math.nan
@@ -838,9 +838,11 @@ def _recheck_trace_csv(path: str, failures: list[str]) -> dict:
         table.append(values)
     table = np.array(table)
     angles = np.radians(table[:, :3]) if deg else table[:, :3]
-    gap, gate = _curve_gaps(*angles[0, :2], angles[:, 2], table[:, 3:5], table[:, 5:7], geom)
+    phi = normalize_angles(angles[:, 2])
+    trig = _libm(math.cos, phi), _libm(math.sin, phi)
+    gap, gate = _curve_gaps(*angles[0, :2], *trig, table[:, 3:5], table[:, 5:7], geom)
     gap = np.maximum(gap, np.abs(table[:, 7] - geom.scale))
-    grid = _cycle_grid(len(table))
+    grid = _cycle_grid(len(table))[0]
     moved = (table[:, [0, 1, 7]] != table[0, [0, 1, 7]]).any(axis=1)
     off_grid = table[:, 2] != (np.degrees(grid) if deg else grid)
     bad = np.flatnonzero(moved | off_grid | ~(gap <= gate))

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ from .geometry import (
     _best_pair,
     _form,
     _leg_axis,
+    _libm,
     normalize_angle,
 )
 from .solvers import (
@@ -136,21 +138,20 @@ def rho_from_phi(
     Both vanish at phi = 0.  Raises :class:`DegenerateLegPairError` when the
     slider lines are parallel (|sin(t2 - t1)| < PAIR_SIN_TOL).
     """
-    rho1, rho2, _, _ = _slider_loop(_loop_coefficients(theta1, theta2, geometry), phi, geometry)
+    f, loop = _form(phi), _loop_coefficients(theta1, theta2, geometry)
+    rho1, rho2, _, _ = _slider_loop(loop, f.cos(phi), f.sin(phi), geometry)
     return (rho1, rho2)
 
 
-def _slider_loop(loop, phi, geometry: ManipulatorGeometry):
-    """(rho1, rho2, b3x, b3y) at ``phi`` from the table ``loop`` of
-    :func:`_loop_coefficients`: each entry is a (1 - cos phi) + b sin phi,
-    and B3 is a3 plus its offset, so it is exactly a3 at phi = 0.  The
-    platform reference point is a1 + rho1 v1, so poses reuse rho1.
-
-    ``phi`` is a float, as in :func:`rho_from_phi`, or an array, each of
-    whose elements equals the float result.
+def _slider_loop(loop, cos_phi, sin_phi, geometry: ManipulatorGeometry):
+    """(rho1, rho2, b3x, b3y) at libm's cos and sin of phi, floats as in
+    :func:`rho_from_phi` or rows of :func:`_cycle_grid`, from the table
+    ``loop`` of :func:`_loop_coefficients`: each entry is a (1 - cos phi) +
+    b sin phi, and B3 is a3 plus its offset, so it is exactly a3 at phi = 0.
+    The platform reference point is a1 + rho1 v1, so poses reuse rho1.  Each
+    element of a column result equals the float result.
     """
-    f = _form(phi)
-    one_minus_cos, sin_phi = 1.0 - f.cos(phi), f.sin(phi)
+    one_minus_cos = 1.0 - cos_phi
     # + 0.0 turns a·0 + b·0 = -0.0 (a, b < 0) at phi = 0 into +0.
     rho1, rho2, dx, dy = (a * one_minus_cos + b * sin_phi + 0.0 for a, b in loop)
     a3 = geometry.base_anchor(3)
@@ -196,13 +197,15 @@ def _second_zero(a: float, b: float) -> float:
     return normalize_angle(2.0 * math.atan2(-b, a))
 
 
+@lru_cache(maxsize=2)
 def _cycle_grid(n_samples: int) -> np.ndarray:
-    """n uniform phi values spanning (-pi, pi], endpoint included.
-
-    For even n the grid contains phi = 0 exactly, where the curve meets a3.
-    """
-    k = np.arange(1, n_samples + 1, dtype=float)
-    return -math.pi + k * (2.0 * math.pi / n_samples)
+    """n uniform phi values spanning (-pi, pi], endpoint included (phi = 0 for
+    even n, where the curve meets a3), and their libm cos and sin: three
+    read-only rows, built once per n and process."""
+    phi = -math.pi + np.arange(1, n_samples + 1, dtype=float) * (2.0 * math.pi / n_samples)
+    grid = np.array((phi, _libm(math.cos, phi), _libm(math.sin, phi)))
+    grid.flags.writeable = False
+    return grid
 
 
 def trace_cardanic(
@@ -225,9 +228,9 @@ def trace_cardanic(
     if operator.index(n_samples) < MIN_CURVE_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_CURVE_SAMPLES}, got {n_samples}")
     t1, t2 = normalize_angle(theta1), normalize_angle(theta2)
-    phi = _cycle_grid(n_samples)
+    phi, cos_phi, sin_phi = _cycle_grid(n_samples)
     loop = _loop_coefficients(t1, t2, geometry)
-    rho1, rho2, b3x, b3y = _slider_loop(loop, phi, geometry)
+    rho1, rho2, b3x, b3y = _slider_loop(loop, cos_phi, sin_phi, geometry)
     t3 = t1 - _REULEAUX_GAP
     degenerate = _DK_KINDS[_continuum(t1, t2, normalize_angle(t3))] is DkKind.CONTINUUM_REULEAUX
 
@@ -242,7 +245,7 @@ def trace_cardanic(
     return CouplerCurve(
         theta1=t1,
         theta2=t2,
-        phi=phi,
+        phi=phi.copy(),
         b3=np.column_stack((b3x, b3y)),
         rho=np.column_stack((rho1, rho2)),
         degenerate=degenerate,

@@ -359,10 +359,14 @@ def _leg_offsets(x, y, phi, geometry: ManipulatorGeometry):
     offset b_i - a_i.  Both are finite at every finite pose: each term added
     to x or y is at most the scale, below half an ulp of the largest float."""
     f = _form(phi)
-    c, s = f.cos(phi), f.sin(phi)
+    return _place_anchors(x, y, f.cos(phi), f.sin(phi), geometry.anchors)
+
+
+def _place_anchors(x, y, c, s, anchors):
+    """:func:`_leg_offsets` of ``anchors`` at cos/sin (c, s) of phi."""
     legs = []
     # The local platform anchor and the base anchor are the same vertex.
-    for v in geometry.anchors:
+    for v in anchors:
         bx = x + c * v.x - s * v.y
         by = y + s * v.x + c * v.y
         dx, dy = bx - v.x, by - v.y

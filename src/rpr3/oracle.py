@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +55,7 @@ _CONTINUUM_RESIDUAL = 1e-8
 
 # Samples of the scan over (-pi, pi], a full period of phi / 2 + pi / 2.
 _SCAN_SAMPLES = 2048
+_SCAN_STEP = 2.0 * math.pi / _SCAN_SAMPLES
 
 _TRIVIAL = Pose(0.0, 0.0, 0.0)
 
@@ -84,18 +86,33 @@ def _leg_rows(
     return list(zip(sin_t, cos_t, [(v.x, v.y) for v in geometry.anchors]))
 
 
-def _residual_rows(x, y, c, s, rows: list, home: float = 1.0) -> list:
-    """The three constraint residuals at cos/sin (c, s) of phi, on floats
-    or on columns of configurations; with ``home`` 0 every base anchor sits
-    at the origin, the deflated system of :func:`dkp_bruteforce`.
+def _anchor_offsets(x, y, c, s, geometry: ManipulatorGeometry, home: float = 1.0) -> list:
+    """(u, v) = b_i - home a_i per leg at cos/sin (c, s) of phi, on floats or
+    columns; ``home`` 0 puts every base anchor at the origin (the scan's system).
 
     Re-implements the anchor algebra directly (a separate evaluation path
     from the scalar geometry helpers used by the solvers).
     """
     return [
-        st * (x + c * bx - s * by - home * bx) - ct * (y + s * bx + c * by - home * by)
-        for st, ct, (bx, by) in rows
+        (x + c * v.x - s * v.y - home * v.x, y + s * v.x + c * v.y - home * v.y)
+        for v in geometry.anchors
     ]
+
+
+def _residual_rows(offsets: list, rows: list) -> list:
+    """The constraint residuals u sin t_i - v cos t_i of :func:`_anchor_offsets`."""
+    return [st * u - ct * v for (st, ct, _), (u, v) in zip(rows, offsets)]
+
+
+@lru_cache(maxsize=2)
+def _scan_table(geometry: ManipulatorGeometry) -> tuple:
+    """The scan's alpha grid and the deflated anchor offsets on it (numpy's
+    cos and sin of alpha, as Newton's), read-only and built once per geometry
+    and process: two entries hold 14 columns of 2048 floats, 224 KiB."""
+    alphas = -math.pi + _SCAN_STEP * np.arange(1, _SCAN_SAMPLES + 1)
+    offsets = np.array(_anchor_offsets(0.0, 0.0, np.cos(alphas), np.sin(alphas), geometry, 0.0))
+    alphas.flags.writeable = offsets.flags.writeable = False
+    return alphas, offsets
 
 
 def _newton_polish(
@@ -106,7 +123,7 @@ def _newton_polish(
     home: float = 1.0,
 ) -> tuple[tuple[float, float, float] | None, int]:
     """Newton on the three-residual system of ``home`` (see
-    :func:`_residual_rows`), on Python floats.
+    :func:`_anchor_offsets`), on Python floats.
 
     Returns (solution, iterations used) or (None, iterations) when the
     iteration fails to reach ``tol``.
@@ -117,7 +134,8 @@ def _newton_polish(
     x, y, phi = start
     for it in range(NEWTON_MAX_ITER + 1):
         # numpy's cos/sin for the residuals, as in the scan; libm's for the Jacobian.
-        res = _residual_rows(x, y, float(np.cos(phi)), float(np.sin(phi)), rows, home)
+        c, s = float(np.cos(phi)), float(np.sin(phi))
+        res = _residual_rows(_anchor_offsets(x, y, c, s, geometry, home), rows)
         if all(abs(r) < tol for r in res):
             return ((x, y, phi), it)
         if it == NEWTON_MAX_ITER:
@@ -143,16 +161,16 @@ def dkp_bruteforce(
     The trivial pose is always returned.  With psi = phi / 2, alpha =
     psi + pi/2 and p = 2 sin(psi) q, (R(phi) - I) a = 2 sin(psi) R(alpha) a
     makes leg i's residual 2 sin(psi) (q + R(alpha) a_i) x v_i.  For each
-    alpha on a uniform grid of 2048 samples over (-pi, pi], two deflated
-    legs (the closed form's best-conditioned pair, same tie order) are
-    solved for q and the left-out one becomes the scan function; its sign
-    changes (wrap-aware) bracket psi2 and psi2 + pi, refined by Newton on
-    the deflated system (typically one or two iterations) until every
-    residual is below ``NEWTON_RESIDUAL_TOL * scale`` and clustered by
-    :func:`cluster_poses`.  A continuum is declared when more than 5% of the
-    grid admits residual below 1e-8 * scale; all-parallel legs short-circuit
-    to the translation continuum without scanning (the position solve is
-    rank deficient everywhere).
+    alpha on a uniform grid of 2048 samples over (-pi, pi], built with its
+    rotated anchors once per geometry, two deflated legs (the closed form's
+    best-conditioned pair, same tie order) are solved for q and the left-out
+    one becomes the scan function; its sign changes (wrap-aware) bracket
+    psi2 and psi2 + pi, refined by Newton on the deflated system (typically
+    one or two iterations) until every residual is below
+    ``NEWTON_RESIDUAL_TOL * scale`` and clustered by :func:`cluster_poses`.
+    A continuum is declared when more than 5% of the grid admits residual
+    below 1e-8 * scale; all-parallel legs short-circuit to the translation
+    continuum without scanning (the position solve is rank deficient).
     """
     t = _as_angles(theta)
     i, j, k = _best_pair(t)
@@ -161,10 +179,8 @@ def dkp_bruteforce(
         # Every pair of slider lines is parallel: translation self motion.
         return ScanReport((_TRIVIAL,), 0.0, (_SCAN_SAMPLES, 1), 0, continuum=True)
 
-    step = 2.0 * math.pi / _SCAN_SAMPLES
-    alphas = -math.pi + step * np.arange(1, _SCAN_SAMPLES + 1)
-    zeros = np.zeros_like(alphas)
-    e = _residual_rows(zeros, zeros, np.cos(alphas), np.sin(alphas), _leg_rows(t, geometry), 0.0)
+    alphas, offsets = _scan_table(geometry)
+    e = _residual_rows(offsets, _leg_rows(t, geometry))
     # Cramer solve of legs i, j for q at each alpha.
     x = (e[i] * math.cos(t[j]) - e[j] * math.cos(t[i])) / det
     y = (e[i] * math.sin(t[j]) - e[j] * math.sin(t[i])) / det
@@ -177,7 +193,7 @@ def dkp_bruteforce(
         picks = picks[:: max(1, len(picks) // 64)]
         candidates = [(float(x[p]), float(y[p]), float(alphas[p])) for p in picks]
     else:
-        candidates = _bracket_candidates(leftover, x, y, alphas, step)
+        candidates = _bracket_candidates(leftover, x, y, alphas, _SCAN_STEP)
     poses, iters = _polish_candidates(candidates, t, geometry)
     residual = max(abs(r) for pose in poses for r in constraint_residuals(pose, t, geometry))
     return ScanReport(tuple(poses), residual, (_SCAN_SAMPLES, 1), iters, continuum=continuum)

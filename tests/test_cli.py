@@ -17,8 +17,8 @@ from rpr3.geometry import (
     POSE_TOL,
     ManipulatorGeometry,
     Pose,
+    _place_anchors,
     normalize_angle,
-    platform_anchor_arrays,
 )
 from rpr3.coupler import trace_cardanic
 from rpr3.oracle import ScanReport, dkp_bruteforce
@@ -1137,10 +1137,10 @@ def _shifted_scan(theta, geometry):
     return dataclasses.replace(report, solutions_found=poses)
 
 
-def _shifted_anchors(x, y, phi, geometry):
-    """The real platform anchors moved by 1e-6 along x."""
-    ax, ay = platform_anchor_arrays(x, y, phi, geometry=geometry)
-    return ax + 1e-6, ay
+def _shifted_anchors(x, y, c, s, anchors):
+    """The real placed platform anchors moved by 1e-6 along x."""
+    legs = _place_anchors(x, y, c, s, anchors)
+    return [(bx + 1e-6, by, dx + 1e-6, dy) for bx, by, dx, dy in legs]
 
 
 def _shifted_rho2(t1, t2, n_samples, geometry):
@@ -1158,7 +1158,7 @@ _BROKEN_CHECKS = {
         "jacobian", "jacobian_fd_check", lambda *args, **kwargs: 1.0,
         "jacobian fd error 1.000e+00 at pose=(",
     ),
-    "curve-residual": ("curves", "platform_anchor_arrays", _shifted_anchors, "curve residual "),
+    "curve-residual": ("curves", "_place_anchors", _shifted_anchors, "curve residual "),
     "curve-rho2": ("curves", "trace_cardanic", _shifted_rho2, "curve residual "),
     "curve-closure": (
         "curves", "rho_from_phi", lambda t1, t2, phi, geometry: (phi, 0.0), "curve closure ",

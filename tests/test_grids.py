@@ -1,0 +1,122 @@
+"""The fixed sampling grids, built once per process: the phi cycle of the
+coupler curve with its libm cos and sin, and the oracle's scan table."""
+
+import math
+from functools import partial
+
+import numpy as np
+import pytest
+
+from rpr3 import cli, coupler, geometry
+from rpr3.cli import _curve_gaps, _curves_trial, main
+from rpr3.coupler import _cycle_grid, trace_cardanic
+from rpr3.geometry import ManipulatorGeometry, _libm, normalize_angles
+from rpr3.oracle import _SCAN_SAMPLES, _scan_table
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 9, 360, 720])
+def test_cycle_grid_is_libm_of_the_formula_grid(n):
+    phi = -math.pi + np.arange(1, n + 1, dtype=float) * (2.0 * math.pi / n)
+    grid_phi, cos_phi, sin_phi = _cycle_grid(n)
+    assert _same_bits(grid_phi, phi)
+    assert _same_bits(cos_phi, [math.cos(p) for p in phi.tolist()])
+    assert _same_bits(sin_phi, _libm(math.sin, phi))
+
+
+def _per_call_scan(scale):
+    """The scan's alpha grid and deflated anchor offsets, computed in full on
+    each call as the scan did before its table: on zero columns, with every
+    base anchor at the origin."""
+    alphas = -math.pi + (2.0 * math.pi / _SCAN_SAMPLES) * np.arange(1, _SCAN_SAMPLES + 1)
+    x = y = np.zeros_like(alphas)
+    c, s = np.cos(alphas), np.sin(alphas)
+    offsets = [
+        (x + c * v.x - s * v.y - 0.0 * v.x, y + s * v.x + c * v.y - 0.0 * v.y)
+        for v in ManipulatorGeometry(scale).anchors
+    ]
+    return alphas, offsets
+
+
+def test_scan_table_equals_the_per_call_arrays():
+    # Three geometries in turn through a two-entry table: each rebuilt entry
+    # is the same as the first, and no entry answers for another scale.
+    for scale in (1.0, 1.7, 2.0, 1.0, 2.0, 1.7, 1.0):
+        alphas, offsets = _scan_table(ManipulatorGeometry(scale))
+        want_alphas, want_offsets = _per_call_scan(scale)
+        assert _same_bits(alphas, want_alphas)
+        assert _same_bits(offsets, want_offsets)
+
+
+def test_grid_tables_are_read_only():
+    grid = _cycle_grid(360)
+    alphas, offsets = _scan_table(ManipulatorGeometry(1.0))
+    for array in (grid, grid[1], alphas, offsets, offsets[2][1]):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert _same_bits(_cycle_grid(360)[0], -math.pi + np.arange(1, 361) * (2.0 * math.pi / 360))
+
+
+def test_a_traced_curve_owns_its_phi():
+    curve = trace_cardanic(0.2, 0.9, n_samples=360)
+    assert curve.phi.flags.writeable
+    assert not np.shares_memory(curve.phi, _cycle_grid(360))
+    curve.phi[:] = 0.0
+    assert _same_bits(trace_cardanic(0.2, 0.9, n_samples=360).phi, _cycle_grid(360)[0])
+
+
+def test_grid_caches_stay_within_their_bound():
+    for n in range(8, 18):
+        trace_cardanic(0.2, 0.9, n_samples=n)
+        _scan_table(ManipulatorGeometry(float(n)))
+    for table in (_cycle_grid, _scan_table):
+        info = table.cache_info()
+        assert info.currsize <= info.maxsize == 2
+
+
+@pytest.mark.parametrize("n", [360, 720])
+def test_curve_gaps_agree_on_grid_and_file_trig(n, tmp_path, capsys):
+    # verify's curves trial passes the grid's cos and sin; verify --csv takes
+    # libm's of the file's phi.  On a radians trace the two agree bit for bit.
+    path = tmp_path / "trace.csv"
+    argv = ["trace", "--t1", "0.2", "--t2", "0.9", "--samples", str(n), "--csv", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    geom = ManipulatorGeometry(table[0, 7])
+    phi = normalize_angles(table[:, 2])
+    from_file = _curve_gaps(
+        *table[0, :2], _libm(math.cos, phi), _libm(math.sin, phi),
+        table[:, 3:5], table[:, 5:7], geom,
+    )
+    curve = trace_cardanic(0.2, 0.9, n_samples=n, geometry=geom)
+    trig = _cycle_grid(n)[1:]
+    from_grid = _curve_gaps(curve.theta1, curve.theta2, *trig, curve.b3, curve.rho, geom)
+    assert all(map(_same_bits, from_grid, from_file))
+    assert (from_grid[0] <= from_grid[1]).all()
+
+
+def test_curves_trial_takes_phi_trig_from_the_grid_after_the_first(monkeypatch):
+    calls = []
+
+    def counting(fn, *arrays):
+        calls.append(fn)
+        return _libm(fn, *arrays)
+
+    for module in (cli, coupler, geometry):
+        monkeypatch.setattr(module, "_libm", counting)
+    for name in ("cos", "sin"):
+        monkeypatch.setattr(geometry._COLUMNS, name, partial(counting, getattr(math, name)))
+    _cycle_grid.cache_clear()
+    rng, geom = np.random.default_rng(5), ManipulatorGeometry(1.7)
+    trig = {math.cos, math.sin}
+    assert _curves_trial(rng, geom) is not None
+    assert trig <= set(calls)
+    for _ in range(3):
+        calls.clear()
+        assert _curves_trial(rng, geom) is not None
+        assert calls and not trig & set(calls)

@@ -541,3 +541,43 @@ def test_trace_artifacts_are_pinned(scale, tmp_path, capsys, monkeypatch):
         path.write_text(json.dumps({"scale": scale}))
         monkeypatch.setenv("RPR_GEOMETRY", str(path))
     assert _trace_digest(tmp_path, capsys) == PINNED_TRACE[scale]
+
+
+def _verify_digest(capsys):
+    digest = hashlib.sha256()
+    for seed in range(4):
+        code = main(["verify", "--scope", "all", "--trials", "20", "--seed", str(seed)])
+        digest.update(f"{code}\n{capsys.readouterr().out}\n".encode())
+    return digest.hexdigest()
+
+
+# Exit code and stdout of verify, captured before the fixed sampling grids
+# (the oracle's scan table and the phi cycle's cos and sin) were built once
+# per process: seeds 0-3 of --scope all at each scale, and one curves run
+# that also rechecks a 360-sample trace CSV at the unit scale.
+PINNED_VERIFY = {
+    1.0: "db69871c697c67e97560b285517679b5271444086db92c13ee8d7875227d37b5",
+    2.0: "fa092c4ad15220350eff499b0eb4150afa6b5001eb12a919ce5155636bf34d6d",
+    "csv": "43847bb43069919a8b4469ad8e7d731a8a63046e29614ad8a15eaee4a50ffc03",
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_verify_output_is_pinned(scale, tmp_path, capsys, monkeypatch):
+    if scale != 1.0:
+        path = tmp_path / "geom.json"
+        path.write_text(json.dumps({"scale": scale}))
+        monkeypatch.setenv("RPR_GEOMETRY", str(path))
+    assert _verify_digest(capsys) == PINNED_VERIFY[scale]
+
+
+def test_verify_of_a_trace_csv_is_pinned(tmp_path, capsys):
+    csv_path = tmp_path / "trace360.csv"
+    argv = ["trace", "--t1", "0.2", "--t2", "0.9", "--samples", "360", "--csv", str(csv_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    code = main(
+        ["verify", "--scope", "curves", "--trials", "200", "--seed", "3", "--csv", str(csv_path)]
+    )
+    out = capsys.readouterr().out
+    assert hashlib.sha256(f"{code}\n{out}\n".encode()).hexdigest() == PINNED_VERIFY["csv"]
