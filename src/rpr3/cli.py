@@ -32,6 +32,7 @@ import numpy as np
 from .coupler import (
     MIN_CURVE_SAMPLES,
     _cycle_grid,
+    _cycle_phi,
     geometric_dkp,
     reuleaux_descriptor,
     rho_from_phi,
@@ -59,6 +60,7 @@ from .jacobians import (
     FAR_POSE_TOL,
     SingularityKind,
     _is_parallel,
+    _sweep_locus,
     build_matrices,
     build_matrices_array,
     classify_singularity,
@@ -179,13 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"{what}: fixed value 'v' or range 'lo:hi:n'",
         )
     p_sweep.add_argument("--csv", required=True, help="output CSV path")
-    p_sweep.add_argument("--svg", help="optional zero-contour SVG (two swept axes)")
-    p_sweep.add_argument(
-        "--quantity",
-        choices=("detA", "detB"),
-        default="detA",
-        help="field rendered in the SVG contour (cartesian detB is >= 0: no contour)",
-    )
+    p_sweep.add_argument("--svg", help="optional SVG of the singularity locus (two swept axes)")
     _add_deg_flag(p_sweep)
 
     p_verify = sub.add_parser(
@@ -601,6 +597,7 @@ def _cmd_sweep(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
         raise _UsageError("--svg requires exactly two swept axes")
     if math.prod(len(a) for a in axes) > MAX_GRID_POINTS:
         raise _UsageError(f"a sweep grid has at most {MAX_GRID_POINTS} points")
+    locus = _sweep_locus(args.space == "joint", axes, geom) if args.svg else None
 
     # Every grid point as one flat array per axis, last axis fastest: the
     # order of the CSV rows.
@@ -631,30 +628,26 @@ def _cmd_sweep(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
     count = figio.write_csv(args.csv, header, table, (kind.value for kind in kinds))
 
     if args.svg:
-        field = det_a if args.quantity == "detA" else det_b
-        grid_values = field.reshape(len(axes[swept[0]]), len(axes[swept[1]]))
-        _write_sweep_svg(args, axes, swept, axis_names, grid_values)
+        _write_sweep_svg(args, axes, swept, axis_names, locus)
 
     return EXIT_OK, {"space": args.space, "rows": count, "csv": args.csv, "svg": args.svg}
 
 
-def _write_sweep_svg(args, axes, swept, axis_names, grid_values) -> None:
+def _write_sweep_svg(args, axes, swept, axis_names, locus) -> None:
     lo = figio.VIEW_MIN + 0.2
     hi = figio.VIEW_MAX - 0.2
-    canvas = figio.SvgCanvas(title=f"{args.quantity} zero contour")
+    canvas = figio.SvgCanvas(title="parallel singularity locus")
     canvas.polyline(
         [(lo, lo), (hi, lo), (hi, hi), (lo, hi)],
         stroke="#000000",
         width=0.008,
         closed=True,
     )
-    u_axis, v_axis = (axes[i] for i in swept)
-    ends = figio.contour_segments(u_axis, v_axis, np.nan_to_num(grid_values, nan=0.0))
-    # Into the viewBox: u ends are columns 0 and 2, v ends columns 1 and 3.
-    for k, axis in enumerate((u_axis, v_axis)):
-        ends[:, k::2] = lo + (hi - lo) * (ends[:, k::2] - axis[0]) / (axis[-1] - axis[0])
-    for ax, ay, bx, by in ends.tolist():
-        canvas.line(ax, ay, bx, by, stroke="#c02020", width=0.012)
+    first, last = (np.array([axes[i][k] for i in swept]) for k in (0, -1))
+    for piece in locus:
+        # Into the viewBox, each axis's first value at lo.
+        points = lo + (hi - lo) * (piece - first) / (last - first)
+        canvas.polyline(points.tolist(), stroke="#c02020", width=0.012)
     for i, drop in zip(swept, (0.15, 0.3)):
         name, axis = axis_names[i], axes[i]
         if args.deg and name in _ANGLE_AXES:  # labelled in the unit given
@@ -807,7 +800,7 @@ def _curve_gaps(t1: float, t2: float, cos_phi, sin_phi, b3, rho, geometry: Manip
 
 def _recheck_trace_csv(path: str, failures: list[str]) -> dict:
     """Recheck a ``trace`` CSV as one curve: row 1's theta1, theta2 and scale
-    on every row, phi on the :func:`_cycle_grid` of the row count, and the
+    on every row, phi on the :func:`_cycle_phi` grid of the row count, and the
     columns through :func:`_curve_gaps` in radians.  Report the rows checked,
     up to the first that breaks a rule (its FAIL line names it), and their
     worst deviation in units of the scale.  A file ``trace`` does not write
@@ -842,7 +835,7 @@ def _recheck_trace_csv(path: str, failures: list[str]) -> dict:
     trig = _libm(math.cos, phi), _libm(math.sin, phi)
     gap, gate = _curve_gaps(*angles[0, :2], *trig, table[:, 3:5], table[:, 5:7], geom)
     gap = np.maximum(gap, np.abs(table[:, 7] - geom.scale))
-    grid = _cycle_grid(len(table))[0]
+    grid = _cycle_phi(len(table))
     moved = (table[:, [0, 1, 7]] != table[0, [0, 1, 7]]).any(axis=1)
     off_grid = table[:, 2] != (np.degrees(grid) if deg else grid)
     bad = np.flatnonzero(moved | off_grid | ~(gap <= gate))

@@ -197,12 +197,17 @@ def _second_zero(a: float, b: float) -> float:
     return normalize_angle(2.0 * math.atan2(-b, a))
 
 
+def _cycle_phi(n_samples: int) -> np.ndarray:
+    """n uniform phi values spanning (-pi, pi], endpoint included (phi = 0 for
+    even n, where the curve meets a3)."""
+    return -math.pi + np.arange(1, n_samples + 1, dtype=float) * (2.0 * math.pi / n_samples)
+
+
 @lru_cache(maxsize=2)
 def _cycle_grid(n_samples: int) -> np.ndarray:
-    """n uniform phi values spanning (-pi, pi], endpoint included (phi = 0 for
-    even n, where the curve meets a3), and their libm cos and sin: three
-    read-only rows, built once per n and process."""
-    phi = -math.pi + np.arange(1, n_samples + 1, dtype=float) * (2.0 * math.pi / n_samples)
+    """:func:`_cycle_phi` and its libm cos and sin: three read-only rows,
+    built once per n and process."""
+    phi = _cycle_phi(n_samples)
     grid = np.array((phi, _libm(math.cos, phi), _libm(math.sin, phi)))
     grid.flags.writeable = False
     return grid

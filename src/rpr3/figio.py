@@ -5,7 +5,9 @@ are written with 17 significant digits in CSV (round-trip exact; a block of
 rows at a time, each distinct bit pattern of a block formatted once) and 10
 in SVG coordinates; element order follows insertion order.  Figures share one
 fixed viewBox spanning [-1.5, 2.5] in both axes (mathematical orientation,
-y up), which covers the unit-scale mechanism with margin.
+y up), which covers the unit-scale mechanism with margin.  Curves arrive as
+exact points (a sweep page's singularity locus comes from
+``jacobians._sweep_locus``); nothing here samples or contours a field.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ __all__ = [
     "VIEW_MAX",
     "write_csv",
     "SvgCanvas",
-    "contour_segments",
 ]
 
 VIEW_MIN = -1.5
@@ -146,45 +147,3 @@ def _escape(text: str) -> str:
     return (
         text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     )
-
-
-def contour_segments(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Zero-level segments of a sampled scalar field (marching squares).
-
-    ``values[i, j]`` is the field at (xs[i], ys[j]).  Returns the (k, 4)
-    array of segment ends (ax, ay, bx, by), cells in row-major order.
-    Crossing positions are linearly interpolated along cell edges; saddle
-    cells are disambiguated by the cell-center sign.
-    """
-    # Half-open sign classes make corner zeros unambiguous and guarantee an
-    # even crossing count around the cell; a cell whose four corners share a
-    # class has no crossing.
-    upper = values >= 0.0
-    mixed = (upper[:-1, :-1] != upper[1:, :-1]) | (upper[1:, :-1] != upper[1:, 1:])
-    mixed |= upper[1:, 1:] != upper[:-1, 1:]
-    i, j = np.nonzero(mixed)
-    # Corners counter-clockwise from (i, j), one row per corner; edge a runs
-    # from corner a to corner a + 1 (mod 4).
-    x0 = np.stack((xs[i], xs[i + 1], xs[i + 1], xs[i]))
-    y0 = np.stack((ys[j], ys[j], ys[j + 1], ys[j + 1]))
-    v0 = np.stack((values[i, j], values[i + 1, j], values[i + 1, j + 1], values[i, j + 1]))
-    x1, y1, v1 = (np.roll(c, -1, axis=0) for c in (x0, y0, v0))
-    crosses = (v0 >= 0.0) != (v1 >= 0.0)
-    # Edges without a crossing may divide by zero; their points are unused.
-    with np.errstate(all="ignore"):
-        frac = v0 / (v0 - v1)
-        px = x0 + frac * (x1 - x0)
-        py = y0 + frac * (y1 - y0)
-    # A cell joins its first and last crossing edges.  A saddle cell (four
-    # crossings) pairs them so the contour separates the center's sign class
-    # from the opposite corners: (0, 3), (1, 2), or on a flip (0, 1), (2, 3).
-    first = np.argmax(crosses, axis=0)
-    last = 3 - np.argmax(crosses[::-1], axis=0)
-    saddle = crosses.all(axis=0)
-    center = (((v0[0] + v0[1]) + v0[2]) + v0[3]) / 4.0
-    flip = (center >= 0.0) != (v0[0] >= 0.0)
-    start = np.stack((first, 1 + flip), axis=1)
-    end = np.stack((np.where(saddle & flip, 1, last), 2 + flip), axis=1)
-    cell, slot = np.nonzero(np.stack((np.ones_like(saddle), saddle), axis=1))
-    a, b = start[cell, slot], end[cell, slot]
-    return np.stack((px[a, cell], py[a, cell], px[b, cell], py[b, cell]), axis=1)

@@ -546,7 +546,7 @@ def test_sweep_cartesian_with_anchor_hit(tmp_path, capsys):
     assert rows[2][8] == "Parallel"
 
 
-def test_sweep_svg_contour(tmp_path, capsys):
+def test_sweep_svg_draws_the_locus_as_polylines(tmp_path, capsys):
     csv_path = tmp_path / "field.csv"
     svg_path = tmp_path / "field.svg"
     run_json(
@@ -556,8 +556,23 @@ def test_sweep_svg_contour(tmp_path, capsys):
         "--csv", str(csv_path), "--svg", str(svg_path),
     )
     svg = svg_path.read_text()
-    assert "<line" in svg  # the zero contour exists for this field
+    # One red polyline per piece of the exact locus, and no marching-squares line.
+    axes = [np.linspace(-3.0, 3.0, 15), np.linspace(-3.0, 3.0, 15), np.array([0.7])]
+    pieces = jacobians._sweep_locus(True, axes, DEFAULT_GEOMETRY)
+    assert svg.count('stroke="#c02020"') == len(pieces) > 0
+    assert "<line" not in svg
     assert csv_path.exists()
+
+
+def test_sweep_has_no_quantity_option(tmp_path, capsys):
+    code, out, err = run(
+        capsys,
+        "sweep", "--space", "joint", "--t1=-3:3:15", "--t2=-3:3:15", "--t3", "0.7",
+        "--csv", str(tmp_path / "x.csv"), "--svg", str(tmp_path / "x.svg"), "--quantity", "detA",
+    )
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --quantity" in err and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_svg_needs_two_swept_axes(tmp_path, capsys):
@@ -689,9 +704,10 @@ def test_sweep_rejects_grids_over_the_cap(tmp_path, capsys, space, axes):
 # or None for a CSV-only page).  The cartesian pages include the anchor hit
 # at (0, 0).  The CSV digests were re-captured when det A became the
 # two-term cofactor expansion: only the detA column moved, by at most
-# 4.5e-16 times the scale.  Every SVG digest is the original but
-# joint-deg's, re-captured when --deg sweeps began to label their angle
-# axes in degrees: only its two label lines changed.
+# 4.5e-16 times the scale.  The SVG digests were re-captured when the pages
+# began to draw the exact singularity loci in place of marching squares
+# (tests/test_loci.py checks those loci); cartesian-wide was the
+# cartesian-detB page, whose --quantity flag went with that change.
 PINNED_SWEEPS = {
     "cartesian": (
         "cartesian",
@@ -699,7 +715,7 @@ PINNED_SWEEPS = {
         None,
         625,
         "593ae2df28e47fd5d71320c05ba80326476513bf87375f0f8af2f28b63ae8577",
-        "5bbaa97d311e1483bb12a76cbeeefb323ab4f50797187ddc8910e496b4937ff8",
+        "4bc89a0df5e19aff1d7c710e734111b881c9287d0e364928fff6d9576a026cb8",
     ),
     "joint": (
         "joint",
@@ -711,7 +727,7 @@ PINNED_SWEEPS = {
         None,
         625,
         "3f71ed99d8228a322ee7e6c19e3004dc65243f751eee2303029ca29536996977",
-        "9c6177b7c05f6e5eb6bd5fa6941b1238e43ae001a2725e1b50c45610480e4eab",
+        "9e193f357e7f056a4ae8e2dc00f12bf26f5b806401fb9fa11fa95dadc15851a8",
     ),
     "joint-deg": (
         "joint",
@@ -719,15 +735,15 @@ PINNED_SWEEPS = {
         None,
         357,
         "a2f30f54a3120e7e29f02b81a2749c5331e19c112927235c07e68a505e07d5c9",
-        "729905ecc8b6e2779bdf37ac7cdcef4d9cab54e897668eff8b16225722359881",
+        "c23e80d68113e53d765456f91d5ca457e3210e85d0d85fa703169bdafdc0a52a",
     ),
-    "cartesian-detB": (
+    "cartesian-wide": (
         "cartesian",
-        ("--quantity", "detB", "--x=-1:2:23", "--y=-1:2:19", "--phi=-0.8"),
+        ("--x=-1:2:23", "--y=-1:2:19", "--phi=-0.8"),
         None,
         437,
         "6de0cd88fb8e5e1dfe6331696608148eda0ed2bfcb95ced67afdcbeb51ea06d1",
-        "ca935cb67f4513bb7d4021101f31a785827c9a0b44c4ac454ab91f387d888843",
+        "67c92447fe8132f5384d8242272830be2c12d1b43a51412d9214ea3dbcdfab43",
     ),
     "cartesian-three-axes": (
         "cartesian",
@@ -747,7 +763,7 @@ PINNED_SWEEPS = {
         2.0,
         10201,
         "2aac77336728b72fbe5608d67fb06ec4aac079b0e180f6ee669fbc5ddeb64020",
-        "81b13ca10db76a08261174a7e0ffde2e0cae39c63a4521b7d26fc98d0be0aa9c",
+        "6d5882c09baa2db02c044301d3b4ce2d7e32218d748bd9d7972aec4583790be4",
     ),
 }
 

@@ -70,15 +70,13 @@ def _argv(rng, tmp_path):
     elif command == "sweep":
         space = rng.choice(["joint", "cartesian"])
         names = ("t1", "t2", "t3") if space == "joint" else ("x", "y", "phi")
-        # Mostly two swept axes, the shape an SVG contour needs.
+        # Mostly two swept axes, the shape an SVG locus needs.
         fixed = rng.choice(names) if rng.random() < 0.8 else None
         argv += ["--space", space]
         argv += _flags(rng, {name: _axis(rng, name != fixed) for name in names})
         argv += ["--csv", str(tmp_path / "sweep.csv")]
         if rng.random() < 0.7:
             argv += ["--svg", str(tmp_path / "sweep.svg")]
-        if rng.random() < 0.3:
-            argv.append("--quantity=detB")
     else:
         argv += [
             f"--scope={rng.choice(['dkp', 'jacobian', 'curves'])}",

@@ -9,7 +9,7 @@ import pytest
 
 from rpr3 import cli, coupler, geometry
 from rpr3.cli import _curve_gaps, _curves_trial, main
-from rpr3.coupler import _cycle_grid, trace_cardanic
+from rpr3.coupler import _cycle_grid, _cycle_phi, trace_cardanic
 from rpr3.geometry import ManipulatorGeometry, _libm, normalize_angles
 from rpr3.oracle import _SCAN_SAMPLES, _scan_table
 
@@ -23,7 +23,7 @@ def _same_bits(a, b):
 def test_cycle_grid_is_libm_of_the_formula_grid(n):
     phi = -math.pi + np.arange(1, n + 1, dtype=float) * (2.0 * math.pi / n)
     grid_phi, cos_phi, sin_phi = _cycle_grid(n)
-    assert _same_bits(grid_phi, phi)
+    assert _same_bits(grid_phi, phi) and _same_bits(_cycle_phi(n), phi)
     assert _same_bits(cos_phi, [math.cos(p) for p in phi.tolist()])
     assert _same_bits(sin_phi, _libm(math.sin, phi))
 
@@ -120,3 +120,14 @@ def test_curves_trial_takes_phi_trig_from_the_grid_after_the_first(monkeypatch):
         calls.clear()
         assert _curves_trial(rng, geom) is not None
         assert calls and not trig & set(calls)
+
+
+def test_a_trace_csv_recheck_builds_no_cycle_grid(tmp_path, capsys):
+    # verify --csv checks phi against the grid's formula and takes cos and
+    # sin of the file's own phi: it caches no grid trig it would not read.
+    path = tmp_path / "trace.csv"
+    assert main(["trace", "--t1", "0.2", "--t2", "0.9", "--samples", "1000", "--csv", str(path)]) == 0
+    _cycle_grid.cache_clear()
+    assert main(["verify", "--scope", "dkp", "--trials", "1", "--csv", str(path)]) == 0
+    assert '"rows": 1000' in capsys.readouterr().out
+    assert _cycle_grid.cache_info().currsize == 0
