@@ -65,7 +65,7 @@ from .jacobians import (
     build_matrices_array,
     classify_singularity,
 )
-from .oracle import dkp_bruteforce, jacobian_fd_check
+from .oracle import dkp_bruteforce, jacobian_cs_check
 from .solvers import (
     _REULEAUX_GAP,
     DkKind,
@@ -667,7 +667,7 @@ def _cmd_verify(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
     # Each scope with the key of its worst metric, lengths in units of the scale.
     for scope, trial, metric in (
         ("dkp", _dkp_trial, "max_pose_deviation"),
-        ("jacobian", _jacobian_trial, "max_fd_error"),
+        ("jacobian", _jacobian_trial, "max_jacobian_error"),
         ("curves", _curves_trial, "max_residual"),
     ):
         if args.scope not in ("all", scope):
@@ -746,11 +746,11 @@ def _jacobian_trial(rng, geom) -> float | None:
     if _is_parallel(mats.det_a, s, tol=5e-6):
         return None
     try:
-        err = jacobian_fd_check(pose, theta, geometry=geom)
+        err = jacobian_cs_check(pose, theta, geometry=geom)
     except SingularNearbyError:
         return None
-    if err > 1e-5:
-        raise _TrialFailure(f"jacobian fd error {err:.3e} at pose={pose.as_tuple()}")
+    if err > 1e-9:
+        raise _TrialFailure(f"jacobian error {err:.3e} at pose={pose.as_tuple()}")
     return err
 
 

@@ -832,7 +832,7 @@ def test_verify_all_scopes_pass(capsys):
     # Each scope passed, with its worst metric within the scope's threshold.
     assert payload["scopes"] == {
         "dkp": {"passed": True, "max_pose_deviation": pytest.approx(0.0, abs=POSE_TOL)},
-        "jacobian": {"passed": True, "max_fd_error": pytest.approx(0.0, abs=1e-5)},
+        "jacobian": {"passed": True, "max_jacobian_error": pytest.approx(0.0, abs=1e-9)},
         "curves": {"passed": True, "max_residual": pytest.approx(0.0, abs=1e-9)},
     }
     assert "trace_csv" not in payload
@@ -1171,8 +1171,8 @@ _BROKEN_CHECKS = {
     "dkp-count": ("dkp", "dkp_bruteforce", _empty_scan, "dkp count mismatch at theta=("),
     "dkp-deviation": ("dkp", "dkp_bruteforce", _shifted_scan, "dkp deviation "),
     "jacobian": (
-        "jacobian", "jacobian_fd_check", lambda *args, **kwargs: 1.0,
-        "jacobian fd error 1.000e+00 at pose=(",
+        "jacobian", "jacobian_cs_check", lambda *args, **kwargs: 1.0,
+        "jacobian error 1.000e+00 at pose=(",
     ),
     "curve-residual": ("curves", "_place_anchors", _shifted_anchors, "curve residual "),
     "curve-rho2": ("curves", "trace_cardanic", _shifted_rho2, "curve residual "),
@@ -1207,8 +1207,8 @@ def _swapped_a_columns(matrices):
 
 @pytest.mark.parametrize("corrupt", [_flipped_b11, _swapped_a_columns])
 def test_verify_jacobian_scope_catches_a_wrong_analytic_map(capsys, monkeypatch, corrupt):
-    # The finite-difference check imports build_matrices when it runs, while
-    # the CLI's skip tests keep their own name: only the map under test is
+    # The complex-step check imports build_matrices when it runs, while the
+    # CLI's skip tests keep their own name: only the map under test is
     # wrong, and the re-solved columns must expose it.
     real = jacobians.build_matrices
     monkeypatch.setattr(jacobians, "build_matrices", lambda *a, **kw: corrupt(real(*a, **kw)))
@@ -1216,7 +1216,17 @@ def test_verify_jacobian_scope_catches_a_wrong_analytic_map(capsys, monkeypatch,
     assert code == 4
     assert strict_json(out)["scopes"] == {"jacobian": {"passed": False}}
     (line,) = err.splitlines()
-    assert line.startswith("rpr3: FAIL jacobian fd error ")
+    assert line.startswith("rpr3: FAIL jacobian error ")
+
+
+@pytest.mark.parametrize("scope, seed", [("jacobian", 20), ("all", 36), ("all", 37)])
+def test_verify_passes_where_central_differences_false_failed(capsys, scope, seed):
+    # Central differences of re-solved poses failed these draws at 1.5e-5,
+    # 8.2e-5 and 2.0e-4 (their O(step^2) truncation near a singularity);
+    # the complex-step columns are exact to rounding.
+    code, out, err = run(capsys, "verify", "--scope", scope, "--trials", "200", "--seed", str(seed))
+    assert (code, err) == (0, "")
+    assert strict_json(out)["scopes"]["jacobian"]["max_jacobian_error"] < 1e-10
 
 
 class _Draws:
@@ -1235,19 +1245,19 @@ def _must_not_run(*args, **kwargs):
 
 def test_jacobian_trial_skips_short_legs_and_parallel_singular_poses(monkeypatch):
     geom = DEFAULT_GEOMETRY
-    # The regular pose is checked: its finite-difference error is 2.8e-10.
+    # The regular pose is checked: its complex-step error is 8.0e-15.
     err = cli._jacobian_trial(_Draws(0.3, 0.2, 0.1), geom)
-    assert err is not None and 0.0 < err < 1e-9
+    assert err is not None and 0.0 < err < 1e-12
     # Leg 1 is 0.02 long, under the 0.05 * scale floor: skipped before the
     # matrices are built.
     monkeypatch.setattr(cli, "build_matrices", _must_not_run)
     assert cli._jacobian_trial(_Draws(0.02, 0.0, 0.0), geom) is None
     monkeypatch.undo()
     # A pose of the straight-line continuum of theta1 = 0 at phi = 0.5 (rho
-    # = 0.40, 0.55, 0.15): det A vanishes, so the finite-difference check
-    # never runs.
+    # = 0.40, 0.55, 0.15): det A vanishes, so the complex-step check never
+    # runs.
     rho1, _ = coupler.rho_from_phi(0.0, PI3, 0.5)
-    monkeypatch.setattr(cli, "jacobian_fd_check", _must_not_run)
+    monkeypatch.setattr(cli, "jacobian_cs_check", _must_not_run)
     assert cli._jacobian_trial(_Draws(rho1, 0.0, 0.5), geom) is None
 
 

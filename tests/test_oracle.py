@@ -1,4 +1,4 @@
-"""Brute-force scan and finite-difference checks that back the solvers."""
+"""Brute-force scan and the Jacobian checks that back the solvers."""
 
 import math
 import pathlib
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rpr3.oracle
-from rpr3.errors import SingularNearbyError
+from rpr3.errors import LegAtAnchorError, SingularNearbyError
 from rpr3.geometry import (
     DEFAULT_GEOMETRY,
     POSE_TOL,
@@ -17,7 +17,8 @@ from rpr3.geometry import (
     normalize_angle,
     pose_distance,
 )
-from rpr3.oracle import dkp_bruteforce, jacobian_fd_check
+from rpr3.jacobians import build_matrices
+from rpr3.oracle import dkp_bruteforce, jacobian_cs_check, jacobian_fd_check
 from rpr3.solvers import DkKind, direct_kinematics, inverse_kinematics, mn_coefficients
 
 PI3 = math.pi / 3.0
@@ -259,6 +260,69 @@ def test_fd_check_random_regular_configurations():
             continue
         assert err < 1e-5
         checked += 1
+
+
+# ------------------------------------------------------ complex-step check
+
+# Poses at which central differences of re-solved poses failed verify's
+# 1e-5 limit (--scope jacobian --seed 20, --scope all --seeds 36 and 37),
+# in units of the scale.
+FD_FALSE_FAILURES = [
+    (-0.27800132844709835, 0.0912779647318569, -0.43886941423928594),
+    (0.12090084698846892, 0.7196393597505362, 2.4467909293500716),
+    (0.6754592970470623, 1.2103092397372546, 2.4577290439480004),
+]
+
+
+def _cs_cases(geometry, count=150, seed=32):
+    """Seeded IK poses of random branches that verify's jacobian trial would
+    check (legs of at least 0.05 s, |det A| of at least 5e-6 s), then the
+    poses central differences false-failed."""
+    s = geometry.scale
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        pose = Pose(*(rng.uniform(-0.5 * s, 1.5 * s, 2)).tolist(), rng.uniform(-math.pi, math.pi))
+        branch = tuple(rng.integers(0, 2, 3).tolist())
+        try:
+            sol = inverse_kinematics(pose, branch, geometry)
+        except LegAtAnchorError:
+            continue
+        det_a = build_matrices(pose, sol.angles, geometry).det_a
+        if min(sol.rhos()) >= 0.05 * s and abs(det_a) >= 5e-6 * s:
+            cases.append((pose, sol.angles))
+    for x, y, phi in FD_FALSE_FAILURES:
+        pose = Pose(x * s, y * s, phi)
+        cases.append((pose, inverse_kinematics(pose, geometry=geometry).angles))
+    return cases
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.7])
+def test_complex_step_columns_match_the_analytic_map(scale):
+    # Each column, position rows in units of the scale, is A^-1 B's to
+    # 1e-10 of ||J||_F, and so is the whole map; the worst measured were
+    # 4.7e-12 and 5.9e-12, both at scale 1.7.
+    geometry = ManipulatorGeometry(scale)
+    unit = np.array([scale, scale, 1.0])
+    for pose, theta in _cs_cases(geometry):
+        matrices = build_matrices(pose, theta, geometry)
+        analytic = np.linalg.solve(matrices.a_matrix, matrices.b_matrix) / unit[:, None]
+        size = np.linalg.norm(analytic)
+        for leg in range(3):
+            column = rpr3.oracle._complex_step_column(pose, tuple(theta), leg, geometry)
+            gap = np.linalg.norm(np.subtract(column, analytic[:, leg]))
+            assert gap <= 1e-10 * size, (pose, leg)
+        assert jacobian_cs_check(pose, theta, geometry) <= 1e-10
+
+
+def test_cs_check_raises_near_parallel_singularity():
+    with pytest.raises(SingularNearbyError):
+        jacobian_cs_check(Pose(0.0, 0.0, 0.0), (0.5, 0.5, 0.5))
+
+
+def test_cs_check_on_fully_serial_posture_is_zero():
+    # J vanishes identically: the imaginary parts of the re-solve stay 0.
+    assert jacobian_cs_check(Pose(0.0, 0.0, 0.0), GENERIC_THETA) == 0.0
 
 
 # ------------------------------------------------------- independence
