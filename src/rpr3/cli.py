@@ -65,7 +65,7 @@ from .jacobians import (
     build_matrices_array,
     classify_singularity,
 )
-from .oracle import dkp_bruteforce, jacobian_cs_check
+from .oracle import _jacobian_cs_error, dkp_bruteforce
 from .solvers import (
     _REULEAUX_GAP,
     DkKind,
@@ -746,7 +746,7 @@ def _jacobian_trial(rng, geom) -> float | None:
     if _is_parallel(mats.det_a, s, tol=5e-6):
         return None
     try:
-        err = jacobian_cs_check(pose, theta, geometry=geom)
+        err = _jacobian_cs_error(pose, theta.as_tuple(), geom, mats)
     except SingularNearbyError:
         return None
     if err > 1e-9:

@@ -164,15 +164,19 @@ def _form(value) -> SimpleNamespace:
     return _COLUMNS if isinstance(value, np.ndarray) else _FLOATS
 
 
-@dataclass(frozen=True)
+# Each value object checks its arguments in its own __init__ and stores each
+# field once; a __post_init__ after the generated __init__ would store twice.
+@dataclass(frozen=True, init=False)
 class Vec2:
     """Immutable planar vector."""
 
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        _finite(self.x, self.y)
+    def __init__(self, x: float, y: float) -> None:
+        _finite(x, y)
+        fields = self.__dict__
+        fields["x"], fields["y"] = x, y
 
     def __iter__(self) -> Iterator[float]:
         yield self.x
@@ -207,7 +211,7 @@ class Vec2:
         return np.array((self.x, self.y), dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pose:
     """Platform pose: position of the first platform vertex and orientation.
 
@@ -218,12 +222,11 @@ class Pose:
     y: float
     phi: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"position must be finite, got ({self.x!r}, {self.y!r})")
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "phi", normalize_angle(self.phi))
+    def __init__(self, x: float, y: float, phi: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"position must be finite, got ({x!r}, {y!r})")
+        fields = self.__dict__
+        fields["x"], fields["y"], fields["phi"] = float(x), float(y), normalize_angle(phi)
 
     @property
     def position(self) -> Vec2:
@@ -233,7 +236,7 @@ class Pose:
         return (self.x, self.y, self.phi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LegState:
     """One leg's joint values in canonical form.
 
@@ -244,16 +247,15 @@ class LegState:
     theta: float
     rho: float
 
-    def __post_init__(self) -> None:
-        theta, rho = self.theta, self.rho
+    def __init__(self, theta: float, rho: float) -> None:
         _finite_rho(rho)
         if rho < 0.0:
             theta, rho = theta + math.pi, -rho
-        object.__setattr__(self, "theta", normalize_angle(theta))
-        object.__setattr__(self, "rho", rho)
+        fields = self.__dict__
+        fields["theta"], fields["rho"] = normalize_angle(theta), rho
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class JointAngles:
     """Actuated revolute angles, one per leg, normalized to (-pi, pi]."""
 
@@ -261,9 +263,11 @@ class JointAngles:
     theta2: float
     theta3: float
 
-    def __post_init__(self) -> None:
-        for name in ("theta1", "theta2", "theta3"):
-            object.__setattr__(self, name, normalize_angle(getattr(self, name)))
+    def __init__(self, theta1: float, theta2: float, theta3: float) -> None:
+        fields = self.__dict__
+        fields["theta1"] = normalize_angle(theta1)
+        fields["theta2"] = normalize_angle(theta2)
+        fields["theta3"] = normalize_angle(theta3)
 
     def __iter__(self) -> Iterator[float]:
         yield self.theta1

@@ -248,12 +248,14 @@ def _chord_pose(qx: float, qy: float, alpha: float) -> Pose | None:
     return Pose(x, y, 2.0 * alpha - math.pi) if math.isfinite(x) and math.isfinite(y) else None
 
 
-def _analytic_map(pose: Pose, t: tuple[float, float, float], geometry: ManipulatorGeometry):
+def _analytic_map(pose: Pose, t: tuple, geometry: ManipulatorGeometry, matrices=None):
     """(J = A^-1 B with its position rows in units of the scale, that unit
-    column); raises :class:`SingularNearbyError` when A is parallel singular."""
-    from .jacobians import build_matrices
+    column) of ``matrices``, built here unless given; raises
+    :class:`SingularNearbyError` when A is parallel singular."""
+    if matrices is None:
+        from .jacobians import build_matrices
 
-    matrices = build_matrices(pose, t, geometry)
+        matrices = build_matrices(pose, t, geometry)
     if matrices.is_parallel_singular():
         raise SingularNearbyError(
             f"det A = {matrices.det_a:.3e}: too close to a parallel singularity"
@@ -330,8 +332,13 @@ def jacobian_cs_check(
     leg and no difference taken (Squire and Trapp, SIAM Review 40(1), 1998).
     Raises :class:`SingularNearbyError` as that does.
     """
-    t = _as_angles(theta)
-    analytic, _ = _analytic_map(pose, t, geometry)
+    return _jacobian_cs_error(pose, _as_angles(theta), geometry)
+
+
+def _jacobian_cs_error(pose: Pose, t: tuple, geometry: ManipulatorGeometry, matrices=None) -> float:
+    """:func:`jacobian_cs_check` at checked angles ``t``, on the caller's
+    ``build_matrices(pose, t, geometry)`` when it has them."""
+    analytic, _ = _analytic_map(pose, t, geometry, matrices)
     columns = [_complex_step_column(pose, t, leg, geometry) for leg in range(3)]
     return _relative_error(np.array(columns).T, analytic)
 

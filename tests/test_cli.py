@@ -21,7 +21,7 @@ from rpr3.geometry import (
     normalize_angle,
 )
 from rpr3.coupler import trace_cardanic
-from rpr3.oracle import ScanReport, dkp_bruteforce
+from rpr3.oracle import ScanReport, dkp_bruteforce, jacobian_cs_check
 
 PI3 = math.pi / 3.0
 SQRT3 = math.sqrt(3.0)
@@ -1171,7 +1171,7 @@ _BROKEN_CHECKS = {
     "dkp-count": ("dkp", "dkp_bruteforce", _empty_scan, "dkp count mismatch at theta=("),
     "dkp-deviation": ("dkp", "dkp_bruteforce", _shifted_scan, "dkp deviation "),
     "jacobian": (
-        "jacobian", "jacobian_cs_check", lambda *args, **kwargs: 1.0,
+        "jacobian", "_jacobian_cs_error", lambda *args, **kwargs: 1.0,
         "jacobian error 1.000e+00 at pose=(",
     ),
     "curve-residual": ("curves", "_place_anchors", _shifted_anchors, "curve residual "),
@@ -1207,11 +1207,12 @@ def _swapped_a_columns(matrices):
 
 @pytest.mark.parametrize("corrupt", [_flipped_b11, _swapped_a_columns])
 def test_verify_jacobian_scope_catches_a_wrong_analytic_map(capsys, monkeypatch, corrupt):
-    # The complex-step check imports build_matrices when it runs, while the
-    # CLI's skip tests keep their own name: only the map under test is
-    # wrong, and the re-solved columns must expose it.
-    real = jacobians.build_matrices
-    monkeypatch.setattr(jacobians, "build_matrices", lambda *a, **kw: corrupt(real(*a, **kw)))
+    # The trial builds the matrices once, for its skip tests and for the
+    # complex-step check.  Neither corruption moves det A, so the same draws
+    # are checked: only the map under test is wrong, and the re-solved
+    # columns must expose it.
+    real = cli.build_matrices
+    monkeypatch.setattr(cli, "build_matrices", lambda *a, **kw: corrupt(real(*a, **kw)))
     code, out, err = run(capsys, "verify", "--scope", "jacobian", "--trials", "20", "--seed", "3")
     assert code == 4
     assert strict_json(out)["scopes"] == {"jacobian": {"passed": False}}
@@ -1257,8 +1258,25 @@ def test_jacobian_trial_skips_short_legs_and_parallel_singular_poses(monkeypatch
     # = 0.40, 0.55, 0.15): det A vanishes, so the complex-step check never
     # runs.
     rho1, _ = coupler.rho_from_phi(0.0, PI3, 0.5)
-    monkeypatch.setattr(cli, "jacobian_cs_check", _must_not_run)
+    monkeypatch.setattr(cli, "_jacobian_cs_error", _must_not_run)
     assert cli._jacobian_trial(_Draws(rho1, 0.0, 0.5), geom) is None
+
+
+def test_jacobian_trial_builds_the_matrices_once(monkeypatch):
+    # The skip guard's matrices are the ones the complex-step check reads:
+    # one build per checked trial, and the error the public check gives.
+    real, calls = jacobians.build_matrices, []
+
+    def counted(pose, theta, geometry):
+        calls.append((pose, theta))
+        return real(pose, theta, geometry)
+
+    monkeypatch.setattr(cli, "build_matrices", counted)
+    monkeypatch.setattr(jacobians, "build_matrices", counted)
+    err = cli._jacobian_trial(_Draws(0.3, 0.2, 0.1), DEFAULT_GEOMETRY)
+    assert err is not None and len(calls) == 1
+    assert err == jacobian_cs_check(*calls[0])
+    assert len(calls) == 2
 
 
 def _far_second_assembly(theta, geometry):

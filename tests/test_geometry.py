@@ -1,7 +1,10 @@
 """Frame conventions, anchor placement, and the residual sign convention."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -283,6 +286,133 @@ def test_joint_angles_normalize_and_iterate():
     assert abs(ja.theta1 - math.pi) < 1e-15
     assert ja.theta3 == math.pi
     assert ja.as_tuple() == tuple(ja)
+
+
+# The constructor rules of the four value objects, written out on their own:
+# the fields each stores for its arguments, in declaration order.
+def _vec2_rule(x, y):
+    return (x, y)  # stored as given
+
+
+def _pose_rule(x, y, phi):
+    return (float(x), float(y), _fold_by_remainder(phi))
+
+
+def _leg_state_rule(theta, rho):
+    if rho < 0.0:
+        theta, rho = theta + math.pi, -rho
+    return (_fold_by_remainder(theta), rho)
+
+
+def _joint_angles_rule(theta1, theta2, theta3):
+    return tuple(map(_fold_by_remainder, (theta1, theta2, theta3)))
+
+
+_VALUE_OBJECT_RULES = {
+    Vec2: _vec2_rule, Pose: _pose_rule, LegState: _leg_state_rule, JointAngles: _joint_angles_rule,
+}
+
+
+def _same(a, b):
+    """Equal bit for bit and of one type."""
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def _value_object_draws(cls, count, seed):
+    """Seeded argument tuples for ``cls`` over finite edges and random draws:
+    +-pi, -0.0, ints, numpy float64 and up to a million turns of 2 pi."""
+    pi = math.pi
+    edges = [pi, -pi, math.nextafter(pi, 0.0), -0.0, 0.0, 0, 3, -7, np.float64(-pi),
+             np.float64(2.5), np.float64(-0.0), 40.0 * pi, 1e6 * math.tau + 0.25,
+             -(10**5) * math.tau - 1.0]
+    rng = np.random.default_rng(seed)
+    turns = rng.integers(-10**6, 10**6, 200) * math.tau + rng.uniform(-pi, pi, 200)
+    pool = edges + rng.uniform(-50.0, 50.0, 200).tolist() + turns.tolist()
+    picks = rng.integers(len(pool), size=(count, len(dataclasses.fields(cls))))
+    return [tuple(pool[i] for i in row) for row in picks]
+
+
+@pytest.mark.parametrize("cls", list(_VALUE_OBJECT_RULES), ids=lambda cls: cls.__name__)
+def test_value_objects_store_each_field_by_their_rule(cls):
+    rule = _VALUE_OBJECT_RULES[cls]
+    names = [f.name for f in dataclasses.fields(cls)]
+    for args in _value_object_draws(cls, 3000, 33):
+        want, keywords = rule(*args), dict(zip(names, args))
+        mixed = dict(zip(names[1:], args[1:]))
+        for obj in (cls(*args), cls(**keywords), cls(args[0], **mixed)):
+            got = tuple(getattr(obj, name) for name in names)
+            assert all(map(_same, got, want)), (cls.__name__, args, got, want)
+    with pytest.raises(TypeError):
+        cls(*([0.5] * (len(names) - 1)))
+
+
+def _nonfinite_arguments():
+    """(class, arguments, exception type, message) for nan and +-inf in each
+    field; the first bad field in declaration order is the one named."""
+    cases = []
+    for bad in (math.nan, math.inf, -math.inf):
+        angle = (ValueError, f"angle must be finite, got {bad!r}")
+        cases += [
+            (Vec2, (bad, 0.5), GeometryError, f"components must be finite, got ({bad!r}, 0.5)"),
+            (Vec2, (0.5, bad), GeometryError, f"components must be finite, got (0.5, {bad!r})"),
+            (Pose, (bad, 0.5, 0.1), ValueError, f"position must be finite, got ({bad!r}, 0.5)"),
+            (Pose, (0.5, bad, bad), ValueError, f"position must be finite, got (0.5, {bad!r})"),
+            (Pose, (0.5, 0.5, bad), *angle),
+            (LegState, (bad, 0.5), *angle),
+            (LegState, (bad, -0.5), *angle),
+            (LegState, (0.5, bad), GeometryError, f"rho must be finite, got {bad!r}"),
+            (LegState, (bad, bad), GeometryError, f"rho must be finite, got {bad!r}"),
+            (JointAngles, (bad, 0.5, 0.5), *angle),
+            (JointAngles, (0.5, bad, 0.5), *angle),
+            (JointAngles, (0.5, 0.5, bad), *angle),
+            (JointAngles, (bad, -bad, -bad), *angle),
+            (JointAngles, (0.5, bad, -bad), *angle),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("cls, args, error, message", _nonfinite_arguments())
+def test_value_objects_reject_nonfinite_fields(cls, args, error, message):
+    with pytest.raises(error) as info:
+        cls(*args)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_value_objects_revalidate_on_replace():
+    pose = dataclasses.replace(Pose(0.1, 0.2, 0.3), phi=7.0)
+    assert _same(pose.phi, _fold_by_remainder(7.0))
+    assert _same(dataclasses.replace(pose, x=2).x, 2.0)
+    with pytest.raises(GeometryError, match="components must be finite"):
+        dataclasses.replace(Vec2(1.0, 2.0), x=math.nan)
+    leg = dataclasses.replace(LegState(0.2, 0.5), rho=-0.5)
+    assert (leg.theta, leg.rho) == (_fold_by_remainder(0.2 + math.pi), 0.5)
+    angles = dataclasses.replace(JointAngles(0.1, 0.2, 0.3), theta2=-math.pi)
+    assert angles.as_tuple() == (0.1, math.pi, 0.3)
+    with pytest.raises(ValueError, match="angle must be finite"):
+        dataclasses.replace(angles, theta3=math.inf)
+
+
+@pytest.mark.parametrize("cls", list(_VALUE_OBJECT_RULES), ids=lambda cls: cls.__name__)
+def test_value_objects_are_frozen_hashable_and_copyable(cls):
+    names = [f.name for f in dataclasses.fields(cls)]
+    args = _value_object_draws(cls, 1, 34)[0]
+    obj = cls(*args)
+    values = tuple(getattr(obj, name) for name in names)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+    assert tuple(getattr(obj, name) for name in names) == values
+    assert repr(obj) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+    twin = cls(*args)
+    assert twin == obj and hash(twin) == hash(obj) == hash(values)
+    assert obj != cls(*values[:-1], values[-1] + 1.0)
+    assert obj != values
+    for copied in (copy.copy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(copied) is cls and copied == obj and hash(copied) == hash(obj)
+        assert all(_same(getattr(copied, n), v) for n, v in zip(names, values))
+        assert repr(copied) == repr(obj)
 
 
 def test_load_geometry_roundtrip(tmp_path):
