@@ -11,7 +11,12 @@ root machinery is used; this module imports only the shared geometry
 primitives, so agreement with the solvers is evidence, not tautology.
 
 The Jacobian checks compare the analytic velocity map against re-solved
-poses: central finite differences, or one complex step per leg.
+poses: central finite differences, or one complex step per leg.  One Newton
+serves the polish and both re-solves, on Python floats or complex numbers,
+and solves each 3x3 step by Cramer's rule, as J = A^-1 B's columns are.
+The module calls no LAPACK: on 3x3 systems this is faster, skips the
+workspace whose first use raises a process's peak RSS, and keeps the pinned
+oracle floats independent of the BLAS build.
 """
 
 from __future__ import annotations
@@ -78,13 +83,10 @@ class ScanReport:
     continuum: bool = False
 
 
-def _leg_rows(
-    t: tuple[float, float, float], geometry: ManipulatorGeometry
-) -> list[tuple[float, float, tuple[float, float]]]:
-    """(sin t_i, cos t_i, anchor i) per leg.  The anchor is the base anchor
-    and equally the platform anchor in the platform frame."""
-    sin_t, cos_t = np.sin(np.asarray(t)).tolist(), np.cos(np.asarray(t)).tolist()
-    return list(zip(sin_t, cos_t, [(v.x, v.y) for v in geometry.anchors]))
+def _leg_rows(t, geometry: ManipulatorGeometry) -> list[tuple]:
+    """(sin t_i, cos t_i, anchor i) per leg, on floats or complex numbers; the
+    anchor is the base anchor and equally the platform anchor in its frame."""
+    return [(s, c, (v.x, v.y)) for (c, s), v in zip(map(_cos_sin, t), geometry.anchors)]
 
 
 def _anchor_offsets(x, y, c, s, geometry: ManipulatorGeometry, home: float = 1.0) -> list:
@@ -108,8 +110,8 @@ def _residual_rows(offsets: list, rows: list) -> list:
 @lru_cache(maxsize=2)
 def _scan_table(geometry: ManipulatorGeometry) -> tuple:
     """The scan's alpha grid and the deflated anchor offsets on it (numpy's
-    cos and sin of alpha, as Newton's), read-only and built once per geometry
-    and process: two entries hold 14 columns of 2048 floats, 224 KiB."""
+    cos and sin of alpha), read-only and built once per geometry and
+    process: two entries hold 14 columns of 2048 floats, 224 KiB."""
     alphas = -math.pi + _SCAN_STEP * np.arange(1, _SCAN_SAMPLES + 1)
     offsets = np.array(_anchor_offsets(0.0, 0.0, np.cos(alphas), np.sin(alphas), geometry, 0.0))
     alphas.flags.writeable = offsets.flags.writeable = False
@@ -117,39 +119,36 @@ def _scan_table(geometry: ManipulatorGeometry) -> tuple:
 
 
 def _newton_polish(
-    start: tuple[float, float, float],
-    t: tuple[float, float, float],
-    geometry: ManipulatorGeometry,
-    tol: float = NEWTON_RESIDUAL_TOL,
-    home: float = 1.0,
-) -> tuple[tuple[float, float, float] | None, int]:
-    """Newton on the three-residual system of ``home`` (see
-    :func:`_anchor_offsets`), on Python floats.
+    start, t, geometry: ManipulatorGeometry, tol: float = NEWTON_RESIDUAL_TOL, home: float = 1.0
+) -> tuple[tuple | None, int]:
+    """The one Newton: the scan's polish and the finite-difference re-solves
+    on floats, the complex-step re-solves on complex ``t``.
 
-    Returns (solution, iterations used) or (None, iterations) when the
-    iteration fails to reach ``tol``.
+    Each step solves the three residuals of ``home`` (see
+    :func:`_anchor_offsets`) by :func:`_cramer`, with ``math``'s cos and sin.
+    Converged when every residual's real part is below ``tol`` and its
+    imaginary part at most ``tol`` times the largest of |Im t_i|, |Im x| / s,
+    |Im y| / s and |Im phi|.  Returns (solution, iterations used), or (None,
+    iterations) on a zero determinant or when ``tol`` is not reached.
     """
     rows = _leg_rows(t, geometry)
-    # The last column, d/dphi of the rotated local anchor, is set each step.
-    jac = np.array([(st, -ct, 0.0) for st, ct, _ in rows])
+    sin_t, neg_cos_t = [r[0] for r in rows], [-r[1] for r in rows]
+    h = max(abs(a.imag) for a in t)
     x, y, phi = start
     for it in range(NEWTON_MAX_ITER + 1):
-        # numpy's cos/sin for the residuals, as in the scan; libm's for the Jacobian.
-        c, s = float(np.cos(phi)), float(np.sin(phi))
+        c, s = _cos_sin(phi)
         res = _residual_rows(_anchor_offsets(x, y, c, s, geometry, home), rows)
-        if all(abs(r) < tol for r in res):
-            return ((x, y, phi), it)
+        if all(abs(r.real) < tol for r in res):
+            size = max(h, abs(x.imag) / geometry.scale, abs(y.imag) / geometry.scale, abs(phi.imag))
+            if all(abs(r.imag) <= tol * size for r in res):
+                return ((x, y, phi), it)
         if it == NEWTON_MAX_ITER:
             break
-        c, s = math.cos(phi), math.sin(phi)
-        jac[:, 2] = [
-            st * (-s * bx - c * by) - ct * (c * bx - s * by) for st, ct, (bx, by) in rows
-        ]
-        try:
-            dx, dy, dphi = np.linalg.solve(jac, np.negative(res)).tolist()
-        except np.linalg.LinAlgError:
+        turn = [st * (-s * bx - c * by) - ct * (c * bx - s * by) for st, ct, (bx, by) in rows]
+        step = _cramer(sin_t, neg_cos_t, turn, res)
+        if step is None:
             return (None, it + 1)
-        x, y, phi = x + dx, y + dy, phi + dphi
+        x, y, phi = x - step[0], y - step[1], phi - step[2]
     return (None, NEWTON_MAX_ITER)
 
 
@@ -166,8 +165,9 @@ def dkp_bruteforce(
     rotated anchors once per geometry, two deflated legs (the closed form's
     best-conditioned pair, same tie order) are solved for q and the left-out
     one becomes the scan function; its sign changes (wrap-aware) bracket
-    psi2 and psi2 + pi, refined by Newton on the deflated system (typically
-    one or two iterations) until every residual is below
+    psi2 and psi2 + pi, refined by :func:`_newton_polish` (Cramer's rule on
+    floats, the Newton of both Jacobian checks too) on the deflated system
+    (typically one or two iterations) until every residual is below
     ``NEWTON_RESIDUAL_TOL * scale`` and clustered by :func:`cluster_poses`.
     A continuum is declared when more than 5% of the grid admits residual
     below 1e-8 * scale; all-parallel legs short-circuit to the translation
@@ -208,16 +208,19 @@ def _bracket_candidates(
     Sample a, with wrap-around neighbour b = a + 1, gives itself when
     leftover[a] == 0, else the bracket midpoint when leftover[a] * leftover[b]
     < 0; NaN gives none, and an overflowing product is inf, as on floats.
+    Only the indices come from arrays; the few starts are built on floats.
     """
     with np.errstate(over="ignore"):
-        exact = leftover == 0.0
-        a = np.flatnonzero(exact | (leftover * np.roll(leftover, -1) < 0.0))
+        picks = np.flatnonzero((leftover == 0.0) | (leftover * np.roll(leftover, -1) < 0.0))
+    candidates = []
+    for a in picks.tolist():
         b = (a + 1) % leftover.size
-        exact = exact[a]
-        xs = np.where(exact, x[a], 0.5 * (x[a] + x[b]))
-        ys = np.where(exact, y[a], 0.5 * (y[a] + y[b]))
-        ps = np.where(exact, phis[a], phis[a] + 0.5 * step)
-    return list(zip(xs.tolist(), ys.tolist(), ps.tolist()))
+        if leftover[a] == 0.0:
+            candidates.append((float(x[a]), float(y[a]), float(phis[a])))
+        else:
+            xm, ym = 0.5 * (float(x[a]) + float(x[b])), 0.5 * (float(y[a]) + float(y[b]))
+            candidates.append((xm, ym, float(phis[a]) + 0.5 * step))
+    return candidates
 
 
 def _polish_candidates(
@@ -248,9 +251,10 @@ def _chord_pose(qx: float, qy: float, alpha: float) -> Pose | None:
     return Pose(x, y, 2.0 * alpha - math.pi) if math.isfinite(x) and math.isfinite(y) else None
 
 
-def _analytic_map(pose: Pose, t: tuple, geometry: ManipulatorGeometry, matrices=None):
-    """(J = A^-1 B with its position rows in units of the scale, that unit
-    column) of ``matrices``, built here unless given; raises
+def _analytic_map(pose: Pose, t: tuple, geometry: ManipulatorGeometry, matrices=None) -> list:
+    """The columns of J = A^-1 B, position rows in units of the scale, of
+    ``matrices``, built here unless given; B is diagonal, so column l is
+    rho_l A^-1 e_l, each by :func:`_cramer`.  Raises
     :class:`SingularNearbyError` when A is parallel singular."""
     if matrices is None:
         from .jacobians import build_matrices
@@ -260,17 +264,23 @@ def _analytic_map(pose: Pose, t: tuple, geometry: ManipulatorGeometry, matrices=
         raise SingularNearbyError(
             f"det A = {matrices.det_a:.3e}: too close to a parallel singularity"
         )
-    unit = np.array([[geometry.scale], [geometry.scale], [1.0]])
-    return np.linalg.solve(matrices.a_matrix, matrices.b_matrix) / unit, unit
+    a, s = matrices.a_matrix.T.tolist(), geometry.scale
+    j = []
+    for leg, rho in enumerate(matrices.b_matrix.diagonal().tolist()):
+        dx, dy, dphi = _cramer(*a, [float(leg == k) for k in range(3)])
+        j.append((rho * dx / s, rho * dy / s, rho * dphi))
+    return j
 
 
-def _relative_error(numeric: np.ndarray, analytic: np.ndarray) -> float:
-    denom = float(np.linalg.norm(analytic))
+def _relative_error(numeric: list, analytic: list) -> float:
+    """||numeric - analytic||_F / ||analytic||_F of two lists of columns."""
+    denom = math.hypot(*(v for column in analytic for v in column))
     if denom == 0.0:
         # Fully serial posture: the analytic map vanishes identically, so
         # the relative error is undefined; report the absolute norm.
-        return float(np.linalg.norm(numeric))
-    return float(np.linalg.norm(numeric - analytic) / denom)
+        return math.hypot(*(v for column in numeric for v in column))
+    gaps = (u - v for pair in zip(numeric, analytic) for u, v in zip(*pair))
+    return math.hypot(*gaps) / denom
 
 
 def jacobian_fd_check(
@@ -282,9 +292,10 @@ def jacobian_fd_check(
     """Relative error between the analytic velocity map and finite differences.
 
     Columns of J = A^-1 B are compared against central differences of the
-    pose re-solved (full Newton, tight tolerance) after perturbing each
-    actuated angle by +-step.  Returns ||J_fd - J||_F / ||J||_F, with the
-    position rows of both in units of the scale.
+    pose re-solved after perturbing each actuated angle by +-step, by the
+    scan's Newton (Cramer's rule on floats) to 1e-14 times the scale.
+    Returns ||J_fd - J||_F / ||J||_F, with the position rows of both in
+    units of the scale.
 
     Raises :class:`SingularNearbyError` when the configuration is parallel
     singular or a perturbed re-solve fails to converge; FD columns are
@@ -293,31 +304,14 @@ def jacobian_fd_check(
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
-    t = _as_angles(theta)
-    analytic, unit = _analytic_map(pose, t, geometry)
-
+    t, s, width = _as_angles(theta), geometry.scale, 2.0 * step
+    analytic = _analytic_map(pose, t, geometry)
     columns = []
     for leg in range(3):
-        shifted = []
-        for sign in (1.0, -1.0):
-            tp = list(t)
-            tp[leg] += sign * step
-            solved, _ = _newton_polish(
-                (pose.x, pose.y, pose.phi),
-                (tp[0], tp[1], tp[2]),
-                geometry,
-                tol=1e-14 * geometry.scale,
-            )
-            if solved is None:
-                raise SingularNearbyError(
-                    f"perturbed solve failed for leg {leg + 1} (step {sign * step:+.1e})"
-                )
-            shifted.append(solved)
-        plus, minus = shifted
-        dphi = math.remainder(plus[2] - minus[2], math.tau)
-        columns.append((plus[0] - minus[0], plus[1] - minus[1], dphi))
-    fd = np.array(columns).T / (2.0 * step) / unit
-    return _relative_error(fd, analytic)
+        plus, minus = [_resolved(pose, t, leg, shift, geometry) for shift in (step, -step)]
+        dx, dy, dphi = (a - b for a, b in zip(plus, minus))
+        columns.append((dx / width / s, dy / width / s, math.remainder(dphi, math.tau) / width))
+    return _relative_error(columns, analytic)
 
 
 def jacobian_cs_check(
@@ -338,44 +332,38 @@ def jacobian_cs_check(
 def _jacobian_cs_error(pose: Pose, t: tuple, geometry: ManipulatorGeometry, matrices=None) -> float:
     """:func:`jacobian_cs_check` at checked angles ``t``, on the caller's
     ``build_matrices(pose, t, geometry)`` when it has them."""
-    analytic, _ = _analytic_map(pose, t, geometry, matrices)
+    analytic = _analytic_map(pose, t, geometry, matrices)
     columns = [_complex_step_column(pose, t, leg, geometry) for leg in range(3)]
-    return _relative_error(np.array(columns).T, analytic)
+    return _relative_error(columns, analytic)
 
 
 def _complex_step_column(pose: Pose, t: tuple, leg: int, geometry: ManipulatorGeometry) -> tuple:
-    """Column ``leg`` of J, position rows in units of the scale.
-
-    Newton from ``pose`` on Python complex numbers, by Cramer's rule on the
-    columns (sin t_i), (-cos t_i) and d/dphi, until every residual's real
-    part is below 1e-14 s and its imaginary part over h below 1e-14 s times
-    the column's size.  Raises :class:`SingularNearbyError` when it fails.
-    """
+    """Column ``leg`` of J, position rows in units of the scale: Im / h of
+    the pose re-solved after moving theta_leg by i h."""
     # h^2 vanishes beside 1, and h times any column stays far above underflow.
-    h, tol = 1e-30, 1e-14 * geometry.scale
-    angles = [complex(a) for a in t]
-    angles[leg] += 1j * h
-    rows = [(s, c, (v.x, v.y)) for (c, s), v in zip(map(_cos_sin, angles), geometry.anchors)]
-    sin_t, neg_cos_t = [r[0] for r in rows], [-r[1] for r in rows]
-    x, y, phi = complex(pose.x), complex(pose.y), complex(pose.phi)
-    for _ in range(NEWTON_MAX_ITER):
-        c, s = _cos_sin(phi)
-        res = _residual_rows(_anchor_offsets(x, y, c, s, geometry), rows)
-        column = (x.imag / (h * geometry.scale), y.imag / (h * geometry.scale), phi.imag / h)
-        gate = tol * max(1.0, *map(abs, column))
-        if all(abs(r.real) < tol and abs(r.imag) / h < gate for r in res):
-            return column
-        turn = [st * (-s * bx - c * by) - ct * (c * bx - s * by) for st, ct, (bx, by) in rows]
-        det = _triple(sin_t, neg_cos_t, turn)
-        x -= _triple(res, neg_cos_t, turn) / det
-        y -= _triple(res, turn, sin_t) / det
-        phi -= _triple(res, sin_t, neg_cos_t) / det
-    raise SingularNearbyError(f"complex-step solve failed for leg {leg + 1}")
+    h = 1e-30
+    x, y, phi = _resolved(pose, [complex(a) for a in t], leg, 1j * h, geometry)
+    return (x.imag / (h * geometry.scale), y.imag / (h * geometry.scale), phi.imag / h)
 
 
-def _cos_sin(z: complex) -> tuple[complex, complex]:
-    """cos z and sin z of a finite z, bit for bit as ``cmath`` gives them;
-    loading that extension module raised a process's peak RSS by 0.3 MB."""
+def _resolved(pose: Pose, t, leg: int, shift, geometry: ManipulatorGeometry) -> tuple:
+    """``pose`` re-solved by :func:`_newton_polish` to 1e-14 s after moving
+    t_leg by ``shift``, real or imaginary; raises :class:`SingularNearbyError`
+    when Newton fails."""
+    moved = list(t)
+    moved[leg] += shift
+    solved, _ = _newton_polish(pose.as_tuple(), moved, geometry, tol=1e-14 * geometry.scale)
+    if solved is None:
+        raise SingularNearbyError(f"re-solve failed for leg {leg + 1}, theta moved by {shift!r}")
+    return solved
+
+
+def _cos_sin(z):
+    """cos z and sin z of a float by ``math``, or of a finite complex z bit for
+    bit as ``cmath`` gives them; loading that extension module raised a
+    process's peak RSS by 0.3 MB."""
+    if not isinstance(z, complex):
+        return math.cos(z), math.sin(z)
     cos, sin, cosh, sinh = math.cos(z.real), math.sin(z.real), math.cosh(z.imag), math.sinh(z.imag)
     return complex(cos * cosh, -sin * sinh), complex(sin * cosh, cos * sinh)
 
@@ -387,3 +375,12 @@ def _triple(p: list, q: list, r: list) -> complex:
         + p[1] * (q[2] * r[0] - q[0] * r[2])
         + p[2] * (q[0] * r[1] - q[1] * r[0])
     )
+
+
+def _cramer(p: list, q: list, r: list, b: list) -> tuple | None:
+    """z with z0 p + z1 q + z2 r = b by Cramer's rule, on floats or complex
+    numbers, or None when det [p q r] is 0."""
+    det = _triple(p, q, r)
+    if det == 0:
+        return None
+    return (_triple(b, q, r) / det, _triple(b, r, p) / det, _triple(b, p, q) / det)

@@ -151,17 +151,26 @@ PINNED_POSES = {
 # cyclic leg pair of a C3 relabeling instead of on legs 1 and 2, after
 # test_geometric_dkp_solves_parallel_legs_1_and_2 passed: 52 of the 110
 # results changed, kinds, pose counts, coincident flags, m and n stayed, and
-# no second pose moved by more than 3.6e-15 in units of the scale.
+# no second pose moved by more than 3.6e-15 in units of the scale.  The
+# "bruteforce" digests were re-captured when the oracle's Newton began to
+# solve each step by Cramer's rule on Python floats, with math's cos and sin,
+# instead of by LAPACK, after the tests of that step against LAPACK passed:
+# of the 55 results only the two near-Reuleaux special triples changed.
+# (1, 1 + pi/3 + 1e-6, 1 - pi/3) kept its kind and count, and its second pose
+# moved by 2.4e-11 in units of the scale.  The continuum of
+# (0, 1.04719755, -1.04719755) samples one second pose where it sampled two
+# 6.7e-8 apart; in 50-digit arithmetic all three polish to one root, and the
+# new pose is the nearest of them to it (1.9e-8 in phi).
 PINNED_DK = {
     1.0: {
         "closed": "3846faf8e6269e388d0343d25304d0dbf1f1c1142d07277caa3540eb248e046e",
         "geometric": "4dc6ad13394d4aadf4cb4385e32564fec7daa1b9a6490759559fce96e50440b3",
-        "bruteforce": "a591914b80a281a655a4bb5a2e830252ca83c0ecbb350aa25b37706e196c1f53",
+        "bruteforce": "2cf18675791ad455c9e04647bf9336e2fcf4e1b136a7e631099a290f6781431b",
     },
     2.0: {
         "closed": "31a73535e475071b7571f919970eca75beb35b3e6b905c886ff51be83db12dee",
         "geometric": "d3ea2c4d5a25eb7f6b8c8ef4e4908cec17f297eaea7055db34e717eaf10d13f2",
-        "bruteforce": "0b6615b5271829aec871435423fef7ab76e02c2b52ababff6c89c805fabf7717",
+        "bruteforce": "d51245a65b02c6e4b092800c86067b5a7d27b5570be6428908432a364ab95d3e",
     },
 }
 
@@ -345,10 +354,14 @@ def _fd_digest(scale):
 
 # Captured before the oracle's scan and Newton loops were rewritten; the
 # scale-2 digest re-captured when the check began to measure J's position
-# rows in units of the scale, which makes it equal the scale-1 digest.
+# rows in units of the scale, which makes it equal the scale-1 digest.  Both
+# were re-captured when the re-solves and J = A^-1 B moved from LAPACK to
+# Cramer's rule on floats and the norms to math.hypot: every outcome kept its
+# kind, no checked error moved by more than 5.1e-6 of itself, and a failed
+# re-solve now reads "re-solve failed for leg 1, theta moved by -1.0".
 PINNED_FD = {
-    1.0: "dce455677a2b16eff09408b392af91844198aa13f0392a134fc6b185163e29ee",
-    2.0: "dce455677a2b16eff09408b392af91844198aa13f0392a134fc6b185163e29ee",
+    1.0: "de4ea6beb3ec6ae992f1d43fe2b4bf37581372bbfc76cf02c91a4b7e688fbfa0",
+    2.0: "de4ea6beb3ec6ae992f1d43fe2b4bf37581372bbfc76cf02c91a4b7e688fbfa0",
 }
 
 
@@ -571,10 +584,13 @@ def _verify_digest(capsys):
 # --scope all digests were re-captured when the jacobian scope moved from
 # central differences to the complex step, which renamed its worst metric
 # max_jacobian_error and changed its value; the dkp and curves scopes kept
-# their output.
+# their output.  They were re-captured again when the oracle's Newton and
+# J = A^-1 B moved from LAPACK to Cramer's rule on floats: exit codes, pass
+# flags and every other field stayed, and only max_jacobian_error moved, by
+# at most 51% of itself, all values below 9e-14.
 PINNED_VERIFY = {
-    1.0: "d0d41bc5210db8c6d37b8cfc2022aca477cb5d5d4d71e6eb4da9f4ed951dddfb",
-    2.0: "7fd19f110f9586dc0f1ac7d7d251760b1c70e4bc69faa13a1a0eaa5eb272f9d6",
+    1.0: "8819778a179d0894d21e1c5612dbe79b4898d42ea3066b0073a96ae694c112c7",
+    2.0: "f21933d302356ed08f37ae976235480512a8b639274a8fed61a79a1faff870e4",
     "csv": "43847bb43069919a8b4469ad8e7d731a8a63046e29614ad8a15eaee4a50ffc03",
 }
 
