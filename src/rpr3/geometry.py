@@ -296,7 +296,12 @@ def _best_pair(t) -> tuple[int, int, int]:
     """0-based legs (i, j, k) of checked angles: of the pairs (1, 2), (2, 3)
     and (3, 1), in that order, the first with the largest |sin(t_j - t_i)|,
     listed with i < j, and the leg k left out."""
-    return max(((0, 1, 2), (1, 2, 0), (0, 2, 1)), key=lambda p: abs(math.sin(t[p[1]] - t[p[0]])))
+    s12 = abs(math.sin(t[1] - t[0]))
+    s23 = abs(math.sin(t[2] - t[1]))
+    s31 = abs(math.sin(t[2] - t[0]))
+    if s23 > s12:
+        return (0, 2, 1) if s31 > s23 else (1, 2, 0)
+    return (0, 2, 1) if s31 > s12 else (0, 1, 2)
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ def _check_configuration(x: float, y: float, scale: float, det_b: float, *residu
     """Raise :class:`InconsistentStateError` when a residual passes the gate
     max(CONSISTENCY_TOL * scale, FAR_POSE_TOL * max(|x|, |y|)) at position
     (x, y), then :class:`GeometryError` when det B overflows."""
-    worst = max(abs(r) for r in residuals)
+    worst = max(map(abs, residuals))
     # The gate is never below CONSISTENCY_TOL * scale: most calls stop there.
     if worst > CONSISTENCY_TOL * scale:
         tol = max(CONSISTENCY_TOL * scale, FAR_POSE_TOL * max(abs(x), abs(y)))
@@ -257,7 +257,7 @@ class SingularityKind(Enum):
 _SINGULARITY_KINDS = tuple(SingularityKind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SingularityReport:
     """Classification of one configuration.
 
@@ -273,6 +273,15 @@ class SingularityReport:
     zero_rho_legs: tuple[int, ...]
     intersection_point: Vec2 | None = None
     translation_case: bool = False
+
+    def __init__(
+        self, kind, det_a, det_b, zero_rho_legs, intersection_point=None, translation_case=False
+    ) -> None:
+        # One store per field and no checks, as in solvers.IkSolution.
+        fields = self.__dict__
+        fields["kind"], fields["det_a"], fields["det_b"] = kind, det_a, det_b
+        fields["zero_rho_legs"], fields["intersection_point"] = zero_rho_legs, intersection_point
+        fields["translation_case"] = translation_case
 
 
 def classify_singularity(

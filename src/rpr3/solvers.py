@@ -82,7 +82,9 @@ _TRIVIAL = Pose(0.0, 0.0, 0.0)
 _REULEAUX_GAP = math.pi / 3.0
 
 
-@dataclass(frozen=True)
+# The result records store each field once, as the value objects do, and take
+# the values their solver computed without a check; the fields give the types.
+@dataclass(frozen=True, init=False)
 class IkSolution:
     """Inverse-kinematics result for one branch selection.
 
@@ -95,9 +97,14 @@ class IkSolution:
     legs: tuple[LegState, LegState, LegState]
     branch: tuple[int, int, int]
 
+    def __init__(self, legs, branch) -> None:
+        fields = self.__dict__
+        fields["legs"], fields["branch"] = legs, branch
+
     @property
     def angles(self) -> JointAngles:
-        return JointAngles(*(leg.theta for leg in self.legs))
+        l1, l2, l3 = self.legs
+        return JointAngles(l1.theta, l2.theta, l3.theta)
 
     def rhos(self) -> tuple[float, float, float]:
         l1, l2, l3 = self.legs
@@ -189,7 +196,7 @@ class LineDescriptor:
     direction: Vec2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DkSolutionSet:
     """Direct-kinematics output.
 
@@ -211,6 +218,11 @@ class DkSolutionSet:
     n: float
     continuum: LineDescriptor | None = None
     coincident: bool = False
+
+    def __init__(self, kind, poses, m, n, continuum=None, coincident=False) -> None:
+        fields = self.__dict__
+        fields["kind"], fields["poses"], fields["m"], fields["n"] = kind, poses, m, n
+        fields["continuum"], fields["coincident"] = continuum, coincident
 
 
 def mn_coefficients(theta: JointAngles | Sequence[float]) -> tuple[float, float]:

@@ -29,6 +29,8 @@ def _calls():
         theta = inverse_kinematics(pose).angles
         calls += [
             (f"ik{k}", lambda p=pose: inverse_kinematics(p, branch=(0, 1, 0))),
+            # pose-stream's hand-off from IK to the singularity report and DK
+            (f"angles{k}", lambda p=pose: inverse_kinematics(p, branch=(1, 0, 1)).angles.as_tuple()),
             (f"residuals{k}", lambda p=pose, t=theta: constraint_residuals(p, t)),
             (f"extensions{k}", lambda p=pose, t=theta: signed_extensions(p, t)),
             (f"matrices{k}", lambda p=pose, t=theta: build_matrices(p, t)),

@@ -31,6 +31,8 @@ from rpr3.geometry import (
     signed_extensions,
 )
 from rpr3.jacobians import (
+    SingularityKind,
+    SingularityReport,
     build_matrices,
     build_matrices_array,
     classify_singularity,
@@ -38,9 +40,13 @@ from rpr3.jacobians import (
 )
 from rpr3.oracle import dkp_bruteforce, jacobian_fd_check
 from rpr3.solvers import (
+    DkKind,
+    DkSolutionSet,
+    IkSolution,
     classify_dk_degeneracy,
     classify_dk_degeneracy_array,
     direct_kinematics,
+    inverse_kinematics,
     mn_coefficients,
 )
 
@@ -103,6 +109,49 @@ def test_normalize_angle_shortcut_matches_the_fold_bit_for_bit():
 )
 def test_best_pair_takes_the_first_pair_in_cycle_order_on_a_tie(theta, pair):
     assert geometry._best_pair(theta) == pair
+
+
+def _best_pair_by_max(t):
+    """The reference: the first of the three pairs in cycle order with the
+    largest |sin|, as ``max`` with a key picks it."""
+    return max(((0, 1, 2), (1, 2, 0), (0, 2, 1)), key=lambda p: abs(math.sin(t[p[1]] - t[p[0]])))
+
+
+def _near_ties(rng, count):
+    """Triples on which two of the three gaps are d and d moved by up to 3
+    ulps, for each pair of pairs, and triples spread by 2 pi / 3."""
+    out = []
+    for a, d in rng.uniform(-math.pi, math.pi, (count, 2)).tolist():
+        for k in range(-3, 4):
+            e = d
+            for _ in range(abs(k)):
+                e = math.nextafter(e, math.copysign(math.inf, k))
+            out += [(a, a + d, a + d + e), (a, a + d, a - e), (a, a + d + e, a + d)]
+        out.append((a, a + 2.0 * math.pi / 3.0, a - 2.0 * math.pi / 3.0))
+    return out
+
+
+def _tie_orbit(t):
+    """``t``, its two C3 images and the mirrors of all three, as dk takes them."""
+    def c3(u):
+        return tuple(normalize_angle(a + 2.0 * math.pi / 3.0) for a in (u[2], u[0], u[1]))
+
+    def mirror(u):
+        return tuple(normalize_angle(math.pi - a) for a in (u[1], u[0], u[2]))
+
+    images = [t, c3(t), c3(c3(t))]
+    return images + [mirror(u) for u in images]
+
+
+def test_best_pair_matches_the_max_over_the_cycle():
+    rng = np.random.default_rng(35)
+    uniform = [tuple(row) for row in rng.uniform(-math.pi, math.pi, (20_000, 3)).tolist()]
+    near = _near_ties(rng, 500)
+    for t in uniform + near + _tie_orbit((0.3, 0.3, 1.0)):
+        assert geometry._best_pair(t) == _best_pair_by_max(t), t
+    # The near-tie draws hold exact ties of |sin| as well as gaps a few ulps apart.
+    sines = [sorted(abs(math.sin(t[j] - t[i])) for i, j in ((0, 1), (1, 2), (0, 2))) for t in near]
+    assert sum(s[1] == s[2] or s[0] == s[1] for s in sines) > 100
 
 
 def test_angle_difference_wraps():
@@ -412,6 +461,64 @@ def test_value_objects_are_frozen_hashable_and_copyable(cls):
     for copied in (copy.copy(obj), pickle.loads(pickle.dumps(obj))):
         assert type(copied) is cls and copied == obj and hash(copied) == hash(obj)
         assert all(_same(getattr(copied, n), v) for n, v in zip(names, values))
+        assert repr(copied) == repr(obj)
+
+
+def _record_cases():
+    """Per result record: its field names, two sets of field values that
+    differ in every field, and the defaults of its optional fields."""
+    ik = inverse_kinematics(Pose(0.4, 0.3, 0.2), branch=(0, 1, 0))
+    other_ik = inverse_kinematics(Pose(-0.2, 0.5, 1.0), branch=(1, 1, 0))
+    dk = direct_kinematics((0.2, 0.9, 2.0))
+    line = direct_kinematics((0.1, 0.1 + math.pi / 3.0, 0.1 - math.pi / 3.0)).continuum
+    return {
+        IkSolution: (("legs", "branch"), (ik.legs, ik.branch), (other_ik.legs, other_ik.branch), {}),
+        SingularityReport: (
+            ("kind", "det_a", "det_b", "zero_rho_legs", "intersection_point", "translation_case"),
+            (SingularityKind.PARALLEL, 1e-12, 0.25, (), Vec2(0.1, -0.2), False),
+            (SingularityKind.BOTH, -3e-11, -0.5, (2,), None, True),
+            {"intersection_point": None, "translation_case": False},
+        ),
+        DkSolutionSet: (
+            ("kind", "poses", "m", "n", "continuum", "coincident"),
+            (dk.kind, dk.poses, dk.m, dk.n, None, False),
+            (DkKind.CONTINUUM_REULEAUX, dk.poses[:1], -dk.m, 0.5, line, True),
+            {"continuum": None, "coincident": False},
+        ),
+    }
+
+
+_RECORDS = _record_cases()
+
+
+@pytest.mark.parametrize("cls", list(_RECORDS), ids=lambda cls: cls.__name__)
+def test_result_records_are_frozen_hashable_and_copyable(cls):
+    names, values, others, defaults = _RECORDS[cls]
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    obj = cls(*values)
+    assert cls(**dict(zip(names, values))) == obj
+    assert all(getattr(obj, n) is v for n, v in zip(names, values))
+    required = len(names) - len(defaults)
+    short = cls(*values[:required])
+    assert {n: getattr(short, n) for n in names[required:]} == defaults
+    assert all(type(getattr(short, n)) is type(v) for n, v in defaults.items())
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+    assert tuple(getattr(obj, name) for name in names) == values
+    assert repr(obj) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+    twin = cls(*values)
+    assert twin == obj and hash(twin) == hash(obj) == hash(values)
+    assert obj != values
+    for k, (name, other) in enumerate(zip(names, others)):
+        moved = dataclasses.replace(obj, **{name: other})
+        assert type(moved) is cls and moved != obj
+        assert moved == cls(*values[:k], other, *values[k + 1:])
+        assert all(getattr(moved, n) is (other if n == name else v) for n, v in zip(names, values))
+    for copied in (copy.copy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(copied) is cls and copied == obj and hash(copied) == hash(obj)
         assert repr(copied) == repr(obj)
 
 
