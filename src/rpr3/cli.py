@@ -88,6 +88,7 @@ _ANGLE_AXES = {"t1", "t2", "t3", "phi"}
 # Most points a sweep grid or a trace may have, checked before any array
 # exists.
 MAX_GRID_POINTS = 10**6
+MAX_SVG_AXIS_POINTS = 4000  # per swept axis of a sweep --svg page; its locus grows with each
 
 
 class _UsageError(Exception):
@@ -595,6 +596,8 @@ def _cmd_sweep(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
     swept = [i for i, a in enumerate(axes) if len(a) > 1]
     if args.svg and len(swept) != 2:
         raise _UsageError("--svg requires exactly two swept axes")
+    if args.svg and max(map(len, axes)) > MAX_SVG_AXIS_POINTS:
+        raise _UsageError(f"--svg: a swept axis has at most {MAX_SVG_AXIS_POINTS} samples")
     if math.prod(len(a) for a in axes) > MAX_GRID_POINTS:
         raise _UsageError(f"a sweep grid has at most {MAX_GRID_POINTS} points")
     locus = _sweep_locus(args.space == "joint", axes, geom) if args.svg else None

@@ -47,6 +47,7 @@ def run_json(capsys, *argv):
     assert code == 0, err
     payload = strict_json(out)
     assert payload["schema"] == 1
+    assert payload["command"] == argv[0]
     return payload
 
 
@@ -57,7 +58,6 @@ def test_ik_single_branch(capsys):
     payload = run_json(
         capsys, "ik", "--x", "0.5", "--y", str(SQRT3 / 6.0), "--phi", "0", "--branch", "000"
     )
-    assert payload["command"] == "ik"
     (solution,) = payload["solutions"]
     assert solution["branch"] == "000"
     legs = solution["legs"]
@@ -827,7 +827,6 @@ def test_sweep_svg_labels_angle_axes_in_the_unit_given(tmp_path, capsys):
 
 def test_verify_all_scopes_pass(capsys):
     payload = run_json(capsys, "verify", "--trials", "5", "--seed", "1")
-    assert payload["command"] == "verify"
     assert (payload["seed"], payload["trials"]) == (1, 5)
     # Each scope passed, with its worst metric within the scope's threshold.
     assert payload["scopes"] == {
@@ -1227,7 +1226,9 @@ def test_verify_passes_where_central_differences_false_failed(capsys, scope, see
     # the complex-step columns are exact to rounding.
     code, out, err = run(capsys, "verify", "--scope", scope, "--trials", "200", "--seed", str(seed))
     assert (code, err) == (0, "")
-    assert strict_json(out)["scopes"]["jacobian"]["max_jacobian_error"] < 1e-10
+    payload = strict_json(out)
+    assert payload["command"] == "verify"
+    assert payload["scopes"]["jacobian"]["max_jacobian_error"] < 1e-10
 
 
 class _Draws:

