@@ -49,6 +49,7 @@ from .geometry import (
     ManipulatorGeometry,
     Pose,
     _leg_axis,
+    _leg_offsets,
     _libm,
     _place_anchors,
     load_geometry,
@@ -57,22 +58,25 @@ from .geometry import (
     pose_distance,
 )
 from .jacobians import (
+    _SINGULARITY_KINDS,
     FAR_POSE_TOL,
     SingularityKind,
     _is_parallel,
+    _kind_index,
+    _matrix_columns,
     _sweep_locus,
     build_matrices,
-    build_matrices_array,
     classify_singularity,
 )
 from .oracle import _jacobian_cs_error, dkp_bruteforce
 from .solvers import (
+    _DK_KINDS,
     _REULEAUX_GAP,
     DkKind,
-    classify_dk_degeneracy_array,
+    _aim_columns,
+    _continuum,
     direct_kinematics,
     inverse_kinematics,
-    inverse_kinematics_array,
 )
 from . import figio
 
@@ -89,6 +93,11 @@ _ANGLE_AXES = {"t1", "t2", "t3", "phi"}
 # exists.
 MAX_GRID_POINTS = 10**6
 MAX_SVG_AXIS_POINTS = 4000  # per swept axis of a sweep --svg page; its locus grows with each
+
+# The sweep's kind column: the label of each classifier index.
+_SINGULARITY_LABELS = np.array([kind.value for kind in _SINGULARITY_KINDS], dtype=object)
+_SERIAL = _SINGULARITY_KINDS.index(SingularityKind.SERIAL)
+_DK_LABELS = np.array([kind.value for kind in _DK_KINDS], dtype=object)
 
 
 class _UsageError(Exception):
@@ -485,11 +494,7 @@ def _cmd_trace(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
         _draw_base(canvas, geom)
         _draw_slider_axis(canvas, geom.base_anchor(1), t1)
         _draw_slider_axis(canvas, geom.base_anchor(2), t2)
-        canvas.polyline(
-            curve.b3.tolist(),
-            stroke="#c02020",
-            width=0.015,
-        )
+        canvas.polyline(curve.b3, stroke="#c02020", width=0.015)
         if curve.degenerate:
             end_a, end_b = curve.segment
             canvas.line(
@@ -602,33 +607,37 @@ def _cmd_sweep(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
         raise _UsageError(f"a sweep grid has at most {MAX_GRID_POINTS} points")
     locus = _sweep_locus(args.space == "joint", axes, geom) if args.svg else None
 
-    # Every grid point as one flat array per axis, last axis fastest: the
-    # order of the CSV rows.
-    grid = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    # The kernels run on the axes' sparse grid: each column varies along its
+    # own axes only, so trig runs once per axis value.  Their results ravel
+    # in C order, last axis fastest: the order of the CSV rows.
+    grid = np.meshgrid(*axes, indexing="ij", sparse=True)
     if args.space == "joint":
         # Joint grids are evaluated at the trivial assembly.
-        theta = np.stack(grid, axis=1)
-        x = y = phi = np.zeros(len(theta))
-        mats = build_matrices_array(x, y, phi, theta, geometry=geom)
-        det_a, det_b = mats.det_a, mats.det_b
-        kinds = classify_dk_degeneracy_array(theta)
+        theta, (x, y, phi) = grid, (0.0, 0.0, 0.0)
+        legs = _leg_offsets(x, y, phi, geom)
+        _, _, det_a, det_b = _matrix_columns(x, y, theta, legs, geom.scale)
+        labels = _DK_LABELS[_continuum(*theta)]
     else:
         x, y, phi = grid[0], grid[1], normalize_angles(grid[2])
-        theta, at_anchor = inverse_kinematics_array(x, y, phi, geometry=geom)
-        ok = ~at_anchor
-        mats = build_matrices_array(x[ok], y[ok], phi[ok], theta[ok], geometry=geom)
-        # A pose on a base anchor has undefined angles and is serial singular.
-        det_a = np.full(len(x), math.nan)
-        det_a[ok] = mats.det_a
-        det_b = np.zeros(len(x))
-        det_b[ok] = mats.det_b
-        kinds = np.full(len(x), SingularityKind.SERIAL, dtype=object)
-        kinds[ok] = mats.singularity_kinds()
+        legs = _leg_offsets(x, y, phi, geom)
+        theta, at_anchor = _aim_columns(legs, geom.scale)
+        # A pose on a base anchor passes the consistency check: its angles
+        # come from its own offsets, and a leg shorter than ANCHOR_TOL * scale
+        # keeps its det B finite.  Its rows are masked after: their angles are
+        # undefined, and the pose is serial singular.
+        _, rhos, det_a, det_b = _matrix_columns(x, y, theta, legs, geom.scale)
+        index = np.where(at_anchor, _SERIAL, _kind_index(det_a, rhos, geom.scale))
+        labels = _SINGULARITY_LABELS[index]
+        theta = [np.where(at_anchor, math.nan, t) for t in theta]
+        det_a, det_b = np.where(at_anchor, math.nan, det_a), np.where(at_anchor, 0.0, det_b)
 
     out = np.degrees if args.deg else np.asarray
-    table = np.column_stack((out(theta), x, y, out(phi), det_a, det_b))
+    columns = (*map(out, theta), x, y, out(phi), det_a, det_b)
+    table = np.empty((*det_a.shape, len(columns)))
+    for k, column in enumerate(columns):
+        table[..., k] = column
     header = ("theta1", "theta2", "theta3", "x", "y", "phi", "detA", "detB", "kind")
-    count = figio.write_csv(args.csv, header, table, (kind.value for kind in kinds))
+    count = figio.write_csv(args.csv, header, table.reshape(-1, len(columns)), labels.ravel())
 
     if args.svg:
         _write_sweep_svg(args, axes, swept, axis_names, locus)
@@ -650,7 +659,7 @@ def _write_sweep_svg(args, axes, swept, axis_names, locus) -> None:
     for piece in locus:
         # Into the viewBox, each axis's first value at lo.
         points = lo + (hi - lo) * (piece - first) / (last - first)
-        canvas.polyline(points.tolist(), stroke="#c02020", width=0.012)
+        canvas.polyline(points, stroke="#c02020", width=0.012)
     for i, drop in zip(swept, (0.15, 0.3)):
         name, axis = axis_names[i], axes[i]
         if args.deg and name in _ANGLE_AXES:  # labelled in the unit given

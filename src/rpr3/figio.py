@@ -1,9 +1,11 @@
 """CSV and SVG artifact writers for the command-line workbench.
 
 Everything here is deliberately dependency-free and deterministic: floats
-are written with 17 significant digits in CSV (round-trip exact; a block of
-rows at a time, each distinct bit pattern of a block formatted once) and 10
-in SVG coordinates; element order follows insertion order.  Figures share one
+are written with 17 significant digits in CSV (round-trip exact) and 10 in
+SVG coordinates; element order follows insertion order.  Both write in bulk:
+a CSV block's distinct bit patterns, and a polyline's coordinates, go
+through one ``%`` call each, and a CSV row, label included, is one join;
+the bytes are those of formatting each value on its own.  Figures share one
 fixed viewBox spanning [-1.5, 2.5] in both axes (mathematical orientation,
 y up), which covers the unit-scale mechanism with margin.  Curves arrive as
 exact points (a sweep page's singularity locus comes from
@@ -40,8 +42,10 @@ def write_csv(
     ``table``, each float with 17 significant digits; ``labels``, when
     given, is one more column of n strings, written unquoted.
 
-    Each distinct bit pattern of a block of rows is formatted once; the
-    bytes equal per-cell ``"%.17g"``.  Returns the number of rows written.
+    The distinct bit patterns of a block of rows are formatted in one ``%``
+    call, and each row, label included, is one join; the bytes equal
+    per-cell ``"%.17g"``.  Returns the number of rows written; a label count
+    other than the row count raises ``ValueError``.
     """
     table = np.asarray(table, dtype=np.float64)
     tail = None if labels is None else iter(labels)
@@ -51,11 +55,13 @@ def write_csv(
             block = table[start : start + _BLOCK_ROWS]
             # Bit patterns, not values: -0.0 and 0.0, and each NaN, stay apart.
             bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-            text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-            rows = map(",".join, text[inverse.reshape(block.shape)].tolist())
-            if tail is not None:
-                rows = map(",".join, zip(rows, islice(tail, len(block)), strict=True))
-            fh.write("\r\n".join(rows) + "\r\n")
+            values = bits.view(np.float64).tolist()
+            text = np.array(("%.17g\n" * len(values) % tuple(values)).splitlines(), dtype=object)
+            cells = text[inverse.reshape(block.shape)]
+            if tail is not None:  # too few labels fail to stack: ValueError
+                names = np.array(list(islice(tail, len(block))), dtype=object)
+                cells = np.column_stack((cells, names))
+            fh.write("\r\n".join(map(",".join, cells.tolist())) + "\r\n")
         if tail is not None and any(True for _ in tail):
             raise ValueError("write_csv: more labels than table rows")
     return len(table)
@@ -95,12 +101,16 @@ class SvgCanvas:
 
     def polyline(
         self,
-        points: Iterable[tuple[float, float]],
+        points: np.ndarray | Sequence[tuple[float, float]],
         stroke: str = "#000000",
         width: float = 0.01,
         closed: bool = False,
     ) -> None:
-        coords = " ".join(f"{_num(x)},{_num(-y)}" for x, y in points)
+        """Line through ``points``, an (n, 2) array or a sequence of (x, y)."""
+        # Every coordinate in one "%.10g" call: the bytes of _num on each.
+        xy = np.array(points, dtype=float).reshape(-1, 2)
+        xy[:, 1] = -xy[:, 1]
+        coords = ("%.10g,%.10g " * len(xy))[:-1] % tuple(xy.ravel().tolist())
         tag = "polygon" if closed else "polyline"
         self._elements.append(
             f'<{tag} points="{coords}" fill="none" stroke="{stroke}"'

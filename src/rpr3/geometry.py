@@ -114,7 +114,7 @@ def angle_differences(a: np.ndarray, b: np.ndarray | float, period: float = TAU)
 
 
 def _libm(fn, *arrays: np.ndarray) -> np.ndarray:
-    """Elementwise ``math`` function of equal-shape arrays.
+    """Elementwise ``math`` function of arrays that broadcast together.
 
     The array kernels take sin, cos, atan2 and hypot from libm, as the
     scalar path does, so that both agree bit for bit on every platform.
@@ -122,16 +122,29 @@ def _libm(fn, *arrays: np.ndarray) -> np.ndarray:
     few percent of inputs, and its SIMD sin and cos are build dependent.
     """
     shape = np.shape(arrays[0])
+    # Most calls pass one shape; only a mismatch pays for broadcasting.
+    if any(np.shape(a) != shape for a in arrays[1:]):
+        arrays = np.broadcast_arrays(*arrays)
+        shape = arrays[0].shape
     flat = [np.ravel(a).tolist() for a in arrays]
     return np.fromiter(map(fn, *flat), dtype=float, count=len(flat[0])).reshape(shape)
 
 
 def _first_nonfinite(check, *columns: np.ndarray) -> None:
     """``check`` (a float guard against non-finite arguments) of the first row
-    holding one; array callers compute under ``np.errstate(over="ignore")``."""
-    bad = np.flatnonzero(~np.isfinite(columns).all(axis=0))
+    holding one, in C order over the columns' broadcast shape; array callers
+    compute under ``np.errstate(over="ignore")``."""
+    finite = np.isfinite(columns[0])
+    for column in columns[1:]:
+        finite = finite & np.isfinite(column)
+    bad = np.flatnonzero(~finite)
     if bad.size:
-        check(*(column[bad[0]].item() for column in columns))
+        check(*_row_of(bad[0], finite.shape, columns))
+
+
+def _row_of(k: int, shape, columns) -> list[float]:
+    """Row ``k`` in C order over ``shape`` of columns that broadcast to it."""
+    return [np.broadcast_to(c, shape).flat[k].item() for c in columns]
 
 
 def _finite(px: float, py: float) -> None:
@@ -145,8 +158,8 @@ def _finite_rho(rho: float, name: str = "rho") -> None:
 
 
 # The elementary functions and guards of a formula body shared by the scalar
-# API and the array kernels, on floats or elementwise on equal-shape columns;
-# a body picks its form once per call with :func:`_form`.
+# API and the array kernels, on floats or elementwise on columns that
+# broadcast together; a body picks its form once per call with :func:`_form`.
 _FLOATS = SimpleNamespace(
     cos=math.cos, sin=math.sin, atan2=math.atan2, hypot=math.hypot,
     angle_difference=angle_difference, finite_rho=_finite_rho,

@@ -45,6 +45,7 @@ from .geometry import (
     _leg_axis,
     _leg_columns,
     _leg_offsets,
+    _row_of,
     normalize_angle,
 )
 from .solvers import _mn
@@ -116,14 +117,16 @@ def _zero_legs(rhos, scale: float) -> tuple[int, ...]:
     return tuple(leg for leg, rho in enumerate(rhos, start=1) if _is_serial(rho, scale))
 
 
-def _check_rows(x, y, scale: float, det_b, *residuals: np.ndarray) -> None:
-    """Array form of :func:`_check_configuration`, run in order on each row
-    past the gate's floor or with det B overflowed."""
-    flagged = (np.abs(residuals) > CONSISTENCY_TOL * scale).any(axis=0) | ~np.isfinite(det_b)
+def _check_rows(x, y, scale: float, det_b, *residuals) -> None:
+    """Array form of :func:`_check_configuration` on columns that broadcast
+    together, run in C order on each row past the gate's floor or with det B
+    overflowed."""
+    flagged = ~np.isfinite(det_b)
+    for residual in residuals:
+        flagged = flagged | (np.abs(residual) > CONSISTENCY_TOL * scale)
     for k in np.flatnonzero(flagged).tolist():
-        _check_configuration(
-            x[k].item(), y[k].item(), scale, det_b[k].item(), *(r[k].item() for r in residuals)
-        )
+        row_x, row_y, row_det_b, *row = _row_of(k, flagged.shape, (x, y, det_b, *residuals))
+        _check_configuration(row_x, row_y, scale, row_det_b, *row)
 
 
 def _velocity_terms(x, y, theta, legs):
@@ -377,9 +380,8 @@ class KinematicMatricesArray:
     def singularity_kinds(self) -> np.ndarray:
         """(N,) object array of the :class:`SingularityKind` that
         :func:`classify_singularity` reports for each configuration."""
-        parallel = _is_parallel(self.det_a, self.scale)
-        serial = _is_serial(self.rhos, self.scale).any(axis=1)
-        return np.array(_SINGULARITY_KINDS, dtype=object)[parallel + 2 * serial]
+        index = _kind_index(self.det_a, self.rhos.T, self.scale)
+        return np.array(_SINGULARITY_KINDS, dtype=object)[index]
 
 
 def build_matrices_array(
@@ -397,16 +399,32 @@ def build_matrices_array(
     x, y, legs = _leg_columns(x, y, phi, geometry)
     t = np.asarray(theta, dtype=float).T
     _first_nonfinite(lambda *row: _as_angles(row), *t)
-    with np.errstate(over="ignore"):
-        rows, residuals, rhos, det_b = _velocity_terms(x, y, t, legs)
-        _check_rows(x, y, geometry.scale, det_b, *residuals)
+    rows, rhos, det_a, det_b = _matrix_columns(x, y, t, legs, geometry.scale)
     return KinematicMatricesArray(
         a_matrix=np.array(rows).transpose(2, 0, 1),
         rhos=np.stack(rhos, axis=1),
-        det_a=_det_a(rows),
+        det_a=det_a,
         det_b=det_b,
         scale=geometry.scale,
     )
+
+
+def _matrix_columns(x, y, t, legs, scale: float):
+    """(rows of A, rhos, det A, det B): the body of :func:`build_matrices_array`
+    on positions, angles ``t`` (one column per leg) and leg offsets whose
+    columns broadcast together, checked by :func:`_check_rows`."""
+    with np.errstate(over="ignore"):
+        rows, residuals, rhos, det_b = _velocity_terms(x, y, t, legs)
+        _check_rows(x, y, scale, det_b, *residuals)
+    return rows, rhos, _det_a(rows), det_b
+
+
+def _kind_index(det_a, rhos, scale: float):
+    """Index into ``_SINGULARITY_KINDS`` of each configuration, from columns
+    of det A and of each leg's rho that broadcast together."""
+    rho1, rho2, rho3 = rhos
+    serial = _is_serial(rho1, scale) | _is_serial(rho2, scale) | _is_serial(rho3, scale)
+    return _is_parallel(det_a, scale) + 2 * serial
 
 
 # ------------------------------------------------------------- sweep loci

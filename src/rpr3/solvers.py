@@ -156,13 +156,20 @@ def inverse_kinematics_array(
     :class:`LegAtAnchorError`, and their rows of ``theta`` are nan.
     """
     _, _, legs = _leg_columns(x, y, phi, geometry)
-    # Adding 0.0 turns atan2's -0.0 into the +0.0 the scalar path gets from
-    # adding its branch offset 0 * pi.
-    theta, _, at_anchor = zip(*_aim_legs(legs, (0.0, 0.0, 0.0), geometry.scale))
-    at_anchor = np.stack(at_anchor, axis=1).any(axis=1)
-    theta = normalize_angles(np.stack(theta, axis=1))
+    theta, at_anchor = _aim_columns(legs, geometry.scale)
+    theta = np.stack(theta, axis=1)
     theta[at_anchor] = math.nan
     return theta, at_anchor
+
+
+def _aim_columns(legs, scale: float):
+    """``(theta, at_anchor)``: the body of :func:`inverse_kinematics_array`
+    on leg offsets whose columns broadcast together, with each leg's angle
+    column normalized and not yet masked where ``at_anchor`` is set."""
+    # Adding 0.0 turns atan2's -0.0 into the +0.0 the scalar path gets from
+    # adding its branch offset 0 * pi.
+    theta, _, (stuck1, stuck2, stuck3) = zip(*_aim_legs(legs, (0.0, 0.0, 0.0), scale))
+    return [normalize_angles(t) for t in theta], stuck1 | stuck2 | stuck3
 
 
 def _aim_legs(legs, turns, scale: float):

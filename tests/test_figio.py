@@ -96,3 +96,64 @@ def test_write_csv_rejects_a_label_count_other_than_the_row_count(
         labels = (label for label in labels)
     with pytest.raises(ValueError):
         figio.write_csv(str(tmp_path / "got.csv"), ("a", "b", "kind"), table, labels)
+
+
+def _labels(kind, names):
+    if kind == "list":
+        return list(names)
+    if kind == "generator":
+        return (name for name in names)
+    return np.array(names, dtype=object)
+
+
+@pytest.mark.parametrize("kind", ["list", "generator", "object array"])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_write_csv_takes_labels_from_any_iterable(tmp_path, kind, extra):
+    table = _block_straddling_table()[: figio._BLOCK_ROWS + 5]
+    names = [("Regular", "Parallel", "Serial", "Both")[i % 4] for i in range(len(table))]
+    header = tuple("abcdefg") + ("kind",)
+    labels = _labels(kind, names + ["Both"] * extra if extra >= 0 else names[:extra])
+    got = tmp_path / "got.csv"
+    if extra:
+        with pytest.raises(ValueError):
+            figio.write_csv(str(got), header, table, labels)
+        return
+    _reference_csv(tmp_path / "want.csv", header, table, names)
+    assert figio.write_csv(str(got), header, table, labels) == len(table)
+    assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# Values at the edges of "%.10g": signed zeros, a subnormal, the largest
+# float, and values whose 10th significant digit rounds up, down or to even,
+# carries into a new digit or switches to exponent form.
+_SVG_EDGES = [
+    0.0, -0.0, 1e-320, -1e-320, 1.7976931348623157e308, -1.7976931348623157e308,
+    1.23456789049999, 1.23456789050001, 0.12345678995, 9.9999999995, 9.99999999949,
+    -9.9999999995, 99999.999995, 1e-05, 9.9999999999e-06, 1234567890.5, 12345678905.0,
+    0.5, -1.5, 2.5, 1.0 / 3.0,
+]
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_polyline_writes_each_coordinate_as_num(as_array, closed):
+    rng = np.random.default_rng(63)
+    xs = _SVG_EDGES + rng.uniform(-2.0, 3.0, 40).tolist()
+    ys = _SVG_EDGES[::-1] + rng.uniform(-2.0, 3.0, 40).tolist()
+    points = [(0.0, 0.0), (-0.0, -0.0), *zip(xs, ys)]
+    canvas = figio.SvgCanvas()
+    shape = np.array(points) if as_array else points
+    canvas.polyline(shape, stroke="#123456", width=0.5, closed=closed)
+    coords = " ".join(f"{figio._num(x)},{figio._num(-y)}" for x, y in points)
+    tag = "polygon" if closed else "polyline"
+    want = f'<{tag} points="{coords}" fill="none" stroke="#123456" stroke-width="0.5" />'
+    assert canvas._elements == [want]
+    assert want.startswith(f'<{tag} points="0,-0 -0,0 ')  # both zeros keep their signs
+
+
+def test_polyline_of_no_points_is_an_empty_list():
+    canvas = figio.SvgCanvas()
+    canvas.polyline([])
+    canvas.polyline(np.empty((0, 2)))
+    want = '<polyline points="" fill="none" stroke="#000000" stroke-width="0.01" />'
+    assert canvas._elements == [want, want]

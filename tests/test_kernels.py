@@ -6,15 +6,20 @@ significant digits, and its artifacts must not depend on which path ran.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from rpr3.errors import InconsistentStateError, LegAtAnchorError
+from rpr3.cli import _parse_axis, main
+from rpr3.errors import GeometryError, InconsistentStateError, LegAtAnchorError
+from rpr3.figio import write_csv
 from rpr3.geometry import (
     ManipulatorGeometry,
     Pose,
+    _first_nonfinite,
+    _libm,
     angle_difference,
     angle_differences,
     normalize_angle,
@@ -24,6 +29,7 @@ from rpr3.geometry import (
 )
 from rpr3.jacobians import (
     SingularityKind,
+    _check_rows,
     build_matrices,
     build_matrices_array,
     classify_singularity,
@@ -241,3 +247,143 @@ def test_kernels_accept_empty_batches():
     mats = build_matrices_array(empty, empty, empty, theta)
     assert mats.det_a.shape == (0,) and mats.singularity_kinds().shape == (0,)
     assert classify_dk_degeneracy_array(theta).shape == (0,)
+
+
+# ------------------------------------------------- broadcasting and guards
+
+
+@pytest.mark.parametrize(
+    "shapes", [((5,), (5,)), ((2, 1), (1, 3)), ((4,), (3, 4)), ((2, 1, 3), (1, 4, 1)), ((), (3,))]
+)
+@pytest.mark.parametrize("fn", [math.atan2, math.hypot])
+def test_libm_broadcasts_like_a_per_element_loop(shapes, fn):
+    rng = np.random.default_rng(15)
+    a, b = (rng.uniform(-3.0, 3.0, shape) for shape in shapes)
+    want = np.array([fn(p, q) for p, q in np.broadcast(a, b)]).reshape(np.broadcast_shapes(*shapes))
+    got = _libm(fn, a, b)
+    assert got.shape == want.shape
+    _assert_bit_equal(got, want)
+
+
+@pytest.mark.parametrize("shapes", [((2,), (5,)), ((2, 1), (3, 2))])
+def test_libm_refuses_shapes_that_do_not_broadcast(shapes):
+    with pytest.raises(ValueError):
+        _libm(math.atan2, *(np.ones(shape) for shape in shapes))
+
+
+def test_first_nonfinite_names_the_first_bad_row_in_c_order():
+    seen = []
+    a = np.arange(3.0).reshape(3, 1, 1)
+    b = np.zeros((1, 4, 2))
+    b[0, 3, 0] = math.inf  # rows (k, 3, 0) for every k
+    c = np.zeros((3, 4, 2))
+    c[2, 0, 1] = math.nan
+    c[1, 3, 1] = -math.inf  # after b's (1, 3, 0) in C order
+    _first_nonfinite(lambda *row: seen.append(row), a, b, c)
+    assert seen == [(0.0, math.inf, 0.0)]
+    seen.clear()
+    _first_nonfinite(lambda *row: seen.append(row), a, c)
+    assert seen == [(1.0, -math.inf)]
+    seen.clear()
+    _first_nonfinite(lambda *row: seen.append(row), a, np.zeros((1, 4, 2)))
+    assert seen == []
+
+
+def test_check_rows_raises_for_the_first_flagged_row_in_c_order():
+    # Columns along their own axes, as on a sparse grid: x along the first,
+    # y along the second, and one residual per leg varying on both or one.
+    x = np.array([0.1, 0.2, 0.3]).reshape(3, 1)
+    y = np.array([0.5, 0.6]).reshape(1, 2)
+    det_b = np.ones((3, 2))
+    r1 = np.zeros((3, 2))
+    r2 = np.zeros((1, 2))
+    r3 = np.zeros((3, 1))
+    r1[2, 0] = 1e-3
+    r3[1, 0] = -2e-3  # rows (1, 0) and (1, 1): first in C order
+    with pytest.raises(InconsistentStateError) as exc:
+        _check_rows(x, y, 1.0, det_b, r1, r2, r3)
+    assert exc.value.residuals == (0.0, 0.0, -2e-3)
+    r3[1, 0] = 0.0
+    with pytest.raises(InconsistentStateError) as exc:
+        _check_rows(x, y, 1.0, det_b, r1, r2, r3)
+    assert exc.value.residuals == (1e-3, 0.0, 0.0)
+    det_b[0, 1] = math.inf
+    with pytest.raises(GeometryError, match=r"det B overflows at x=0\.1, y=0\.6"):
+        _check_rows(x, y, 1.0, det_b, r1, r2, r3)
+    r1[2, 0] = 0.0
+    det_b[0, 1] = 1.0
+    _check_rows(x, y, 1.0, det_b, r1, r2, r3)
+
+
+# ------------------------------------- sweep pages on their sparse grids
+
+
+def _flat_page(space, axes, deg, geom):
+    """A sweep page's table and kind labels from the public kernels on the
+    flattened grid, one (N,) column per axis with every grid point in C
+    order; the sweep itself runs the same bodies on the axes' sparse grid."""
+    grid = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    if space == "joint":
+        theta = np.stack(grid, axis=1)
+        x = y = phi = np.zeros(len(theta))
+        mats = build_matrices_array(x, y, phi, theta, geometry=geom)
+        det_a, det_b = mats.det_a, mats.det_b
+        kinds = classify_dk_degeneracy_array(theta)
+    else:
+        x, y, phi = grid[0], grid[1], normalize_angles(grid[2])
+        theta, at_anchor = inverse_kinematics_array(x, y, phi, geometry=geom)
+        ok = ~at_anchor
+        mats = build_matrices_array(x[ok], y[ok], phi[ok], theta[ok], geometry=geom)
+        det_a = np.full(len(x), math.nan)
+        det_a[ok] = mats.det_a
+        det_b = np.zeros(len(x))
+        det_b[ok] = mats.det_b
+        kinds = np.full(len(x), SingularityKind.SERIAL, dtype=object)
+        kinds[ok] = mats.singularity_kinds()
+    out = np.degrees if deg else np.asarray
+    table = np.column_stack((out(theta), x, y, out(phi), det_a, det_b))
+    return table, [kind.value for kind in kinds]
+
+
+SPARSE_PAGES = {
+    "t1-t2": ("joint", ("--t1=-3:3:13", "--t2=-2:2.5:11", "--t3=0.7")),
+    "t1-t3": ("joint", ("--t1=-3:3:13", "--t2=0.4", "--t3=-3.1:3:9")),
+    "t2-t3": ("joint", ("--t1=-0.2", "--t2=-3:3:13", "--t3=-3.1:3:9")),
+    "t1-t2-t3": ("joint", ("--t1=-3:3:5", "--t2=-2:2:4", "--t3=-1:1:3")),
+    # Steps of 30 degrees: the translation and Reuleaux continua are rows.
+    "t2-t3-deg": ("joint", ("--deg", "--t1=0", "--t2=-180:180:13", "--t3=-180:180:13")),
+    # Steps of 0.25 from -0.5: (0, 0) puts leg 1 on its anchor.
+    "x-y": ("cartesian", ("--x=-0.5:1.5:9", "--y=-0.5:1.5:9", "--phi=0.3")),
+    "x-y-phi-zero": ("cartesian", ("--x=-0.5:1.5:9", "--y=-0.5:1.5:9", "--phi=0.0")),
+    "x-y-phi-minus-zero": ("cartesian", ("--x=-0.5:1.5:9", "--y=-0.5:1.5:9", "--phi=-0.0")),
+    "x-phi": ("cartesian", ("--x=-0.5:1.5:9", "--y=0.0", "--phi=-3:3:7")),
+    "y-phi": ("cartesian", ("--x=0.25", "--y=-1:1:9", "--phi=-3:7:7")),
+    "x-y-phi": ("cartesian", ("--x=0:1:5", "--y=0:1:5", "--phi=-3:3:5")),
+    "x-phi-deg": ("cartesian", ("--deg", "--x=-0.5:1.5:9", "--y=0", "--phi=-170:190:7")),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+@pytest.mark.parametrize("page", list(SPARSE_PAGES))
+def test_sweep_pages_equal_the_flattened_kernels(tmp_path, capsys, monkeypatch, page, scale):
+    space, flags = SPARSE_PAGES[page]
+    path = tmp_path / "geom.json"
+    path.write_text(json.dumps({"scale": scale}))
+    monkeypatch.setenv("RPR_GEOMETRY", str(path))
+    got = tmp_path / "got.csv"
+    assert main(["sweep", "--space", space, *flags, "--csv", str(got)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+
+    deg = "--deg" in flags
+    specs = dict(flag.lstrip("-").split("=") for flag in flags if flag != "--deg")
+    names = ("t1", "t2", "t3") if space == "joint" else ("x", "y", "phi")
+    axes = [_parse_axis(name, specs[name], deg) for name in names]
+    table, labels = _flat_page(space, axes, deg, ManipulatorGeometry(scale))
+    want = tmp_path / "want.csv"
+    header = ("theta1", "theta2", "theta3", "x", "y", "phi", "detA", "detB", "kind")
+    assert write_csv(str(want), header, table, labels) == rows == math.prod(map(len, axes))
+    assert got.read_bytes() == want.read_bytes()
+    if page == "t2-t3-deg":
+        assert {"ContinuumTranslation", "ContinuumReuleaux"} <= set(labels)
+    if space == "cartesian" and page.startswith("x-"):  # (0, 0): leg 1 on its anchor
+        assert "Serial" in labels and np.isnan(table[:, 0]).any()
