@@ -494,6 +494,16 @@ def cluster_poses(
     return kept
 
 
+def _pose_set_deviation(left, right, geometry: ManipulatorGeometry) -> float:
+    """Symmetric Hausdorff distance between two nonempty discrete pose sets."""
+    worst = 0.0
+    for src, dst in ((left, right), (right, left)):
+        for p in src:
+            best = min(pose_distance(p, q, geometry) for q in dst)
+            worst = max(worst, best)
+    return worst
+
+
 def load_geometry(path: str | os.PathLike[str]) -> ManipulatorGeometry:
     """Read a geometry description from a JSON file.
 

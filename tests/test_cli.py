@@ -1,15 +1,19 @@
 """End-to-end workbench behavior: flags, artifacts, exit codes."""
 
+import ast
 import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rpr3 import cli, coupler, jacobians, solvers
+from rpr3 import cli, coupler, jacobians, oracle, solvers, verify
 from rpr3.cli import main
 from rpr3.errors import ParallelSingularError
 from rpr3.geometry import (
@@ -893,7 +897,7 @@ def test_verify_flags_tampered_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("deg", [False, True], ids=["rad", "deg"])
-@pytest.mark.parametrize("column", range(8), ids=cli._trace_header(False))
+@pytest.mark.parametrize("column", range(8), ids=verify._trace_header(False))
 def test_verify_flags_a_one_cell_edit_in_any_column(tmp_path, capsys, column, deg):
     # theta1, theta2, phi, x, y, rho1, rho2 and scale: no cell of a row can
     # move by 1e-6 unseen, in either unit, and the FAIL line names the rule
@@ -1026,7 +1030,7 @@ def test_curves_trial_passes_a_drawn_curve_of_nearly_parallel_legs(t1):
     # 1.3e6 scale: one ulp of rho failed a closure gate of 1e-10 * scale.
     for scale in (1.0, 1.7):
         geometry = ManipulatorGeometry(scale)
-        assert cli._curves_trial(_PairRng((t1, t1 + 1.5e-6)), geometry) is not None
+        assert verify._curves_trial(_PairRng((t1, t1 + 1.5e-6)), geometry) is not None
 
 
 def test_trace_reports_and_writes_reduced_angles(tmp_path, capsys):
@@ -1164,8 +1168,8 @@ def _shifted_rho2(t1, t2, n_samples, geometry):
     return dataclasses.replace(curve, rho=curve.rho + (0.0, 0.01 * geometry.scale))
 
 
-# Each verify check, broken through the name the CLI calls it by, with the
-# start of the one FAIL line it must print.
+# Each verify check, broken through the name the verify module calls it by,
+# with the start of the one FAIL line it must print.
 _BROKEN_CHECKS = {
     "dkp-count": ("dkp", "dkp_bruteforce", _empty_scan, "dkp count mismatch at theta=("),
     "dkp-deviation": ("dkp", "dkp_bruteforce", _shifted_scan, "dkp deviation "),
@@ -1184,7 +1188,7 @@ _BROKEN_CHECKS = {
 @pytest.mark.parametrize("broken", sorted(_BROKEN_CHECKS))
 def test_verify_reports_a_failed_check(capsys, monkeypatch, broken):
     scope, name, fake, start = _BROKEN_CHECKS[broken]
-    monkeypatch.setattr(cli, name, fake)
+    monkeypatch.setattr(verify, name, fake)
     code, out, err = run(capsys, "verify", "--scope", scope, "--trials", "3", "--seed", "1")
     assert code == 4
     assert strict_json(out)["scopes"] == {scope: {"passed": False}}
@@ -1210,8 +1214,8 @@ def test_verify_jacobian_scope_catches_a_wrong_analytic_map(capsys, monkeypatch,
     # complex-step check.  Neither corruption moves det A, so the same draws
     # are checked: only the map under test is wrong, and the re-solved
     # columns must expose it.
-    real = cli.build_matrices
-    monkeypatch.setattr(cli, "build_matrices", lambda *a, **kw: corrupt(real(*a, **kw)))
+    real = verify.build_matrices
+    monkeypatch.setattr(verify, "build_matrices", lambda *a, **kw: corrupt(real(*a, **kw)))
     code, out, err = run(capsys, "verify", "--scope", "jacobian", "--trials", "20", "--seed", "3")
     assert code == 4
     assert strict_json(out)["scopes"] == {"jacobian": {"passed": False}}
@@ -1248,19 +1252,19 @@ def _must_not_run(*args, **kwargs):
 def test_jacobian_trial_skips_short_legs_and_parallel_singular_poses(monkeypatch):
     geom = DEFAULT_GEOMETRY
     # The regular pose is checked: its complex-step error is 8.0e-15.
-    err = cli._jacobian_trial(_Draws(0.3, 0.2, 0.1), geom)
+    err = verify._jacobian_trial(_Draws(0.3, 0.2, 0.1), geom)
     assert err is not None and 0.0 < err < 1e-12
     # Leg 1 is 0.02 long, under the 0.05 * scale floor: skipped before the
     # matrices are built.
-    monkeypatch.setattr(cli, "build_matrices", _must_not_run)
-    assert cli._jacobian_trial(_Draws(0.02, 0.0, 0.0), geom) is None
+    monkeypatch.setattr(verify, "build_matrices", _must_not_run)
+    assert verify._jacobian_trial(_Draws(0.02, 0.0, 0.0), geom) is None
     monkeypatch.undo()
     # A pose of the straight-line continuum of theta1 = 0 at phi = 0.5 (rho
     # = 0.40, 0.55, 0.15): det A vanishes, so the complex-step check never
     # runs.
     rho1, _ = coupler.rho_from_phi(0.0, PI3, 0.5)
-    monkeypatch.setattr(cli, "_jacobian_cs_error", _must_not_run)
-    assert cli._jacobian_trial(_Draws(rho1, 0.0, 0.5), geom) is None
+    monkeypatch.setattr(verify, "_jacobian_cs_error", _must_not_run)
+    assert verify._jacobian_trial(_Draws(rho1, 0.0, 0.5), geom) is None
 
 
 def test_jacobian_trial_builds_the_matrices_once(monkeypatch):
@@ -1272,9 +1276,9 @@ def test_jacobian_trial_builds_the_matrices_once(monkeypatch):
         calls.append((pose, theta))
         return real(pose, theta, geometry)
 
-    monkeypatch.setattr(cli, "build_matrices", counted)
+    monkeypatch.setattr(verify, "build_matrices", counted)
     monkeypatch.setattr(jacobians, "build_matrices", counted)
-    err = cli._jacobian_trial(_Draws(0.3, 0.2, 0.1), DEFAULT_GEOMETRY)
+    err = verify._jacobian_trial(_Draws(0.3, 0.2, 0.1), DEFAULT_GEOMETRY)
     assert err is not None and len(calls) == 1
     assert err == jacobian_cs_check(*calls[0])
     assert len(calls) == 2
@@ -1308,7 +1312,7 @@ def test_verify_fails_a_break_in_units_of_a_small_scale(tmp_path, capsys, monkey
     path = tmp_path / "geom.json"
     path.write_text(json.dumps({"scale": 1e-9}))
     monkeypatch.setenv("RPR_GEOMETRY", str(path))
-    monkeypatch.setattr(cli, name, fake)
+    monkeypatch.setattr(verify, name, fake)
     code, out, err = run(capsys, "verify", "--scope", scope, "--trials", "3", "--seed", "1")
     assert code == 4
     assert strict_json(out)["scopes"] == {scope: {"passed": False}}
@@ -1341,6 +1345,37 @@ def test_every_library_error_exits_cleanly(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["rpr3: det A vanishes"]
+
+
+def test_the_verify_checks_live_in_a_module_the_cli_imports_on_load():
+    # bench/tracer.py wraps the functions bound in the rpr3.* modules already
+    # in sys.modules when it plans.  A verify imported on the first verify
+    # call would escape it, and a traced cross-check would count no oracle
+    # Newton iterations, so importing the CLI must import verify.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, rpr3.cli; print('rpr3.verify' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+    # The CLI holds nothing of the oracle's; the checks that read it are verify's.
+    from_oracle = [
+        name for name, value in vars(cli).items()
+        if value is oracle or getattr(value, "__module__", None) == oracle.__name__
+    ]
+    assert from_oracle == []
+    # And verify never imports the CLI back.
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not [name for name in imported if name.split(".")[-1] == "cli"]
 
 
 # ------------------------------------------------------------ environment
@@ -1488,7 +1523,7 @@ def test_curve_route_and_verify_reuse_the_closed_form_bodies(capsys, monkeypatch
     def trap(*args, **kwargs):
         raise AssertionError("a second reduction or classification")
 
-    for module in (solvers, coupler, cli):
+    for module in (solvers, coupler, cli, verify):
         for name in ("mn_coefficients", "classify_dk_degeneracy"):
             monkeypatch.setattr(module, name, trap, raising=False)
     assert results() == untrapped
