@@ -35,31 +35,13 @@ from .geometry import (
     JointAngles,
     ManipulatorGeometry,
     Pose,
-    _leg_offsets,
     _pose_set_deviation,
     load_geometry,
     normalize_angle,
-    normalize_angles,
 )
-from .jacobians import (
-    _SINGULARITY_KINDS,
-    SingularityKind,
-    _kind_index,
-    _matrix_columns,
-    _sweep_locus,
-    build_matrices,
-    classify_singularity,
-)
-from .solvers import (
-    _DK_KINDS,
-    _REULEAUX_GAP,
-    DkKind,
-    _aim_columns,
-    _continuum,
-    direct_kinematics,
-    inverse_kinematics,
-)
-from . import figio, verify
+from .jacobians import build_matrices, classify_singularity
+from .solvers import _REULEAUX_GAP, DkKind, direct_kinematics, inverse_kinematics
+from . import figio, sweep, verify
 
 __all__ = ["main", "build_parser"]
 
@@ -69,16 +51,10 @@ EXIT_SINGULAR = 2
 EXIT_IO = 3
 EXIT_VERIFY = 4
 
-_ANGLE_AXES = {"t1", "t2", "t3", "phi"}
 # Most points a sweep grid or a trace may have, checked before any array
 # exists.
 MAX_GRID_POINTS = 10**6
 MAX_SVG_AXIS_POINTS = 4000  # per swept axis of a sweep --svg page; its locus grows with each
-
-# The sweep's kind column: the label of each classifier index.
-_SINGULARITY_LABELS = np.array([kind.value for kind in _SINGULARITY_KINDS], dtype=object)
-_SERIAL = _SINGULARITY_KINDS.index(SingularityKind.SERIAL)
-_DK_LABELS = np.array([kind.value for kind in _DK_KINDS], dtype=object)
 
 
 class _UsageError(Exception):
@@ -548,7 +524,7 @@ def _parse_axis(name: str, text: str | None, deg: bool) -> np.ndarray:
         raise _UsageError(f"--{name}: a sweep grid has at most {MAX_GRID_POINTS} points")
     else:
         values = np.linspace(ends[0], ends[1], count)
-    if name in _ANGLE_AXES and deg:
+    if name in sweep.ANGLE_AXES and deg:
         values = np.radians(values)
     # Checked after the unit change, which can merge ends a few ulp apart.
     if len(values) > 1 and values[0] == values[-1]:
@@ -557,79 +533,15 @@ def _parse_axis(name: str, text: str | None, deg: bool) -> np.ndarray:
 
 
 def _cmd_sweep(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
-    if args.space == "joint":
-        axis_names = ("t1", "t2", "t3")
-    else:
-        axis_names = ("x", "y", "phi")
-    axes = [_parse_axis(name, getattr(args, name), args.deg) for name in axis_names]
-    swept = [i for i, a in enumerate(axes) if len(a) > 1]
-    if args.svg and len(swept) != 2:
+    axes = [_parse_axis(name, getattr(args, name), args.deg) for name in sweep.AXES[args.space]]
+    if args.svg and sum(len(a) > 1 for a in axes) != 2:
         raise _UsageError("--svg requires exactly two swept axes")
     if args.svg and max(map(len, axes)) > MAX_SVG_AXIS_POINTS:
         raise _UsageError(f"--svg: a swept axis has at most {MAX_SVG_AXIS_POINTS} samples")
     if math.prod(len(a) for a in axes) > MAX_GRID_POINTS:
         raise _UsageError(f"a sweep grid has at most {MAX_GRID_POINTS} points")
-    locus = _sweep_locus(args.space == "joint", axes, geom) if args.svg else None
-
-    # The kernels run on the axes' sparse grid: each column varies along its
-    # own axes only, so trig runs once per axis value.  Their results ravel
-    # in C order, last axis fastest: the order of the CSV rows.
-    grid = np.meshgrid(*axes, indexing="ij", sparse=True)
-    if args.space == "joint":
-        # Joint grids are evaluated at the trivial assembly.
-        theta, (x, y, phi) = grid, (0.0, 0.0, 0.0)
-        legs = _leg_offsets(x, y, phi, geom)
-        _, _, det_a, det_b = _matrix_columns(x, y, theta, legs, geom.scale)
-        labels = _DK_LABELS[_continuum(*theta)]
-    else:
-        x, y, phi = grid[0], grid[1], normalize_angles(grid[2])
-        legs = _leg_offsets(x, y, phi, geom)
-        theta, at_anchor = _aim_columns(legs, geom.scale)
-        # A pose on a base anchor passes the consistency check: its angles
-        # come from its own offsets, and a leg shorter than ANCHOR_TOL * scale
-        # keeps its det B finite.  Its rows are masked after: their angles are
-        # undefined, and the pose is serial singular.
-        _, rhos, det_a, det_b = _matrix_columns(x, y, theta, legs, geom.scale)
-        index = np.where(at_anchor, _SERIAL, _kind_index(det_a, rhos, geom.scale))
-        labels = _SINGULARITY_LABELS[index]
-        theta = [np.where(at_anchor, math.nan, t) for t in theta]
-        det_a, det_b = np.where(at_anchor, math.nan, det_a), np.where(at_anchor, 0.0, det_b)
-
-    out = np.degrees if args.deg else np.asarray
-    columns = (*map(out, theta), x, y, out(phi), det_a, det_b)
-    table = np.empty((*det_a.shape, len(columns)))
-    for k, column in enumerate(columns):
-        table[..., k] = column
-    header = ("theta1", "theta2", "theta3", "x", "y", "phi", "detA", "detB", "kind")
-    count = figio.write_csv(args.csv, header, table.reshape(-1, len(columns)), labels.ravel())
-
-    if args.svg:
-        _write_sweep_svg(args, axes, swept, axis_names, locus)
-
-    return EXIT_OK, {"space": args.space, "rows": count, "csv": args.csv, "svg": args.svg}
-
-
-def _write_sweep_svg(args, axes, swept, axis_names, locus) -> None:
-    lo = figio.VIEW_MIN + 0.2
-    hi = figio.VIEW_MAX - 0.2
-    canvas = figio.SvgCanvas(title="parallel singularity locus")
-    canvas.polyline(
-        [(lo, lo), (hi, lo), (hi, hi), (lo, hi)],
-        stroke="#000000",
-        width=0.008,
-        closed=True,
-    )
-    first, last = (np.array([axes[i][k] for i in swept]) for k in (0, -1))
-    for piece in locus:
-        # Into the viewBox, each axis's first value at lo.
-        points = lo + (hi - lo) * (piece - first) / (last - first)
-        canvas.polyline(points, stroke="#c02020", width=0.012)
-    for i, drop in zip(swept, (0.15, 0.3)):
-        name, axis = axis_names[i], axes[i]
-        if args.deg and name in _ANGLE_AXES:  # labelled in the unit given
-            axis = np.degrees(axis)
-        canvas.text(lo, lo - drop, f"{name}: {axis[0]:.6g} .. {axis[-1]:.6g}")
-    canvas.write(args.svg)
+    rows = sweep.run(args.space, axes, args.deg, args.csv, args.svg, geom)
+    return EXIT_OK, {"space": args.space, "rows": rows, "csv": args.csv, "svg": args.svg}
 
 
 # ----------------------------------------------------------------- verify

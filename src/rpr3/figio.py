@@ -9,12 +9,11 @@ the bytes are those of formatting each value on its own.  Figures share one
 fixed viewBox spanning [-1.5, 2.5] in both axes (mathematical orientation,
 y up), which covers the unit-scale mechanism with margin.  Curves arrive as
 exact points (a sweep page's singularity locus comes from
-``jacobians._sweep_locus``); nothing here samples or contours a field.
+``sweep._sweep_locus``); nothing here samples or contours a field.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,10 +44,13 @@ def write_csv(
     The distinct bit patterns of a block of rows are formatted in one ``%``
     call, and each row, label included, is one join; the bytes equal
     per-cell ``"%.17g"``.  Returns the number of rows written; a label count
-    other than the row count raises ``ValueError``.
+    other than the row count raises ``ValueError`` before the file is opened.
     """
     table = np.asarray(table, dtype=np.float64)
-    tail = None if labels is None else iter(labels)
+    if labels is not None:
+        labels = np.array(list(labels), dtype=object)
+        if len(labels) != len(table):
+            raise ValueError(f"write_csv: {len(labels)} labels for {len(table)} table rows")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(table), _BLOCK_ROWS):
@@ -58,12 +60,9 @@ def write_csv(
             values = bits.view(np.float64).tolist()
             text = np.array(("%.17g\n" * len(values) % tuple(values)).splitlines(), dtype=object)
             cells = text[inverse.reshape(block.shape)]
-            if tail is not None:  # too few labels fail to stack: ValueError
-                names = np.array(list(islice(tail, len(block))), dtype=object)
-                cells = np.column_stack((cells, names))
+            if labels is not None:
+                cells = np.column_stack((cells, labels[start : start + _BLOCK_ROWS]))
             fh.write("\r\n".join(map(",".join, cells.tolist())) + "\r\n")
-        if tail is not None and any(True for _ in tail):
-            raise ValueError("write_csv: more labels than table rows")
     return len(table)
 
 

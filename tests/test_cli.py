@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rpr3 import cli, coupler, jacobians, oracle, solvers, verify
+from rpr3 import cli, coupler, jacobians, oracle, solvers, sweep, verify
 from rpr3.cli import main
 from rpr3.errors import ParallelSingularError
 from rpr3.geometry import (
@@ -562,7 +562,7 @@ def test_sweep_svg_draws_the_locus_as_polylines(tmp_path, capsys):
     svg = svg_path.read_text()
     # One red polyline per piece of the exact locus, and no marching-squares line.
     axes = [np.linspace(-3.0, 3.0, 15), np.linspace(-3.0, 3.0, 15), np.array([0.7])]
-    pieces = jacobians._sweep_locus(True, axes, DEFAULT_GEOMETRY)
+    pieces = sweep._sweep_locus(True, axes, DEFAULT_GEOMETRY)
     assert svg.count('stroke="#c02020"') == len(pieces) > 0
     assert "<line" not in svg
     assert csv_path.exists()
@@ -711,7 +711,11 @@ def test_sweep_rejects_grids_over_the_cap(tmp_path, capsys, space, axes):
 # 4.5e-16 times the scale.  The SVG digests were re-captured when the pages
 # began to draw the exact singularity loci in place of marching squares
 # (tests/test_loci.py checks those loci); cartesian-wide was the
-# cartesian-detB page, whose --quantity flag went with that change.
+# cartesian-detB page, whose --quantity flag went with that change.  The
+# last four, captured when the page moved out of the CLI, pin the locus
+# branches the others miss: phi swept against x (6 polylines) and, in
+# degrees at scale 1.7, against y (5), the fixed position 0 where one root
+# is a1 at every phi (2), and the phi = 0 page that draws no curve.
 PINNED_SWEEPS = {
     "cartesian": (
         "cartesian",
@@ -768,6 +772,38 @@ PINNED_SWEEPS = {
         10201,
         "2aac77336728b72fbe5608d67fb06ec4aac079b0e180f6ee669fbc5ddeb64020",
         "6d5882c09baa2db02c044301d3b4ce2d7e32218d748bd9d7972aec4583790be4",
+    ),
+    "cartesian-x-phi": (
+        "cartesian",
+        ("--x=-0.5:1.5:21", "--y=0.3", "--phi=-3:3:19"),
+        None,
+        399,
+        "92feb5287ae4bb750b6bcfc8f59cd73e9bc9bb453f3661b47db8fd718be6b18c",
+        "0c38cf1b450ad60fc548f34463d1618890436a4c04650586ee03f6271acdfea5",
+    ),
+    "cartesian-y-phi-deg-scale1.7": (
+        "cartesian",
+        ("--deg", "--x=0.4", "--y=-0.5:1.5:17", "--phi=-170:170:23"),
+        1.7,
+        391,
+        "7c35e35136cbf0edbec76a84118a34e7da0fa7cde5dc1f89ac4abe5739f7535e",
+        "4bb38dddbb4a6e05759d2ae906958a7c02f108c3d92fe17e6244c07a32dfdc5e",
+    ),
+    "cartesian-x0-phi": (
+        "cartesian",
+        ("--x=0", "--y=-1:2:15", "--phi=-3:3:13"),
+        None,
+        195,
+        "728161e71cc40c29c163ef1d05a120e06c974dac9756f5a8a31dab25768db491",
+        "5549fa7dee40251f6b93399af99858262f5b7a254446c461b2f867c07f31140f",
+    ),
+    "cartesian-phi0": (
+        "cartesian",
+        ("--x=-1:2:9", "--y=-1:2:9", "--phi=0"),
+        None,
+        81,
+        "49e02658f0f346f544cc62777b8aae8348b07043e2c80c5928d05781dc0ee3ef",
+        "aca64330d59b9fb6f40409060c83f8dd1ad6fb0c4249598987049067d33f31f9",
     ),
 }
 
@@ -1351,31 +1387,38 @@ def test_the_verify_checks_live_in_a_module_the_cli_imports_on_load():
     # bench/tracer.py wraps the functions bound in the rpr3.* modules already
     # in sys.modules when it plans.  A verify imported on the first verify
     # call would escape it, and a traced cross-check would count no oracle
-    # Newton iterations, so importing the CLI must import verify.
+    # Newton iterations, so importing the CLI must import verify; and sweep,
+    # whose figio and geometry calls a traced grid-sweep counts.
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = "import sys, rpr3.cli; print('rpr3.verify' in sys.modules)"
+    probe = "import sys, rpr3.cli; print('rpr3.verify' in sys.modules, 'rpr3.sweep' in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True True\n", "")
     # The CLI holds nothing of the oracle's; the checks that read it are verify's.
     from_oracle = [
         name for name, value in vars(cli).items()
         if value is oracle or getattr(value, "__module__", None) == oracle.__name__
     ]
     assert from_oracle == []
-    # And verify never imports the CLI back.
-    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-    assert not [name for name in imported if name.split(".")[-1] == "cli"]
+    # Nor the kernels a sweep page runs on, nor its locus: those are sweep's,
+    # and the velocity layer draws no page.
+    page_names = {"_aim_columns", "_matrix_columns", "_kind_index", "_continuum", "_leg_offsets"}
+    assert not page_names.intersection(vars(cli)) and not hasattr(cli, "_sweep_locus")
+    assert not {"_sweep_locus", "_repeats", "_merged"}.intersection(vars(jacobians))
+    # And neither module imports the CLI back.
+    for module in (verify, sweep):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not [name for name in imported if name.split(".")[-1] == "cli"], module
 
 
 # ------------------------------------------------------------ environment

@@ -117,6 +117,7 @@ def test_write_csv_takes_labels_from_any_iterable(tmp_path, kind, extra):
     if extra:
         with pytest.raises(ValueError):
             figio.write_csv(str(got), header, table, labels)
+        assert not got.exists()
         return
     _reference_csv(tmp_path / "want.csv", header, table, names)
     assert figio.write_csv(str(got), header, table, labels) == len(table)

@@ -1,7 +1,7 @@
 """The parallel-singularity loci that ``sweep --svg`` draws, and the det A
 identity the cartesian loci rest on.
 
-A sweep page's locus (``jacobians._sweep_locus``) is solved, not sampled:
+A sweep page's locus (``sweep._sweep_locus``) is solved, not sampled:
 every vertex is checked against the predicate it solves, and every cell of
 the page's det A table whose corners change sign (through zero: det A only
 jumps across the anchor hits at a1) must hold a drawn segment.
@@ -20,8 +20,9 @@ from rpr3 import Pose, SingularityKind, build_matrices, classify_singularity, in
 from rpr3.cli import _parse_axis, main
 from rpr3.errors import LegAtAnchorError
 from rpr3.geometry import ManipulatorGeometry, normalize_angle
-from rpr3.jacobians import PARALLEL_DET_TOL, _sweep_locus
+from rpr3.jacobians import PARALLEL_DET_TOL
 from rpr3.solvers import mn_coefficients
+from rpr3.sweep import _sweep_locus
 
 SQRT3 = math.sqrt(3.0)
 
