@@ -157,17 +157,15 @@ def _finite_rho(rho: float, name: str = "rho") -> None:
         raise GeometryError(f"{name} must be finite, got {rho!r}")
 
 
-# The elementary functions and guards of a formula body shared by the scalar
-# API and the array kernels, on floats or elementwise on columns that
-# broadcast together; a body picks its form once per call with :func:`_form`.
+# The elementary functions of a formula body shared by the scalar API and the
+# array kernels, on floats or elementwise on columns that broadcast together
+# (|remainder| there); a body picks its form once per call with :func:`_form`.
 _FLOATS = SimpleNamespace(
-    cos=math.cos, sin=math.sin, atan2=math.atan2, hypot=math.hypot,
-    angle_difference=angle_difference, finite_rho=_finite_rho,
+    cos=math.cos, sin=math.sin, atan2=math.atan2, hypot=math.hypot, remainder=math.remainder
 )
 _COLUMNS = SimpleNamespace(
     cos=partial(_libm, math.cos), sin=partial(_libm, math.sin), atan2=partial(_libm, math.atan2),
-    hypot=partial(_libm, math.hypot),
-    angle_difference=angle_differences, finite_rho=partial(_first_nonfinite, _finite_rho),
+    hypot=partial(_libm, math.hypot), remainder=lambda a, period: angle_differences(a, 0.0, period),
 )
 
 
@@ -391,8 +389,7 @@ def _place_anchors(x, y, c, s, anchors):
     for v in anchors:
         bx = x + c * v.x - s * v.y
         by = y + s * v.x + c * v.y
-        dx, dy = bx - v.x, by - v.y
-        legs.append((bx, by, dx, dy))
+        legs.append((bx, by, bx - v.x, by - v.y))
     return legs
 
 

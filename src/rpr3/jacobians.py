@@ -42,7 +42,7 @@ from .geometry import (
     _first_nonfinite,
     _leg_axis,
     _leg_columns,
-    _leg_offsets,
+    _place_anchors,
     _row_of,
 )
 from .solvers import _mn
@@ -205,9 +205,10 @@ def build_matrices(
 def _configuration(pose: Pose, t: tuple[float, float, float], geometry: ManipulatorGeometry):
     """(rows of A, rhos, det A, det B, leg offsets) at checked angles ``t``:
     the body of :func:`build_matrices` and :func:`classify_singularity`."""
-    legs = _leg_offsets(pose.x, pose.y, pose.phi, geometry)
-    rows, residuals, rhos, det_b = _velocity_terms(pose.x, pose.y, t, legs)
-    _check_configuration(pose.x, pose.y, geometry.scale, det_b, *residuals)
+    x, y, phi = pose.x, pose.y, pose.phi
+    legs = _place_anchors(x, y, math.cos(phi), math.sin(phi), geometry.anchors)
+    rows, residuals, rhos, det_b = _velocity_terms(x, y, t, legs)
+    _check_configuration(x, y, geometry.scale, det_b, *residuals)
     return rows, rhos, float(_det_a(rows)), det_b, legs
 
 
@@ -299,13 +300,12 @@ def classify_singularity(
     as concurrent when their spread is below CONCURRENCY_TOL * scale.
     """
     rows, rhos, det_a, det_b, legs = _configuration(pose, _as_angles(theta), geometry)
-    parallel = _is_parallel(det_a, geometry.scale)
-    zero_legs = _zero_legs(rhos, geometry.scale)
-    kind = _SINGULARITY_KINDS[parallel + 2 * bool(zero_legs)]
-    point: Vec2 | None = None
-    at_infinity = False
-    if parallel:
-        point, at_infinity = _normal_intersection(rows, legs, geometry.scale)
+    scale = geometry.scale
+    parallel = _is_parallel(det_a, scale)
+    serial = _is_serial(min(map(abs, rhos)), scale)
+    zero_legs = _zero_legs(rhos, scale) if serial else ()
+    kind = _SINGULARITY_KINDS[parallel + 2 * serial]
+    point, at_infinity = _normal_intersection(rows, legs, scale) if parallel else (None, False)
     return SingularityReport(kind, det_a, det_b, zero_legs, point, at_infinity)
 
 

@@ -119,19 +119,21 @@ def _scan_table(geometry: ManipulatorGeometry) -> tuple:
 
 
 def _newton_polish(
-    start, t, geometry: ManipulatorGeometry, tol: float = NEWTON_RESIDUAL_TOL, home: float = 1.0
+    start, t, geometry: ManipulatorGeometry, tol: float = NEWTON_RESIDUAL_TOL, home: float = 1.0,
+    rows: list | None = None,
 ) -> tuple[tuple | None, int]:
     """The one Newton: the scan's polish and the finite-difference re-solves
     on floats, the complex-step re-solves on complex ``t``.
 
     Each step solves the three residuals of ``home`` (see
-    :func:`_anchor_offsets`) by :func:`_cramer`, with ``math``'s cos and sin.
+    :func:`_anchor_offsets`) by :func:`_cramer`, with ``math``'s cos and sin
+    and the scan's ``rows`` (:func:`_leg_rows` of ``t``, built if not given).
     Converged when every residual's real part is below ``tol`` and its
     imaginary part at most ``tol`` times the largest of |Im t_i|, |Im x| / s,
     |Im y| / s and |Im phi|.  Returns (solution, iterations used), or (None,
     iterations) on a zero determinant or when ``tol`` is not reached.
     """
-    rows = _leg_rows(t, geometry)
+    rows = _leg_rows(t, geometry) if rows is None else rows
     sin_t, neg_cos_t = [r[0] for r in rows], [-r[1] for r in rows]
     h = max(abs(a.imag) for a in t)
     x, y, phi = start
@@ -180,8 +182,8 @@ def dkp_bruteforce(
         # Every pair of slider lines is parallel: translation self motion.
         return ScanReport((_TRIVIAL,), 0.0, (_SCAN_SAMPLES, 1), 0, continuum=True)
 
-    alphas, offsets = _scan_table(geometry)
-    e = _residual_rows(offsets, _leg_rows(t, geometry))
+    (alphas, offsets), rows = _scan_table(geometry), _leg_rows(t, geometry)
+    e = _residual_rows(offsets, rows)
     # Cramer solve of legs i, j for q at each alpha.
     x = (e[i] * math.cos(t[j]) - e[j] * math.cos(t[i])) / det
     y = (e[i] * math.sin(t[j]) - e[j] * math.sin(t[i])) / det
@@ -195,7 +197,7 @@ def dkp_bruteforce(
         candidates = [(float(x[p]), float(y[p]), float(alphas[p])) for p in picks]
     else:
         candidates = _bracket_candidates(leftover, x, y, alphas, _SCAN_STEP)
-    poses, iters = _polish_candidates(candidates, t, geometry)
+    poses, iters = _polish_candidates(candidates, t, rows, geometry)
     residual = max(abs(r) for pose in poses for r in constraint_residuals(pose, t, geometry))
     return ScanReport(tuple(poses), residual, (_SCAN_SAMPLES, 1), iters, continuum=continuum)
 
@@ -226,18 +228,19 @@ def _bracket_candidates(
 def _polish_candidates(
     candidates: list[tuple[float, float, float]],
     t: tuple[float, float, float],
+    rows: list[tuple],
     geometry: ManipulatorGeometry,
 ) -> tuple[list[Pose], int]:
     """The trivial pose and the clustered poses Newton reaches from the
-    deflated ``candidates``, with the Newton iterations used.  Candidates
-    (q, alpha) and (-q, alpha + pi) are one pose, so only the first of each
-    cluster of start poses is polished."""
+    deflated ``candidates`` with the scan's ``rows`` of ``t``, and the Newton
+    iterations used.  Candidates (q, alpha) and (-q, alpha + pi) are one
+    pose, so only the first of each cluster of start poses is polished."""
     total_iters = 0
     polished: list[Pose | None] = []
     tol = NEWTON_RESIDUAL_TOL * geometry.scale
     starts = {pose: cand for cand in candidates if (pose := _chord_pose(*cand)) is not None}
     for start in cluster_poses(starts, geometry):
-        solved, used = _newton_polish(starts[start], t, geometry, tol=tol, home=0.0)
+        solved, used = _newton_polish(starts[start], t, geometry, tol=tol, home=0.0, rows=rows)
         total_iters += used
         if solved is not None:
             polished.append(_chord_pose(*solved))

@@ -21,6 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum, unique
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -36,11 +37,12 @@ from .geometry import (
     Vec2,
     _as_angles,
     _best_pair,
+    _finite_rho,
     _first_nonfinite,
     _form,
     _leg_axis,
     _leg_columns,
-    _leg_offsets,
+    _place_anchors,
     normalize_angles,
 )
 
@@ -112,10 +114,8 @@ class IkSolution:
 
     def signed_rhos(self) -> tuple[float, float, float]:
         """Extensions measured along each leg's direction vector."""
-        out = tuple(
-            leg.rho * (1.0 - 2.0 * k) for leg, k in zip(self.legs, self.branch)
-        )
-        return (out[0], out[1], out[2])
+        (l1, l2, l3), (k1, k2, k3) = self.legs, self.branch
+        return (l1.rho * (1.0 - 2.0 * k1), l2.rho * (1.0 - 2.0 * k2), l3.rho * (1.0 - 2.0 * k3))
 
 
 def inverse_kinematics(
@@ -126,20 +126,20 @@ def inverse_kinematics(
     """Joint values reaching ``pose``, one solution per leg branch.
 
     theta_i is the two-argument arctangent of b_i - a_i plus branch*pi,
-    rho_i the anchor separation.  Raises :class:`LegAtAnchorError` listing
-    every leg whose separation is below ``ANCHOR_TOL * scale``; those legs
-    have arbitrary revolute angle and no meaningful branch.
+    rho_i the anchor separation.  The three branch flags are the integers 0
+    and 1: :class:`TypeError` for a flag that is not an integer, else
+    ``ValueError``.  Raises :class:`LegAtAnchorError` listing every leg whose
+    separation is below ``ANCHOR_TOL * scale``; those legs have arbitrary
+    revolute angle and no meaningful branch.
     """
-    br = tuple(int(k) for k in branch)
-    if len(br) != 3 or any(k not in (0, 1) for k in br):
+    br = tuple(map(operator.index, branch))
+    if len(br) != 3 or not {0, 1}.issuperset(br):
         raise ValueError(f"branch must be three flags in {{0, 1}}, got {branch!r}")
-    legs = _leg_offsets(pose.x, pose.y, pose.phi, geometry)
-    solved = _aim_legs(legs, [k * math.pi for k in br], geometry.scale)
-    stuck = tuple(leg for leg, (_, _, at_anchor) in enumerate(solved, start=1) if at_anchor)
-    if stuck:
-        raise LegAtAnchorError(stuck)
-    l1, l2, l3 = (LegState(theta, rho) for theta, rho, _ in solved)
-    return IkSolution((l1, l2, l3), br)
+    legs = _place_anchors(pose.x, pose.y, math.cos(pose.phi), math.sin(pose.phi), geometry.anchors)
+    theta, rho, at_anchor = _aim_legs(legs, br, geometry.scale)
+    if any(at_anchor):
+        raise LegAtAnchorError(tuple(compress((1, 2, 3), at_anchor)))
+    return IkSolution(tuple(map(LegState, theta, rho)), br)
 
 
 def inverse_kinematics_array(
@@ -164,25 +164,23 @@ def inverse_kinematics_array(
 
 def _aim_columns(legs, scale: float):
     """``(theta, at_anchor)``: the body of :func:`inverse_kinematics_array`
-    on leg offsets whose columns broadcast together, with each leg's angle
-    column normalized and not yet masked where ``at_anchor`` is set."""
-    # Adding 0.0 turns atan2's -0.0 into the +0.0 the scalar path gets from
-    # adding its branch offset 0 * pi.
-    theta, _, (stuck1, stuck2, stuck3) = zip(*_aim_legs(legs, (0.0, 0.0, 0.0), scale))
+    on leg offsets whose columns broadcast together, each angle column
+    normalized but not masked, each length checked as by :class:`LegState`."""
+    theta, rho, (stuck1, stuck2, stuck3) = _aim_legs(legs, (0, 0, 0), scale)
+    _first_nonfinite(lambda *row: _finite_rho(max(row)), *rho)
     return [normalize_angles(t) for t in theta], stuck1 | stuck2 | stuck3
 
 
-def _aim_legs(legs, turns, scale: float):
-    """(theta, rho, at_anchor) per leg offset b_i - a_i, floats or columns:
-    its arctangent plus ``turn``, its length (GeometryError if that
-    overflows), and whether it is below ``ANCHOR_TOL * scale``."""
-    f = _form(legs[0][2])
+def _aim_legs(legs, branch, scale: float):
+    """(theta, rho, at_anchor) of the leg offsets b_i - a_i, floats or
+    columns: each arctangent plus branch * pi (0 * pi turns atan2's -0.0
+    into +0.0), each length, and whether it is below ``ANCHOR_TOL * scale``."""
+    f, tol = _form(legs[0][2]), ANCHOR_TOL * scale
     solved = []
-    for (_, _, dx, dy), turn in zip(legs, turns):
+    for (_, _, dx, dy), k in zip(legs, branch):
         rho = f.hypot(dx, dy)
-        f.finite_rho(rho)
-        solved.append((f.atan2(dy, dx) + turn, rho, rho < ANCHOR_TOL * scale))
-    return solved
+        solved.append((f.atan2(dy, dx) + k * math.pi, rho, rho < tol))
+    return zip(*solved)
 
 
 @unique
@@ -303,10 +301,11 @@ def classify_dk_degeneracy_array(theta: np.ndarray) -> np.ndarray:
 def _continuum(t1, t2, t3):
     """Index into ``_DK_KINDS`` of checked angles' continuum, floats or
     columns: :func:`classify_dk_degeneracy`'s rule, one test per gap."""
-    d, tol, pi = _form(t1).angle_difference, DEGENERACY_ANGLE_TOL, math.pi
+    r, tol, pi = _form(t1).remainder, DEGENERACY_ANGLE_TOL, math.pi
     g12, g23, g31, third = t2 - t1, t3 - t2, t1 - t3, _REULEAUX_GAP
-    translation = (d(g12, 0.0, pi) < tol) & (d(g23, 0.0, pi) < tol) & (d(g31, 0.0, pi) < tol)
-    reuleaux = (d(g12, third, pi) < tol) & (d(g23, third, pi) < tol) & (d(g31, third, pi) < tol)
+    translation = (abs(r(g12, pi)) < tol) & (abs(r(g23, pi)) < tol) & (abs(r(g31, pi)) < tol)
+    g12, g23, g31 = g12 - third, g23 - third, g31 - third
+    reuleaux = (abs(r(g12, pi)) < tol) & (abs(r(g23, pi)) < tol) & (abs(r(g31, pi)) < tol)
     return translation + 2 * reuleaux
 
 
@@ -358,12 +357,10 @@ def _position(t, phi: float, pair, geometry: ManipulatorGeometry) -> Pose:
             "their constraints cannot be solved for the position"
         )
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
-    legs = []
-    for k in (i, j):
-        a = geometry.anchors[k]
-        sin_t, cos_t, r, e = _leg_axis(t[k], a.x, a.y)
-        legs.append((sin_t, cos_t, r * cos_phi - e * sin_phi - r))
-    (sin_i, cos_i, ci), (sin_j, cos_j, cj) = legs
+    ai, aj = geometry.anchors[i], geometry.anchors[j]
+    sin_i, cos_i, ri, ei = _leg_axis(t[i], ai.x, ai.y)
+    sin_j, cos_j, rj, ej = _leg_axis(t[j], aj.x, aj.y)
+    ci, cj = ri * cos_phi - ei * sin_phi - ri, rj * cos_phi - ej * sin_phi - rj
     x = (ci * cos_j - cj * cos_i) / det
     y = (ci * sin_j - cj * sin_i) / det
     return Pose(x, y, phi)
@@ -382,9 +379,11 @@ def direct_kinematics(
     continuum families first, and a vanishing reduction that matches
     neither predicate is reported as DEGENERATE rather than guessed at.
     """
-    return _solution_set(
-        _as_angles(theta), geometry, lambda m, n: math.atan2(2.0 * m * n, m * m - n * n)
-    )
+    return _solution_set(_as_angles(theta), geometry, _closed_form_phi)
+
+
+def _closed_form_phi(m: float, n: float) -> float:
+    return math.atan2(2.0 * m * n, m * m - n * n)
 
 
 def _solution_set(t, geometry: ManipulatorGeometry, second_phi) -> DkSolutionSet:
@@ -393,11 +392,11 @@ def _solution_set(t, geometry: ManipulatorGeometry, second_phi) -> DkSolutionSet
     n^2 <= ``REDUCTION_NULL_TOL``, else the trivial pose and the one at
     ``second_phi(m, n)``, coincident when |phi| < ``DEGENERACY_ANGLE_TOL``."""
     m, n = _mn(*t)
-    kind = _DK_KINDS[_continuum(*t)]
-    if kind is not DkKind.TWO_SOLUTIONS:
-        return DkSolutionSet(kind, (_TRIVIAL,), m, n, continuum=_leg1_line(t[0]))
+    continuum = _continuum(*t)  # 0, TWO_SOLUTIONS, unless the angles admit a continuum
+    if continuum:
+        return DkSolutionSet(_DK_KINDS[continuum], (_TRIVIAL,), m, n, continuum=_leg1_line(t[0]))
     if m * m + n * n <= REDUCTION_NULL_TOL:
         return DkSolutionSet(DkKind.DEGENERATE, (_TRIVIAL,), m, n)
     second = _position(t, second_phi(m, n), None, geometry)
     coincident = abs(second.phi) < DEGENERACY_ANGLE_TOL
-    return DkSolutionSet(DkKind.TWO_SOLUTIONS, (_TRIVIAL, second), m, n, coincident=coincident)
+    return DkSolutionSet(_DK_KINDS[0], (_TRIVIAL, second), m, n, coincident=coincident)

@@ -3,6 +3,8 @@ and on floats it must stay off the array kernels and keep the overflow
 guards of the leg lengths and of det B."""
 
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from rpr3 import coupler, geometry, jacobians, solvers
 from rpr3.coupler import rho_from_phi
 from rpr3.errors import GeometryError, Rpr3Error
 from rpr3.geometry import ManipulatorGeometry, Pose, constraint_residuals, signed_extensions
-from rpr3.jacobians import KinematicMatrices, build_matrices, classify_singularity
-from rpr3.solvers import classify_dk_degeneracy, direct_kinematics, inverse_kinematics
+from rpr3.jacobians import KinematicMatrices, SingularityKind, build_matrices, classify_singularity
+from rpr3.solvers import DkKind, classify_dk_degeneracy, direct_kinematics, inverse_kinematics
 
 PI3 = math.pi / 3.0
 POSES = [Pose(0.4, 0.3, 0.2), Pose(-0.0, 0.4, -0.0), Pose(0.5, 0.0, 0.0), Pose(1.3, -0.7, 3.0)]
@@ -127,3 +129,36 @@ def test_a_pose_of_numpy_scalars_gives_python_floats():
     point = classify_singularity(Pose(*map(np.float64, singular.as_tuple())), theta).intersection_point
     values += [point.x, point.y]
     assert [type(v).__name__ for v in values] == ["float"] * len(values)
+
+
+# Python-level calls of one pose-stream op at a regular pose with two
+# isolated assemblies; the same count on CPython 3.10 to 3.13, since no
+# comprehension or generator runs on this path.
+POSE_STREAM_CALL_BUDGET = 54
+
+
+def test_a_pose_stream_op_stays_within_its_call_budget():
+    def op():
+        pose = Pose(0.4, 0.3, 0.2)
+        theta = inverse_kinematics(pose, branch=(1, 0, 1)).angles.as_tuple()
+        return classify_singularity(pose, theta), direct_kinematics(theta)
+
+    report, solutions = op()
+    assert report.kind is SingularityKind.REGULAR and solutions.kind is DkKind.TWO_SOLUTIONS
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        op()
+    finally:
+        sys.setprofile(previous)
+    total = sum(calls.values()) - 1  # op itself
+    assert total <= POSE_STREAM_CALL_BUDGET, (
+        f"{total} Python calls per pose-stream op, budget {POSE_STREAM_CALL_BUDGET}: "
+        f"{dict(calls.most_common())}"
+    )

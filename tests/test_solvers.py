@@ -109,6 +109,48 @@ def test_ik_pure_rotation_pins_only_first_leg():
     assert err.value.legs == (1,)
 
 
+@pytest.mark.parametrize("branch", [(0, 0, 0), (0, 1, 0)])
+@pytest.mark.parametrize("phi", [0.3, -2.0])
+def test_ik_numbers_a_stuck_middle_leg_from_one(branch, phi):
+    # p = a2 - R(phi) a2 puts b2 on a2 and no other platform anchor on its
+    # base anchor.
+    a2 = DEFAULT_GEOMETRY.base_anchor(2)
+    c, s = math.cos(phi), math.sin(phi)
+    pose = Pose(a2.x - (c * a2.x - s * a2.y), a2.y - (s * a2.x + c * a2.y), phi)
+    with pytest.raises(LegAtAnchorError) as err:
+        inverse_kinematics(pose, branch=branch)
+    assert err.value.legs == (2,)
+    with pytest.raises(LegAtAnchorError) as err:
+        inverse_kinematics(Pose(0.0, 0.0, 0.0), branch=branch)
+    assert err.value.legs == (1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "branch", [(0.5, 0, 0), (1.7, 0, 0), (1.0, 0, 0), "010", (0, 1, np.True_)]
+)
+def test_ik_refuses_branch_flags_that_are_not_integers(branch):
+    # Read through int(), 0.5 would solve branch 000 and 1.7 branch 100.
+    # numpy's bool has no __index__.
+    with pytest.raises(TypeError):
+        inverse_kinematics(Pose(0.3, 0.2, 0.1), branch=branch)
+
+
+@pytest.mark.parametrize("branch", [(2, 0, 0), (0, -1, 0), (0, 1), (0, 1, 0, 1)])
+def test_ik_refuses_integer_branch_flags_outside_0_and_1(branch):
+    with pytest.raises(ValueError, match="branch must be three flags in {0, 1}"):
+        inverse_kinematics(Pose(0.3, 0.2, 0.1), branch=branch)
+
+
+@pytest.mark.parametrize(
+    "branch", [(True, False, True), (np.int64(1), np.int32(0), np.uint8(1)), np.array([1, 0, 1])]
+)
+def test_ik_takes_numpy_integers_and_bools_as_branch_flags(branch):
+    pose = Pose(0.3, 0.2, 0.1)
+    sol = inverse_kinematics(pose, branch=branch)
+    assert repr(sol) == repr(inverse_kinematics(pose, branch=(1, 0, 1)))
+    assert [type(k) for k in sol.branch] == [int, int, int]
+
+
 def test_ik_scales_with_geometry():
     big = ManipulatorGeometry(2.0)
     small = inverse_kinematics(Pose(0.3, 0.2, 0.1), geometry=DEFAULT_GEOMETRY)
