@@ -12,11 +12,12 @@ primitives, so agreement with the solvers is evidence, not tautology.
 
 The Jacobian checks compare the analytic velocity map against re-solved
 poses: central finite differences, or one complex step per leg.  One Newton
-serves the polish and both re-solves, on Python floats or complex numbers,
-and solves each 3x3 step by Cramer's rule, as J = A^-1 B's columns are.
-The module calls no LAPACK: on 3x3 systems this is faster, skips the
-workspace whose first use raises a process's peak RSS, and keeps the pinned
-oracle floats independent of the BLAS build.
+serves the polish and both re-solves, on Python floats or complex numbers.
+Its step is straight-line arithmetic, one expression per leg, and its 3x3
+solve is Cramer's rule with the triple products written inline, as J =
+A^-1 B's columns are.  The module calls no LAPACK: on 3x3 systems this is
+faster, skips the workspace whose first use raises a process's peak RSS,
+and keeps the pinned oracle floats independent of the BLAS build.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SingularNearbyError
+from .errors import GeometryError, SingularNearbyError
 from .geometry import (
     DEFAULT_GEOMETRY,
     PAIR_SIN_TOL,
@@ -38,7 +39,6 @@ from .geometry import (
     _as_angles,
     _best_pair,
     cluster_poses,
-    constraint_residuals,
 )
 
 __all__ = [
@@ -89,22 +89,11 @@ def _leg_rows(t, geometry: ManipulatorGeometry) -> list[tuple]:
     return [(s, c, (v.x, v.y)) for (c, s), v in zip(map(_cos_sin, t), geometry.anchors)]
 
 
-def _anchor_offsets(x, y, c, s, geometry: ManipulatorGeometry, home: float = 1.0) -> list:
-    """(u, v) = b_i - home a_i per leg at cos/sin (c, s) of phi, on floats or
-    columns; ``home`` 0 puts every base anchor at the origin (the scan's system).
-
-    Re-implements the anchor algebra directly (a separate evaluation path
-    from the scalar geometry helpers used by the solvers).
-    """
-    return [
-        (x + c * v.x - s * v.y - home * v.x, y + s * v.x + c * v.y - home * v.y)
-        for v in geometry.anchors
-    ]
-
-
-def _residual_rows(offsets: list, rows: list) -> list:
-    """The constraint residuals u sin t_i - v cos t_i of :func:`_anchor_offsets`."""
-    return [st * u - ct * v for (st, ct, _), (u, v) in zip(rows, offsets)]
+def _anchor_offsets(x, y, c, s, geometry: ManipulatorGeometry) -> list:
+    """The offsets (u, v) of the platform anchors at cos/sin (c, s) of phi with
+    every base anchor at the origin (the scan's system), on floats or columns:
+    the anchor algebra apart from the scalar geometry helpers of the solvers."""
+    return [(x + c * v.x - s * v.y, y + s * v.x + c * v.y) for v in geometry.anchors]
 
 
 @lru_cache(maxsize=2)
@@ -113,7 +102,7 @@ def _scan_table(geometry: ManipulatorGeometry) -> tuple:
     cos and sin of alpha), read-only and built once per geometry and
     process: two entries hold 14 columns of 2048 floats, 224 KiB."""
     alphas = -math.pi + _SCAN_STEP * np.arange(1, _SCAN_SAMPLES + 1)
-    offsets = np.array(_anchor_offsets(0.0, 0.0, np.cos(alphas), np.sin(alphas), geometry, 0.0))
+    offsets = np.array(_anchor_offsets(0.0, 0.0, np.cos(alphas), np.sin(alphas), geometry))
     alphas.flags.writeable = offsets.flags.writeable = False
     return alphas, offsets
 
@@ -125,33 +114,41 @@ def _newton_polish(
     """The one Newton: the scan's polish and the finite-difference re-solves
     on floats, the complex-step re-solves on complex ``t``.
 
-    Each step solves the three residuals of ``home`` (see
-    :func:`_anchor_offsets`) by :func:`_cramer`, with ``math``'s cos and sin
-    and the scan's ``rows`` (:func:`_leg_rows` of ``t``, built if not given).
-    Converged when every residual's real part is below ``tol`` and its
-    imaginary part at most ``tol`` times the largest of |Im t_i|, |Im x| / s,
-    |Im y| / s and |Im phi|.  Returns (solution, iterations used), or (None,
-    iterations) on a zero determinant or when ``tol`` is not reached.
+    Each step solves the residuals u sin t_i - v cos t_i of the offsets (u, v)
+    = b_i - home a_i (home 0: :func:`_anchor_offsets`) by :func:`_cramer`, with
+    ``math``'s cos and sin and the scan's ``rows`` (:func:`_leg_rows` of ``t``,
+    built if not given), each leg in straight-line arithmetic.  Converged when
+    every residual's real part is below ``tol`` and its imaginary part at most
+    ``tol`` times the largest of |Im t_i|, |Im x| / s, |Im y| / s and |Im phi|.
+    Returns (solution, iterations used), or (None, iterations) on a zero
+    determinant or when ``tol`` is not reached.
     """
     rows = _leg_rows(t, geometry) if rows is None else rows
-    sin_t, neg_cos_t = [r[0] for r in rows], [-r[1] for r in rows]
-    h = max(abs(a.imag) for a in t)
-    x, y, phi = start
-    for it in range(NEWTON_MAX_ITER + 1):
+    (st1, ct1, (bx1, by1)), (st2, ct2, (bx2, by2)), (st3, ct3, (bx3, by3)) = rows
+    sin_t, neg_cos_t = (st1, st2, st3), (-ct1, -ct2, -ct3)
+    h, scale = max(abs(t[0].imag), abs(t[1].imag), abs(t[2].imag)), geometry.scale
+    x, y, phi, cap = *start, NEWTON_MAX_ITER
+    for it in range(cap + 1):
         c, s = _cos_sin(phi)
-        res = _residual_rows(_anchor_offsets(x, y, c, s, geometry, home), rows)
-        if all(abs(r.real) < tol for r in res):
-            size = max(h, abs(x.imag) / geometry.scale, abs(y.imag) / geometry.scale, abs(phi.imag))
-            if all(abs(r.imag) <= tol * size for r in res):
+        r1 = st1 * (x + c * bx1 - s * by1 - home * bx1) - ct1 * (y + s * bx1 + c * by1 - home * by1)
+        r2 = st2 * (x + c * bx2 - s * by2 - home * bx2) - ct2 * (y + s * bx2 + c * by2 - home * by2)
+        r3 = st3 * (x + c * bx3 - s * by3 - home * bx3) - ct3 * (y + s * bx3 + c * by3 - home * by3)
+        if abs(r1.real) < tol and abs(r2.real) < tol and abs(r3.real) < tol:
+            gate = tol * max(h, abs(x.imag) / scale, abs(y.imag) / scale, abs(phi.imag))
+            if abs(r1.imag) <= gate and abs(r2.imag) <= gate and abs(r3.imag) <= gate:
                 return ((x, y, phi), it)
-        if it == NEWTON_MAX_ITER:
+        if it == cap:
             break
-        turn = [st * (-s * bx - c * by) - ct * (c * bx - s * by) for st, ct, (bx, by) in rows]
-        step = _cramer(sin_t, neg_cos_t, turn, res)
+        turn = (
+            st1 * (-s * bx1 - c * by1) - ct1 * (c * bx1 - s * by1),
+            st2 * (-s * bx2 - c * by2) - ct2 * (c * bx2 - s * by2),
+            st3 * (-s * bx3 - c * by3) - ct3 * (c * bx3 - s * by3),
+        )
+        step = _cramer(sin_t, neg_cos_t, turn, (r1, r2, r3))
         if step is None:
             return (None, it + 1)
         x, y, phi = x - step[0], y - step[1], phi - step[2]
-    return (None, NEWTON_MAX_ITER)
+    return (None, cap)
 
 
 def dkp_bruteforce(
@@ -183,7 +180,7 @@ def dkp_bruteforce(
         return ScanReport((_TRIVIAL,), 0.0, (_SCAN_SAMPLES, 1), 0, continuum=True)
 
     (alphas, offsets), rows = _scan_table(geometry), _leg_rows(t, geometry)
-    e = _residual_rows(offsets, rows)
+    e = [st * u - ct * v for (st, ct, _), (u, v) in zip(rows, offsets)]
     # Cramer solve of legs i, j for q at each alpha.
     x = (e[i] * math.cos(t[j]) - e[j] * math.cos(t[i])) / det
     y = (e[i] * math.sin(t[j]) - e[j] * math.sin(t[i])) / det
@@ -198,7 +195,14 @@ def dkp_bruteforce(
     else:
         candidates = _bracket_candidates(leftover, x, y, alphas, _SCAN_STEP)
     poses, iters = _polish_candidates(candidates, t, rows, geometry)
-    residual = max(abs(r) for pose in poses for r in constraint_residuals(pose, t, geometry))
+    residual = 0.0  # the largest |constraint_residuals|, refused past the float range as there
+    for pose in poses:
+        px, py, c, s = pose.x, pose.y, math.cos(pose.phi), math.sin(pose.phi)
+        for st, ct, (ax, ay) in rows:
+            r = st * (px + c * ax - s * ay - ax) - ct * (py + s * ax + c * ay - ay)
+            if not math.isfinite(r):
+                raise GeometryError(f"residual must be finite, got {r!r}")
+            residual = max(residual, abs(r))
     return ScanReport(tuple(poses), residual, (_SCAN_SAMPLES, 1), iters, continuum=continuum)
 
 
@@ -213,7 +217,8 @@ def _bracket_candidates(
     Only the indices come from arrays; the few starts are built on floats.
     """
     with np.errstate(over="ignore"):
-        picks = np.flatnonzero((leftover == 0.0) | (leftover * np.roll(leftover, -1) < 0.0))
+        wrapped = np.concatenate((leftover[1:], leftover[:1]))
+        picks = np.flatnonzero((leftover == 0.0) | (leftover * wrapped < 0.0))
     candidates = []
     for a in picks.tolist():
         b = (a + 1) % leftover.size
@@ -371,19 +376,17 @@ def _cos_sin(z):
     return complex(cos * cosh, -sin * sinh), complex(sin * cosh, cos * sinh)
 
 
-def _triple(p: list, q: list, r: list) -> complex:
-    """The triple product p . (q x r), the determinant with columns p, q, r."""
-    return (
-        p[0] * (q[1] * r[2] - q[2] * r[1])
-        + p[1] * (q[2] * r[0] - q[0] * r[2])
-        + p[2] * (q[0] * r[1] - q[1] * r[0])
-    )
-
-
-def _cramer(p: list, q: list, r: list, b: list) -> tuple | None:
+def _cramer(p, q, r, b) -> tuple | None:
     """z with z0 p + z1 q + z2 r = b by Cramer's rule, on floats or complex
-    numbers, or None when det [p q r] is 0."""
-    det = _triple(p, q, r)
+    numbers, or None when det [p q r] is 0.  Each determinant is the triple
+    product c0 . (c1 x c2) of its columns; det and the first share q x r."""
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2), (b0, b1, b2) = p, q, r, b
+    qr0, qr1, qr2 = q1 * r2 - q2 * r1, q2 * r0 - q0 * r2, q0 * r1 - q1 * r0
+    det = p0 * qr0 + p1 * qr1 + p2 * qr2
     if det == 0:
         return None
-    return (_triple(b, q, r) / det, _triple(b, r, p) / det, _triple(b, p, q) / det)
+    return (
+        (b0 * qr0 + b1 * qr1 + b2 * qr2) / det,
+        (b0 * (r1 * p2 - r2 * p1) + b1 * (r2 * p0 - r0 * p2) + b2 * (r0 * p1 - r1 * p0)) / det,
+        (b0 * (p1 * q2 - p2 * q1) + b1 * (p2 * q0 - p0 * q2) + b2 * (p0 * q1 - p1 * q0)) / det,
+    )
