@@ -8,8 +8,7 @@ from __future__ import annotations
 
 __all__ = [
     "Rpr3Error", "GeometryError", "LegAtAnchorError", "DegenerateLegPairError",
-    "NotReuleauxError", "InconsistentStateError", "ParallelSingularError",
-    "SerialSingularError", "SingularNearbyError",
+    "NotReuleauxError", "InconsistentStateError", "SingularNearbyError",
 ]
 
 
@@ -57,25 +56,6 @@ class InconsistentStateError(Rpr3Error, ValueError):
         super().__init__(
             f"pose/joint-angle pair violates leg constraints: max residual "
             f"{worst:.3e} exceeds {tol:.3e}"
-        )
-
-
-class ParallelSingularError(Rpr3Error, ArithmeticError):
-    """Forward velocity is undefined: the pose/angle pair is at (or within
-    tolerance of) a parallel singularity, det A ~ 0."""
-
-
-class SerialSingularError(Rpr3Error, ArithmeticError):
-    """Inverse velocity is undefined: at least one leg has zero extension.
-
-    ``legs`` lists the offending leg indices (1-based).
-    """
-
-    def __init__(self, legs: tuple[int, ...]):
-        self.legs = tuple(legs)
-        super().__init__(
-            f"serial singularity: zero extension on leg(s) "
-            f"{', '.join(str(k) for k in self.legs)}"
         )
 
 

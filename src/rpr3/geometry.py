@@ -40,7 +40,6 @@ __all__ = [
     "angle_differences",
     "rotation_matrix",
     "platform_anchor",
-    "platform_anchor_arrays",
     "POSE_TOL",
     "PAIR_SIN_TOL",
     "pose_distance",
@@ -400,23 +399,6 @@ def _leg_columns(x, y, phi, geometry: ManipulatorGeometry):
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("positions must be finite")
     return x, y, _leg_offsets(x, y, normalize_angles(phi), geometry)
-
-
-def platform_anchor_arrays(
-    x: np.ndarray,
-    y: np.ndarray,
-    phi: np.ndarray,
-    geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
-) -> tuple[np.ndarray, np.ndarray]:
-    """World platform anchors for (N,) pose arrays, as (N, 3) x and y arrays.
-
-    Column ``leg - 1`` equals :func:`platform_anchor` at ``Pose(x, y, phi)``
-    bit for bit; like :class:`Pose`, non-finite positions are rejected and
-    ``phi`` is normalized first.
-    """
-    _, _, legs = _leg_columns(x, y, phi, geometry)
-    bx, by, _, _ = zip(*legs)
-    return np.stack(bx, axis=1), np.stack(by, axis=1)
 
 
 def _leg_axis(theta, dx, dy):

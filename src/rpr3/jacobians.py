@@ -25,12 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    GeometryError,
-    InconsistentStateError,
-    ParallelSingularError,
-    SerialSingularError,
-)
+from .errors import GeometryError, InconsistentStateError
 from .geometry import (
     DEFAULT_GEOMETRY,
     PAIR_SIN_TOL,
@@ -53,15 +48,12 @@ __all__ = [
     "PARALLEL_DET_TOL",
     "SERIAL_RHO_TOL",
     "CONCURRENCY_TOL",
-    "Twist",
     "KinematicMatrices",
     "SingularityKind",
     "SingularityReport",
     "build_matrices",
     "KinematicMatricesArray",
     "build_matrices_array",
-    "forward_velocity",
-    "inverse_velocity",
     "classify_singularity",
     "det_A_specialized",
 ]
@@ -145,22 +137,6 @@ def _det_a(rows):
     return w3 * (u1 * v2 - v1 * u2) - w2 * (u1 * v3 - v1 * u3)
 
 
-@dataclass(frozen=True)
-class Twist:
-    """Platform velocity: translational rate of the reference point and the
-    angular rate."""
-
-    linear: Vec2
-    angular: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.angular):
-            raise ValueError(f"angular rate must be finite, got {self.angular!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array((self.linear.x, self.linear.y, self.angular), dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class KinematicMatrices:
     """Velocity model A t = B q at one configuration.
@@ -177,10 +153,6 @@ class KinematicMatrices:
 
     def is_parallel_singular(self) -> bool:
         return _is_parallel(self.det_a, self.scale)
-
-    def serial_zero_legs(self) -> tuple[int, ...]:
-        """1-based legs whose extension is zero within tolerance."""
-        return _zero_legs(np.diagonal(self.b_matrix).tolist(), self.scale)
 
 
 def build_matrices(
@@ -210,40 +182,6 @@ def _configuration(pose: Pose, t: tuple[float, float, float], geometry: Manipula
     rows, residuals, rhos, det_b = _velocity_terms(x, y, t, legs)
     _check_configuration(x, y, geometry.scale, det_b, *residuals)
     return rows, rhos, float(_det_a(rows)), det_b, legs
-
-
-def forward_velocity(matrices: KinematicMatrices, joint_rates: Sequence[float]) -> Twist:
-    """Platform twist produced by the given actuated joint rates.
-
-    Raises :class:`ParallelSingularError` when A is singular within
-    tolerance (the twist is then unbounded or indeterminate).
-    """
-    if matrices.is_parallel_singular():
-        raise ParallelSingularError(
-            f"det A = {matrices.det_a:.3e} is singular within tolerance"
-        )
-    q = np.asarray(joint_rates, dtype=float)
-    if q.shape != (3,):
-        raise ValueError(f"expected 3 joint rates, got shape {q.shape}")
-    t = np.linalg.solve(matrices.a_matrix, matrices.b_matrix @ q)
-    return Twist(Vec2(float(t[0]), float(t[1])), float(t[2]))
-
-
-def inverse_velocity(
-    matrices: KinematicMatrices, twist: Twist
-) -> tuple[float, float, float]:
-    """Actuated joint rates realizing the given platform twist.
-
-    Raises :class:`SerialSingularError` listing every zero-extension leg;
-    those rows of B vanish and the corresponding rates are indeterminate.
-    """
-    zero = matrices.serial_zero_legs()
-    if zero:
-        raise SerialSingularError(zero)
-    lhs = matrices.a_matrix @ twist.as_array()
-    rhos = np.diagonal(matrices.b_matrix)
-    out = lhs / rhos
-    return (float(out[0]), float(out[1]), float(out[2]))
 
 
 @unique
@@ -349,9 +287,9 @@ def det_A_specialized(
 
     At the trivial assembly the platform anchors sit on the base anchors,
     and every other assembly of theta has det A = -scale * n / 2 (derived
-    there).  Used to scan joint space for parallel singularities without
-    building matrices; ``build_matrices(identity, theta).det_a`` expands A
-    along its moment-arm column instead and agrees to machine precision.
+    there).  It is the closed-form reference for det A = s * n / 2 that
+    ``build_matrices(identity, theta).det_a``, which expands A along its
+    moment-arm column, matches to machine precision.
     """
     return geometry.scale / 2.0 * _mn(*_as_angles(theta))[1]
 

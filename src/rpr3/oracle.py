@@ -259,22 +259,22 @@ def _chord_pose(qx: float, qy: float, alpha: float) -> Pose | None:
     return Pose(x, y, 2.0 * alpha - math.pi) if math.isfinite(x) and math.isfinite(y) else None
 
 
-def _analytic_map(pose: Pose, t: tuple, geometry: ManipulatorGeometry, matrices=None) -> list:
-    """The columns of J = A^-1 B, position rows in units of the scale, of
-    ``matrices``, built here unless given; B is diagonal, so column l is
-    rho_l A^-1 e_l, each by :func:`_cramer`.  Raises
-    :class:`SingularNearbyError` when A is parallel singular."""
-    if matrices is None:
-        from .jacobians import build_matrices
+def _analytic_map(pose: Pose, t: tuple, geometry: ManipulatorGeometry, terms=None) -> list:
+    """The columns of J = A^-1 B, position rows in units of the scale, from
+    ``terms``: the rows of A, the rhos and det A that the velocity layer's
+    ``_configuration(pose, t, geometry)`` leads with, computed here unless
+    given.  B is diagonal, so column l is rho_l A^-1 e_l, each by
+    :func:`_cramer`.  Raises :class:`SingularNearbyError` when A is parallel
+    singular."""
+    from .jacobians import _configuration, _is_parallel
 
-        matrices = build_matrices(pose, t, geometry)
-    if matrices.is_parallel_singular():
-        raise SingularNearbyError(
-            f"det A = {matrices.det_a:.3e}: too close to a parallel singularity"
-        )
-    a, s = matrices.a_matrix.T.tolist(), geometry.scale
+    rows, rhos, det_a = terms or _configuration(pose, t, geometry)[:3]
+    s = geometry.scale
+    if _is_parallel(det_a, s):
+        raise SingularNearbyError(f"det A = {det_a:.3e}: too close to a parallel singularity")
+    a = list(zip(*rows))
     j = []
-    for leg, rho in enumerate(matrices.b_matrix.diagonal().tolist()):
+    for leg, rho in enumerate(rhos):
         dx, dy, dphi = _cramer(*a, [float(leg == k) for k in range(3)])
         j.append((rho * dx / s, rho * dy / s, rho * dphi))
     return j
@@ -337,10 +337,10 @@ def jacobian_cs_check(
     return _jacobian_cs_error(pose, _as_angles(theta), geometry)
 
 
-def _jacobian_cs_error(pose: Pose, t: tuple, geometry: ManipulatorGeometry, matrices=None) -> float:
+def _jacobian_cs_error(pose: Pose, t: tuple, geometry: ManipulatorGeometry, terms=None) -> float:
     """:func:`jacobian_cs_check` at checked angles ``t``, on the caller's
-    ``build_matrices(pose, t, geometry)`` when it has them."""
-    analytic = _analytic_map(pose, t, geometry, matrices)
+    rows of A, rhos and det A when it has them (see :func:`_analytic_map`)."""
+    analytic = _analytic_map(pose, t, geometry, terms)
     columns = [_complex_step_column(pose, t, leg, geometry) for leg in range(3)]
     return _relative_error(columns, analytic)
 

@@ -58,7 +58,6 @@ __all__ = [
     "DkSolutionSet",
     "mn_coefficients",
     "classify_dk_degeneracy",
-    "classify_dk_degeneracy_array",
     "position_from_orientation",
     "direct_kinematics",
 ]
@@ -288,14 +287,6 @@ def classify_dk_degeneracy(theta: JointAngles | Sequence[float]) -> DkKind:
     turn or mirror of the leg labels permutes the gaps, not the kind.
     """
     return _DK_KINDS[_continuum(*_as_angles(theta))]
-
-
-def classify_dk_degeneracy_array(theta: np.ndarray) -> np.ndarray:
-    """:func:`classify_dk_degeneracy` of each row of an (N, 3) angle array,
-    as an (N,) object array of :class:`DkKind`."""
-    t1, t2, t3 = np.asarray(theta, dtype=float).T
-    _first_nonfinite(lambda *row: _as_angles(row), t1, t2, t3)
-    return np.array(_DK_KINDS, dtype=object)[_continuum(t1, t2, t3)]
 
 
 def _continuum(t1, t2, t3):

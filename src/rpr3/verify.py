@@ -18,7 +18,7 @@ from .geometry import (
     PAIR_SIN_TOL, POSE_TOL, ManipulatorGeometry, Pose, _leg_axis, _libm, _place_anchors,
     _pose_set_deviation, normalize_angles,
 )
-from .jacobians import FAR_POSE_TOL, _is_parallel, build_matrices
+from .jacobians import FAR_POSE_TOL, _configuration, _is_parallel
 from .oracle import _jacobian_cs_error, dkp_bruteforce
 from .solvers import DkKind, direct_kinematics, inverse_kinematics
 
@@ -104,12 +104,12 @@ def _jacobian_trial(rng, geom) -> float | None:
         return None
     if min(sol.rhos()) < 0.05 * s:
         return None
-    theta = sol.angles
-    mats = build_matrices(pose, theta, geometry=geom)
-    if _is_parallel(mats.det_a, s, tol=5e-6):
+    theta = sol.angles.as_tuple()
+    rows, rhos, det_a, *_ = _configuration(pose, theta, geom)
+    if _is_parallel(det_a, s, tol=5e-6):
         return None
     try:
-        err = _jacobian_cs_error(pose, theta.as_tuple(), geom, mats)
+        err = _jacobian_cs_error(pose, theta, geom, (rows, rhos, det_a))
     except SingularNearbyError:
         return None
     if err > 1e-9:

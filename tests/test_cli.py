@@ -15,7 +15,7 @@ import pytest
 
 from rpr3 import cli, coupler, jacobians, oracle, solvers, sweep, verify
 from rpr3.cli import main
-from rpr3.errors import ParallelSingularError
+from rpr3.errors import SingularNearbyError
 from rpr3.geometry import (
     DEFAULT_GEOMETRY,
     POSE_TOL,
@@ -1234,24 +1234,24 @@ def test_verify_reports_a_failed_check(capsys, monkeypatch, broken):
     assert "np." not in line
 
 
-def _flipped_b11(matrices):
-    b = matrices.b_matrix.copy()
-    b[1, 1] = -b[1, 1]
-    return dataclasses.replace(matrices, b_matrix=b)
+def _flipped_b11(configuration):
+    rows, (rho1, rho2, rho3), *rest = configuration
+    return (rows, [rho1, -rho2, rho3], *rest)
 
 
-def _swapped_a_columns(matrices):
-    return dataclasses.replace(matrices, a_matrix=matrices.a_matrix[:, [1, 0, 2]])
+def _swapped_a_columns(configuration):
+    rows, *rest = configuration
+    return ([(v, u, w) for u, v, w in rows], *rest)
 
 
 @pytest.mark.parametrize("corrupt", [_flipped_b11, _swapped_a_columns])
 def test_verify_jacobian_scope_catches_a_wrong_analytic_map(capsys, monkeypatch, corrupt):
-    # The trial builds the matrices once, for its skip tests and for the
-    # complex-step check.  Neither corruption moves det A, so the same draws
-    # are checked: only the map under test is wrong, and the re-solved
-    # columns must expose it.
-    real = verify.build_matrices
-    monkeypatch.setattr(verify, "build_matrices", lambda *a, **kw: corrupt(real(*a, **kw)))
+    # The trial builds the rows of A, the rhos (B's diagonal) and det A once,
+    # for its skip tests and for the complex-step check.  Neither corruption
+    # moves det A, so the same draws are checked: only the map under test is
+    # wrong, and the re-solved columns must expose it.
+    real = verify._configuration
+    monkeypatch.setattr(verify, "_configuration", lambda *a, **kw: corrupt(real(*a, **kw)))
     code, out, err = run(capsys, "verify", "--scope", "jacobian", "--trials", "20", "--seed", "3")
     assert code == 4
     assert strict_json(out)["scopes"] == {"jacobian": {"passed": False}}
@@ -1292,7 +1292,7 @@ def test_jacobian_trial_skips_short_legs_and_parallel_singular_poses(monkeypatch
     assert err is not None and 0.0 < err < 1e-12
     # Leg 1 is 0.02 long, under the 0.05 * scale floor: skipped before the
     # matrices are built.
-    monkeypatch.setattr(verify, "build_matrices", _must_not_run)
+    monkeypatch.setattr(verify, "_configuration", _must_not_run)
     assert verify._jacobian_trial(_Draws(0.02, 0.0, 0.0), geom) is None
     monkeypatch.undo()
     # A pose of the straight-line continuum of theta1 = 0 at phi = 0.5 (rho
@@ -1304,16 +1304,17 @@ def test_jacobian_trial_skips_short_legs_and_parallel_singular_poses(monkeypatch
 
 
 def test_jacobian_trial_builds_the_matrices_once(monkeypatch):
-    # The skip guard's matrices are the ones the complex-step check reads:
-    # one build per checked trial, and the error the public check gives.
-    real, calls = jacobians.build_matrices, []
+    # The skip guard's matrices (rows of A, rhos, det A) are the ones the
+    # complex-step check reads: one build per checked trial, and the error
+    # the public check gives.
+    real, calls = jacobians._configuration, []
 
     def counted(pose, theta, geometry):
         calls.append((pose, theta))
         return real(pose, theta, geometry)
 
-    monkeypatch.setattr(verify, "build_matrices", counted)
-    monkeypatch.setattr(jacobians, "build_matrices", counted)
+    monkeypatch.setattr(verify, "_configuration", counted)
+    monkeypatch.setattr(jacobians, "_configuration", counted)
     err = verify._jacobian_trial(_Draws(0.3, 0.2, 0.1), DEFAULT_GEOMETRY)
     assert err is not None and len(calls) == 1
     assert err == jacobian_cs_check(*calls[0])
@@ -1368,15 +1369,16 @@ def test_verify_missing_csv_is_io_error(tmp_path, capsys):
 
 
 def test_every_library_error_exits_cleanly(capsys, monkeypatch):
-    # No command raises this one today; main maps it through Rpr3Error.
-    def raise_parallel_singular(args, geom):
-        raise ParallelSingularError("det A vanishes")
+    # No command lets this one escape (verify skips the draw); main maps it
+    # through Rpr3Error.
+    def raise_singular_nearby(args, geom):
+        raise SingularNearbyError("det A vanishes")
 
     # One call first, so the parser exists before the patch: main must look
     # the handler up when it is called, whatever ran before.
     argv = ("ik", "--x", "0.3", "--y", "0.2", "--phi", "0.1")
     assert run(capsys, *argv)[0] == 0
-    monkeypatch.setattr(cli, "_cmd_ik", raise_parallel_singular)
+    monkeypatch.setattr(cli, "_cmd_ik", raise_singular_nearby)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

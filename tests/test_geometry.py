@@ -44,7 +44,6 @@ from rpr3.solvers import (
     DkSolutionSet,
     IkSolution,
     classify_dk_degeneracy,
-    classify_dk_degeneracy_array,
     direct_kinematics,
     inverse_kinematics,
     mn_coefficients,
@@ -632,8 +631,7 @@ _ANGLE_ENTRY_POINTS = {
     "build_matrices": lambda t: build_matrices(_POSE, t),
     "classify_singularity": lambda t: classify_singularity(_POSE, t),
     "jacobian_fd_check": lambda t: jacobian_fd_check(_POSE, t),
-    # The array kernels name their first non-finite row.
-    "classify_dk_degeneracy_array": lambda t: classify_dk_degeneracy_array([(0.1, 0.2, 0.3), t]),
+    # The array kernel names its first non-finite row.
     "build_matrices_array": lambda t: build_matrices_array(
         [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [(0.1, 0.2, 0.3), t]
     ),

@@ -19,15 +19,16 @@ from rpr3.geometry import (
     ManipulatorGeometry,
     Pose,
     _first_nonfinite,
+    _leg_columns,
     _libm,
     angle_difference,
     angle_differences,
     normalize_angle,
     normalize_angles,
     platform_anchor,
-    platform_anchor_arrays,
 )
 from rpr3.jacobians import (
+    SERIAL_RHO_TOL,
     SingularityKind,
     _check_rows,
     build_matrices,
@@ -35,8 +36,9 @@ from rpr3.jacobians import (
     classify_singularity,
 )
 from rpr3.solvers import (
+    _DK_KINDS,
+    _continuum,
     classify_dk_degeneracy,
-    classify_dk_degeneracy_array,
     inverse_kinematics,
     inverse_kinematics_array,
 )
@@ -56,6 +58,12 @@ def _bits(values):
 
 def _assert_bit_equal(got, want):
     np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def _dk_kinds(theta):
+    """The :class:`DkKind` of each row of an (N, 3) angle array, from the
+    continuum rule the joint page runs on its columns."""
+    return np.array(_DK_KINDS, dtype=object)[_continuum(*theta.T)]
 
 
 def _cartesian_scalar(x, y, phi, geom):
@@ -90,7 +98,8 @@ def _report_matching_matrices(pose, theta, geom):
     _assert_bit_equal([report.det_a, report.det_b], [mats.det_a, mats.det_b])
     parallel = report.kind in (SingularityKind.PARALLEL, SingularityKind.BOTH)
     assert parallel is mats.is_parallel_singular()
-    assert report.zero_rho_legs == mats.serial_zero_legs()
+    zero = np.flatnonzero(np.abs(np.diagonal(mats.b_matrix)) < SERIAL_RHO_TOL * geom.scale) + 1
+    assert report.zero_rho_legs == tuple(zero.tolist())
     return report
 
 
@@ -186,7 +195,7 @@ def test_joint_kernels_match_scalar_path(geom, case):
     _assert_bit_equal(got.det_a, [m.det_a for m in want])
     _assert_bit_equal(got.det_b, [m.det_b for m in want])
     _assert_bit_equal(got.a_matrix, [m.a_matrix for m in want])
-    kinds = classify_dk_degeneracy_array(theta)
+    kinds = _dk_kinds(theta)
     assert list(kinds) == [classify_dk_degeneracy(t) for t in theta.tolist()]
     expected = {
         "translation diagonal": "ContinuumTranslation",
@@ -218,13 +227,16 @@ def test_anchor_kernel_matches_platform_anchor(geom):
     x = np.array([0.0, -0.0, 0.3, -1.7])
     y = np.array([0.0, -0.0, 1.1, 0.4])
     phi = np.array([-math.pi, -0.0, 7.0, 0.25])
-    bx, by = platform_anchor_arrays(x, y, phi, geometry=geom)
+    _, _, legs = _leg_columns(x, y, phi, geom)
     for k, (px, py, pphi) in enumerate(zip(x.tolist(), y.tolist(), phi.tolist())):
-        for leg in (1, 2, 3):
+        for leg, (bx, by, _, _) in enumerate(legs, start=1):
             want = platform_anchor(Pose(px, py, pphi), leg, geometry=geom)
-            _assert_bit_equal([bx[k, leg - 1], by[k, leg - 1]], [want.x, want.y])
-    with pytest.raises(ValueError):
-        platform_anchor_arrays(np.array([math.inf]), np.zeros(1), np.zeros(1))
+            _assert_bit_equal([bx[k], by[k]], [want.x, want.y])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positions must be finite"):
+            _leg_columns(np.array([0.0, bad]), np.zeros(2), np.zeros(2), geom)
+        with pytest.raises(ValueError, match="positions must be finite"):
+            _leg_columns(np.zeros(2), np.array([bad, 0.0]), np.zeros(2), geom)
 
 
 def test_matrices_kernel_keeps_the_consistency_gate():
@@ -246,7 +258,7 @@ def test_kernels_accept_empty_batches():
     assert theta.shape == (0, 3) and at_anchor.shape == (0,)
     mats = build_matrices_array(empty, empty, empty, theta)
     assert mats.det_a.shape == (0,) and mats.singularity_kinds().shape == (0,)
-    assert classify_dk_degeneracy_array(theta).shape == (0,)
+    assert _dk_kinds(theta).shape == (0,)
 
 
 # ------------------------------------------------- broadcasting and guards
@@ -328,7 +340,7 @@ def _flat_page(space, axes, deg, geom):
         x = y = phi = np.zeros(len(theta))
         mats = build_matrices_array(x, y, phi, theta, geometry=geom)
         det_a, det_b = mats.det_a, mats.det_b
-        kinds = classify_dk_degeneracy_array(theta)
+        kinds = _dk_kinds(theta)
     else:
         x, y, phi = grid[0], grid[1], normalize_angles(grid[2])
         theta, at_anchor = inverse_kinematics_array(x, y, phi, geometry=geom)

@@ -1,6 +1,10 @@
 """The package surface: each layer declares its public names once, in its
 own ``__all__``, and ``rpr3`` re-exports every one of them."""
 
+import ast
+import re
+from pathlib import Path
+
 import rpr3
 from rpr3 import coupler, errors, geometry, jacobians, oracle, solvers
 
@@ -10,17 +14,16 @@ LAYERS = (errors, geometry, solvers, jacobians, coupler, oracle)
 # every one of them must keep importing from ``rpr3``.
 EARLIER_NAMES = """
     __version__ Rpr3Error GeometryError LegAtAnchorError DegenerateLegPairError
-    NotReuleauxError InconsistentStateError ParallelSingularError
-    SerialSingularError SingularNearbyError Vec2 Pose LegState JointAngles
-    ManipulatorGeometry DEFAULT_GEOMETRY normalize_angle normalize_angles
-    angle_difference angle_differences rotation_matrix platform_anchor
-    platform_anchor_arrays constraint_residuals signed_extensions load_geometry
+    NotReuleauxError InconsistentStateError SingularNearbyError Vec2 Pose
+    LegState JointAngles ManipulatorGeometry DEFAULT_GEOMETRY normalize_angle
+    normalize_angles angle_difference angle_differences rotation_matrix
+    platform_anchor constraint_residuals signed_extensions load_geometry
     DEGENERACY_ANGLE_TOL DkKind DkSolutionSet IkSolution LineDescriptor
     inverse_kinematics inverse_kinematics_array direct_kinematics
-    mn_coefficients classify_dk_degeneracy classify_dk_degeneracy_array
-    position_from_orientation Twist KinematicMatrices KinematicMatricesArray
-    SingularityKind SingularityReport build_matrices build_matrices_array
-    forward_velocity inverse_velocity classify_singularity det_A_specialized
+    mn_coefficients classify_dk_degeneracy position_from_orientation
+    KinematicMatrices KinematicMatricesArray SingularityKind
+    SingularityReport build_matrices build_matrices_array classify_singularity
+    det_A_specialized
     CouplerCurve SegmentDescriptor ReuleauxDescriptor trace_cardanic
     rho_from_phi geometric_dkp reuleaux_descriptor ScanReport dkp_bruteforce
     jacobian_fd_check
@@ -37,7 +40,7 @@ def test_package_all_is_the_layers_lists():
 
 
 def test_every_earlier_name_still_imports():
-    assert len(EARLIER_NAMES) == 59
+    assert len(EARLIER_NAMES) == 52
     namespace = {}
     exec("from rpr3 import *", namespace)
     assert set(EARLIER_NAMES) <= set(namespace)
@@ -56,3 +59,71 @@ def test_the_parallel_pair_threshold_lives_in_geometry():
     assert "PAIR_SIN_TOL" not in coupler.__all__
     for layer in (solvers, jacobians, coupler, oracle):
         assert layer.PAIR_SIN_TOL is geometry.PAIR_SIN_TOL
+
+
+# The public names with no reader in src/rpr3, bench/ or the acceptance
+# battery, each kept as a thin public face of a body the package runs.
+KEPT_FACES = {
+    "inverse_kinematics_array": "face of solvers._aim_columns, which the sweep page runs",
+    "build_matrices_array": "face of jacobians._matrix_columns, which the sweep page runs",
+    "KinematicMatricesArray": "the result of build_matrices_array",
+    "jacobian_cs_check": "face of oracle._jacobian_cs_error, which verify runs",
+    "position_from_orientation": "face of solvers._position, which direct kinematics runs",
+}
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Names and attributes that code under ``tree`` reads; a docstring, an
+    import or an ``__all__`` entry is not a read."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def _unread_public_names() -> set[str]:
+    """Public names of the layers that nothing reads.
+
+    A reader in src/rpr3 counts only while it is itself read, so a name read
+    by nothing but another unread name is unread too; a reader is a module's
+    top-level code, or the ``def`` or ``class`` of another name.
+    """
+    public = {name for layer in LAYERS for name in layer.__all__}
+    readers = []  # (name defined, names it reads)
+    for path in sorted((ROOT / "src" / "rpr3").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            defined = getattr(node, "name", None)  # a def or class; None for other code
+            readers.append((defined, _names_read(node)))
+    # The benchmark reads a name as rpr3.name, or traces it as "layer.name".
+    layers = {layer.__name__.rpartition(".")[2] for layer in LAYERS}
+    outside = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "rpr3":
+                outside.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                match = re.fullmatch(r"(\w+)\.(\w+)", node.value)
+                if match and match[1] in layers:
+                    outside.add(match[2])
+    acceptance = ROOT / "tests" / "test_acceptance.py"
+    outside |= _names_read(ast.parse(acceptance.read_text(encoding="utf-8")))
+    unread = set()
+    while True:
+        read = {
+            name
+            for defined, names in readers
+            if defined not in unread
+            for name in names - {defined}
+        }
+        now = public - read - outside
+        if now == unread:
+            return unread
+        unread = now
+
+
+def test_every_public_name_has_a_reader():
+    # A kept face that gains a reader leaves the list.
+    assert _unread_public_names() == set(KEPT_FACES)

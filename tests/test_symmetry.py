@@ -43,9 +43,10 @@ from rpr3.jacobians import (
 )
 from rpr3.oracle import dkp_bruteforce
 from rpr3.solvers import (
+    _DK_KINDS,
     DkKind,
+    _continuum,
     classify_dk_degeneracy,
-    classify_dk_degeneracy_array,
     direct_kinematics,
     inverse_kinematics,
     inverse_kinematics_array,
@@ -137,6 +138,12 @@ def _band_draws(rng, offsets, count):
     )
 
 
+def _dk_kinds(theta):
+    """The :class:`DkKind` of each row of an (N, 3) angle array, from the
+    continuum rule the joint page runs on its columns."""
+    return np.array(_DK_KINDS, dtype=object)[_continuum(*theta.T)]
+
+
 @pytest.mark.parametrize(
     "offsets, kind",
     [((PI3, -PI3), DkKind.CONTINUUM_REULEAUX), ((0.0, 0.0), DkKind.CONTINUUM_TRANSLATION)],
@@ -147,7 +154,7 @@ def test_continuum_kind_is_a_function_of_the_orbit(offsets, kind):
     # pivoting on leg 1 (two gaps against a signed pair) split 3,739 of
     # these 20,000 orbits, in either family.
     theta = _band_draws(np.random.default_rng(3), offsets, 20_000)
-    kinds = classify_dk_degeneracy_array(theta)
+    kinds = _dk_kinds(theta)
     inside = kinds == kind
     # The band is the hexagon |d2|, |d3|, |d2 - d3| < 5e-9: about 19% of
     # the square (3,745 rows here; the leg-1 pivot's parallelogram, 25%,
@@ -155,7 +162,7 @@ def test_continuum_kind_is_a_function_of_the_orbit(offsets, kind):
     assert 3_000 < inside.sum() < 4_500
     assert set(kinds[~inside]) == {DkKind.TWO_SOLUTIONS}
     for image in (c3(theta), c3(c3(theta)), mirror(theta)):
-        split = np.flatnonzero(classify_dk_degeneracy_array(image) != kinds)
+        split = np.flatnonzero(_dk_kinds(image) != kinds)
         assert split.size == 0, theta[split[:3]].tolist()
     # The columns and the scalar form are one body: 1,000 rows of the band
     # and 1,000 outside it classify the same one by one.
