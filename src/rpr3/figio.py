@@ -10,10 +10,18 @@ fixed viewBox spanning [-1.5, 2.5] in both axes (mathematical orientation,
 y up), which covers the unit-scale mechanism with margin.  Curves arrive as
 exact points (a sweep page's singularity locus comes from
 ``sweep._sweep_locus``); nothing here samples or contours a field.
+
+An existing artifact is rewritten in place, opened without ``O_TRUNC``:
+its inode, mode and links are kept, and the old tail is cut after the last
+write (truncating to zero first cost several times the write).  A FIFO,
+``/dev/null`` or a tty is written as before, never cut.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import stat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +37,19 @@ VIEW_MIN = -1.5
 VIEW_MAX = 2.5
 # Rows write_csv formats at a time, so its memory stays flat.
 _BLOCK_ROWS = 4096
+
+
+@contextlib.contextmanager
+def _rewrite(path: str):
+    """Text file at ``path``, overwritten from its start; on exit, after an
+    error too, a regular file is cut where the writes stopped."""
+    opener = lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)
+    with open(path, "w", encoding="utf-8", newline="", opener=opener) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 def write_csv(
@@ -51,7 +72,7 @@ def write_csv(
         labels = np.array(list(labels), dtype=object)
         if len(labels) != len(table):
             raise ValueError(f"write_csv: {len(labels)} labels for {len(table)} table rows")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _rewrite(path) as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(table), _BLOCK_ROWS):
             block = table[start : start + _BLOCK_ROWS]
@@ -148,7 +169,7 @@ class SvgCanvas:
         return head + "\n".join(body) + "\n</svg>\n"
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _rewrite(path) as fh:
             fh.write(self.to_string())
 
 

@@ -808,8 +808,8 @@ PINNED_SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("page", sorted(PINNED_SWEEPS))
-def test_sweep_artifacts_are_pinned(tmp_path, capsys, monkeypatch, page):
+def _check_pinned_page(tmp_path, capsys, monkeypatch, page):
+    """Write ``page`` at tmp_path/page.csv and page.svg and check its pins."""
     space, axes, scale, rows, csv_digest, svg_digest = PINNED_SWEEPS[page]
     if scale is not None:
         geometry = tmp_path / "geometry.json"
@@ -827,6 +827,47 @@ def test_sweep_artifacts_are_pinned(tmp_path, capsys, monkeypatch, page):
         assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == svg_digest
     else:
         assert not svg_path.exists()
+    return csv_path, svg_path
+
+
+@pytest.mark.parametrize("page", sorted(PINNED_SWEEPS))
+def test_sweep_artifacts_are_pinned(tmp_path, capsys, monkeypatch, page):
+    _check_pinned_page(tmp_path, capsys, monkeypatch, page)
+
+
+def test_a_pinned_page_written_over_a_longer_page_keeps_its_digests(
+    tmp_path, capsys, monkeypatch
+):
+    # The artifacts are rewritten in place: the longer page's tail is cut.
+    longer = [p.stat().st_size for p in _check_pinned_page(tmp_path, capsys, monkeypatch, "joint")]
+    paths = _check_pinned_page(tmp_path, capsys, monkeypatch, "cartesian-phi0")
+    assert all(p.stat().st_size < size for p, size in zip(paths, longer))
+
+
+# A 25-row page with an SVG, for the artifact targets below.
+SMALL_PAGE = ("sweep", "--space", "cartesian", "--x=0:1:5", "--y=0:1:5", "--phi=0.3")
+
+
+def test_sweep_writes_to_dev_null(capsys):
+    # /dev/null is written, never cut: it is not a regular file.
+    payload = run_json(capsys, *SMALL_PAGE, "--csv", os.devnull, "--svg", os.devnull)
+    assert payload["rows"] == 25
+
+
+@pytest.mark.parametrize("directory", ["--csv", "--svg"])
+def test_sweep_to_a_directory_is_an_io_error(tmp_path, capsys, directory):
+    # The other artifact's path holds a longer, older file: the CSV written
+    # before the SVG fails is exactly the new page; a CSV that fails stops
+    # the page before its SVG is touched.
+    fresh = tmp_path / "fresh.csv"
+    run_json(capsys, *SMALL_PAGE, "--csv", str(fresh))
+    old, older = tmp_path / "old", b"#" * 2 * fresh.stat().st_size
+    old.write_bytes(older)
+    paths = {"--csv": str(old), "--svg": str(old), directory: str(tmp_path)}
+    code, out, err = run(capsys, *SMALL_PAGE, "--csv", paths["--csv"], "--svg", paths["--svg"])
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("rpr3: i/o error: ")
+    assert old.read_bytes() == (fresh.read_bytes() if directory == "--svg" else older)
 
 
 def test_sweep_degrees_roundtrip(tmp_path, capsys):

@@ -1,6 +1,9 @@
-"""Artifact writers against the per-row loop they replaced."""
+"""Artifact writers against the per-row loop they replaced, and their
+in-place rewrite of an existing artifact."""
 
 import csv
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -158,3 +161,108 @@ def test_polyline_of_no_points_is_an_empty_list():
     canvas.polyline(np.empty((0, 2)))
     want = '<polyline points="" fill="none" stroke="#000000" stroke-width="0.01" />'
     assert canvas._elements == [want, want]
+
+
+# An existing artifact is rewritten in place: opened without O_TRUNC and cut
+# after the last write, so it ends as the bytes of a fresh write while
+# keeping its inode, mode and links.
+WRITERS = ["csv", "svg"]
+
+
+def _write(kind, path):
+    if kind == "csv":
+        table = np.array([[0.5, -0.0], [1e-320, np.nan]])
+        figio.write_csv(str(path), ("a", "b", "kind"), table, ["Regular", "Both"])
+    else:
+        canvas = figio.SvgCanvas("page")
+        canvas.polyline([(0.0, 0.0), (1.0, 0.5)])
+        canvas.write(str(path))
+
+
+def _fresh_and_longer(kind, tmp_path):
+    """A fresh write's bytes, and older contents longer than them."""
+    _write(kind, tmp_path / f"fresh.{kind}")
+    fresh = (tmp_path / f"fresh.{kind}").read_bytes()
+    return fresh, b"#" * (2 * len(fresh) + 7)
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_a_rewrite_over_a_longer_file_holds_the_fresh_bytes(tmp_path, kind):
+    fresh, longer = _fresh_and_longer(kind, tmp_path)
+    path = tmp_path / f"page.{kind}"
+    path.write_bytes(longer)
+    _write(kind, path)
+    assert path.read_bytes() == fresh
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_a_rewrite_through_a_symlink_keeps_the_link(tmp_path, kind):
+    fresh, longer = _fresh_and_longer(kind, tmp_path)
+    target, link = tmp_path / f"target.{kind}", tmp_path / f"link.{kind}"
+    target.write_bytes(longer)
+    link.symlink_to(target)
+    _write(kind, link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_a_rewrite_keeps_the_inode_its_hard_links_and_its_mode(tmp_path, kind):
+    fresh, longer = _fresh_and_longer(kind, tmp_path)
+    path, other = tmp_path / f"page.{kind}", tmp_path / f"other.{kind}"
+    path.write_bytes(longer)
+    path.chmod(0o640)
+    os.link(path, other)
+    inode = path.stat().st_ino
+    _write(kind, path)
+    assert other.read_bytes() == fresh
+    assert (path.stat().st_ino, path.stat().st_nlink) == (inode, 2)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+def test_a_csv_write_that_raises_leaves_the_bytes_written_before_it(tmp_path, monkeypatch):
+    # Nothing is cut while the rewrite runs; on the error, the tail after
+    # the header line goes.
+    path = tmp_path / "page.csv"
+    path.write_bytes(b"#" * 1000)
+
+    def fail(*args, **kwargs):
+        assert path.stat().st_size == 1000
+        raise RuntimeError("formatting failed")
+
+    monkeypatch.setattr(figio.np, "unique", fail)
+    with pytest.raises(RuntimeError):
+        figio.write_csv(str(path), ("a", "b"), np.zeros((3, 2)))
+    assert path.read_bytes() == b"a,b\r\n"
+
+
+def test_an_svg_write_that_raises_leaves_an_empty_file(tmp_path, monkeypatch):
+    path = tmp_path / "page.svg"
+    path.write_bytes(b"#" * 1000)
+
+    def fail(canvas):
+        assert path.stat().st_size == 1000
+        raise RuntimeError("drawing failed")
+
+    monkeypatch.setattr(figio.SvgCanvas, "to_string", fail)
+    with pytest.raises(RuntimeError):
+        figio.SvgCanvas().write(str(path))
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_neither_writer_opens_with_o_trunc(tmp_path, monkeypatch, kind):
+    # Truncating to zero as the file opens is the cost the rewrite avoids.
+    calls = []
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        calls.append((path, flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    path = tmp_path / f"page.{kind}"
+    _write(kind, path)
+    _write(kind, path)
+    assert [name for name, _ in calls] == [str(path)] * 2
+    assert all(flags & os.O_CREAT and not flags & os.O_TRUNC for _, flags in calls)

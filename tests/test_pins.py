@@ -527,6 +527,9 @@ TRACE_ARGVS = [
 
 
 def _trace_digest(tmp_path, capsys):
+    # Every argv writes the same two paths, and the 720-sample pages come
+    # before shorter ones (9, then 100 rows), so each digest also holds the
+    # in-place rewrite to cutting the longer file's tail.
     digest = hashlib.sha256()
     for argv in TRACE_ARGVS:
         csv_path, svg_path = tmp_path / "t.csv", tmp_path / "t.svg"
