@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=_int_in(1), default=200, help="trials per scope"
     )
     p_verify.add_argument(
-        "--seed", type=_int_in(0), default=0, help="random seed"
+        "--seed", type=_int_in(0), default=0, help="seed of verify's draws"
     )
     p_verify.add_argument(
         "--csv", help="recheck a previously written trace CSV"

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import random
 from functools import partial
 
 import numpy as np
@@ -26,7 +27,9 @@ from .solvers import DkKind, direct_kinematics, inverse_kinematics
 def run(scope: str, trials: int, seed: int, csv_path: str | None, geometry: ManipulatorGeometry):
     """Run ``scope``'s checks ("all": every one), ``trials`` each, and recheck the
     trace CSV at ``csv_path`` if given; return the FAIL lines and the fields."""
-    rng = np.random.default_rng(seed)
+    # The stdlib's generator: numpy's import already loaded it, while
+    # numpy.random would load its own extensions, hashlib and OpenSSL.
+    rng = random.Random(seed)
     failures: list[str] = []
     scopes = {}
     fields = {"seed": seed, "trials": trials, "scopes": scopes}
@@ -73,7 +76,8 @@ def _run_trials(scope: str, metric: str, trials: int, trial, failures: list[str]
 
 
 def _dkp_trial(rng, geom) -> float | None:
-    theta = tuple(rng.uniform(-math.pi, math.pi, 3).tolist())
+    pi = math.pi
+    theta = (rng.uniform(-pi, pi), rng.uniform(-pi, pi), rng.uniform(-pi, pi))
     closed = direct_kinematics(theta, geometry=geom)
     if closed.m * closed.m + closed.n * closed.n < 1e-8:
         return None  # keep checks away from the degeneracy threshold
@@ -93,11 +97,8 @@ def _dkp_trial(rng, geom) -> float | None:
 
 def _jacobian_trial(rng, geom) -> float | None:
     s = geom.scale
-    pose = Pose(
-        float(rng.uniform(-0.5 * s, 1.5 * s)),
-        float(rng.uniform(-0.5 * s, 1.5 * s)),
-        float(rng.uniform(-math.pi, math.pi)),
-    )
+    lo, hi = -0.5 * s, 1.5 * s
+    pose = Pose(rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(-math.pi, math.pi))
     try:
         sol = inverse_kinematics(pose, geometry=geom)
     except LegAtAnchorError:
@@ -120,7 +121,7 @@ def _jacobian_trial(rng, geom) -> float | None:
 def _curves_trial(rng, geom) -> float | None:
     """Worst gap, in units of the scale, of one whole curve (:func:`_curve_gaps`),
     whose ends at phi = -pi and pi must meet within its last sample's gate."""
-    t1, t2 = rng.uniform(-math.pi, math.pi, 2).tolist()
+    t1, t2 = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
     try:
         curve = trace_cardanic(t1, t2, n_samples=360, geometry=geom)
     except DegenerateLegPairError:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from rpr3.geometry import (
     normalize_angle,
 )
 from rpr3.coupler import trace_cardanic
-from rpr3.oracle import ScanReport, dkp_bruteforce, jacobian_cs_check
+from rpr3.oracle import ScanReport, dkp_bruteforce, jacobian_cs_check, jacobian_fd_check
+from rpr3.solvers import inverse_kinematics
 
 PI3 = math.pi / 3.0
 SQRT3 = math.sqrt(3.0)
@@ -1091,14 +1093,15 @@ def test_verify_rechecks_a_near_parallel_trace_whose_rows_are_small(tmp_path, ca
     assert (payload["trace_csv"]["passed"], payload["trace_csv"]["rows"]) == (True, 720)
 
 
-class _PairRng:
-    """A stand-in for verify's generator whose every draw is one angle pair."""
+class _Draws:
+    """A stand-in for verify's ``random.Random`` whose ``uniform`` returns
+    the given values in order."""
 
-    def __init__(self, pair):
-        self.pair = pair
+    def __init__(self, *values):
+        self._values = list(values)
 
-    def uniform(self, low, high, size):
-        return np.array(self.pair)
+    def uniform(self, a, b):
+        return self._values.pop(0)
 
 
 @pytest.mark.parametrize("t1", [-3.03774645687452, -2.8841484100105235, 0.27410390540137985])
@@ -1107,7 +1110,7 @@ def test_curves_trial_passes_a_drawn_curve_of_nearly_parallel_legs(t1):
     # 1.3e6 scale: one ulp of rho failed a closure gate of 1e-10 * scale.
     for scale in (1.0, 1.7):
         geometry = ManipulatorGeometry(scale)
-        assert verify._curves_trial(_PairRng((t1, t1 + 1.5e-6)), geometry) is not None
+        assert verify._curves_trial(_Draws(t1, t1 + 1.5e-6), geometry) is not None
 
 
 def test_trace_reports_and_writes_reduced_angles(tmp_path, capsys):
@@ -1201,16 +1204,17 @@ def test_verify_rejects_trace_csv_it_cannot_read(tmp_path, capsys, edit):
 
 
 class _ZeroGenerator:
-    """Stands in for a numpy generator; every draw is zero."""
+    """Stands in for verify's ``random.Random``; every draw is zero."""
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return 0.0 if size is None else np.zeros(size)
+    def uniform(self, a, b):
+        return 0.0
 
 
 def test_verify_fails_when_scopes_do_fewer_trials_than_requested(capsys, monkeypatch):
     # Zero angles are degenerate and a zero pose sits on a base anchor, so
     # every scope skips every draw and runs out of draws.
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ZeroGenerator())
+    # Patched in verify only: tempfile draws from the global random.Random.
+    monkeypatch.setattr(verify, "random", SimpleNamespace(Random=lambda seed: _ZeroGenerator()))
     code, out, err = run(capsys, "verify", "--trials", "3")
     assert code == 4
     assert strict_json(out)["scopes"] == {
@@ -1300,26 +1304,27 @@ def test_verify_jacobian_scope_catches_a_wrong_analytic_map(capsys, monkeypatch,
     assert line.startswith("rpr3: FAIL jacobian error ")
 
 
-@pytest.mark.parametrize("scope, seed", [("jacobian", 20), ("all", 36), ("all", 37)])
-def test_verify_passes_where_central_differences_false_failed(capsys, scope, seed):
-    # Central differences of re-solved poses failed these draws at 1.5e-5,
-    # 8.2e-5 and 2.0e-4 (their O(step^2) truncation near a singularity);
-    # the complex-step columns are exact to rounding.
-    code, out, err = run(capsys, "verify", "--scope", scope, "--trials", "200", "--seed", str(seed))
-    assert (code, err) == (0, "")
-    payload = strict_json(out)
-    assert payload["command"] == "verify"
-    assert payload["scopes"]["jacobian"]["max_jacobian_error"] < 1e-10
+# Poses (x, y, phi) that verify's Jacobian scope drew under its former numpy
+# generator, named by the scope and seed that drew them: central differences
+# of re-solved poses failed them at 1.5e-5, 8.2e-5 and 2.0e-4.
+_FD_FALSE_FAILURES = {
+    "jacobian-20": (-0.27800132844709835, 0.0912779647318569, -0.43886941423928594),
+    "all-36": (0.12090084698846892, 0.7196393597505362, 2.4467909293500716),
+    "all-37": (0.6754592970470623, 1.2103092397372546, 2.4577290439480004),
+}
 
 
-class _Draws:
-    """A generator stub whose ``uniform`` returns the given values in order."""
-
-    def __init__(self, *values):
-        self._values = list(values)
-
-    def uniform(self, low, high, size=None):
-        return self._values.pop(0)
+@pytest.mark.parametrize("xyphi", list(_FD_FALSE_FAILURES.values()), ids=list(_FD_FALSE_FAILURES))
+def test_verify_passes_where_central_differences_false_failed(xyphi):
+    # Their O(step^2) truncation near a singularity passes 1e-5 on a correct
+    # map; the complex-step columns are exact to rounding, and the trial
+    # checks each pose and passes it.
+    pose = Pose(*xyphi)
+    theta = inverse_kinematics(pose).angles.as_tuple()
+    assert jacobian_fd_check(pose, theta) > 1e-5
+    assert jacobian_cs_check(pose, theta) < 1e-10
+    err = verify._jacobian_trial(_Draws(*xyphi), DEFAULT_GEOMETRY)
+    assert err is not None and err < 1e-10
 
 
 def _must_not_run(*args, **kwargs):
@@ -1426,20 +1431,25 @@ def test_every_library_error_exits_cleanly(capsys, monkeypatch):
     assert err.splitlines() == ["rpr3: det A vanishes"]
 
 
+def _fresh_python(probe):
+    """Run ``python -c probe`` on the package under test: (code, stdout, stderr)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
 def test_the_verify_checks_live_in_a_module_the_cli_imports_on_load():
     # bench/tracer.py wraps the functions bound in the rpr3.* modules already
     # in sys.modules when it plans.  A verify imported on the first verify
     # call would escape it, and a traced cross-check would count no oracle
     # Newton iterations, so importing the CLI must import verify; and sweep,
     # whose figio and geometry calls a traced grid-sweep counts.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
     probe = "import sys, rpr3.cli; print('rpr3.verify' in sys.modules, 'rpr3.sweep' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "True True\n", "")
+    assert _fresh_python(probe) == (0, "True True\n", "")
     # The CLI holds nothing of the oracle's; the checks that read it are verify's.
     from_oracle = [
         name for name, value in vars(cli).items()
@@ -1462,6 +1472,20 @@ def test_the_verify_checks_live_in_a_module_the_cli_imports_on_load():
             elif isinstance(node, ast.Import):
                 imported.update(alias.name for alias in node.names)
         assert not [name for name in imported if name.split(".")[-1] == "cli"], module
+
+
+def test_a_verify_run_loads_neither_numpy_random_nor_hashlib():
+    # verify draws from random.Random, which numpy's own import loads.
+    # numpy.random would add its extension modules and, through secrets,
+    # hashlib and OpenSSL's libcrypto.  A fresh process: this one may hold
+    # them already.
+    probe = (
+        "import contextlib, io, sys; from rpr3.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', '--scope', 'all', '--trials', '4', '--seed', '0'])\n"
+        "print(code, sorted({'numpy.random', 'hashlib', 'secrets'}.intersection(sys.modules)))"
+    )
+    assert _fresh_python(probe) == (0, "0 []\n", "")
 
 
 # ------------------------------------------------------------ environment
