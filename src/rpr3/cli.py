@@ -27,8 +27,9 @@ from functools import cache
 
 import numpy as np
 
-from .coupler import MIN_CURVE_SAMPLES, geometric_dkp, reuleaux_descriptor, trace_cardanic
+from .coupler import MIN_CURVE_SAMPLES, geometric_dkp, reuleaux_descriptor
 from .errors import GeometryError, LegAtAnchorError, Rpr3Error
+from .figio import MAX_SVG_AXIS_POINTS
 from .geometry import (
     DEFAULT_GEOMETRY,
     POSE_TOL,
@@ -41,7 +42,7 @@ from .geometry import (
 )
 from .jacobians import build_matrices, classify_singularity
 from .solvers import _REULEAUX_GAP, DkKind, direct_kinematics, inverse_kinematics
-from . import figio, sweep, verify
+from . import sweep, trace, verify
 
 __all__ = ["main", "build_parser"]
 
@@ -54,7 +55,6 @@ EXIT_VERIFY = 4
 # Most points a sweep grid or a trace may have, checked before any array
 # exists.
 MAX_GRID_POINTS = 10**6
-MAX_SVG_AXIS_POINTS = 4000  # per swept axis of a sweep --svg page; its locus grows with each
 
 
 class _UsageError(Exception):
@@ -425,30 +425,8 @@ def _cmd_singularity(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
 
 
 def _cmd_trace(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
-    curve = trace_cardanic(args.t1, args.t2, n_samples=args.samples, geometry=geom)
-    # Traced, written and reported in (-pi, pi], so that the CSV rechecks
-    # against the very angles the curve came from.
+    curve = trace.run(args.t1, args.t2, args.samples, args.deg, args.csv, args.svg, geom)
     t1, t2 = curve.theta1, curve.theta2
-
-    out = np.degrees if args.deg else np.asarray
-    n = len(curve.phi)
-    thetas = np.broadcast_to(out([t1, t2]), (n, 2))
-    table = np.column_stack((thetas, out(curve.phi), curve.b3, curve.rho, np.full(n, geom.scale)))
-    figio.write_csv(args.csv, verify._trace_header(args.deg), table)
-
-    if args.svg:
-        canvas = figio.SvgCanvas(title="third-anchor coupler curve")
-        _draw_base(canvas, geom)
-        _draw_slider_axis(canvas, geom.base_anchor(1), t1)
-        _draw_slider_axis(canvas, geom.base_anchor(2), t2)
-        canvas.polyline(curve.b3, stroke="#c02020", width=0.015)
-        if curve.degenerate:
-            end_a, end_b = curve.segment
-            canvas.line(
-                end_a.x, end_a.y, end_b.x, end_b.y, stroke="#2020c0", width=0.02
-            )
-        canvas.write(args.svg)
-
     payload = {
         "theta1": _out_angle(t1, args.deg),
         "theta2": _out_angle(t2, args.deg),
@@ -473,29 +451,6 @@ def _cmd_trace(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
             **_reuleaux_payload(desc),
         }
     return EXIT_OK, payload
-
-
-def _draw_base(canvas: figio.SvgCanvas, geom: ManipulatorGeometry) -> None:
-    anchors = [geom.base_anchor(i) for i in (1, 2, 3)]
-    canvas.polyline(
-        [(a.x, a.y) for a in anchors], stroke="#808080", width=0.008, closed=True
-    )
-    for a in anchors:
-        canvas.circle(a.x, a.y, 0.025, fill="#404040")
-
-
-def _draw_slider_axis(canvas, anchor, theta: float) -> None:
-    reach = 6.0
-    dx, dy = math.cos(theta), math.sin(theta)
-    canvas.line(
-        anchor.x - reach * dx,
-        anchor.y - reach * dy,
-        anchor.x + reach * dx,
-        anchor.y + reach * dy,
-        stroke="#b0b0b0",
-        width=0.006,
-        dash="0.04,0.04",
-    )
 
 
 # ------------------------------------------------------------------ sweep

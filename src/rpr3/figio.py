@@ -35,6 +35,9 @@ __all__ = [
 
 VIEW_MIN = -1.5
 VIEW_MAX = 2.5
+# Most samples per swept axis of a sweep page's figure, whose locus grows
+# with each, and most vertices of a trace page's curve.
+MAX_SVG_AXIS_POINTS = 4000
 # Rows write_csv formats at a time, so its memory stays flat.
 _BLOCK_ROWS = 4096
 

@@ -36,16 +36,13 @@ __all__ = [
     "DEFAULT_GEOMETRY",
     "normalize_angle",
     "normalize_angles",
-    "angle_difference",
     "angle_differences",
-    "rotation_matrix",
     "platform_anchor",
     "POSE_TOL",
     "PAIR_SIN_TOL",
     "pose_distance",
     "cluster_poses",
     "constraint_residuals",
-    "signed_extensions",
     "load_geometry",
 ]
 
@@ -86,14 +83,9 @@ def normalize_angle(angle: float) -> float:
     return folded
 
 
-def angle_difference(a: float, b: float, period: float = TAU) -> float:
-    """Distance from ``a`` to ``b`` modulo ``period``, in [0, period/2]."""
-    return abs(math.remainder(a - b, period))
-
-
-# Array forms of the two functions above, equal to them bit for bit: fmod is
-# exact, and so is the single fold by one period that turns its result into
-# the IEEE remainder (Sterbenz: the operands are within a factor of two).
+# Array forms of normalize_angle and of abs(math.remainder(a - b, period)), bit
+# for bit: fmod is exact, and so is the single fold by one period that turns
+# its result into the IEEE remainder (Sterbenz: the operands are within 2x).
 
 
 def normalize_angles(angles: np.ndarray) -> np.ndarray:
@@ -107,7 +99,7 @@ def normalize_angles(angles: np.ndarray) -> np.ndarray:
 
 
 def angle_differences(a: np.ndarray, b: np.ndarray | float, period: float = TAU) -> np.ndarray:
-    """Elementwise :func:`angle_difference` of arrays."""
+    """Distance from ``a`` to ``b`` modulo ``period``, in [0, period/2], elementwise."""
     folded = np.abs(np.fmod(np.asarray(a, dtype=float) - b, period))
     return np.minimum(folded, period - folded)
 
@@ -354,12 +346,6 @@ def _leg_index(leg: int) -> int:
     return leg - 1
 
 
-def rotation_matrix(phi: float) -> np.ndarray:
-    """2x2 rotation by ``phi``."""
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array(((c, -s), (s, c)))
-
-
 def platform_anchor(
     pose: Pose, leg: int, geometry: ManipulatorGeometry = DEFAULT_GEOMETRY
 ) -> Vec2:
@@ -424,22 +410,6 @@ def constraint_residuals(
     each value scales linearly with the geometry.
     """
     return _leg_components(pose, theta, geometry, 2, "residual")
-
-
-def signed_extensions(
-    pose: Pose,
-    theta: JointAngles | Sequence[float],
-    geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
-) -> tuple[float, float, float]:
-    """Prismatic extension of each leg, signed along its direction vector.
-
-    rho_i = (cos theta_i, sin theta_i) . (b_i - a_i).  Negative when the
-    platform anchor lies behind the base anchor relative to the leg
-    direction.  Complements :func:`constraint_residuals`: residual and
-    signed extension are the transverse and longitudinal components of the
-    same anchor offset.
-    """
-    return _leg_components(pose, theta, geometry, 3, "rho")
 
 
 def _leg_components(pose: Pose, theta, geometry: ManipulatorGeometry, index: int, name: str):

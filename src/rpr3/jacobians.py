@@ -40,7 +40,6 @@ from .geometry import (
     _place_anchors,
     _row_of,
 )
-from .solvers import _mn
 
 __all__ = [
     "CONSISTENCY_TOL",
@@ -55,7 +54,6 @@ __all__ = [
     "KinematicMatricesArray",
     "build_matrices_array",
     "classify_singularity",
-    "det_A_specialized",
 ]
 
 # Pose/joint consistency gate for building the velocity model, relative to
@@ -165,8 +163,8 @@ def build_matrices(
     The pose and joint angles must describe the same assembly: if the leg
     constraint residuals fail :func:`_check_configuration` the velocity model
     would be meaningless and :class:`InconsistentStateError` is raised.
-    The residuals equal :func:`constraint_residuals` and the diagonal of B
-    equals :func:`signed_extensions`, bit for bit.  ``det_a`` (:func:`_det_a`)
+    The residuals equal :func:`constraint_residuals`, bit for bit, and the
+    diagonal of B holds the signed extensions v_i . (b_i - a_i).  ``det_a`` (:func:`_det_a`)
     is within 4 * 2**-53 times its terms' size of the exact det ``a_matrix``.
     A pose so far away that det B overflows raises :class:`GeometryError`.
     """
@@ -276,22 +274,6 @@ def _normal_intersection(rows, legs, scale: float) -> tuple[Vec2 | None, bool]:
     if spread > CONCURRENCY_TOL * scale:
         return (None, False)
     return (center, False)
-
-
-def det_A_specialized(
-    theta: JointAngles | Sequence[float],
-    geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
-) -> float:
-    """Closed-form det A at the identity pose: scale * n / 2, computed from
-    n of :func:`mn_coefficients`.
-
-    At the trivial assembly the platform anchors sit on the base anchors,
-    and every other assembly of theta has det A = -scale * n / 2 (derived
-    there).  It is the closed-form reference for det A = s * n / 2 that
-    ``build_matrices(identity, theta).det_a``, which expands A along its
-    moment-arm column, matches to machine precision.
-    """
-    return geometry.scale / 2.0 * _mn(*_as_angles(theta))[1]
 
 
 # ------------------------------------------------------------ array kernels

@@ -10,9 +10,9 @@ typically needs one or two iterations per pose.  None of the closed-form
 root machinery is used; this module imports only the shared geometry
 primitives, so agreement with the solvers is evidence, not tautology.
 
-The Jacobian checks compare the analytic velocity map against re-solved
-poses: central finite differences, or one complex step per leg.  One Newton
-serves the polish and both re-solves, on Python floats or complex numbers.
+The Jacobian check compares the analytic velocity map against poses
+re-solved after one complex step per leg.  One Newton serves the polish and
+the re-solves, on Python floats or complex numbers.
 Its step is straight-line arithmetic, one expression per leg, and its 3x3
 solve is Cramer's rule with the triple products written inline, as J =
 A^-1 B's columns are.  The module calls no LAPACK: on 3x3 systems this is
@@ -47,7 +47,6 @@ __all__ = [
     "CONTINUUM_GRID_FRACTION",
     "ScanReport",
     "dkp_bruteforce",
-    "jacobian_fd_check",
     "jacobian_cs_check",
 ]
 
@@ -291,48 +290,20 @@ def _relative_error(numeric: list, analytic: list) -> float:
     return math.hypot(*gaps) / denom
 
 
-def jacobian_fd_check(
-    pose: Pose,
-    theta: JointAngles | Sequence[float],
-    step: float = 1e-6,
-    geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
-) -> float:
-    """Relative error between the analytic velocity map and finite differences.
-
-    Columns of J = A^-1 B are compared against central differences of the
-    pose re-solved after perturbing each actuated angle by +-step, by the
-    scan's Newton (Cramer's rule on floats) to 1e-14 times the scale.
-    Returns ||J_fd - J||_F / ||J||_F, with the position rows of both in
-    units of the scale.
-
-    Raises :class:`SingularNearbyError` when the configuration is parallel
-    singular or a perturbed re-solve fails to converge; FD columns are
-    meaningless there.  Raises ``ValueError`` unless ``step`` is finite and
-    positive.
-    """
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be finite and positive, got {step!r}")
-    t, s, width = _as_angles(theta), geometry.scale, 2.0 * step
-    analytic = _analytic_map(pose, t, geometry)
-    columns = []
-    for leg in range(3):
-        plus, minus = [_resolved(pose, t, leg, shift, geometry) for shift in (step, -step)]
-        dx, dy, dphi = (a - b for a, b in zip(plus, minus))
-        columns.append((dx / width / s, dy / width / s, math.remainder(dphi, math.tau) / width))
-    return _relative_error(columns, analytic)
-
-
 def jacobian_cs_check(
     pose: Pose,
     theta: JointAngles | Sequence[float],
     geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
 ) -> float:
-    """:func:`jacobian_fd_check` with complex-step columns, exact to rounding.
+    """Relative error ||J_cs - J||_F / ||J||_F between the analytic velocity
+    map J = A^-1 B and complex-step columns, exact to rounding; the position
+    rows of both are in units of the scale.
 
     Column ``leg`` of J is Im(pose) / h of the pose re-solved by Newton in
     complex arithmetic after perturbing theta_leg by i h: one re-solve per
     leg and no difference taken (Squire and Trapp, SIAM Review 40(1), 1998).
-    Raises :class:`SingularNearbyError` as that does.
+    Raises :class:`SingularNearbyError` when the configuration is parallel
+    singular or a re-solve fails to converge.
     """
     return _jacobian_cs_error(pose, _as_angles(theta), geometry)
 

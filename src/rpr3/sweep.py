@@ -212,5 +212,6 @@ def _repeats(r: np.ndarray, span, period: float, samples: int) -> np.ndarray:
 
 def _merged(*parts: np.ndarray) -> np.ndarray:
     """The distinct values of ``parts`` in ascending order, sorted by Python:
-    a sweep sorts no other floats, so this loads no numpy sort into it."""
+    ``figio.write_csv``'s ``np.unique`` already pages numpy's int64 sort into
+    every sweep, and this keeps its float64 sort out."""
     return np.array(sorted(set(np.concatenate(parts, axis=None).tolist())))

@@ -22,24 +22,26 @@ from rpr3 import (
     POSE_TOL,
     Pose,
     SingularityKind,
-    angle_difference,
     build_matrices,
     classify_dk_degeneracy,
     classify_singularity,
-    det_A_specialized,
     direct_kinematics,
     dkp_bruteforce,
     inverse_kinematics,
-    jacobian_fd_check,
     mn_coefficients,
     platform_anchor,
     pose_distance,
     reuleaux_descriptor,
-    rotation_matrix,
-    signed_extensions,
     trace_cardanic,
 )
 from rpr3.coupler import geometric_dkp
+from _reference import (
+    angle_difference,
+    det_A_specialized,
+    jacobian_fd_check,
+    rotation_matrix,
+    signed_extensions,
+)
 
 PI = math.pi
 PI3 = math.pi / 3.0

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rpr3 import cli, coupler, jacobians, oracle, solvers, sweep, verify
+from rpr3 import cli, coupler, jacobians, oracle, solvers, sweep, trace, verify
 from rpr3.cli import main
 from rpr3.errors import SingularNearbyError
 from rpr3.geometry import (
@@ -26,8 +26,9 @@ from rpr3.geometry import (
     normalize_angle,
 )
 from rpr3.coupler import trace_cardanic
-from rpr3.oracle import ScanReport, dkp_bruteforce, jacobian_cs_check, jacobian_fd_check
+from rpr3.oracle import ScanReport, dkp_bruteforce, jacobian_cs_check
 from rpr3.solvers import inverse_kinematics
+from _reference import jacobian_fd_check
 
 PI3 = math.pi / 3.0
 SQRT3 = math.sqrt(3.0)
@@ -402,6 +403,25 @@ def test_trace_writes_csv_and_svg(tmp_path, capsys):
     assert svg.startswith("<?xml")
     assert 'viewBox="-1.5 -2.5 4 4"' in svg
     assert "polyline" in svg
+
+
+@pytest.mark.parametrize("samples, stride", [(4000, 1), (10001, 3)])
+def test_trace_svg_draws_at_most_the_vertex_cap(tmp_path, capsys, samples, stride):
+    # The CSV keeps every sample; the figure draws every k-th, k the least
+    # stride that fits the cap, and ends on the last.
+    csv_path, svg_path = tmp_path / "curve.csv", tmp_path / "curve.svg"
+    argv = ("--t1", "0.2", "--t2", "0.9", "--samples", str(samples))
+    run_json(capsys, "trace", *argv, "--csv", str(csv_path), "--svg", str(svg_path))
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert len(rows) == samples
+    # The curve is the figure's one polyline, its y flipped as SVG draws it.
+    svg = svg_path.read_text()
+    (drawn,) = [part.split('"')[0].split() for part in svg.split('<polyline points="')[1:]]
+    want = [f"{float(x):.10g},{-float(y):.10g}" for _, _, _, x, y, *_ in rows]
+    assert drawn == want[:-1:stride] + want[-1:]
+    assert len(drawn) <= cli.MAX_SVG_AXIS_POINTS
+    if stride > 1:
+        assert len(want[:-1:stride - 1]) + 1 > cli.MAX_SVG_AXIS_POINTS
 
 
 def test_trace_writes_positive_zero_extensions_at_identity(tmp_path, capsys):
@@ -976,7 +996,7 @@ def test_verify_flags_tampered_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("deg", [False, True], ids=["rad", "deg"])
-@pytest.mark.parametrize("column", range(8), ids=verify._trace_header(False))
+@pytest.mark.parametrize("column", range(8), ids=trace._trace_header(False))
 def test_verify_flags_a_one_cell_edit_in_any_column(tmp_path, capsys, column, deg):
     # theta1, theta2, phi, x, y, rho1, rho2 and scale: no cell of a row can
     # move by 1e-6 unseen, in either unit, and the FAIL line names the rule
@@ -1249,19 +1269,20 @@ def _shifted_rho2(t1, t2, n_samples, geometry):
     return dataclasses.replace(curve, rho=curve.rho + (0.0, 0.01 * geometry.scale))
 
 
-# Each verify check, broken through the name the verify module calls it by,
-# with the start of the one FAIL line it must print.
+# Each verify check, broken through the name its module (verify, or trace
+# for the curve gaps) calls it by, with the start of the one FAIL line it
+# must print.
 _BROKEN_CHECKS = {
-    "dkp-count": ("dkp", "dkp_bruteforce", _empty_scan, "dkp count mismatch at theta=("),
-    "dkp-deviation": ("dkp", "dkp_bruteforce", _shifted_scan, "dkp deviation "),
+    "dkp-count": ("dkp", "verify.dkp_bruteforce", _empty_scan, "dkp count mismatch at theta=("),
+    "dkp-deviation": ("dkp", "verify.dkp_bruteforce", _shifted_scan, "dkp deviation "),
     "jacobian": (
-        "jacobian", "_jacobian_cs_error", lambda *args, **kwargs: 1.0,
+        "jacobian", "verify._jacobian_cs_error", lambda *args, **kwargs: 1.0,
         "jacobian error 1.000e+00 at pose=(",
     ),
-    "curve-residual": ("curves", "_place_anchors", _shifted_anchors, "curve residual "),
-    "curve-rho2": ("curves", "trace_cardanic", _shifted_rho2, "curve residual "),
+    "curve-residual": ("curves", "trace._place_anchors", _shifted_anchors, "curve residual "),
+    "curve-rho2": ("curves", "verify.trace_cardanic", _shifted_rho2, "curve residual "),
     "curve-closure": (
-        "curves", "rho_from_phi", lambda t1, t2, phi, geometry: (phi, 0.0), "curve closure ",
+        "curves", "verify.rho_from_phi", lambda t1, t2, phi, geometry: (phi, 0.0), "curve closure ",
     ),
 }
 
@@ -1269,7 +1290,7 @@ _BROKEN_CHECKS = {
 @pytest.mark.parametrize("broken", sorted(_BROKEN_CHECKS))
 def test_verify_reports_a_failed_check(capsys, monkeypatch, broken):
     scope, name, fake, start = _BROKEN_CHECKS[broken]
-    monkeypatch.setattr(verify, name, fake)
+    monkeypatch.setattr(f"rpr3.{name}", fake)
     code, out, err = run(capsys, "verify", "--scope", scope, "--trials", "3", "--seed", "1")
     assert code == 4
     assert strict_json(out)["scopes"] == {scope: {"passed": False}}
@@ -1447,9 +1468,10 @@ def test_the_verify_checks_live_in_a_module_the_cli_imports_on_load():
     # in sys.modules when it plans.  A verify imported on the first verify
     # call would escape it, and a traced cross-check would count no oracle
     # Newton iterations, so importing the CLI must import verify; and sweep,
-    # whose figio and geometry calls a traced grid-sweep counts.
-    probe = "import sys, rpr3.cli; print('rpr3.verify' in sys.modules, 'rpr3.sweep' in sys.modules)"
-    assert _fresh_python(probe) == (0, "True True\n", "")
+    # whose figio and geometry calls a traced grid-sweep counts; and trace.
+    pages = "rpr3.verify", "rpr3.sweep", "rpr3.trace"
+    probe = f"import sys, rpr3.cli; print(*(name in sys.modules for name in {pages}))"
+    assert _fresh_python(probe) == (0, "True True True\n", "")
     # The CLI holds nothing of the oracle's; the checks that read it are verify's.
     from_oracle = [
         name for name, value in vars(cli).items()
@@ -1461,8 +1483,10 @@ def test_the_verify_checks_live_in_a_module_the_cli_imports_on_load():
     page_names = {"_aim_columns", "_matrix_columns", "_kind_index", "_continuum", "_leg_offsets"}
     assert not page_names.intersection(vars(cli)) and not hasattr(cli, "_sweep_locus")
     assert not {"_sweep_locus", "_repeats", "_merged"}.intersection(vars(jacobians))
-    # And neither module imports the CLI back.
-    for module in (verify, sweep):
+    # Nor the trace page's tracing, figure and CSV writer: those are trace's.
+    assert not {"_draw_base", "_draw_slider_axis", "trace_cardanic", "figio"}.intersection(vars(cli))
+    # And no page imports the CLI back, nor trace verify.
+    for module, banned in ((verify, {"cli"}), (sweep, {"cli"}), (trace, {"cli", "verify"})):
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
         imported = set()
         for node in ast.walk(tree):
@@ -1471,7 +1495,7 @@ def test_the_verify_checks_live_in_a_module_the_cli_imports_on_load():
                 imported.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Import):
                 imported.update(alias.name for alias in node.names)
-        assert not [name for name in imported if name.split(".")[-1] == "cli"], module
+        assert not [name for name in imported if name.split(".")[-1] in banned], module
 
 
 def test_a_verify_run_loads_neither_numpy_random_nor_hashlib():

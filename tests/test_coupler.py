@@ -13,12 +13,9 @@ from rpr3.geometry import (
     ManipulatorGeometry,
     Pose,
     Vec2,
-    angle_difference,
     constraint_residuals,
     platform_anchor,
     pose_distance,
-    rotation_matrix,
-    signed_extensions,
 )
 from rpr3.coupler import (
     geometric_dkp,
@@ -35,6 +32,7 @@ from rpr3.solvers import (
     direct_kinematics,
     mn_coefficients,
 )
+from _reference import angle_difference, rotation_matrix, signed_extensions
 
 PI3 = math.pi / 3.0
 SQRT3 = math.sqrt(3.0)

@@ -12,9 +12,10 @@ import pytest
 from rpr3 import coupler, geometry, jacobians, solvers
 from rpr3.coupler import rho_from_phi
 from rpr3.errors import GeometryError, Rpr3Error
-from rpr3.geometry import ManipulatorGeometry, Pose, constraint_residuals, signed_extensions
+from rpr3.geometry import ManipulatorGeometry, Pose, constraint_residuals
 from rpr3.jacobians import KinematicMatrices, SingularityKind, build_matrices, classify_singularity
 from rpr3.solvers import DkKind, classify_dk_degeneracy, direct_kinematics, inverse_kinematics
+from _reference import signed_extensions
 
 PI3 = math.pi / 3.0
 POSES = [Pose(0.4, 0.3, 0.2), Pose(-0.0, 0.4, -0.0), Pose(0.5, 0.0, 0.0), Pose(1.3, -0.7, 3.0)]

@@ -20,15 +20,12 @@ from rpr3.geometry import (
     ManipulatorGeometry,
     Pose,
     Vec2,
-    angle_difference,
     cluster_poses,
     constraint_residuals,
     load_geometry,
     normalize_angle,
     platform_anchor,
     pose_distance,
-    rotation_matrix,
-    signed_extensions,
 )
 from rpr3.jacobians import (
     SingularityKind,
@@ -36,9 +33,8 @@ from rpr3.jacobians import (
     build_matrices,
     build_matrices_array,
     classify_singularity,
-    det_A_specialized,
 )
-from rpr3.oracle import dkp_bruteforce, jacobian_fd_check
+from rpr3.oracle import dkp_bruteforce
 from rpr3.solvers import (
     DkKind,
     DkSolutionSet,
@@ -47,6 +43,13 @@ from rpr3.solvers import (
     direct_kinematics,
     inverse_kinematics,
     mn_coefficients,
+)
+from _reference import (
+    angle_difference,
+    det_A_specialized,
+    jacobian_fd_check,
+    rotation_matrix,
+    signed_extensions,
 )
 
 SQRT3 = math.sqrt(3.0)

@@ -7,9 +7,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from rpr3 import coupler, geometry, verify
+from rpr3 import coupler, geometry, trace
 from rpr3.cli import main
-from rpr3.verify import _curve_gaps, _curves_trial
+from rpr3.trace import _curve_gaps
+from rpr3.verify import _curves_trial
 from rpr3.coupler import _cycle_grid, _cycle_phi, trace_cardanic
 from rpr3.geometry import ManipulatorGeometry, _libm, normalize_angles
 from rpr3.oracle import _SCAN_SAMPLES, _scan_table
@@ -108,7 +109,7 @@ def test_curves_trial_takes_phi_trig_from_the_grid_after_the_first(monkeypatch):
         calls.append(fn)
         return _libm(fn, *arrays)
 
-    for module in (verify, coupler, geometry):
+    for module in (trace, coupler, geometry):
         monkeypatch.setattr(module, "_libm", counting)
     for name in ("cos", "sin"):
         monkeypatch.setattr(geometry._COLUMNS, name, partial(counting, getattr(math, name)))

@@ -13,16 +13,15 @@ from rpr3.geometry import (
     Pose,
     constraint_residuals,
     platform_anchor,
-    rotation_matrix,
 )
 from rpr3.jacobians import (
     SingularityKind,
     build_matrices,
     build_matrices_array,
     classify_singularity,
-    det_A_specialized,
 )
 from rpr3.solvers import inverse_kinematics, mn_coefficients
+from _reference import det_A_specialized, rotation_matrix
 
 SQRT3 = math.sqrt(3.0)
 

@@ -21,7 +21,6 @@ from rpr3.geometry import (
     _first_nonfinite,
     _leg_columns,
     _libm,
-    angle_difference,
     angle_differences,
     normalize_angle,
     normalize_angles,
@@ -42,6 +41,7 @@ from rpr3.solvers import (
     inverse_kinematics,
     inverse_kinematics_array,
 )
+from _reference import angle_difference
 
 PI3 = math.pi / 3.0
 GEOMETRIES = [ManipulatorGeometry(1.0), ManipulatorGeometry(2.0)]

@@ -23,8 +23,9 @@ from rpr3.geometry import (
     pose_distance,
 )
 from rpr3.jacobians import _configuration, build_matrices
-from rpr3.oracle import dkp_bruteforce, jacobian_cs_check, jacobian_fd_check
+from rpr3.oracle import dkp_bruteforce, jacobian_cs_check
 from rpr3.solvers import DkKind, direct_kinematics, inverse_kinematics, mn_coefficients
+from _reference import jacobian_fd_check
 
 PI3 = math.pi / 3.0
 

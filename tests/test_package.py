@@ -16,17 +16,15 @@ EARLIER_NAMES = """
     __version__ Rpr3Error GeometryError LegAtAnchorError DegenerateLegPairError
     NotReuleauxError InconsistentStateError SingularNearbyError Vec2 Pose
     LegState JointAngles ManipulatorGeometry DEFAULT_GEOMETRY normalize_angle
-    normalize_angles angle_difference angle_differences rotation_matrix
-    platform_anchor constraint_residuals signed_extensions load_geometry
+    normalize_angles angle_differences
+    platform_anchor constraint_residuals load_geometry
     DEGENERACY_ANGLE_TOL DkKind DkSolutionSet IkSolution LineDescriptor
     inverse_kinematics inverse_kinematics_array direct_kinematics
     mn_coefficients classify_dk_degeneracy position_from_orientation
     KinematicMatrices KinematicMatricesArray SingularityKind
     SingularityReport build_matrices build_matrices_array classify_singularity
-    det_A_specialized
     CouplerCurve SegmentDescriptor ReuleauxDescriptor trace_cardanic
     rho_from_phi geometric_dkp reuleaux_descriptor ScanReport dkp_bruteforce
-    jacobian_fd_check
 """.split()
 
 
@@ -40,7 +38,7 @@ def test_package_all_is_the_layers_lists():
 
 
 def test_every_earlier_name_still_imports():
-    assert len(EARLIER_NAMES) == 52
+    assert len(EARLIER_NAMES) == 47
     namespace = {}
     exec("from rpr3 import *", namespace)
     assert set(EARLIER_NAMES) <= set(namespace)
@@ -61,8 +59,8 @@ def test_the_parallel_pair_threshold_lives_in_geometry():
         assert layer.PAIR_SIN_TOL is geometry.PAIR_SIN_TOL
 
 
-# The public names with no reader in src/rpr3, bench/ or the acceptance
-# battery, each kept as a thin public face of a body the package runs.
+# The public names with no reader in src/rpr3 or bench/, each kept as a thin
+# public face of a body the package runs.
 KEPT_FACES = {
     "inverse_kinematics_array": "face of solvers._aim_columns, which the sweep page runs",
     "build_matrices_array": "face of jacobians._matrix_columns, which the sweep page runs",
@@ -108,8 +106,6 @@ def _unread_public_names() -> set[str]:
                 match = re.fullmatch(r"(\w+)\.(\w+)", node.value)
                 if match and match[1] in layers:
                     outside.add(match[2])
-    acceptance = ROOT / "tests" / "test_acceptance.py"
-    outside |= _names_read(ast.parse(acceptance.read_text(encoding="utf-8")))
     unread = set()
     while True:
         read = {

@@ -26,11 +26,11 @@ from rpr3.geometry import (
     Pose,
     Vec2,
     constraint_residuals,
-    signed_extensions,
 )
-from rpr3.jacobians import build_matrices, classify_singularity, det_A_specialized
-from rpr3.oracle import ScanReport, dkp_bruteforce, jacobian_cs_check, jacobian_fd_check
+from rpr3.jacobians import build_matrices, classify_singularity
+from rpr3.oracle import ScanReport, dkp_bruteforce, jacobian_cs_check
 from rpr3.solvers import direct_kinematics, inverse_kinematics, position_from_orientation
+from _reference import det_A_specialized, jacobian_fd_check, signed_extensions
 
 POSE_GROUPS = ("ik", "residuals", "extensions", "matrices", "singularity")
 BRANCHES = [(i >> 2 & 1, i >> 1 & 1, i & 1) for i in range(8)]
