@@ -107,10 +107,12 @@ def angle_differences(a: np.ndarray, b: np.ndarray | float, period: float = TAU)
 def _libm(fn, *arrays: np.ndarray) -> np.ndarray:
     """Elementwise ``math`` function of arrays that broadcast together.
 
-    The array kernels take sin, cos, atan2 and hypot from libm, as the
-    scalar path does, so that both agree bit for bit on every platform.
-    numpy's arctan2 and hypot differ from libm's in the last place on a
-    few percent of inputs, and its SIMD sin and cos are build dependent.
+    It serves the array kernels that the scalar path must match: they take
+    sin, cos, atan2 and hypot from libm, as the scalar path does, so that
+    both agree bit for bit on every platform.  numpy's arctan2 and hypot
+    differ from libm's in the last place on a few percent of inputs, and its
+    SIMD sin and cos are build dependent.  A check with no scalar twin may
+    use IEEE arithmetic instead, which rounds alike everywhere.
     """
     shape = np.shape(arrays[0])
     # Most calls pass one shape; only a mismatch pays for broadcasting.

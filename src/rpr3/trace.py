@@ -80,12 +80,22 @@ def _curve_gaps(t1: float, t2: float, cos_phi, sin_phi, b3, rho, geometry: Manip
     on b3, independently of the curve formulas.  A sample rounds like the
     loop-closure table, of size scale / |sin(t2 - t1)|, or like its own
     values where larger; parallel legs (``PAIR_SIN_TOL``) get a nan gate.
+
+    Anchor 3's miss is sqrt(mx² + my²) in IEEE arithmetic, which rounds alike
+    on every platform; where the squares overflow it is math.hypot's.  On a
+    traced curve the miss is a few ulps of the table's values and has
+    math.hypot's bits; on an edited table it may differ in the last place.
     """
     # Leg 1's slider line runs through a1, the origin; only anchors 2 and 3 are placed.
     x, y = rho[:, 0] * math.cos(t1), rho[:, 0] * math.sin(t1)
     (*_, dx2, dy2), (bx3, by3, _, _) = _place_anchors(x, y, cos_phi, sin_phi, geometry.anchors[1:])
     _, _, r2, e2 = _leg_axis(t2, dx2, dy2)
-    miss3 = _libm(math.hypot, bx3 - b3[:, 0], by3 - b3[:, 1])
+    mx, my = bx3 - b3[:, 0], by3 - b3[:, 1]
+    with np.errstate(over="ignore"):
+        miss3 = np.sqrt(mx * mx + my * my)
+    big = np.flatnonzero(np.isinf(miss3))  # squares past the largest float
+    if big.size:
+        miss3[big] = _libm(math.hypot, mx[big], my[big])
     gap = np.maximum.reduce([np.abs(r2), np.abs(rho[:, 1] - e2), miss3])
     sin12 = abs(math.sin(t2 - t1))
     size = geometry.scale / sin12 if sin12 >= PAIR_SIN_TOL else math.nan

@@ -21,6 +21,18 @@ from .oracle import _jacobian_cs_error, dkp_bruteforce
 from .solvers import DkKind, direct_kinematics, inverse_kinematics
 from .trace import _curve_gaps, recheck
 
+# The trials' gates.  A dkp draw whose (dimensionless) m² + n² is below
+# DKP_SKIP_MN2 is skipped, away from the degeneracy threshold.  A jacobian
+# draw is skipped when a leg is shorter than JACOBIAN_SKIP_RHO times the scale
+# or |det A| is below JACOBIAN_SKIP_DET times it, and fails when its relative
+# error against the complex-step columns exceeds JACOBIAN_ERROR_TOL.
+DKP_SKIP_MN2 = 1e-8
+JACOBIAN_SKIP_RHO = 0.05
+JACOBIAN_SKIP_DET = 5e-6
+JACOBIAN_ERROR_TOL = 1e-9
+# Samples of each curve a curves trial traces and checks.
+CURVE_SAMPLES = 360
+
 
 def run(scope: str, trials: int, seed: int, csv_path: str | None, geometry: ManipulatorGeometry):
     """Run ``scope``'s checks ("all": every one), ``trials`` each, and recheck the
@@ -77,8 +89,8 @@ def _dkp_trial(rng, geom) -> float | None:
     pi = math.pi
     theta = (rng.uniform(-pi, pi), rng.uniform(-pi, pi), rng.uniform(-pi, pi))
     closed = direct_kinematics(theta, geometry=geom)
-    if closed.m * closed.m + closed.n * closed.n < 1e-8:
-        return None  # keep checks away from the degeneracy threshold
+    if closed.m * closed.m + closed.n * closed.n < DKP_SKIP_MN2:
+        return None
     if closed.kind is not DkKind.TWO_SOLUTIONS:
         return None
     report = dkp_bruteforce(theta, geometry=geom)
@@ -101,17 +113,17 @@ def _jacobian_trial(rng, geom) -> float | None:
         sol = inverse_kinematics(pose, geometry=geom)
     except LegAtAnchorError:
         return None
-    if min(sol.rhos()) < 0.05 * s:
+    if min(sol.rhos()) < JACOBIAN_SKIP_RHO * s:
         return None
     theta = sol.angles.as_tuple()
     rows, rhos, det_a, *_ = _configuration(pose, theta, geom)
-    if _is_parallel(det_a, s, tol=5e-6):
+    if _is_parallel(det_a, s, tol=JACOBIAN_SKIP_DET):
         return None
     try:
         err = _jacobian_cs_error(pose, theta, geom, (rows, rhos, det_a))
     except SingularNearbyError:
         return None
-    if err > 1e-9:
+    if err > JACOBIAN_ERROR_TOL:
         raise _TrialFailure(f"jacobian error {err:.3e} at pose={pose.as_tuple()}")
     return err
 
@@ -121,7 +133,7 @@ def _curves_trial(rng, geom) -> float | None:
     whose ends at phi = -pi and pi must meet within its last sample's gate."""
     t1, t2 = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
     try:
-        curve = trace_cardanic(t1, t2, n_samples=360, geometry=geom)
+        curve = trace_cardanic(t1, t2, n_samples=CURVE_SAMPLES, geometry=geom)
     except DegenerateLegPairError:
         return None
     _, cos_phi, sin_phi = _cycle_grid(len(curve.phi))

@@ -2,8 +2,9 @@
 
 No command, module or workload of the package runs these, so they live with
 the tests: a rotation matrix, a scalar angle distance, the signed leg
-extensions, det A in closed form at the identity pose, and a finite-difference
-Jacobian check, on the package's private helpers where they share one.
+extensions, det A in closed form at the identity pose, a finite-difference
+Jacobian check and a coupler-curve table's misses by per-sample hypot, on the
+package's private helpers where they share one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from rpr3.geometry import (
     ManipulatorGeometry,
     Pose,
     _as_angles,
+    _leg_axis,
     _leg_components,
+    _place_anchors,
 )
 from rpr3.oracle import _analytic_map, _relative_error, _resolved
 from rpr3.solvers import _mn
@@ -98,3 +101,14 @@ def jacobian_fd_check(
         dx, dy, dphi = (a - b for a, b in zip(plus, minus))
         columns.append((dx / width / s, dy / width / s, math.remainder(dphi, math.tau) / width))
     return _relative_error(columns, analytic)
+
+
+def curve_misses(t1: float, t2: float, cos_phi, sin_phi, b3, rho, geometry: ManipulatorGeometry):
+    """The three misses per sample that ``trace._curve_gaps`` takes the
+    largest of: |r2| off leg 2's line, |rho2 - e2| along it, and anchor 3's
+    miss from b3 by one ``math.hypot`` call per sample."""
+    x, y = rho[:, 0] * math.cos(t1), rho[:, 0] * math.sin(t1)
+    (*_, dx2, dy2), (bx3, by3, _, _) = _place_anchors(x, y, cos_phi, sin_phi, geometry.anchors[1:])
+    _, _, r2, e2 = _leg_axis(t2, dx2, dy2)
+    miss3 = [math.hypot(dx, dy) for dx, dy in zip(bx3 - b3[:, 0], by3 - b3[:, 1])]
+    return np.abs(r2), np.abs(rho[:, 1] - e2), np.array(miss3)

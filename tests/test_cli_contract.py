@@ -111,6 +111,24 @@ def test_a_geometry_file_refused_as_it_loads_exits_3_with_one_line(cwd, name):
     assert line.startswith("rpr3: geometry error: ")
 
 
+def test_a_trace_csv_cell_of_1e200_fails_with_a_finite_deviation(cwd):
+    # Anchor 3's miss from an x of 1e200 squares past the largest float:
+    # the recheck still names the miss, reports it as strict JSON, and
+    # warns of nothing.
+    code, _, err = _process(cwd, "trace", "--t1", "0.2", "--t2", "0.9", "--csv", "curve.csv")
+    assert (code, err) == (0, "")
+    lines = (cwd / "curve.csv").read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[3] = "1e200"
+    lines[5] = ",".join(fields)
+    (cwd / "curve.csv").write_text("\n".join(lines) + "\n")
+    code, out, err = _process(cwd, "verify", "--scope", "curves", "--trials", "1", "--csv", "curve.csv")
+    assert code == 4
+    assert err == "rpr3: FAIL trace csv row 5 deviates by 1.000e+200\n"
+    report = strict_json(out)["trace_csv"]
+    assert report == {"passed": False, "rows": 5, "max_deviation": 1e200}
+
+
 # ------------------------------------------------------------------ sweep
 
 

@@ -7,13 +7,14 @@ from functools import partial
 import numpy as np
 import pytest
 
-from rpr3 import coupler, geometry, trace
+from rpr3 import coupler, geometry, trace, verify
 from rpr3.cli import main
 from rpr3.trace import _curve_gaps
 from rpr3.verify import _curves_trial
 from rpr3.coupler import _cycle_grid, _cycle_phi, trace_cardanic
 from rpr3.geometry import ManipulatorGeometry, _libm, normalize_angles
 from rpr3.oracle import _SCAN_SAMPLES, _scan_table
+from _reference import curve_misses
 
 
 def _same_bits(a, b):
@@ -102,6 +103,37 @@ def test_curve_gaps_agree_on_grid_and_file_trig(n, tmp_path, capsys):
     assert (from_grid[0] <= from_grid[1]).all()
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1.7, 1e100])
+def test_curve_gaps_take_anchor_3s_miss_with_hypots_bits(monkeypatch, scale):
+    # The miss is sqrt(mx² + my²); on verify's own curves, and on pairs of
+    # nearly parallel legs, every gap is the one a per-sample math.hypot
+    # gives, and on many samples anchor 3's miss alone decides it.
+    tables = []
+
+    def recording(*args):
+        tables.append(args)
+        return _curve_gaps(*args)
+
+    monkeypatch.setattr(verify, "_curve_gaps", recording)
+    geom = ManipulatorGeometry(scale)
+    for seed in range(40):
+        assert verify.run("curves", 4, seed, None, geom)[0] == []
+    _, cos_phi, sin_phi = _cycle_grid(verify.CURVE_SAMPLES)
+    for sin12 in (1.5e-6, 2e-9):
+        for t1 in (-2.0, 0.3, 1.9):
+            for t2 in (t1 + math.asin(sin12), t1 + math.pi - math.asin(sin12)):
+                curve = trace_cardanic(t1, t2, n_samples=verify.CURVE_SAMPLES, geometry=geom)
+                tables.append((curve.theta1, curve.theta2, cos_phi, sin_phi, curve.b3, curve.rho, geom))
+    assert len(tables) == 40 * 4 + 12
+    decided = 0
+    for args in tables:
+        r2, e2, miss3 = curve_misses(*args)
+        gap, _ = _curve_gaps(*args)
+        assert _same_bits(gap, np.maximum.reduce([r2, e2, miss3]))
+        decided += int((miss3 > np.maximum(r2, e2)).sum())
+    assert decided > len(tables) * verify.CURVE_SAMPLES // 5
+
+
 def test_curves_trial_takes_phi_trig_from_the_grid_after_the_first(monkeypatch):
     calls = []
 
@@ -118,10 +150,12 @@ def test_curves_trial_takes_phi_trig_from_the_grid_after_the_first(monkeypatch):
     trig = {math.cos, math.sin}
     assert _curves_trial(rng, geom) is not None
     assert trig <= set(calls)
+    # Then no libm call at all: the grid holds phi's cos and sin, and anchor
+    # 3's miss is a sqrt of squares.
     for _ in range(3):
         calls.clear()
         assert _curves_trial(rng, geom) is not None
-        assert calls and not trig & set(calls)
+        assert not calls
 
 
 def test_a_trace_csv_recheck_builds_no_cycle_grid(tmp_path, capsys):
