@@ -3,10 +3,10 @@
 The direct-kinematics scan rediscovers assemblies from first principles:
 divide the trivial assembly's factor 2 sin(phi / 2) out of the leg
 constraints, fix the half angle, solve two legs for the position (they are
-affine in it), and watch the sign of the left-out leg around the cycle.
-Sign changes are polished on the deflated system, which has no trivial
-root to land on, by Newton's method, which from a bracket midpoint
-typically needs one or two iterations per pose.  None of the closed-form
+affine in it), and watch the sign of the left-out leg, a sinusoid scanned
+as one column.  Sign changes are polished on the deflated system, which has
+no trivial root to land on, by Newton's method, which from a bracket
+midpoint typically needs one or two iterations per pose.  None of the closed-form
 root machinery is used; this module imports only the shared geometry
 primitives, so agreement with the solvers is evidence, not tautology.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -85,25 +85,32 @@ class ScanReport:
 def _leg_rows(t, geometry: ManipulatorGeometry) -> list[tuple]:
     """(sin t_i, cos t_i, anchor i) per leg, on floats or complex numbers; the
     anchor is the base anchor and equally the platform anchor in its frame."""
-    return [(s, c, (v.x, v.y)) for (c, s), v in zip(map(_cos_sin, t), geometry.anchors)]
+    ((c1, s1), (c2, s2), (c3, s3)), (a1, a2, a3) = map(_cos_sin, t), geometry.anchors
+    return [(s1, c1, (a1.x, a1.y)), (s2, c2, (a2.x, a2.y)), (s3, c3, (a3.x, a3.y))]
 
 
-def _anchor_offsets(x, y, c, s, geometry: ManipulatorGeometry) -> list:
-    """The offsets (u, v) of the platform anchors at cos/sin (c, s) of phi with
-    every base anchor at the origin (the scan's system), on floats or columns:
-    the anchor algebra apart from the scalar geometry helpers of the solvers."""
-    return [(x + c * v.x - s * v.y, y + s * v.x + c * v.y) for v in geometry.anchors]
-
-
-@lru_cache(maxsize=2)
-def _scan_table(geometry: ManipulatorGeometry) -> tuple:
-    """The scan's alpha grid and the deflated anchor offsets on it (numpy's
-    cos and sin of alpha), read-only and built once per geometry and
-    process: two entries hold 14 columns of 2048 floats, 224 KiB."""
+@lru_cache(maxsize=1)
+def _scan_table() -> tuple:
+    """The scan's alpha grid and numpy's cos and sin of it, read-only, built
+    once per process and shared by every geometry: 3 columns, 48 KiB."""
     alphas = -math.pi + _SCAN_STEP * np.arange(1, _SCAN_SAMPLES + 1)
-    offsets = np.array(_anchor_offsets(0.0, 0.0, np.cos(alphas), np.sin(alphas), geometry))
-    alphas.flags.writeable = offsets.flags.writeable = False
-    return alphas, offsets
+    cos_a, sin_a = np.cos(alphas), np.sin(alphas)
+    alphas.flags.writeable = cos_a.flags.writeable = sin_a.flags.writeable = False
+    return alphas, cos_a, sin_a
+
+
+def _deflated_solves(legs: tuple, det: float, cos, sin) -> list[tuple[float, float, float]]:
+    """(x, y, r) per (cos, sin) of alpha, on floats in a full-column scan's operation order:
+    q solving deflated legs i, j of ``legs`` (rows i, j, k) by Cramer's rule, leg k's r there."""
+    (sti, cti, (axi, ayi)), (stj, ctj, (axj, ayj)), (stk, ctk, (axk, ayk)) = legs
+    solves = []
+    for c, s in zip(cos, sin):
+        ei = sti * (0.0 + c * axi - s * ayi) - cti * (0.0 + s * axi + c * ayi)
+        ej = stj * (0.0 + c * axj - s * ayj) - ctj * (0.0 + s * axj + c * ayj)
+        ek = stk * (0.0 + c * axk - s * ayk) - ctk * (0.0 + s * axk + c * ayk)
+        x, y = (ei * ctj - ej * cti) / det, (ei * stj - ej * sti) / det
+        solves.append((x, y, stk * x - ctk * y + ek))
+    return solves
 
 
 def _newton_polish(
@@ -114,7 +121,7 @@ def _newton_polish(
     on floats, the complex-step re-solves on complex ``t``.
 
     Each step solves the residuals u sin t_i - v cos t_i of the offsets (u, v)
-    = b_i - home a_i (home 0: :func:`_anchor_offsets`) by :func:`_cramer`, with
+    = b_i - home a_i (home 0: every base anchor at the origin) by :func:`_cramer`, with
     ``math``'s cos and sin and the scan's ``rows`` (:func:`_leg_rows` of ``t``,
     built if not given), each leg in straight-line arithmetic.  Converged when
     every residual's real part is below ``tol`` and its imaginary part at most
@@ -158,15 +165,14 @@ def dkp_bruteforce(
 
     The trivial pose is always returned.  With psi = phi / 2, alpha =
     psi + pi/2 and p = 2 sin(psi) q, (R(phi) - I) a = 2 sin(psi) R(alpha) a
-    makes leg i's residual 2 sin(psi) (q + R(alpha) a_i) x v_i.  For each
-    alpha on a uniform grid of 2048 samples over (-pi, pi], built with its
-    rotated anchors once per geometry, two deflated legs (the closed form's
-    best-conditioned pair, same tie order) are solved for q and the left-out
-    one becomes the scan function; its sign changes (wrap-aware) bracket
-    psi2 and psi2 + pi, refined by :func:`_newton_polish` (Cramer's rule on
-    floats, the Newton of both Jacobian checks too) on the deflated system
-    (typically one or two iterations) until every residual is below
-    ``NEWTON_RESIDUAL_TOL * scale`` and clustered by :func:`cluster_poses`.
+    makes leg i's residual 2 sin(psi) (q + R(alpha) a_i) x v_i.  Two deflated
+    legs (the closed form's best-conditioned pair, same tie order) are solved
+    for q and the left-out one becomes the scan function C cos(alpha) +
+    S sin(alpha), one column on the shared grid of 2048 alphas over (-pi, pi];
+    q is solved on floats only at the bracket ends.  Its sign changes
+    (wrap-aware) bracket psi2 and psi2 + pi, refined by :func:`_newton_polish`
+    on the deflated system (typically one or two iterations) until every
+    residual is below ``NEWTON_RESIDUAL_TOL * scale``, and clustered.
     A continuum is declared when more than 5% of the grid admits residual
     below 1e-8 * scale; all-parallel legs short-circuit to the translation
     continuum without scanning (the position solve is rank deficient).
@@ -178,21 +184,24 @@ def dkp_bruteforce(
         # Every pair of slider lines is parallel: translation self motion.
         return ScanReport((_TRIVIAL,), 0.0, (_SCAN_SAMPLES, 1), 0, continuum=True)
 
-    (alphas, offsets), rows = _scan_table(geometry), _leg_rows(t, geometry)
-    e = [st * u - ct * v for (st, ct, _), (u, v) in zip(rows, offsets)]
-    # Cramer solve of legs i, j for q at each alpha.
-    x = (e[i] * math.cos(t[j]) - e[j] * math.cos(t[i])) / det
-    y = (e[i] * math.sin(t[j]) - e[j] * math.sin(t[i])) / det
-    leftover = math.sin(t[k]) * x - math.cos(t[k]) * y + e[k]
-
-    near_zero = np.abs(leftover) < _CONTINUUM_RESIDUAL * geometry.scale
-    continuum = float(near_zero.mean()) > CONTINUUM_GRID_FRACTION
+    (alphas, cos_a, sin_a), rows = _scan_table(), _leg_rows(t, geometry)
+    solve = partial(_deflated_solves, (rows[i], rows[j], rows[k]), det)
+    # Leg k's residual r is C cos(alpha) + S sin(alpha), C and S its values at 0 and pi / 2.
+    (*_, big_c), (*_, big_s) = solve((1.0, 0.0), (0.0, 1.0))
+    leftover = big_c * cos_a + big_s * sin_a
+    # The column is off r by far less than 2048 eps scale (1 + 1/|det|): near 0 or the gate, use r.
+    bound = geometry.scale * (_CONTINUUM_RESIDUAL + 2048 * math.ulp(1.0) * (1.0 + 1.0 / abs(det)))
+    near_zero = doubt = np.flatnonzero(np.abs(leftover) <= bound)
+    if doubt.size:
+        leftover[doubt] = [r for *_, r in solve(cos_a[doubt].tolist(), sin_a[doubt].tolist())]
+        near_zero = doubt[np.abs(leftover[doubt]) < _CONTINUUM_RESIDUAL * geometry.scale]
+    continuum = near_zero.size > CONTINUUM_GRID_FRACTION * _SCAN_SAMPLES
     if continuum:
-        picks = np.flatnonzero(near_zero)
-        picks = picks[:: max(1, len(picks) // 64)]
-        candidates = [(float(x[p]), float(y[p]), float(alphas[p])) for p in picks]
+        picks = near_zero[:: max(1, len(near_zero) // 64)]
+        solves = solve(cos_a[picks].tolist(), sin_a[picks].tolist())
+        candidates = [(x, y, alpha) for (x, y, _), alpha in zip(solves, alphas[picks].tolist())]
     else:
-        candidates = _bracket_candidates(leftover, x, y, alphas, _SCAN_STEP)
+        candidates = _bracket_candidates(leftover, alphas, cos_a, sin_a, _SCAN_STEP, solve)
     poses, iters = _polish_candidates(candidates, t, rows, geometry)
     residual = 0.0  # the largest |constraint_residuals|, refused past the float range as there
     for pose in poses:
@@ -205,27 +214,25 @@ def dkp_bruteforce(
     return ScanReport(tuple(poses), residual, (_SCAN_SAMPLES, 1), iters, continuum=continuum)
 
 
-def _bracket_candidates(
-    leftover: np.ndarray, x: np.ndarray, y: np.ndarray, phis: np.ndarray, step: float
-) -> list[tuple[float, float, float]]:
-    """Newton starts from the scan function, in grid order.
+def _bracket_candidates(leftover, alphas, cos_a, sin_a, step: float, solve) -> list[tuple]:
+    """Newton starts from the scan function at ``alphas``, in grid order.
 
     Sample a, with wrap-around neighbour b = a + 1, gives itself when
     leftover[a] == 0, else the bracket midpoint when leftover[a] * leftover[b]
     < 0; NaN gives none, and an overflowing product is inf, as on floats.
-    Only the indices come from arrays; the few starts are built on floats.
+    Only the indices come from arrays; one ``solve`` call gives the positions.
     """
     with np.errstate(over="ignore"):
         wrapped = np.concatenate((leftover[1:], leftover[:1]))
         picks = np.flatnonzero((leftover == 0.0) | (leftover * wrapped < 0.0))
+    ends = np.concatenate((picks, (picks + 1) % leftover.size))
+    solves = solve(cos_a[ends].tolist(), sin_a[ends].tolist())
     candidates = []
-    for a in picks.tolist():
-        b = (a + 1) % leftover.size
+    for a, (xa, ya, _), (xb, yb, _) in zip(picks.tolist(), solves, solves[len(picks):]):
         if leftover[a] == 0.0:
-            candidates.append((float(x[a]), float(y[a]), float(phis[a])))
+            candidates.append((xa, ya, alphas.item(a)))
         else:
-            xm, ym = 0.5 * (float(x[a]) + float(x[b])), 0.5 * (float(y[a]) + float(y[b]))
-            candidates.append((xm, ym, float(phis[a]) + 0.5 * step))
+            candidates.append((0.5 * (xa + xb), 0.5 * (ya + yb), alphas.item(a) + 0.5 * step))
     return candidates
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -129,18 +130,20 @@ def recheck(path: str, failures: list[str]) -> dict:
     deg = header == _trace_header(True)
     if not deg and header != _trace_header(False):
         raise OSError(f"{path}: header {','.join(header)!r} is not a trace CSV header")
-    table = []
-    for idx, row in enumerate(rows, 1):
-        try:
-            values = [float(v) for v in row]
-            if len(values) != 8 or not all(map(math.isfinite, values)):
-                raise ValueError
-            if not table:
-                geom = ManipulatorGeometry(values[-1])
-        except ValueError:
-            raise OSError(f"{path}: malformed row {idx}") from None
-        table.append(values)
-    table = np.array(table)
+    try:  # one float() per cell; rows are parsed one by one only to name a malformed one
+        table = np.fromiter(map(float, chain.from_iterable(rows)), float).reshape(-1, 8)
+        if set(map(len, rows)) != {8} or not np.isfinite(table).all():
+            raise ValueError
+        geom = ManipulatorGeometry(table.item(7))
+    except ValueError:
+        for idx, row in enumerate(rows, 1):
+            try:
+                values = [float(v) for v in row]
+                if len(values) != 8 or not all(map(math.isfinite, values)):
+                    raise ValueError
+                geom = ManipulatorGeometry(values[-1]) if idx == 1 else geom
+            except ValueError:
+                raise OSError(f"{path}: malformed row {idx}") from None
     angles = np.radians(table[:, :3]) if deg else table[:, :3]
     phi = normalize_angles(angles[:, 2])
     trig = _libm(math.cos, phi), _libm(math.sin, phi)

@@ -3,8 +3,9 @@
 No command, module or workload of the package runs these, so they live with
 the tests: a rotation matrix, a scalar angle distance, the signed leg
 extensions, det A in closed form at the identity pose, a finite-difference
-Jacobian check and a coupler-curve table's misses by per-sample hypot, on the
-package's private helpers where they share one.
+Jacobian check, a coupler-curve table's misses by per-sample hypot and the
+oracle's direct-kinematics scan on six columns, on the package's private
+helpers where they share one.
 """
 
 from __future__ import annotations
@@ -14,18 +15,31 @@ from typing import Sequence
 
 import numpy as np
 
+from rpr3.errors import GeometryError
 from rpr3.geometry import (
     DEFAULT_GEOMETRY,
+    PAIR_SIN_TOL,
     TAU,
     JointAngles,
     ManipulatorGeometry,
     Pose,
     _as_angles,
+    _best_pair,
     _leg_axis,
     _leg_components,
     _place_anchors,
 )
-from rpr3.oracle import _analytic_map, _relative_error, _resolved
+from rpr3.oracle import (
+    _CONTINUUM_RESIDUAL,
+    _SCAN_SAMPLES,
+    CONTINUUM_GRID_FRACTION,
+    ScanReport,
+    _analytic_map,
+    _leg_rows,
+    _polish_candidates,
+    _relative_error,
+    _resolved,
+)
 from rpr3.solvers import _mn
 
 
@@ -112,3 +126,70 @@ def curve_misses(t1: float, t2: float, cos_phi, sin_phi, b3, rho, geometry: Mani
     _, _, r2, e2 = _leg_axis(t2, dx2, dy2)
     miss3 = [math.hypot(dx, dy) for dx, dy in zip(bx3 - b3[:, 0], by3 - b3[:, 1])]
     return np.abs(r2), np.abs(rho[:, 1] - e2), np.array(miss3)
+
+
+def scan_columns(t, geometry: ManipulatorGeometry, cos_a, sin_a):
+    """x, y and the scan function per sample of the oracle's scan at checked
+    angles ``t``, from cos and sin columns of alpha: the rotated anchors of all
+    three legs as six columns, each leg's deflated residual e, the pair's
+    Cramer solve for q = (x, y) and the left-out leg's residual."""
+    i, j, k = _best_pair(t)
+    det = math.sin(t[j] - t[i])
+    e = [st * (0.0 + cos_a * ax - sin_a * ay) - ct * (0.0 + sin_a * ax + cos_a * ay)
+         for st, ct, (ax, ay) in _leg_rows(t, geometry)]
+    x = (e[i] * math.cos(t[j]) - e[j] * math.cos(t[i])) / det
+    y = (e[i] * math.sin(t[j]) - e[j] * math.sin(t[i])) / det
+    return x, y, math.sin(t[k]) * x - math.cos(t[k]) * y + e[k]
+
+
+def bracket_candidates(leftover, x, y, phis, step):
+    """Newton starts at the scan function's exact zeros and sign changes,
+    wrap-aware, by whole-array comparisons, from position columns."""
+    with np.errstate(over="ignore"):
+        wrapped = np.concatenate((leftover[1:], leftover[:1]))
+        picks = np.flatnonzero((leftover == 0.0) | (leftover * wrapped < 0.0))
+    candidates = []
+    for a in picks.tolist():
+        b = (a + 1) % leftover.size
+        if leftover[a] == 0.0:
+            candidates.append((float(x[a]), float(y[a]), float(phis[a])))
+        else:
+            xm, ym = 0.5 * (float(x[a]) + float(x[b])), 0.5 * (float(y[a]) + float(y[b]))
+            candidates.append((xm, ym, float(phis[a]) + 0.5 * step))
+    return candidates
+
+
+def scan_bruteforce(
+    theta: JointAngles | Sequence[float], geometry: ManipulatorGeometry = DEFAULT_GEOMETRY
+) -> tuple[list, ScanReport] | None:
+    """The Newton starts and the :class:`ScanReport` of the oracle's scan done
+    on full columns: :func:`scan_columns` on numpy's cos and sin of the alpha
+    grid, the continuum rule as a grid mean, and :func:`bracket_candidates`;
+    the polish is the oracle's own.  None on all-parallel legs."""
+    t = _as_angles(theta)
+    i, j, _ = _best_pair(t)
+    if abs(math.sin(t[j] - t[i])) < PAIR_SIN_TOL:
+        return None
+    step = 2.0 * math.pi / _SCAN_SAMPLES
+    alphas = -math.pi + step * np.arange(1, _SCAN_SAMPLES + 1)
+    x, y, leftover = scan_columns(t, geometry, np.cos(alphas), np.sin(alphas))
+    near_zero = np.abs(leftover) < _CONTINUUM_RESIDUAL * geometry.scale
+    continuum = float(near_zero.mean()) > CONTINUUM_GRID_FRACTION
+    if continuum:
+        picks = np.flatnonzero(near_zero)
+        picks = picks[:: max(1, len(picks) // 64)]
+        candidates = [(float(x[p]), float(y[p]), float(alphas[p])) for p in picks]
+    else:
+        candidates = bracket_candidates(leftover, x, y, alphas, step)
+    rows = _leg_rows(t, geometry)
+    poses, iters = _polish_candidates(candidates, t, rows, geometry)
+    residual = 0.0
+    for pose in poses:
+        px, py, c, s = pose.x, pose.y, math.cos(pose.phi), math.sin(pose.phi)
+        for st, ct, (ax, ay) in rows:
+            r = st * (px + c * ax - s * ay - ax) - ct * (py + s * ax + c * ay - ay)
+            if not math.isfinite(r):
+                raise GeometryError(f"residual must be finite, got {r!r}")
+            residual = max(residual, abs(r))
+    report = ScanReport(tuple(poses), residual, (_SCAN_SAMPLES, 1), iters, continuum=continuum)
+    return candidates, report

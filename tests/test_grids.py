@@ -13,7 +13,7 @@ from rpr3.trace import _curve_gaps
 from rpr3.verify import _curves_trial
 from rpr3.coupler import _cycle_grid, _cycle_phi, trace_cardanic
 from rpr3.geometry import ManipulatorGeometry, _libm, normalize_angles
-from rpr3.oracle import _SCAN_SAMPLES, _scan_table
+from rpr3.oracle import _SCAN_SAMPLES, _scan_table, dkp_bruteforce
 from _reference import curve_misses
 
 
@@ -31,34 +31,27 @@ def test_cycle_grid_is_libm_of_the_formula_grid(n):
     assert _same_bits(sin_phi, _libm(math.sin, phi))
 
 
-def _per_call_scan(scale):
-    """The scan's alpha grid and deflated anchor offsets, computed in full on
-    each call as the scan did before its table: on zero columns, with every
-    base anchor at the origin."""
+def _per_call_scan():
+    """The scan's alpha grid and numpy's cos and sin of it, computed afresh."""
     alphas = -math.pi + (2.0 * math.pi / _SCAN_SAMPLES) * np.arange(1, _SCAN_SAMPLES + 1)
-    x = y = np.zeros_like(alphas)
-    c, s = np.cos(alphas), np.sin(alphas)
-    offsets = [
-        (x + c * v.x - s * v.y - 0.0 * v.x, y + s * v.x + c * v.y - 0.0 * v.y)
-        for v in ManipulatorGeometry(scale).anchors
-    ]
-    return alphas, offsets
+    return alphas, np.cos(alphas), np.sin(alphas)
 
 
 def test_scan_table_equals_the_per_call_arrays():
-    # Three geometries in turn through a two-entry table: each rebuilt entry
-    # is the same as the first, and no entry answers for another scale.
+    # One table serves every geometry: built once, it is the per-call arrays
+    # bit for bit, and scans at other scales in between leave it as it was.
+    table = _scan_table()
     for scale in (1.0, 1.7, 2.0, 1.0, 2.0, 1.7, 1.0):
-        alphas, offsets = _scan_table(ManipulatorGeometry(scale))
-        want_alphas, want_offsets = _per_call_scan(scale)
-        assert _same_bits(alphas, want_alphas)
-        assert _same_bits(offsets, want_offsets)
+        dkp_bruteforce((0.2, 0.9, 2.0), ManipulatorGeometry(scale))
+        assert _scan_table() is table
+        assert all(map(_same_bits, table, _per_call_scan()))
+        assert len(table) == 3
 
 
 def test_grid_tables_are_read_only():
     grid = _cycle_grid(360)
-    alphas, offsets = _scan_table(ManipulatorGeometry(1.0))
-    for array in (grid, grid[1], alphas, offsets, offsets[2][1]):
+    alphas, cos_a, sin_a = _scan_table()
+    for array in (grid, grid[1], alphas, cos_a, sin_a):
         with pytest.raises(ValueError):
             array[0] = 0.0
     assert _same_bits(_cycle_grid(360)[0], -math.pi + np.arange(1, 361) * (2.0 * math.pi / 360))
@@ -75,10 +68,10 @@ def test_a_traced_curve_owns_its_phi():
 def test_grid_caches_stay_within_their_bound():
     for n in range(8, 18):
         trace_cardanic(0.2, 0.9, n_samples=n)
-        _scan_table(ManipulatorGeometry(float(n)))
-    for table in (_cycle_grid, _scan_table):
+        dkp_bruteforce((0.2, 0.9, 2.0), ManipulatorGeometry(float(n)))
+    for table, bound in ((_cycle_grid, 2), (_scan_table, 1)):
         info = table.cache_info()
-        assert info.currsize <= info.maxsize == 2
+        assert info.currsize <= info.maxsize == bound
 
 
 @pytest.mark.parametrize("n", [360, 720])

@@ -6,6 +6,7 @@ import json
 import math
 import pathlib
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rpr3.geometry import (
     POSE_TOL,
     ManipulatorGeometry,
     Pose,
+    _best_pair,
     constraint_residuals,
     normalize_angle,
     pose_distance,
@@ -25,7 +27,7 @@ from rpr3.geometry import (
 from rpr3.jacobians import _configuration, build_matrices
 from rpr3.oracle import dkp_bruteforce, jacobian_cs_check
 from rpr3.solvers import DkKind, direct_kinematics, inverse_kinematics, mn_coefficients
-from _reference import jacobian_fd_check
+from _reference import bracket_candidates, jacobian_fd_check, scan_bruteforce, scan_columns
 
 PI3 = math.pi / 3.0
 
@@ -173,7 +175,17 @@ def _edge_fields(n=64):
     return [zero_ends, across_wrap, zero_runs, -ramp, with_nan, extreme]
 
 
+def _deflated_solve(t, geometry):
+    """The scan's float position solve at checked angles ``t``, bound as the
+    scan binds it."""
+    i, j, k = _best_pair(t)
+    rows = rpr3.oracle._leg_rows(t, geometry)
+    return partial(rpr3.oracle._deflated_solves, (rows[i], rows[j], rows[k]), math.sin(t[j] - t[i]))
+
+
 def test_bracket_scan_matches_the_per_index_loop():
+    # The starts' positions come from the float solve at the bracket ends; the
+    # loop reads them from the six-column reference scan's full columns.
     rng = np.random.default_rng(92)
     fields = _edge_fields()
     for n in (16, 64, 2048):
@@ -183,9 +195,58 @@ def test_bracket_scan_matches_the_per_index_loop():
         n = leftover.size
         step = 2.0 * math.pi / n
         phis = -math.pi + step * np.arange(1, n + 1)
-        x, y = rng.uniform(-2.0, 2.0, (2, n))
-        got = rpr3.oracle._bracket_candidates(leftover, x, y, phis, step)
-        assert repr(got) == repr(_reference_candidates(leftover, x, y, phis, step))
+        cos_a, sin_a = np.cos(phis), np.sin(phis)
+        geometry = ManipulatorGeometry(float(rng.choice([1.0, 1.7])))
+        t = tuple(rng.uniform(-math.pi, math.pi, 3).tolist())
+        x, y, _ = scan_columns(t, geometry, cos_a, sin_a)
+        solve = _deflated_solve(t, geometry)
+        got = rpr3.oracle._bracket_candidates(leftover, phis, cos_a, sin_a, step, solve)
+        want = _reference_candidates(leftover, x, y, phis, step)
+        assert repr(got) == repr(want)
+        assert repr(bracket_candidates(leftover, x, y, phis, step)) == repr(want)
+
+
+def _scan_families(rng):
+    """Seeded triples: uniform, nearly parallel (t1, t1 + d, t1 - d) with d from
+    1e-8 to 1e-3, Reuleaux (0, pi/3, -pi/3) moved by 0 or 1e-12 to 1e-5, and
+    multiples of pi/12, whose roots and zero terms can fall on the grid."""
+    uniform = rng.uniform(-math.pi, math.pi, (400, 3)).tolist()
+    t1s, ds = rng.uniform(-math.pi, math.pi, 120).tolist(), (10.0 ** rng.uniform(-8, -3, 120)).tolist()
+    near = [(t1, t1 + d, t1 - d) for t1, d in zip(t1s, ds)]
+    moves = 10.0 ** rng.uniform(-12, -5, (80, 3)) * rng.choice([-1.0, 1.0], (80, 3))
+    moves[:10] = 0.0
+    reuleaux = (moves + (0.0, PI3, -PI3)).tolist()
+    on_grid = (rng.integers(-11, 13, (200, 3)) * (math.pi / 12)).tolist()
+    return [tuple(t) for t in uniform + near + reuleaux + on_grid]
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1.7, 1e100])
+def test_scan_matches_the_six_column_reference_bit_for_bit(scale, monkeypatch):
+    # Same Newton starts and the same ScanReport repr as the scan on full
+    # columns, continuum flag, residual and iteration count included.
+    geometry = ManipulatorGeometry(scale)
+    starts = []
+    polish = rpr3.oracle._polish_candidates
+
+    def record(candidates, *args):
+        starts.append(candidates)
+        return polish(candidates, *args)
+
+    monkeypatch.setattr(rpr3.oracle, "_polish_candidates", record)
+    triples = _scan_families(np.random.default_rng(48))
+    continua = 0
+    for theta in triples if scale == 1.0 else triples[::4]:
+        starts.clear()
+        report = dkp_bruteforce(theta, geometry)
+        reference = scan_bruteforce(theta, geometry)
+        if reference is None:  # all three legs parallel: neither scans
+            assert report.continuum and not starts
+            continue
+        want_starts, want = reference
+        assert repr(starts) == repr([want_starts]), theta
+        assert repr(report) == repr(want), theta
+        continua += report.continuum
+    assert continua >= 5
 
 
 def test_newton_exits_keep_their_iteration_counts(monkeypatch):
@@ -401,7 +462,7 @@ def test_oracle_and_verify_call_no_lapack(scale, tmp_path, monkeypatch):
 # benchmark's shape, as CPython 3.11 counts them; 3.12 inlines comprehensions
 # and counts fewer.  numpy's Python wrappers are not rpr3 frames, so the
 # numpy version does not move the count.
-VERIFY_CALL_BUDGET = 967
+VERIFY_CALL_BUDGET = 955
 
 
 def test_a_verify_run_stays_within_its_call_budget():
