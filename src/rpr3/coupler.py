@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import DegenerateLegPairError, NotReuleauxError
 from .geometry import (
+    _FLOATS,
     DEFAULT_GEOMETRY,
     PAIR_SIN_TOL,
     JointAngles,
@@ -188,7 +189,8 @@ def _leg3_pairs(theta3: float, loop):
     """Leg 3's (residual, extension) pairs: B3 - a3's coefficient vectors of
     (1 - cos phi) and of sin phi, across and along the leg's axis."""
     (ax, bx), (ay, by) = loop[2:]
-    return tuple(zip(_leg_axis(theta3, ax, ay)[2:], _leg_axis(theta3, bx, by)[2:]))
+    one_minus_cos, sin_phi = _leg_axis(_FLOATS, theta3, ax, ay), _leg_axis(_FLOATS, theta3, bx, by)
+    return tuple(zip(one_minus_cos[2:], sin_phi[2:]))
 
 
 def _second_zero(a: float, b: float) -> float:
@@ -237,7 +239,8 @@ def trace_cardanic(
     loop = _loop_coefficients(t1, t2, geometry)
     rho1, rho2, b3x, b3y = _slider_loop(loop, cos_phi, sin_phi, geometry)
     t3 = t1 - _REULEAUX_GAP
-    degenerate = _DK_KINDS[_continuum(t1, t2, normalize_angle(t3))] is DkKind.CONTINUUM_REULEAUX
+    kind = _DK_KINDS[_continuum(_FLOATS, t1, t2, normalize_angle(t3))]
+    degenerate = kind is DkKind.CONTINUUM_REULEAUX
 
     segment: tuple[Vec2, Vec2] | None = None
     if degenerate:
@@ -313,7 +316,7 @@ def reuleaux_descriptor(
     Raises :class:`NotReuleauxError` when the angle predicate fails.
     """
     t = _as_angles(theta)
-    if _DK_KINDS[_continuum(*t)] is not DkKind.CONTINUUM_REULEAUX:
+    if _DK_KINDS[_continuum(_FLOATS, *t)] is not DkKind.CONTINUUM_REULEAUX:
         raise NotReuleauxError(f"angles {t} do not satisfy the straight-line degeneracy condition")
     loop = _loop_coefficients(t[0], t[1], geometry)
     coeffs = (loop[0], loop[1], _leg3_pairs(t[2], loop)[1])

@@ -152,7 +152,8 @@ def _finite_rho(rho: float, name: str = "rho") -> None:
 
 # The elementary functions of a formula body shared by the scalar API and the
 # array kernels, on floats or elementwise on columns that broadcast together
-# (|remainder| there); a body picks its form once per call with :func:`_form`.
+# (|remainder| there).  The caller names the form: scalar entry points pass
+# _FLOATS, array kernels _COLUMNS, as the body's required first argument.
 _FLOATS = SimpleNamespace(
     cos=math.cos, sin=math.sin, atan2=math.atan2, hypot=math.hypot, remainder=math.remainder
 )
@@ -164,7 +165,8 @@ _COLUMNS = SimpleNamespace(
 
 def _form(value) -> SimpleNamespace:
     """:data:`_COLUMNS` for an array ``value``, else :data:`_FLOATS`: numpy-free
-    on floats."""
+    on floats.  Only for a function that accepts either a float or an array;
+    a shared formula body takes its form from its caller."""
     return _COLUMNS if isinstance(value, np.ndarray) else _FLOATS
 
 
@@ -252,7 +254,8 @@ class LegState:
     rho: float
 
     def __init__(self, theta: float, rho: float) -> None:
-        _finite_rho(rho)
+        if not math.isfinite(rho):
+            _finite_rho(rho)
         if rho < 0.0:
             theta, rho = theta + math.pi, -rho
         fields = self.__dict__
@@ -331,8 +334,13 @@ class ManipulatorGeometry:
     def anchors(self) -> tuple[Vec2, Vec2, Vec2]:
         """Anchor triangle: the base anchors, and equally the platform
         anchors in the platform frame."""
-        a1, a2, a3 = (Vec2(x * self.scale, y * self.scale) for x, y in _UNIT_TRIANGLE)
+        a1, a2, a3 = (Vec2(x, y) for x, y in self._anchor_pairs)
         return (a1, a2, a3)
+
+    @cached_property
+    def _anchor_pairs(self) -> tuple[tuple[float, float], ...]:
+        """:attr:`anchors` as (x, y) float pairs, as the formula bodies read them."""
+        return tuple((x * self.scale, y * self.scale) for x, y in _UNIT_TRIANGLE)
 
     def base_anchor(self, leg: int) -> Vec2:
         """Base anchor of ``leg`` (1-based)."""
@@ -366,17 +374,17 @@ def _leg_offsets(x, y, phi, geometry: ManipulatorGeometry):
     offset b_i - a_i.  Both are finite at every finite pose: each term added
     to x or y is at most the scale, below half an ulp of the largest float."""
     f = _form(phi)
-    return _place_anchors(x, y, f.cos(phi), f.sin(phi), geometry.anchors)
+    return _place_anchors(x, y, f.cos(phi), f.sin(phi), geometry._anchor_pairs)
 
 
 def _place_anchors(x, y, c, s, anchors):
-    """:func:`_leg_offsets` of ``anchors`` at cos/sin (c, s) of phi."""
+    """:func:`_leg_offsets` of ``anchors``, (x, y) pairs, at cos/sin (c, s) of phi."""
     legs = []
     # The local platform anchor and the base anchor are the same vertex.
-    for v in anchors:
-        bx = x + c * v.x - s * v.y
-        by = y + s * v.x + c * v.y
-        legs.append((bx, by, bx - v.x, by - v.y))
+    for ax, ay in anchors:
+        bx = x + c * ax - s * ay
+        by = y + s * ax + c * ay
+        legs.append((bx, by, bx - ax, by - ay))
     return legs
 
 
@@ -389,11 +397,10 @@ def _leg_columns(x, y, phi, geometry: ManipulatorGeometry):
     return x, y, _leg_offsets(x, y, normalize_angles(phi), geometry)
 
 
-def _leg_axis(theta, dx, dy):
-    """(sin, cos, residual, extension), floats or arrays: the components of
-    the offset (dx, dy) = b - a across and along the leg axis
+def _leg_axis(f, theta, dx, dy):
+    """(sin, cos, residual, extension) in form ``f`` of theta: the components
+    of the offset (dx, dy) = b - a across and along the leg axis
     v = (cos theta, sin theta), (b - a) x v and v . (b - a)."""
-    f = _form(theta)
     sin_t, cos_t = f.sin(theta), f.cos(theta)
     return sin_t, cos_t, sin_t * dx - cos_t * dy, cos_t * dx + sin_t * dy
 
@@ -417,7 +424,9 @@ def constraint_residuals(
 def _leg_components(pose: Pose, theta, geometry: ManipulatorGeometry, index: int, name: str):
     """Entry ``index`` of :func:`_leg_axis` per leg, refused past the float range."""
     legs = _leg_offsets(pose.x, pose.y, pose.phi, geometry)
-    values = tuple(_leg_axis(t, dx, dy)[index] for t, (*_, dx, dy) in zip(_as_angles(theta), legs))
+    values = tuple(
+        _leg_axis(_FLOATS, t, dx, dy)[index] for t, (*_, dx, dy) in zip(_as_angles(theta), legs)
+    )
     for value in values:
         _finite_rho(value, name)
     return values

@@ -27,6 +27,8 @@ import numpy as np
 
 from .errors import GeometryError, InconsistentStateError
 from .geometry import (
+    _COLUMNS,
+    _FLOATS,
     DEFAULT_GEOMETRY,
     PAIR_SIN_TOL,
     JointAngles,
@@ -116,13 +118,13 @@ def _check_rows(x, y, scale: float, det_b, *residuals) -> None:
         _check_configuration(row_x, row_y, scale, row_det_b, *row)
 
 
-def _velocity_terms(x, y, theta, legs):
+def _velocity_terms(f, x, y, theta, legs):
     """Rows of A, leg residuals, signed extensions (the diagonal of B) and
-    det B from the leg offsets at pose position (x, y), floats or columns;
-    the moment arm in row i is v_i . (b_i - p)."""
+    det B from the leg offsets at pose position (x, y), in form ``f`` of
+    theta; the moment arm in row i is v_i . (b_i - p)."""
     rows, residuals, rhos = [], [], []
     for t, (bx, by, dx, dy) in zip(theta, legs):
-        sin_t, cos_t, residual, rho = _leg_axis(t, dx, dy)
+        sin_t, cos_t, residual, rho = _leg_axis(f, t, dx, dy)
         rows.append((-sin_t, cos_t, cos_t * (bx - x) + sin_t * (by - y)))
         residuals.append(residual)
         rhos.append(rho)
@@ -176,8 +178,8 @@ def _configuration(pose: Pose, t: tuple[float, float, float], geometry: Manipula
     """(rows of A, rhos, det A, det B, leg offsets) at checked angles ``t``:
     the body of :func:`build_matrices` and :func:`classify_singularity`."""
     x, y, phi = pose.x, pose.y, pose.phi
-    legs = _place_anchors(x, y, math.cos(phi), math.sin(phi), geometry.anchors)
-    rows, residuals, rhos, det_b = _velocity_terms(x, y, t, legs)
+    legs = _place_anchors(x, y, math.cos(phi), math.sin(phi), geometry._anchor_pairs)
+    rows, residuals, rhos, det_b = _velocity_terms(_FLOATS, x, y, t, legs)
     _check_configuration(x, y, geometry.scale, det_b, *residuals)
     return rows, rhos, float(_det_a(rows)), det_b, legs
 
@@ -331,7 +333,7 @@ def _matrix_columns(x, y, t, legs, scale: float):
     on positions, angles ``t`` (one column per leg) and leg offsets whose
     columns broadcast together, checked by :func:`_check_rows`."""
     with np.errstate(over="ignore"):
-        rows, residuals, rhos, det_b = _velocity_terms(x, y, t, legs)
+        rows, residuals, rhos, det_b = _velocity_terms(_COLUMNS, x, y, t, legs)
         _check_rows(x, y, scale, det_b, *residuals)
     return rows, rhos, _det_a(rows), det_b
 

@@ -85,8 +85,8 @@ class ScanReport:
 def _leg_rows(t, geometry: ManipulatorGeometry) -> list[tuple]:
     """(sin t_i, cos t_i, anchor i) per leg, on floats or complex numbers; the
     anchor is the base anchor and equally the platform anchor in its frame."""
-    ((c1, s1), (c2, s2), (c3, s3)), (a1, a2, a3) = map(_cos_sin, t), geometry.anchors
-    return [(s1, c1, (a1.x, a1.y)), (s2, c2, (a2.x, a2.y)), (s3, c3, (a3.x, a3.y))]
+    ((c1, s1), (c2, s2), (c3, s3)), (a1, a2, a3) = map(_cos_sin, t), geometry._anchor_pairs
+    return [(s1, c1, a1), (s2, c2, a2), (s3, c3, a3)]
 
 
 @lru_cache(maxsize=1)

@@ -28,6 +28,8 @@ import numpy as np
 
 from .errors import DegenerateLegPairError, LegAtAnchorError
 from .geometry import (
+    _COLUMNS,
+    _FLOATS,
     DEFAULT_GEOMETRY,
     PAIR_SIN_TOL,
     JointAngles,
@@ -39,7 +41,6 @@ from .geometry import (
     _best_pair,
     _finite_rho,
     _first_nonfinite,
-    _form,
     _leg_axis,
     _leg_columns,
     _place_anchors,
@@ -134,8 +135,9 @@ def inverse_kinematics(
     br = tuple(map(operator.index, branch))
     if len(br) != 3 or not {0, 1}.issuperset(br):
         raise ValueError(f"branch must be three flags in {{0, 1}}, got {branch!r}")
-    legs = _place_anchors(pose.x, pose.y, math.cos(pose.phi), math.sin(pose.phi), geometry.anchors)
-    theta, rho, at_anchor = _aim_legs(legs, br, geometry.scale)
+    phi, anchors = pose.phi, geometry._anchor_pairs
+    legs = _place_anchors(pose.x, pose.y, math.cos(phi), math.sin(phi), anchors)
+    theta, rho, at_anchor = _aim_legs(_FLOATS, legs, br, geometry.scale)
     if any(at_anchor):
         raise LegAtAnchorError(tuple(compress((1, 2, 3), at_anchor)))
     return IkSolution(tuple(map(LegState, theta, rho)), br)
@@ -165,16 +167,16 @@ def _aim_columns(legs, scale: float):
     """``(theta, at_anchor)``: the body of :func:`inverse_kinematics_array`
     on leg offsets whose columns broadcast together, each angle column
     normalized but not masked, each length checked as by :class:`LegState`."""
-    theta, rho, (stuck1, stuck2, stuck3) = _aim_legs(legs, (0, 0, 0), scale)
+    theta, rho, (stuck1, stuck2, stuck3) = _aim_legs(_COLUMNS, legs, (0, 0, 0), scale)
     _first_nonfinite(lambda *row: _finite_rho(max(row)), *rho)
     return [normalize_angles(t) for t in theta], stuck1 | stuck2 | stuck3
 
 
-def _aim_legs(legs, branch, scale: float):
-    """(theta, rho, at_anchor) of the leg offsets b_i - a_i, floats or
-    columns: each arctangent plus branch * pi (0 * pi turns atan2's -0.0
-    into +0.0), each length, and whether it is below ``ANCHOR_TOL * scale``."""
-    f, tol = _form(legs[0][2]), ANCHOR_TOL * scale
+def _aim_legs(f, legs, branch, scale: float):
+    """(theta, rho, at_anchor) of the leg offsets b_i - a_i in form ``f``:
+    each arctangent plus branch * pi (0 * pi turns atan2's -0.0 into +0.0),
+    each length, and whether it is below ``ANCHOR_TOL * scale``."""
+    tol = ANCHOR_TOL * scale
     solved = []
     for (_, _, dx, dy), k in zip(legs, branch):
         rho = f.hypot(dx, dy)
@@ -286,13 +288,13 @@ def classify_dk_degeneracy(theta: JointAngles | Sequence[float]) -> DkKind:
     legs 2 and 3 the band is the hexagon |d2|, |d3|, |d2 - d3| < tol.  A
     turn or mirror of the leg labels permutes the gaps, not the kind.
     """
-    return _DK_KINDS[_continuum(*_as_angles(theta))]
+    return _DK_KINDS[_continuum(_FLOATS, *_as_angles(theta))]
 
 
-def _continuum(t1, t2, t3):
-    """Index into ``_DK_KINDS`` of checked angles' continuum, floats or
-    columns: :func:`classify_dk_degeneracy`'s rule, one test per gap."""
-    r, tol, pi = _form(t1).remainder, DEGENERACY_ANGLE_TOL, math.pi
+def _continuum(f, t1, t2, t3):
+    """Index into ``_DK_KINDS`` of checked angles' continuum in form ``f``:
+    :func:`classify_dk_degeneracy`'s rule, one test per gap."""
+    r, tol, pi = f.remainder, DEGENERACY_ANGLE_TOL, math.pi
     g12, g23, g31, third = t2 - t1, t3 - t2, t1 - t3, _REULEAUX_GAP
     translation = (abs(r(g12, pi)) < tol) & (abs(r(g23, pi)) < tol) & (abs(r(g31, pi)) < tol)
     g12, g23, g31 = g12 - third, g23 - third, g31 - third
@@ -348,9 +350,9 @@ def _position(t, phi: float, pair, geometry: ManipulatorGeometry) -> Pose:
             "their constraints cannot be solved for the position"
         )
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
-    ai, aj = geometry.anchors[i], geometry.anchors[j]
-    sin_i, cos_i, ri, ei = _leg_axis(t[i], ai.x, ai.y)
-    sin_j, cos_j, rj, ej = _leg_axis(t[j], aj.x, aj.y)
+    (aix, aiy), (ajx, ajy) = geometry._anchor_pairs[i], geometry._anchor_pairs[j]
+    sin_i, cos_i, ri, ei = _leg_axis(_FLOATS, t[i], aix, aiy)
+    sin_j, cos_j, rj, ej = _leg_axis(_FLOATS, t[j], ajx, ajy)
     ci, cj = ri * cos_phi - ei * sin_phi - ri, rj * cos_phi - ej * sin_phi - rj
     x = (ci * cos_j - cj * cos_i) / det
     y = (ci * sin_j - cj * sin_i) / det
@@ -383,7 +385,7 @@ def _solution_set(t, geometry: ManipulatorGeometry, second_phi) -> DkSolutionSet
     n^2 <= ``REDUCTION_NULL_TOL``, else the trivial pose and the one at
     ``second_phi(m, n)``, coincident when |phi| < ``DEGENERACY_ANGLE_TOL``."""
     m, n = _mn(*t)
-    continuum = _continuum(*t)  # 0, TWO_SOLUTIONS, unless the angles admit a continuum
+    continuum = _continuum(_FLOATS, *t)  # 0, TWO_SOLUTIONS, unless the angles admit a continuum
     if continuum:
         return DkSolutionSet(_DK_KINDS[continuum], (_TRIVIAL,), m, n, continuum=_leg1_line(t[0]))
     if m * m + n * n <= REDUCTION_NULL_TOL:

@@ -49,7 +49,7 @@ def run(
         theta, (x, y, phi) = grid, (0.0, 0.0, 0.0)
         legs = _leg_offsets(x, y, phi, geometry)
         _, _, det_a, det_b = _matrix_columns(x, y, theta, legs, geometry.scale)
-        labels = _DK_LABELS[_continuum(*theta)]
+        labels = _DK_LABELS[_continuum(_COLUMNS, *theta)]
     else:
         x, y, phi = grid[0], grid[1], normalize_angles(grid[2])
         legs = _leg_offsets(x, y, phi, geometry)

@@ -14,7 +14,7 @@ import numpy as np
 from . import figio
 from .coupler import MIN_CURVE_SAMPLES, _cycle_phi, trace_cardanic
 from .geometry import (
-    PAIR_SIN_TOL, ManipulatorGeometry, _leg_axis, _libm, _place_anchors, normalize_angles,
+    _FLOATS, PAIR_SIN_TOL, ManipulatorGeometry, _leg_axis, _libm, _place_anchors, normalize_angles,
 )
 from .jacobians import FAR_POSE_TOL
 
@@ -89,8 +89,9 @@ def _curve_gaps(t1: float, t2: float, cos_phi, sin_phi, b3, rho, geometry: Manip
     """
     # Leg 1's slider line runs through a1, the origin; only anchors 2 and 3 are placed.
     x, y = rho[:, 0] * math.cos(t1), rho[:, 0] * math.sin(t1)
-    (*_, dx2, dy2), (bx3, by3, _, _) = _place_anchors(x, y, cos_phi, sin_phi, geometry.anchors[1:])
-    _, _, r2, e2 = _leg_axis(t2, dx2, dy2)
+    anchors_2_3 = geometry._anchor_pairs[1:]
+    (*_, dx2, dy2), (bx3, by3, _, _) = _place_anchors(x, y, cos_phi, sin_phi, anchors_2_3)
+    _, _, r2, e2 = _leg_axis(_FLOATS, t2, dx2, dy2)
     mx, my = bx3 - b3[:, 0], by3 - b3[:, 1]
     with np.errstate(over="ignore"):
         miss3 = np.sqrt(mx * mx + my * my)
@@ -100,7 +101,9 @@ def _curve_gaps(t1: float, t2: float, cos_phi, sin_phi, b3, rho, geometry: Manip
     gap = np.maximum.reduce([np.abs(r2), np.abs(rho[:, 1] - e2), miss3])
     sin12 = abs(math.sin(t2 - t1))
     size = geometry.scale / sin12 if sin12 >= PAIR_SIN_TOL else math.nan
-    return gap, FAR_POSE_TOL * np.maximum(size, np.maximum.reduce(np.abs([*b3.T, *rho.T])))
+    # One column at a time: a 4 x n stack of the strided columns would copy them.
+    largest = np.maximum(np.maximum(np.abs(b3[:, 0]), np.abs(b3[:, 1])), np.abs(rho[:, 0]))
+    return gap, FAR_POSE_TOL * np.maximum(size, np.maximum(largest, np.abs(rho[:, 1])))
 
 
 def _trace_header(deg: bool) -> list[str]:

@@ -17,6 +17,7 @@ import numpy as np
 
 from rpr3.errors import GeometryError
 from rpr3.geometry import (
+    _FLOATS,
     DEFAULT_GEOMETRY,
     PAIR_SIN_TOL,
     TAU,
@@ -122,8 +123,9 @@ def curve_misses(t1: float, t2: float, cos_phi, sin_phi, b3, rho, geometry: Mani
     largest of: |r2| off leg 2's line, |rho2 - e2| along it, and anchor 3's
     miss from b3 by one ``math.hypot`` call per sample."""
     x, y = rho[:, 0] * math.cos(t1), rho[:, 0] * math.sin(t1)
-    (*_, dx2, dy2), (bx3, by3, _, _) = _place_anchors(x, y, cos_phi, sin_phi, geometry.anchors[1:])
-    _, _, r2, e2 = _leg_axis(t2, dx2, dy2)
+    anchors_2_3 = geometry._anchor_pairs[1:]
+    (*_, dx2, dy2), (bx3, by3, _, _) = _place_anchors(x, y, cos_phi, sin_phi, anchors_2_3)
+    _, _, r2, e2 = _leg_axis(_FLOATS, t2, dx2, dy2)
     miss3 = [math.hypot(dx, dy) for dx, dy in zip(bx3 - b3[:, 0], by3 - b3[:, 1])]
     return np.abs(r2), np.abs(rho[:, 1] - e2), np.array(miss3)
 

@@ -434,9 +434,9 @@ def test_every_route_solves_a_tie_through_legs_2_and_3(monkeypatch, t):
         tables.append((t1, t2))
         return loop(t1, t2, geometry)
 
-    def spy_axis(theta, dx, dy):
+    def spy_axis(f, theta, dx, dy):
         anchors.append((dx, dy))
-        return axis(theta, dx, dy)
+        return axis(f, theta, dx, dy)
 
     monkeypatch.setattr(coupler, "_loop_coefficients", spy_loop)
     monkeypatch.setattr(solvers, "_leg_axis", spy_axis)

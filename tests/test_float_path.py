@@ -135,7 +135,7 @@ def test_a_pose_of_numpy_scalars_gives_python_floats():
 # Python-level calls of one pose-stream op at a regular pose with two
 # isolated assemblies; the same count on CPython 3.10 to 3.13, since no
 # comprehension or generator runs on this path.
-POSE_STREAM_CALL_BUDGET = 54
+POSE_STREAM_CALL_BUDGET = 44
 
 
 def test_a_pose_stream_op_stays_within_its_call_budget():
@@ -163,3 +163,5 @@ def test_a_pose_stream_op_stays_within_its_call_budget():
         f"{total} Python calls per pose-stream op, budget {POSE_STREAM_CALL_BUDGET}: "
         f"{dict(calls.most_common())}"
     )
+    # Each body takes its form from its caller, and a finite rho is one test.
+    assert not {"_form", "_finite_rho"} & set(calls), dict(calls.most_common())

@@ -16,10 +16,14 @@ from rpr3.cli import _parse_axis, main
 from rpr3.errors import GeometryError, InconsistentStateError, LegAtAnchorError
 from rpr3.figio import write_csv
 from rpr3.geometry import (
+    _COLUMNS,
+    _FLOATS,
     ManipulatorGeometry,
     Pose,
     _first_nonfinite,
+    _leg_axis,
     _leg_columns,
+    _leg_offsets,
     _libm,
     angle_differences,
     normalize_angle,
@@ -30,12 +34,14 @@ from rpr3.jacobians import (
     SERIAL_RHO_TOL,
     SingularityKind,
     _check_rows,
+    _velocity_terms,
     build_matrices,
     build_matrices_array,
     classify_singularity,
 )
 from rpr3.solvers import (
     _DK_KINDS,
+    _aim_legs,
     _continuum,
     classify_dk_degeneracy,
     inverse_kinematics,
@@ -63,7 +69,7 @@ def _assert_bit_equal(got, want):
 def _dk_kinds(theta):
     """The :class:`DkKind` of each row of an (N, 3) angle array, from the
     continuum rule the joint page runs on its columns."""
-    return np.array(_DK_KINDS, dtype=object)[_continuum(*theta.T)]
+    return np.array(_DK_KINDS, dtype=object)[_continuum(_COLUMNS, *theta.T)]
 
 
 def _cartesian_scalar(x, y, phi, geom):
@@ -259,6 +265,53 @@ def test_kernels_accept_empty_batches():
     mats = build_matrices_array(empty, empty, empty, theta)
     assert mats.det_a.shape == (0,) and mats.singularity_kinds().shape == (0,)
     assert _dk_kinds(theta).shape == (0,)
+
+
+def _leaves(value):
+    """The leaves of a body's nested tuples and lists, in order."""
+    if isinstance(value, (tuple, list)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+def _one_element_grid(value):
+    """``value`` with every float leaf made a one-element column."""
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(_one_element_grid, value))
+    return np.array([value])
+
+
+# Each formula body that floats and columns share, called in the form given
+# on its arguments: the leg offsets of a pose and a triple of leg angles.
+_SHARED_BODIES = {
+    "_leg_axis": lambda f, x, y, legs, t: _leg_axis(f, t[0], legs[0][2], legs[0][3]),
+    "_velocity_terms": lambda f, x, y, legs, t: _velocity_terms(f, x, y, t, legs),
+    "_aim_legs": lambda f, x, y, legs, t: list(_aim_legs(f, legs, (1, 0, 1), 1.0)),
+    "_continuum": lambda f, x, y, legs, t: _continuum(f, *t),
+}
+
+
+@pytest.mark.parametrize("body", sorted(_SHARED_BODIES))
+def test_shared_bodies_take_their_form_from_the_caller(body):
+    # On a one-element grid, math's functions would accept a wrongly passed
+    # float form and return floats: every leaf must be a column, bit-equal
+    # to the float result.
+    run, kinds = _SHARED_BODIES[body], set()
+    poses = [(0.4, 0.3, 0.2), (-0.0, 0.4, -0.0), (0.0, 0.0, 0.0), (1.3, -0.7, 3.0)]
+    triples = [
+        (0.2, 0.9, 2.0), (0.3, 0.3, 0.3 + math.pi), (0.1, 0.1 + PI3, 0.1 - PI3), (-0.0, math.pi, 0.0),
+    ]
+    for (x, y, phi), t in itertools.product(poses, triples):
+        floats = (x, y, _leg_offsets(x, y, phi, ManipulatorGeometry(1.0)), t)
+        want = _leaves(run(_FLOATS, *floats))
+        got = _leaves(run(_COLUMNS, *_one_element_grid(floats)))
+        assert len(got) == len(want)
+        for column, value in zip(got, want):
+            assert isinstance(column, np.ndarray) and column.shape == (1,)
+            _assert_bit_equal(column, [value])
+        if body == "_continuum":
+            kinds.update(want)
+    assert body != "_continuum" or kinds == {0, 1, 2}
 
 
 # ------------------------------------------------- broadcasting and guards

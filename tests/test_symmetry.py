@@ -27,6 +27,7 @@ import pytest
 
 from rpr3.coupler import geometric_dkp, rho_from_phi, trace_cardanic
 from rpr3.geometry import (
+    _COLUMNS,
     ManipulatorGeometry,
     Pose,
     _best_pair,
@@ -141,7 +142,7 @@ def _band_draws(rng, offsets, count):
 def _dk_kinds(theta):
     """The :class:`DkKind` of each row of an (N, 3) angle array, from the
     continuum rule the joint page runs on its columns."""
-    return np.array(_DK_KINDS, dtype=object)[_continuum(*theta.T)]
+    return np.array(_DK_KINDS, dtype=object)[_continuum(_COLUMNS, *theta.T)]
 
 
 @pytest.mark.parametrize(
