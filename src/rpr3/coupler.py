@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import DegenerateLegPairError, NotReuleauxError
 from .geometry import (
+    _COLUMNS,
     _FLOATS,
     DEFAULT_GEOMETRY,
     PAIR_SIN_TOL,
@@ -42,9 +43,7 @@ from .geometry import (
     Vec2,
     _as_angles,
     _best_pair,
-    _form,
     _leg_axis,
-    _libm,
     normalize_angle,
 )
 from .solvers import (
@@ -128,7 +127,7 @@ def rho_from_phi(
     phi: float,
     geometry: ManipulatorGeometry = DEFAULT_GEOMETRY,
 ) -> tuple[float, float]:
-    """Signed extensions of legs 1 and 2 at orientation ``phi``.
+    """Signed extensions of legs 1 and 2 at orientation ``phi``, a float.
 
     Solves the loop closure of the quadrilateral a1-b1-b2-a2, the first two
     rows of :func:`_loop_coefficients`; with k = scale / sin(t2 - t1):
@@ -139,8 +138,8 @@ def rho_from_phi(
     Both vanish at phi = 0.  Raises :class:`DegenerateLegPairError` when the
     slider lines are parallel (|sin(t2 - t1)| < PAIR_SIN_TOL).
     """
-    f, loop = _form(phi), _loop_coefficients(theta1, theta2, geometry)
-    rho1, rho2, _, _ = _slider_loop(loop, f.cos(phi), f.sin(phi), geometry)
+    loop = _loop_coefficients(theta1, theta2, geometry)
+    rho1, rho2, _, _ = _slider_loop(loop, math.cos(phi), math.sin(phi), geometry)
     return (rho1, rho2)
 
 
@@ -155,8 +154,8 @@ def _slider_loop(loop, cos_phi, sin_phi, geometry: ManipulatorGeometry):
     one_minus_cos = 1.0 - cos_phi
     # + 0.0 turns a·0 + b·0 = -0.0 (a, b < 0) at phi = 0 into +0.
     rho1, rho2, dx, dy = (a * one_minus_cos + b * sin_phi + 0.0 for a, b in loop)
-    a3 = geometry.base_anchor(3)
-    return (rho1, rho2, a3.x + dx, a3.y + dy)
+    a3x, a3y = geometry._anchor_pairs[2]
+    return (rho1, rho2, a3x + dx, a3y + dy)
 
 
 def _loop_coefficients(theta1: float, theta2: float, geometry: ManipulatorGeometry):
@@ -176,12 +175,12 @@ def _loop_coefficients(theta1: float, theta2: float, geometry: ManipulatorGeomet
     k = geometry.scale / den
     a, b = k * math.sin(theta2), k * math.cos(theta2)
     c1, s1 = math.cos(theta1), math.sin(theta1)
-    a3 = geometry.base_anchor(3)
+    a3x, a3y = geometry._anchor_pairs[2]
     return (
         (a, b),
         (k * math.sin(theta1), k * math.cos(theta1)),
-        (a * c1 - a3.x, b * c1 - a3.y),
-        (a * s1 - a3.y, b * s1 + a3.x),
+        (a * c1 - a3x, b * c1 - a3y),
+        (a * s1 - a3y, b * s1 + a3x),
     )
 
 
@@ -210,7 +209,7 @@ def _cycle_grid(n_samples: int) -> np.ndarray:
     """:func:`_cycle_phi` and its libm cos and sin: three read-only rows,
     built once per n and process."""
     phi = _cycle_phi(n_samples)
-    grid = np.array((phi, _libm(math.cos, phi), _libm(math.sin, phi)))
+    grid = np.array((phi, _COLUMNS.cos(phi), _COLUMNS.sin(phi)))
     grid.flags.writeable = False
     return grid
 
@@ -246,9 +245,9 @@ def trace_cardanic(
     if degenerate:
         # rho3 = a (1 - cos phi) + b sin phi spans a -+ hypot(a, b) over the cycle.
         a, b = _leg3_pairs(t3, loop)[1]
-        a3, ux, uy = geometry.base_anchor(3), math.cos(t3), math.sin(t3)
+        (a3x, a3y), ux, uy = geometry._anchor_pairs[2], math.cos(t3), math.sin(t3)
         lo, hi = a - math.hypot(a, b), a + math.hypot(a, b)
-        segment = (Vec2(a3.x + lo * ux, a3.y + lo * uy), Vec2(a3.x + hi * ux, a3.y + hi * uy))
+        segment = (Vec2(a3x + lo * ux, a3y + lo * uy), Vec2(a3x + hi * ux, a3y + hi * uy))
 
     return CouplerCurve(
         theta1=t1,

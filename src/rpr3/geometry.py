@@ -152,8 +152,8 @@ def _finite_rho(rho: float, name: str = "rho") -> None:
 
 # The elementary functions of a formula body shared by the scalar API and the
 # array kernels, on floats or elementwise on columns that broadcast together
-# (|remainder| there).  The caller names the form: scalar entry points pass
-# _FLOATS, array kernels _COLUMNS, as the body's required first argument.
+# (|remainder| there).  Every caller names the form: scalar entry points pass
+# _FLOATS, array kernels _COLUMNS, and no function guesses it from a value.
 _FLOATS = SimpleNamespace(
     cos=math.cos, sin=math.sin, atan2=math.atan2, hypot=math.hypot, remainder=math.remainder
 )
@@ -161,13 +161,6 @@ _COLUMNS = SimpleNamespace(
     cos=partial(_libm, math.cos), sin=partial(_libm, math.sin), atan2=partial(_libm, math.atan2),
     hypot=partial(_libm, math.hypot), remainder=lambda a, period: angle_differences(a, 0.0, period),
 )
-
-
-def _form(value) -> SimpleNamespace:
-    """:data:`_COLUMNS` for an array ``value``, else :data:`_FLOATS`: numpy-free
-    on floats.  Only for a function that accepts either a float or an array;
-    a shared formula body takes its form from its caller."""
-    return _COLUMNS if isinstance(value, np.ndarray) else _FLOATS
 
 
 # Each value object checks its arguments in its own __init__ and stores each
@@ -364,21 +357,17 @@ def platform_anchor(
     b_i = p + R(phi) b_i_local.  For leg 1 this is the pose position itself,
     exactly (the local anchor is the origin, no rounding enters).
     """
-    bx, by, _, _ = _leg_offsets(pose.x, pose.y, pose.phi, geometry)[_leg_index(leg)]
+    c, s = math.cos(pose.phi), math.sin(pose.phi)
+    bx, by, _, _ = _place_anchors(pose.x, pose.y, c, s, geometry._anchor_pairs)[_leg_index(leg)]
     return Vec2(bx, by)
 
 
-def _leg_offsets(x, y, phi, geometry: ManipulatorGeometry):
-    """(bx, by, dx, dy) for each leg at the pose (x, y, phi), floats or
-    columns: the world platform anchor b_i = p + R(phi) b_i_local and its
-    offset b_i - a_i.  Both are finite at every finite pose: each term added
-    to x or y is at most the scale, below half an ulp of the largest float."""
-    f = _form(phi)
-    return _place_anchors(x, y, f.cos(phi), f.sin(phi), geometry._anchor_pairs)
-
-
 def _place_anchors(x, y, c, s, anchors):
-    """:func:`_leg_offsets` of ``anchors``, (x, y) pairs, at cos/sin (c, s) of phi."""
+    """(bx, by, dx, dy) for each of ``anchors``, (x, y) pairs, at the position
+    (x, y) and cos/sin (c, s) of phi, floats or columns: the world platform
+    anchor b_i = p + R(phi) b_i_local and its offset b_i - a_i.  Both are
+    finite at every finite pose: each term added to x or y is at most the
+    scale, below half an ulp of the largest float."""
     legs = []
     # The local platform anchor and the base anchor are the same vertex.
     for ax, ay in anchors:
@@ -389,12 +378,14 @@ def _place_anchors(x, y, c, s, anchors):
 
 
 def _leg_columns(x, y, phi, geometry: ManipulatorGeometry):
-    """``(x, y, legs)``: :func:`_leg_offsets` of (N,) pose arrays, checked
-    like :class:`Pose` (finite positions, ``phi`` normalized)."""
+    """``(x, y, legs)``: :func:`_place_anchors` of (N,) pose arrays at libm's
+    cos and sin of the normalized ``phi``, checked like :class:`Pose` (finite
+    positions)."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("positions must be finite")
-    return x, y, _leg_offsets(x, y, normalize_angles(phi), geometry)
+    phi = normalize_angles(phi)
+    return x, y, _place_anchors(x, y, _COLUMNS.cos(phi), _COLUMNS.sin(phi), geometry._anchor_pairs)
 
 
 def _leg_axis(f, theta, dx, dy):
@@ -418,17 +409,13 @@ def constraint_residuals(
     vanish exactly when (pose, theta) is an assembly of the mechanism, and
     each value scales linearly with the geometry.
     """
-    return _leg_components(pose, theta, geometry, 2, "residual")
-
-
-def _leg_components(pose: Pose, theta, geometry: ManipulatorGeometry, index: int, name: str):
-    """Entry ``index`` of :func:`_leg_axis` per leg, refused past the float range."""
-    legs = _leg_offsets(pose.x, pose.y, pose.phi, geometry)
+    c, s = math.cos(pose.phi), math.sin(pose.phi)
+    legs = _place_anchors(pose.x, pose.y, c, s, geometry._anchor_pairs)
     values = tuple(
-        _leg_axis(_FLOATS, t, dx, dy)[index] for t, (*_, dx, dy) in zip(_as_angles(theta), legs)
+        _leg_axis(_FLOATS, t, dx, dy)[2] for t, (*_, dx, dy) in zip(_as_angles(theta), legs)
     )
     for value in values:
-        _finite_rho(value, name)
+        _finite_rho(value, "residual")
     return values
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from . import figio
 from .errors import GeometryError
 from .geometry import (
-    _COLUMNS, ManipulatorGeometry, _form, _leg_offsets, normalize_angle, normalize_angles,
+    _COLUMNS, ManipulatorGeometry, _place_anchors, normalize_angle, normalize_angles,
 )
 from .jacobians import _SINGULARITY_KINDS, SingularityKind, _kind_index, _matrix_columns
 from .solvers import _DK_KINDS, _aim_columns, _continuum, _mn
@@ -47,12 +47,12 @@ def run(
     if space == "joint":
         # Joint grids are evaluated at the trivial assembly.
         theta, (x, y, phi) = grid, (0.0, 0.0, 0.0)
-        legs = _leg_offsets(x, y, phi, geometry)
+        legs = _place_anchors(x, y, 1.0, 0.0, geometry._anchor_pairs)  # cos and sin of 0.0
         _, _, det_a, det_b = _matrix_columns(x, y, theta, legs, geometry.scale)
         labels = _DK_LABELS[_continuum(_COLUMNS, *theta)]
     else:
         x, y, phi = grid[0], grid[1], normalize_angles(grid[2])
-        legs = _leg_offsets(x, y, phi, geometry)
+        legs = _place_anchors(x, y, _COLUMNS.cos(phi), _COLUMNS.sin(phi), geometry._anchor_pairs)
         theta, at_anchor = _aim_columns(legs, geometry.scale)
         # A pose on a base anchor passes the consistency check: its angles
         # come from its own offsets, and a leg shorter than ANCHOR_TOL * scale
@@ -116,7 +116,7 @@ def _sweep_locus(joint: bool, axes, geometry: ManipulatorGeometry) -> list[np.nd
     iu, iv = (i for i, a in enumerate(axes) if len(a) > 1)
     u, v, w = axes[iu], axes[iv], float(axes[3 - iu - iv][0])
     box = np.array([sorted((u[0], u[-1])), sorted((v[0], v[-1]))])
-    cx, cy = np.mean([tuple(a) for a in geometry.anchors], axis=0)
+    cx, cy = np.mean(geometry._anchor_pairs, axis=0)
 
     # Trigonometry from libm, as in the array kernels: the figures' bytes
     # then do not depend on numpy's build.
@@ -129,8 +129,7 @@ def _sweep_locus(joint: bool, axes, geometry: ManipulatorGeometry) -> list[np.nd
         return atan2(np.sqrt((1.0 - z) * (1.0 + z)), z)
 
     def center(phi):  # C(phi) = (I - R(phi)) c
-        f = _form(phi)
-        c, s = f.cos(phi), f.sin(phi)
+        c, s = cos(phi), sin(phi)
         return np.array((cx - c * cx + s * cy, cy - s * cx - c * cy))
 
     lines = []

@@ -14,7 +14,8 @@ import numpy as np
 from . import figio
 from .coupler import MIN_CURVE_SAMPLES, _cycle_phi, trace_cardanic
 from .geometry import (
-    _FLOATS, PAIR_SIN_TOL, ManipulatorGeometry, _leg_axis, _libm, _place_anchors, normalize_angles,
+    _COLUMNS, _FLOATS, PAIR_SIN_TOL, ManipulatorGeometry, _leg_axis, _place_anchors,
+    normalize_angles,
 )
 from .jacobians import FAR_POSE_TOL
 
@@ -32,9 +33,10 @@ def run(t1, t2, samples: int, deg: bool, csv_path, svg_path, geom: ManipulatorGe
 
     if svg_path:
         canvas = figio.SvgCanvas(title="third-anchor coupler curve")
-        _draw_base(canvas, geom)
-        _draw_slider_axis(canvas, geom.base_anchor(1), t1)
-        _draw_slider_axis(canvas, geom.base_anchor(2), t2)
+        anchors = geom._anchor_pairs
+        _draw_base(canvas, anchors)
+        _draw_slider_axis(canvas, anchors[0], t1)
+        _draw_slider_axis(canvas, anchors[1], t2)
         # Every k-th sample, k the least stride that fits the vertex cap,
         # and the last: a page within the cap draws every sample.
         k = -(-(n - 1) // (figio.MAX_SVG_AXIS_POINTS - 1))
@@ -49,23 +51,20 @@ def run(t1, t2, samples: int, deg: bool, csv_path, svg_path, geom: ManipulatorGe
     return curve
 
 
-def _draw_base(canvas: figio.SvgCanvas, geom: ManipulatorGeometry) -> None:
-    anchors = [geom.base_anchor(i) for i in (1, 2, 3)]
-    canvas.polyline(
-        [(a.x, a.y) for a in anchors], stroke="#808080", width=0.008, closed=True
-    )
-    for a in anchors:
-        canvas.circle(a.x, a.y, 0.025, fill="#404040")
+def _draw_base(canvas: figio.SvgCanvas, anchors) -> None:
+    canvas.polyline(anchors, stroke="#808080", width=0.008, closed=True)
+    for ax, ay in anchors:
+        canvas.circle(ax, ay, 0.025, fill="#404040")
 
 
 def _draw_slider_axis(canvas, anchor, theta: float) -> None:
-    reach = 6.0
+    reach, (ax, ay) = 6.0, anchor
     dx, dy = math.cos(theta), math.sin(theta)
     canvas.line(
-        anchor.x - reach * dx,
-        anchor.y - reach * dy,
-        anchor.x + reach * dx,
-        anchor.y + reach * dy,
+        ax - reach * dx,
+        ay - reach * dy,
+        ax + reach * dx,
+        ay + reach * dy,
         stroke="#b0b0b0",
         width=0.006,
         dash="0.04,0.04",
@@ -97,7 +96,7 @@ def _curve_gaps(t1: float, t2: float, cos_phi, sin_phi, b3, rho, geometry: Manip
         miss3 = np.sqrt(mx * mx + my * my)
     big = np.flatnonzero(np.isinf(miss3))  # squares past the largest float
     if big.size:
-        miss3[big] = _libm(math.hypot, mx[big], my[big])
+        miss3[big] = _COLUMNS.hypot(mx[big], my[big])
     gap = np.maximum.reduce([np.abs(r2), np.abs(rho[:, 1] - e2), miss3])
     sin12 = abs(math.sin(t2 - t1))
     size = geometry.scale / sin12 if sin12 >= PAIR_SIN_TOL else math.nan
@@ -149,7 +148,7 @@ def recheck(path: str, failures: list[str]) -> dict:
                 raise OSError(f"{path}: malformed row {idx}") from None
     angles = np.radians(table[:, :3]) if deg else table[:, :3]
     phi = normalize_angles(angles[:, 2])
-    trig = _libm(math.cos, phi), _libm(math.sin, phi)
+    trig = _COLUMNS.cos(phi), _COLUMNS.sin(phi)
     gap, gate = _curve_gaps(*angles[0, :2], *trig, table[:, 3:5], table[:, 5:7], geom)
     gap = np.maximum(gap, np.abs(table[:, 7] - geom.scale))
     grid = _cycle_phi(len(table))

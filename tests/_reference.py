@@ -26,8 +26,8 @@ from rpr3.geometry import (
     Pose,
     _as_angles,
     _best_pair,
+    _finite_rho,
     _leg_axis,
-    _leg_components,
     _place_anchors,
 )
 from rpr3.oracle import (
@@ -68,7 +68,14 @@ def signed_extensions(
     signed extension are the transverse and longitudinal components of the
     same anchor offset.
     """
-    return _leg_components(pose, theta, geometry, 3, "rho")
+    c, s = math.cos(pose.phi), math.sin(pose.phi)
+    legs = _place_anchors(pose.x, pose.y, c, s, geometry._anchor_pairs)
+    rhos = tuple(
+        _leg_axis(_FLOATS, t, dx, dy)[3] for t, (*_, dx, dy) in zip(_as_angles(theta), legs)
+    )
+    for rho in rhos:
+        _finite_rho(rho)
+    return rhos
 
 
 def det_A_specialized(

@@ -1480,7 +1480,7 @@ def test_the_verify_checks_live_in_a_module_the_cli_imports_on_load():
     assert from_oracle == []
     # Nor the kernels a sweep page runs on, nor its locus: those are sweep's,
     # and the velocity layer draws no page.
-    page_names = {"_aim_columns", "_matrix_columns", "_kind_index", "_continuum", "_leg_offsets"}
+    page_names = {"_aim_columns", "_matrix_columns", "_kind_index", "_continuum", "_place_anchors"}
     assert not page_names.intersection(vars(cli)) and not hasattr(cli, "_sweep_locus")
     assert not {"_sweep_locus", "_repeats", "_merged"}.intersection(vars(jacobians))
     # Nor the trace page's tracing, figure and CSV writer: those are trace's.

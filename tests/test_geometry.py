@@ -261,7 +261,8 @@ def test_leg_offsets_stay_finite_at_the_largest_scale():
     with np.errstate(all="raise"):
         for x, y in corners:
             for phi in phis:
-                for leg in geometry._leg_offsets(x, y, phi, far):
+                c, s = math.cos(phi), math.sin(phi)
+                for leg in geometry._place_anchors(x, y, c, s, far._anchor_pairs):
                     assert all(map(math.isfinite, leg))
         xs = np.repeat([x for x, _ in corners], len(phis))
         ys = np.repeat([y for _, y in corners], len(phis))

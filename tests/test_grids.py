@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from rpr3 import coupler, geometry, trace, verify
+from rpr3 import geometry, verify
 from rpr3.cli import main
 from rpr3.trace import _curve_gaps
 from rpr3.verify import _curves_trial
@@ -134,9 +134,10 @@ def test_curves_trial_takes_phi_trig_from_the_grid_after_the_first(monkeypatch):
         calls.append(fn)
         return _libm(fn, *arrays)
 
-    for module in (trace, coupler, geometry):
-        monkeypatch.setattr(module, "_libm", counting)
-    for name in ("cos", "sin"):
+    # Every libm route: the kernel itself, and the column form's members,
+    # which bind it when the module loads.
+    monkeypatch.setattr(geometry, "_libm", counting)
+    for name in ("cos", "sin", "hypot"):
         monkeypatch.setattr(geometry._COLUMNS, name, partial(counting, getattr(math, name)))
     _cycle_grid.cache_clear()
     rng, geom = np.random.default_rng(5), ManipulatorGeometry(1.7)

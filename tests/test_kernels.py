@@ -23,8 +23,8 @@ from rpr3.geometry import (
     _first_nonfinite,
     _leg_axis,
     _leg_columns,
-    _leg_offsets,
     _libm,
+    _place_anchors,
     angle_differences,
     normalize_angle,
     normalize_angles,
@@ -302,7 +302,9 @@ def test_shared_bodies_take_their_form_from_the_caller(body):
         (0.2, 0.9, 2.0), (0.3, 0.3, 0.3 + math.pi), (0.1, 0.1 + PI3, 0.1 - PI3), (-0.0, math.pi, 0.0),
     ]
     for (x, y, phi), t in itertools.product(poses, triples):
-        floats = (x, y, _leg_offsets(x, y, phi, ManipulatorGeometry(1.0)), t)
+        c, s = math.cos(phi), math.sin(phi)
+        legs = _place_anchors(x, y, c, s, ManipulatorGeometry(1.0)._anchor_pairs)
+        floats = (x, y, legs, t)
         want = _leaves(run(_FLOATS, *floats))
         got = _leaves(run(_COLUMNS, *_one_element_grid(floats)))
         assert len(got) == len(want)

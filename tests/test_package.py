@@ -123,3 +123,30 @@ def _unread_public_names() -> set[str]:
 def test_every_public_name_has_a_reader():
     # A kept face that gains a reader leaves the list.
     assert _unread_public_names() == set(KEPT_FACES)
+
+
+def test_callers_name_the_form_and_place_anchors_through_one_body():
+    # The caller names the arithmetic, _FLOATS or _COLUMNS, and no function
+    # guesses it from a value; _place_anchors is the one placement body, and
+    # libm reaches arrays only through _COLUMNS.  Outside geometry, anchors
+    # are read as _anchor_pairs floats, not as Vec2 attributes.
+    for path in sorted((ROOT / "src" / "rpr3").glob("*.py")):
+        module, tree = path.stem, ast.parse(path.read_text(encoding="utf-8"))
+        nodes = list(ast.walk(tree))
+        names = _names_read(tree) | {
+            getattr(node, "name", None)
+            for node in nodes
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias))
+        }
+        assert not {"_form", "_leg_offsets", "_leg_components"} & names, module
+        guesses = [
+            node.lineno
+            for node in nodes
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and "ndarray" in set().union(*map(_names_read, node.args[1:]))
+        ]
+        assert guesses == [], (module, guesses)
+        if module != "geometry":
+            attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            assert "_libm" not in names, module
+            assert not {"base_anchor", "anchors"} & attributes, module
