@@ -265,7 +265,16 @@ def main(argv=None) -> int:
         print(f"rpr3: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     header = {"schema": 1, "command": args.command, "scale": geom.scale}
-    print(json.dumps({**header, **fields}, indent=2))
+    try:
+        if sys.stdout is None:  # fd 1 was closed when Python started
+            raise OSError("stdout is closed")
+        print(json.dumps({**header, **fields}, indent=2), flush=True)
+    except OSError as exc:
+        if sys.stdout is not None:  # EPIPE or ENOSPC: no flush at exit may fail again
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"rpr3: i/o error: stdout: {exc}", file=sys.stderr)
+        return EXIT_IO
     return code
 
 

@@ -71,9 +71,11 @@ def _draw_slider_axis(canvas, anchor, theta: float) -> None:
     )
 
 
-def _curve_gaps(t1: float, t2: float, cos_phi, sin_phi, b3, rho, geometry: ManipulatorGeometry):
-    """(gap, gate) per sample of a coupler-curve table for leg angles t1, t2,
-    libm's cos and sin of normalized phi, b3 and rho; gap <= gate passes.
+def _curve_gaps(f, t1, t2, cos_phi, sin_phi, rho1, rho2, b3x, b3y, geometry: ManipulatorGeometry):
+    """(gap, gate) per sample of coupler-curve columns, in form ``f`` of the
+    leg angles t1, t2: floats with (n,) columns rho1, rho2, b3x and b3y, or
+    (k, 1) columns with (k, n) ones, a curve per row; cos_phi and sin_phi
+    are libm's of normalized phi, (n,).  gap <= gate passes.
 
     The reference point sits at rho1 along leg 1's line; the geometry's
     anchor 2 must then lie on leg 2's line at extension rho2, and anchor 3
@@ -87,22 +89,22 @@ def _curve_gaps(t1: float, t2: float, cos_phi, sin_phi, b3, rho, geometry: Manip
     math.hypot's bits; on an edited table it may differ in the last place.
     """
     # Leg 1's slider line runs through a1, the origin; only anchors 2 and 3 are placed.
-    x, y = rho[:, 0] * math.cos(t1), rho[:, 0] * math.sin(t1)
+    x, y = rho1 * f.cos(t1), rho1 * f.sin(t1)
     anchors_2_3 = geometry._anchor_pairs[1:]
     (*_, dx2, dy2), (bx3, by3, _, _) = _place_anchors(x, y, cos_phi, sin_phi, anchors_2_3)
-    _, _, r2, e2 = _leg_axis(_FLOATS, t2, dx2, dy2)
-    mx, my = bx3 - b3[:, 0], by3 - b3[:, 1]
+    _, _, r2, e2 = _leg_axis(f, t2, dx2, dy2)
+    mx, my = bx3 - b3x, by3 - b3y
     with np.errstate(over="ignore"):
         miss3 = np.sqrt(mx * mx + my * my)
-    big = np.flatnonzero(np.isinf(miss3))  # squares past the largest float
-    if big.size:
+    big = np.isinf(miss3)  # squares past the largest float
+    if big.any():
         miss3[big] = _COLUMNS.hypot(mx[big], my[big])
-    gap = np.maximum.reduce([np.abs(r2), np.abs(rho[:, 1] - e2), miss3])
-    sin12 = abs(math.sin(t2 - t1))
-    size = geometry.scale / sin12 if sin12 >= PAIR_SIN_TOL else math.nan
-    # One column at a time: a 4 x n stack of the strided columns would copy them.
-    largest = np.maximum(np.maximum(np.abs(b3[:, 0]), np.abs(b3[:, 1])), np.abs(rho[:, 0]))
-    return gap, FAR_POSE_TOL * np.maximum(size, np.maximum(largest, np.abs(rho[:, 1])))
+    gap = np.maximum(np.maximum(np.abs(r2), np.abs(rho2 - e2)), miss3)
+    sin12 = abs(f.sin(t2 - t1))
+    size = geometry.scale / np.where(sin12 >= PAIR_SIN_TOL, sin12, math.nan)
+    # One column at a time: a stack of the strided columns would copy them.
+    largest = np.maximum(np.maximum(np.abs(b3x), np.abs(b3y)), np.abs(rho1))
+    return gap, FAR_POSE_TOL * np.maximum(size, np.maximum(largest, np.abs(rho2)))
 
 
 def _trace_header(deg: bool) -> list[str]:
@@ -148,8 +150,8 @@ def recheck(path: str, failures: list[str]) -> dict:
                 raise OSError(f"{path}: malformed row {idx}") from None
     angles = np.radians(table[:, :3]) if deg else table[:, :3]
     phi = normalize_angles(angles[:, 2])
-    trig = _COLUMNS.cos(phi), _COLUMNS.sin(phi)
-    gap, gate = _curve_gaps(*angles[0, :2], *trig, table[:, 3:5], table[:, 5:7], geom)
+    trig, rhos, b3 = (_COLUMNS.cos(phi), _COLUMNS.sin(phi)), table[:, 5:7].T, table[:, 3:5].T
+    gap, gate = _curve_gaps(_FLOATS, *angles[0, :2], *trig, *rhos, *b3, geom)
     gap = np.maximum(gap, np.abs(table[:, 7] - geom.scale))
     grid = _cycle_phi(len(table))
     moved = (table[:, [0, 1, 7]] != table[0, [0, 1, 7]]).any(axis=1)

@@ -9,13 +9,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from functools import partial
 
 import numpy as np
 
-from .coupler import _cycle_grid, rho_from_phi, trace_cardanic
+from .coupler import _cycle_grid, _loop_coefficients, _slider_loop, rho_from_phi
 from .errors import DegenerateLegPairError, LegAtAnchorError, SingularNearbyError
-from .geometry import POSE_TOL, ManipulatorGeometry, Pose, _pose_set_deviation
+from .geometry import (
+    _COLUMNS, POSE_TOL, ManipulatorGeometry, Pose, _pose_set_deviation, normalize_angle,
+)
 from .jacobians import _configuration, _is_parallel
 from .oracle import _jacobian_cs_error, dkp_bruteforce
 from .solvers import DkKind, direct_kinematics, inverse_kinematics
@@ -30,8 +31,10 @@ DKP_SKIP_MN2 = 1e-8
 JACOBIAN_SKIP_RHO = 0.05
 JACOBIAN_SKIP_DET = 5e-6
 JACOBIAN_ERROR_TOL = 1e-9
-# Samples of each curve a curves trial traces and checks.
+# Samples of each curve a curves trial traces and checks, and the most curves
+# checked as one block of columns, so that memory is bounded at any trial count.
 CURVE_SAMPLES = 360
+_CURVE_BLOCK = 64
 
 
 def run(scope: str, trials: int, seed: int, csv_path: str | None, geometry: ManipulatorGeometry):
@@ -43,15 +46,17 @@ def run(scope: str, trials: int, seed: int, csv_path: str | None, geometry: Mani
     failures: list[str] = []
     scopes = {}
     fields = {"seed": seed, "trials": trials, "scopes": scopes}
-    # Each scope with the key of its worst metric, lengths in units of the scale.
-    for name, trial, metric in (
-        ("dkp", _dkp_trial, "max_pose_deviation"),
-        ("jacobian", _jacobian_trial, "max_jacobian_error"),
-        ("curves", _curves_trial, "max_residual"),
+    cap = trials * 50  # draws a scope may take
+    # Each scope's lazy results, with the key of its worst metric, lengths in
+    # units of the scale: dkp and jacobian draw one trial at a time.
+    for name, results, metric in (
+        ("dkp", (_dkp_trial(rng, geometry) for _ in range(cap)), "max_pose_deviation"),
+        ("jacobian", (_jacobian_trial(rng, geometry) for _ in range(cap)), "max_jacobian_error"),
+        ("curves", _curves_blocks(rng, geometry, trials, cap), "max_residual"),
     ):
         if scope not in ("all", name):
             continue
-        scopes[name] = _run_trials(name, metric, trials, partial(trial, rng, geometry), failures)
+        scopes[name] = _run_trials(name, metric, trials, cap, results, failures)
     if csv_path:
         fields["trace_csv"] = recheck(csv_path, failures)
     return failures, fields
@@ -61,19 +66,16 @@ class _TrialFailure(Exception):
     """A verify trial whose check failed; the message names the input."""
 
 
-def _run_trials(scope: str, metric: str, trials: int, trial, failures: list[str]) -> dict:
-    """Run ``trial`` until ``trials`` of its draws were checked, and report
+def _run_trials(scope: str, metric: str, trials: int, cap: int, results, failures) -> dict:
+    """Read ``results`` until ``trials`` of its draws were checked, and report
     whether the scope passed and, if so, its worst ``metric``.
 
-    ``trial()`` returns None for a draw it skips, else the checked metric;
-    it raises :class:`_TrialFailure` when the check fails, which ends the
-    scope.  A scope that runs out of its 50 draws per trial with fewer
-    trials done fails too, so that no check passes on fewer trials than
-    requested.
+    ``results`` yields, lazily so that no draw is taken once enough trials
+    are done, None for a draw skipped, else the checked metric; it raises
+    :class:`_TrialFailure` at a failed check, which ends the scope.  A scope
+    that runs out of its ``cap`` draws with fewer trials done fails too, so
+    that no check passes on fewer trials than requested.
     """
-    cap = trials * 50
-    # Lazy, so that no draw is taken once enough trials are done.
-    results = (trial() for _ in range(cap))
     try:
         values = list(itertools.islice((v for v in results if v is not None), trials))
     except _TrialFailure as exc:
@@ -128,24 +130,54 @@ def _jacobian_trial(rng, geom) -> float | None:
     return err
 
 
-def _curves_trial(rng, geom) -> float | None:
-    """Worst gap, in units of the scale, of one whole curve (:func:`_curve_gaps`),
-    whose ends at phi = -pi and pi must meet within its last sample's gate."""
-    t1, t2 = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
-    try:
-        curve = trace_cardanic(t1, t2, n_samples=CURVE_SAMPLES, geometry=geom)
-    except DegenerateLegPairError:
-        return None
-    _, cos_phi, sin_phi = _cycle_grid(len(curve.phi))
-    gap, gate = _curve_gaps(curve.theta1, curve.theta2, cos_phi, sin_phi, curve.b3, curve.rho, geom)
-    bad = np.flatnonzero(~(gap <= gate))
-    if bad.size:
-        k = bad[0]
-        raise _TrialFailure(
-            f"curve residual {gap[k]:.3e} at theta=({t1}, {t2}), phi={float(curve.phi[k])}"
-        )
-    ends = (rho_from_phi(t1, t2, phi, geometry=geom) for phi in (-math.pi, math.pi))
-    closure = max(abs(lo - hi) for lo, hi in zip(*ends))
-    if not closure <= gate[-1]:
-        raise _TrialFailure(f"curve closure {closure:.3e} at theta=({t1}, {t2})")
-    return float(gap.max()) / geom.scale
+def _curves_blocks(rng, geom, trials: int, cap: int):
+    """Results of up to ``cap`` curves draws, checked by :func:`_curves_block`
+    in blocks no larger than the trials still to do."""
+    done = 0
+    while cap:
+        block = _curves_block(rng, geom, min(_CURVE_BLOCK, trials - done, cap))
+        cap -= len(block)
+        done += len(block) - block.count(None)
+        yield from block
+
+
+def _curves_block(rng, geom, k: int) -> list[float | None]:
+    """Draw k (t1, t2) pairs and check their curves as one block: per draw,
+    None for parallel legs, else the worst gap of its whole curve in units of
+    the scale (:func:`_curve_gaps`, one row per curve), whose ends at
+    phi = -pi and pi must meet within its last sample's gate.  The first
+    draw that fails, in draw order, raises :class:`_TrialFailure`."""
+    pi = math.pi
+    draws = [(rng.uniform(-pi, pi), rng.uniform(-pi, pi)) for _ in range(k)]
+    results: list[float | None] = [None] * k
+    rows, angles, loops = [], [], []
+    for i, (t1, t2) in enumerate(draws):
+        t = normalize_angle(t1), normalize_angle(t2)
+        try:
+            loops.append(_loop_coefficients(*t, geom))
+        except DegenerateLegPairError:
+            continue
+        rows.append(i)
+        angles.append(t)
+    if not rows:
+        return results
+    phi, cos_phi, sin_phi = _cycle_grid(CURVE_SAMPLES)
+    # Each (a, b) pair of the loop tables as (m, 1) columns, against the grid's rows.
+    curves = _slider_loop(np.array(loops).transpose(1, 2, 0)[..., None], cos_phi, sin_phi, geom)
+    t = np.array(angles)[..., None]
+    gap, gate = _curve_gaps(_COLUMNS, t[:, 0], t[:, 1], cos_phi, sin_phi, *curves, geom)
+    passed = (gap <= gate).all(axis=1).tolist()
+    worst = (gap.max(axis=1) / geom.scale).tolist()
+    for row, i in enumerate(rows):
+        t1, t2 = draws[i]
+        if not passed[row]:
+            j = int(np.argmin(gap[row] <= gate[row]))
+            raise _TrialFailure(
+                f"curve residual {gap[row, j]:.3e} at theta=({t1}, {t2}), phi={float(phi[j])}"
+            )
+        ends = (rho_from_phi(t1, t2, p, geometry=geom) for p in (-pi, pi))
+        closure = max(abs(lo - hi) for lo, hi in zip(*ends))
+        if not closure <= gate[row, -1]:
+            raise _TrialFailure(f"curve closure {closure:.3e} at theta=({t1}, {t2})")
+        results[i] = worst[row]
+    return results

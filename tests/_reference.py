@@ -3,9 +3,9 @@
 No command, module or workload of the package runs these, so they live with
 the tests: a rotation matrix, a scalar angle distance, the signed leg
 extensions, det A in closed form at the identity pose, a finite-difference
-Jacobian check, a coupler-curve table's misses by per-sample hypot and the
-oracle's direct-kinematics scan on six columns, on the package's private
-helpers where they share one.
+Jacobian check, a coupler-curve table's misses by per-sample hypot, verify's
+curves scope one draw at a time and the oracle's direct-kinematics scan on
+six columns, on the package's private helpers where they share one.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from rpr3.errors import GeometryError
+from rpr3.coupler import _cycle_grid, rho_from_phi, trace_cardanic
+from rpr3.errors import DegenerateLegPairError, GeometryError
 from rpr3.geometry import (
     _FLOATS,
     DEFAULT_GEOMETRY,
@@ -42,6 +43,8 @@ from rpr3.oracle import (
     _resolved,
 )
 from rpr3.solvers import _mn
+from rpr3.trace import _curve_gaps
+from rpr3.verify import CURVE_SAMPLES, _TrialFailure
 
 
 def angle_difference(a: float, b: float, period: float = TAU) -> float:
@@ -125,16 +128,48 @@ def jacobian_fd_check(
     return _relative_error(columns, analytic)
 
 
-def curve_misses(t1: float, t2: float, cos_phi, sin_phi, b3, rho, geometry: ManipulatorGeometry):
+def curve_misses(t1: float, t2: float, cos_phi, sin_phi, rho1, rho2, b3x, b3y, geometry):
     """The three misses per sample that ``trace._curve_gaps`` takes the
-    largest of: |r2| off leg 2's line, |rho2 - e2| along it, and anchor 3's
-    miss from b3 by one ``math.hypot`` call per sample."""
-    x, y = rho[:, 0] * math.cos(t1), rho[:, 0] * math.sin(t1)
+    largest of, for one curve: |r2| off leg 2's line, |rho2 - e2| along it,
+    and anchor 3's miss from b3 by one ``math.hypot`` call per sample."""
+    x, y = rho1 * math.cos(t1), rho1 * math.sin(t1)
     anchors_2_3 = geometry._anchor_pairs[1:]
     (*_, dx2, dy2), (bx3, by3, _, _) = _place_anchors(x, y, cos_phi, sin_phi, anchors_2_3)
     _, _, r2, e2 = _leg_axis(_FLOATS, t2, dx2, dy2)
-    miss3 = [math.hypot(dx, dy) for dx, dy in zip(bx3 - b3[:, 0], by3 - b3[:, 1])]
-    return np.abs(r2), np.abs(rho[:, 1] - e2), np.array(miss3)
+    miss3 = [math.hypot(dx, dy) for dx, dy in zip(bx3 - b3x, by3 - b3y)]
+    return np.abs(r2), np.abs(rho2 - e2), np.array(miss3)
+
+
+def curves_trial(rng, geom: ManipulatorGeometry) -> float | None:
+    """verify's curves trial one draw at a time: the worst gap, in units of
+    the scale, of one curve that ``trace_cardanic`` samples, checked as one
+    row by ``trace._curve_gaps``; its ends at phi = -pi and pi must meet
+    within its last sample's gate.  None for parallel legs."""
+    t1, t2 = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
+    try:
+        curve = trace_cardanic(t1, t2, n_samples=CURVE_SAMPLES, geometry=geom)
+    except DegenerateLegPairError:
+        return None
+    _, cos_phi, sin_phi = _cycle_grid(len(curve.phi))
+    columns = (*curve.rho.T, *curve.b3.T)
+    gap, gate = _curve_gaps(_FLOATS, curve.theta1, curve.theta2, cos_phi, sin_phi, *columns, geom)
+    bad = np.flatnonzero(~(gap <= gate))
+    if bad.size:
+        k = bad[0]
+        raise _TrialFailure(
+            f"curve residual {gap[k]:.3e} at theta=({t1}, {t2}), phi={float(curve.phi[k])}"
+        )
+    ends = (rho_from_phi(t1, t2, phi, geometry=geom) for phi in (-math.pi, math.pi))
+    closure = max(abs(lo - hi) for lo, hi in zip(*ends))
+    if not closure <= gate[-1]:
+        raise _TrialFailure(f"curve closure {closure:.3e} at theta=({t1}, {t2})")
+    return float(gap.max()) / geom.scale
+
+
+def curves_draws(rng, geom: ManipulatorGeometry, trials: int, cap: int):
+    """The results of up to ``cap`` :func:`curves_trial` draws, taken lazily,
+    in the place of verify's blocks."""
+    return (curves_trial(rng, geom) for _ in range(cap))
 
 
 def scan_columns(t, geometry: ManipulatorGeometry, cos_a, sin_a):

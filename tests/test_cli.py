@@ -6,8 +6,10 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,10 +27,11 @@ from rpr3.geometry import (
     _place_anchors,
     normalize_angle,
 )
-from rpr3.coupler import trace_cardanic
+from rpr3.coupler import _cycle_grid
 from rpr3.oracle import ScanReport, dkp_bruteforce, jacobian_cs_check
 from rpr3.solvers import inverse_kinematics
-from _reference import jacobian_fd_check
+import _reference
+from _reference import curves_draws, jacobian_fd_check
 
 PI3 = math.pi / 3.0
 SQRT3 = math.sqrt(3.0)
@@ -1130,7 +1133,7 @@ def test_curves_trial_passes_a_drawn_curve_of_nearly_parallel_legs(t1):
     # 1.3e6 scale: one ulp of rho failed a closure gate of 1e-10 * scale.
     for scale in (1.0, 1.7):
         geometry = ManipulatorGeometry(scale)
-        assert verify._curves_trial(_Draws(t1, t1 + 1.5e-6), geometry) is not None
+        assert verify._curves_block(_Draws(t1, t1 + 1.5e-6), geometry, 1) != [None]
 
 
 def test_trace_reports_and_writes_reduced_angles(tmp_path, capsys):
@@ -1263,10 +1266,10 @@ def _shifted_anchors(x, y, c, s, anchors):
     return [(bx + 1e-6, by, dx + 1e-6, dy) for bx, by, dx, dy in legs]
 
 
-def _shifted_rho2(t1, t2, n_samples, geometry):
-    """The real curve with every rho2 sample moved by 0.01 of the scale."""
-    curve = trace_cardanic(t1, t2, n_samples=n_samples, geometry=geometry)
-    return dataclasses.replace(curve, rho=curve.rho + (0.0, 0.01 * geometry.scale))
+def _shifted_rho2(loop, cos_phi, sin_phi, geometry):
+    """The real curves with every rho2 sample moved by 0.01 of the scale."""
+    rho1, rho2, b3x, b3y = coupler._slider_loop(loop, cos_phi, sin_phi, geometry)
+    return rho1, rho2 + 0.01 * geometry.scale, b3x, b3y
 
 
 # Each verify check, broken through the name its module (verify, or trace
@@ -1280,7 +1283,7 @@ _BROKEN_CHECKS = {
         "jacobian error 1.000e+00 at pose=(",
     ),
     "curve-residual": ("curves", "trace._place_anchors", _shifted_anchors, "curve residual "),
-    "curve-rho2": ("curves", "verify.trace_cardanic", _shifted_rho2, "curve residual "),
+    "curve-rho2": ("curves", "verify._slider_loop", _shifted_rho2, "curve residual "),
     "curve-closure": (
         "curves", "verify.rho_from_phi", lambda t1, t2, phi, geometry: (phi, 0.0), "curve closure ",
     ),
@@ -1396,17 +1399,17 @@ def _far_second_assembly(theta, geometry):
     return dataclasses.replace(report, solutions_found=(first, far))
 
 
-def _offset_curve(t1, t2, n_samples, geometry):
-    """The real curve with every b3 sample moved half a mechanism length."""
-    curve = trace_cardanic(t1, t2, n_samples=n_samples, geometry=geometry)
-    return dataclasses.replace(curve, b3=curve.b3 + 0.5 * geometry.scale)
+def _offset_curve(loop, cos_phi, sin_phi, geometry):
+    """The real curves with every b3 sample moved half a mechanism length."""
+    rho1, rho2, b3x, b3y = coupler._slider_loop(loop, cos_phi, sin_phi, geometry)
+    return rho1, rho2, b3x + 0.5 * geometry.scale, b3y + 0.5 * geometry.scale
 
 
 # Breaks that are gross in units of the scale, however small the scale is;
 # bounds of the form constant * max(scale, 1) passed both at scale 1e-9.
 _SCALE_UNIT_BREAKS = {
     "dkp": ("dkp_bruteforce", _far_second_assembly, "dkp deviation "),
-    "curves": ("trace_cardanic", _offset_curve, "curve residual "),
+    "curves": ("_slider_loop", _offset_curve, "curve residual "),
 }
 
 
@@ -1422,6 +1425,102 @@ def test_verify_fails_a_break_in_units_of_a_small_scale(tmp_path, capsys, monkey
     assert strict_json(out)["scopes"] == {scope: {"passed": False}}
     (line,) = err.splitlines()
     assert line.startswith(f"rpr3: FAIL {start}")
+
+
+def _shifted_third_rho2(loop, cos_phi, sin_phi, geometry):
+    """The real curves with rho2 moved by 0.01 of the scale on a block's
+    third row alone."""
+    rho1, rho2, b3x, b3y = coupler._slider_loop(loop, cos_phi, sin_phi, geometry)
+    rho2[2:3] += 0.01 * geometry.scale
+    return rho1, rho2, b3x, b3y
+
+
+def test_verify_names_the_draw_of_a_break_in_a_blocks_third_row(capsys, monkeypatch):
+    # The block's first two curves pass; the FAIL line names the third draw
+    # of the seed's generator, at the grid's first phi.
+    monkeypatch.setattr(verify, "_slider_loop", _shifted_third_rho2)
+    code, out, err = run(capsys, "verify", "--scope", "curves", "--trials", "4", "--seed", "1")
+    assert code == 4
+    assert strict_json(out)["scopes"] == {"curves": {"passed": False}}
+    rng, pi = random.Random(1), math.pi
+    draws = [(rng.uniform(-pi, pi), rng.uniform(-pi, pi)) for _ in range(3)]
+    phi = _cycle_grid(verify.CURVE_SAMPLES)[0, 0].item()
+    (line,) = err.splitlines()
+    assert line.startswith("rpr3: FAIL curve residual 1.0")
+    assert line.endswith(f" at theta={draws[2]}, phi={phi}")
+
+
+def _shifted_anchors_past_30_degrees(x, y, c, s, anchors):
+    """The real placed platform anchors moved by 1e-6 along x where
+    sin phi > 1/2, so that a curve first fails after its first sample."""
+    shift = 1e-6 * (s > 0.5)
+    legs = _place_anchors(x, y, c, s, anchors)
+    return [(bx + shift, by, dx + shift, dy) for bx, by, dx, dy in legs]
+
+
+def test_a_skipped_draw_keeps_its_place_in_a_block(monkeypatch):
+    # Parallel legs are skipped; the next draw's value, and its FAIL line,
+    # are those of that draw checked alone.
+    geom, skipped = ManipulatorGeometry(1.7), (0.3, 0.3)
+    alone = curves_draws(_Draws(0.2, 0.9), geom, 1, 1)
+    assert verify._curves_block(_Draws(*skipped, 0.2, 0.9), geom, 2) == [None, *alone]
+    monkeypatch.setattr(verify, "_slider_loop", _shifted_rho2)
+    with pytest.raises(verify._TrialFailure, match=r"at theta=\(0\.2, 0\.9\), phi="):
+        verify._curves_block(_Draws(*skipped, 0.2, 0.9), geom, 2)
+
+
+# Breaks of names that the block path and the one-draw-at-a-time reference
+# call, each patched in both: gross at every scale but 1e100.
+_SHARED_CURVE_BREAKS = {
+    "none": ((), None),
+    "residual": (((trace, "_place_anchors"),), _shifted_anchors_past_30_degrees),
+    "closure": (
+        ((verify, "rho_from_phi"), (_reference, "rho_from_phi")),
+        _BROKEN_CHECKS["curve-closure"][2],
+    ),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1.7, 1e100])
+@pytest.mark.parametrize("broken", sorted(_SHARED_CURVE_BREAKS))
+def test_verify_curves_blocks_print_what_one_draw_at_a_time_prints(
+    tmp_path, capsys, monkeypatch, broken, scale
+):
+    # The curves scope, checked in blocks, against _reference.curves_draws:
+    # the same bytes on stdout and stderr at a block's edges.
+    path = tmp_path / "geom.json"
+    path.write_text(json.dumps({"scale": scale}))
+    monkeypatch.setenv("RPR_GEOMETRY", str(path))
+    targets, fake = _SHARED_CURVE_BREAKS[broken]
+    for module, name in targets:
+        monkeypatch.setattr(module, name, fake)
+    seeds = range(40) if fake is None else range(0, 40, 8)
+    for trials in (1, 4, verify._CURVE_BLOCK + 1):
+        for seed in seeds:
+            argv = ("verify", "--scope", "curves", "--trials", str(trials), "--seed", str(seed))
+            blocks = run(capsys, *argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "_curves_blocks", curves_draws)
+                assert run(capsys, *argv) == blocks
+            assert blocks[0] == (4 if fake and scale < 1e100 else 0)
+
+
+def test_verify_curves_memory_does_not_grow_with_the_trials(capsys):
+    def peak(trials):
+        argv = ["verify", "--scope", "curves", "--trials", str(trials), "--seed", "0"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    peak(1)  # warm: the cycle grid and lazy imports
+    small, large = peak(200), peak(2000)
+    # Room for the 1,800 more values of the scope's metric, about 140 kB with
+    # their list; blocks that grew with the trials would take megabytes more.
+    assert large <= small + 256 * 1024, (small, large)
 
 
 def test_verify_missing_csv_is_io_error(tmp_path, capsys):

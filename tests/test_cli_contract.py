@@ -6,10 +6,11 @@ stderr.  Output checks run in-process through ``cli.main``, from an empty
 working directory, on the argv a user would type.  A subprocess
 (``python -m rpr3.cli``) serves only what needs a process of its own: the
 module entry point, argparse's usage error and ``--help``, which exit
-through ``SystemExit``, and ``RPR_GEOMETRY`` files refused when the geometry
-loads.
+through ``SystemExit``, ``RPR_GEOMETRY`` files refused when the geometry
+loads, and a stdout that cannot take the document.
 """
 
+import contextlib
 import math
 import os
 import subprocess
@@ -54,17 +55,22 @@ def _dk_argv(theta):
 # ----------------------------------------------------- process-level checks
 
 
-def _process(cwd, *argv, geometry=None):
-    """``python -m rpr3.cli argv`` from ``cwd``, on the package under test:
-    (exit code, stdout, stderr)."""
+def _env(geometry=None):
+    """The environment of a process that runs the package under test."""
     src = str(Path(rpr3.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "RPR_GEOMETRY"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     if geometry is not None:
         env["RPR_GEOMETRY"] = geometry
+    return env
+
+
+def _process(cwd, *argv, geometry=None):
+    """``python -m rpr3.cli argv`` from ``cwd``, on the package under test:
+    (exit code, stdout, stderr)."""
     done = subprocess.run(
         [sys.executable, "-m", "rpr3.cli", *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+        cwd=cwd, env=_env(geometry), capture_output=True, text=True, timeout=60,
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -109,6 +115,32 @@ def test_a_geometry_file_refused_as_it_loads_exits_3_with_one_line(cwd, name):
     assert (code, out) == (3, "")
     (line,) = err.splitlines()
     assert line.startswith("rpr3: geometry error: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("fault", ["reader-closed", "dev-full", "fd-1-closed"])
+def test_a_stdout_that_cannot_take_the_document_exits_3_with_one_line(cwd, fault):
+    # A pipe whose reader is gone (EPIPE), a full device (ENOSPC), and fd 1
+    # closed before the process starts: the document cannot be delivered.
+    argv = [sys.executable, "-m", "rpr3.cli", "verify", "--trials", "4", "--seed", "0"]
+    with contextlib.ExitStack() as stack:
+        stdout = None
+        if fault == "reader-closed":
+            reader, stdout = os.pipe()
+            os.close(reader)
+            stack.callback(os.close, stdout)
+        elif fault == "dev-full":
+            stdout = stack.enter_context(open("/dev/full", "wb"))
+        else:
+            argv = ["sh", "-c", 'exec "$@" >&-', "sh", *argv]
+        done = subprocess.run(
+            argv, cwd=cwd, env=_env(), stdout=stdout, stderr=subprocess.PIPE, text=True,
+            timeout=60,
+        )
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    assert done.returncode == 3
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("rpr3: i/o error: stdout: ")
 
 
 def test_a_trace_csv_cell_of_1e200_fails_with_a_finite_deviation(cwd):

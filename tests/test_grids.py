@@ -10,9 +10,9 @@ import pytest
 from rpr3 import geometry, verify
 from rpr3.cli import main
 from rpr3.trace import _curve_gaps
-from rpr3.verify import _curves_trial
+from rpr3.verify import _curves_block
 from rpr3.coupler import _cycle_grid, _cycle_phi, trace_cardanic
-from rpr3.geometry import ManipulatorGeometry, _libm, normalize_angles
+from rpr3.geometry import _FLOATS, ManipulatorGeometry, _libm, normalize_angles
 from rpr3.oracle import _SCAN_SAMPLES, _scan_table, dkp_bruteforce
 from _reference import curve_misses
 
@@ -86,12 +86,13 @@ def test_curve_gaps_agree_on_grid_and_file_trig(n, tmp_path, capsys):
     geom = ManipulatorGeometry(table[0, 7])
     phi = normalize_angles(table[:, 2])
     from_file = _curve_gaps(
-        *table[0, :2], _libm(math.cos, phi), _libm(math.sin, phi),
-        table[:, 3:5], table[:, 5:7], geom,
+        _FLOATS, *table[0, :2], _libm(math.cos, phi), _libm(math.sin, phi),
+        *table[:, 5:7].T, *table[:, 3:5].T, geom,
     )
     curve = trace_cardanic(0.2, 0.9, n_samples=n, geometry=geom)
     trig = _cycle_grid(n)[1:]
-    from_grid = _curve_gaps(curve.theta1, curve.theta2, *trig, curve.b3, curve.rho, geom)
+    columns = (*curve.rho.T, *curve.b3.T)
+    from_grid = _curve_gaps(_FLOATS, curve.theta1, curve.theta2, *trig, *columns, geom)
     assert all(map(_same_bits, from_grid, from_file))
     assert (from_grid[0] <= from_grid[1]).all()
 
@@ -100,12 +101,18 @@ def test_curve_gaps_agree_on_grid_and_file_trig(n, tmp_path, capsys):
 def test_curve_gaps_take_anchor_3s_miss_with_hypots_bits(monkeypatch, scale):
     # The miss is sqrt(mx² + my²); on verify's own curves, and on pairs of
     # nearly parallel legs, every gap is the one a per-sample math.hypot
-    # gives, and on many samples anchor 3's miss alone decides it.
-    tables = []
+    # gives, and on many samples anchor 3's miss alone decides it.  verify
+    # checks its curves as rows of a block; each row's gaps are the one-row
+    # case's, on floats, bit for bit.
+    curves = []
 
-    def recording(*args):
-        tables.append(args)
-        return _curve_gaps(*args)
+    def recording(f, t1, t2, cos_phi, sin_phi, *columns_geom):
+        gaps = _curve_gaps(f, t1, t2, cos_phi, sin_phi, *columns_geom)
+        *columns, geom = columns_geom
+        for k, (a1, a2) in enumerate(zip(t1[:, 0].tolist(), t2[:, 0].tolist())):
+            curves.append((a1, a2, cos_phi, sin_phi, *(c[k] for c in columns), geom))
+            assert _same_bits(gaps[0][k], _curve_gaps(_FLOATS, *curves[-1])[0])
+        return gaps
 
     monkeypatch.setattr(verify, "_curve_gaps", recording)
     geom = ManipulatorGeometry(scale)
@@ -116,22 +123,23 @@ def test_curve_gaps_take_anchor_3s_miss_with_hypots_bits(monkeypatch, scale):
         for t1 in (-2.0, 0.3, 1.9):
             for t2 in (t1 + math.asin(sin12), t1 + math.pi - math.asin(sin12)):
                 curve = trace_cardanic(t1, t2, n_samples=verify.CURVE_SAMPLES, geometry=geom)
-                tables.append((curve.theta1, curve.theta2, cos_phi, sin_phi, curve.b3, curve.rho, geom))
-    assert len(tables) == 40 * 4 + 12
+                columns = (*curve.rho.T, *curve.b3.T)
+                curves.append((curve.theta1, curve.theta2, cos_phi, sin_phi, *columns, geom))
+    assert len(curves) == 40 * 4 + 12
     decided = 0
-    for args in tables:
+    for args in curves:
         r2, e2, miss3 = curve_misses(*args)
-        gap, _ = _curve_gaps(*args)
+        gap, _ = _curve_gaps(_FLOATS, *args)
         assert _same_bits(gap, np.maximum.reduce([r2, e2, miss3]))
         decided += int((miss3 > np.maximum(r2, e2)).sum())
-    assert decided > len(tables) * verify.CURVE_SAMPLES // 5
+    assert decided > len(curves) * verify.CURVE_SAMPLES // 5
 
 
 def test_curves_trial_takes_phi_trig_from_the_grid_after_the_first(monkeypatch):
     calls = []
 
     def counting(fn, *arrays):
-        calls.append(fn)
+        calls.append((fn, np.size(arrays[0])))
         return _libm(fn, *arrays)
 
     # Every libm route: the kernel itself, and the column form's members,
@@ -141,15 +149,15 @@ def test_curves_trial_takes_phi_trig_from_the_grid_after_the_first(monkeypatch):
         monkeypatch.setattr(geometry._COLUMNS, name, partial(counting, getattr(math, name)))
     _cycle_grid.cache_clear()
     rng, geom = np.random.default_rng(5), ManipulatorGeometry(1.7)
-    trig = {math.cos, math.sin}
-    assert _curves_trial(rng, geom) is not None
-    assert trig <= set(calls)
-    # Then no libm call at all: the grid holds phi's cos and sin, and anchor
-    # 3's miss is a sqrt of squares.
-    for _ in range(3):
+    assert _curves_block(rng, geom, 1) != [None]
+    assert {(math.cos, verify.CURVE_SAMPLES), (math.sin, verify.CURVE_SAMPLES)} <= set(calls)
+    # Then libm sees no phi column: the grid holds phi's cos and sin, anchor
+    # 3's miss is a sqrt of squares, and only each curve's t1, t2 and t2 - t1
+    # are libm's, one element per curve of the block.
+    for k in (1, 3, 4):
         calls.clear()
-        assert _curves_trial(rng, geom) is not None
-        assert not calls
+        assert None not in _curves_block(rng, geom, k)
+        assert calls == [(math.cos, k), (math.sin, k), (math.sin, k), (math.cos, k), (math.sin, k)]
 
 
 def test_a_trace_csv_recheck_builds_no_cycle_grid(tmp_path, capsys):
