@@ -6,7 +6,6 @@ and coupler curves against the anchors; a trace CSV is rechecked by
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 
@@ -67,24 +66,25 @@ class _TrialFailure(Exception):
 
 
 def _run_trials(scope: str, metric: str, trials: int, cap: int, results, failures) -> dict:
-    """Read ``results`` until ``trials`` of its draws were checked, and report
-    whether the scope passed and, if so, its worst ``metric``.
-
-    ``results`` yields, lazily so that no draw is taken once enough trials
-    are done, None for a draw skipped, else the checked metric; it raises
-    :class:`_TrialFailure` at a failed check, which ends the scope.  A scope
-    that runs out of its ``cap`` draws with fewer trials done fails too, so
-    that no check passes on fewer trials than requested.
+    """Read ``results`` until ``trials`` of its draws were checked, keeping
+    only their count and worst ``metric``, and report whether the scope passed
+    and, if so, that worst value.  ``results`` yields lazily, so that no draw
+    is taken past the last one needed: None for a draw skipped, else the
+    checked metric.  It raises :class:`_TrialFailure` at a failed check, which
+    ends the scope; a scope that runs out of its ``cap`` draws fails too.
     """
+    done = 0
     try:
-        values = list(itertools.islice((v for v in results if v is not None), trials))
+        for value in results:
+            if value is not None:
+                worst = max(worst, value) if done else value
+                done += 1
+                if done == trials:
+                    return {"passed": True, metric: worst}
+        failures.append(f"{scope}: {done} of {trials} trials done in {cap} draws")
     except _TrialFailure as exc:
         failures.append(str(exc))
-        return {"passed": False}
-    if len(values) < trials:
-        failures.append(f"{scope}: {len(values)} of {trials} trials done in {cap} draws")
-        return {"passed": False}
-    return {"passed": True, metric: max(values)}
+    return {"passed": False}
 
 
 def _dkp_trial(rng, geom) -> float | None:

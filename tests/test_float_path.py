@@ -3,8 +3,6 @@ and on floats it must stay off the array kernels and keep the overflow
 guards of the leg lengths and of det B."""
 
 import math
-import sys
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +14,7 @@ from rpr3.geometry import ManipulatorGeometry, Pose, constraint_residuals
 from rpr3.jacobians import KinematicMatrices, SingularityKind, build_matrices, classify_singularity
 from rpr3.solvers import DkKind, classify_dk_degeneracy, direct_kinematics, inverse_kinematics
 from _reference import signed_extensions
+from trend import count_calls, counted_op
 
 PI3 = math.pi / 3.0
 POSES = [Pose(0.4, 0.3, 0.2), Pose(-0.0, 0.4, -0.0), Pose(0.5, 0.0, 0.0), Pose(1.3, -0.7, 3.0)]
@@ -132,33 +131,17 @@ def test_a_pose_of_numpy_scalars_gives_python_floats():
     assert [type(v).__name__ for v in values] == ["float"] * len(values)
 
 
-# Python-level calls of one pose-stream op at a regular pose with two
-# isolated assemblies; the same count on CPython 3.10 to 3.13, since no
-# comprehension or generator runs on this path.
+# Python calls in rpr3 of one pose-stream op, counted by trend.count_calls;
+# the same count on CPython 3.10 to 3.13, since no comprehension or generator
+# runs on this path.
 POSE_STREAM_CALL_BUDGET = 44
 
 
 def test_a_pose_stream_op_stays_within_its_call_budget():
-    def op():
-        pose = Pose(0.4, 0.3, 0.2)
-        theta = inverse_kinematics(pose, branch=(1, 0, 1)).angles.as_tuple()
-        return classify_singularity(pose, theta), direct_kinematics(theta)
-
-    report, solutions = op()
+    report, solutions = counted_op()
     assert report.kind is SingularityKind.REGULAR and solutions.kind is DkKind.TWO_SOLUTIONS
-    calls = Counter()
-
-    def count(frame, event, arg):
-        if event == "call":
-            calls[frame.f_code.co_name] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        op()
-    finally:
-        sys.setprofile(previous)
-    total = sum(calls.values()) - 1  # op itself
+    calls = count_calls(counted_op)
+    total = sum(calls.values())
     assert total <= POSE_STREAM_CALL_BUDGET, (
         f"{total} Python calls per pose-stream op, budget {POSE_STREAM_CALL_BUDGET}: "
         f"{dict(calls.most_common())}"

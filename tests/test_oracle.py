@@ -5,7 +5,6 @@ import io
 import json
 import math
 import pathlib
-import sys
 from functools import partial
 
 import numpy as np
@@ -28,6 +27,7 @@ from rpr3.jacobians import _configuration, build_matrices
 from rpr3.oracle import dkp_bruteforce, jacobian_cs_check
 from rpr3.solvers import DkKind, direct_kinematics, inverse_kinematics, mn_coefficients
 from _reference import bracket_candidates, jacobian_fd_check, scan_bruteforce, scan_columns
+from trend import VERIFY_ARGV, count_calls
 
 PI3 = math.pi / 3.0
 
@@ -457,33 +457,17 @@ def test_oracle_and_verify_call_no_lapack(scale, tmp_path, monkeypatch):
     assert main(["verify", "--scope", "all", "--trials", "20", "--seed", "7"]) == 0
 
 
-# Python-level calls (sys.setprofile "call" events, generator resumptions
-# included) in rpr3's own frames during one verify run of the cross-check
-# benchmark's shape, as CPython 3.11 counts them; 3.12 inlines comprehensions
-# and counts fewer.  numpy's Python wrappers are not rpr3 frames, so the
-# numpy version does not move the count.
-VERIFY_CALL_BUDGET = 825
+# Python calls in rpr3 of one verify run of the cross-check benchmark's
+# shape, counted by trend.count_calls as CPython 3.11 counts them; 3.12
+# inlines comprehensions and counts fewer.  numpy's Python wrappers are not
+# rpr3 frames, so the numpy version does not move the count.
+VERIFY_CALL_BUDGET = 810
 
 
 def test_a_verify_run_stays_within_its_call_budget():
-    argv = ["verify", "--scope", "all", "--trials", "4", "--seed", "0"]
-    package = str(pathlib.Path(rpr3.oracle.__file__).parent)
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(package):
-            calls += 1
-
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0  # warm: the scan table and lazy imports
-        previous = sys.getprofile()
-        sys.setprofile(count)
-        try:
-            code = main(argv)
-        finally:
-            sys.setprofile(previous)
-    assert code == 0
+        assert main(VERIFY_ARGV) == 0
+        calls = sum(count_calls(partial(main, VERIFY_ARGV)).values())
     assert calls <= VERIFY_CALL_BUDGET, (
         f"{calls} Python calls in rpr3 per verify run, budget {VERIFY_CALL_BUDGET}"
     )

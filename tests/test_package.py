@@ -150,3 +150,16 @@ def test_callers_name_the_form_and_place_anchors_through_one_body():
             attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
             assert "_libm" not in names, module
             assert not {"base_anchor", "anchors"} & attributes, module
+
+
+def test_one_call_counter_serves_the_tests_and_ci():
+    # tests/trend.py holds the one profiler hook, which the budget tests and
+    # the CI summary read; the package installs none.
+    hook = "set" + "profile"
+    files = [*ROOT.glob("tests/**/*.py"), *ROOT.glob(".github/**/*.yml"), *ROOT.glob("src/**/*.py")]
+    hooked = [path.relative_to(ROOT).as_posix() for path in files if hook in path.read_text(encoding="utf-8")]
+    assert hooked == ["tests/trend.py"]
+    # The job summary is written by one step, a single call to that script.
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    summary = [line.strip() for line in workflow.splitlines() if "GITHUB_STEP_SUMMARY" in line]
+    assert summary == ['run: python tests/trend.py >> "$GITHUB_STEP_SUMMARY"']
