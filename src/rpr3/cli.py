@@ -177,6 +177,25 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = cache(build_parser)
 
 
+@cache
+def _commands() -> dict:
+    """The one parser's command parsers, by name."""
+    return next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as ``_parser().parse_args(argv)`` parses it.  A line that
+    starts with a command goes straight to that command's parser, which the full
+    parser would hand it to; any other line, or one that leaves arguments over,
+    goes through the full parser, the one that prints rpr3's own usage."""
+    command = _commands().get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return _parser().parse_args(argv)
+
+
 def _finite_float(text: str) -> float:
     """argparse type: a finite float."""
     try:
@@ -232,7 +251,7 @@ def _add_deg_flag(parser: argparse.ArgumentParser) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(args, "deg", False):

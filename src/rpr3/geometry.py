@@ -104,8 +104,9 @@ def angle_differences(a: np.ndarray, b: np.ndarray | float, period: float = TAU)
     return np.minimum(folded, period - folded)
 
 
-def _libm(fn, *arrays: np.ndarray) -> np.ndarray:
-    """Elementwise ``math`` function of arrays that broadcast together.
+def _libm(fn, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise ``math`` function of one array, or of two that broadcast
+    together.
 
     It serves the array kernels that the scalar path must match: they take
     sin, cos, atan2 and hypot from libm, as the scalar path does, so that
@@ -114,13 +115,15 @@ def _libm(fn, *arrays: np.ndarray) -> np.ndarray:
     SIMD sin and cos are build dependent.  A check with no scalar twin may
     use IEEE arithmetic instead, which rounds alike everywhere.
     """
-    shape = np.shape(arrays[0])
-    # Most calls pass one shape; only a mismatch pays for broadcasting.
-    if any(np.shape(a) != shape for a in arrays[1:]):
-        arrays = np.broadcast_arrays(*arrays)
-        shape = arrays[0].shape
-    flat = [np.ravel(a).tolist() for a in arrays]
-    return np.fromiter(map(fn, *flat), dtype=float, count=len(flat[0])).reshape(shape)
+    a = np.asarray(a)
+    if b is not None:
+        b = np.asarray(b)
+        # Most calls pass one shape; only a mismatch pays for broadcasting.
+        if b.shape != a.shape:
+            a, b = np.broadcast_arrays(a, b)
+    flat = a.ravel().tolist()
+    values = map(fn, flat) if b is None else map(fn, flat, b.ravel().tolist())
+    return np.fromiter(values, dtype=float, count=len(flat)).reshape(a.shape)
 
 
 def _first_nonfinite(check, *columns: np.ndarray) -> None:

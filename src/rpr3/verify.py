@@ -32,8 +32,11 @@ JACOBIAN_SKIP_DET = 5e-6
 JACOBIAN_ERROR_TOL = 1e-9
 # Samples of each curve a curves trial traces and checks, and the most curves
 # checked as one block of columns, so that memory is bounded at any trial count.
+# A block's (k, CURVE_SAMPLES) float64 column stays under glibc's default
+# 128 KiB mmap threshold, so that malloc serves it from the heap, not from a
+# fresh mapping whose pages fault in again on every block.
 CURVE_SAMPLES = 360
-_CURVE_BLOCK = 64
+_CURVE_BLOCK = (128 * 1024 - 1) // (CURVE_SAMPLES * 8)
 
 
 def run(scope: str, trials: int, seed: int, csv_path: str | None, geometry: ManipulatorGeometry):

@@ -11,8 +11,10 @@ loads, and a stdout that cannot take the document.
 """
 
 import contextlib
+import io
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -20,8 +22,11 @@ from pathlib import Path
 import pytest
 
 import rpr3
+import test_cli_fuzz
+import test_pins
+import trend
 from rpr3 import cli
-from test_cli import run, run_json, strict_json
+from test_cli import PINNED_SWEEPS, run, run_json, strict_json
 from test_symmetry import c3, mirror
 
 # The RPR_GEOMETRY scales every check below is made at, as written in the
@@ -159,6 +164,54 @@ def test_a_trace_csv_cell_of_1e200_fails_with_a_finite_deviation(cwd):
     assert err == "rpr3: FAIL trace csv row 5 deviates by 1.000e+200\n"
     report = strict_json(out)["trace_csv"]
     assert report == {"passed": False, "rows": 5, "max_deviation": 1e200}
+
+
+# ------------------------------------------------------------------ parse
+
+
+def _parsed(parse, argv):
+    """What ``parse(argv)`` gives: the namespace's fields or the exit code, and
+    the bytes it printed on stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _parse_corpus():
+    """The fuzz run's 500 lines, the lines whose output is pinned, the trend's
+    lines, and lines at argparse's edges."""
+    rng = random.Random(20240607)
+    yield from (test_cli_fuzz._argv(rng, Path(".")) for _ in range(500))
+    yield from (["trace", *argv, "--csv", "t.csv", "--svg", "t.svg"] for argv in test_pins.TRACE_ARGVS)
+    yield from (["verify", "--scope", "all", "--trials", "20", "--seed", str(s)] for s in range(4))
+    yield ["verify", "--scope", "curves", "--trials", "200", "--seed", "3", "--csv", "t.csv"]
+    for space, axes, *_ in PINNED_SWEEPS.values():
+        yield ["sweep", "--space", space, *axes, "--csv", "page.csv", "--svg", "page.svg"]
+    yield from (trend.VERIFY_ARGV, trend.DK_ARGV, trend.TRACE_ARGV, *trend.SWEEP_PAGES)
+    dk = ["dk", "--t1", "0.2", "--t2", "0.9", "--t3", "2.0"]
+    yield from (
+        [], ["-h"], ["--help"], ["dk", "-h"], ["verify", "--help"], ["nosuch"], ["nosuch", "-h"],
+        ["-h", "dk"], ["--", "dk"], ["--t1", "0", "dk"], ["DK"], [""],
+        ["dk", "--t1", "0", "--t1", "1", "--t2", "0.9", "--t3", "2.0"],
+        ["verify", "--tri", "4"], ["verify", "--t", "4"], ["dk", "--me", "both", *dk[1:]],
+        [*dk, "--bogus"], [*dk, "extra"], ["verify", "--bogus=1", "-h"],
+        ["dk", "--t1", "0.2", "--t2", "0.9", "--t3", "-0.4"], ["dk", "--t1", "0.2", "--t2", "0.9", "--t3"],
+        [*dk, "--"], ["dk", "--", *dk[1:]], ["verify", "--", "--trials", "4"],
+        [*dk, "--deg"], ["ik", "--deg", "--x", "0", "--y", "0", "--phi", "90"], [*dk, "--deg", "--deg"],
+        ["sweep", "--deg", "--space", "joint", "--t1=-30:30:4", "--t2=0", "--t3=0", "--csv", "s.csv"],
+    )
+
+
+def test_a_line_parses_as_the_full_parser_parses_it():
+    # cli._parse hands a line that starts with a command straight to that
+    # command's parser: the same fields, or the same exit code and bytes on
+    # stdout and stderr, as the full parser gives.  Nothing runs.
+    for argv in _parse_corpus():
+        assert _parsed(cli._parse, argv) == _parsed(cli._parser().parse_args, argv), argv
 
 
 # ------------------------------------------------------------------ sweep

@@ -1,7 +1,8 @@
 """Trend lines for the CI job summary, printed as Markdown: the src/ line counts, best-of-5
-``timeit`` times of the scalar entry points, the oracle scan, the sweep pages, the CSV writer
-and verify, the Python calls of a pose-stream op and of a verify run, and the peak RSS and
-module counts of fresh interpreters.  They are trend lines across runs, not gates.
+``timeit`` times of the scalar entry points, the oracle scan, the sweep pages, the CSV writer,
+verify, the cross-check's dk line and the parse of its verify line, the Python calls of a
+pose-stream op and of a verify run, and the peak RSS and module counts of fresh interpreters.
+They are trend lines across runs, not gates.
 
 ``python tests/trend.py`` takes no arguments and writes its files in a temporary directory.  A
 timed line is what ``python -m timeit -r 5 -s SETUP STATEMENT`` prints for an entry of
@@ -62,6 +63,7 @@ def counted_op():
 
 
 VERIFY_ARGV = ["verify", "--scope", "all", "--trials", "4", "--seed", "0"]  # the cross-check run
+DK_ARGV = ["dk", "--method", "both", "--t1=0.2", "--t2=0.9", "--t3=2.0"]  # and its dk line
 PI = "3.141592653589793"
 SWEEP_PAGES = [  # the benchmark's two pages, and a joint page 16 times larger
     ["sweep", "--space", "cartesian", "--x=-0.5:1.5:25", "--y=-0.5:1.5:25", "--phi=0.3"],
@@ -110,6 +112,12 @@ TIMES = [
         _cli(["verify", "--scope", "curves", "--trials", "200", "--seed", "0"]),
         _cli(["verify", "--scope", "curves", "--trials", "1", "--seed", "0", "--csv", "trace.csv"],
              "`verify --scope curves --trials 1 --seed 0 --csv` of a `trace --samples 100000` CSV"),
+    ]),
+    ("The cross-check's dk line through cli.main, stdout redirected, and its verify line's parse, "
+     "best of 5:", [
+        _cli(DK_ARGV),
+        (f"`cli._parse` of `{' '.join(VERIFY_ARGV)}`", f"from rpr3.cli import _parse; argv = {VERIFY_ARGV!r}",
+         "_parse(argv)"),
     ]),
 ]
 
