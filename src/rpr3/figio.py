@@ -140,16 +140,14 @@ class SvgCanvas:
             f' stroke-width="{_num(width)}" />'
         )
 
-    def circle(
-        self, cx: float, cy: float, r: float, fill: str = "#000000"
-    ) -> None:
+    def circle(self, cx: float, cy: float, r: float) -> None:
         self._elements.append(
-            f'<circle cx="{_num(cx)}" cy="{_num(-cy)}" r="{_num(r)}" fill="{fill}" />'
+            f'<circle cx="{_num(cx)}" cy="{_num(-cy)}" r="{_num(r)}" fill="#404040" />'
         )
 
-    def text(self, x: float, y: float, content: str, size: float = 0.08) -> None:
+    def text(self, x: float, y: float, content: str) -> None:
         self._elements.append(
-            f'<text x="{_num(x)}" y="{_num(-y)}" font-size="{_num(size)}"'
+            f'<text x="{_num(x)}" y="{_num(-y)}" font-size="0.08"'
             f' font-family="monospace">{_escape(content)}</text>'
         )
 

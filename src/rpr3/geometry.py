@@ -170,7 +170,7 @@ _COLUMNS = SimpleNamespace(
 # field once; a __post_init__ after the generated __init__ would store twice.
 @dataclass(frozen=True, init=False)
 class Vec2:
-    """Immutable planar vector."""
+    """Immutable planar (x, y) pair with finite components."""
 
     x: float
     y: float
@@ -183,34 +183,6 @@ class Vec2:
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y
-
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, scalar: float) -> "Vec2":
-        return Vec2(self.x * scalar, self.y * scalar)
-
-    __rmul__ = __mul__
-
-    def dot(self, other: "Vec2") -> float:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Vec2") -> float:
-        """z component of the 3D cross product (signed parallelogram area)."""
-        return self.x * other.y - self.y * other.x
-
-    def perp(self) -> "Vec2":
-        """Rotate by +90 degrees: (x, y) -> (-y, x)."""
-        return Vec2(-self.y, self.x)
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    def as_array(self) -> np.ndarray:
-        return np.array((self.x, self.y), dtype=float)
 
 
 @dataclass(frozen=True, init=False)
@@ -229,10 +201,6 @@ class Pose:
             raise ValueError(f"position must be finite, got ({x!r}, {y!r})")
         fields = self.__dict__
         fields["x"], fields["y"], fields["phi"] = float(x), float(y), normalize_angle(phi)
-
-    @property
-    def position(self) -> Vec2:
-        return Vec2(self.x, self.y)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.phi)
@@ -327,20 +295,10 @@ class ManipulatorGeometry:
             raise GeometryError(f"scale must be in [{low:g}, {high:g}], got {self.scale!r}")
 
     @cached_property
-    def anchors(self) -> tuple[Vec2, Vec2, Vec2]:
-        """Anchor triangle: the base anchors, and equally the platform
-        anchors in the platform frame."""
-        a1, a2, a3 = (Vec2(x, y) for x, y in self._anchor_pairs)
-        return (a1, a2, a3)
-
-    @cached_property
     def _anchor_pairs(self) -> tuple[tuple[float, float], ...]:
-        """:attr:`anchors` as (x, y) float pairs, as the formula bodies read them."""
+        """Anchor triangle as (x, y) float pairs: the base anchors, and
+        equally the platform anchors in the platform frame."""
         return tuple((x * self.scale, y * self.scale) for x, y in _UNIT_TRIANGLE)
-
-    def base_anchor(self, leg: int) -> Vec2:
-        """Base anchor of ``leg`` (1-based)."""
-        return self.anchors[_leg_index(leg)]
 
 
 DEFAULT_GEOMETRY = ManipulatorGeometry(1.0)

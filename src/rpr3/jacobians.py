@@ -151,9 +151,6 @@ class KinematicMatrices:
     det_b: float
     scale: float
 
-    def is_parallel_singular(self) -> bool:
-        return _is_parallel(self.det_a, self.scale)
-
 
 def build_matrices(
     pose: Pose,
@@ -271,11 +268,10 @@ def _normal_intersection(rows, legs, scale: float) -> tuple[Vec2 | None, bool]:
         return (None, True)
     cx = sum(p.x for p in points) / len(points)
     cy = sum(p.y for p in points) / len(points)
-    center = Vec2(cx, cy)
-    spread = max((p - center).norm() for p in points)
+    spread = max(math.hypot(p.x - cx, p.y - cy) for p in points)
     if spread > CONCURRENCY_TOL * scale:
         return (None, False)
-    return (center, False)
+    return (Vec2(cx, cy), False)
 
 
 # ------------------------------------------------------------ array kernels

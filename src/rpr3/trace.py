@@ -54,7 +54,7 @@ def run(t1, t2, samples: int, deg: bool, csv_path, svg_path, geom: ManipulatorGe
 def _draw_base(canvas: figio.SvgCanvas, anchors) -> None:
     canvas.polyline(anchors, stroke="#808080", width=0.008, closed=True)
     for ax, ay in anchors:
-        canvas.circle(ax, ay, 0.025, fill="#404040")
+        canvas.circle(ax, ay, 0.025)
 
 
 def _draw_slider_axis(canvas, anchor, theta: float) -> None:

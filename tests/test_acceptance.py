@@ -296,12 +296,8 @@ def test_c6_cardanic_curve_invariants(capsys):
     budget = 60.0
     start = time.monotonic()
     rng = random.Random(6)
-    geom = DEFAULT_GEOMETRY
-    a1 = geom.base_anchor(1)
-    a2 = geom.base_anchor(2)
-    a3 = geom.base_anchor(3)
-    b3_local = geom.base_anchor(3)
-    b2_local = geom.base_anchor(2)
+    # The platform anchors in the platform frame are the base anchors.
+    (a1x, a1y), (a2x, a2y), (a3x, a3y) = DEFAULT_GEOMETRY._anchor_pairs
     worst_a3 = 0.0
     worst_closure = 0.0
     accepted = 0
@@ -315,21 +311,21 @@ def test_c6_cardanic_curve_invariants(capsys):
         samples = list(zip(curve.phi.tolist(), curve.b3.tolist(), curve.rho.tolist()))
         phi0, (x0, y0), _ = min(samples, key=lambda s: abs(s[0]))
         assert phi0 == 0.0
-        worst_a3 = max(worst_a3, math.hypot(x0 - a3.x, y0 - a3.y))
+        worst_a3 = max(worst_a3, math.hypot(x0 - a3x, y0 - a3y))
 
         v1 = (math.cos(t1), math.sin(t1))
         v2 = (math.cos(t2), math.sin(t2))
         for phi, (b3x, b3y), (rho1, rho2) in samples:
             # rebuild both loop anchors from the traced vertex alone
             rot = rotation_matrix(phi)
-            b1x = b3x - (rot[0][0] * b3_local.x + rot[0][1] * b3_local.y)
-            b1y = b3y - (rot[1][0] * b3_local.x + rot[1][1] * b3_local.y)
-            b2x = b1x + rot[0][0] * b2_local.x + rot[0][1] * b2_local.y
-            b2y = b1y + rot[1][0] * b2_local.x + rot[1][1] * b2_local.y
-            r1 = v1[1] * (b1x - a1.x) - v1[0] * (b1y - a1.y)
-            r2 = v2[1] * (b2x - a2.x) - v2[0] * (b2y - a2.y)
-            p1 = v1[0] * (b1x - a1.x) + v1[1] * (b1y - a1.y)
-            p2 = v2[0] * (b2x - a2.x) + v2[1] * (b2y - a2.y)
+            b1x = b3x - (rot[0][0] * a3x + rot[0][1] * a3y)
+            b1y = b3y - (rot[1][0] * a3x + rot[1][1] * a3y)
+            b2x = b1x + rot[0][0] * a2x + rot[0][1] * a2y
+            b2y = b1y + rot[1][0] * a2x + rot[1][1] * a2y
+            r1 = v1[1] * (b1x - a1x) - v1[0] * (b1y - a1y)
+            r2 = v2[1] * (b2x - a2x) - v2[0] * (b2y - a2y)
+            p1 = v1[0] * (b1x - a1x) + v1[1] * (b1y - a1y)
+            p2 = v2[0] * (b2x - a2x) + v2[1] * (b2y - a2y)
             worst_closure = max(
                 worst_closure,
                 abs(r1),

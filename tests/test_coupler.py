@@ -12,7 +12,6 @@ from rpr3.geometry import (
     POSE_TOL,
     ManipulatorGeometry,
     Pose,
-    Vec2,
     constraint_residuals,
     platform_anchor,
     pose_distance,
@@ -39,14 +38,10 @@ SQRT3 = math.sqrt(3.0)
 
 
 def _b3(theta1, phi, rho1, geometry=DEFAULT_GEOMETRY):
-    """Third platform anchor rebuilt from the leg-1 polar coordinates."""
-    a1 = geometry.base_anchor(1)
-    px = a1.x + rho1 * math.cos(theta1)
-    py = a1.y + rho1 * math.sin(theta1)
-    r = rotation_matrix(phi)
-    local = geometry.base_anchor(3).as_array()
-    world = r @ local
-    return Vec2(px + world[0], py + world[1])
+    """Third platform anchor (x, y) rebuilt from the leg-1 polar coordinates."""
+    (a1x, a1y), _, a3 = geometry._anchor_pairs
+    world = rotation_matrix(phi) @ a3
+    return (a1x + rho1 * math.cos(theta1) + world[0], a1y + rho1 * math.sin(theta1) + world[1])
 
 
 # --------------------------------------------------------------- rho(phi)
@@ -86,9 +81,8 @@ def test_rho_from_phi_closes_the_two_leg_loop():
         assert abs(residuals[0]) < 1e-12
         assert abs(residuals[1]) < 1e-12
         # and the second anchor's slider coordinate matches rho2
-        b2 = platform_anchor(pose, 2)
-        a2 = DEFAULT_GEOMETRY.base_anchor(2)
-        proj = (b2.x - a2.x) * math.cos(t2) + (b2.y - a2.y) * math.sin(t2)
+        (bx, by), (ax, ay) = platform_anchor(pose, 2), DEFAULT_GEOMETRY._anchor_pairs[1]
+        proj = (bx - ax) * math.cos(t2) + (by - ay) * math.sin(t2)
         assert abs(proj - rho2) < 1e-12
         checked += 1
 
@@ -112,11 +106,11 @@ def test_trace_passes_through_third_base_anchor():
     # B3 is a3 plus an offset that vanishes at phi = 0, so it is a3 exactly.
     for scale in (1.0, 1.7):
         geometry = ManipulatorGeometry(scale)
-        a3 = geometry.base_anchor(3)
+        a3 = list(geometry._anchor_pairs[2])
         for n_samples in (8, 720):
             curve = trace_cardanic(0.2, 0.9, n_samples, geometry)
             rows = zip(curve.phi.tolist(), curve.b3.tolist())
-            assert [b3 for phi, b3 in rows if phi == 0.0] == [[a3.x, a3.y]], (scale, n_samples)
+            assert [b3 for phi, b3 in rows if phi == 0.0] == [a3], (scale, n_samples)
 
 
 def test_trace_takes_an_integer_sample_count():
@@ -149,9 +143,8 @@ def test_trace_closes_over_a_full_cycle():
         phi = float(rng.uniform(-math.pi, math.pi))
         lo = rho_from_phi(t1, t2, phi)
         hi = rho_from_phi(t1, t2, phi + 2.0 * math.pi)
-        a = _b3(t1, phi, lo[0])
-        b = _b3(t1, phi + 2.0 * math.pi, hi[0])
-        assert math.hypot(a.x - b.x, a.y - b.y) < 1e-10
+        (ax, ay), (bx, by) = _b3(t1, phi, lo[0]), _b3(t1, phi + 2.0 * math.pi, hi[0])
+        assert math.hypot(ax - bx, ay - by) < 1e-10
         checked += 1
 
 
@@ -188,10 +181,10 @@ def test_trace_degenerates_on_third_turn_offsets(t1, offset):
     curve = trace_cardanic(t1, t1 + offset)
     assert curve.degenerate
     start, stop = curve.segment
-    direction = stop - start
-    length = direction.norm()
+    dx, dy = stop.x - start.x, stop.y - start.y
+    length = math.hypot(dx, dy)
     assert length > 0.1
-    ux, uy = direction.x / length, direction.y / length
+    ux, uy = dx / length, dy / length
     for x, y in curve.b3.tolist():
         # distance from the segment's carrier line
         d = (x - start.x) * uy - (y - start.y) * ux
@@ -239,7 +232,8 @@ def test_degenerate_segment_length_is_full_stroke(scale, n_samples):
         for flip in (0.0, -math.pi):
             curve = trace_cardanic(t1, t1 + PI3 + flip, n_samples, geometry)
             start, stop = curve.segment
-            assert abs((stop - start).norm() - 4.0 * SQRT3 / 3.0 * scale) < 1e-14 * scale
+            length = math.hypot(stop.x - start.x, stop.y - start.y)
+            assert abs(length - 4.0 * SQRT3 / 3.0 * scale) < 1e-14 * scale
 
 
 # ----------------------------------------------------------- geometric DKP
@@ -441,7 +435,7 @@ def test_every_route_solves_a_tie_through_legs_2_and_3(monkeypatch, t):
     monkeypatch.setattr(coupler, "_loop_coefficients", spy_loop)
     monkeypatch.setattr(solvers, "_leg_axis", spy_axis)
     monkeypatch.setattr(oracle, "_best_pair", lambda u: scans.append(best(u)) or scans[-1])
-    legs_2_and_3 = [tuple(DEFAULT_GEOMETRY.anchors[k]) for k in (1, 2)]
+    legs_2_and_3 = list(DEFAULT_GEOMETRY._anchor_pairs[1:])
     for route in (geometric_dkp, direct_kinematics):
         anchors.clear()
         assert route(theta).kind is DkKind.TWO_SOLUTIONS
@@ -572,22 +566,23 @@ def test_the_instant_center_rolls_the_platform_circle_inside_the_fixed_one(scale
     # and 2 meet, radius 2s/sqrt(3)) and on the platform's circumcircle
     # (radius s/sqrt(3)), which rolls inside it; slider line 3 passes
     # through O.  Worst misses on these draws: 1.3e-15, 6.7e-16 and
-    # 6.1e-16 times the scale.
+    # 6.1e-16 times the scale.  Points are complex numbers, and the cross
+    # product u x v is (u.conjugate() * v).imag.
     geometry = ManipulatorGeometry(scale)
-    a1, a2, a3 = geometry.anchors
+    a1, a2, a3 = (complex(*anchor) for anchor in geometry._anchor_pairs)
     rng = np.random.default_rng(0)
     for _ in range(1000):
         t1, phi = rng.uniform(-math.pi, math.pi, 2).tolist()
         theta = (t1, t1 + PI3, t1 - PI3)
         pose = solvers.position_from_orientation(theta, phi, geometry=geometry)
-        center = classify_singularity(pose, theta, geometry).intersection_point
-        u1, u2, u3 = (Vec2(math.cos(t), math.sin(t)) for t in theta)
-        o = a1 + u1 * ((a2 - a1).cross(u2) / u1.cross(u2))
+        center = complex(*classify_singularity(pose, theta, geometry).intersection_point)
+        u1, u2, u3 = (complex(math.cos(t), math.sin(t)) for t in theta)
+        o = a1 + u1 * (((a2 - a1).conjugate() * u2).imag / (u1.conjugate() * u2).imag)
         b = [platform_anchor(pose, leg, geometry) for leg in (1, 2, 3)]
-        circumcenter = Vec2(sum(p.x for p in b) / 3.0, sum(p.y for p in b) / 3.0)
-        assert abs((center - o).norm() - 2.0 * scale / SQRT3) <= 1e-14 * scale
-        assert abs((center - circumcenter).norm() - scale / SQRT3) <= 1e-14 * scale
-        assert abs((o - a3).cross(u3)) <= 1e-14 * scale
+        circumcenter = complex(sum(p.x for p in b) / 3.0, sum(p.y for p in b) / 3.0)
+        assert abs(abs(center - o) - 2.0 * scale / SQRT3) <= 1e-14 * scale
+        assert abs(abs(center - circumcenter) - scale / SQRT3) <= 1e-14 * scale
+        assert abs(((o - a3).conjugate() * u3).imag) <= 1e-14 * scale
 
 
 def test_reuleaux_constants_double_with_scale():
@@ -602,10 +597,10 @@ def test_reuleaux_descriptor_line_is_consistent_with_solver():
     for route in (direct_kinematics, geometric_dkp):
         res = route((0.7, 0.7 + PI3, 0.7 - PI3))
         # same carrier line, from the closed-form stroke and either route
-        cross = desc.p_line.direction.cross(res.continuum.direction)
-        assert abs(cross) < 1e-12
-        gap = desc.p_line.point - res.continuum.point
-        assert abs(gap.cross(res.continuum.direction)) < 1e-9
+        (ux, uy), (vx, vy) = desc.p_line.direction, res.continuum.direction
+        assert abs(ux * vy - uy * vx) < 1e-12
+        (px, py), (qx, qy) = desc.p_line.point, res.continuum.point
+        assert abs((px - qx) * vy - (py - qy) * vx) < 1e-9
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,7 @@ def test_scan_finds_both_assemblies():
     assert report.grid == (2048, 1)
     assert report.newton_iterations > 0
     trivial, second = sorted(report.solutions_found, key=lambda p: abs(p.phi))
-    assert trivial.position.norm() < 1e-10
+    assert math.hypot(trivial.x, trivial.y) < 1e-10
     assert abs(trivial.phi) < 1e-10
     assert abs(second.x - FROZEN_POSE2[0]) < 1e-9
     assert abs(second.y - FROZEN_POSE2[1]) < 1e-9
@@ -287,16 +287,14 @@ def _reference_cramer(p, q, r, b):
 
 def _reference_newton(start, t, geometry, tol=1e-12, home=1.0, max_iter=50):
     """The per-leg loop the unrolled Newton replaced, with its Cramer solve."""
-    rows = [(s, c, (v.x, v.y)) for (c, s), v in zip(map(rpr3.oracle._cos_sin, t), geometry.anchors)]
+    anchors = geometry._anchor_pairs
+    rows = [(s, c, anchor) for (c, s), anchor in zip(map(rpr3.oracle._cos_sin, t), anchors)]
     sin_t, neg_cos_t = [r[0] for r in rows], [-r[1] for r in rows]
     h = max(abs(a.imag) for a in t)
     x, y, phi = start
     for it in range(max_iter + 1):
         c, s = rpr3.oracle._cos_sin(phi)
-        offsets = [
-            (x + c * v.x - s * v.y - home * v.x, y + s * v.x + c * v.y - home * v.y)
-            for v in geometry.anchors
-        ]
+        offsets = [(x + c * ax - s * ay - home * ax, y + s * ax + c * ay - home * ay) for ax, ay in anchors]
         res = [st * u - ct * v for (st, ct, _), (u, v) in zip(rows, offsets)]
         if all(abs(r.real) < tol for r in res):
             size = max(h, abs(x.imag) / geometry.scale, abs(y.imag) / geometry.scale, abs(phi.imag))

@@ -2,7 +2,9 @@
 own ``__all__``, and ``rpr3`` re-exports every one of them."""
 
 import ast
+import inspect
 import re
+from functools import cached_property
 from pathlib import Path
 
 import rpr3
@@ -125,6 +127,55 @@ def test_every_public_name_has_a_reader():
     assert _unread_public_names() == set(KEPT_FACES)
 
 
+# The public class members with no reader in src/rpr3 or bench/, each kept as
+# a thin public face of a body the package runs.
+KEPT_MEMBERS = {
+    "KinematicMatricesArray.singularity_kinds": "face of jacobians._kind_index, which the sweep page runs",
+}
+
+
+def public_members() -> list[str]:
+    """Each public method, property or cached property defined in a public
+    class of the layers, as "Class.member".  Dunders stay outside: the AST
+    cannot see protocol use, such as iteration or an operator."""
+    kinds = (property, cached_property, classmethod, staticmethod)
+    return [
+        f"{name}.{attr}"
+        for layer in LAYERS
+        for name in layer.__all__
+        if inspect.isclass(cls := getattr(layer, name)) and cls.__module__ == layer.__name__
+        for attr, member in vars(cls).items()
+        if not attr.startswith("_") and (inspect.isfunction(member) or isinstance(member, kinds))
+    ]
+
+
+def _attributes_read() -> set[str]:
+    """Attributes read in src/rpr3 or bench/; a read of a function's own
+    name inside its own body is not a read."""
+    reads = set()
+    for path in [*sorted((ROOT / "src" / "rpr3").glob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if getattr(node, "attr", None) == function.name
+        }
+        reads |= {
+            node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and id(node) not in own
+        }
+    return reads
+
+
+def test_every_public_member_has_a_reader():
+    # A member is matched by its name alone, as the AST knows no types.  A
+    # kept face that gains a reader leaves the list.
+    reads = _attributes_read()
+    unread = {member for member in public_members() if member.rpartition(".")[2] not in reads}
+    assert unread == set(KEPT_MEMBERS)
+
+
 def test_callers_name_the_form_and_place_anchors_through_one_body():
     # The caller names the arithmetic, _FLOATS or _COLUMNS, and no function
     # guesses it from a value; _place_anchors is the one placement body, and
@@ -154,9 +205,10 @@ def test_callers_name_the_form_and_place_anchors_through_one_body():
 
 def test_one_call_counter_serves_the_tests_and_ci():
     # tests/trend.py holds the one profiler hook, which the budget tests and
-    # the CI summary read; the package installs none.
+    # the CI summary read; the package and the benchmark install none.
     hook = "set" + "profile"
-    files = [*ROOT.glob("tests/**/*.py"), *ROOT.glob(".github/**/*.yml"), *ROOT.glob("src/**/*.py")]
+    patterns = ("tests/**/*.py", ".github/**/*.yml", "src/**/*.py", "bench/**/*.py")
+    files = [path for pattern in patterns for path in ROOT.glob(pattern)]
     hooked = [path.relative_to(ROOT).as_posix() for path in files if hook in path.read_text(encoding="utf-8")]
     assert hooked == ["tests/trend.py"]
     # The job summary is written by one step, a single call to that script.

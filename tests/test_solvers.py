@@ -77,11 +77,11 @@ def test_ik_all_eight_branches_close_the_loop():
         assert sol.branch == branch
         for i, (leg, signed) in enumerate(zip(sol.legs, sol.signed_rhos()), start=1):
             anchor = platform_anchor(pose, i)
-            base = DEFAULT_GEOMETRY.base_anchor(i)
+            ax, ay = DEFAULT_GEOMETRY._anchor_pairs[i - 1]
             # the signed extension closes the loop on every branch; the
             # magnitude alone does so only on branch 0
-            x = base.x + signed * math.cos(leg.theta)
-            y = base.y + signed * math.sin(leg.theta)
+            x = ax + signed * math.cos(leg.theta)
+            y = ay + signed * math.sin(leg.theta)
             assert math.hypot(x - anchor.x, y - anchor.y) < 1e-14
             assert signed == leg.rho * (1.0 - 2.0 * branch[i - 1])
         assert max(map(abs, constraint_residuals(pose, sol.angles))) < 1e-14
@@ -114,9 +114,9 @@ def test_ik_pure_rotation_pins_only_first_leg():
 def test_ik_numbers_a_stuck_middle_leg_from_one(branch, phi):
     # p = a2 - R(phi) a2 puts b2 on a2 and no other platform anchor on its
     # base anchor.
-    a2 = DEFAULT_GEOMETRY.base_anchor(2)
+    ax, ay = DEFAULT_GEOMETRY._anchor_pairs[1]
     c, s = math.cos(phi), math.sin(phi)
-    pose = Pose(a2.x - (c * a2.x - s * a2.y), a2.y - (s * a2.x + c * a2.y), phi)
+    pose = Pose(ax - (c * ax - s * ay), ay - (s * ax + c * ay), phi)
     with pytest.raises(LegAtAnchorError) as err:
         inverse_kinematics(pose, branch=branch)
     assert err.value.legs == (2,)
@@ -294,7 +294,7 @@ def test_dk_translation_continuum():
     assert res.poses == (Pose(0.0, 0.0, 0.0),)
     line = res.continuum
     assert line is not None
-    assert line.point.norm() == 0.0
+    assert line.point == Vec2(0.0, 0.0)
     assert abs(line.direction.x - math.cos(0.4)) < 1e-15
     assert abs(line.direction.y - math.sin(0.4)) < 1e-15
     # sliding along the line keeps all residuals at zero
@@ -322,7 +322,7 @@ def test_dk_coincident_roots_flagged():
     assert res.kind is DkKind.TWO_SOLUTIONS
     assert res.coincident
     assert abs(res.poses[1].phi) < 1e-12
-    assert res.poses[1].position.norm() < 1e-12
+    assert math.hypot(res.poses[1].x, res.poses[1].y) < 1e-12
 
 
 def test_direct_kinematics_returns_every_kind():

@@ -1,4 +1,5 @@
-"""Trend lines for the CI job summary, printed as Markdown: the src/ line counts, best-of-5
+"""Trend lines for the CI job summary, printed as Markdown: the src/ line counts, the counts of
+public names and of public class members (``test_package.public_members``), best-of-5
 ``timeit`` times of the scalar entry points, the oracle scan, the sweep pages, the CSV writer,
 verify, the cross-check's dk line and the parse of its verify line, the Python calls of a
 pose-stream op and of a verify run, and the peak RSS and module counts of fresh interpreters.
@@ -28,6 +29,7 @@ if __name__ == "__main__":  # run as a script: the package of this checkout
 import rpr3
 from rpr3 import Pose, classify_singularity, direct_kinematics, inverse_kinematics
 from rpr3.cli import main as cli_main
+from test_package import public_members
 
 
 def count_calls(run) -> Counter:
@@ -177,6 +179,7 @@ def main(measure=best_of_5):
     print("src/ lines:\n```", *(f"{n:6d} {path.relative_to(SRC.parent)}" for path, n in lines.items()),
           sep="\n")
     print(f"{sum(lines.values()):6d} total\n```\nPublic names in rpr3.__all__: {len(rpr3.__all__)}")
+    print(f"Public class members of the layers: {len(public_members())}")
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
