@@ -110,12 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "trace", help="trace the third-anchor coupler curve for two fixed angles"
     )
-    p_trace.add_argument(
-        "--t1", type=_finite_float, required=True, help="first leg angle"
-    )
-    p_trace.add_argument(
-        "--t2", type=_finite_float, required=True, help="second leg angle"
-    )
+    _add_theta_flags(p_trace, required=True, legs=2)
     p_trace.add_argument(
         "--samples",
         type=_int_in(MIN_CURVE_SAMPLES, MAX_GRID_POINTS),
@@ -231,8 +226,8 @@ def _add_pose_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_theta_flags(parser: argparse.ArgumentParser, required: bool) -> None:
-    for flag, what in (("t1", "first"), ("t2", "second"), ("t3", "third")):
+def _add_theta_flags(parser: argparse.ArgumentParser, required: bool, legs: int = 3) -> None:
+    for flag, what in (("t1", "first"), ("t2", "second"), ("t3", "third"))[:legs]:
         parser.add_argument(
             f"--{flag}",
             type=_finite_float,

@@ -91,8 +91,7 @@ def normalize_angle(angle: float) -> float:
 def normalize_angles(angles: np.ndarray) -> np.ndarray:
     """Elementwise :func:`normalize_angle` of an array."""
     a = np.asarray(angles, dtype=float)
-    if not np.isfinite(a).all():
-        raise ValueError("angles must be finite")
+    _check_rows(normalize_angle, ~np.isfinite(a), a)
     folded = np.fmod(a, TAU)
     folded = np.where(folded > math.pi, folded - TAU, folded)
     return np.where(folded <= -math.pi, folded + TAU, folded)
@@ -126,21 +125,12 @@ def _libm(fn, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return np.fromiter(values, dtype=float, count=len(flat)).reshape(a.shape)
 
 
-def _first_nonfinite(check, *columns: np.ndarray) -> None:
-    """``check`` (a float guard against non-finite arguments) of the first row
-    holding one, in C order over the columns' broadcast shape; array callers
-    compute under ``np.errstate(over="ignore")``."""
-    finite = np.isfinite(columns[0])
-    for column in columns[1:]:
-        finite = finite & np.isfinite(column)
-    bad = np.flatnonzero(~finite)
-    if bad.size:
-        check(*_row_of(bad[0], finite.shape, columns))
-
-
-def _row_of(k: int, shape, columns) -> list[float]:
-    """Row ``k`` in C order over ``shape`` of columns that broadcast to it."""
-    return [np.broadcast_to(c, shape).flat[k].item() for c in columns]
+def _check_rows(check, flagged: np.ndarray, *columns) -> None:
+    """``check``, an array kernel's scalar twin's rule on floats, of each
+    ``flagged`` row in C order over columns that broadcast to its shape: the
+    kernel raises what its twin raises at the first failing row."""
+    for k in np.flatnonzero(flagged).tolist():
+        check(*(np.broadcast_to(c, flagged.shape).flat[k].item() for c in columns))
 
 
 def _finite(px: float, py: float) -> None:
@@ -251,8 +241,8 @@ class JointAngles:
 
 def _as_angles(theta: "JointAngles | Sequence[float]") -> tuple[float, float, float]:
     """The three joint angles as floats; ``ValueError`` unless there are
-    three and each is finite.  Array callers run it on their first
-    non-finite row (see :func:`_first_nonfinite`)."""
+    three and each is finite.  Array callers run it on their flagged rows
+    (see :func:`_check_rows`)."""
     if isinstance(theta, JointAngles):
         return theta.as_tuple()
     t = tuple(map(float, theta))
@@ -340,11 +330,9 @@ def _place_anchors(x, y, c, s, anchors):
 
 def _leg_columns(x, y, phi, geometry: ManipulatorGeometry):
     """``(x, y, legs)``: :func:`_place_anchors` of (N,) pose arrays at libm's
-    cos and sin of the normalized ``phi``, checked like :class:`Pose` (finite
-    positions)."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("positions must be finite")
+    cos and sin of the normalized ``phi``, each row checked by :class:`Pose`."""
+    x, y, phi = (np.asarray(c, dtype=float) for c in (x, y, phi))
+    _check_rows(Pose, ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(phi)), x, y, phi)
     phi = normalize_angles(phi)
     return x, y, _place_anchors(x, y, _COLUMNS.cos(phi), _COLUMNS.sin(phi), geometry._anchor_pairs)
 

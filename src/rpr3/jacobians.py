@@ -36,11 +36,10 @@ from .geometry import (
     Pose,
     Vec2,
     _as_angles,
-    _first_nonfinite,
+    _check_rows,
     _leg_axis,
     _leg_columns,
     _place_anchors,
-    _row_of,
 )
 
 __all__ = [
@@ -104,18 +103,6 @@ def _is_serial(rho, scale: float):
 
 def _zero_legs(rhos, scale: float) -> tuple[int, ...]:
     return tuple(leg for leg, rho in enumerate(rhos, start=1) if _is_serial(rho, scale))
-
-
-def _check_rows(x, y, scale: float, det_b, *residuals) -> None:
-    """Array form of :func:`_check_configuration` on columns that broadcast
-    together, run in C order on each row past the gate's floor or with det B
-    overflowed."""
-    flagged = ~np.isfinite(det_b)
-    for residual in residuals:
-        flagged = flagged | (np.abs(residual) > CONSISTENCY_TOL * scale)
-    for k in np.flatnonzero(flagged).tolist():
-        row_x, row_y, row_det_b, *row = _row_of(k, flagged.shape, (x, y, det_b, *residuals))
-        _check_configuration(row_x, row_y, scale, row_det_b, *row)
 
 
 def _velocity_terms(f, x, y, theta, legs):
@@ -308,12 +295,17 @@ def build_matrices_array(
 ) -> KinematicMatricesArray:
     """:func:`build_matrices` over (N,) pose arrays and (N, 3) joint angles.
 
-    Raises the error of :func:`_check_configuration` for the first
-    configuration that fails it.
+    Raises what :func:`build_matrices` raises at the first configuration
+    that fails, checking the poses, then the angles, then the
+    configurations.
     """
     x, y, legs = _leg_columns(x, y, phi, geometry)
-    t = np.asarray(theta, dtype=float).T
-    _first_nonfinite(lambda *row: _as_angles(row), *t)
+    theta = np.asarray(theta, dtype=float)
+    t = theta.T
+    # A row count other than 3 fails every row, as it fails every scalar call.
+    flagged = ~np.isfinite(t).all(axis=0) if len(t) == 3 else np.ones(len(theta), bool)
+    _check_rows(lambda *row: _as_angles(row), flagged, *t)
+    t = theta.reshape(len(theta), 3).T
     rows, rhos, det_a, det_b = _matrix_columns(x, y, t, legs, geometry.scale)
     return KinematicMatricesArray(
         a_matrix=np.array(rows).transpose(2, 0, 1),
@@ -327,10 +319,14 @@ def build_matrices_array(
 def _matrix_columns(x, y, t, legs, scale: float):
     """(rows of A, rhos, det A, det B): the body of :func:`build_matrices_array`
     on positions, angles ``t`` (one column per leg) and leg offsets whose
-    columns broadcast together, checked by :func:`_check_rows`."""
+    columns broadcast together, each row past the gate's floor or with det B
+    overflowed checked by :func:`_check_configuration`."""
     with np.errstate(over="ignore"):
         rows, residuals, rhos, det_b = _velocity_terms(_COLUMNS, x, y, t, legs)
-        _check_rows(x, y, scale, det_b, *residuals)
+        flagged = ~np.isfinite(det_b)
+        for residual in residuals:
+            flagged = flagged | (np.abs(residual) > CONSISTENCY_TOL * scale)
+        _check_rows(_check_configuration, flagged, x, y, scale, det_b, *residuals)
     return rows, rhos, _det_a(rows), det_b
 
 

@@ -7,12 +7,12 @@ affine in it), and watch the sign of the left-out leg, a sinusoid scanned
 as one column.  Sign changes are polished on the deflated system, which has
 no trivial root to land on, by Newton's method, which from a bracket
 midpoint typically needs one or two iterations per pose.  None of the closed-form
-root machinery is used; this module imports only the shared geometry
-primitives, so agreement with the solvers is evidence, not tautology.
+root machinery is used: the module imports neither solvers nor coupler, so
+agreement with the solvers is evidence, not tautology.
 
-The Jacobian check compares the analytic velocity map against poses
-re-solved after one complex step per leg.  One Newton serves the polish and
-the re-solves, on Python floats or complex numbers.
+The Jacobian check compares the analytic velocity map, jacobians' matrices,
+against poses re-solved after one complex step per leg.  One Newton serves
+the polish and the re-solves, on Python floats or complex numbers.
 Its step is straight-line arithmetic, one expression per leg, and its 3x3
 solve is Cramer's rule with the triple products written inline, as J =
 A^-1 B's columns are.  The module calls no LAPACK: on 3x3 systems this is

@@ -39,8 +39,8 @@ from .geometry import (
     Vec2,
     _as_angles,
     _best_pair,
+    _check_rows,
     _finite_rho,
-    _first_nonfinite,
     _leg_axis,
     _leg_columns,
     _place_anchors,
@@ -168,7 +168,8 @@ def _aim_columns(legs, scale: float):
     on leg offsets whose columns broadcast together, each angle column
     normalized but not masked, each length checked as by :class:`LegState`."""
     theta, rho, (stuck1, stuck2, stuck3) = _aim_legs(_COLUMNS, legs, (0, 0, 0), scale)
-    _first_nonfinite(lambda *row: _finite_rho(max(row)), *rho)
+    flagged = ~(np.isfinite(rho[0]) & np.isfinite(rho[1]) & np.isfinite(rho[2]))
+    _check_rows(lambda *row: list(map(_finite_rho, row)), flagged, *rho)
     return [normalize_angles(t) for t in theta], stuck1 | stuck2 | stuck3
 
 

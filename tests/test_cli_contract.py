@@ -304,7 +304,7 @@ def test_a_degree_trace_rechecks_under_curves_and_dkp(cwd, capsys):
     assert code == 4
 
 
-def test_the_phi_zero_row_of_a_trace_is_a3(cwd, capsys):
+def test_the_trace_row_at_phi_zero_is_a3(cwd, capsys):
     # B3 is a3 plus an offset that vanishes at phi = 0.
     run_json(capsys, "trace", "--t1", "0.2", "--t2", "0.9", "--csv", "a3.csv")
     rows = [row.split(",") for row in (cwd / "a3.csv").read_text().splitlines()[1:]]

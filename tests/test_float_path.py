@@ -71,7 +71,7 @@ def test_float_path_makes_no_kernel_call(monkeypatch):
     for name in vars(geometry._COLUMNS):
         monkeypatch.setattr(geometry._COLUMNS, name, boom)
     for module in (geometry, solvers, jacobians, coupler):
-        for name in ("_libm", "_first_nonfinite", "_check_rows"):
+        for name in ("_libm", "_check_rows"):
             monkeypatch.setattr(module, name, boom, raising=False)
     monkeypatch.setattr(np, "errstate", boom)
     got = {name: _outcome(call) for name, call in _calls()}

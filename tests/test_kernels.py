@@ -8,6 +8,7 @@ significant digits, and its artifacts must not depend on which path ran.
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from rpr3.geometry import (
     _FLOATS,
     ManipulatorGeometry,
     Pose,
-    _first_nonfinite,
+    _check_rows,
     _leg_axis,
     _leg_columns,
     _libm,
@@ -34,7 +35,7 @@ from rpr3.jacobians import (
     PARALLEL_DET_TOL,
     SERIAL_RHO_TOL,
     SingularityKind,
-    _check_rows,
+    _check_configuration,
     _velocity_terms,
     build_matrices,
     build_matrices_array,
@@ -240,9 +241,9 @@ def test_anchor_kernel_matches_platform_anchor(geom):
             want = platform_anchor(Pose(px, py, pphi), leg, geometry=geom)
             _assert_bit_equal([bx[k], by[k]], [want.x, want.y])
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="positions must be finite"):
+        with pytest.raises(ValueError, match=re.escape(f"position must be finite, got ({bad!r}, 0.0)")):
             _leg_columns(np.array([0.0, bad]), np.zeros(2), np.zeros(2), geom)
-        with pytest.raises(ValueError, match="positions must be finite"):
+        with pytest.raises(ValueError, match=re.escape(f"position must be finite, got (0.0, {bad!r})")):
             _leg_columns(np.zeros(2), np.array([bad, 0.0]), np.zeros(2), geom)
 
 
@@ -339,7 +340,7 @@ def test_libm_refuses_shapes_that_do_not_broadcast(shapes):
         _libm(math.atan2, *(np.ones(shape) for shape in shapes))
 
 
-def test_first_nonfinite_names_the_first_bad_row_in_c_order():
+def test_check_rows_runs_its_rule_on_each_flagged_row_in_c_order():
     seen = []
     a = np.arange(3.0).reshape(3, 1, 1)
     b = np.zeros((1, 4, 2))
@@ -347,19 +348,29 @@ def test_first_nonfinite_names_the_first_bad_row_in_c_order():
     c = np.zeros((3, 4, 2))
     c[2, 0, 1] = math.nan
     c[1, 3, 1] = -math.inf  # after b's (1, 3, 0) in C order
-    _first_nonfinite(lambda *row: seen.append(row), a, b, c)
-    assert seen == [(0.0, math.inf, 0.0)]
+    flagged = ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c))
+    _check_rows(lambda *row: seen.append(row), flagged, a, b, c, 0.5)  # a float is a column too
+    assert str(seen) == str([
+        (0.0, math.inf, 0.0, 0.5), (1.0, math.inf, 0.0, 0.5), (1.0, 0.0, -math.inf, 0.5),
+        (2.0, 0.0, math.nan, 0.5), (2.0, math.inf, 0.0, 0.5),
+    ])
+    assert all(type(value) is float for row in seen for value in row)
     seen.clear()
-    _first_nonfinite(lambda *row: seen.append(row), a, c)
-    assert seen == [(1.0, -math.inf)]
-    seen.clear()
-    _first_nonfinite(lambda *row: seen.append(row), a, np.zeros((1, 4, 2)))
+    _check_rows(lambda *row: seen.append(row), np.zeros((3, 4, 2), bool), a, b, c)
     assert seen == []
+
+    def refuse(*row):
+        raise ValueError(row)
+
+    with pytest.raises(ValueError) as exc:
+        _check_rows(refuse, flagged, a, b, c)
+    assert exc.value.args[0] == (0.0, math.inf, 0.0)
 
 
 def test_check_rows_raises_for_the_first_flagged_row_in_c_order():
-    # Columns along their own axes, as on a sparse grid: x along the first,
-    # y along the second, and one residual per leg varying on both or one.
+    # The configuration rule on columns along their own axes, as on a sparse
+    # grid: x along the first, y along the second, one residual per leg
+    # varying on both or one.  A row the rule passes is checked and passed.
     x = np.array([0.1, 0.2, 0.3]).reshape(3, 1)
     y = np.array([0.5, 0.6]).reshape(1, 2)
     det_b = np.ones((3, 2))
@@ -368,19 +379,125 @@ def test_check_rows_raises_for_the_first_flagged_row_in_c_order():
     r3 = np.zeros((3, 1))
     r1[2, 0] = 1e-3
     r3[1, 0] = -2e-3  # rows (1, 0) and (1, 1): first in C order
+    every = np.ones((3, 2), bool)
     with pytest.raises(InconsistentStateError) as exc:
-        _check_rows(x, y, 1.0, det_b, r1, r2, r3)
+        _check_rows(_check_configuration, every, x, y, 1.0, det_b, r1, r2, r3)
     assert exc.value.residuals == (0.0, 0.0, -2e-3)
-    r3[1, 0] = 0.0
+    # Rows left unflagged are not checked.
     with pytest.raises(InconsistentStateError) as exc:
-        _check_rows(x, y, 1.0, det_b, r1, r2, r3)
+        _check_rows(_check_configuration, every & (x != 0.2), x, y, 1.0, det_b, r1, r2, r3)
     assert exc.value.residuals == (1e-3, 0.0, 0.0)
+    r3[1, 0] = 0.0
     det_b[0, 1] = math.inf
     with pytest.raises(GeometryError, match=r"det B overflows at x=0\.1, y=0\.6"):
-        _check_rows(x, y, 1.0, det_b, r1, r2, r3)
+        _check_rows(_check_configuration, every, x, y, 1.0, det_b, r1, r2, r3)
     r1[2, 0] = 0.0
     det_b[0, 1] = 1.0
-    _check_rows(x, y, 1.0, det_b, r1, r2, r3)
+    _check_rows(_check_configuration, every, x, y, 1.0, det_b, r1, r2, r3)
+
+
+# Each array kernel, and its scalar twin run on one row of the same columns:
+# x, y and phi (N,) and theta (N, 3).
+_TWINS = {
+    "normalize_angles": (
+        lambda x, y, phi, theta: normalize_angles(phi),
+        lambda x, y, phi, t: normalize_angle(phi),
+    ),
+    "inverse_kinematics_array": (
+        lambda x, y, phi, theta: inverse_kinematics_array(x, y, phi),
+        lambda x, y, phi, t: inverse_kinematics(Pose(x, y, phi)),
+    ),
+    "build_matrices_array": (
+        lambda x, y, phi, theta: build_matrices_array(x, y, phi, theta),
+        lambda x, y, phi, t: build_matrices(Pose(x, y, phi), t),
+    ),
+}
+# The faults that each kernel's twin reads.
+_READS = {
+    "normalize_angles": {"phi"},
+    "inverse_kinematics_array": {"x", "y", "phi"},
+    "build_matrices_array": {"x", "y", "phi", "t1", "t2", "t3", "far", "overflow"},
+}
+
+
+def _ik_row(x, y, phi, bend=0.0):
+    """A pose and its branch-000 angles, the second one turned by ``bend``."""
+    t1, t2, t3 = inverse_kinematics(Pose(x, y, phi)).angles.as_tuple()
+    return (x, y, phi, t1, t2 + bend, t3)
+
+
+# Six rows the twins all pass.  Row 2 is far, and its bend puts its residual
+# past the gate's floor but under the far gate, so the check runs and passes.
+_ROWS = [
+    _ik_row(0.4, 0.3, 0.2), _ik_row(-0.7, 1.1, -2.5), _ik_row(1e10, 2e10, -1.0, bend=1e-14),
+    _ik_row(0.9, -0.2, 3.0), _ik_row(0.0, 0.5, -math.pi), _ik_row(-1.3, -0.4, 1.2),
+]
+# Faults: a non-finite value in a column, a far row whose bend passes the far
+# gate, and a row whose det B overflows.
+_FAULT_ROWS = {
+    "far": _ik_row(1e10, -4e9, 0.3, bend=1e-9),
+    "overflow": _ik_row(1e150, 3e100, 1.0),
+}
+_COLUMN_OF = {"x": 0, "y": 1, "phi": 2, "t1": 3, "t2": 4, "t3": 5}
+_CASES = {
+    **{
+        f"{fault}@{row}": [(fault, row, value)]
+        for fault in _COLUMN_OF
+        for row, value in ((0, math.nan), (3, math.inf), (5, -math.inf))
+    },
+    **{f"{fault}@{row}": [(fault, row, None)] for fault in _FAULT_ROWS for row in (0, 4)},
+    "phi@4,x@2": [("phi", 4, math.nan), ("x", 2, math.inf)],
+    "y@1,phi@1": [("y", 1, math.nan), ("phi", 1, math.inf)],
+    "phi@1,y@3": [("phi", 1, math.nan), ("y", 3, math.inf)],
+    "t3@1,t1@4": [("t3", 1, math.nan), ("t1", 4, -math.inf)],
+    "far@1,overflow@3": [("far", 1, None), ("overflow", 3, None)],
+    "overflow@1,far@3": [("overflow", 1, None), ("far", 3, None)],
+}
+
+
+def _outcome(call):
+    """The type, message and attributes of the error ``call`` raises, or None."""
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - any error is compared
+        return (type(exc), str(exc), vars(exc))
+    return None
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+@pytest.mark.parametrize("kernel", sorted(_TWINS))
+def test_array_kernels_fail_as_their_scalar_twin_at_the_first_failing_row(kernel, case):
+    rows = [list(row) for row in _ROWS]
+    for fault, k, value in _CASES[case]:
+        if fault in _FAULT_ROWS:
+            rows[k] = list(_FAULT_ROWS[fault])
+        else:
+            rows[k][_COLUMN_OF[fault]] = value
+    array, twin = _TWINS[kernel]
+    want = None
+    for x, y, phi, *t in rows:
+        want = _outcome(lambda: twin(x, y, phi, t))
+        if want:
+            break
+    assert (want is not None) == any(fault in _READS[kernel] for fault, _, _ in _CASES[case])
+    columns = np.array(rows)
+    got = _outcome(lambda: array(columns[:, 0], columns[:, 1], columns[:, 2], columns[:, 3:]))
+    assert got == want
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 4])
+def test_matrices_kernel_refuses_a_wrong_angle_count_as_the_scalar_call_does(count):
+    x, y, phi, *theta = _ROWS[0]
+    with pytest.raises(ValueError, match=rf"^expected 3 joint angles, got {count}$"):
+        build_matrices(Pose(x, y, phi), theta[:count] + [0.5] * (count - 3))
+    columns = np.array(_ROWS)
+    angles = np.concatenate([columns[:, 3:], np.full((len(_ROWS), 1), 0.5)], axis=1)[:, :count]
+    with pytest.raises(ValueError, match=rf"^expected 3 joint angles, got {count}$"):
+        build_matrices_array(columns[:, 0], columns[:, 1], columns[:, 2], angles)
+    # An empty batch raises nothing, as an empty loop of scalar calls does not.
+    empty = np.zeros(0)
+    mats = build_matrices_array(empty, empty, empty, np.zeros((0, count)))
+    assert mats.det_a.shape == (0,) and mats.a_matrix.shape == (0, 3, 3)
 
 
 # ------------------------------------- sweep pages on their sparse grids

@@ -203,6 +203,35 @@ def test_callers_name_the_form_and_place_anchors_through_one_body():
             assert not {"base_anchor", "anchors"} & attributes, module
 
 
+# The array kernels, each with the module that defines it.
+ARRAY_KERNELS = {
+    "normalize_angles": "geometry", "_leg_columns": "geometry", "_aim_columns": "solvers",
+    "inverse_kinematics_array": "solvers", "build_matrices_array": "jacobians",
+    "_matrix_columns": "jacobians",
+}
+
+
+def test_array_kernels_fail_only_through_their_scalar_twins_rules():
+    # One row check, geometry._check_rows, runs a scalar twin's rule on each
+    # flagged row; the kernels reach it and raise no message of their own.
+    # The names of the helpers it replaced are split, so a grep finds none.
+    gone = ("_first_" + "nonfinite", "_row" + "_of")
+    for path in [*(ROOT / "src").glob("**/*.py"), *(ROOT / "tests").glob("**/*.py")]:
+        text = path.read_text(encoding="utf-8")
+        assert not any(name in text for name in gone), path.name
+    defined = {}
+    for path in sorted((ROOT / "src" / "rpr3").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                defined.setdefault(node.name, []).append((path.stem, node))
+    assert [module for module, _ in defined["_check_rows"]] == ["geometry"]
+    for name, module in ARRAY_KERNELS.items():
+        [(where, node)] = defined[name]
+        assert where == module, name
+        assert [n.lineno for n in ast.walk(node) if isinstance(n, ast.Raise)] == [], name
+        assert _names_read(node) & ({"_check_rows"} | set(ARRAY_KERNELS) - {name}), name
+
+
 def test_one_call_counter_serves_the_tests_and_ci():
     # tests/trend.py holds the one profiler hook, which the budget tests and
     # the CI summary read; the package and the benchmark install none.
