@@ -91,7 +91,6 @@ class CouplerCurve:
     rho: np.ndarray
     degenerate: bool
     segment: tuple[Vec2, Vec2] | None
-    scale: float
 
 
 @dataclass(frozen=True)
@@ -257,7 +256,6 @@ def trace_cardanic(
         rho=np.column_stack((rho1, rho2)),
         degenerate=degenerate,
         segment=segment,
-        scale=geometry.scale,
     )
 
 

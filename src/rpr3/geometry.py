@@ -328,11 +328,12 @@ def _place_anchors(x, y, c, s, anchors):
     return legs
 
 
-def _leg_columns(x, y, phi, geometry: ManipulatorGeometry):
-    """``(x, y, legs)``: :func:`_place_anchors` of (N,) pose arrays at libm's
-    cos and sin of the normalized ``phi``, each row checked by :class:`Pose`."""
+def _leg_columns(x, y, phi, geometry: ManipulatorGeometry, flagged=False, rule=Pose, *columns):
+    """``(x, y, legs)``: :func:`_place_anchors` of (N,) pose arrays at libm's cos
+    and sin of the normalized ``phi``; ``rule`` checks each non-finite or ``flagged`` row."""
     x, y, phi = (np.asarray(c, dtype=float) for c in (x, y, phi))
-    _check_rows(Pose, ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(phi)), x, y, phi)
+    flagged = flagged | ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(phi))
+    _check_rows(rule, flagged, x, y, phi, *columns)
     phi = normalize_angles(phi)
     return x, y, _place_anchors(x, y, _COLUMNS.cos(phi), _COLUMNS.sin(phi), geometry._anchor_pairs)
 

@@ -128,15 +128,13 @@ def _det_a(rows):
 class KinematicMatrices:
     """Velocity model A t = B q at one configuration.
 
-    ``det_b`` is the product of the signed extensions; ``scale`` is carried
-    along so downstream tolerance checks stay scale-relative.
+    ``det_b`` is the product of the signed extensions.
     """
 
     a_matrix: np.ndarray
     b_matrix: np.ndarray
     det_a: float
     det_b: float
-    scale: float
 
 
 def build_matrices(
@@ -155,7 +153,7 @@ def build_matrices(
     A pose so far away that det B overflows raises :class:`GeometryError`.
     """
     rows, rhos, det_a, det_b, _ = _configuration(pose, _as_angles(theta), geometry)
-    return KinematicMatrices(np.array(rows), np.diag(rhos), det_a, det_b, geometry.scale)
+    return KinematicMatrices(np.array(rows), np.diag(rhos), det_a, det_b)
 
 
 def _configuration(pose: Pose, t: tuple[float, float, float], geometry: ManipulatorGeometry):
@@ -296,15 +294,14 @@ def build_matrices_array(
     """:func:`build_matrices` over (N,) pose arrays and (N, 3) joint angles.
 
     Raises what :func:`build_matrices` raises at the first configuration
-    that fails, checking the poses, then the angles, then the
+    that fails, checking each row's pose and angles, then the
     configurations.
     """
-    x, y, legs = _leg_columns(x, y, phi, geometry)
     theta = np.asarray(theta, dtype=float)
-    t = theta.T
+    t, rule = theta.T, lambda x, y, phi, *row: (Pose(x, y, phi), _as_angles(row))
     # A row count other than 3 fails every row, as it fails every scalar call.
     flagged = ~np.isfinite(t).all(axis=0) if len(t) == 3 else np.ones(len(theta), bool)
-    _check_rows(lambda *row: _as_angles(row), flagged, *t)
+    x, y, legs = _leg_columns(x, y, phi, geometry, flagged, rule, *t)
     t = theta.reshape(len(theta), 3).T
     rows, rhos, det_a, det_b = _matrix_columns(x, y, t, legs, geometry.scale)
     return KinematicMatricesArray(

@@ -69,15 +69,12 @@ _TRIVIAL = Pose(0.0, 0.0, 0.0)
 class ScanReport:
     """Outcome of one brute-force direct-kinematics scan.
 
-    ``grid`` is (orientation samples, position solves per sample); the
-    position subproblem is linear, so the second entry is always 1.  When
-    ``continuum`` is set, ``solutions_found`` holds a subsample of the
+    When ``continuum`` is set, ``solutions_found`` holds a subsample of the
     family rather than isolated roots.
     """
 
     solutions_found: tuple[Pose, ...]
     residual_max: float
-    grid: tuple[int, int]
     newton_iterations: int
     continuum: bool = False
 
@@ -182,7 +179,7 @@ def dkp_bruteforce(
     det = math.sin(t[j] - t[i])
     if abs(det) < PAIR_SIN_TOL:
         # Every pair of slider lines is parallel: translation self motion.
-        return ScanReport((_TRIVIAL,), 0.0, (_SCAN_SAMPLES, 1), 0, continuum=True)
+        return ScanReport((_TRIVIAL,), 0.0, 0, continuum=True)
 
     (alphas, cos_a, sin_a), rows = _scan_table(), _leg_rows(t, geometry)
     solve = partial(_deflated_solves, (rows[i], rows[j], rows[k]), det)
@@ -211,7 +208,7 @@ def dkp_bruteforce(
             if not math.isfinite(r):
                 raise GeometryError(f"residual must be finite, got {r!r}")
             residual = max(residual, abs(r))
-    return ScanReport(tuple(poses), residual, (_SCAN_SAMPLES, 1), iters, continuum=continuum)
+    return ScanReport(tuple(poses), residual, iters, continuum=continuum)
 
 
 def _bracket_candidates(leftover, alphas, cos_a, sin_a, step: float, solve) -> list[tuple]:

@@ -235,5 +235,5 @@ def scan_bruteforce(
             if not math.isfinite(r):
                 raise GeometryError(f"residual must be finite, got {r!r}")
             residual = max(residual, abs(r))
-    report = ScanReport(tuple(poses), residual, (_SCAN_SAMPLES, 1), iters, continuum=continuum)
+    report = ScanReport(tuple(poses), residual, iters, continuum=continuum)
     return candidates, report

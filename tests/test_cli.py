@@ -1250,7 +1250,7 @@ def test_verify_fails_when_scopes_do_fewer_trials_than_requested(capsys, monkeyp
 
 
 def _empty_scan(theta, geometry):
-    return ScanReport((), 0.0, (2048, 1), 0)
+    return ScanReport((), 0.0, 0)
 
 
 def _shifted_scan(theta, geometry):

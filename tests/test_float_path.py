@@ -56,7 +56,7 @@ def _outcome(call):
         return repr(exc)
     if isinstance(value, KinematicMatrices):
         return (value.a_matrix.tobytes(), value.b_matrix.tobytes(), repr(value.det_a),
-                repr(value.det_b), value.scale)
+                repr(value.det_b))
     return repr(value)
 
 

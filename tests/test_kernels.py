@@ -450,6 +450,12 @@ _CASES = {
     "y@1,phi@1": [("y", 1, math.nan), ("phi", 1, math.inf)],
     "phi@1,y@3": [("phi", 1, math.nan), ("y", 3, math.inf)],
     "t3@1,t1@4": [("t3", 1, math.nan), ("t1", 4, -math.inf)],
+    # A pose fault and an angle fault, each first: a row's pose and angles
+    # are checked together, before the next row.
+    "t1@0,x@1": [("t1", 0, math.nan), ("x", 1, math.nan)],
+    "x@0,t1@1": [("x", 0, math.nan), ("t1", 1, math.nan)],
+    "t3@2,phi@4": [("t3", 2, math.inf), ("phi", 4, math.nan)],
+    "phi@2,t3@4": [("phi", 2, math.inf), ("t3", 4, math.nan)],
     "far@1,overflow@3": [("far", 1, None), ("overflow", 3, None)],
     "overflow@1,far@3": [("overflow", 1, None), ("far", 3, None)],
 }

@@ -2,6 +2,7 @@
 own ``__all__``, and ``rpr3`` re-exports every one of them."""
 
 import ast
+import dataclasses
 import inspect
 import re
 from functools import cached_property
@@ -134,6 +135,16 @@ KEPT_MEMBERS = {
 }
 
 
+def _public_classes() -> list[tuple[str, type]]:
+    """(name, class) of each public class that a layer defines."""
+    return [
+        (name, cls)
+        for layer in LAYERS
+        for name in layer.__all__
+        if inspect.isclass(cls := getattr(layer, name)) and cls.__module__ == layer.__name__
+    ]
+
+
 def public_members() -> list[str]:
     """Each public method, property or cached property defined in a public
     class of the layers, as "Class.member".  Dunders stay outside: the AST
@@ -141,11 +152,19 @@ def public_members() -> list[str]:
     kinds = (property, cached_property, classmethod, staticmethod)
     return [
         f"{name}.{attr}"
-        for layer in LAYERS
-        for name in layer.__all__
-        if inspect.isclass(cls := getattr(layer, name)) and cls.__module__ == layer.__name__
+        for name, cls in _public_classes()
         for attr, member in vars(cls).items()
         if not attr.startswith("_") and (inspect.isfunction(member) or isinstance(member, kinds))
+    ]
+
+
+def public_fields() -> list[str]:
+    """Each field of a public dataclass of the layers, as "Class.field"."""
+    return [
+        f"{name}.{field.name}"
+        for name, cls in _public_classes()
+        if dataclasses.is_dataclass(cls)
+        for field in dataclasses.fields(cls)
     ]
 
 
@@ -174,6 +193,22 @@ def test_every_public_member_has_a_reader():
     reads = _attributes_read()
     unread = {member for member in public_members() if member.rpartition(".")[2] not in reads}
     assert unread == set(KEPT_MEMBERS)
+
+
+# The public record fields with no reader in src/rpr3 or bench/, each kept
+# for a reader outside them.
+KEPT_FIELDS = {
+    "ScanReport.residual_max": "the scan's accuracy, which the tests gate and a report is to carry",
+}
+
+
+def test_every_public_field_has_a_reader():
+    # A field is matched by its name alone, as a member is, so one that
+    # shares its name with a field read elsewhere passes.  A kept field that
+    # gains a reader leaves the list.
+    reads = _attributes_read()
+    unread = {field for field in public_fields() if field.rpartition(".")[2] not in reads}
+    assert unread == set(KEPT_FIELDS)
 
 
 def test_callers_name_the_form_and_place_anchors_through_one_body():
@@ -244,3 +279,17 @@ def test_one_call_counter_serves_the_tests_and_ci():
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     summary = [line.strip() for line in workflow.splitlines() if "GITHUB_STEP_SUMMARY" in line]
     assert summary == ['run: python tests/trend.py >> "$GITHUB_STEP_SUMMARY"']
+
+
+def test_the_benchmark_copies_the_package_tolerances_it_checks_with():
+    # bench/workloads.py keeps its own copies, so that the benchmark's checks
+    # stand apart from the package, as the oracle does; they must still
+    # hold the package's values.  The file is read, not imported.
+    values = {}
+    for node in ast.parse((ROOT / "bench" / "workloads.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("SCALE", "POSE_TOL", "NULL_REDUCTION"):
+                values[name] = eval(ast.unparse(node.value), {"max": max}, values)
+    assert values["POSE_TOL"] == geometry.POSE_TOL * max(values["SCALE"], 1.0)
+    assert values["NULL_REDUCTION"] == solvers.REDUCTION_NULL_TOL

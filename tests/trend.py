@@ -1,8 +1,9 @@
 """Trend lines for the CI job summary, printed as Markdown: the src/ line counts, the counts of
-public names and of public class members (``test_package.public_members``), best-of-5
-``timeit`` times of the scalar entry points, the oracle scan, the sweep pages, the CSV writer,
-verify, the cross-check's dk line and the parse of its verify line, the Python calls of a
-pose-stream op and of a verify run, and the peak RSS and module counts of fresh interpreters.
+public names, of public class members and of public record fields (``test_package``'s
+``public_members`` and ``public_fields``), best-of-5 ``timeit`` times of the scalar entry
+points, the oracle scan, the sweep pages, the CSV writer, verify, the cross-check's dk line and
+the parse of its verify line, the Python calls of a pose-stream op and of a verify run, and the
+peak RSS and module counts of fresh interpreters.
 They are trend lines across runs, not gates.
 
 ``python tests/trend.py`` takes no arguments and writes its files in a temporary directory.  A
@@ -29,7 +30,7 @@ if __name__ == "__main__":  # run as a script: the package of this checkout
 import rpr3
 from rpr3 import Pose, classify_singularity, direct_kinematics, inverse_kinematics
 from rpr3.cli import main as cli_main
-from test_package import public_members
+from test_package import public_fields, public_members
 
 
 def count_calls(run) -> Counter:
@@ -180,6 +181,7 @@ def main(measure=best_of_5):
           sep="\n")
     print(f"{sum(lines.values()):6d} total\n```\nPublic names in rpr3.__all__: {len(rpr3.__all__)}")
     print(f"Public class members of the layers: {len(public_members())}")
+    print(f"Public record fields of the layers: {len(public_fields())}")
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
