@@ -345,12 +345,8 @@ def _singularity_payload(pose: Pose, theta, geom: ManipulatorGeometry) -> dict:
 
 def _cmd_ik(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
     pose = Pose(args.x, args.y, args.phi)
-    if args.branch == "all":
-        branches = [(i >> 2 & 1, i >> 1 & 1, i & 1) for i in range(8)]
-    else:
-        branches = [_parse_branch(args.branch)]
     solutions = []
-    for branch in branches:
+    for branch in _parse_branches(args.branch, accept_all=True):
         sol = inverse_kinematics(pose, branch=branch, geometry=geom)
         legs = []
         for leg, signed in zip(sol.legs, sol.signed_rhos()):
@@ -365,12 +361,15 @@ def _cmd_ik(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
     return EXIT_OK, {"pose": _pose_payload(pose, args.deg), "solutions": solutions}
 
 
-def _parse_branch(text: str):
+def _parse_branches(text: str, accept_all: bool = False) -> list[tuple[int, ...]]:
+    """The branches ``--branch`` selects: three binary digits, or 'all' where
+    the command ``accept_all``; the usage error names only what it accepts."""
+    if accept_all and text == "all":
+        return [(i >> 2 & 1, i >> 1 & 1, i & 1) for i in range(8)]
     if len(text) != 3 or any(c not in "01" for c in text):
-        raise _UsageError(
-            f"--branch must be three binary digits or 'all', got {text!r}"
-        )
-    return tuple(int(c) for c in text)
+        also = " or 'all'" if accept_all else ""
+        raise _UsageError(f"--branch must be three binary digits{also}, got {text!r}")
+    return [tuple(int(c) for c in text)]
 
 
 def _cmd_dk(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
@@ -434,7 +433,8 @@ def _cmd_singularity(args, geom: ManipulatorGeometry) -> tuple[int, dict]:
             raise _UsageError("provide all of --t1 --t2 --t3 or none")
         theta = tuple(given)
     else:
-        sol = inverse_kinematics(pose, branch=_parse_branch(args.branch), geometry=geom)
+        (branch,) = _parse_branches(args.branch)
+        sol = inverse_kinematics(pose, branch=branch, geometry=geom)
         theta = sol.angles
     mats = build_matrices(pose, theta, geometry=geom)
     payload = {

@@ -51,6 +51,7 @@ from .solvers import (
     _REULEAUX_GAP,
     DkKind,
     DkSolutionSet,
+    LineDescriptor,
     _continuum,
     _leg1_line,
     _solution_set,
@@ -94,11 +95,9 @@ class CouplerCurve:
 
 
 @dataclass(frozen=True)
-class SegmentDescriptor:
-    """A straight stroke: midpoint, unit direction, and half extent."""
+class SegmentDescriptor(LineDescriptor):
+    """A straight stroke: its line through the midpoint, and half extent."""
 
-    point: Vec2
-    direction: Vec2
     half_length: float
 
     @property

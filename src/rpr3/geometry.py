@@ -40,6 +40,7 @@ __all__ = [
     "platform_anchor",
     "POSE_TOL",
     "PAIR_SIN_TOL",
+    "SERIAL_RHO_TOL",
     "pose_distance",
     "cluster_poses",
     "constraint_residuals",
@@ -57,6 +58,11 @@ POSE_TOL = 1e-7
 # their constraints for the position is rank deficient, and their leg
 # normals meet at infinity.
 PAIR_SIN_TOL = 1e-9
+
+# A leg shorter than this times the scale is at zero extension: its platform
+# anchor sits on its base anchor, inverse kinematics is undefined for it,
+# and the configuration is serial singular (det B = 0).
+SERIAL_RHO_TOL = 1e-9
 
 # Scales a geometry may have: beyond them a product of three lengths (det B)
 # leaves the normal floats below and overflows above.

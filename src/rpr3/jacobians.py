@@ -31,6 +31,7 @@ from .geometry import (
     _FLOATS,
     DEFAULT_GEOMETRY,
     PAIR_SIN_TOL,
+    SERIAL_RHO_TOL,
     JointAngles,
     ManipulatorGeometry,
     Pose,
@@ -46,7 +47,6 @@ __all__ = [
     "CONSISTENCY_TOL",
     "FAR_POSE_TOL",
     "PARALLEL_DET_TOL",
-    "SERIAL_RHO_TOL",
     "CONCURRENCY_TOL",
     "KinematicMatrices",
     "SingularityKind",
@@ -70,9 +70,6 @@ FAR_POSE_TOL = 1e-12
 # is leg 1; a norm of A is not (its moment arms are about leg 1's anchor).
 PARALLEL_DET_TOL = 1e-9
 
-# |rho_i| below this times the geometry scale counts as a serial singularity.
-SERIAL_RHO_TOL = 1e-9
-
 # Maximum spread of the pairwise normal-line intersections (relative to the
 # geometry scale) for them to count as a single common point.
 CONCURRENCY_TOL = 1e-6
@@ -93,35 +90,32 @@ def _check_configuration(x: float, y: float, scale: float, det_b: float, *residu
 
 
 def _is_parallel(det_a, scale: float, tol: float = PARALLEL_DET_TOL):
-    """|det A| < tol * scale on floats or columns, as :func:`_is_serial` reads rho."""
+    """|det A| < tol * scale on floats or columns, as :func:`_kind_index` reads rho."""
     return abs(det_a) < tol * scale
 
 
-def _is_serial(rho, scale: float):
-    return abs(rho) < SERIAL_RHO_TOL * scale
-
-
-def _zero_legs(rhos, scale: float) -> tuple[int, ...]:
-    return tuple(leg for leg, rho in enumerate(rhos, start=1) if _is_serial(rho, scale))
+def _kind_index(det_a, rhos, scale: float):
+    """Index into ``_SINGULARITY_KINDS`` of each configuration, from det A
+    and the three legs' rhos, floats or columns that broadcast together."""
+    tol, (rho1, rho2, rho3) = SERIAL_RHO_TOL * scale, rhos
+    serial = (abs(rho1) < tol) | (abs(rho2) < tol) | (abs(rho3) < tol)
+    return _is_parallel(det_a, scale) + 2 * serial
 
 
 def _velocity_terms(f, x, y, theta, legs):
-    """Rows of A, leg residuals, signed extensions (the diagonal of B) and
-    det B from the leg offsets at pose position (x, y), in form ``f`` of
-    theta; the moment arm in row i is v_i . (b_i - p)."""
+    """Rows of A, leg residuals, signed extensions (the diagonal of B), det A
+    and det B from the leg offsets at pose position (x, y), in form ``f`` of
+    theta; the moment arm in row i is v_i . (b_i - p), and w1 = 0 leaves
+    det A two terms."""
     rows, residuals, rhos = [], [], []
     for t, (bx, by, dx, dy) in zip(theta, legs):
         sin_t, cos_t, residual, rho = _leg_axis(f, t, dx, dy)
         rows.append((-sin_t, cos_t, cos_t * (bx - x) + sin_t * (by - y)))
         residuals.append(residual)
         rhos.append(rho)
-    return rows, residuals, rhos, rhos[0] * rhos[1] * rhos[2]
-
-
-def _det_a(rows):
-    """det A from the rows (u, v, w) of A, floats or columns, with w1 = 0."""
     (u1, v1, _), (u2, v2, w2), (u3, v3, w3) = rows
-    return w3 * (u1 * v2 - v1 * u2) - w2 * (u1 * v3 - v1 * u3)
+    det_a = w3 * (u1 * v2 - v1 * u2) - w2 * (u1 * v3 - v1 * u3)
+    return rows, residuals, rhos, det_a, rhos[0] * rhos[1] * rhos[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,8 +142,9 @@ def build_matrices(
     constraint residuals fail :func:`_check_configuration` the velocity model
     would be meaningless and :class:`InconsistentStateError` is raised.
     The residuals equal :func:`constraint_residuals`, bit for bit, and the
-    diagonal of B holds the signed extensions v_i . (b_i - a_i).  ``det_a`` (:func:`_det_a`)
-    is within 4 * 2**-53 times its terms' size of the exact det ``a_matrix``.
+    diagonal of B holds the signed extensions v_i . (b_i - a_i).  ``det_a``,
+    :func:`_velocity_terms`' two-term expansion, is within 4 * 2**-53 times
+    its terms' size of the exact det ``a_matrix``.
     A pose so far away that det B overflows raises :class:`GeometryError`.
     """
     rows, rhos, det_a, det_b, _ = _configuration(pose, _as_angles(theta), geometry)
@@ -161,9 +156,9 @@ def _configuration(pose: Pose, t: tuple[float, float, float], geometry: Manipula
     the body of :func:`build_matrices` and :func:`classify_singularity`."""
     x, y, phi = pose.x, pose.y, pose.phi
     legs = _place_anchors(x, y, math.cos(phi), math.sin(phi), geometry._anchor_pairs)
-    rows, residuals, rhos, det_b = _velocity_terms(_FLOATS, x, y, t, legs)
+    rows, residuals, rhos, det_a, det_b = _velocity_terms(_FLOATS, x, y, t, legs)
     _check_configuration(x, y, geometry.scale, det_b, *residuals)
-    return rows, rhos, float(_det_a(rows)), det_b, legs
+    return rows, rhos, det_a, det_b, legs
 
 
 @unique
@@ -221,12 +216,16 @@ def classify_singularity(
     """
     rows, rhos, det_a, det_b, legs = _configuration(pose, _as_angles(theta), geometry)
     scale = geometry.scale
-    parallel = _is_parallel(det_a, scale)
-    serial = _is_serial(min(map(abs, rhos)), scale)
-    zero_legs = _zero_legs(rhos, scale) if serial else ()
-    kind = _SINGULARITY_KINDS[parallel + 2 * serial]
-    point, at_infinity = _normal_intersection(rows, legs, scale) if parallel else (None, False)
-    return SingularityReport(kind, det_a, det_b, zero_legs, point, at_infinity)
+    index = _kind_index(det_a, rhos, scale)
+    zero_legs = _zero_legs(rhos, scale) if index > 1 else ()
+    point, at_infinity = _normal_intersection(rows, legs, scale) if index & 1 else (None, False)
+    return SingularityReport(_SINGULARITY_KINDS[index], det_a, det_b, zero_legs, point, at_infinity)
+
+
+def _zero_legs(rhos, scale: float) -> tuple[int, ...]:
+    """The legs of a serial configuration that :func:`_kind_index` reads as serial."""
+    tol = SERIAL_RHO_TOL * scale
+    return tuple(leg for leg, rho in enumerate(rhos, start=1) if abs(rho) < tol)
 
 
 def _normal_intersection(rows, legs, scale: float) -> tuple[Vec2 | None, bool]:
@@ -275,13 +274,6 @@ class KinematicMatricesArray:
     rhos: np.ndarray
     det_a: np.ndarray
     det_b: np.ndarray
-    scale: float
-
-    def singularity_kinds(self) -> np.ndarray:
-        """(N,) object array of the :class:`SingularityKind` that
-        :func:`classify_singularity` reports for each configuration."""
-        index = _kind_index(self.det_a, self.rhos.T, self.scale)
-        return np.array(_SINGULARITY_KINDS, dtype=object)[index]
 
 
 def build_matrices_array(
@@ -309,7 +301,6 @@ def build_matrices_array(
         rhos=np.stack(rhos, axis=1),
         det_a=det_a,
         det_b=det_b,
-        scale=geometry.scale,
     )
 
 
@@ -319,18 +310,10 @@ def _matrix_columns(x, y, t, legs, scale: float):
     columns broadcast together, each row past the gate's floor or with det B
     overflowed checked by :func:`_check_configuration`."""
     with np.errstate(over="ignore"):
-        rows, residuals, rhos, det_b = _velocity_terms(_COLUMNS, x, y, t, legs)
+        rows, residuals, rhos, det_a, det_b = _velocity_terms(_COLUMNS, x, y, t, legs)
         flagged = ~np.isfinite(det_b)
         for residual in residuals:
             flagged = flagged | (np.abs(residual) > CONSISTENCY_TOL * scale)
         _check_rows(_check_configuration, flagged, x, y, scale, det_b, *residuals)
-    return rows, rhos, _det_a(rows), det_b
-
-
-def _kind_index(det_a, rhos, scale: float):
-    """Index into ``_SINGULARITY_KINDS`` of each configuration, from columns
-    of det A and of each leg's rho that broadcast together."""
-    rho1, rho2, rho3 = rhos
-    serial = _is_serial(rho1, scale) | _is_serial(rho2, scale) | _is_serial(rho3, scale)
-    return _is_parallel(det_a, scale) + 2 * serial
+    return rows, rhos, det_a, det_b
 

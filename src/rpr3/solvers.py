@@ -32,6 +32,7 @@ from .geometry import (
     _FLOATS,
     DEFAULT_GEOMETRY,
     PAIR_SIN_TOL,
+    SERIAL_RHO_TOL,
     JointAngles,
     LegState,
     ManipulatorGeometry,
@@ -48,7 +49,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "ANCHOR_TOL",
     "DEGENERACY_ANGLE_TOL",
     "REDUCTION_NULL_TOL",
     "IkSolution",
@@ -68,10 +68,6 @@ __all__ = [
 # and friends still land inside after parsing, yet ten orders of magnitude
 # below anything a physical encoder resolves.
 DEGENERACY_ANGLE_TOL = 5e-9
-
-# A leg whose anchor separation is below this times the geometry scale sits
-# on its base anchor, and inverse kinematics is undefined for it.
-ANCHOR_TOL = 1e-9
 
 # Threshold on m*m + n*n (dimensionless) below which the orientation
 # reduction cannot certify a second root.
@@ -129,7 +125,7 @@ def inverse_kinematics(
     rho_i the anchor separation.  The three branch flags are the integers 0
     and 1: :class:`TypeError` for a flag that is not an integer, else
     ``ValueError``.  Raises :class:`LegAtAnchorError` listing every leg whose
-    separation is below ``ANCHOR_TOL * scale``; those legs have arbitrary
+    separation is below ``SERIAL_RHO_TOL * scale``; those legs have arbitrary
     revolute angle and no meaningful branch.
     """
     br = tuple(map(operator.index, branch))
@@ -176,8 +172,8 @@ def _aim_columns(legs, scale: float):
 def _aim_legs(f, legs, branch, scale: float):
     """(theta, rho, at_anchor) of the leg offsets b_i - a_i in form ``f``:
     each arctangent plus branch * pi (0 * pi turns atan2's -0.0 into +0.0),
-    each length, and whether it is below ``ANCHOR_TOL * scale``."""
-    tol = ANCHOR_TOL * scale
+    each length, and whether it is below ``SERIAL_RHO_TOL * scale``."""
+    tol = SERIAL_RHO_TOL * scale
     solved = []
     for (_, _, dx, dy), k in zip(legs, branch):
         rho = f.hypot(dx, dy)

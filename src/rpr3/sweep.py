@@ -55,9 +55,9 @@ def run(
         legs = _place_anchors(x, y, _COLUMNS.cos(phi), _COLUMNS.sin(phi), geometry._anchor_pairs)
         theta, at_anchor = _aim_columns(legs, geometry.scale)
         # A pose on a base anchor passes the consistency check: its angles
-        # come from its own offsets, and a leg shorter than ANCHOR_TOL * scale
-        # keeps its det B finite.  Its rows are masked after: their angles are
-        # undefined, and the pose is serial singular.
+        # come from its own offsets, and its leg shorter than SERIAL_RHO_TOL
+        # * scale keeps det B finite.  Its rows are masked after: their angles
+        # are undefined, and that leg makes the pose serial singular.
         _, rhos, det_a, det_b = _matrix_columns(x, y, theta, legs, geometry.scale)
         index = np.where(at_anchor, _SERIAL, _kind_index(det_a, rhos, geometry.scale))
         labels = _SINGULARITY_LABELS[index]

@@ -2,7 +2,8 @@
 
 No command, module or workload of the package runs these, so they live with
 the tests: a rotation matrix, a scalar angle distance, the signed leg
-extensions, det A in closed form at the identity pose, a finite-difference
+extensions, det A in closed form at the identity pose, the kinds of a batch
+of velocity models by the package's one kind rule, a finite-difference
 Jacobian check, a coupler-curve table's misses by per-sample hypot, verify's
 curves scope one draw at a time and the oracle's direct-kinematics scan on
 six columns, on the package's private helpers where they share one.
@@ -31,6 +32,7 @@ from rpr3.geometry import (
     _leg_axis,
     _place_anchors,
 )
+from rpr3.jacobians import _SINGULARITY_KINDS, KinematicMatricesArray, _kind_index
 from rpr3.oracle import (
     _CONTINUUM_RESIDUAL,
     _SCAN_SAMPLES,
@@ -95,6 +97,13 @@ def det_A_specialized(
     moment-arm column, matches to machine precision.
     """
     return geometry.scale / 2.0 * _mn(*_as_angles(theta))[1]
+
+
+def kernel_kinds(mats: KinematicMatricesArray, scale: float) -> np.ndarray:
+    """(N,) object array of the :class:`SingularityKind` of each of ``mats``'
+    configurations, by the rule :func:`classify_singularity` and the sweep
+    page read, at geometry scale ``scale``."""
+    return np.array(_SINGULARITY_KINDS, dtype=object)[_kind_index(mats.det_a, mats.rhos.T, scale)]
 
 
 def jacobian_fd_check(

@@ -26,6 +26,10 @@ import test_cli_fuzz
 import test_pins
 import trend
 from rpr3 import cli
+from rpr3.errors import LegAtAnchorError
+from rpr3.geometry import SERIAL_RHO_TOL, ManipulatorGeometry, Pose, platform_anchor
+from rpr3.jacobians import classify_singularity
+from rpr3.solvers import inverse_kinematics
 from test_cli import PINNED_SWEEPS, run, run_json, strict_json
 from test_symmetry import c3, mirror
 
@@ -204,6 +208,17 @@ def _parse_corpus():
         [*dk, "--deg"], ["ik", "--deg", "--x", "0", "--y", "0", "--phi", "90"], [*dk, "--deg", "--deg"],
         ["sweep", "--deg", "--space", "joint", "--t1=-30:30:4", "--t2=0", "--t3=0", "--csv", "s.csv"],
     )
+
+
+@pytest.mark.parametrize(
+    "command, branch, accepted",
+    [("ik", "2", "three binary digits or 'all'"), ("singularity", "all", "three binary digits")],
+)
+def test_a_bad_branch_names_only_what_its_command_accepts(capsys, command, branch, accepted):
+    pose = ("--x", "0.3", "--y", "0.2", "--phi", "0.1")
+    code, out, err = run(capsys, command, *pose, "--branch", branch)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"rpr3: --branch must be {accepted}, got {branch!r}"]
 
 
 def test_a_line_parses_as_the_full_parser_parses_it():
@@ -398,6 +413,38 @@ def test_a_pose_and_its_c3_image_have_one_singularity_kind(capsys):
 
 
 # --------------------------------------------------------- every scale
+
+
+@pytest.mark.parametrize("scale", ["1e-3", "1", "1e3"])
+def test_ik_the_report_and_the_page_share_the_zero_length_threshold(capsys, monkeypatch, scale):
+    # At pose (d, 0, 0.3) leg 1's platform anchor is the reference point, d
+    # from a1 = (0, 0); d sits 2**-20 of SERIAL_RHO_TOL * s either side of it.
+    _geometry(monkeypatch, scale)
+    s = float(scale)
+    geometry = ManipulatorGeometry(s)
+    for at_anchor, factor in ((True, 1 - 2**-20), (False, 1 + 2**-20)):
+        pose = Pose(factor * SERIAL_RHO_TOL * s, 0.0, 0.3)
+        page = ("sweep", "--space", "cartesian", f"--x={pose.x!r}", "--y=0", "--phi=0.3")
+        run_json(capsys, *page, "--csv", "page.csv")
+        (row,) = Path("page.csv").read_text().splitlines()[1:]
+        if at_anchor:
+            with pytest.raises(LegAtAnchorError) as stuck:
+                inverse_kinematics(pose, geometry=geometry)
+            assert stuck.value.legs == (1,)
+            # Legs 2 and 3 aim at their platform anchors; leg 1's angle is free.
+            aims = []
+            for leg in (2, 3):
+                (bx, by), (ax, ay) = (
+                    platform_anchor(p, leg, geometry) for p in (pose, Pose(0.0, 0.0, 0.0))
+                )
+                aims.append(math.atan2(by - ay, bx - ax))
+            for t1 in (-3.0, -1.5, 0.0, 0.7, 2.9):
+                assert classify_singularity(pose, (t1, *aims), geometry).zero_rho_legs == (1,)
+            assert row.endswith(",Serial")
+        else:
+            theta = inverse_kinematics(pose, geometry=geometry).angles
+            assert classify_singularity(pose, theta, geometry).zero_rho_legs == ()
+            assert not row.endswith((",Serial", ",Both"))
 
 
 @pytest.mark.parametrize("scale", SCALES)

@@ -115,10 +115,16 @@ def test_trace_passes_through_third_base_anchor():
 
 def test_trace_takes_an_integer_sample_count():
     # 8.5 samples once gave 9 phi values up to 3.511, past the cycle's pi.
-    for count in (8.5, 9.0, math.nan, math.inf):
+    for count in (8.5, 8.0, 9.0, math.nan, math.inf):
         with pytest.raises(TypeError):
             trace_cardanic(0.2, 0.9, count)
+    # The CLI refuses a short --samples before the library sees it, so only
+    # this reaches the library's own floor.
+    assert coupler.MIN_CURVE_SAMPLES == 8
+    with pytest.raises(ValueError, match=r"^n_samples must be at least 8, got 7$"):
+        trace_cardanic(0.2, 0.9, 7)
     numpy_count = trace_cardanic(0.2, 0.9, np.int64(8))
+    assert len(numpy_count.phi) == 8 and numpy_count.b3.shape == (8, 2)
     assert numpy_count.phi.tolist() == trace_cardanic(0.2, 0.9, 8).phi.tolist()
 
 

@@ -49,7 +49,7 @@ from rpr3.solvers import (
     inverse_kinematics,
     inverse_kinematics_array,
 )
-from _reference import angle_difference
+from _reference import angle_difference, kernel_kinds
 
 PI3 = math.pi / 3.0
 GEOMETRIES = [ManipulatorGeometry(1.0), ManipulatorGeometry(2.0)]
@@ -116,7 +116,7 @@ def _cartesian_array(x, y, phi, geom):
     ok = ~at_anchor
     mats = build_matrices_array(x[ok], y[ok], phi[ok], theta[ok], geometry=geom)
     kinds = np.full(len(x), "Serial", dtype=object)
-    kinds[ok] = [k.value for k in mats.singularity_kinds()]
+    kinds[ok] = [k.value for k in kernel_kinds(mats, geom.scale)]
     det_a = np.full(len(x), math.nan)
     det_a[ok] = mats.det_a
     det_b = np.zeros(len(x))
@@ -265,7 +265,7 @@ def test_kernels_accept_empty_batches():
     theta, at_anchor = inverse_kinematics_array(empty, empty, empty)
     assert theta.shape == (0, 3) and at_anchor.shape == (0,)
     mats = build_matrices_array(empty, empty, empty, theta)
-    assert mats.det_a.shape == (0,) and mats.singularity_kinds().shape == (0,)
+    assert mats.det_a.shape == (0,) and kernel_kinds(mats, 1.0).shape == (0,)
     assert _dk_kinds(theta).shape == (0,)
 
 
@@ -530,7 +530,7 @@ def _flat_page(space, axes, deg, geom):
         det_b = np.zeros(len(x))
         det_b[ok] = mats.det_b
         kinds = np.full(len(x), SingularityKind.SERIAL, dtype=object)
-        kinds[ok] = mats.singularity_kinds()
+        kinds[ok] = kernel_kinds(mats, geom.scale)
     out = np.degrees if deg else np.asarray
     table = np.column_stack((out(theta), x, y, out(phi), det_a, det_b))
     return table, [kind.value for kind in kinds]

@@ -458,7 +458,7 @@ def test_oracle_and_verify_call_no_lapack(scale, tmp_path, monkeypatch):
 # shape, counted by trend.count_calls as CPython 3.11 counts them; 3.12
 # inlines comprehensions and counts fewer.  numpy's Python wrappers are not
 # rpr3 frames, so the numpy version does not move the count.
-VERIFY_CALL_BUDGET = 801
+VERIFY_CALL_BUDGET = 797
 
 
 def test_a_verify_run_stays_within_its_call_budget():

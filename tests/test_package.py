@@ -60,6 +60,21 @@ def test_the_parallel_pair_threshold_lives_in_geometry():
     assert "PAIR_SIN_TOL" not in coupler.__all__
     for layer in (solvers, jacobians, coupler, oracle):
         assert layer.PAIR_SIN_TOL is geometry.PAIR_SIN_TOL
+    # A zero-length leg has one threshold too: inverse kinematics refuses the
+    # leg that the singularity report and the sweep page call serial.
+    assert "SERIAL_RHO_TOL" in geometry.__all__
+    for layer in (solvers, jacobians):
+        assert "SERIAL_RHO_TOL" not in layer.__all__
+        assert layer.SERIAL_RHO_TOL is geometry.SERIAL_RHO_TOL
+    assigned = [
+        path.name
+        for path in sorted((ROOT / "src" / "rpr3").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if getattr(target, "id", None) in ("PAIR_SIN_TOL", "SERIAL_RHO_TOL", "ANCHOR_TOL")
+    ]
+    assert assigned == ["geometry.py", "geometry.py"]
 
 
 # The public names with no reader in src/rpr3 or bench/, each kept as a thin
@@ -130,9 +145,7 @@ def test_every_public_name_has_a_reader():
 
 # The public class members with no reader in src/rpr3 or bench/, each kept as
 # a thin public face of a body the package runs.
-KEPT_MEMBERS = {
-    "KinematicMatricesArray.singularity_kinds": "face of jacobians._kind_index, which the sweep page runs",
-}
+KEPT_MEMBERS = {}
 
 
 def _public_classes() -> list[tuple[str, type]]:

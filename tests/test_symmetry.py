@@ -52,6 +52,7 @@ from rpr3.solvers import (
     inverse_kinematics,
     inverse_kinematics_array,
 )
+from _reference import kernel_kinds
 
 PI3 = math.pi / 3.0
 TURN = 2.0 * math.pi / 3.0
@@ -398,7 +399,7 @@ def test_parallel_kind_is_a_function_of_the_orbit(scale):
         kinds = [classify_singularity(p, t, geometry).kind for p, t in orbit]
         x, y, phi = zip(*(p.as_tuple() for p, _ in orbit))
         kernel = build_matrices_array(x, y, phi, [t for _, t in orbit], geometry)
-        kinds += kernel.singularity_kinds().tolist()
+        kinds += kernel_kinds(kernel, geometry.scale).tolist()
         assert len(set(kinds)) == 1, (pose, theta, kinds)
         seen.append(kinds[0])
     # Both sides of the threshold are drawn: about a quarter parallel.
