@@ -37,6 +37,7 @@ from .geometry import (
     Pose,
     Vec2,
     _as_angles,
+    _best_pair,
     _check_rows,
     _leg_axis,
     _leg_columns,
@@ -47,7 +48,6 @@ __all__ = [
     "CONSISTENCY_TOL",
     "FAR_POSE_TOL",
     "PARALLEL_DET_TOL",
-    "CONCURRENCY_TOL",
     "KinematicMatrices",
     "SingularityKind",
     "SingularityReport",
@@ -69,10 +69,6 @@ FAR_POSE_TOL = 1e-12
 # singularity: det A is a length, as rho is, and the same whichever vertex
 # is leg 1; a norm of A is not (its moment arms are about leg 1's anchor).
 PARALLEL_DET_TOL = 1e-9
-
-# Maximum spread of the pairwise normal-line intersections (relative to the
-# geometry scale) for them to count as a single common point.
-CONCURRENCY_TOL = 1e-6
 
 
 def _check_configuration(x: float, y: float, scale: float, det_b: float, *residuals: float):
@@ -177,10 +173,11 @@ _SINGULARITY_KINDS = tuple(SingularityKind)
 class SingularityReport:
     """Classification of one configuration.
 
-    For parallel singularities, ``intersection_point`` is the common point
-    of the three normal lines (least-squares midpoint of the pairwise
-    intersections), or None with ``translation_case`` set when the normals
-    are parallel and meet at infinity.
+    For parallel singularities, ``intersection_point`` is the platform's
+    instant center, where the normal lines meet: the meet of the two
+    normals of :func:`geometry._best_pair`, or None with ``translation_case``
+    set when that pair, and so every pair, is parallel (the center lies at
+    infinity).
     """
 
     kind: SingularityKind
@@ -209,16 +206,17 @@ def classify_singularity(
 
     Parallel test: |det A| < PARALLEL_DET_TOL * scale, as the serial test
     is |rho_i| < SERIAL_RHO_TOL * scale for some leg: both read a length in
-    units of the scale, the same whichever vertex is leg 1.  At a parallel
-    singularity the pairwise intersections of the normal lines (through each
-    platform anchor, perpendicular to its leg axis) are averaged; they count
-    as concurrent when their spread is below CONCURRENCY_TOL * scale.
+    units of the scale, the same whichever vertex is leg 1.  That one test
+    is also the concurrency test of the normal lines (through each platform
+    anchor, perpendicular to its leg axis): the leg left out of the best
+    pair misses the pair's meet by |det A| / |sin(t_j - t_i)|.
     """
-    rows, rhos, det_a, det_b, legs = _configuration(pose, _as_angles(theta), geometry)
+    t = _as_angles(theta)
+    rows, rhos, det_a, det_b, legs = _configuration(pose, t, geometry)
     scale = geometry.scale
     index = _kind_index(det_a, rhos, scale)
     zero_legs = _zero_legs(rhos, scale) if index > 1 else ()
-    point, at_infinity = _normal_intersection(rows, legs, scale) if index & 1 else (None, False)
+    point, at_infinity = _normal_intersection(t, rows, legs) if index & 1 else (None, False)
     return SingularityReport(_SINGULARITY_KINDS[index], det_a, det_b, zero_legs, point, at_infinity)
 
 
@@ -228,34 +226,22 @@ def _zero_legs(rhos, scale: float) -> tuple[int, ...]:
     return tuple(leg for leg, rho in enumerate(rhos, start=1) if abs(rho) < tol)
 
 
-def _normal_intersection(rows, legs, scale: float) -> tuple[Vec2 | None, bool]:
-    """Common point of the three leg-normal lines, if finite.
+def _normal_intersection(t, rows, legs) -> tuple[Vec2 | None, bool]:
+    """(meet, False) of the normal lines of :func:`geometry._best_pair`'s legs
+    at angles ``t``, or (None, True) when that pair is parallel.
 
     Normal i runs along (u_i, v_i), the first two entries of row i of A,
-    through the platform anchor (bx_i, by_i) of the leg offsets ``legs``.
-    Returns (None, True) when all normals are parallel (intersection at
-    infinity), and (None, False) when the pairwise intersections do not
-    agree within tolerance (not actually concurrent).
+    through the platform anchor (bx_i, by_i) of the leg offsets ``legs``;
+    u_i v_j - v_i u_j = sin(t_j - t_i).
     """
-    points = []
-    # u_i v_j - v_i u_j = sin(t_j - t_i); a parallel pair contributes no
-    # finite intersection.
-    for i, j in ((0, 1), (1, 2), (0, 2)):
-        (ui, vi, _), (uj, vj, _) = rows[i], rows[j]
-        (bxi, byi, _, _), (bxj, byj, _, _) = legs[i], legs[j]
-        denom = ui * vj - vi * uj
-        if abs(denom) < PAIR_SIN_TOL:
-            continue
-        s = ((bxj - bxi) * vj - (byj - byi) * uj) / denom
-        points.append(Vec2(bxi + ui * s, byi + vi * s))
-    if not points:
+    i, j, _ = _best_pair(t)
+    (ui, vi, _), (uj, vj, _) = rows[i], rows[j]
+    (bxi, byi, _, _), (bxj, byj, _, _) = legs[i], legs[j]
+    denom = ui * vj - vi * uj
+    if abs(denom) < PAIR_SIN_TOL:
         return (None, True)
-    cx = sum(p.x for p in points) / len(points)
-    cy = sum(p.y for p in points) / len(points)
-    spread = max(math.hypot(p.x - cx, p.y - cy) for p in points)
-    if spread > CONCURRENCY_TOL * scale:
-        return (None, False)
-    return (Vec2(cx, cy), False)
+    s = ((bxj - bxi) * vj - (byj - byi) * uj) / denom
+    return (Vec2(bxi + ui * s, byi + vi * s), False)
 
 
 # ------------------------------------------------------------ array kernels

@@ -28,6 +28,9 @@ _HEADER = ("theta1", "theta2", "theta3", "x", "y", "phi", "detA", "detB", "kind"
 _SINGULARITY_LABELS = np.array([kind.value for kind in _SINGULARITY_KINDS], dtype=object)
 _SERIAL = _SINGULARITY_KINDS.index(SingularityKind.SERIAL)
 _DK_LABELS = np.array([kind.value for kind in _DK_KINDS], dtype=object)
+# Most periods of the locus a swept axis may span: each period adds a copy
+# of every branch, so this bounds a page's vertices by its grid, not its turns.
+MAX_LOCUS_PERIODS = 32
 
 
 def run(
@@ -92,7 +95,7 @@ def _write_sweep_svg(path: str, deg: bool, names, axes, locus) -> None:
         # Into the viewBox, each axis's first value at lo.
         points = lo + (hi - lo) * (piece - first) / (last - first)
         canvas.polyline(points, stroke="#c02020", width=0.012)
-    for i, drop in zip(swept, (0.15, 0.3)):
+    for i, drop in zip(swept, (0.08, 0.17)):  # two lines between the frame and the view's edge
         name, axis = names[i], axes[i]
         if deg and name in ANGLE_AXES:  # labelled in the unit given
             axis = np.degrees(axis)
@@ -111,7 +114,8 @@ def _sweep_locus(joint: bool, axes, geometry: ManipulatorGeometry) -> list[np.nd
     -sqrt(3) s^2 sin^2(phi/2) (|p|^2 - 2 p . (I - R(phi)) c), c the anchors'
     centroid: a circle at fixed phi != 0, and with phi swept two roots in
     the position at each phi, bisected to where they meet, and phi = 0.
-    :class:`GeometryError` where a branch repeats past two per axis sample.
+    :class:`GeometryError` where a branch repeats past two per axis sample
+    or ``MAX_LOCUS_PERIODS`` per axis.
     """
     iu, iv = (i for i, a in enumerate(axes) if len(a) > 1)
     u, v, w = axes[iu], axes[iv], float(axes[3 - iu - iv][0])
@@ -200,9 +204,11 @@ def _sweep_locus(joint: bool, axes, geometry: ManipulatorGeometry) -> list[np.nd
 
 def _repeats(r: np.ndarray, span, period: float, samples: int) -> np.ndarray:
     """The multiples of ``period`` that can move a value of ``r`` into
-    ``span``, which may hold at most two periods per sample of its axis."""
-    if span[1] - span[0] > 2 * samples * period:
-        raise GeometryError("the singularity locus repeats more than twice per sample of an axis")
+    ``span``, which may hold at most two periods per sample of its axis and
+    ``MAX_LOCUS_PERIODS`` in all."""
+    if span[1] - span[0] > min(2 * samples, MAX_LOCUS_PERIODS) * period:
+        cap = f"twice per sample of an axis or {MAX_LOCUS_PERIODS} times across it"
+        raise GeometryError(f"the singularity locus repeats more than {cap}")
     if not r.size:
         return r
     first, last = math.ceil((span[0] - r.max()) / period), math.floor((span[1] - r.min()) / period)

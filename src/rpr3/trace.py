@@ -32,21 +32,22 @@ def run(t1, t2, samples: int, deg: bool, csv_path, svg_path, geom: ManipulatorGe
     figio.write_csv(csv_path, _trace_header(deg), table)
 
     if svg_path:
+        # Drawn in units of the scale, as the view is sized for scale 1.
+        s = geom.scale
         canvas = figio.SvgCanvas(title="third-anchor coupler curve")
-        anchors = geom._anchor_pairs
+        anchors = np.divide(geom._anchor_pairs, s)
         _draw_base(canvas, anchors)
         _draw_slider_axis(canvas, anchors[0], t1)
         _draw_slider_axis(canvas, anchors[1], t2)
         # Every k-th sample, k the least stride that fits the vertex cap,
         # and the last: a page within the cap draws every sample.
         k = -(-(n - 1) // (figio.MAX_SVG_AXIS_POINTS - 1))
-        points = np.vstack((curve.b3[:-1:k], curve.b3[-1:]))
+        points = np.vstack((curve.b3[:-1:k], curve.b3[-1:])) / s
         canvas.polyline(points, stroke="#c02020", width=0.015)
         if curve.degenerate:
             end_a, end_b = curve.segment
-            canvas.line(
-                end_a.x, end_a.y, end_b.x, end_b.y, stroke="#2020c0", width=0.02
-            )
+            ends = end_a.x / s, end_a.y / s, end_b.x / s, end_b.y / s
+            canvas.line(*ends, stroke="#2020c0", width=0.02)
         canvas.write(svg_path)
     return curve
 

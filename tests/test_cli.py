@@ -1,15 +1,19 @@
 """End-to-end workbench behavior: flags, artifacts, exit codes."""
 
 import ast
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -32,6 +36,7 @@ from rpr3.oracle import ScanReport, dkp_bruteforce, jacobian_cs_check
 from rpr3.solvers import inverse_kinematics
 import _reference
 from _reference import curves_draws, jacobian_fd_check
+from trend import REULEAUX_DK_ARGV, count_calls
 
 PI3 = math.pi / 3.0
 SQRT3 = math.sqrt(3.0)
@@ -172,6 +177,25 @@ def test_dk_reuleaux_with_printed_constants(capsys):
     assert abs(reuleaux["p_line"]["length"] - 2.0) < 1e-6
     assert abs(reuleaux["a_displacement_magnitude"] - 4.0 * SQRT3 / 3.0) < 1e-6
     assert payload["continuum"]["direction"] == [1.0, 0.0]
+
+
+# Python calls in rpr3 of the cross-check benchmark's Reuleaux dk line,
+# counted by trend.count_calls as CPython 3.11 counts them; its pose is
+# parallel singular, so its report meets one pair of normal lines.
+REULEAUX_DK_CALL_BUDGET = 122
+
+
+def test_the_reuleaux_dk_line_stays_within_its_call_budget(capsys):
+    payload = run_json(capsys, *REULEAUX_DK_ARGV)
+    assert payload["kind"] == "ContinuumReuleaux" and payload["poses"]
+    for pose in payload["poses"]:
+        assert pose["singularity"]["kind"] in ("Parallel", "Both")
+        assert pose["singularity"]["intersection_point"] is not None
+    with contextlib.redirect_stdout(io.StringIO()):
+        calls = sum(count_calls(partial(main, REULEAUX_DK_ARGV)).values())
+    assert calls <= REULEAUX_DK_CALL_BUDGET, (
+        f"{calls} Python calls in rpr3 per Reuleaux dk line, budget {REULEAUX_DK_CALL_BUDGET}"
+    )
 
 
 @pytest.mark.parametrize("flip", [0.0, -math.pi])
@@ -740,7 +764,11 @@ def test_sweep_rejects_grids_over_the_cap(tmp_path, capsys, space, axes):
 # last four, captured when the page moved out of the CLI, pin the locus
 # branches the others miss: phi swept against x (6 polylines) and, in
 # degrees at scale 1.7, against y (5), the fixed position 0 where one root
-# is a1 at every phi (2), and the phi = 0 page that draws no curve.
+# is a1 at every phi (2), and the phi = 0 page that draws no curve.  The
+# SVG digests were re-captured when the second axis label moved inside the
+# view, after the in-view test passed: only the two labels' y moved (1.45
+# and 1.6 became 1.38 and 1.47), and the new SVGs with the old y put back
+# gave the old digests.
 PINNED_SWEEPS = {
     "cartesian": (
         "cartesian",
@@ -748,7 +776,7 @@ PINNED_SWEEPS = {
         None,
         625,
         "593ae2df28e47fd5d71320c05ba80326476513bf87375f0f8af2f28b63ae8577",
-        "4bc89a0df5e19aff1d7c710e734111b881c9287d0e364928fff6d9576a026cb8",
+        "1f3f530974008a29bbbfb674d4ccc90597aac486cc332b3cf693d430ec54ac80",
     ),
     "joint": (
         "joint",
@@ -760,7 +788,7 @@ PINNED_SWEEPS = {
         None,
         625,
         "3f71ed99d8228a322ee7e6c19e3004dc65243f751eee2303029ca29536996977",
-        "9e193f357e7f056a4ae8e2dc00f12bf26f5b806401fb9fa11fa95dadc15851a8",
+        "bd46869bf693750e00e2df74e37761cadb9c6cc9244331eccee1d8f2c39ecc8e",
     ),
     "joint-deg": (
         "joint",
@@ -768,7 +796,7 @@ PINNED_SWEEPS = {
         None,
         357,
         "a2f30f54a3120e7e29f02b81a2749c5331e19c112927235c07e68a505e07d5c9",
-        "c23e80d68113e53d765456f91d5ca457e3210e85d0d85fa703169bdafdc0a52a",
+        "15ca07b9e3310c62a18e42defc5bfe18175576c73bccedad97ce804352ffeb40",
     ),
     "cartesian-wide": (
         "cartesian",
@@ -776,7 +804,7 @@ PINNED_SWEEPS = {
         None,
         437,
         "6de0cd88fb8e5e1dfe6331696608148eda0ed2bfcb95ced67afdcbeb51ea06d1",
-        "67c92447fe8132f5384d8242272830be2c12d1b43a51412d9214ea3dbcdfab43",
+        "08a3ed734b3dc3a0da7036980114f0e5ad8b8c726c0a68d55822946c3d527cc2",
     ),
     "cartesian-three-axes": (
         "cartesian",
@@ -796,7 +824,7 @@ PINNED_SWEEPS = {
         2.0,
         10201,
         "2aac77336728b72fbe5608d67fb06ec4aac079b0e180f6ee669fbc5ddeb64020",
-        "6d5882c09baa2db02c044301d3b4ce2d7e32218d748bd9d7972aec4583790be4",
+        "1e55c632ebf6c8be7a839a93b3d48cdc3e5f81195fd5376e051cbe45583cfa5a",
     ),
     "cartesian-x-phi": (
         "cartesian",
@@ -804,7 +832,7 @@ PINNED_SWEEPS = {
         None,
         399,
         "92feb5287ae4bb750b6bcfc8f59cd73e9bc9bb453f3661b47db8fd718be6b18c",
-        "0c38cf1b450ad60fc548f34463d1618890436a4c04650586ee03f6271acdfea5",
+        "a2694daaa7fc41c3110b4bae5461bcba15c813b68c2445d99b2d2255a2eff311",
     ),
     "cartesian-y-phi-deg-scale1.7": (
         "cartesian",
@@ -812,7 +840,7 @@ PINNED_SWEEPS = {
         1.7,
         391,
         "7c35e35136cbf0edbec76a84118a34e7da0fa7cde5dc1f89ac4abe5739f7535e",
-        "4bb38dddbb4a6e05759d2ae906958a7c02f108c3d92fe17e6244c07a32dfdc5e",
+        "61ea22d51de2fb575e4d8b3bfd1fe4c93c1a7187640dbe1a9c52ffaa92ddaa91",
     ),
     "cartesian-x0-phi": (
         "cartesian",
@@ -820,7 +848,7 @@ PINNED_SWEEPS = {
         None,
         195,
         "728161e71cc40c29c163ef1d05a120e06c974dac9756f5a8a31dab25768db491",
-        "5549fa7dee40251f6b93399af99858262f5b7a254446c461b2f867c07f31140f",
+        "aebb9efd9d54e894d4b30aad281a4fb7a6c462dcf1f221c2823ce3c9c926cb99",
     ),
     "cartesian-phi0": (
         "cartesian",
@@ -828,7 +856,7 @@ PINNED_SWEEPS = {
         None,
         81,
         "49e02658f0f346f544cc62777b8aae8348b07043e2c80c5928d05781dc0ee3ef",
-        "aca64330d59b9fb6f40409060c83f8dd1ad6fb0c4249598987049067d33f31f9",
+        "5cc7301b01aa835f0b76d5bc1e09524e3d1fe26545d09c6fbac3f31b98039890",
     ),
 }
 
@@ -867,6 +895,24 @@ def test_a_pinned_page_written_over_a_longer_page_keeps_its_digests(
     longer = [p.stat().st_size for p in _check_pinned_page(tmp_path, capsys, monkeypatch, "joint")]
     paths = _check_pinned_page(tmp_path, capsys, monkeypatch, "cartesian-phi0")
     assert all(p.stat().st_size < size for p, size in zip(paths, longer))
+
+
+def _outside_view(svg: str) -> list[tuple[float, float]]:
+    """Each polyline or polygon vertex, line end, circle centre and text or
+    rect anchor of ``svg`` outside its viewBox, in SVG coordinates."""
+    x0, y0, width, height = map(float, re.search(r'viewBox="([^"]*)"', svg).group(1).split())
+    pairs = [xy.split(",") for coords in re.findall(r' points="([^"]*)"', svg) for xy in coords.split()]
+    for x, y in (("x1", "y1"), ("x2", "y2"), ("cx", "cy"), ("x", "y")):
+        pairs += re.findall(rf' {x}="([^"]*)" {y}="([^"]*)"', svg)
+    points = [(float(x), float(y)) for x, y in pairs]
+    return [(x, y) for x, y in points if not (x0 <= x <= x0 + width and y0 <= y <= y0 + height)]
+
+
+@pytest.mark.parametrize("page", sorted(p for p, pin in PINNED_SWEEPS.items() if pin[-1]))
+def test_a_pinned_page_draws_inside_its_view(tmp_path, capsys, monkeypatch, page):
+    svg = _check_pinned_page(tmp_path, capsys, monkeypatch, page)[1].read_text()
+    assert svg.count("<text ") == 2 and svg.count("<polygon ") == 1
+    assert _outside_view(svg) == []
 
 
 # A 25-row page with an SVG, for the artifact targets below.

@@ -27,8 +27,10 @@ import test_pins
 import trend
 from rpr3 import cli
 from rpr3.errors import LegAtAnchorError
-from rpr3.geometry import SERIAL_RHO_TOL, ManipulatorGeometry, Pose, platform_anchor
-from rpr3.jacobians import classify_singularity
+from rpr3.geometry import (
+    PAIR_SIN_TOL, SERIAL_RHO_TOL, ManipulatorGeometry, Pose, _best_pair, platform_anchor,
+)
+from rpr3.jacobians import SingularityKind, classify_singularity
 from rpr3.solvers import inverse_kinematics
 from test_cli import PINNED_SWEEPS, run, run_json, strict_json
 from test_symmetry import c3, mirror
@@ -445,6 +447,45 @@ def test_ik_the_report_and_the_page_share_the_zero_length_threshold(capsys, monk
             theta = inverse_kinematics(pose, geometry=geometry).angles
             assert classify_singularity(pose, theta, geometry).zero_rho_legs == ()
             assert not row.endswith((",Serial", ",Both"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # A pose far off, its three legs within 5e-9 of parallel.
+        ("--x", "5", "--y", "2", "--phi=-2.9975421145245213e-08"),
+        # Legs 1 and 2 1e-5 apart at the trivial pose, which is serial too.
+        ("--x", "0", "--y", "0", "--phi", "0", "--t1", "0.3", "--t2", "0.30001",
+         "--t3=-2.8415849745809094"),
+    ],
+)
+def test_a_parallel_report_prints_the_instant_center(capsys, argv):
+    # The point lies on every normal line, within |det A| / |sin(t_j - t_i)|
+    # of the best pair plus the rounding of a point of its size.
+    payload = run_json(capsys, "singularity", *argv)
+    assert payload["kind"] in ("Parallel", "Both") and payload["translation_case"] is False
+    (px, py), t = payload["intersection_point"], payload["theta"]
+    pose = Pose(*(payload["pose"][key] for key in ("x", "y", "phi")))
+    i, j, _ = _best_pair(t)
+    slack = abs(payload["det_a"]) / abs(math.sin(t[j] - t[i])) + 4 * 2.0**-53 * math.hypot(px, py)
+    for leg, angle in enumerate(t, start=1):
+        bx, by = platform_anchor(pose, leg)
+        assert abs((px - bx) * math.cos(angle) + (py - by) * math.sin(angle)) <= slack, leg
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0, 1.7])
+def test_a_parallel_report_has_a_point_unless_every_normal_is_parallel(scale):
+    geometry = ManipulatorGeometry(scale)
+    translations = 0
+    for pose, theta in test_pins._singular_cases(geometry):
+        report = classify_singularity(pose, theta, geometry)
+        assert report.kind in (SingularityKind.PARALLEL, SingularityKind.BOTH)
+        assert (report.intersection_point is None) is report.translation_case
+        if report.translation_case:
+            t = tuple(theta)
+            assert max(abs(math.sin(t[j] - t[i])) for i, j in ((0, 1), (1, 2), (0, 2))) < PAIR_SIN_TOL
+            translations += 1
+    assert translations == 12
 
 
 @pytest.mark.parametrize("scale", SCALES)

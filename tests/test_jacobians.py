@@ -9,6 +9,8 @@ import pytest
 from rpr3.errors import InconsistentStateError, LegAtAnchorError
 from rpr3.geometry import (
     DEFAULT_GEOMETRY,
+    _as_angles,
+    _best_pair,
     ManipulatorGeometry,
     Pose,
     constraint_residuals,
@@ -19,6 +21,8 @@ from rpr3.jacobians import (
     SingularityKind,
     build_matrices,
     build_matrices_array,
+    _configuration,
+    _normal_intersection,
     classify_singularity,
 )
 from rpr3.solvers import inverse_kinematics, mn_coefficients
@@ -231,6 +235,32 @@ def test_det_a_is_within_its_a_priori_rounding_bound(scale):
         for det_a in (mats.det_a, classify_singularity(pose, theta, geometry).det_a):
             assert type(det_a) is float
             assert abs(Fraction(det_a) - exact) <= Fraction(bound), (pose, theta)
+        count += 1
+    assert count >= 700
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_the_left_out_normal_misses_the_best_pairs_meet_by_det_a_over_its_sine(scale):
+    # Moving the moment reference from p to the meet P of the best pair's
+    # normals adds multiples of A's first two columns to its third, so det A
+    # = sin(t_j - t_i) * d_k, d_k the signed distance of P from normal k:
+    # the parallel test on det A already is the concurrency test.
+    geometry = ManipulatorGeometry(scale)
+    rng = np.random.default_rng(58)
+    count = 0
+    for pose, theta in _bound_configurations(scale, rng):
+        t = _as_angles(theta)
+        rows, _, det_a, _, legs = _configuration(pose, t, geometry)
+        point, at_infinity = _normal_intersection(t, rows, legs)
+        i, j, k = _best_pair(t)
+        assert at_infinity is (point is None)
+        if at_infinity:
+            continue
+        bx, by, _, _ = legs[k]
+        miss = (point.x - bx) * math.cos(t[k]) + (point.y - by) * math.sin(t[k])
+        sine = abs(math.sin(t[j] - t[i]))
+        size = max(scale, sine * math.hypot(point.x - bx, point.y - by))
+        assert abs(abs(det_a) - sine * abs(miss)) <= 16 * 2.0**-53 * size, (pose, theta)
         count += 1
     assert count >= 700
 

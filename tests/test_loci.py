@@ -22,7 +22,7 @@ from rpr3.errors import LegAtAnchorError
 from rpr3.geometry import ManipulatorGeometry, normalize_angle
 from rpr3.jacobians import PARALLEL_DET_TOL
 from rpr3.solvers import mn_coefficients
-from rpr3.sweep import _sweep_locus
+from rpr3.sweep import MAX_LOCUS_PERIODS, _sweep_locus
 
 SQRT3 = math.sqrt(3.0)
 
@@ -244,11 +244,19 @@ def test_a_phi_zero_page_draws_no_curve(scale, tmp_path, capsys):
         ("joint", "--t1=-3:3:5", "--t2=0:1e6:2", "--t3=0.7"),
         ("joint", "--t1=-1e300:1e6:3", "--t2=0:1:3", "--t3=0.7"),
         ("cartesian", "--x=0:1:3", "--y=0.3", "--phi=-1e300:1:5"),
+        # Fine grids spanning more than MAX_LOCUS_PERIODS periods; the first
+        # wrote a 242 MB SVG before the cap.
+        ("joint", "--t1=-300:300:1000", "--t2=-300:300:250", "--t3=0.7"),
+        ("joint", f"--t1=0:{math.nextafter(MAX_LOCUS_PERIODS * math.pi, 4e3)!r}:65", "--t2=0:1:3",
+         "--t3=0.7"),
+        ("cartesian", "--x=0:1:3", "--y=0.3",
+         f"--phi=0:{math.nextafter(2 * MAX_LOCUS_PERIODS * math.pi, 4e3)!r}:65"),
     ],
 )
 def test_a_page_too_coarse_for_its_repeats_is_a_usage_error(tmp_path, capsys, axes):
-    # A branch repeating more than twice per sample of an axis cannot be
-    # drawn on the page's grid: exit 1 with one line, before any file.
+    # A branch repeating more than twice per sample of an axis, or more than
+    # MAX_LOCUS_PERIODS times across it, cannot be drawn on the page's grid:
+    # exit 1 with one line, before any file.
     space, *flags = axes
     csv_path, svg_path = tmp_path / "x.csv", tmp_path / "x.svg"
     code = main(["sweep", "--space", space, *flags, "--csv", str(csv_path), "--svg", str(svg_path)])
@@ -256,6 +264,19 @@ def test_a_page_too_coarse_for_its_repeats_is_a_usage_error(tmp_path, capsys, ax
     assert code == 1 and captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "repeats" in captured.err
     assert not csv_path.exists() and not svg_path.exists()
+
+
+def test_a_page_may_span_max_locus_periods_across_an_axis(tmp_path, capsys):
+    # The cap is on the span: MAX_LOCUS_PERIODS periods (pi in a joint
+    # angle, 2 pi in phi) draw; one float more is refused (the cases above).
+    span = MAX_LOCUS_PERIODS * math.pi
+    for space, *flags in (
+        ("joint", f"--t1=0:{span!r}:65", "--t2=0:1:3", "--t3=0.7"),
+        ("cartesian", "--x=0:1:3", "--y=0.3", f"--phi=0:{2 * span!r}:65"),
+    ):
+        argv = ["sweep", "--space", space, *flags, "--csv", str(tmp_path / "x.csv")]
+        assert main([*argv, "--svg", str(tmp_path / "x.svg")]) == 0, flags
+    capsys.readouterr()
 
 
 # ------------------------------------------------------------ the identity

@@ -77,6 +77,19 @@ def test_the_parallel_pair_threshold_lives_in_geometry():
     assert assigned == ["geometry.py", "geometry.py"]
 
 
+def test_the_instant_center_is_the_best_pairs_meet():
+    # det A's parallel test is the concurrency test: the left-out normal
+    # misses the best pair's meet by |det A| / |sin(t_j - t_i)|.  So there is
+    # no second tolerance and no loop over the three pairs.
+    assert "CONCURRENCY_TOL" not in rpr3.__all__ and len(rpr3.__all__) == 61
+    for path in sorted((ROOT / "src" / "rpr3").glob("*.py")):
+        assert "CONCURRENCY_TOL" not in path.read_text(encoding="utf-8"), path.name
+    tree = ast.parse(inspect.getsource(jacobians._normal_intersection))
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not [node for node in ast.walk(tree) if isinstance(node, loops)]
+    assert "_best_pair" in _names_read(tree)
+
+
 # The public names with no reader in src/rpr3 or bench/, each kept as a thin
 # public face of a body the package runs.
 KEPT_FACES = {

@@ -272,19 +272,24 @@ def _position_digest(scale, seed=26):
 # tests passed: classify_singularity is unchanged, every kind, zero-rho leg
 # and translation flag stayed, 36 of 89 cases moved, no pose by more than
 # 5.3e-16 of the scale, det A by 4.0e-16 of it, det B by 1.3e-15 of its cube
-# and no intersection point by 7.9e-16 of it.
+# and no intersection point by 7.9e-16 of it.  They were re-captured again
+# when the intersection point became the meet of the best pair's normals,
+# in place of the mean of the pairwise meets, after the instant-center tests
+# passed: every kind, det, zero-rho leg and translation flag stayed, points
+# moved by at most 7.8e-16 of the scale at scales 1 and 2 and 1.09e-15 at
+# 1.7, and the new reports with the old points put back gave the old digests.
 PINNED_LEG_LINES = {
     1.0: {
-        "singularity": "023632b6d0dfd496e5e54b70f4a4edbd9e13b6863dc18970142965e515432dfd",
+        "singularity": "dd167ef5d0d325aa1bd5e3be5b66ae2f0c8c9a9abb4e47d89dac809942b39fa7",
         "position": "682dbb5bc41814896f93a3587a274e907a2250989012289e6c0456c0bcccc96e",
     },
     2.0: {
-        "singularity": "a488c781e7988f3182e9c8d6d5d9b97aaa4fdb2c04c723f1aec3825c3df4e81c",
+        "singularity": "826911925284deff084429a4be360cdb0b6508393d6cf87f348befe7e4e2eb5d",
         "position": "217f4c7bb8d67a4e7fdb48937b60d0a315712890f50e808395a924c8626c8573",
     },
     # Not a power of two, so a regrouped product with the scale shows.
     1.7: {
-        "singularity": "9031ac76b98773e31a96dcf7446d1c4e7fd76d40f47b1de687514b6aa83fdef8",
+        "singularity": "9d50798590ef09e873cf336015d3a105b983f2717a9ccdd7724c787d95cde8dc",
         "position": "a8ae7b284282e590a53c6ee56dc9e3b54a2f2ae87397564858e0a86ae0648dc9",
     },
 }
@@ -559,11 +564,15 @@ def _trace_digest(tmp_path, capsys):
 # became the descriptor's travel), and again when the curve layer read one
 # loop-closure table (SVG bytes and the printed descriptor unchanged; CSV
 # values moved by at most 1.1e-15 of the scale, and one printed segment end
-# by 5.6e-17 of it).
+# by 5.6e-17 of it), and at 2.0 and 1.7 when the figure was drawn in units
+# of the scale, after the power-of-two scale test passed (exit codes, stdout
+# and CSV bytes unchanged at every scale; each SVG at 2.0 is the scale-1
+# SVG; pages with a curve vertex outside the view went from 11 of 15 to the
+# three of the near-parallel --t1 -3.0 --t2 3.0 pair).
 PINNED_TRACE = {
     1.0: "0e9f8243bf82915c46bc22c132d75e7fd3b2b96dc6d6a68fc77628b232083df1",
-    2.0: "07ab191169db831cf45d11277c375a8e13d093d9cc985fedb7a37c906e1f989f",
-    1.7: "834e3e1104b9a544936156a915d3a8e56fd136dfa26600a366b3f57d8c9fc4e4",
+    2.0: "cdf5c9637a5ed6a6c272d29b6f703ea3287fc5ff09f32785a6c89dfb638bcfbb",
+    1.7: "cb6310800a5ea7fa029a193680f5a7b881da721f6a01f517a69ce4febf83542e",
 }
 
 
@@ -574,6 +583,26 @@ def test_trace_artifacts_are_pinned(scale, tmp_path, capsys, monkeypatch):
         path.write_text(json.dumps({"scale": scale}))
         monkeypatch.setenv("RPR_GEOMETRY", str(path))
     assert _trace_digest(tmp_path, capsys) == PINNED_TRACE[scale]
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0, 1024.0])
+def test_a_trace_figure_is_drawn_in_units_of_the_scale(scale, tmp_path, capsys, monkeypatch):
+    # At a power of two every drawn coordinate is the scale times its
+    # unit-scale value exactly, so each figure's bytes are the scale-1 page's.
+    def figures():
+        svg_path = tmp_path / "t.svg"
+        pages = []
+        for argv in TRACE_ARGVS:
+            assert main(["trace", *argv, "--csv", str(tmp_path / "t.csv"), "--svg", str(svg_path)]) == 0
+            pages.append(svg_path.read_bytes())
+        capsys.readouterr()
+        return pages
+
+    unit = figures()
+    path = tmp_path / "geom.json"
+    path.write_text(json.dumps({"scale": scale}))
+    monkeypatch.setenv("RPR_GEOMETRY", str(path))
+    assert figures() == unit
 
 
 def _verify_digest(capsys):

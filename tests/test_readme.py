@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from rpr3 import cli, coupler, figio, oracle, solvers, verify
+from rpr3 import cli, coupler, figio, oracle, solvers, sweep, verify
 from test_cli import strict_json
 from test_cli_contract import _env
 
@@ -22,6 +22,7 @@ STATED = {
     "`MAX_SVG_AXIS_POINTS` = NUMBER": figio.MAX_SVG_AXIS_POINTS,
     "A page of NUMBER samples or fewer": figio.MAX_SVG_AXIS_POINTS,
     "`MAX_GRID_POINTS` = NUMBER": cli.MAX_GRID_POINTS,
+    "`MAX_LOCUS_PERIODS` = NUMBER": sweep.MAX_LOCUS_PERIODS,
     "`MIN_CURVE_SAMPLES` = NUMBER": coupler.MIN_CURVE_SAMPLES,
     "`trace --samples` must be at least NUMBER": coupler.MIN_CURVE_SAMPLES,
     "blocks of at most NUMBER curves": verify._CURVE_BLOCK,

@@ -15,6 +15,6 @@ def test_the_trend_script_runs_each_entry_and_probe_once(capsys):
     entries = [line for line in capsys.readouterr().out.splitlines() if line.startswith("- ")]
     timed = sum(len(rows) for _, rows in trend.TIMES)
     assert sum(line.endswith(": ran") for line in entries) == timed
-    # The two call counts and each fresh-interpreter probe print a value.
-    assert len(entries) == timed + 2 + sum(len(rows) for _, rows in trend.PROBES)
+    # The three call counts and each fresh-interpreter probe print a value.
+    assert len(entries) == timed + 3 + sum(len(rows) for _, rows in trend.PROBES)
     assert all(line.rpartition(": ")[2] for line in entries), entries

@@ -2,19 +2,20 @@
 public names, of public class members and of public record fields (``test_package``'s
 ``public_members`` and ``public_fields``), best-of-5 ``timeit`` times of the scalar entry
 points, the oracle scan, the sweep pages, the CSV writer, verify, the cross-check's dk line and
-the parse of its verify line, the Python calls of a pose-stream op and of a verify run, and the
-peak RSS and module counts of fresh interpreters.
+the parse of its verify line, the Python calls of a pose-stream op, of a verify run and of the
+cross-check's Reuleaux dk line, and the peak RSS and module counts of fresh interpreters.
 They are trend lines across runs, not gates.
 
 ``python tests/trend.py`` takes no arguments and writes its files in a temporary directory.  A
 timed line is what ``python -m timeit -r 5 -s SETUP STATEMENT`` prints for an entry of
 :data:`TIMES`; ``tests/test_trend.py`` runs each entry and probe once, untimed.
-:func:`count_calls` is the one call counter, whose counts ``POSE_STREAM_CALL_BUDGET`` and
-``VERIFY_CALL_BUDGET`` bound.
+:func:`count_calls` is the one call counter, whose counts ``POSE_STREAM_CALL_BUDGET``,
+``VERIFY_CALL_BUDGET`` and ``REULEAUX_DK_CALL_BUDGET`` bound.
 """
 
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -67,6 +68,9 @@ def counted_op():
 
 VERIFY_ARGV = ["verify", "--scope", "all", "--trials", "4", "--seed", "0"]  # the cross-check run
 DK_ARGV = ["dk", "--method", "both", "--t1=0.2", "--t2=0.9", "--t3=2.0"]  # and its dk line
+# Every fourth cross-check dk line: a Reuleaux triple, whose poses are parallel singular.
+REULEAUX_DK_ARGV = ["dk", "--method", "both", "--t1=0.2",
+                    f"--t2={0.2 + math.pi / 3.0!r}", f"--t3={0.2 - math.pi / 3.0!r}"]
 PI = "3.141592653589793"
 SWEEP_PAGES = [  # the benchmark's two pages, and a joint page 16 times larger
     ["sweep", "--space", "cartesian", "--x=-0.5:1.5:25", "--y=-0.5:1.5:25", "--phi=0.3"],
@@ -196,6 +200,7 @@ def main(measure=best_of_5):
             with contextlib.redirect_stdout(io.StringIO()):
                 op_calls = sum(count_calls(counted_op).values())
                 verify_calls = sum(count_calls(lambda: cli_main(VERIFY_ARGV)).values())
+                reuleaux_calls = sum(count_calls(lambda: cli_main(REULEAUX_DK_ARGV)).values())
             for heading, entries in TIMES:
                 print(heading)
                 for label, setup, statement in entries:
@@ -206,6 +211,8 @@ def main(measure=best_of_5):
                           f"{op_calls}")
                     print(f"- Python calls in rpr3 of a `{' '.join(VERIFY_ARGV)}` run, by `sys.setprofile`: "
                           f"{verify_calls}")
+                    print(f"- Python calls in rpr3 of a `{' '.join(REULEAUX_DK_ARGV)}` run, "
+                          f"by `sys.setprofile`: {reuleaux_calls}")
             started = [[(label, _python(*args, **env)) for label, args, env in entries]
                        for _, entries in PROBES]
             for (heading, _), entries in zip(PROBES, started):
